@@ -9,11 +9,6 @@ maximum-entropy equilibrium states with stationarity certification.
 
 from .grids import (
     PhaseGrid,
-    ScalarField,
-    ComplexField,
-    MatrixField,
-    StateField,
-    WaveOpField,
     VectorField2,
     GridMismatchError,
     NotHermitianError,

@@ -102,9 +102,6 @@ def _meta(cfg, model, run=None, extra=None):
 
 
 def cmd_simulate(args):
-    import numpy as np
-
-    from . import config as C
     from . import diagnostics as diag
     from .dynamics import rk4_run
     from .snapshots import write_snapshot
@@ -145,22 +142,13 @@ def cmd_simulate(args):
 
 
 def cmd_equilibrium(args):
-    from . import config as C
     from . import equilibria as eq
     from .snapshots import write_snapshot
 
     Cmod, cfg, grid, ham = _prepare(args)
     problem = Cmod.build_problem(grid, ham, cfg)
-    if problem.representation == "uhlmann":
-        result = eq.gibbs_uhlmann(problem)
-    elif problem.representation == "conditional":
-        result = eq.gibbs_conditional(problem)
-    else:
-        mu = problem.mu if problem.mu is not None else eq.solve_mu(problem)[0]
-        state = eq.gibbs_meanfield_uncoupled(grid, ham, mu)
-        from . import dynamics as dyn
-        result = eq.EquilibriumResult(state, mu, float("nan"), problem.branch,
-                                      dyn.energy_of("mean_field", state, ham))
+    mu = problem.mu if problem.mu is not None else eq.solve_mu(problem)[0]
+    result = eq.equilibrium_at(problem, mu, check_confined=True)
 
     metrics = dict(result.residuals)
     if bool(Cmod.get(cfg, "equilibrium.certify", True)):
@@ -188,7 +176,6 @@ def cmd_equilibrium(args):
 def cmd_casimir_check(args):
     import numpy as np
 
-    from . import config as C
     from .probes import casimir_probe_report, random_smooth_split
 
     Cmod, cfg, grid, ham = _prepare(args)
@@ -213,7 +200,6 @@ def cmd_casimir_check(args):
 def cmd_convergence(args):
     import numpy as np
 
-    from . import config as C
     from . import diagnostics as diag
     from .dynamics import rk4_run
 
@@ -233,10 +219,15 @@ def cmd_convergence(args):
         if args.mode == "both":
             scaled["grid"]["Nq"] = cfg["grid"]["Nq"] * f
             scaled["grid"]["Np"] = cfg["grid"]["Np"] * f
-        if "dt" in scaled.get("time", {}):
-            scaled["time"]["dt"] = cfg["time"]["dt"] / f
-            if "steps" in scaled["time"]:
-                scaled["time"]["steps"] = cfg["time"]["steps"] * f
+            if "dt" in scaled.get("time", {}):
+                scaled["time"]["dt"] = cfg["time"]["dt"] / f
+                if "steps" in scaled["time"]:
+                    scaled["time"]["steps"] = cfg["time"]["steps"] * f
+        elif level > 0:
+            # the level-0 step, however it was set, halved at the same final time
+            for key in ("cfl", "t_final"):
+                scaled["time"].pop(key, None)
+            scaled["time"].update(dt=dt0 / f, steps=steps0 * f)
         scaled["time"]["sample_every"] = int(cfg["time"].get("sample_every", 1)) * f
 
         grid = Cmod.build_grid(scaled)
@@ -244,6 +235,8 @@ def cmd_convergence(args):
         model = Cmod.model_of(scaled, args.model)
         state = Cmod.build_initial_state(grid, ham, scaled)
         stepper = Cmod.build_stepper(scaled, grid, ham, model, state)
+        if level == 0:
+            dt0, steps0 = stepper.dt, stepper.steps
         dspec = Cmod.get(scaled, "diagnostics", {}) or {}
         sample_fn = diag.make_sample_fn(model, ham, functionals=dspec.get("functionals"),
                                         renyi_alpha=float(dspec.get("renyi_alpha", 2.0)))
@@ -261,18 +254,22 @@ def cmd_convergence(args):
              " ".join(f"{c}={drifts[c]:.3e}" for c in drift_cols if drifts[c] is not None))
 
     fits = {}
-    x = np.log(np.array(hs))
-    for col in drift_cols:
-        ys = [row[col] for row in table]
-        if any(y is None for y in ys) or any(y <= 0 for y in ys):
-            continue
-        y = np.log(np.array(ys))
-        A = np.stack([x, np.ones_like(x)], axis=1)
-        coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
-        yhat = A @ coef
-        ss_res = float(np.sum((y - yhat) ** 2))
-        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-        fits[col] = {"order": float(coef[0]), "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0}
+    if len(set(hs)) < max(len(hs), 2):
+        print(f"no order fitted: the step sizes h = {hs} are not distinct", file=sys.stderr)
+    else:
+        x = np.log(np.array(hs))
+        for col in drift_cols:
+            ys = [row[col] for row in table]
+            if any(y is None for y in ys) or any(y <= 0 for y in ys):
+                continue
+            y = np.log(np.array(ys))
+            A = np.stack([x, np.ones_like(x)], axis=1)
+            coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
+            yhat = A @ coef
+            ss_res = float(np.sum((y - yhat) ** 2))
+            ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+            fits[col] = {"order": float(coef[0]),
+                         "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0}
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "convergence.csv"), "w") as fh:

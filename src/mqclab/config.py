@@ -14,9 +14,9 @@ import numpy as np
 import yaml
 
 from . import hamiltonians as _ham
-from .dynamics import MODEL_KINDS, MeanFieldState, StepperConfig, MODEL_OPS, circle_loop
+from .dynamics import MODELS, MeanFieldState, StepperConfig, cfl_dt, circle_loop
 from .equilibria import MaxEntProblem
-from .grids import PhaseGrid, hermitize
+from .grids import MIN_POINTS, PhaseGrid, hermitize
 from .hamiltonians import eigenfields
 from .snapshots import read_snapshot
 from .states import ConditionalSplit, UhlmannSplit, compose, quantum_marginal
@@ -60,6 +60,9 @@ def get(cfg, path, default=None):
 
 
 def build_grid(cfg) -> PhaseGrid:
+    for path in ("grid.Nq", "grid.Np"):
+        if require(cfg, path, int) < MIN_POINTS:
+            raise ConfigError(path, f"the stencils need at least {MIN_POINTS} points")
     return PhaseGrid(
         require(cfg, "domain.q0", float),
         require(cfg, "domain.q1", float),
@@ -77,6 +80,9 @@ def build_hamiltonian(grid, cfg) -> _ham.Hamiltonian:
         return _ham.build(grid, spec)
     except KeyError as exc:
         raise ConfigError(f"hamiltonian.{exc.args[0]}") from None
+    except _ham.UnsupportedHamiltonianError as exc:
+        path = "hamiltonian.kind" if spec.get("kind") not in _ham.KINDS else "hamiltonian"
+        raise ConfigError(path, str(exc)) from None
 
 
 def _complex_array(data):
@@ -202,7 +208,6 @@ def build_initial_state(grid, ham, cfg):
         W = _waveop_profile(grid, ham, require(cfg, "initial.waveop"), m, "initial.waveop")
         return UhlmannSplit(grid, D, W)
     if rep == "density":
-        base = dict(cfg)
         sub = dict(require(cfg, "initial"))
         inner_rep = sub.get("compose_from", "conditional")
         sub["representation"] = inner_rep
@@ -228,24 +233,25 @@ def model_of(cfg, override=None):
     model = override or get(cfg, "model")
     if model is None:
         raise ConfigError("model")
-    if model not in MODEL_KINDS:
+    if model not in MODELS:
         raise ConfigError("model", f"unknown model '{model}'")
     return model
 
 
 def build_stepper(cfg, grid, ham, model, state) -> StepperConfig:
+    state_type = MODELS[model].state_type
+    if not isinstance(state, state_type):
+        raise ConfigError("model", f"model '{model}' evolves a {state_type.__name__}, "
+                                   f"the initial state is a {type(state).__name__}")
     dt = get(cfg, "time.dt")
     steps = get(cfg, "time.steps")
     cfl = get(cfg, "time.cfl")
     t_final = get(cfg, "time.t_final")
+    eps_tr_rel = float(get(cfg, "time.eps_tr_rel", 1e-12))
     if dt is None:
         if cfl is None:
             raise ConfigError("time.dt", "give dt or cfl")
-        ops = MODEL_OPS[model]
-        arrays = ops.unpack(state)
-        _, info = ops.rhs(grid, ham, arrays, float(get(cfg, "time.eps_tr_rel", 1e-12)))
-        speed = max(info["max_speed"], 1e-12)
-        dt = float(cfl) * min(grid.dq, grid.dp) / speed
+        dt = cfl_dt(model, state, ham, cfl, eps_tr_rel)
         if t_final is not None:
             steps = max(int(np.ceil(float(t_final) / dt)), 1)
             dt = float(t_final) / steps
@@ -257,7 +263,7 @@ def build_stepper(cfg, grid, ham, model, state) -> StepperConfig:
         dt=float(dt),
         steps=int(steps),
         sample_every=int(get(cfg, "time.sample_every", 1)),
-        eps_tr_rel=float(get(cfg, "time.eps_tr_rel", 1e-12)),
+        eps_tr_rel=eps_tr_rel,
         renormalize=bool(get(cfg, "time.renormalize", False)),
     )
 

@@ -19,7 +19,6 @@ from .states import (
     purity,
     quantum_marginal,
 )
-from .grids import trace_field
 
 CSV_COLUMNS = [
     "t", "mass", "energy", "C1", "C2", "S_pure", "S_uhlmann",
@@ -42,14 +41,11 @@ def make_sample_fn(model, ham, functionals=None, renyi_alpha=2.0,
         row = {k: None for k in CSV_COLUMNS}
         row["t"] = t
         grid = state.grid
-        is_split = isinstance(state, (ConditionalSplit, UhlmannSplit))
+        is_split = isinstance(state, UhlmannSplit)
         is_density = isinstance(state, HybridDensity)
 
         if "mass" in wanted:
-            if is_density:
-                row["mass"] = float(grid.integrate(trace_field(state.P)))
-            else:
-                row["mass"] = float(grid.integrate(state.D))
+            row["mass"] = state.mass() if is_density else float(grid.integrate(state.D))
         if "energy" in wanted:
             row["energy"] = _dyn.energy_of(model, state, ham)
         if "purity" in wanted:
@@ -65,12 +61,7 @@ def make_sample_fn(model, ham, functionals=None, renyi_alpha=2.0,
                 row["lambda_min"] = float(np.min(lam))
                 row["lambda_max"] = float(np.max(lam))
             if "C2" in wanted:
-                if isinstance(state, ConditionalSplit):
-                    row["C2"] = _inv.casimir_c2(state, sigma).value
-                else:
-                    row["C2"] = _inv.casimir_general_value(
-                        state, _inv.GammaSpec.from_sigma(sigma)
-                    )
+                row["C2"] = _inv.casimir_c2(state, sigma).value
             if "S_pure" in wanted and isinstance(state, ConditionalSplit):
                 row["S_pure"] = _inv.shannon_pure(state).value
             if "S_uhlmann" in wanted:

@@ -5,10 +5,18 @@ Models
 * ``mean_field``            (D, rho): D advected by Tr(rho H), rho rotated by
                             the D-averaged Hamiltonian.
 * ``ehrenfest_density``     P transported along <X_H> and rotated by [H, .].
-* ``ehrenfest_conditional`` (D, psi) form of the same dynamics.
-* ``ehrenfest_uhlmann``     (D, W) form with Frobenius pairing.
+* ``ehrenfest_uhlmann``     (D, W) form, transported along the pairing
+                            X = Re Tr(W^dag X_H W).
+* ``ehrenfest_conditional`` (D, psi) form: the same right-hand side, with psi
+                            taken as the n x 1 wave operator W = psi[..., None].
 * ``beyond_ehrenfest``      P with the gradient-corrected vector field and the
                             modified Hamiltonian (Sigma-hat terms).
+
+``MODELS`` is the one registry of the models: for each, the state type it
+evolves, the maps between that state and the tuple of arrays RK4 advances,
+the right-hand side and the renormalisation. Every right-hand side reports
+its transport velocity and the largest speed, which the loop tracer and the
+CFL step size read.
 
 All transport terms use the conservative form div(field * velocity); with the
 antisymmetric stencils the grid sum of such a divergence telescopes to zero,
@@ -22,20 +30,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .grids import PhaseGrid, dagger, hermitize, trace_field
+from .grids import PhaseGrid, antiherm_residual, hermitize, trace_field
 from .hamiltonians import Hamiltonian
-from .states import ConditionalSplit, HybridDensity, UhlmannSplit
-
-MODEL_KINDS = (
-    "mean_field",
-    "ehrenfest_density",
-    "ehrenfest_conditional",
-    "ehrenfest_uhlmann",
-    "beyond_ehrenfest",
-)
+from .states import ConditionalSplit, HybridDensity, UhlmannSplit, compose, vacuum_floor
 
 
 class NumericalAbort(RuntimeError):
@@ -88,21 +89,14 @@ def mean_field_rhs(grid, D, rho, ham):
     Hbar = hermitize(grid.integrate(D[..., None, None] * ham.H))
     drho = (-1j / grid.hbar) * (Hbar @ rho - rho @ Hbar)
     speed = float(np.max(np.hypot(dHeff_p, dHeff_q)))
-    return (dD, drho), {"max_speed": speed}
-
-
-def _mean_velocity(grid, rho, ham):
-    Xq = np.einsum("ab,ijba->ij", rho, ham.X_q).real
-    Xp = np.einsum("ab,ijba->ij", rho, ham.X_p).real
-    return Xq, Xp
+    return (dD, drho), {"max_speed": speed, "velocity": (dHeff_p, -dHeff_q)}
 
 
 def ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
     """dP/dt = -div(P <X_H>) - (i/hbar)[H, P], symmetrized."""
     P = np.asarray(P, dtype=complex)
     TrP = trace_field(P)
-    eps = eps_tr_rel * max(float(np.max(TrP)), 1e-300)
-    denom = TrP + eps
+    denom = TrP + vacuum_floor(TrP, eps_tr_rel)
     Xq = np.einsum("ijab,ijba->ij", P, ham.X_q).real / denom
     Xp = np.einsum("ijab,ijba->ij", P, ham.X_p).real / denom
     if not (np.all(np.isfinite(Xq)) and np.all(np.isfinite(Xp))):
@@ -113,39 +107,46 @@ def ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
         )
     tend = -grid.divergence(P * Xq[..., None, None], P * Xp[..., None, None])
     tend += (-1j / grid.hbar) * (ham.H @ P - P @ ham.H)
-    resid = float(np.max(np.linalg.norm(tend - dagger(tend), axis=(-2, -1))))
-    scale = max(float(np.max(np.linalg.norm(tend, axis=(-2, -1)))), 1e-300)
     info = {
         "max_speed": float(np.max(np.hypot(Xq, Xp))),
-        "antiherm_resid": resid / scale,
+        "antiherm_resid": antiherm_residual(tend),
         "velocity": (Xq, Xp),
     }
     return (hermitize(tend),), info
 
 
-def conditional_rhs(grid, D, psi, ham):
-    """System dD/dt = -div(D X), i hbar (d_t + X.grad) psi = H psi,
-    with X = <psi, X_H psi> pointwise."""
-    Xq = np.einsum("ija,ijab,ijb->ij", np.conj(psi), ham.X_q, psi).real
-    Xp = np.einsum("ija,ijab,ijb->ij", np.conj(psi), ham.X_p, psi).real
-    dD = -grid.divergence(D * Xq, D * Xp)
-    Hpsi = np.einsum("ijab,ijb->ija", ham.H, psi)
-    dpsi = -(Xq[..., None] * grid.partial_q(psi) + Xp[..., None] * grid.partial_p(psi))
-    dpsi += (-1j / grid.hbar) * Hpsi
-    info = {"max_speed": float(np.max(np.hypot(Xq, Xp))), "velocity": (Xq, Xp)}
-    return (dD, dpsi), info
+def pairing(W, X):
+    """Re Tr(W^dag X W) at every grid point: a matrix field X averaged over
+    the conditional state W (a transport velocity when X is X_H)."""
+    return np.einsum("ijak,ijab,ijbk->ij", np.conj(W), X, W).real
+
+
+def _as_waveop(W):
+    """A state vector field psi, shape (Nq, Np, n), as the n x 1 W = psi[..., None]."""
+    return W if W.ndim == 4 else W[..., None]
 
 
 def uhlmann_rhs(grid, D, W, ham):
-    """As conditional_rhs with the Frobenius pairing: X = Re Tr(W^dag X_H W)."""
-    Xq = np.einsum("ijak,ijab,ijbk->ij", np.conj(W), ham.X_q, W).real
-    Xp = np.einsum("ijak,ijab,ijbk->ij", np.conj(W), ham.X_p, W).real
+    """System dD/dt = -div(D X), i hbar (d_t + X.grad) W = H W,
+    with X = Re Tr(W^dag X_H W) pointwise.
+
+    ``W`` may be a state vector field psi of shape (Nq, Np, n), taken as the
+    n x 1 operator psi[..., None]; its tendency keeps the shape it was given.
+    """
+    W = np.asarray(W)
+    Wm = _as_waveop(W)
+    Xq, Xp = pairing(Wm, ham.X_q), pairing(Wm, ham.X_p)
     dD = -grid.divergence(D * Xq, D * Xp)
-    HW = np.einsum("ijab,ijbk->ijak", ham.H, W)
-    dW = -(Xq[..., None, None] * grid.partial_q(W) + Xp[..., None, None] * grid.partial_p(W))
+    HW = np.einsum("ijab,ijbk->ijak", ham.H, Wm)
+    dW = -(Xq[..., None, None] * grid.partial_q(Wm) + Xp[..., None, None] * grid.partial_p(Wm))
     dW += (-1j / grid.hbar) * HW
     info = {"max_speed": float(np.max(np.hypot(Xq, Xp))), "velocity": (Xq, Xp)}
-    return (dD, dW), info
+    return (dD, dW.reshape(W.shape)), info
+
+
+def conditional_rhs(grid, D, psi, ham):
+    """The (D, psi) system: ``uhlmann_rhs`` with psi as an n x 1 wave operator."""
+    return uhlmann_rhs(grid, D, psi, ham)
 
 
 def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
@@ -161,8 +162,7 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
     P = np.asarray(P, dtype=complex)
     hbar = grid.hbar
     TrP = trace_field(P)
-    eps = eps_tr_rel * max(float(np.max(TrP)), 1e-300)
-    D = TrP + eps
+    D = TrP + vacuum_floor(TrP, eps_tr_rel)
     Dmat = D[..., None, None]
 
     dPq = grid.partial_q(P)
@@ -192,11 +192,9 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
     if not np.all(np.isfinite(tend)):
         bad = np.argwhere(~np.all(np.isfinite(tend), axis=(-2, -1)))[0]
         raise NumericalAbort(f"non-finite tendency at grid point {tuple(bad)}")
-    resid = float(np.max(np.linalg.norm(tend - dagger(tend), axis=(-2, -1))))
-    scale = max(float(np.max(np.linalg.norm(tend, axis=(-2, -1)))), 1e-300)
     info = {
         "max_speed": float(np.max(np.hypot(calX[0], calX[1]))),
-        "antiherm_resid": resid / scale,
+        "antiherm_resid": antiherm_residual(tend),
         "velocity": (calX[0], calX[1]),
     }
     return (hermitize(tend),), info
@@ -223,8 +221,7 @@ def beyond_sigma_grad(grid, P, eps_tr_rel=1e-12):
     X-on-X pairing is not a constant of motion).
     """
     TrP = trace_field(P)
-    eps = eps_tr_rel * max(float(np.max(TrP)), 1e-300)
-    Dmat = (TrP + eps)[..., None, None]
+    Dmat = (TrP + vacuum_floor(TrP, eps_tr_rel))[..., None, None]
     grads = (grid.partial_q(P), grid.partial_p(P))
     return tuple((0.5j * grid.hbar) * (P @ Gk - Gk @ P) / Dmat for Gk in grads)
 
@@ -235,7 +232,7 @@ def energy_of(model, state, ham, eps_tr_rel=1e-12):
     if model == "mean_field":
         heff = np.einsum("ab,ijba->ij", state.rho, ham.H).real
         return float(grid.integrate(state.D * heff))
-    P = _as_density_values(state)
+    P = state.P if isinstance(state, HybridDensity) else compose(state).P
     e = float(grid.integrate(np.einsum("ijab,ijba->ij", P, ham.H).real))
     if model == "beyond_ehrenfest":
         Sig = beyond_sigma_grad(grid, P, eps_tr_rel)
@@ -245,30 +242,21 @@ def energy_of(model, state, ham, eps_tr_rel=1e-12):
     return e
 
 
-def _as_density_values(state):
-    if isinstance(state, HybridDensity):
-        return state.P
-    if isinstance(state, ConditionalSplit):
-        outer = np.einsum("ija,ijb->ijab", state.psi, np.conj(state.psi))
-        return state.D[..., None, None] * outer
-    if isinstance(state, UhlmannSplit):
-        outer = np.einsum("ijak,ijbk->ijab", state.W, np.conj(state.W))
-        return state.D[..., None, None] * outer
-    raise TypeError(f"cannot view {type(state).__name__} as a hybrid density")
+# -- model registry ----------------------------------------------------------------
 
 
-# -- model operation table -------------------------------------------------------
+@dataclass(frozen=True)
+class Model:
+    """A model's glue: the state type it evolves, state -> array tuple
+    (``unpack``), (state, arrays) -> state (``pack``), the right-hand side
+    ``rhs(grid, ham, arrays, eps_tr_rel) -> (tendencies, info)`` and the
+    renormalisation ``renorm(grid, arrays)``."""
 
-
-class _Ops:
-    """Per-model glue: state <-> array tuple, rhs, velocity, renormalize."""
-
-    def __init__(self, unpack, pack, rhs, velocity, renorm):
-        self.unpack = unpack
-        self.pack = pack
-        self.rhs = rhs
-        self.velocity = velocity
-        self.renorm = renorm
+    state_type: type
+    unpack: Callable
+    pack: Callable
+    rhs: Callable
+    renorm: Callable
 
 
 def _mf_renorm(grid, arrays):
@@ -278,18 +266,12 @@ def _mf_renorm(grid, arrays):
     return (D, rho / np.real(np.trace(rho)))
 
 
-def _cond_renorm(grid, arrays):
-    D, psi = arrays
-    norms = np.linalg.norm(psi, axis=-1)
-    psi = psi / np.where(norms > 0, norms, 1.0)[..., None]
-    return (D / grid.integrate(D), psi)
-
-
-def _uhl_renorm(grid, arrays):
+def _split_renorm(grid, arrays):
     D, W = arrays
-    norms = np.linalg.norm(W, axis=(-2, -1))
-    W = W / np.where(norms > 0, norms, 1.0)[..., None, None]
-    return (D / grid.integrate(D), W)
+    Wm = _as_waveop(W)
+    norms = np.linalg.norm(Wm, axis=(-2, -1))
+    Wm = Wm / np.where(norms > 0, norms, 1.0)[..., None, None]
+    return (D / grid.integrate(D), Wm.reshape(W.shape))
 
 
 def _dens_renorm(grid, arrays):
@@ -297,53 +279,56 @@ def _dens_renorm(grid, arrays):
     return (hermitize(P) / grid.integrate(trace_field(P)),)
 
 
-MODEL_OPS = {
-    "mean_field": _Ops(
+# The lambdas look each right-hand side up as a module attribute at call
+# time, so wrappers installed on the module (benchmarks/spans.py) see every call.
+MODELS = {
+    "mean_field": Model(
+        MeanFieldState,
         lambda s: (s.D, s.rho),
         lambda s, a: MeanFieldState(s.grid, a[0], a[1]),
         lambda grid, ham, a, eps: mean_field_rhs(grid, a[0], a[1], ham),
-        lambda grid, ham, a: _mean_velocity(grid, a[1], ham),
         _mf_renorm,
     ),
-    "ehrenfest_density": _Ops(
+    "ehrenfest_density": Model(
+        HybridDensity,
         lambda s: (s.P,),
         lambda s, a: HybridDensity(s.grid, a[0]),
         lambda grid, ham, a, eps: ehrenfest_rhs(grid, a[0], ham, eps),
-        None,
         _dens_renorm,
     ),
-    "ehrenfest_conditional": _Ops(
+    "ehrenfest_conditional": Model(
+        ConditionalSplit,
         lambda s: (s.D, s.psi),
         lambda s, a: ConditionalSplit(s.grid, a[0], a[1]),
         lambda grid, ham, a, eps: conditional_rhs(grid, a[0], a[1], ham),
-        None,
-        _cond_renorm,
+        _split_renorm,
     ),
-    "ehrenfest_uhlmann": _Ops(
+    "ehrenfest_uhlmann": Model(
+        UhlmannSplit,
         lambda s: (s.D, s.W),
         lambda s, a: UhlmannSplit(s.grid, a[0], a[1]),
         lambda grid, ham, a, eps: uhlmann_rhs(grid, a[0], a[1], ham),
-        None,
-        _uhl_renorm,
+        _split_renorm,
     ),
-    "beyond_ehrenfest": _Ops(
+    "beyond_ehrenfest": Model(
+        HybridDensity,
         lambda s: (s.P,),
         lambda s, a: HybridDensity(s.grid, a[0]),
         lambda grid, ham, a, eps: beyond_ehrenfest_rhs(grid, a[0], ham, eps),
-        None,
         _dens_renorm,
     ),
 }
 
+MODEL_KINDS = tuple(MODELS)
 
-def expected_state_type(model):
-    return {
-        "mean_field": MeanFieldState,
-        "ehrenfest_density": HybridDensity,
-        "ehrenfest_conditional": ConditionalSplit,
-        "ehrenfest_uhlmann": UhlmannSplit,
-        "beyond_ehrenfest": HybridDensity,
-    }[model]
+
+def cfl_dt(model, state, ham, cfl, eps_tr_rel=1e-12):
+    """Step size at advective CFL number ``cfl`` for the largest transport
+    speed the model's right-hand side reports at ``state``."""
+    spec = MODELS[model]
+    grid = state.grid
+    _, info = spec.rhs(grid, ham, spec.unpack(state), eps_tr_rel)
+    return float(cfl) * min(grid.dq, grid.dp) / max(info["max_speed"], 1e-12)
 
 
 # -- RK4 driver -------------------------------------------------------------------
@@ -375,14 +360,13 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
     Renormalization is OFF by default: norm and mass drift are themselves
     diagnostics, and projecting them away alters the conservation picture.
     """
-    if model not in MODEL_OPS:
+    if model not in MODELS:
         raise ValueError(f"unknown model '{model}'")
-    if not isinstance(state, expected_state_type(model)):
+    ops = MODELS[model]
+    if not isinstance(state, ops.state_type):
         raise TypeError(
-            f"model '{model}' expects {expected_state_type(model).__name__}, "
-            f"got {type(state).__name__}"
+            f"model '{model}' expects {ops.state_type.__name__}, got {type(state).__name__}"
         )
-    ops = MODEL_OPS[model]
     grid = state.grid
     y = tuple(np.array(a, copy=True) for a in ops.unpack(state))
     pts = None if loop is None else np.array(loop, dtype=float, copy=True)
@@ -394,10 +378,7 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
         tends, info = ops.rhs(grid, ham, arrays, cfg.eps_tr_rel)
         ptend = None
         if loop_pts is not None:
-            if "velocity" in info:
-                Xq, Xp = info["velocity"]
-            else:
-                Xq, Xp = ops.velocity(grid, ham, arrays)
+            Xq, Xp = info["velocity"]
             vq = grid.interpolate(Xq, loop_pts[:, 0], loop_pts[:, 1])
             vp = grid.interpolate(Xp, loop_pts[:, 0], loop_pts[:, 1])
             ptend = np.stack([vq, vp], axis=1)

@@ -25,7 +25,15 @@ from . import dynamics as _dyn
 from . import invariants as _inv
 from .grids import hermitize, matrix_exp_herm, trace_field
 from .hamiltonians import Hamiltonian, UnsupportedHamiltonianError, eigenfields
-from .states import ConditionalSplit, HybridDensity, UhlmannSplit, lambda_of, uhlmann_factor
+from .states import (
+    ConditionalSplit,
+    HybridDensity,
+    UhlmannSplit,
+    _fix_eigvec_phase,
+    lambda_of,
+    outer,
+    uhlmann_factor,
+)
 
 
 @dataclass
@@ -108,9 +116,7 @@ def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> Equilibriu
         A = ham.extras["A"]
         a_vals, a_vecs = np.linalg.eigh(A)
         a_n = float(a_vals[problem.branch])
-        vec = a_vecs[:, problem.branch]
-        lead = np.argmax(np.abs(vec) > 1e-12)
-        vec = vec * np.conj(vec[lead] / abs(vec[lead]))
+        vec = _fix_eigvec_phase(a_vecs)[:, problem.branch]
         psi = np.broadcast_to(vec, grid.shape + vec.shape).copy()
         E_field = ham.extras["h_0"].values + a_n * ham.extras["h_i"].values
     elif ham.kind in ("zeta_composed", "nanowire"):
@@ -129,8 +135,8 @@ def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> Equilibriu
             "and pure-dephasing Hamiltonians"
         )
 
-    dE_q = np.einsum("ija,ijab,ijb->ij", np.conj(psi), ham.dH_q, psi).real
-    dE_p = np.einsum("ija,ijab,ijb->ij", np.conj(psi), ham.dH_p, psi).real
+    dE_q = _dyn.pairing(psi[..., None], ham.dH_q)
+    dE_p = _dyn.pairing(psi[..., None], ham.dH_p)
     w = np.exp(-mu * (E_field - float(np.min(E_field))))
     if check_confined:
         _check_confined(grid, w, _seam_kinked(grid, E_field, dE_q, dE_p))
@@ -191,8 +197,12 @@ def gibbs_meanfield_uncoupled(grid, ham: Hamiltonian, mu, check_confined=True) -
     return _dyn.MeanFieldState(grid, D, rho)
 
 
-def _equilibrium_at(problem: MaxEntProblem, mu, check_confined=False):
-    # mid-bisection profiles may be delocalized; only final states are checked
+def equilibrium_at(problem: MaxEntProblem, mu, check_confined=False):
+    """The maximum-entropy state of ``problem``'s representation at ``mu``.
+
+    The confinement check is off by default: mid-bisection profiles may be
+    delocalized, so only final states are checked.
+    """
     sub = MaxEntProblem(problem.representation, problem.ham, mu=mu, branch=problem.branch)
     if problem.representation == "uhlmann":
         return gibbs_uhlmann(sub, check_confined=check_confined)
@@ -217,7 +227,7 @@ def solve_mu(problem: MaxEntProblem, mu_lo=1e-6, mu_hi=1e6, rel_tol=1e-10, max_i
     target = float(problem.E)
 
     def energy_at(mu):
-        return _equilibrium_at(problem, mu).energy
+        return equilibrium_at(problem, mu).energy
 
     e_lo, e_hi = energy_at(mu_lo), energy_at(mu_hi)  # e_lo >= e_hi
     if not (min(e_lo, e_hi) <= target <= max(e_lo, e_hi)):
@@ -271,40 +281,20 @@ def marina_residual(split: ConditionalSplit, ham: Hamiltonian, mu):
     return {"marina": num / max(den, 1e-300), "marina_abs": num, "lambda1": lam1}
 
 
-_MODEL_OF_REP = {
-    "conditional": "ehrenfest_conditional",
-    "uhlmann": "ehrenfest_uhlmann",
-    "mean_field": "mean_field",
-}
-
-
 def stationarity_residual(result: EquilibriumResult, ham: Hamiltonian, model=None,
                           T_check=2 * np.pi, cfl=0.2):
     """Certify an equilibrium against the dynamics it should be fixed by.
 
-    Runs the matching model for ``T_check`` and reports the relative L1
-    change of D, the D-weighted L1 change of the pointwise conditional
-    projector, the entropy change, and (conditional representation) the
-    stationarity-equation residual.
+    Runs the model registered for the state's type (or ``model``) for
+    ``T_check`` and reports the relative L1 change of D, the D-weighted L1
+    change of the pointwise conditional projector, the entropy change, and
+    (conditional representation) the stationarity-equation residual.
     """
     state = result.state
-    grid = state.grid if not isinstance(state, _dyn.MeanFieldState) else state.grid
+    grid = state.grid
     if model is None:
-        rep = (
-            "conditional" if isinstance(state, ConditionalSplit)
-            else "uhlmann" if isinstance(state, UhlmannSplit)
-            else "mean_field"
-        )
-        model = _MODEL_OF_REP[rep]
-
-    if isinstance(state, _dyn.MeanFieldState):
-        Xq, Xp = _dyn._mean_velocity(grid, state.rho, ham)
-        speed = float(np.max(np.hypot(Xq, Xp)))
-    else:
-        Xq, Xp = _inv.split_velocity(state, ham)
-        speed = float(np.max(np.hypot(Xq, Xp)))
-    minh = min(grid.dq, grid.dp)
-    dt = cfl * minh / max(speed, 1e-12)
+        model = next(k for k, m in _dyn.MODELS.items() if type(state) is m.state_type)
+    dt = _dyn.cfl_dt(model, state, ham, cfl)
     steps = max(int(np.ceil(T_check / dt)), 4)
     dt = T_check / steps
     cfg = _dyn.StepperConfig(dt=dt, steps=steps, sample_every=steps)
@@ -314,13 +304,12 @@ def stationarity_residual(result: EquilibriumResult, ham: Hamiltonian, model=Non
     final = run.final_state
 
     metrics = {"T_check": T_check, "dt": dt, "steps": steps}
-    D0, DT = _density_of(state), _density_of(final)
-    metrics["d_change_l1"] = float(grid.integrate(np.abs(DT - D0))) / float(
+    D0 = state.D
+    metrics["d_change_l1"] = float(grid.integrate(np.abs(final.D - D0))) / float(
         grid.integrate(np.abs(D0))
     )
-    P0, PT = _projector_of(state), _projector_of(final)
-    if P0 is not None:
-        diff = np.linalg.norm(PT - P0, axis=(-2, -1))
+    if isinstance(state, UhlmannSplit):
+        diff = np.linalg.norm(outer(final.W) - outer(state.W), axis=(-2, -1))
         metrics["projector_change_l1"] = float(grid.integrate(D0 * diff))
     if isinstance(state, ConditionalSplit):
         metrics["entropy_change"] = (
@@ -332,22 +321,6 @@ def stationarity_residual(result: EquilibriumResult, ham: Hamiltonian, model=Non
             _inv.entropy_uhlmann(final).value - _inv.entropy_uhlmann(state).value
         )
     return metrics
-
-
-def _density_of(state):
-    if isinstance(state, _dyn.MeanFieldState):
-        return state.D
-    if isinstance(state, HybridDensity):
-        return trace_field(state.P)
-    return state.D
-
-
-def _projector_of(state):
-    if isinstance(state, ConditionalSplit):
-        return np.einsum("ija,ijb->ijab", state.psi, np.conj(state.psi))
-    if isinstance(state, UhlmannSplit):
-        return np.einsum("ijak,ijbk->ijab", state.W, np.conj(state.W))
-    return None
 
 
 def meanfield_maxent_residual(state: _dyn.MeanFieldState, ham: Hamiltonian, mu):

@@ -23,6 +23,9 @@ EIG_CLAMP = 1e-14
 
 HERM_TOL = 1e-12
 
+# Points per direction the 4th-order stencils need at least.
+MIN_POINTS = 8
+
 
 class GridMismatchError(ValueError):
     """Fields living on different grids were combined."""
@@ -48,8 +51,8 @@ class PhaseGrid:
     def __init__(self, q0, q1, p0, p1, Nq, Np, hbar=1.0):
         if not (q1 > q0 and p1 > p0):
             raise ValueError("domain bounds must satisfy q1 > q0 and p1 > p0")
-        if Nq < 8 or Np < 8:
-            raise ValueError("need at least 8 points per direction for the stencils")
+        if Nq < MIN_POINTS or Np < MIN_POINTS:
+            raise ValueError(f"need at least {MIN_POINTS} points per direction for the stencils")
         if hbar <= 0:
             raise ValueError("hbar must be positive")
         self.q0, self.q1, self.p0, self.p1 = float(q0), float(q1), float(p0), float(p1)
@@ -174,59 +177,6 @@ def _diff4(values, axis, h):
 
 
 # -- field containers -------------------------------------------------------
-
-
-@dataclass
-class Field:
-    """Grid field: ``values[i, j, ...]`` on ``grid``; shape checked on demand."""
-
-    grid: PhaseGrid
-    values: np.ndarray
-
-    expected_trailing = None  # overridden by subclasses, as a rank
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.shape[:2] != self.grid.shape:
-            raise ValueError(
-                f"field shape {self.values.shape[:2]} does not match grid {self.grid.shape}"
-            )
-        if self.expected_trailing is not None and self.values.ndim - 2 != self.expected_trailing:
-            raise ValueError(
-                f"expected {self.expected_trailing} trailing axes, got {self.values.ndim - 2}"
-            )
-
-    def d_q(self):
-        return self.grid.partial_q(self.values)
-
-    def d_p(self):
-        return self.grid.partial_p(self.values)
-
-
-class ScalarField(Field):
-    expected_trailing = 0
-
-
-class ComplexField(Field):
-    expected_trailing = 0
-
-
-class StateField(Field):
-    """Length-n complex vector per grid point, values shape (Nq, Np, n)."""
-
-    expected_trailing = 1
-
-
-class MatrixField(Field):
-    """n x n complex matrix per grid point, values shape (Nq, Np, n, n)."""
-
-    expected_trailing = 2
-
-
-class WaveOpField(Field):
-    """n x m complex matrix per grid point, values shape (Nq, Np, n, m)."""
-
-    expected_trailing = 2
 
 
 @dataclass

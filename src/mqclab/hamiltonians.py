@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import PhaseGrid, hermitize, require_hermitian
+from .states import _fix_eigvec_phase
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -142,10 +143,6 @@ class Hamiltonian:
         eq = np.max(np.abs(self.grid.partial_q(self.H) - self.dH_q))
         ep = np.max(np.abs(self.grid.partial_p(self.H) - self.dH_p))
         return float(max(eq, ep))
-
-
-def _eye_like(grid, n):
-    return np.broadcast_to(np.eye(n, dtype=complex), grid.shape + (n, n))
 
 
 def _scalar_times(field2d, mat):
@@ -268,7 +265,7 @@ def eigenfields(ham: Hamiltonian, gap_tol=1e-10) -> Eigenfields:
     min_gap = float(np.min(np.abs(gaps))) if gaps.size else np.inf
 
     v = v.copy()
-    v[0, 0] = _leading_positive(v[0, 0])
+    v[0, 0] = _fix_eigvec_phase(v[0, 0])
     Nq = v.shape[0]
     for i in range(1, Nq):  # first row, march in q
         v[i, 0] = _align(v[i - 1, 0], v[i, 0])
@@ -276,14 +273,6 @@ def eigenfields(ham: Hamiltonian, gap_tol=1e-10) -> Eigenfields:
     for j in range(1, Np):  # every column, march in p (vectorized over q)
         v[:, j] = _align(v[:, j - 1], v[:, j])
     return Eigenfields(w, v, min_gap, crossing)
-
-
-def _leading_positive(v, tol=1e-12):
-    absv = np.abs(v)
-    lead = np.argmax(absv > tol * np.max(absv, axis=-2, keepdims=True), axis=-2)
-    lv = np.take_along_axis(v, lead[..., None, :], axis=-2)[..., 0, :]
-    phase = np.where(np.abs(lv) > 0, lv / np.abs(np.where(lv == 0, 1.0, lv)), 1.0)
-    return v * np.conj(phase)[..., None, :]
 
 
 def _align(v_ref, v, tol=1e-12):
@@ -299,12 +288,17 @@ def reconstruction_error(ham: Hamiltonian, eig: Eigenfields):
     return float(np.max(np.abs(R - ham.H)))
 
 
+KINDS = ("uncoupled", "nanowire", "pure_dephasing", "zeta_composed", "tabulated")
+
+
 def build(grid: PhaseGrid, spec: dict) -> Hamiltonian:
     """Construct a Hamiltonian from a config-style mapping with key 'kind'."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind is None:
-        raise KeyError("hamiltonian.kind")
+        raise KeyError("kind")
+    if kind not in KINDS:
+        raise UnsupportedHamiltonianError(f"unknown hamiltonian kind '{kind}'")
     if kind == "uncoupled":
         prof = scalar_profile(grid, **_profile_args(spec.pop("h_c")))
         return uncoupled(grid, prof, _matrix_arg(spec.pop("H_Q")))
@@ -318,9 +312,7 @@ def build(grid: PhaseGrid, spec: dict) -> Hamiltonian:
         zeta = scalar_profile(grid, **_profile_args(spec.pop("zeta")))
         coeffs = [_matrix_arg(c) for c in spec.pop("coeffs")]
         return zeta_composed(grid, zeta, coeffs)
-    if kind == "tabulated":
-        return tabulated(grid, np.asarray(spec.pop("H"), dtype=complex))
-    raise UnsupportedHamiltonianError(f"unknown hamiltonian kind '{kind}'")
+    return tabulated(grid, np.asarray(spec.pop("H"), dtype=complex))
 
 
 _NAMED_MATRICES = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}

@@ -40,7 +40,9 @@ from .states import (
     berry_data,
     compose,
     lambda_of,
+    outer,
     uhlmann_factor,
+    vacuum_floor,
 )
 from . import dynamics as _dyn
 
@@ -296,15 +298,12 @@ class CasimirC1(Functional):
         self.eps_tr_rel = eps_tr_rel
         self.name = f"C1[{phi.name}]"
 
-    def _eigs(self, P):
-        return np.linalg.eigh(hermitize(P))
-
     def value(self, state):
         return float(state.grid.integrate(self.pointwise_integrand(state.grid, state.P)))
 
     def pointwise_integrand(self, grid, P):
         D = trace_field(P)
-        floor = self.eps_tr_rel * max(float(np.max(D)), 1e-300)
+        floor = vacuum_floor(D, self.eps_tr_rel)
         Dsafe = np.where(D > floor, D, 1.0)
         w = np.linalg.eigvalsh(hermitize(P)) / Dsafe[..., None]
         return np.where(D > floor, D * self.phi.value_of_eigs(w), 0.0)
@@ -313,9 +312,9 @@ class CasimirC1(Functional):
         # dC1/dP = Phi'(rho) + (Phi(rho) - Tr(Phi'(rho) rho)) 1
         P = state.P
         D = trace_field(P)
-        floor = self.eps_tr_rel * max(float(np.max(D)), 1e-300)
+        floor = vacuum_floor(D, self.eps_tr_rel)
         Dsafe = np.where(D > floor, D, floor)
-        w, v = self._eigs(P)
+        w, v = np.linalg.eigh(hermitize(P))
         w = w / Dsafe[..., None]
         grad = self.phi.grad_matrix(w, v)
         phi_val = self.phi.value_of_eigs(w)
@@ -352,7 +351,7 @@ class CasimirGeneral(Functional):
         else:
             split = uhlmann_factor(state, m=self.m)
         D = split.D
-        floor = self.eps_tr_rel * max(float(np.max(D)), 1e-300)
+        floor = vacuum_floor(D, self.eps_tr_rel)
         Lam = lambda_of(split)
         return split, D, floor, Lam
 
@@ -366,7 +365,7 @@ class CasimirGeneral(Functional):
         W = split.W
         Dsafe = np.where(D > floor, D, floor)
         x = Lam / Dsafe
-        A = np.einsum("ijak,ijbk->ijab", W, np.conj(W))
+        A = outer(W)
         w, v = np.linalg.eigh(hermitize(A))
 
         dCdD = self.gamma.value(w, x) - x * self.gamma.grad_x(w, x)
@@ -387,9 +386,21 @@ class CasimirGeneral(Functional):
         pair = np.einsum("ijak,ijak->ij", np.conj(dCdW), W).real
         GW = dCdD[..., None, None] * W - (pair / (2.0 * Dsafe))[..., None, None] * W
         GW += dCdW / (2.0 * Dsafe)[..., None, None]
-        M = np.einsum("ijak,ijbk->ijab", W, np.conj(W))
-        G = np.einsum("ijak,ijbk,ijbc->ijac", GW, np.conj(W), np.linalg.inv(M))
+        G = np.einsum("ijak,ijbk,ijbc->ijac", GW, np.conj(W), np.linalg.inv(A))
         return hermitize(G)
+
+
+def _add_basis_derivative(G, kind, a, b, d):
+    """Add d * (dual of the Hermitian basis element (kind, a, b)) to the
+    matrices G[..., :, :], turning basis-coefficient derivatives into dF/dP."""
+    if kind == "diag":
+        G[..., a, a] += d
+    elif kind == "sym":
+        G[..., a, b] += 0.5 * d
+        G[..., b, a] += 0.5 * d
+    else:
+        G[..., a, b] += 0.5j * d
+        G[..., b, a] += -0.5j * d
 
 
 def numeric_local_derivative(func: Functional, state: HybridDensity, step_rel=1e-6):
@@ -408,15 +419,7 @@ def numeric_local_derivative(func: Functional, state: HybridDensity, step_rel=1e
     for kind, a, b, E in hermitian_basis(n):
         fp = func.pointwise_integrand(grid, P + h * E)
         fm = func.pointwise_integrand(grid, P - h * E)
-        d = (fp - fm) / (2.0 * h)
-        if kind == "diag":
-            G[..., a, a] += d
-        elif kind == "sym":
-            G[..., a, b] += 0.5 * d
-            G[..., b, a] += 0.5 * d
-        else:
-            G[..., a, b] += 0.5j * d
-            G[..., b, a] += -0.5j * d
+        _add_basis_derivative(G, kind, a, b, (fp - fm) / (2.0 * h))
     return G
 
 
@@ -441,14 +444,7 @@ def derivative_probe(func: Functional, state: HybridDensity, i, j, step_rel=1e-6
             Pm[i, j] -= h * E
             d = (func.value(HybridDensity(grid, Pp)) - func.value(HybridDensity(grid, Pm)))
             d /= 2.0 * h * grid.dq * grid.dp
-            if kind == "diag":
-                G[a, a] += d
-            elif kind == "sym":
-                G[a, b] += 0.5 * d
-                G[b, a] += 0.5 * d
-            else:
-                G[a, b] += 0.5j * d
-                G[b, a] += -0.5j * d
+            _add_basis_derivative(G, kind, a, b, d)
         return G
 
     h = step_rel * scale
@@ -475,8 +471,7 @@ def hybrid_bracket(f: Functional, g: Functional, state: HybridDensity, eps_tr_re
     Gf = f.derivative(state)
     Gg = g.derivative(state)
     TrP = trace_field(P)
-    floor = eps_tr_rel * max(float(np.max(TrP)), 1e-300)
-    mask = TrP > floor
+    mask = TrP > vacuum_floor(TrP, eps_tr_rel)
     denom = np.where(mask, TrP, 1.0)
 
     Afq = np.einsum("ijab,ijba->ij", P, grid.partial_q(Gf)).real
@@ -520,7 +515,7 @@ class FlaggedValue(NamedTuple):
     lambda_positive: bool
 
 
-def casimir_c2(split: ConditionalSplit, sigma: ScalarFn, eps_rel=1e-12) -> FlaggedValue:
+def casimir_c2(split: UhlmannSplit, sigma: ScalarFn, eps_rel=1e-12) -> FlaggedValue:
     """C2 = integral D Sigma(Lambda / D); flags a sign-indefinite Lambda.
 
     With Sigma = ln this is the pure-state hybrid entropy (minus the KL
@@ -530,8 +525,7 @@ def casimir_c2(split: ConditionalSplit, sigma: ScalarFn, eps_rel=1e-12) -> Flagg
     grid = split.grid
     Lam = lambda_of(split)
     D = split.D
-    floor = eps_rel * max(float(np.max(D)), 1e-300)
-    mask = D > floor
+    mask = D > vacuum_floor(D, eps_rel)
     ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
     Dsafe = np.where(mask, D, 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -539,7 +533,7 @@ def casimir_c2(split: ConditionalSplit, sigma: ScalarFn, eps_rel=1e-12) -> Flagg
     return FlaggedValue(float(grid.integrate(integrand)), ok)
 
 
-def shannon_pure(split: ConditionalSplit) -> FlaggedValue:
+def shannon_pure(split: UhlmannSplit) -> FlaggedValue:
     """S = -integral D ln(D / Lambda)."""
     return casimir_c2(split, scalar_fn("log"))
 
@@ -564,14 +558,15 @@ def renyi_meanfield(grid, D, rho, alpha) -> float:
 
 
 def _conditional_spectrum(split):
-    """(D, Lambda, eigenvalues of the conditional density) for either split."""
+    """(D, Lambda, eigenvalues of the conditional density W W^dag).
+
+    A ConditionalSplit keeps the unit weight of a pure conditional state
+    rather than |psi|^2, so its entropies do not follow a drifting norm.
+    """
     if isinstance(split, ConditionalSplit):
         nu = np.ones(split.grid.shape + (1,))
-    elif isinstance(split, UhlmannSplit):
-        A = np.einsum("ijak,ijbk->ijab", split.W, np.conj(split.W))
-        nu = np.maximum(np.linalg.eigvalsh(hermitize(A)), 0.0)
     else:
-        raise TypeError("expected a ConditionalSplit or UhlmannSplit")
+        nu = np.maximum(np.linalg.eigvalsh(hermitize(outer(split.W))), 0.0)
     return split.D, lambda_of(split), nu
 
 
@@ -579,13 +574,12 @@ def entropy_uhlmann(split, eps_rel=1e-12) -> FlaggedValue:
     """S = -Tr integral P ln(P / Lambda), from the pointwise spectrum of P."""
     grid = split.grid
     D, Lam, nu = _conditional_spectrum(split)
-    floor = eps_rel * max(float(np.max(D)), 1e-300)
-    mask = D > floor
+    mask = D > vacuum_floor(D, eps_rel)
     ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
     lam = D[..., None] * nu  # eigenvalues of P
     with np.errstate(invalid="ignore", divide="ignore"):
         terms = np.where(
-            lam > EIG_CLAMP * max(float(np.max(D)), 1e-300),
+            lam > vacuum_floor(D, EIG_CLAMP),
             -lam * np.log(np.where(lam > 0, lam, 1.0) / Lam[..., None]),
             0.0,
         )
@@ -600,8 +594,7 @@ def renyi_mqc(split, alpha, eps_rel=1e-12) -> FlaggedValue:
         raise ValueError("alpha must differ from 1")
     grid = split.grid
     D, Lam, nu = _conditional_spectrum(split)
-    floor = eps_rel * max(float(np.max(D)), 1e-300)
-    mask = D > floor
+    mask = D > vacuum_floor(D, eps_rel)
     ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
     if not ok:
         return FlaggedValue(float("nan"), False)
@@ -620,9 +613,8 @@ def casimir_general_value(split: UhlmannSplit, gamma: GammaSpec, Lam=None, floor
     if Lam is None:
         Lam = lambda_of(split)
     if floor is None:
-        floor = eps_rel * max(float(np.max(D)), 1e-300)
-    A = np.einsum("ijak,ijbk->ijab", split.W, np.conj(split.W))
-    w = np.maximum(np.linalg.eigvalsh(hermitize(A)), 0.0)
+        floor = vacuum_floor(D, eps_rel)
+    w = np.maximum(np.linalg.eigvalsh(hermitize(outer(split.W))), 0.0)
     Dsafe = np.where(D > floor, D, 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         integrand = np.where(D > floor, D * gamma.value(w, Lam / Dsafe), 0.0)
@@ -642,8 +634,7 @@ def loop_integral(split, points) -> float:
     loop coordinates themselves.
     """
     grid = split.grid
-    vals = split.psi if isinstance(split, ConditionalSplit) else split.W
-    bd = berry_data(grid, vals, warn_nonpositive=False)
+    bd = berry_data(grid, split.W, warn_nonpositive=False)
     Aq = grid.interpolate(bd.A_B.X_q, points[:, 0], points[:, 1])
     Ap = grid.interpolate(bd.A_B.X_p, points[:, 0], points[:, 1])
     Fq = points[:, 1] - Aq
@@ -658,14 +649,9 @@ def loop_integral(split, points) -> float:
 # -- Liouville volume transport ------------------------------------------------------
 
 
-def split_velocity(split, ham: Hamiltonian):
-    if isinstance(split, ConditionalSplit):
-        Xq = np.einsum("ija,ijab,ijb->ij", np.conj(split.psi), ham.X_q, split.psi).real
-        Xp = np.einsum("ija,ijab,ijb->ij", np.conj(split.psi), ham.X_p, split.psi).real
-    else:
-        Xq = np.einsum("ijak,ijab,ijbk->ij", np.conj(split.W), ham.X_q, split.W).real
-        Xp = np.einsum("ijak,ijab,ijbk->ij", np.conj(split.W), ham.X_p, split.W).real
-    return Xq, Xp
+def split_velocity(split: UhlmannSplit, ham: Hamiltonian):
+    """Transport velocity X = Re Tr(W^dag X_H W) of a split state."""
+    return _dyn.pairing(split.W, ham.X_q), _dyn.pairing(split.W, ham.X_p)
 
 
 def lambda_transport_residual(times, splits, ham: Hamiltonian):

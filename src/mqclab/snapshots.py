@@ -35,14 +35,10 @@ def _rep_of(state):
 def snapshot_lines(state):
     grid = state.grid
     rep = _rep_of(state)
-    if rep == "density":
-        n = m = state.n
-    elif rep == "conditional":
-        n = m = state.n
-    else:
-        n, m = state.n, state.m
+    # density and conditional headers repeat n in the m slot
+    m = state.m if rep == "uhlmann" else state.n
     header = " ".join(
-        [MAGIC, str(VERSION), rep, str(grid.Nq), str(grid.Np), str(n), str(m)]
+        [MAGIC, str(VERSION), rep, str(grid.Nq), str(grid.Np), str(state.n), str(m)]
         + [_fmt(v) for v in (grid.q0, grid.q1, grid.p0, grid.p1, grid.hbar)]
     )
     lines = [header]
@@ -51,9 +47,6 @@ def snapshot_lines(state):
             if rep == "density":
                 entries = state.P[i, j].reshape(-1)
                 nums = []
-            elif rep == "conditional":
-                entries = state.psi[i, j].reshape(-1)
-                nums = [_fmt(state.D[i, j])]
             else:
                 entries = state.W[i, j].reshape(-1)
                 nums = [_fmt(state.D[i, j])]
@@ -82,17 +75,12 @@ def read_snapshot(path):
         q0, q1, p0, p1, hbar = (float(v) for v in header[7:12])
         grid = PhaseGrid(q0, q1, p0, p1, Nq, Np, hbar=hbar)
 
-        if rep == "density":
-            data = np.empty((Nq, Np, n, n), dtype=complex)
-            D = None
-        elif rep == "conditional":
-            data = np.empty((Nq, Np, n), dtype=complex)
-            D = np.empty((Nq, Np))
-        elif rep == "uhlmann":
-            data = np.empty((Nq, Np, n, m), dtype=complex)
-            D = np.empty((Nq, Np))
-        else:
+        # a conditional record holds psi, the single column of its W
+        shapes = {"density": (n, n), "conditional": (n, 1), "uhlmann": (n, m)}
+        if rep not in shapes:
             raise ValueError(f"{path}: unknown representation '{rep}'")
+        data = np.empty((Nq, Np) + shapes[rep], dtype=complex)
+        D = None if rep == "density" else np.empty((Nq, Np))
 
         per_entry = data[0, 0].size
         for i in range(Nq):
@@ -113,5 +101,5 @@ def read_snapshot(path):
     if rep == "density":
         return HybridDensity(grid, data)
     if rep == "conditional":
-        return ConditionalSplit(grid, D, data)
+        return ConditionalSplit(grid, D, data[..., 0])
     return UhlmannSplit(grid, D, data)

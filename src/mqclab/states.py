@@ -1,12 +1,14 @@
 """Hybrid-state representations and their geometry.
 
-Three equivalent encodings of an operator-valued phase-space density:
+Two encodings of an operator-valued phase-space density:
 
 * ``HybridDensity``    -- P(q,p), an n x n Hermitian PSD matrix field;
-* ``ConditionalSplit`` -- (D, psi), scalar density times unit conditional
-  state vector, P = D psi psi^dag;
 * ``UhlmannSplit``     -- (D, W), scalar density times unit-Frobenius-norm
   n x m conditional wave operator, P = D W W^dag.
+
+``ConditionalSplit`` -- (D, psi), P = D psi psi^dag -- is the pure-state
+case: an ``UhlmannSplit`` with m = 1 and W = psi[..., None]. Every function
+of (D, W) applies to it unchanged; ``psi`` is a view of W's single column.
 
 Plus the Berry connection / curvature of the conditional field and the
 Liouville volume Lambda = 1 + hbar Im Tr {field^dag, field}.
@@ -30,6 +32,16 @@ from .grids import (
 # Relative density floor: below eps_D * max(D) the conditional factor is not
 # determined by the data and is filled by continuation instead.
 EPS_D_REL = 1e-12
+
+
+def vacuum_floor(D, eps_rel=EPS_D_REL):
+    """Density below which a point counts as vacuum: eps_rel * max(D).
+
+    The one threshold behind every vacuum policy (the additive regulator of
+    the density models, the masks of the functionals, the continuation of
+    ``uhlmann_factor``); it stays positive when D vanishes everywhere.
+    """
+    return eps_rel * max(float(np.max(D)), 1e-300)
 
 
 class UnphysicalStateError(ValueError):
@@ -67,41 +79,6 @@ class HybridDensity:
 
 
 @dataclass
-class ConditionalSplit:
-    """(D, psi): classical density plus unit conditional state vector."""
-
-    grid: PhaseGrid
-    D: np.ndarray    # (Nq, Np) real, >= 0
-    psi: np.ndarray  # (Nq, Np, n) complex
-
-    def __post_init__(self):
-        self.D = np.asarray(self.D, dtype=float)
-        self.psi = np.asarray(self.psi, dtype=complex)
-        if self.D.shape != self.grid.shape or self.psi.shape[:2] != self.grid.shape:
-            raise ValueError("D / psi shapes do not match grid")
-
-    @property
-    def n(self):
-        return self.psi.shape[-1]
-
-    def support(self):
-        return self.D > EPS_D_REL * np.max(self.D)
-
-    def validate(self, norm_tol=1e-10, mass_tol=1e-8):
-        if np.min(self.D) < -1e-12 * np.max(self.D):
-            raise UnphysicalStateError("negative classical density")
-        mask = self.support()
-        norms = np.linalg.norm(self.psi, axis=-1)
-        err = float(np.max(np.abs(norms[mask] ** 2 - 1.0))) if np.any(mask) else 0.0
-        if err > norm_tol:
-            raise UnphysicalStateError(f"psi norm error {err:.3e} on the support of D")
-        mass = float(self.grid.integrate(self.D))
-        if abs(mass - 1.0) > mass_tol:
-            raise UnphysicalStateError(f"D integrates to {mass:.12f}, not 1")
-        return self
-
-
-@dataclass
 class UhlmannSplit:
     """(D, W): classical density plus unit-Frobenius conditional wave operator."""
 
@@ -124,7 +101,7 @@ class UhlmannSplit:
         return self.W.shape[-1]
 
     def support(self):
-        return self.D > EPS_D_REL * np.max(self.D)
+        return self.D > vacuum_floor(self.D)
 
     def validate(self, norm_tol=1e-10, mass_tol=1e-8):
         if np.min(self.D) < -1e-12 * np.max(self.D):
@@ -138,6 +115,20 @@ class UhlmannSplit:
         if abs(mass - 1.0) > mass_tol:
             raise UnphysicalStateError(f"D integrates to {mass:.12f}, not 1")
         return self
+
+
+class ConditionalSplit(UhlmannSplit):
+    """(D, psi): classical density plus unit conditional state vector.
+
+    The m = 1 Uhlmann split W = psi[..., None]; ``psi`` is a view of W.
+    """
+
+    def __init__(self, grid, D, psi):
+        super().__init__(grid, D, np.asarray(psi, dtype=complex)[..., None])
+
+    @property
+    def psi(self):
+        return self.W[..., 0]
 
 
 @dataclass
@@ -160,13 +151,9 @@ def classical_density(state: HybridDensity):
 
 def quantum_marginal(state_or_split):
     """rho = integral of P over phase space; Hermitian, unit trace."""
-    if isinstance(state_or_split, HybridDensity):
-        P = state_or_split.P
-        grid = state_or_split.grid
-    else:
-        P = compose(state_or_split).P
-        grid = state_or_split.grid
-    return hermitize(grid.integrate(P))
+    state = state_or_split
+    P = state.P if isinstance(state, HybridDensity) else compose(state).P
+    return hermitize(state.grid.integrate(P))
 
 
 def purity(rho):
@@ -174,15 +161,14 @@ def purity(rho):
     return float(np.real(np.trace(rho @ rho)))
 
 
-def compose(split):
-    """Assemble P = D psi psi^dag (or D W W^dag) from a split."""
-    if isinstance(split, ConditionalSplit):
-        outer = np.einsum("ija,ijb->ijab", split.psi, np.conj(split.psi))
-    elif isinstance(split, UhlmannSplit):
-        outer = np.einsum("ijak,ijbk->ijab", split.W, np.conj(split.W))
-    else:
-        raise TypeError("compose expects a ConditionalSplit or UhlmannSplit")
-    return HybridDensity(split.grid, split.D[..., None, None] * outer)
+def outer(W):
+    """Conditional density W W^dag at every grid point."""
+    return np.einsum("ijak,ijbk->ijab", W, np.conj(W))
+
+
+def compose(split: UhlmannSplit):
+    """Assemble P = D W W^dag (D psi psi^dag for a ConditionalSplit)."""
+    return HybridDensity(split.grid, split.D[..., None, None] * outer(split.W))
 
 
 def conditional_to_uhlmann(split: ConditionalSplit, m=None):
@@ -222,7 +208,7 @@ def uhlmann_factor(state: HybridDensity, m=None, psd_tol=1e-10):
     v = v[..., ::-1]
     v = _fix_eigvec_phase(v)
 
-    valid = D > EPS_D_REL * max(float(np.max(D)), 1e-300)
+    valid = D > vacuum_floor(D)
     Dsafe = np.where(valid, D, 1.0)
     cols = v * np.sqrt(w / Dsafe[..., None])[..., None, :]
     W = np.zeros(state.grid.shape + (n, m), dtype=complex)
@@ -234,7 +220,6 @@ def uhlmann_factor(state: HybridDensity, m=None, psd_tol=1e-10):
 
 def _fix_eigvec_phase(v, tol=1e-12):
     """Rotate each eigenvector so its first non-negligible entry is real > 0."""
-    n = v.shape[-2]
     absv = np.abs(v)
     lead = np.argmax(absv > tol * np.max(absv, axis=-2, keepdims=True), axis=-2)
     lead_vals = np.take_along_axis(v, lead[..., None, :], axis=-2)[..., 0, :]
@@ -297,7 +282,6 @@ def berry_data(grid: PhaseGrid, fieldvals, warn_nonpositive=True):
     return BerryData(VectorField2(grid, A_q, A_p), curv, Lam, positive)
 
 
-def lambda_of(split):
-    """Liouville volume of a split state (from psi or W derivatives)."""
-    vals = split.psi if isinstance(split, ConditionalSplit) else split.W
-    return berry_data(split.grid, vals, warn_nonpositive=False).Lambda
+def lambda_of(split: UhlmannSplit):
+    """Liouville volume of a split state (from the derivatives of W)."""
+    return berry_data(split.grid, split.W, warn_nonpositive=False).Lambda

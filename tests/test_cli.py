@@ -81,6 +81,22 @@ class TestConfig:
         assert code == 1
         assert "hamiltonian.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["model", "hamiltonian.kind", "grid.Nq"])
+    def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, key):
+        cfg = presets.nanowire_conditional(N=16)
+        extra = []
+        if key == "model":  # a density model on a conditional initial state
+            extra = ["--model", "ehrenfest_density"]
+        elif key == "hamiltonian.kind":
+            cfg["hamiltonian"]["kind"] = "frobnicate"
+        else:
+            cfg["grid"]["Nq"] = 4
+        path = write_cfg(tmp_path, cfg)
+        code = main(["simulate", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]
+                    + extra)
+        assert code == 1
+        assert capsys.readouterr().err.rstrip().endswith(f": {key}")
+
     def test_initial_state_builders(self, tmp_path):
         for maker in (presets.nanowire_conditional, presets.nanowire_meanfield,
                       presets.beyond_nanowire_mixed, presets.classical_well,
@@ -234,6 +250,23 @@ class TestConvergenceCommand:
                 except ValueError:
                     pass
         assert fits["energy"] > 3.8
+
+    def test_temporal_order_on_cfl_timed_config(self, tmp_path):
+        # the level-0 CFL step is halved at each level over the same final time
+        cfg = presets.nanowire_conditional(N=16, loop=False)
+        path = write_cfg(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["convergence", "--config", path, "--out", out, "--quiet",
+                     "--levels", "3", "--mode", "temporal"]) == 0
+        text = open(os.path.join(out, "convergence.csv")).read()
+        table, fits = text.split("\n\n")
+        hs = [float(line.split(",")[1]) for line in table.splitlines()[1:]]
+        assert hs == [hs[0], hs[0] / 2, hs[0] / 4]
+        steps = round(cfg["time"]["t_final"] / hs[0])
+        assert hs[0] * steps == pytest.approx(cfg["time"]["t_final"])
+        orders = {line.split(",")[0]: float(line.split(",")[1])
+                  for line in fits.splitlines()[1:]}
+        assert orders["energy"] > 3.8
 
     def test_mass_flat_at_machine_level(self, tmp_path):
         cfg = presets.nanowire_conditional(N=16, t_final=0.5, sample_every=4, loop=False)

@@ -236,16 +236,8 @@ class TestInterpolation:
 
 class TestFieldContainers:
     def test_shape_validation(self):
-        from mqclab import MatrixField, ScalarField, StateField, VectorField2
+        from mqclab import VectorField2
 
         grid = make_grid(16)
-        f = ScalarField(grid, np.zeros(grid.shape))
-        assert f.d_q().shape == grid.shape
-        with pytest.raises(ValueError):
-            ScalarField(grid, np.zeros((8, 8)))
-        with pytest.raises(ValueError):
-            StateField(grid, np.zeros(grid.shape))  # missing component axis
-        M = MatrixField(grid, np.zeros(grid.shape + (2, 2), dtype=complex))
-        assert M.d_p().shape == grid.shape + (2, 2)
         v = VectorField2(grid, np.ones(grid.shape), 2.0 * np.ones(grid.shape))
         assert np.isclose(v.max_speed(), np.sqrt(5.0))
