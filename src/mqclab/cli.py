@@ -143,12 +143,16 @@ def cmd_simulate(args):
 
 def cmd_equilibrium(args):
     from . import equilibria as eq
+    from .hamiltonians import UnsupportedHamiltonianError
     from .snapshots import write_snapshot
 
     Cmod, cfg, grid, ham = _prepare(args)
     problem = Cmod.build_problem(grid, ham, cfg)
-    mu = problem.mu if problem.mu is not None else eq.solve_mu(problem)[0]
-    result = eq.equilibrium_at(problem, mu, check_confined=True)
+    try:
+        mu = problem.mu if problem.mu is not None else eq.solve_mu(problem)[0]
+        result = eq.equilibrium_at(problem, mu, check_confined=True)
+    except UnsupportedHamiltonianError as exc:  # no closed form for this kind
+        raise Cmod.ConfigError("equilibrium.representation", str(exc)) from None
 
     metrics = dict(result.residuals)
     if bool(Cmod.get(cfg, "equilibrium.certify", True)):

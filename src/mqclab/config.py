@@ -63,6 +63,12 @@ def build_grid(cfg) -> PhaseGrid:
     for path in ("grid.Nq", "grid.Np"):
         if require(cfg, path, int) < MIN_POINTS:
             raise ConfigError(path, f"the stencils need at least {MIN_POINTS} points")
+    for lo, hi in (("domain.q0", "domain.q1"), ("domain.p0", "domain.p1")):
+        if not require(cfg, hi, float) > require(cfg, lo, float):
+            raise ConfigError(hi, f"must exceed {lo}")
+    hbar = 1.0 if get(cfg, "physics.hbar") is None else require(cfg, "physics.hbar", float)
+    if not hbar > 0:
+        raise ConfigError("physics.hbar", "must be positive")
     return PhaseGrid(
         require(cfg, "domain.q0", float),
         require(cfg, "domain.q1", float),
@@ -70,7 +76,7 @@ def build_grid(cfg) -> PhaseGrid:
         require(cfg, "domain.p1", float),
         require(cfg, "grid.Nq", int),
         require(cfg, "grid.Np", int),
-        hbar=float(get(cfg, "physics.hbar", 1.0)),
+        hbar=hbar,
     )
 
 
@@ -94,19 +100,28 @@ def _complex_array(data):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _pair(spec, key, default, path):
+    """The two numbers at ``spec[key]``, or ``default`` when it is absent."""
+    try:
+        a, b = spec.get(key, default)
+        return float(a), float(b)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.{key}", "expected a pair of numbers") from None
+
+
 def _density_profile(grid, spec, path):
     name = spec.get("profile")
     if name == "gaussian":
-        qc, pc = spec.get("center", (0.0, 0.0))
-        sq, sp = spec.get("sigma", (1.0, 1.0))
+        qc, pc = _pair(spec, "center", (0.0, 0.0), path)
+        sq, sp = _pair(spec, "sigma", (1.0, 1.0), path)
         D = np.exp(
             -0.5 * ((grid.Q - qc) / sq) ** 2 - 0.5 * ((grid.P - pc) / sp) ** 2
         )
     elif name == "von_mises":
         # torus-native Gaussian: exp(kappa (cos(k dx) - 1)), seam-smooth by
         # construction, width ~ 1/sqrt(kappa) near the peak
-        qc, pc = spec.get("center", (0.0, 0.0))
-        kq, kp = spec.get("kappa", (2.0, 2.0))
+        qc, pc = _pair(spec, "center", (0.0, 0.0), path)
+        kq, kp = _pair(spec, "kappa", (2.0, 2.0), path)
         aq = 2 * np.pi / grid.Lq
         ap = 2 * np.pi / grid.Lp
         D = np.exp(
@@ -117,9 +132,9 @@ def _density_profile(grid, spec, path):
         D = np.ones(grid.shape)
     elif name == "double_gaussian":
         D = np.zeros(grid.shape)
-        for bump in spec.get("bumps", []):
-            qc, pc = bump.get("center", (0.0, 0.0))
-            sq, sp = bump.get("sigma", (1.0, 1.0))
+        for k, bump in enumerate(spec.get("bumps", [])):
+            qc, pc = _pair(bump, "center", (0.0, 0.0), f"{path}.bumps.{k}")
+            sq, sp = _pair(bump, "sigma", (1.0, 1.0), f"{path}.bumps.{k}")
             w = float(bump.get("weight", 1.0))
             D += w * np.exp(
                 -0.5 * ((grid.Q - qc) / sq) ** 2 - 0.5 * ((grid.P - pc) / sp) ** 2
@@ -147,7 +162,8 @@ def _state_profile(grid, ham, spec, path):
         # function of p, theta = amplitude * sin(k kappa_p (p - pc))
         k = int(spec.get("k", 1))
         ell = int(spec.get("l", 1))
-        qc, pc = spec.get("center", (0.5 * (grid.q0 + grid.q1), 0.5 * (grid.p0 + grid.p1)))
+        qc, pc = _pair(spec, "center", (0.5 * (grid.q0 + grid.q1), 0.5 * (grid.p0 + grid.p1)),
+                       path)
         amp = float(spec.get("amplitude", 1.0))
         th = amp * np.sin(k * (2 * np.pi / grid.Lp) * (grid.P - pc))
         ph = ell * (2 * np.pi / grid.Lq) * (grid.Q - qc)

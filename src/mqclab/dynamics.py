@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import PhaseGrid, antiherm_residual, hermitize, trace_field
+from .grids import PhaseGrid, antiherm_residual, comm, hermitize, mm, trace_field
 from .hamiltonians import Hamiltonian
 from .states import ConditionalSplit, HybridDensity, UhlmannSplit, compose, vacuum_floor
 
@@ -92,11 +92,26 @@ def mean_field_rhs(grid, D, rho, ham):
     return (dD, drho), {"max_speed": speed, "velocity": (dHeff_p, -dHeff_q)}
 
 
+def _regularized_trace(P, eps_tr_rel):
+    """Tr P plus the vacuum floor: the density the density models divide by.
+
+    Raises ``NumericalAbort`` at the first grid point where it is exactly 0
+    (a zero-trace region with ``eps_tr_rel = 0``), before anything divides.
+    """
+    TrP = trace_field(P)
+    D = TrP + vacuum_floor(TrP, eps_tr_rel)
+    if not np.all(D):
+        bad = np.argwhere(D == 0)[0]
+        raise NumericalAbort(
+            f"zero trace at grid point {tuple(bad)} (zero-trace region without regularization)"
+        )
+    return D
+
+
 def ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
     """dP/dt = -div(P <X_H>) - (i/hbar)[H, P], symmetrized."""
     P = np.asarray(P, dtype=complex)
-    TrP = trace_field(P)
-    denom = TrP + vacuum_floor(TrP, eps_tr_rel)
+    denom = _regularized_trace(P, eps_tr_rel)
     Xq = np.einsum("ijab,ijba->ij", P, ham.X_q).real / denom
     Xp = np.einsum("ijab,ijba->ij", P, ham.X_p).real / denom
     if not (np.all(np.isfinite(Xq)) and np.all(np.isfinite(Xp))):
@@ -106,7 +121,7 @@ def ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
             "(zero-trace region without regularization)"
         )
     tend = -grid.divergence(P * Xq[..., None, None], P * Xp[..., None, None])
-    tend += (-1j / grid.hbar) * (ham.H @ P - P @ ham.H)
+    tend += (-1j / grid.hbar) * comm(ham.H, P)
     info = {
         "max_speed": float(np.max(np.hypot(Xq, Xp))),
         "antiherm_resid": antiherm_residual(tend),
@@ -161,8 +176,7 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
     """
     P = np.asarray(P, dtype=complex)
     hbar = grid.hbar
-    TrP = trace_field(P)
-    D = TrP + vacuum_floor(TrP, eps_tr_rel)
+    D = _regularized_trace(P, eps_tr_rel)
     Dmat = D[..., None, None]
 
     dPq = grid.partial_q(P)
@@ -171,24 +185,24 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
     XH = (ham.X_q, ham.X_p)
     dXH = _beyond_xh_grads(grid, ham)
 
-    Sig = tuple((0.5j * hbar) * (P @ XPk - XPk @ P) / Dmat for XPk in XP)
+    Sig = tuple((0.5j * hbar) * comm(P, XPk) / Dmat for XPk in XP)
     dSig = tuple((grid.partial_q(Sk), grid.partial_p(Sk)) for Sk in Sig)
 
     avgX = tuple(np.einsum("ijab,ijba->ij", P, XHk).real / D for XHk in XH)
     calX = []
     for k in range(2):
-        corr = XH[0] @ dSig[k][0] + XH[1] @ dSig[k][1]
-        corr -= Sig[0] @ dXH[k][0] + Sig[1] @ dXH[k][1]
+        corr = mm(XH[0], dSig[k][0]) + mm(XH[1], dSig[k][1])
+        corr -= mm(Sig[0], dXH[k][0]) + mm(Sig[1], dXH[k][1])
         calX.append(avgX[k] + np.einsum("ijaa->ij", corr).real / D)
 
     dlnsq = 0.5 * grid.partial_q(D) / D
     dlnsp = 0.5 * grid.partial_p(D) / D
     G = (dPq - P * dlnsq[..., None, None], dPp - P * dlnsp[..., None, None])
-    comm = (G[0] @ XH[0] - XH[0] @ G[0]) + (G[1] @ XH[1] - XH[1] @ G[1])
-    scrH = hermitize(ham.H + (1j * hbar) * comm / Dmat)
+    GX = comm(G[0], XH[0]) + comm(G[1], XH[1])
+    scrH = hermitize(ham.H + (1j * hbar) * GX / Dmat)
 
     tend = -grid.divergence(P * calX[0][..., None, None], P * calX[1][..., None, None])
-    tend += (-1j / hbar) * (scrH @ P - P @ scrH)
+    tend += (-1j / hbar) * comm(scrH, P)
     if not np.all(np.isfinite(tend)):
         bad = np.argwhere(~np.all(np.isfinite(tend), axis=(-2, -1)))[0]
         raise NumericalAbort(f"non-finite tendency at grid point {tuple(bad)}")
@@ -220,10 +234,9 @@ def beyond_sigma_grad(grid, P, eps_tr_rel=1e-12):
     index convention is the one the flow actually conserves (the straight
     X-on-X pairing is not a constant of motion).
     """
-    TrP = trace_field(P)
-    Dmat = (TrP + vacuum_floor(TrP, eps_tr_rel))[..., None, None]
+    Dmat = _regularized_trace(P, eps_tr_rel)[..., None, None]
     grads = (grid.partial_q(P), grid.partial_p(P))
-    return tuple((0.5j * grid.hbar) * (P @ Gk - Gk @ P) / Dmat for Gk in grads)
+    return tuple((0.5j * grid.hbar) * comm(P, Gk) / Dmat for Gk in grads)
 
 
 def energy_of(model, state, ham, eps_tr_rel=1e-12):

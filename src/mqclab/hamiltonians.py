@@ -122,6 +122,7 @@ class Hamiltonian:
         self.H = require_hermitian(np.asarray(self.H, dtype=complex), 1e-12, "Hamiltonian")
         self.dH_q = hermitize(np.asarray(self.dH_q, dtype=complex))
         self.dH_p = hermitize(np.asarray(self.dH_p, dtype=complex))
+        self._X_p = -self.dH_q  # once: every right-hand side reads it
 
     @property
     def n(self):
@@ -133,7 +134,7 @@ class Hamiltonian:
 
     @property
     def X_p(self):
-        return -self.dH_q
+        return self._X_p
 
     def gradient_fd_error(self):
         """Max deviation of the stored gradient from the 4th-order stencil.

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grids import EIG_CLAMP, hermitize, trace_field
+from .grids import EIG_CLAMP, comm, hermitize, trace_field
 from .hamiltonians import Hamiltonian
 from .states import (
     ConditionalSplit,
@@ -480,8 +480,7 @@ def hybrid_bracket(f: Functional, g: Functional, state: HybridDensity, eps_tr_re
     Agp = np.einsum("ijab,ijba->ij", P, grid.partial_p(Gg)).real
     term1 = np.where(mask, (Afq * Agp - Afp * Agq) / denom, 0.0)
 
-    comm = Gf @ Gg - Gg @ Gf
-    term2 = np.einsum("ijab,ijba->ij", P, comm).imag / grid.hbar
+    term2 = np.einsum("ijab,ijba->ij", P, comm(Gf, Gg)).imag / grid.hbar
     value = float(grid.integrate(term1 + term2))
     if not return_scale:
         return value

@@ -81,18 +81,31 @@ class TestConfig:
         assert code == 1
         assert "hamiltonian.kind" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["model", "hamiltonian.kind", "grid.Nq"])
+    @pytest.mark.parametrize("key", ["model", "hamiltonian.kind", "grid.Nq",
+                                     "equilibrium.representation", "domain.q1", "domain.p1",
+                                     "physics.hbar", "initial.density.center"])
     def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, key):
         cfg = presets.nanowire_conditional(N=16)
-        extra = []
+        command, extra = "simulate", []
         if key == "model":  # a density model on a conditional initial state
             extra = ["--model", "ehrenfest_density"]
         elif key == "hamiltonian.kind":
             cfg["hamiltonian"]["kind"] = "frobnicate"
-        else:
+        elif key == "grid.Nq":
             cfg["grid"]["Nq"] = 4
+        elif key == "equilibrium.representation":  # no Uhlmann closed form for dephasing
+            cfg = presets.dephasing_equilibrium(N=32)
+            cfg["equilibrium"]["representation"] = "uhlmann"
+            command = "equilibrium"
+        elif key in ("domain.q1", "domain.p1"):  # an empty interval
+            hi = key.split(".")[1]
+            cfg["domain"][hi] = cfg["domain"][hi[0] + "0"]
+        elif key == "physics.hbar":
+            cfg["physics"]["hbar"] = 0
+        else:
+            cfg["initial"]["density"]["center"] = 5
         path = write_cfg(tmp_path, cfg)
-        code = main(["simulate", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]
+        code = main([command, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]
                     + extra)
         assert code == 1
         assert capsys.readouterr().err.rstrip().endswith(f": {key}")

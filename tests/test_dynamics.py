@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,17 @@ class TestEhrenfestRHS:
         ham = nanowire(grid)
         with pytest.raises(NumericalAbort):
             ehrenfest_rhs(grid, P, ham, eps_tr_rel=0.0)
+
+    @pytest.mark.parametrize("rhs", [ehrenfest_rhs, beyond_ehrenfest_rhs])
+    def test_zero_trace_aborts_before_dividing(self, rhs):
+        grid = make_grid(16)
+        P = np.zeros(grid.shape + (2, 2), dtype=complex)
+        P[3:6, 3:6, 0, 0] = 1.0
+        ham = nanowire(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalAbort, match="zero trace at grid point"):
+                rhs(grid, P, ham, eps_tr_rel=0.0)
 
     def test_rk4_local_error_order(self):
         # Richardson self-comparison: one dt step vs two dt/2 steps
