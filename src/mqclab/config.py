@@ -15,7 +15,7 @@ import yaml
 
 from . import hamiltonians as _ham
 from .dynamics import MODELS, MeanFieldState, StepperConfig, cfl_dt, circle_loop
-from .equilibria import MaxEntProblem
+from .equilibria import MaxEntProblem, ProblemError
 from .grids import MIN_POINTS, PhaseGrid, hermitize
 from .hamiltonians import eigenfields
 from .snapshots import read_snapshot
@@ -215,13 +215,13 @@ def build_initial_state(grid, ham, cfg):
             raise ConfigError("initial.snapshot", "snapshot grid does not match config")
         return state
     if rep == "conditional":
-        D = _density_profile(grid, require(cfg, "initial.density"), "initial.density")
-        psi = _state_profile(grid, ham, require(cfg, "initial.state"), "initial.state")
+        D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
+        psi = _state_profile(grid, ham, require(cfg, "initial.state", dict), "initial.state")
         return ConditionalSplit(grid, D, psi)
     if rep == "uhlmann":
         m = int(get(cfg, "grid.m", ham.n))
-        D = _density_profile(grid, require(cfg, "initial.density"), "initial.density")
-        W = _waveop_profile(grid, ham, require(cfg, "initial.waveop"), m, "initial.waveop")
+        D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
+        W = _waveop_profile(grid, ham, require(cfg, "initial.waveop", dict), m, "initial.waveop")
         return UhlmannSplit(grid, D, W)
     if rep == "density":
         sub = dict(require(cfg, "initial"))
@@ -230,8 +230,8 @@ def build_initial_state(grid, ham, cfg):
         base = {**cfg, "initial": sub}
         return compose(build_initial_state(grid, ham, base))
     if rep == "mean_field":
-        D = _density_profile(grid, require(cfg, "initial.density"), "initial.density")
-        rho_spec = require(cfg, "initial.rho")
+        D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
+        rho_spec = require(cfg, "initial.rho", dict)
         if "matrix" in rho_spec:
             rho = hermitize(_complex_array(rho_spec["matrix"]))
             rho = rho / np.real(np.trace(rho))
@@ -295,14 +295,18 @@ def build_loop(cfg):
 
 
 def build_problem(grid, ham, cfg) -> MaxEntProblem:
-    eq = require(cfg, "equilibrium")
-    rep = require(cfg, "equilibrium.representation")
-    E = eq.get("E")
-    mu = eq.get("mu")
-    return MaxEntProblem(
-        representation=rep,
-        ham=ham,
-        E=None if E is None else float(E),
-        mu=None if mu is None else float(mu),
-        branch=int(eq.get("branch", 0)),
-    )
+    eq = require(cfg, "equilibrium", dict)
+
+    def optional(key, kind):
+        return None if eq.get(key) is None else require(cfg, f"equilibrium.{key}", kind)
+
+    try:
+        return MaxEntProblem(
+            representation=require(cfg, "equilibrium.representation"),
+            ham=ham,
+            E=optional("E", float),
+            mu=optional("mu", float),
+            branch=optional("branch", int) or 0,
+        )
+    except ProblemError as exc:
+        raise ConfigError(f"equilibrium.{exc.key}", str(exc)) from None

@@ -18,6 +18,12 @@ the right-hand side and the renormalisation. Every right-hand side reports
 its transport velocity and the largest speed, which the loop tracer and the
 CFL step size read.
 
+The split-state right-hand side reads H, X_q and X_p through
+``Hamiltonian.planes()``: static fields held as contiguous component planes,
+so that the component sums of ``grids.mm`` (the pairing and H W) read each
+matrix entry as one contiguous block. The state W stays interleaved: copying
+it into planes at every stage measured no faster.
+
 All transport terms use the conservative form div(field * velocity); with the
 antisymmetric stencils the grid sum of such a divergence telescopes to zero,
 so total mass is conserved to round-off. Hermitian tendencies are symmetrized
@@ -34,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import PhaseGrid, antiherm_residual, comm, hermitize, mm, trace_field
+from .grids import PhaseGrid, antiherm_residual, comm, hermitize, mm, tr_prod, trace_field
 from .hamiltonians import Hamiltonian
 from .states import ConditionalSplit, HybridDensity, UhlmannSplit, compose, vacuum_floor
 
@@ -132,8 +138,22 @@ def ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
 
 def pairing(W, X):
     """Re Tr(W^dag X W) at every grid point: a matrix field X averaged over
-    the conditional state W (a transport velocity when X is X_H)."""
-    return np.einsum("ijak,ijab,ijbk->ij", np.conj(W), X, W).real
+    the conditional state W (a transport velocity when X is X_H).
+
+    The sum of Re conj(W) (X W) over the n x m entries, with X W from ``mm``
+    (X interleaved or planar, ``grids.planar``). Since Re(conj(w) z) =
+    Re w Re z + Im w Im z, that sum is the real dot product of the two
+    fields' (re, im) parts, which reads both fields contiguously.
+    """
+    W = np.ascontiguousarray(W, dtype=complex)
+    XW = mm(X, W)
+    return np.einsum("...x,...x->...", _parts(W), _parts(XW))
+
+
+def _parts(Z):
+    """A C-contiguous complex (..., n, m) field as the real (..., 2 n m) array
+    of its entries' real and imaginary parts (a view)."""
+    return Z.view(float).reshape(Z.shape[:-2] + (-1,))
 
 
 def _as_waveop(W):
@@ -150,11 +170,13 @@ def uhlmann_rhs(grid, D, W, ham):
     """
     W = np.asarray(W)
     Wm = _as_waveop(W)
-    Xq, Xp = pairing(Wm, ham.X_q), pairing(Wm, ham.X_p)
+    H, X_q, X_p = ham.planes()
+    Xq, Xp = pairing(Wm, X_q), pairing(Wm, X_p)
     dD = -grid.divergence(D * Xq, D * Xp)
-    HW = np.einsum("ijab,ijbk->ijak", ham.H, Wm)
-    dW = -(Xq[..., None, None] * grid.partial_q(Wm) + Xp[..., None, None] * grid.partial_p(Wm))
-    dW += (-1j / grid.hbar) * HW
+    dW = mm(H, Wm)
+    dW *= -1j / grid.hbar
+    dW -= Xq[..., None, None] * grid.partial_q(Wm)
+    dW -= Xp[..., None, None] * grid.partial_p(Wm)
     info = {"max_speed": float(np.max(np.hypot(Xq, Xp))), "velocity": (Xq, Xp)}
     return (dD, dW.reshape(W.shape)), info
 
@@ -191,9 +213,9 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
     avgX = tuple(np.einsum("ijab,ijba->ij", P, XHk).real / D for XHk in XH)
     calX = []
     for k in range(2):
-        corr = mm(XH[0], dSig[k][0]) + mm(XH[1], dSig[k][1])
-        corr -= mm(Sig[0], dXH[k][0]) + mm(Sig[1], dXH[k][1])
-        calX.append(avgX[k] + np.einsum("ijaa->ij", corr).real / D)
+        corr = tr_prod(XH[0], dSig[k][0]) + tr_prod(XH[1], dSig[k][1])
+        corr -= tr_prod(Sig[0], dXH[k][0]) + tr_prod(Sig[1], dXH[k][1])
+        calX.append(avgX[k] + corr / D)
 
     dlnsq = 0.5 * grid.partial_q(D) / D
     dlnsp = 0.5 * grid.partial_p(D) / D

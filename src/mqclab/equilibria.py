@@ -36,6 +36,14 @@ from .states import (
 )
 
 
+class ProblemError(ValueError):
+    """A field of an equilibrium request is invalid; ``key`` names it."""
+
+    def __init__(self, key, message):
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass
 class MaxEntProblem:
     """Equilibrium request: exactly one of E (target energy) or mu given."""
@@ -48,11 +56,13 @@ class MaxEntProblem:
 
     def __post_init__(self):
         if (self.E is None) == (self.mu is None):
-            raise ValueError("give exactly one of E or mu")
+            raise ProblemError("E", "give exactly one of E or mu")
         if self.representation not in ("mean_field", "conditional", "uhlmann"):
-            raise ValueError(f"unknown representation '{self.representation}'")
+            raise ProblemError("representation",
+                               f"unknown representation '{self.representation}'")
         if not 0 <= self.branch < self.ham.n:
-            raise ValueError(f"branch {self.branch} outside quantum dimension {self.ham.n}")
+            raise ProblemError("branch",
+                               f"branch {self.branch} outside quantum dimension {self.ham.n}")
 
 
 @dataclass

@@ -26,6 +26,7 @@ the exact gradient of the discretized functional.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -514,6 +515,24 @@ class FlaggedValue(NamedTuple):
     lambda_positive: bool
 
 
+@contextmanager
+def shared_lambda(split, Lam):
+    """Inside the block the split-state functionals take ``Lam`` as the
+    Liouville volume of ``split`` instead of recomputing it: a diagnostic
+    row evaluates several of them on one state. ``split`` must not change
+    inside the block."""
+    split._shared_lambda = Lam
+    try:
+        yield
+    finally:
+        del split._shared_lambda
+
+
+def _lambda(split):
+    Lam = getattr(split, "_shared_lambda", None)
+    return lambda_of(split) if Lam is None else Lam
+
+
 def casimir_c2(split: UhlmannSplit, sigma: ScalarFn, eps_rel=1e-12) -> FlaggedValue:
     """C2 = integral D Sigma(Lambda / D); flags a sign-indefinite Lambda.
 
@@ -522,7 +541,7 @@ def casimir_c2(split: UhlmannSplit, sigma: ScalarFn, eps_rel=1e-12) -> FlaggedVa
     is not positive on the support, hence the flag.
     """
     grid = split.grid
-    Lam = lambda_of(split)
+    Lam = _lambda(split)
     D = split.D
     mask = D > vacuum_floor(D, eps_rel)
     ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
@@ -566,7 +585,7 @@ def _conditional_spectrum(split):
         nu = np.ones(split.grid.shape + (1,))
     else:
         nu = np.maximum(np.linalg.eigvalsh(hermitize(outer(split.W))), 0.0)
-    return split.D, lambda_of(split), nu
+    return split.D, _lambda(split), nu
 
 
 def entropy_uhlmann(split, eps_rel=1e-12) -> FlaggedValue:

@@ -81,27 +81,41 @@ class TestConfig:
         assert code == 1
         assert "hamiltonian.kind" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["model", "hamiltonian.kind", "grid.Nq",
-                                     "equilibrium.representation", "domain.q1", "domain.p1",
-                                     "physics.hbar", "initial.density.center"])
-    def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, key):
+    # A case is the key path the CLI must report, or "path=value" where a
+    # second case sets the same key to another invalid value.
+    @pytest.mark.parametrize("case", ["model", "hamiltonian.kind", "grid.Nq",
+                                      "equilibrium.representation", "domain.q1", "domain.p1",
+                                      "physics.hbar", "initial.density.center",
+                                      "equilibrium.representation=foo", "equilibrium.E",
+                                      "equilibrium.branch", "initial.density"])
+    def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, case):
+        key = case.split("=")[0]
         cfg = presets.nanowire_conditional(N=16)
         command, extra = "simulate", []
+        if key.startswith("equilibrium."):
+            cfg = presets.dephasing_equilibrium(N=32)
+            command = "equilibrium"
         if key == "model":  # a density model on a conditional initial state
             extra = ["--model", "ehrenfest_density"]
         elif key == "hamiltonian.kind":
             cfg["hamiltonian"]["kind"] = "frobnicate"
         elif key == "grid.Nq":
             cfg["grid"]["Nq"] = 4
-        elif key == "equilibrium.representation":  # no Uhlmann closed form for dephasing
-            cfg = presets.dephasing_equilibrium(N=32)
+        elif case == "equilibrium.representation":  # no Uhlmann closed form for dephasing
             cfg["equilibrium"]["representation"] = "uhlmann"
-            command = "equilibrium"
+        elif case == "equilibrium.representation=foo":
+            cfg["equilibrium"]["representation"] = "foo"
+        elif key == "equilibrium.E":  # E next to the preset's mu
+            cfg["equilibrium"]["E"] = 0.5
+        elif key == "equilibrium.branch":
+            cfg["equilibrium"]["branch"] = 5
         elif key in ("domain.q1", "domain.p1"):  # an empty interval
             hi = key.split(".")[1]
             cfg["domain"][hi] = cfg["domain"][hi[0] + "0"]
         elif key == "physics.hbar":
             cfg["physics"]["hbar"] = 0
+        elif key == "initial.density":
+            cfg["initial"]["density"] = 5
         else:
             cfg["initial"]["density"]["center"] = 5
         path = write_cfg(tmp_path, cfg)

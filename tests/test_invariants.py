@@ -182,6 +182,32 @@ class TestEntropies:
         with pytest.raises(ValueError):
             renyi_mqc(split, 1.0)
 
+    @pytest.mark.parametrize("m", [None, 2])
+    def test_diagnostic_row_computes_lambda_once(self, monkeypatch, m):
+        """One Liouville volume per row, and the same values as each
+        functional evaluated on its own."""
+        from mqclab import diagnostics, invariants
+
+        grid = make_grid(16, hbar=0.3)
+        split = ConditionalSplit(grid, gaussian(grid), twisted(grid))
+        if m is not None:
+            split = conditional_to_uhlmann(split, m=m)
+        ham = nanowire(grid)
+        want = {"C2": casimir_c2(split, scalar_fn("log")).value,
+                "S_uhlmann": entropy_uhlmann(split).value,
+                "renyi_alpha": renyi_mqc(split, 2.0).value}
+        if m is None:
+            want["S_pure"] = shannon_pure(split).value
+        calls = []
+        for module in (diagnostics, invariants):
+            original = module.lambda_of
+            monkeypatch.setattr(module, "lambda_of",
+                                lambda s, f=original: calls.append(1) or f(s))
+        row = diagnostics.make_sample_fn("ehrenfest_uhlmann", ham)(0.0, split, None, {})
+        assert len(calls) == 1
+        assert {k: row[k] for k in want} == want
+        assert renyi_mqc(split, 2.0).value == want["renyi_alpha"] and len(calls) == 2
+
 
 class TestCasimirGeneral:
     def test_phi_only_reduces_to_c1(self):

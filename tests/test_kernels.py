@@ -1,13 +1,16 @@
 """Properties of the grid-field kernels: the matrix-field product and
-commutator, the periodic stencil and the conservative divergence."""
+commutator, the trace of a product, the velocity pairing and the split
+right-hand side on component planes, the periodic stencil and the
+conservative divergence."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqclab import PhaseGrid
-from mqclab.grids import MM_SUMS_MAX, _diff4, comm, mm
+from mqclab import Hamiltonian, PhaseGrid, tabulated
+from mqclab.dynamics import beyond_ehrenfest_rhs, ehrenfest_rhs, pairing, uhlmann_rhs
+from mqclab.grids import MM_SUMS_MAX, _diff4, comm, hermitize, mm, planar, tr_prod
 
 EPS = np.finfo(float).eps
 
@@ -48,6 +51,100 @@ def test_comm_matches_matmul(complex_valued, shape, n, seed):
     B = random_field(rng, shape + (n, n), complex_valued)
     tol = 8 * n * EPS * np.max(np.abs(A)) * np.max(np.abs(B))
     assert np.max(np.abs(comm(A, B) - (A @ B - B @ A))) <= tol
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+@settings(max_examples=25, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 4), k=st.integers(1, MM_SUMS_MAX),
+       m=st.integers(1, 4), seed=seeds)
+def test_mm_on_planar_view_gives_same_bits(complex_valued, shape, n, k, m, seed):
+    rng = np.random.default_rng(seed)
+    A = random_field(rng, shape + (n, k), complex_valued)
+    B = random_field(rng, shape + (k, m), complex_valued)
+    Ap = planar(A)
+    assert np.array_equal(Ap, A)
+    assert all(Ap[..., i, c].flags.c_contiguous for i, c in np.ndindex(n, k))
+    assert np.array_equal(mm(Ap, B), mm(A, B))
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+@settings(max_examples=25, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 4), k=st.integers(1, 4), seed=seeds)
+def test_tr_prod_matches_trace_of_matmul(complex_valued, shape, n, k, seed):
+    rng = np.random.default_rng(seed)
+    A = random_field(rng, shape + (n, k), complex_valued)
+    B = random_field(rng, shape + (k, n), complex_valued)
+    got = tr_prod(A, B)
+    assert got.shape == shape and not np.iscomplexobj(got)
+    tol = 8 * n * k * EPS * np.max(np.abs(A)) * np.max(np.abs(B))
+    assert np.max(np.abs(got - np.trace(A @ B, axis1=-2, axis2=-1).real)) <= tol
+
+
+@pytest.mark.parametrize("layout", ["interleaved", "planar"])
+@settings(max_examples=25, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 4), m=st.integers(1, 3), seed=seeds)
+def test_pairing_matches_einsum(layout, shape, n, m, seed):
+    rng = np.random.default_rng(seed)
+    W = random_field(rng, shape + (n, m), True)
+    X = random_field(rng, shape + (n, n), True)  # complex, not Hermitian
+    Xl = planar(X) if layout == "planar" else X
+    want = np.einsum("ijak,ijab,ijbk->ij", np.conj(W), X, W).real
+    tol = 8 * n * n * m * EPS * np.max(np.abs(X)) * np.max(np.abs(W)) ** 2
+    assert np.max(np.abs(pairing(W, Xl) - want)) <= tol
+
+
+def uhlmann_rhs_einsum(grid, D, W, ham):
+    """The split right-hand side with its products as einsums: the reference."""
+    def pair(X):
+        return np.einsum("ijak,ijab,ijbk->ij", np.conj(W), X, W).real
+
+    Xq, Xp = pair(ham.X_q), pair(ham.X_p)
+    dD = -grid.divergence(D * Xq, D * Xp)
+    dW = -(Xq[..., None, None] * grid.partial_q(W) + Xp[..., None, None] * grid.partial_p(W))
+    dW += (-1j / grid.hbar) * np.einsum("ijab,ijbk->ijak", ham.H, W)
+    return dD, dW
+
+
+def random_hamiltonian(grid, rng, n):
+    return tabulated(grid, hermitize(random_field(rng, grid.shape + (n, n), True)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 3), seed=seeds)
+def test_uhlmann_rhs_matches_einsum_formula(shape, n, m, seed):
+    rng = np.random.default_rng(seed)
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, *shape, hbar=0.5)
+    ham = random_hamiltonian(grid, rng, n)
+    D = 1.0 + 0.5 * rng.random(shape)
+    W = random_field(rng, shape + (n, m), True)
+    (dD, dW), _ = uhlmann_rhs(grid, D, W, ham)
+    want_dD, want_dW = uhlmann_rhs_einsum(grid, D, W, ham)
+    X = max(np.max(np.abs(ham.X_q)), np.max(np.abs(ham.X_p)))
+    speed = n * n * m * X * np.max(np.abs(W)) ** 2  # bounds |pairing|
+    h = min(grid.dq, grid.dp)
+    tol_D = 32 * n * n * m * EPS * speed * np.max(D) / h
+    tol_W = 32 * n * n * m * EPS * np.max(np.abs(W)) * (
+        speed / h + np.max(np.abs(ham.H)) / grid.hbar)
+    assert np.max(np.abs(dD - want_dD)) <= tol_D
+    assert np.max(np.abs(dW - want_dW)) <= tol_W
+
+
+def test_density_rhs_builds_no_planes(monkeypatch):
+    """Only the split right-hand side copies the Hamiltonian into planes, so
+    density-model runs do not hold the copy."""
+    calls = []
+    planes = Hamiltonian.planes
+    monkeypatch.setattr(Hamiltonian, "planes", lambda self: calls.append(1) or planes(self))
+    rng = np.random.default_rng(7)
+    grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 12, 12)
+    ham = random_hamiltonian(grid, rng, 2)
+    W = random_field(rng, grid.shape + (2, 2), True)
+    P = np.einsum("ijak,ijbk->ijab", W, np.conj(W))
+    ehrenfest_rhs(grid, P, ham)
+    beyond_ehrenfest_rhs(grid, P, ham)
+    assert not calls
+    uhlmann_rhs(grid, np.ones(grid.shape), W, ham)
+    assert calls
 
 
 def diff4_roll(values, axis, h):
