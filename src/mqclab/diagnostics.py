@@ -60,7 +60,7 @@ def make_sample_fn(model, ham, functionals=None, renyi_alpha=2.0,
             if "lambda" in wanted:
                 row["lambda_min"] = float(np.min(lam))
                 row["lambda_max"] = float(np.max(lam))
-            with _inv.shared_lambda(state, lam):
+            with _inv._shared_lambda(state, lam):
                 if "C2" in wanted:
                     row["C2"] = _inv.casimir_c2(state, sigma).value
                 if "S_pure" in wanted and isinstance(state, ConditionalSplit):

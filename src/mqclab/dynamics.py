@@ -19,10 +19,10 @@ its transport velocity and the largest speed, which the loop tracer and the
 CFL step size read.
 
 The split-state right-hand side reads H, X_q and X_p through
-``Hamiltonian.planes()``: static fields held as contiguous component planes,
-so that the component sums of ``grids.mm`` (the pairing and H W) read each
-matrix entry as one contiguous block. The state W stays interleaved: copying
-it into planes at every stage measured no faster.
+``Hamiltonian.planes()``: for n <= 3, static fields held as contiguous
+component planes, so that the component sums of ``grids.mm`` (the pairing
+and H W) read each matrix entry as one contiguous block. The state W stays
+interleaved: copying it into planes at every stage measured no faster.
 
 All transport terms use the conservative form div(field * velocity); with the
 antisymmetric stencils the grid sum of such a divergence telescopes to zero,

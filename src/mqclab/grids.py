@@ -5,19 +5,19 @@ stencils, rectangle quadrature (exact trapezoid on a periodic grid), the
 canonical Poisson bracket, periodic bicubic interpolation, and Hermitian
 matrix functions via eigendecomposition.
 
-Matrix fields multiply through ``mm`` and ``comm`` ([A, B] = AB - BA), and
-``tr_prod`` gives the field Re Tr(AB) without forming the product. For a
+Matrix fields multiply through ``mm`` and ``comm`` ([A, B] = AB - BA). For a
 contracted dimension n <= 3 these write each entry as vectorised component
 sums over the grid, which beats numpy's batched ``@`` on such small
-matrices; for n >= 4 they fall through to ``@`` (``einsum`` for the trace).
+matrices; for n >= 4 they fall through to ``@``. ``tr_prod`` gives the field
+Re Tr(AB) as component sums for every n, without forming the product.
 
 The sums read one matrix component ``A[..., i, c]`` at a time. On an
 interleaved (Nq, Np, n, n) array that is a strided walk over the whole
 field; ``planar`` stores a field as contiguous (n, n, Nq, Np) component
 planes behind the same (Nq, Np, n, n) view, so each component read is one
 contiguous plane. That costs a copy, so it pays only for fields that are
-read many times and never change (the Hamiltonian's, see
-``Hamiltonian.planes``).
+read many times by the sums and never change (the Hamiltonian's for
+n <= 3, see ``Hamiltonian.planes``).
 
 Grid arrays are indexed ``values[i, j]`` for the point
 ``(q0 + i*dq, p0 + j*dp)``; any trailing axes (matrix or vector components)
@@ -309,15 +309,10 @@ def comm(A, B):
 
 
 def tr_prod(A, B):
-    """Field Re Tr(AB) of (..., n, k) and (..., k, n) fields.
-
-    For k <= ``MM_SUMS_MAX`` the vectorised sum over the grid of the n k
-    products A[..., i, c] * B[..., c, i], without forming AB; above that a
-    trace ``einsum``.
-    """
+    """Field Re Tr(AB) of (..., n, k) and (..., k, n) fields: the vectorised
+    sum over the grid of the n k products A[..., i, c] * B[..., c, i],
+    without forming AB."""
     n, k = A.shape[-2:]
-    if k > MM_SUMS_MAX:
-        return np.einsum("...ic,...ci->...", A, B).real
     s = A[..., 0, 0] * B[..., 0, 0]
     for i in range(n):
         for c in range(k):

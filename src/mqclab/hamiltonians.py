@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import PhaseGrid, hermitize, planar, require_hermitian
+from .grids import MM_SUMS_MAX, PhaseGrid, hermitize, planar, require_hermitian
 from .states import _fix_eigvec_phase
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -109,12 +109,12 @@ class Hamiltonian:
     ``X_q = dH_p`` and ``X_p = -dH_q`` are the components of the hybrid
     Hamiltonian vector field, each an n x n Hermitian matrix field.
 
-    The fields are stored interleaved, (Nq, Np, n, n). ``planes()`` also holds
-    H, X_q and X_p as contiguous (n, n, Nq, Np) component planes, which the
-    component-sum kernels of ``grids`` read one contiguous block at a time.
-    The split-state right-hand side reads them at every stage; they are
-    copied on its first call and cached, so runs that never evolve a split
-    state do not hold the copy.
+    The fields are stored interleaved, (Nq, Np, n, n). For n <= 3
+    ``planes()`` also holds H, X_q and X_p as contiguous (n, n, Nq, Np)
+    component planes, which the component-sum kernels of ``grids`` read one
+    contiguous block at a time. The split-state right-hand side reads them
+    at every stage; they are copied on its first call and cached, so runs
+    that never evolve a split state do not hold the copy.
     """
 
     grid: PhaseGrid
@@ -145,7 +145,12 @@ class Hamiltonian:
 
     def planes(self):
         """(H, X_q, X_p) as (Nq, Np, n, n) views of contiguous component
-        planes (``grids.planar``), built on the first call."""
+        planes (``grids.planar``), built on the first call. The planes
+        serve the component sums of ``grids.mm``; for n above
+        ``MM_SUMS_MAX`` ``mm`` is numpy's ``@``, so these are the
+        interleaved fields themselves."""
+        if self.n > MM_SUMS_MAX:
+            return self.H, self.X_q, self.X_p
         if "_planes" not in self.extras:
             self.extras["_planes"] = tuple(planar(F) for F in (self.H, self.X_q, self.X_p))
         return self.extras["_planes"]

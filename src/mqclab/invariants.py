@@ -516,7 +516,7 @@ class FlaggedValue(NamedTuple):
 
 
 @contextmanager
-def shared_lambda(split, Lam):
+def _shared_lambda(split, Lam):
     """Inside the block the split-state functionals take ``Lam`` as the
     Liouville volume of ``split`` instead of recomputing it: a diagnostic
     row evaluates several of them on one state. ``split`` must not change

@@ -147,6 +147,19 @@ def test_density_rhs_builds_no_planes(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("n", [MM_SUMS_MAX, MM_SUMS_MAX + 1])
+def test_planes_only_below_the_mm_guard(n):
+    """Above the guard ``mm`` is numpy's ``@``, which planes do not help, so
+    ``planes()`` hands out the interleaved fields without copying them."""
+    grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 8, 8)
+    ham = random_hamiltonian(grid, np.random.default_rng(3), n)
+    fields = ham.planes()
+    for F, G in zip(fields, (ham.H, ham.X_q, ham.X_p)):
+        assert np.array_equal(F, G)
+        assert (F is G) == (n > MM_SUMS_MAX)
+    assert ("_planes" in ham.extras) == (n <= MM_SUMS_MAX)
+
+
 def diff4_roll(values, axis, h):
     """The stencil as four rolled copies: the reference for ``_diff4``."""
     m2 = np.roll(values, 2, axis=axis)
