@@ -94,7 +94,7 @@ def _meta(cfg, model, run=None, extra=None):
             "aborted": run.aborted,
             "abort_reason": run.abort_reason,
             "cfl_max_seen": run.cfl_max_seen,
-            "lambda_nonpositive_seen": bool(lam_mins and min(lam_mins) <= 0.0),
+            "lambda_nonpositive_seen": min(lam_mins) <= 0.0 if lam_mins else None,
         }
     if extra:
         meta.update(extra)
@@ -111,15 +111,7 @@ def cmd_simulate(args):
     state = Cmod.build_initial_state(grid, ham, cfg)
     stepper = Cmod.build_stepper(cfg, grid, ham, model, state)
     loop = Cmod.build_loop(cfg)
-    dspec = Cmod.get(cfg, "diagnostics", {}) or {}
-    sample_fn = diag.make_sample_fn(
-        model, ham,
-        functionals=dspec.get("functionals"),
-        renyi_alpha=float(dspec.get("renyi_alpha", 2.0)),
-        c1_phi=dspec.get("c1_phi", "neg_x_log_x_trace"),
-        c2_sigma=dspec.get("c2_sigma", "log"),
-        with_loop=loop is not None,
-    )
+    sample_fn = Cmod.build_sample_fn(cfg, model, ham, with_loop=loop is not None)
 
     os.makedirs(args.out, exist_ok=True)
     write_snapshot(os.path.join(args.out, "initial.snap"), _snapshotable(state))
@@ -153,10 +145,14 @@ def cmd_equilibrium(args):
         result = eq.equilibrium_at(problem, mu, check_confined=True)
     except UnsupportedHamiltonianError as exc:  # no closed form for this kind
         raise Cmod.ConfigError("equilibrium.representation", str(exc)) from None
+    except eq.ProblemError as exc:
+        # a mu solved from the target energy is reported as E, the key the config set
+        key = "E" if exc.key == "mu" and problem.mu is None else exc.key
+        raise Cmod.ConfigError(Cmod.problem_path(key), str(exc)) from None
 
     metrics = dict(result.residuals)
     if bool(Cmod.get(cfg, "equilibrium.certify", True)):
-        T_check = float(Cmod.get(cfg, "equilibrium.T_check", 6.283185307179586))
+        T_check = Cmod.positive(cfg, "equilibrium.T_check") or 6.283185307179586
         metrics.update(eq.stationarity_residual(result, ham, T_check=T_check))
 
     os.makedirs(args.out, exist_ok=True)
@@ -183,9 +179,7 @@ def cmd_casimir_check(args):
     from .probes import casimir_probe_report, random_smooth_split
 
     Cmod, cfg, grid, ham = _prepare(args)
-    dspec = Cmod.get(cfg, "diagnostics", {}) or {}
-    seed = int(dspec.get("probes_seed", 12345))
-    n_probes = int(dspec.get("n_probes", 20))
+    seed, n_probes = Cmod.probe_spec(cfg)
     rng = np.random.default_rng(seed)
     split = random_smooth_split(grid, int(Cmod.require(cfg, "grid.n", int)), rng)
     report = casimir_probe_report(split, ham, rng, n_probes=n_probes)
@@ -204,7 +198,6 @@ def cmd_casimir_check(args):
 def cmd_convergence(args):
     import numpy as np
 
-    from . import diagnostics as diag
     from .dynamics import rk4_run
 
     Cmod, cfg, grid0, _ = _prepare(args)
@@ -232,7 +225,7 @@ def cmd_convergence(args):
             for key in ("cfl", "t_final"):
                 scaled["time"].pop(key, None)
             scaled["time"].update(dt=dt0 / f, steps=steps0 * f)
-        scaled["time"]["sample_every"] = int(cfg["time"].get("sample_every", 1)) * f
+        scaled["time"]["sample_every"] = (Cmod.positive(cfg, "time.sample_every", int) or 1) * f
 
         grid = Cmod.build_grid(scaled)
         ham = Cmod.build_hamiltonian(grid, scaled)
@@ -241,9 +234,7 @@ def cmd_convergence(args):
         stepper = Cmod.build_stepper(scaled, grid, ham, model, state)
         if level == 0:
             dt0, steps0 = stepper.dt, stepper.steps
-        dspec = Cmod.get(scaled, "diagnostics", {}) or {}
-        sample_fn = diag.make_sample_fn(model, ham, functionals=dspec.get("functionals"),
-                                        renyi_alpha=float(dspec.get("renyi_alpha", 2.0)))
+        sample_fn = Cmod.build_sample_fn(scaled, model, ham)
         run = rk4_run(model, state, ham, stepper, sample_fn=sample_fn, keep_states=False)
         if run.aborted:
             print(f"numerical abort at level {level}: {run.abort_reason}", file=sys.stderr)

@@ -14,10 +14,12 @@ import numpy as np
 import yaml
 
 from . import hamiltonians as _ham
+from .diagnostics import DEFAULT_FUNCTIONALS, make_sample_fn
 from .dynamics import MODELS, MeanFieldState, StepperConfig, cfl_dt, circle_loop
 from .equilibria import MaxEntProblem, ProblemError
 from .grids import MIN_POINTS, PhaseGrid, hermitize
 from .hamiltonians import eigenfields
+from .invariants import scalar_fn, spectral_fn
 from .snapshots import read_snapshot
 from .states import ConditionalSplit, UhlmannSplit, compose, quantum_marginal
 
@@ -59,6 +61,16 @@ def get(cfg, path, default=None):
     return node
 
 
+def positive(cfg, path, kind=float):
+    """The number at ``path`` as ``kind`` (None when absent); it must be positive."""
+    if get(cfg, path) is None:
+        return None
+    value = require(cfg, path, kind)
+    if not value > 0:
+        raise ConfigError(path, "must be positive")
+    return value
+
+
 def build_grid(cfg) -> PhaseGrid:
     for path in ("grid.Nq", "grid.Np"):
         if require(cfg, path, int) < MIN_POINTS:
@@ -66,9 +78,7 @@ def build_grid(cfg) -> PhaseGrid:
     for lo, hi in (("domain.q0", "domain.q1"), ("domain.p0", "domain.p1")):
         if not require(cfg, hi, float) > require(cfg, lo, float):
             raise ConfigError(hi, f"must exceed {lo}")
-    hbar = 1.0 if get(cfg, "physics.hbar") is None else require(cfg, "physics.hbar", float)
-    if not hbar > 0:
-        raise ConfigError("physics.hbar", "must be positive")
+    hbar = positive(cfg, "physics.hbar") or 1.0
     return PhaseGrid(
         require(cfg, "domain.q0", float),
         require(cfg, "domain.q1", float),
@@ -259,39 +269,74 @@ def build_stepper(cfg, grid, ham, model, state) -> StepperConfig:
     if not isinstance(state, state_type):
         raise ConfigError("model", f"model '{model}' evolves a {state_type.__name__}, "
                                    f"the initial state is a {type(state).__name__}")
-    dt = get(cfg, "time.dt")
-    steps = get(cfg, "time.steps")
-    cfl = get(cfg, "time.cfl")
-    t_final = get(cfg, "time.t_final")
+    dt = positive(cfg, "time.dt")
+    steps = None if get(cfg, "time.steps") is None else require(cfg, "time.steps", int)
+    if steps is not None and steps < 0:
+        raise ConfigError("time.steps", "must not be negative")
+    cfl = positive(cfg, "time.cfl")
+    t_final = positive(cfg, "time.t_final")
+    sample_every = positive(cfg, "time.sample_every", int) or 1
     eps_tr_rel = float(get(cfg, "time.eps_tr_rel", 1e-12))
     if dt is None:
         if cfl is None:
             raise ConfigError("time.dt", "give dt or cfl")
         dt = cfl_dt(model, state, ham, cfl, eps_tr_rel)
         if t_final is not None:
-            steps = max(int(np.ceil(float(t_final) / dt)), 1)
-            dt = float(t_final) / steps
+            steps = max(int(np.ceil(t_final / dt)), 1)
+            dt = t_final / steps
     if steps is None:
         if t_final is None:
             raise ConfigError("time.steps", "give steps or t_final")
-        steps = max(int(round(float(t_final) / float(dt))), 1)
+        steps = max(int(round(t_final / dt)), 1)
     return StepperConfig(
-        dt=float(dt),
-        steps=int(steps),
-        sample_every=int(get(cfg, "time.sample_every", 1)),
+        dt=dt,
+        steps=steps,
+        sample_every=sample_every,
         eps_tr_rel=eps_tr_rel,
         renormalize=bool(get(cfg, "time.renormalize", False)),
     )
 
 
 def build_loop(cfg):
-    spec = get(cfg, "diagnostics.loop")
-    if spec is None:
+    if get(cfg, "diagnostics.loop") is None:
         return None
-    center = spec.get("center", (0.0, 0.0))
-    radius = float(spec.get("radius", 0.5))
-    K = int(spec.get("points", 256))
-    return circle_loop((float(center[0]), float(center[1])), radius, K)
+    spec = require(cfg, "diagnostics.loop", dict)
+    center = _pair(spec, "center", (0.0, 0.0), "diagnostics.loop")
+    radius = require(cfg, "diagnostics.loop.radius", float) if "radius" in spec else 0.5
+    K = require(cfg, "diagnostics.loop.points", int) if "points" in spec else 256
+    return circle_loop(center, radius, K)
+
+
+def build_sample_fn(cfg, model, ham, with_loop=False):
+    """The row function of the ``diagnostics`` section, every key checked first."""
+    spec = require(cfg, "diagnostics", dict) if get(cfg, "diagnostics") else {}
+    functionals = spec.get("functionals")
+    if functionals is not None and (not isinstance(functionals, list)
+                                    or any(f not in DEFAULT_FUNCTIONALS for f in functionals)):
+        raise ConfigError("diagnostics.functionals", f"expected names from {DEFAULT_FUNCTIONALS}")
+    alpha = require(cfg, "diagnostics.renyi_alpha", float) if "renyi_alpha" in spec else 2.0
+    if alpha == 1.0:
+        raise ConfigError("diagnostics.renyi_alpha", "must differ from 1")
+    names = {"c1_phi": spec.get("c1_phi", "neg_x_log_x_trace"),
+             "c2_sigma": spec.get("c2_sigma", "log")}
+    for key, make in (("c1_phi", spectral_fn), ("c2_sigma", scalar_fn)):
+        try:
+            make(names[key])
+        except ValueError as exc:
+            raise ConfigError(f"diagnostics.{key}", str(exc)) from None
+    return make_sample_fn(model, ham, functionals, alpha, with_loop=with_loop, **names)
+
+
+def probe_spec(cfg):
+    """(seed, count) of the ``casimir-check`` probes in the ``diagnostics`` section."""
+    spec = require(cfg, "diagnostics", dict) if get(cfg, "diagnostics") else {}
+    seed = require(cfg, "diagnostics.probes_seed", int) if "probes_seed" in spec else 12345
+    return seed, positive(cfg, "diagnostics.n_probes", int) or 20
+
+
+def problem_path(key):
+    """Config key path of the ``MaxEntProblem`` field a ``ProblemError`` names."""
+    return "hamiltonian" if key == "ham" else f"equilibrium.{key}"
 
 
 def build_problem(grid, ham, cfg) -> MaxEntProblem:
@@ -309,4 +354,4 @@ def build_problem(grid, ham, cfg) -> MaxEntProblem:
             branch=optional("branch", int) or 0,
         )
     except ProblemError as exc:
-        raise ConfigError(f"equilibrium.{exc.key}", str(exc)) from None
+        raise ConfigError(problem_path(exc.key), str(exc)) from None

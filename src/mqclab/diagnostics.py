@@ -15,7 +15,6 @@ from .states import (
     HybridDensity,
     UhlmannSplit,
     compose,
-    lambda_of,
     purity,
     quantum_marginal,
 )
@@ -56,19 +55,17 @@ def make_sample_fn(model, ham, functionals=None, renyi_alpha=2.0,
             dens = state if is_density else compose(state)
             row["C1"] = c1.value(dens)
         if is_split:
-            lam = lambda_of(state)  # once per row: the functionals below share it
             if "lambda" in wanted:
-                row["lambda_min"] = float(np.min(lam))
-                row["lambda_max"] = float(np.max(lam))
-            with _inv._shared_lambda(state, lam):
-                if "C2" in wanted:
-                    row["C2"] = _inv.casimir_c2(state, sigma).value
-                if "S_pure" in wanted and isinstance(state, ConditionalSplit):
-                    row["S_pure"] = _inv.shannon_pure(state).value
-                if "S_uhlmann" in wanted:
-                    row["S_uhlmann"] = _inv.entropy_uhlmann(state).value
-                if "renyi" in wanted:
-                    row["renyi_alpha"] = _inv.renyi_mqc(state, renyi_alpha).value
+                row["lambda_min"] = float(np.min(state.Lambda))
+                row["lambda_max"] = float(np.max(state.Lambda))
+            if "C2" in wanted:
+                row["C2"] = _inv.casimir_c2(state, sigma).value
+            if "S_pure" in wanted and isinstance(state, ConditionalSplit):
+                row["S_pure"] = _inv.shannon_pure(state).value
+            if "S_uhlmann" in wanted:
+                row["S_uhlmann"] = _inv.entropy_uhlmann(state).value
+            if "renyi" in wanted:
+                row["renyi_alpha"] = _inv.renyi_mqc(state, renyi_alpha).value
             if with_loop and loop_pts is not None:
                 row["poincare"] = _inv.loop_integral(state, loop_pts)
         elif isinstance(state, _dyn.MeanFieldState):

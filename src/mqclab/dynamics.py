@@ -446,7 +446,7 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
         if step == cfg.steps:
             break
 
-        ratio = dt * info1["max_speed"] / minh
+        ratio = abs(dt) * info1["max_speed"] / minh
         result.cfl_max_seen = max(result.cfl_max_seen, ratio)
         if ratio >= cfg.cfl_max:
             result.aborted = True

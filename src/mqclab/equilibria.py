@@ -30,14 +30,14 @@ from .states import (
     HybridDensity,
     UhlmannSplit,
     _fix_eigvec_phase,
-    lambda_of,
     outer,
     uhlmann_factor,
 )
 
 
 class ProblemError(ValueError):
-    """A field of an equilibrium request is invalid; ``key`` names it."""
+    """A field of an equilibrium request is invalid or admits no equilibrium;
+    ``key`` names that field of ``MaxEntProblem``."""
 
     def __init__(self, key, message):
         super().__init__(message)
@@ -104,10 +104,9 @@ def _check_confined(grid, D, kinked, ring=2, reject_tol=1e-6, warn_tol=1e-10):
     total = float(grid.integrate(D))
     ring_mass = float(grid.integrate(np.where(edge, D, 0.0))) / max(total, 1e-300)
     if ring_mass > reject_tol:
-        raise ValueError(
-            f"Gibbs weight carries mass fraction {ring_mass:.2e} at the domain seam "
-            "of a non-periodic landscape; the branch is not normalizable on this domain"
-        )
+        raise ProblemError("mu", f"Gibbs weight carries mass fraction {ring_mass:.2e} at the "
+                           "domain seam of a non-periodic landscape; the branch is not "
+                           "normalizable on this domain")
     if ring_mass > warn_tol:
         warnings.warn(
             f"Gibbs profile carries mass {ring_mass:.2e} within {ring} cells of the seam; "
@@ -132,10 +131,8 @@ def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> Equilibriu
     elif ham.kind in ("zeta_composed", "nanowire"):
         eig = eigenfields(ham)
         if eig.has_crossing:
-            raise ValueError(
-                "eigenvalue crossing on the grid: the branch eigenfield is "
-                "ill-defined; no equilibrium returned"
-            )
+            raise ProblemError("ham", "eigenvalue crossing on the grid: the branch "
+                               "eigenfield is ill-defined; no equilibrium returned")
         psi = np.ascontiguousarray(eig.state(problem.branch))
         E_field = eig.energy(problem.branch)
     else:
@@ -154,9 +151,8 @@ def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> Equilibriu
     Z_C = Z_shift * np.exp(-mu * float(np.min(E_field)))
     D = w / Z_shift
     split = ConditionalSplit(grid, D, psi)
-    Lam = lambda_of(split)
     energy = float(grid.integrate(D * E_field))
-    res = {"lambda_max_dev": float(np.max(np.abs(Lam - 1.0)))}
+    res = {"lambda_max_dev": float(np.max(np.abs(split.Lambda - 1.0)))}
     return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res)
 
 
@@ -180,9 +176,8 @@ def gibbs_uhlmann(problem: MaxEntProblem, check_confined=True) -> EquilibriumRes
     Z_C = Ztot * np.exp(-mu * shift)
     P = M / Ztot
     split = uhlmann_factor(HybridDensity(grid, P), m=ham.n)
-    Lam = lambda_of(split)
     energy = float(grid.integrate(np.einsum("ijab,ijba->ij", P, ham.H).real))
-    res = {"lambda_max_dev": float(np.max(np.abs(Lam - 1.0)))}
+    res = {"lambda_max_dev": float(np.max(np.abs(split.Lambda - 1.0)))}
     return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res)
 
 
@@ -233,7 +228,7 @@ def solve_mu(problem: MaxEntProblem, mu_lo=1e-6, mu_hi=1e6, rel_tol=1e-10, max_i
     range on this grid and branch.
     """
     if problem.E is None:
-        raise ValueError("solve_mu needs a target energy E")
+        raise ProblemError("E", "solve_mu needs a target energy E")
     target = float(problem.E)
 
     def energy_at(mu):
@@ -241,10 +236,8 @@ def solve_mu(problem: MaxEntProblem, mu_lo=1e-6, mu_hi=1e6, rel_tol=1e-10, max_i
 
     e_lo, e_hi = energy_at(mu_lo), energy_at(mu_hi)  # e_lo >= e_hi
     if not (min(e_lo, e_hi) <= target <= max(e_lo, e_hi)):
-        raise ValueError(
-            f"target energy {target:.6g} outside attainable range "
-            f"[{min(e_lo, e_hi):.6g}, {max(e_lo, e_hi):.6g}] for this branch/grid"
-        )
+        raise ProblemError("E", f"target energy {target:.6g} outside attainable range "
+                           f"[{min(e_lo, e_hi):.6g}, {max(e_lo, e_hi):.6g}] for this branch/grid")
     lo, hi = mu_lo, mu_hi
     mu = np.sqrt(lo * hi)
     e_mid = energy_at(mu)
@@ -273,7 +266,7 @@ def marina_residual(split: ConditionalSplit, ham: Hamiltonian, mu):
     """
     grid = split.grid
     psi, D = split.psi, split.D
-    Lam = lambda_of(split)
+    Lam = split.Lambda
     Hpsi = np.einsum("ijab,ijb->ija", ham.H, psi)
     Heff = np.einsum("ija,ija->ij", np.conj(psi), Hpsi).real
     br = (

@@ -10,6 +10,10 @@ Functional families (P = hybrid density, D = Tr P, rho = P / Tr P):
                      invariants Gamma(A, x) = x^(1-alpha) Tr A^alpha;
 * mean-field, pure and Uhlmann entropies and their Renyi extensions.
 
+A split owns its Liouville volume and conditional spectrum (``split.Lambda``,
+``split.spectrum``: computed once, as a split is not changed in place once
+built); its functionals are pointwise integrands over the support of D.
+
 The hybrid bracket is evaluated as
 
     {{f, g}} = integral( [Tr(P dq(Gf)) Tr(dp(Gg) P) - (q <-> p)] / Tr P
@@ -26,7 +30,6 @@ the exact gradient of the discretized functional.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -35,12 +38,10 @@ import numpy as np
 from .grids import EIG_CLAMP, comm, hermitize, trace_field
 from .hamiltonians import Hamiltonian
 from .states import (
-    ConditionalSplit,
     HybridDensity,
     UhlmannSplit,
     berry_data,
     compose,
-    lambda_of,
     outer,
     uhlmann_factor,
     vacuum_floor,
@@ -344,28 +345,23 @@ class CasimirGeneral(Functional):
         self.split = split
 
     def _factor(self, state):
-        if self.split is not None:
-            split = self.split
-            back = compose(split)
-            if np.max(np.abs(back.P - state.P)) > 1e-8 * max(np.max(np.abs(state.P)), 1e-300):
-                raise ValueError("provided split does not factor the given state")
-        else:
-            split = uhlmann_factor(state, m=self.m)
-        D = split.D
-        floor = vacuum_floor(D, self.eps_tr_rel)
-        Lam = lambda_of(split)
-        return split, D, floor, Lam
+        if self.split is None:
+            return uhlmann_factor(state, m=self.m)
+        back = compose(self.split)
+        if np.max(np.abs(back.P - state.P)) > 1e-8 * max(np.max(np.abs(state.P)), 1e-300):
+            raise ValueError("provided split does not factor the given state")
+        return self.split
 
     def value(self, state):
-        split, D, floor, Lam = self._factor(state)
-        return casimir_general_value(split, self.gamma, Lam=Lam, floor=floor)
+        return casimir_general_value(self._factor(state), self.gamma, self.eps_tr_rel)
 
     def derivative(self, state):
         grid = state.grid
-        split, D, floor, Lam = self._factor(state)
-        W = split.W
+        split = self._factor(state)
+        D, W = split.D, split.W
+        floor = vacuum_floor(D, self.eps_tr_rel)
         Dsafe = np.where(D > floor, D, floor)
-        x = Lam / Dsafe
+        x = split.Lambda / Dsafe
         A = outer(W)
         w, v = np.linalg.eigh(hermitize(A))
 
@@ -515,22 +511,17 @@ class FlaggedValue(NamedTuple):
     lambda_positive: bool
 
 
-@contextmanager
-def _shared_lambda(split, Lam):
-    """Inside the block the split-state functionals take ``Lam`` as the
-    Liouville volume of ``split`` instead of recomputing it: a diagnostic
-    row evaluates several of them on one state. ``split`` must not change
-    inside the block."""
-    split._shared_lambda = Lam
-    try:
-        yield
-    finally:
-        del split._shared_lambda
-
-
-def _lambda(split):
-    Lam = getattr(split, "_shared_lambda", None)
-    return lambda_of(split) if Lam is None else Lam
+def _support_integral(split, pointwise, eps_rel):
+    """(integral of ``pointwise(D, Lambda)`` over the support of D, whether
+    Lambda > 0 there). Off the support ``pointwise`` sees D = 1, and the
+    floating-point warnings of those discarded points are silenced."""
+    D, Lam = split.D, split.Lambda
+    mask = D > vacuum_floor(D, eps_rel)
+    ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
+    Dsafe = np.where(mask, D, 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        integrand = np.where(mask, pointwise(Dsafe, Lam), 0.0)
+    return float(split.grid.integrate(integrand)), ok
 
 
 def casimir_c2(split: UhlmannSplit, sigma: ScalarFn, eps_rel=1e-12) -> FlaggedValue:
@@ -540,15 +531,7 @@ def casimir_c2(split: UhlmannSplit, sigma: ScalarFn, eps_rel=1e-12) -> FlaggedVa
     divergence of D from Lambda); that interpretation is invalid when Lambda
     is not positive on the support, hence the flag.
     """
-    grid = split.grid
-    Lam = _lambda(split)
-    D = split.D
-    mask = D > vacuum_floor(D, eps_rel)
-    ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
-    Dsafe = np.where(mask, D, 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = np.where(mask, D * sigma.f(Lam / Dsafe), 0.0)
-    return FlaggedValue(float(grid.integrate(integrand)), ok)
+    return FlaggedValue(*_support_integral(split, lambda D, Lam: D * sigma.f(Lam / D), eps_rel))
 
 
 def shannon_pure(split: UhlmannSplit) -> FlaggedValue:
@@ -575,34 +558,16 @@ def renyi_meanfield(grid, D, rho, alpha) -> float:
     return float((qterm + cterm) / (1.0 - a))
 
 
-def _conditional_spectrum(split):
-    """(D, Lambda, eigenvalues of the conditional density W W^dag).
-
-    A ConditionalSplit keeps the unit weight of a pure conditional state
-    rather than |psi|^2, so its entropies do not follow a drifting norm.
-    """
-    if isinstance(split, ConditionalSplit):
-        nu = np.ones(split.grid.shape + (1,))
-    else:
-        nu = np.maximum(np.linalg.eigvalsh(hermitize(outer(split.W))), 0.0)
-    return split.D, _lambda(split), nu
-
-
 def entropy_uhlmann(split, eps_rel=1e-12) -> FlaggedValue:
     """S = -Tr integral P ln(P / Lambda), from the pointwise spectrum of P."""
-    grid = split.grid
-    D, Lam, nu = _conditional_spectrum(split)
-    mask = D > vacuum_floor(D, eps_rel)
-    ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
-    lam = D[..., None] * nu  # eigenvalues of P
-    with np.errstate(invalid="ignore", divide="ignore"):
-        terms = np.where(
-            lam > vacuum_floor(D, EIG_CLAMP),
-            -lam * np.log(np.where(lam > 0, lam, 1.0) / Lam[..., None]),
-            0.0,
-        )
-        integrand = np.where(mask, np.sum(terms, axis=-1), 0.0)
-    return FlaggedValue(float(grid.integrate(integrand)), ok)
+    floor = vacuum_floor(split.D, EIG_CLAMP)
+
+    def pointwise(D, Lam):
+        lam = D[..., None] * split.spectrum  # eigenvalues of P
+        logs = np.log(np.where(lam > 0, lam, 1.0) / Lam[..., None])
+        return np.sum(np.where(lam > floor, -lam * logs, 0.0), axis=-1)
+
+    return FlaggedValue(*_support_integral(split, pointwise, eps_rel))
 
 
 def renyi_mqc(split, alpha, eps_rel=1e-12) -> FlaggedValue:
@@ -610,33 +575,21 @@ def renyi_mqc(split, alpha, eps_rel=1e-12) -> FlaggedValue:
     a = float(alpha)
     if a == 1.0:
         raise ValueError("alpha must differ from 1")
-    grid = split.grid
-    D, Lam, nu = _conditional_spectrum(split)
-    mask = D > vacuum_floor(D, eps_rel)
-    ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
+
+    def pointwise(D, Lam):
+        lam = D[..., None] * split.spectrum
+        return Lam * np.sum(np.power(np.maximum(lam / Lam[..., None], 0.0), a), axis=-1)
+
+    total, ok = _support_integral(split, pointwise, eps_rel)
     if not ok:
         return FlaggedValue(float("nan"), False)
-    lam = D[..., None] * nu
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tr = np.sum(np.power(np.maximum(lam / Lam[..., None], 0.0), a), axis=-1)
-        integrand = np.where(mask, Lam * tr, 0.0)
-    return FlaggedValue(float(np.log(grid.integrate(integrand)) / (1.0 - a)), ok)
+    return FlaggedValue(float(np.log(total) / (1.0 - a)), ok)
 
 
-def casimir_general_value(split: UhlmannSplit, gamma: GammaSpec, Lam=None, floor=None,
-                          eps_rel=1e-12) -> float:
+def casimir_general_value(split: UhlmannSplit, gamma: GammaSpec, eps_rel=1e-12) -> float:
     """C = integral D Gamma(W W^dag, Lambda / D) for a (D, W) state."""
-    grid = split.grid
-    D = split.D
-    if Lam is None:
-        Lam = lambda_of(split)
-    if floor is None:
-        floor = vacuum_floor(D, eps_rel)
-    w = np.maximum(np.linalg.eigvalsh(hermitize(outer(split.W))), 0.0)
-    Dsafe = np.where(D > floor, D, 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = np.where(D > floor, D * gamma.value(w, Lam / Dsafe), 0.0)
-    return float(grid.integrate(integrand))
+    w = split.spectrum
+    return _support_integral(split, lambda D, Lam: D * gamma.value(w, Lam / D), eps_rel)[0]
 
 
 # -- Poincare loop invariant --------------------------------------------------------
@@ -681,7 +634,7 @@ def lambda_transport_residual(times, splits, ham: Hamiltonian):
     if len(splits) < 3:
         raise ValueError("need at least three samples")
     grid = splits[0].grid
-    lams = [lambda_of(s) for s in splits]
+    lams = [s.Lambda for s in splits]
     t_mid, rms, mx = [], [], []
     for k in range(1, len(splits) - 1):
         dt2 = times[k + 1] - times[k - 1]

@@ -96,7 +96,7 @@ def read_snapshot(path):
                     D[i, j] = float(vals[0])
                     k = 1
                 raw = np.array([float(v) for v in vals[k:]])
-                data[i, j] = (raw[0::2] + 1j * raw[1::2]).reshape(data[i, j].shape)
+                data[i, j] = raw.view(complex).reshape(data[i, j].shape)
 
     if rep == "density":
         return HybridDensity(grid, data)

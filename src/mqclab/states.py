@@ -12,12 +12,17 @@ of (D, W) applies to it unchanged; ``psi`` is a view of W's single column.
 
 Plus the Berry connection / curvature of the conditional field and the
 Liouville volume Lambda = 1 + hbar Im Tr {field^dag, field}.
+
+A split owns its Liouville volume ``Lambda`` (``lambda_of``, on first read)
+and the spectrum of W W^dag; both are kept, so a split is not changed in
+place once built.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +105,16 @@ class UhlmannSplit:
     def m(self):
         return self.W.shape[-1]
 
+    @cached_property
+    def Lambda(self):
+        """Liouville volume, from the derivatives of W."""
+        return lambda_of(self)
+
+    @cached_property
+    def spectrum(self):
+        """Eigenvalues of the conditional density W W^dag, clipped at 0."""
+        return np.maximum(np.linalg.eigvalsh(hermitize(outer(self.W))), 0.0)
+
     def support(self):
         return self.D > vacuum_floor(self.D)
 
@@ -129,6 +144,11 @@ class ConditionalSplit(UhlmannSplit):
     @property
     def psi(self):
         return self.W[..., 0]
+
+    @property
+    def spectrum(self):
+        """Unit weight of the pure conditional state, not a drifting |psi|^2."""
+        return np.ones(self.grid.shape + (1,))
 
 
 @dataclass

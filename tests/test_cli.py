@@ -25,7 +25,14 @@ class TestSnapshots:
     def make_states(self):
         grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 12, 12, hbar=0.7)
         split = aligned_smooth_split(grid)
-        return [split, compose(split), random_smooth_split(grid, 2, np.random.default_rng(0))]
+        # signed zeros in both parts of a complex entry survive the round trip
+        psi = np.zeros(grid.shape + (2,), dtype=complex)
+        psi[..., 0] = 1.0
+        psi[:6, :, 1] = complex(0.0, -0.0)
+        psi[6:, :, 1] = complex(-0.0, 0.0)
+        signed = ConditionalSplit(grid, np.full(grid.shape, 1.0 / grid.area), psi)
+        return [split, compose(split), random_smooth_split(grid, 2, np.random.default_rng(0)),
+                signed]
 
     def test_roundtrip_byte_identical(self, tmp_path):
         for k, state in enumerate(self.make_states()):
@@ -87,15 +94,57 @@ class TestConfig:
                                       "equilibrium.representation", "domain.q1", "domain.p1",
                                       "physics.hbar", "initial.density.center",
                                       "equilibrium.representation=foo", "equilibrium.E",
-                                      "equilibrium.branch", "initial.density"])
+                                      "equilibrium.branch", "initial.density",
+                                      "time.t_final", "time.dt", "time.cfl=0",
+                                      "time.cfl=x", "time.sample_every", "time.steps",
+                                      "time.sample_every=x", "equilibrium.T_check",
+                                      "equilibrium.E=1e6", "hamiltonian", "equilibrium.mu",
+                                      "diagnostics.loop", "diagnostics.loop.center",
+                                      "diagnostics.loop.points", "diagnostics.functionals",
+                                      "diagnostics.renyi_alpha=x",
+                                      "diagnostics.renyi_alpha=1.0",
+                                      "diagnostics.c2_sigma", "diagnostics.probes_seed",
+                                      "diagnostics.n_probes"])
     def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, case):
-        key = case.split("=")[0]
+        key, _, value = case.partition("=")
         cfg = presets.nanowire_conditional(N=16)
         command, extra = "simulate", []
         if key.startswith("equilibrium."):
             cfg = presets.dephasing_equilibrium(N=32)
             command = "equilibrium"
-        if key == "model":  # a density model on a conditional initial state
+        # the invalid value set at the key itself, unless the case gives one
+        value = yaml.safe_load(value) if value else {
+            "time.t_final": -1, "time.dt": -0.01, "time.sample_every": 0, "time.steps": -1,
+            "equilibrium.T_check": "x",
+            "diagnostics.loop": 5, "diagnostics.loop.center": 5, "diagnostics.loop.points": "x",
+            "diagnostics.functionals": 5, "diagnostics.c2_sigma": "foo",
+            "diagnostics.probes_seed": "x", "diagnostics.n_probes": 0}.get(key)
+        if key in ("diagnostics.probes_seed", "diagnostics.n_probes"):
+            command = "casimir-check"
+        if case == "time.sample_every=x":  # the convergence study reads the stride first
+            command, extra = "convergence", ["--levels", "2"]
+        if key == "time.steps":  # a fixed step count needs a fixed dt
+            cfg["time"] = {"dt": 0.01}
+        if key.startswith(("time.", "diagnostics.")) or key == "equilibrium.T_check":
+            *parents, leaf = key.split(".")
+            node = cfg
+            for part in parents:
+                node = node[part]
+            node[leaf] = value
+        elif case == "equilibrium.E=1e6":  # outside the attainable range
+            cfg = presets.dephasing_equilibrium(N=16)
+            del cfg["equilibrium"]["mu"]
+            cfg["equilibrium"]["E"] = 1e6
+        elif key == "equilibrium.mu":  # so hot that Gibbs mass reaches the domain seam
+            cfg = presets.harmonic_gibbs(N=16)
+            del cfg["equilibrium"]["E"]
+            cfg["equilibrium"]["mu"] = 1e-4
+        elif key == "hamiltonian":  # H = q sigma_z: the branches cross at q = 0
+            cfg = presets.zeta_sigma_z(N=16)
+            cfg["hamiltonian"]["zeta"] = "coordinate_q"
+            cfg["hamiltonian"]["coeffs"] = [[[0.0, 0.0], [0.0, 0.0]], "sigma_z"]
+            command = "equilibrium"
+        elif key == "model":  # a density model on a conditional initial state
             extra = ["--model", "ehrenfest_density"]
         elif key == "hamiltonian.kind":
             cfg["hamiltonian"]["kind"] = "frobnicate"
@@ -172,6 +221,21 @@ class TestSimulateCommand:
             assert main(["simulate", "--config", path, "--out", out, "--quiet"]) == 0
             outs.append(open(os.path.join(out, "diagnostics.csv"), "rb").read())
         assert outs[0] == outs[1]
+
+    def test_lambda_flag_only_when_measured(self, tmp_path):
+        # meta.json reports no Lambda sign for a run whose rows never measured it
+        seen = {}
+        for functionals in (None, ["mass"]):
+            cfg = presets.nanowire_conditional(N=16, t_final=0.3, sample_every=4, loop=False)
+            if functionals is not None:
+                cfg["diagnostics"]["functionals"] = functionals
+            tag = "default" if functionals is None else "mass"
+            path = write_cfg(tmp_path, cfg, name=f"{tag}.yaml")
+            out = str(tmp_path / tag)
+            assert main(["simulate", "--config", path, "--out", out, "--quiet"]) == 0
+            meta = json.load(open(os.path.join(out, "meta.json")))
+            seen[tag] = meta["flags"]["lambda_nonpositive_seen"]
+        assert seen == {"default": False, "mass": None}
 
     def test_model_override(self, tmp_path):
         cfg = presets.classical_well(N=16, t_final=0.2, model="beyond_ehrenfest")

@@ -359,6 +359,17 @@ class TestRK4Run:
         assert run.aborted
         assert "CFL" in run.abort_reason
 
+    def test_cfl_guard_aborts_on_negative_dt(self):
+        # a backward step above the CFL limit trips the guard as a forward one does
+        grid = make_grid(32)
+        ham = nanowire(grid)
+        split = ConditionalSplit(grid, gaussian(grid, pc=0.8), up_state(grid))
+        run = rk4_run("ehrenfest_conditional", split, ham,
+                      StepperConfig(dt=-1.0, steps=5, sample_every=1))
+        assert run.aborted
+        assert "CFL" in run.abort_reason
+        assert run.cfl_max_seen > 0
+
     def test_cfl_warning(self):
         grid = make_grid(32)
         ham = nanowire(grid)

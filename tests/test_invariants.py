@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqclab import (
     CasimirC1,
@@ -38,6 +40,7 @@ from mqclab.dynamics import circle_loop, ehrenfest_rhs
 from mqclab.grids import trace_field
 from mqclab.invariants import numeric_local_derivative
 from mqclab.probes import random_probe_functionals, random_psd_density
+from test_split_equivalence import conditional_states
 
 
 def make_grid(N=48, L=2 * np.pi, hbar=1.0):
@@ -184,29 +187,38 @@ class TestEntropies:
 
     @pytest.mark.parametrize("m", [None, 2])
     def test_diagnostic_row_computes_lambda_once(self, monkeypatch, m):
-        """One Liouville volume per row, and the same values as each
-        functional evaluated on its own."""
-        from mqclab import diagnostics, invariants
+        """One Liouville volume per split, read only by the rows that need it,
+        and the same values as each functional evaluated on its own."""
+        from mqclab import diagnostics, states
 
         grid = make_grid(16, hbar=0.3)
-        split = ConditionalSplit(grid, gaussian(grid), twisted(grid))
-        if m is not None:
-            split = conditional_to_uhlmann(split, m=m)
-        ham = nanowire(grid)
-        want = {"C2": casimir_c2(split, scalar_fn("log")).value,
-                "S_uhlmann": entropy_uhlmann(split).value,
-                "renyi_alpha": renyi_mqc(split, 2.0).value}
+        D, psi = gaussian(grid), twisted(grid)
+
+        def fresh():
+            split = ConditionalSplit(grid, D, psi)
+            return split if m is None else conditional_to_uhlmann(split, m=m)
+
+        twin = fresh()
+        want = {"C2": casimir_c2(twin, scalar_fn("log")).value,
+                "S_uhlmann": entropy_uhlmann(twin).value,
+                "renyi_alpha": renyi_mqc(twin, 2.0).value}
         if m is None:
-            want["S_pure"] = shannon_pure(split).value
+            want["S_pure"] = shannon_pure(twin).value
         calls = []
-        for module in (diagnostics, invariants):
-            original = module.lambda_of
-            monkeypatch.setattr(module, "lambda_of",
-                                lambda s, f=original: calls.append(1) or f(s))
+        original = states.lambda_of
+        monkeypatch.setattr(states, "lambda_of", lambda s: calls.append(1) or original(s))
+        ham = nanowire(grid)
+
+        split = fresh()
         row = diagnostics.make_sample_fn("ehrenfest_uhlmann", ham)(0.0, split, None, {})
         assert len(calls) == 1
         assert {k: row[k] for k in want} == want
-        assert renyi_mqc(split, 2.0).value == want["renyi_alpha"] and len(calls) == 2
+        assert renyi_mqc(split, 2.0).value == want["renyi_alpha"] and len(calls) == 1
+
+        mass_only = diagnostics.make_sample_fn("ehrenfest_uhlmann", ham, functionals=["mass"])
+        mass_only(0.0, fresh(), None, {})
+        assert len(calls) == 1
+        assert renyi_mqc(fresh(), 2.0).value == want["renyi_alpha"] and len(calls) == 2
 
 
 class TestCasimirGeneral:
@@ -232,6 +244,16 @@ class TestCasimirGeneral:
         grid = make_grid(64, hbar=0.3)
         split = random_smooth_split(grid, 2, np.random.default_rng(2))
         alpha = 2.0
+        C = casimir_general_value(split, GammaSpec.renyi(alpha))
+        H = renyi_mqc(split, alpha).value
+        assert np.isclose(C, np.exp((1 - alpha) * H), rtol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(conditional_states(), st.sampled_from([0.5, 2.0, 3.0]))
+    def test_renyi_gamma_exponentiates_on_drifting_conditional(self, case, alpha):
+        # |psi| drifts from 1: the Gamma path keeps the unit weight of a pure
+        # conditional state, as the entropies do, not |psi|^2
+        split, _ = case
         C = casimir_general_value(split, GammaSpec.renyi(alpha))
         H = renyi_mqc(split, alpha).value
         assert np.isclose(C, np.exp((1 - alpha) * H), rtol=1e-10)
