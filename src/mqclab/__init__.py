@@ -15,7 +15,6 @@ from .grids import (
     matrix_function,
     matrix_log,
     matrix_exp_herm,
-    matrix_power_psd,
     vn_entropy_trace,
     random_band_limited,
 )

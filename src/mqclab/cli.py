@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import os
 import sys
 
@@ -160,12 +162,13 @@ def cmd_equilibrium(args):
     record = {
         "mu": result.mu,
         "Z_C": result.Z_C,
+        "ln_Z_C": result.ln_Z_C,
         "branch": result.branch,
         "energy": result.energy,
         "metrics": metrics,
     }
     with open(os.path.join(args.out, "equilibrium.json"), "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_json_numbers(record), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     _say(args, f"mu={result.mu:.6g} energy={result.energy:.6g} "
                + " ".join(f"{k}={v:.3e}" for k, v in metrics.items()
@@ -186,7 +189,7 @@ def cmd_casimir_check(args):
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "casimir_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _say(args, "worst |{{f,C}}| / scale per Casimir:")
     for k, v in sorted(report["worst_ratio"].items()):
@@ -292,11 +295,15 @@ def _snapshotable(state):
     return state
 
 
-def _json_default(obj):
-    try:
-        return float(obj)
-    except (TypeError, ValueError):
-        return str(obj)
+def _json_numbers(record):
+    """``record`` with every number as JSON writes it: integers unchanged,
+    floats only when finite (JSON has no NaN or Infinity; those become null)."""
+    if isinstance(record, dict):
+        return {k: _json_numbers(v) for k, v in record.items()}
+    if isinstance(record, numbers.Integral):
+        return record
+    x = float(record)
+    return x if math.isfinite(x) else None
 
 
 if __name__ == "__main__":

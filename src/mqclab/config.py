@@ -91,7 +91,10 @@ def build_grid(cfg) -> PhaseGrid:
 
 
 def build_hamiltonian(grid, cfg) -> _ham.Hamiltonian:
-    spec = require(cfg, "hamiltonian")
+    spec = require(cfg, "hamiltonian", dict)
+    for key in ("mass", "eta", "B", "center_p"):  # the nanowire's numbers
+        if spec.get(key) is not None:
+            spec[key] = require(cfg, f"hamiltonian.{key}", float)
     try:
         return _ham.build(grid, spec)
     except KeyError as exc:
@@ -101,13 +104,32 @@ def build_hamiltonian(grid, cfg) -> _ham.Hamiltonian:
         raise ConfigError(path, str(exc)) from None
 
 
-def _complex_array(data):
+def _complex_array(data, path):
     """Complex entries are [re, im] pairs at the innermost level, e.g. a
     2-vector is [[1.0, 0.0], [0.0, 0.0]]."""
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != 2:
-        raise ConfigError("<complex entry>", "complex values must be [re, im] pairs")
+    try:
+        arr = np.asarray(data, dtype=float)
+        if arr.ndim == 0 or arr.shape[-1] != 2:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ConfigError(path, "complex values must be [re, im] pairs") from None
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _unit(values, path):
+    """``values`` divided by its norm, which must not be zero."""
+    norm = np.linalg.norm(values)
+    if not norm > 0:
+        raise ConfigError(path, "must not be zero")
+    return values / norm
+
+
+def _number(spec, key, default, path, kind=float):
+    """``spec[key]`` as ``kind``, or ``default`` when it is absent."""
+    try:
+        return kind(spec.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.{key}", "wrong type") from None
 
 
 def _pair(spec, key, default, path):
@@ -145,14 +167,14 @@ def _density_profile(grid, spec, path):
         for k, bump in enumerate(spec.get("bumps", [])):
             qc, pc = _pair(bump, "center", (0.0, 0.0), f"{path}.bumps.{k}")
             sq, sp = _pair(bump, "sigma", (1.0, 1.0), f"{path}.bumps.{k}")
-            w = float(bump.get("weight", 1.0))
+            w = _number(bump, "weight", 1.0, f"{path}.bumps.{k}")
             D += w * np.exp(
                 -0.5 * ((grid.Q - qc) / sq) ** 2 - 0.5 * ((grid.P - pc) / sp) ** 2
             )
     else:
         raise ConfigError(f"{path}.profile", f"unknown density profile '{name}'")
     D = D / float(grid.integrate(D))
-    w = float(spec.get("uniform_weight", 0.0))
+    w = _number(spec, "uniform_weight", 0.0, path)
     if w > 0.0:
         D = (1.0 - w) * D + w / grid.area
     return D
@@ -161,20 +183,22 @@ def _density_profile(grid, spec, path):
 def _state_profile(grid, ham, spec, path):
     name = spec.get("profile")
     if name == "constant":
-        vec = _complex_array(require(spec, "vector"))
-        vec = vec / np.linalg.norm(vec)
+        vec = _complex_array(require_spec(spec, "vector", path), f"{path}.vector")
+        vec = _unit(vec, f"{path}.vector")
         return np.broadcast_to(vec, grid.shape + vec.shape).copy()
     if name == "eigen":
-        branch = int(spec.get("branch", 0))
+        branch = _number(spec, "branch", 0, path, int)
+        if not 0 <= branch < ham.n:
+            raise ConfigError(f"{path}.branch", f"branch {branch} outside quantum dimension {ham.n}")
         return np.ascontiguousarray(eigenfields(ham).state(branch))
     if name == "twisted":
         # periodic for any amplitude: the mixing angle is itself a periodic
         # function of p, theta = amplitude * sin(k kappa_p (p - pc))
-        k = int(spec.get("k", 1))
-        ell = int(spec.get("l", 1))
+        k = _number(spec, "k", 1, path, int)
+        ell = _number(spec, "l", 1, path, int)
         qc, pc = _pair(spec, "center", (0.5 * (grid.q0 + grid.q1), 0.5 * (grid.p0 + grid.p1)),
                        path)
-        amp = float(spec.get("amplitude", 1.0))
+        amp = _number(spec, "amplitude", 1.0, path)
         th = amp * np.sin(k * (2 * np.pi / grid.Lp) * (grid.P - pc))
         ph = ell * (2 * np.pi / grid.Lq) * (grid.Q - qc)
         psi = np.zeros(grid.shape + (2,), dtype=complex)
@@ -188,11 +212,11 @@ def _waveop_profile(grid, ham, spec, m, path):
     name = spec.get("profile")
     n = ham.n
     if name == "constant":
-        W = _complex_array(require(spec, "matrix"))
-        W = W / np.linalg.norm(W)
+        W = _unit(_complex_array(require_spec(spec, "matrix", path), f"{path}.matrix"),
+                  f"{path}.matrix")
         return np.broadcast_to(W, grid.shape + W.shape).copy()
     if name == "eigen_mix":
-        weights = [float(w) for w in require(spec, "weights")]
+        weights = [float(w) for w in require_spec(spec, "weights", path)]
         if len(weights) > m:
             raise ConfigError(f"{path}.weights", "more weights than ancilla columns")
         total = sum(weights)
@@ -202,7 +226,7 @@ def _waveop_profile(grid, ham, spec, m, path):
             W[..., :, b] = np.sqrt(w / total) * eig.state(b)
         return W
     if name == "embed_state":
-        psi = _state_profile(grid, ham, require(spec, "state"), f"{path}.state")
+        psi = _state_profile(grid, ham, require_spec(spec, "state", path), f"{path}.state")
         W = np.zeros(grid.shape + (n, m), dtype=complex)
         W[..., :, 0] = psi
         return W
@@ -229,7 +253,7 @@ def build_initial_state(grid, ham, cfg):
         psi = _state_profile(grid, ham, require(cfg, "initial.state", dict), "initial.state")
         return ConditionalSplit(grid, D, psi)
     if rep == "uhlmann":
-        m = int(get(cfg, "grid.m", ham.n))
+        m = ham.n if get(cfg, "grid.m") is None else require(cfg, "grid.m", int)
         D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
         W = _waveop_profile(grid, ham, require(cfg, "initial.waveop", dict), m, "initial.waveop")
         return UhlmannSplit(grid, D, W)
@@ -243,7 +267,7 @@ def build_initial_state(grid, ham, cfg):
         D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
         rho_spec = require(cfg, "initial.rho", dict)
         if "matrix" in rho_spec:
-            rho = hermitize(_complex_array(rho_spec["matrix"]))
+            rho = hermitize(_complex_array(rho_spec["matrix"], "initial.rho.matrix"))
             rho = rho / np.real(np.trace(rho))
         elif rho_spec.get("profile") == "marginal_of_state":
             psi = _state_profile(grid, ham, require_spec(rho_spec, "state", "initial.rho"),
@@ -276,11 +300,10 @@ def build_stepper(cfg, grid, ham, model, state) -> StepperConfig:
     cfl = positive(cfg, "time.cfl")
     t_final = positive(cfg, "time.t_final")
     sample_every = positive(cfg, "time.sample_every", int) or 1
-    eps_tr_rel = float(get(cfg, "time.eps_tr_rel", 1e-12))
     if dt is None:
         if cfl is None:
             raise ConfigError("time.dt", "give dt or cfl")
-        dt = cfl_dt(model, state, ham, cfl, eps_tr_rel)
+        dt = cfl_dt(model, state, ham, cfl)
         if t_final is not None:
             steps = max(int(np.ceil(t_final / dt)), 1)
             dt = t_final / steps
@@ -292,7 +315,6 @@ def build_stepper(cfg, grid, ham, model, state) -> StepperConfig:
         dt=dt,
         steps=steps,
         sample_every=sample_every,
-        eps_tr_rel=eps_tr_rel,
         renormalize=bool(get(cfg, "time.renormalize", False)),
     )
 

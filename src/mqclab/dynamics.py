@@ -14,9 +14,12 @@ Models
 
 ``MODELS`` is the one registry of the models: for each, the state type it
 evolves, the maps between that state and the tuple of arrays RK4 advances,
-the right-hand side and the renormalisation. Every right-hand side reports
-its transport velocity and the largest speed, which the loop tracer and the
-CFL step size read.
+the right-hand side ``rhs(grid, ham, arrays) -> (tendencies, info)`` and the
+renormalisation. Every right-hand side reports its transport velocity and
+the largest speed, which the loop tracer and the CFL step size read. Both
+density models end in one tendency, -div(P X) - (i/hbar)[H, P]. The vacuum
+floor is ``states.vacuum_floor`` throughout; only the density right-hand
+sides take its factor, so that at 0 a zero-trace region aborts.
 
 The split-state right-hand side reads H, X_q and X_p through
 ``Hamiltonian.planes()``: for n <= 3, static fields held as contiguous
@@ -42,17 +45,11 @@ import numpy as np
 
 from .grids import PhaseGrid, antiherm_residual, comm, hermitize, mm, tr_prod, trace_field
 from .hamiltonians import Hamiltonian
-from .states import ConditionalSplit, HybridDensity, UhlmannSplit, compose, vacuum_floor
+from .states import EPS_D_REL, ConditionalSplit, HybridDensity, UhlmannSplit, compose, vacuum_floor
 
 
 class NumericalAbort(RuntimeError):
     """Evolution produced NaN/Inf or broke the CFL guard."""
-
-    def __init__(self, message, step=None, time=None, state=None):
-        super().__init__(message)
-        self.step = step
-        self.time = time
-        self.state = state
 
 
 @dataclass
@@ -73,7 +70,6 @@ class StepperConfig:
     dt: float
     steps: int
     sample_every: int = 1
-    eps_tr_rel: float = 1e-12
     renormalize: bool = False
     cfl_warn: float = 0.35
     cfl_max: float = 0.5
@@ -98,7 +94,7 @@ def mean_field_rhs(grid, D, rho, ham):
     return (dD, drho), {"max_speed": speed, "velocity": (dHeff_p, -dHeff_q)}
 
 
-def _regularized_trace(P, eps_tr_rel):
+def _regularized_trace(P, eps_tr_rel=EPS_D_REL):
     """Tr P plus the vacuum floor: the density the density models divide by.
 
     Raises ``NumericalAbort`` at the first grid point where it is exactly 0
@@ -114,26 +110,30 @@ def _regularized_trace(P, eps_tr_rel):
     return D
 
 
-def ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
-    """dP/dt = -div(P <X_H>) - (i/hbar)[H, P], symmetrized."""
-    P = np.asarray(P, dtype=complex)
-    denom = _regularized_trace(P, eps_tr_rel)
-    Xq = np.einsum("ijab,ijba->ij", P, ham.X_q).real / denom
-    Xp = np.einsum("ijab,ijba->ij", P, ham.X_p).real / denom
-    if not (np.all(np.isfinite(Xq)) and np.all(np.isfinite(Xp))):
-        bad = np.argwhere(~(np.isfinite(Xq) & np.isfinite(Xp)))[0]
-        raise NumericalAbort(
-            f"non-finite transport velocity at grid point {tuple(bad)} "
-            "(zero-trace region without regularization)"
-        )
+def _density_tendency(grid, P, Xq, Xp, H):
+    """The density models' tendency -div(P X) - (i/hbar)[H, P], symmetrized,
+    with its info dict; a ``NumericalAbort`` names the first grid point
+    where it is not finite."""
     tend = -grid.divergence(P * Xq[..., None, None], P * Xp[..., None, None])
-    tend += (-1j / grid.hbar) * comm(ham.H, P)
+    tend += (-1j / grid.hbar) * comm(H, P)
+    if not np.all(np.isfinite(tend)):
+        bad = np.argwhere(~np.all(np.isfinite(tend), axis=(-2, -1)))[0]
+        raise NumericalAbort(f"non-finite tendency at grid point {tuple(bad)}")
     info = {
         "max_speed": float(np.max(np.hypot(Xq, Xp))),
         "antiherm_resid": antiherm_residual(tend),
         "velocity": (Xq, Xp),
     }
     return (hermitize(tend),), info
+
+
+def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL):
+    """dP/dt = -div(P <X_H>) - (i/hbar)[H, P], symmetrized."""
+    P = np.asarray(P, dtype=complex)
+    denom = _regularized_trace(P, eps_tr_rel)
+    Xq = np.einsum("ijab,ijba->ij", P, ham.X_q).real / denom
+    Xp = np.einsum("ijab,ijba->ij", P, ham.X_p).real / denom
+    return _density_tendency(grid, P, Xq, Xp, ham.H)
 
 
 def pairing(W, X):
@@ -186,7 +186,7 @@ def conditional_rhs(grid, D, psi, ham):
     return uhlmann_rhs(grid, D, psi, ham)
 
 
-def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
+def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL):
     """Gradient-corrected model: dP/dt = -div(P X) - (i/hbar)[scriptH, P].
 
     X_k   = <X_H>_k + (1/D) Tr(X_H . grad Sigma_k - Sigma . grad X_H,k)
@@ -223,17 +223,7 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=1e-12):
     GX = comm(G[0], XH[0]) + comm(G[1], XH[1])
     scrH = hermitize(ham.H + (1j * hbar) * GX / Dmat)
 
-    tend = -grid.divergence(P * calX[0][..., None, None], P * calX[1][..., None, None])
-    tend += (-1j / hbar) * comm(scrH, P)
-    if not np.all(np.isfinite(tend)):
-        bad = np.argwhere(~np.all(np.isfinite(tend), axis=(-2, -1)))[0]
-        raise NumericalAbort(f"non-finite tendency at grid point {tuple(bad)}")
-    info = {
-        "max_speed": float(np.max(np.hypot(calX[0], calX[1]))),
-        "antiherm_resid": antiherm_residual(tend),
-        "velocity": (calX[0], calX[1]),
-    }
-    return (hermitize(tend),), info
+    return _density_tendency(grid, P, calX[0], calX[1], scrH)
 
 
 def _beyond_xh_grads(grid, ham):
@@ -247,7 +237,7 @@ def _beyond_xh_grads(grid, ham):
     return ham.extras[key]
 
 
-def beyond_sigma_grad(grid, P, eps_tr_rel=1e-12):
+def beyond_sigma_grad(grid, P):
     """Gradient-indexed Sigma-hat, (i hbar / 2D) [P, d_k P] for k = q, p.
 
     The model's energy pairs these components straight against
@@ -256,12 +246,12 @@ def beyond_sigma_grad(grid, P, eps_tr_rel=1e-12):
     index convention is the one the flow actually conserves (the straight
     X-on-X pairing is not a constant of motion).
     """
-    Dmat = _regularized_trace(P, eps_tr_rel)[..., None, None]
+    Dmat = _regularized_trace(P)[..., None, None]
     grads = (grid.partial_q(P), grid.partial_p(P))
     return tuple((0.5j * grid.hbar) * comm(P, Gk) / Dmat for Gk in grads)
 
 
-def energy_of(model, state, ham, eps_tr_rel=1e-12):
+def energy_of(model, state, ham):
     """Hamiltonian functional of the given model at the given state."""
     grid = state.grid
     if model == "mean_field":
@@ -270,7 +260,7 @@ def energy_of(model, state, ham, eps_tr_rel=1e-12):
     P = state.P if isinstance(state, HybridDensity) else compose(state).P
     e = float(grid.integrate(np.einsum("ijab,ijba->ij", P, ham.H).real))
     if model == "beyond_ehrenfest":
-        Sig = beyond_sigma_grad(grid, P, eps_tr_rel)
+        Sig = beyond_sigma_grad(grid, P)
         extra = np.einsum("ijab,ijba->ij", Sig[0], ham.X_q).real
         extra += np.einsum("ijab,ijba->ij", Sig[1], ham.X_p).real
         e += float(grid.integrate(extra))
@@ -284,7 +274,7 @@ def energy_of(model, state, ham, eps_tr_rel=1e-12):
 class Model:
     """A model's glue: the state type it evolves, state -> array tuple
     (``unpack``), (state, arrays) -> state (``pack``), the right-hand side
-    ``rhs(grid, ham, arrays, eps_tr_rel) -> (tendencies, info)`` and the
+    ``rhs(grid, ham, arrays) -> (tendencies, info)`` and the
     renormalisation ``renorm(grid, arrays)``."""
 
     state_type: type
@@ -321,35 +311,35 @@ MODELS = {
         MeanFieldState,
         lambda s: (s.D, s.rho),
         lambda s, a: MeanFieldState(s.grid, a[0], a[1]),
-        lambda grid, ham, a, eps: mean_field_rhs(grid, a[0], a[1], ham),
+        lambda grid, ham, a: mean_field_rhs(grid, a[0], a[1], ham),
         _mf_renorm,
     ),
     "ehrenfest_density": Model(
         HybridDensity,
         lambda s: (s.P,),
         lambda s, a: HybridDensity(s.grid, a[0]),
-        lambda grid, ham, a, eps: ehrenfest_rhs(grid, a[0], ham, eps),
+        lambda grid, ham, a: ehrenfest_rhs(grid, a[0], ham),
         _dens_renorm,
     ),
     "ehrenfest_conditional": Model(
         ConditionalSplit,
         lambda s: (s.D, s.psi),
         lambda s, a: ConditionalSplit(s.grid, a[0], a[1]),
-        lambda grid, ham, a, eps: conditional_rhs(grid, a[0], a[1], ham),
+        lambda grid, ham, a: conditional_rhs(grid, a[0], a[1], ham),
         _split_renorm,
     ),
     "ehrenfest_uhlmann": Model(
         UhlmannSplit,
         lambda s: (s.D, s.W),
         lambda s, a: UhlmannSplit(s.grid, a[0], a[1]),
-        lambda grid, ham, a, eps: uhlmann_rhs(grid, a[0], a[1], ham),
+        lambda grid, ham, a: uhlmann_rhs(grid, a[0], a[1], ham),
         _split_renorm,
     ),
     "beyond_ehrenfest": Model(
         HybridDensity,
         lambda s: (s.P,),
         lambda s, a: HybridDensity(s.grid, a[0]),
-        lambda grid, ham, a, eps: beyond_ehrenfest_rhs(grid, a[0], ham, eps),
+        lambda grid, ham, a: beyond_ehrenfest_rhs(grid, a[0], ham),
         _dens_renorm,
     ),
 }
@@ -357,12 +347,12 @@ MODELS = {
 MODEL_KINDS = tuple(MODELS)
 
 
-def cfl_dt(model, state, ham, cfl, eps_tr_rel=1e-12):
+def cfl_dt(model, state, ham, cfl):
     """Step size at advective CFL number ``cfl`` for the largest transport
     speed the model's right-hand side reports at ``state``."""
     spec = MODELS[model]
     grid = state.grid
-    _, info = spec.rhs(grid, ham, spec.unpack(state), eps_tr_rel)
+    _, info = spec.rhs(grid, ham, spec.unpack(state))
     return float(cfl) * min(grid.dq, grid.dp) / max(info["max_speed"], 1e-12)
 
 
@@ -391,9 +381,13 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
     ``sample_fn(t, state, loop_pts, info)`` is called every
     ``cfg.sample_every`` steps (plus the final step) and its dict is recorded.
     ``loop`` is an optional (K, 2) array of phase-space points advected with
-    the model's scalar transport velocity as part of the RK4 state.
+    the model's scalar transport velocity: one more array of the RK4 tuple,
+    which renormalisation leaves alone.
     Renormalization is OFF by default: norm and mass drift are themselves
     diagnostics, and projecting them away alters the conservation picture.
+    An abort (a ``NumericalAbort`` from the right-hand side, the CFL guard or
+    a non-finite state) ends the run with the state it stopped at and its
+    time as the last entries of ``states`` and ``times``.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model '{model}'")
@@ -404,43 +398,46 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
         )
     grid = state.grid
     y = tuple(np.array(a, copy=True) for a in ops.unpack(state))
-    pts = None if loop is None else np.array(loop, dtype=float, copy=True)
+    n_model = len(y)  # the model arrays; a traced loop follows them
+    if loop is not None:
+        y += (np.array(loop, dtype=float, copy=True),)
     minh = min(grid.dq, grid.dp)
     result = RunResult()
     warned_cfl = False
 
-    def full_rhs(arrays, loop_pts):
-        tends, info = ops.rhs(grid, ham, arrays, cfg.eps_tr_rel)
-        ptend = None
-        if loop_pts is not None:
+    def full_rhs(arrays):
+        tends, info = ops.rhs(grid, ham, arrays[:n_model])
+        if loop is not None:
+            pts = arrays[-1]
             Xq, Xp = info["velocity"]
-            vq = grid.interpolate(Xq, loop_pts[:, 0], loop_pts[:, 1])
-            vp = grid.interpolate(Xp, loop_pts[:, 0], loop_pts[:, 1])
-            ptend = np.stack([vq, vp], axis=1)
-        return tends, ptend, info
+            vq = grid.interpolate(Xq, pts[:, 0], pts[:, 1])
+            vp = grid.interpolate(Xp, pts[:, 0], pts[:, 1])
+            tends += (np.stack([vq, vp], axis=1),)
+        return tends, info
+
+    def abort(reason, arrays, t):
+        result.aborted, result.abort_reason = True, reason
+        result.states.append(ops.pack(state, arrays[:n_model]))
+        result.times.append(t)
 
     dt = cfg.dt
     t = 0.0
     for step in range(cfg.steps + 1):
-        is_sample = (step % cfg.sample_every == 0) or step == cfg.steps
-        k1 = ptk1 = info1 = None
-        if is_sample or step < cfg.steps:
-            try:
-                k1, ptk1, info1 = full_rhs(y, pts)
-            except NumericalAbort as exc:
-                result.aborted, result.abort_reason = True, str(exc)
-                result.states.append(ops.pack(state, y))
-                result.times.append(t)
-                break
-        if is_sample:
-            snap = ops.pack(state, tuple(np.array(a, copy=True) for a in y))
+        try:
+            k1, info1 = full_rhs(y)
+        except NumericalAbort as exc:
+            abort(str(exc), y, t)
+            break
+        if step % cfg.sample_every == 0 or step == cfg.steps:
+            snap = ops.pack(state, tuple(np.array(a, copy=True) for a in y[:n_model]))
             result.times.append(t)
             if keep_states or step == cfg.steps:  # final state always kept
                 result.states.append(snap)
+            pts = None if loop is None else y[-1].copy()
             if pts is not None:
-                result.loop_points.append(pts.copy())
+                result.loop_points.append(pts)
             if sample_fn is not None:
-                row = sample_fn(t, snap, None if pts is None else pts.copy(), info1 or {})
+                row = sample_fn(t, snap, pts, info1)
                 if row is not None:
                     result.rows.append(row)
         if step == cfg.steps:
@@ -449,40 +446,24 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
         ratio = abs(dt) * info1["max_speed"] / minh
         result.cfl_max_seen = max(result.cfl_max_seen, ratio)
         if ratio >= cfg.cfl_max:
-            result.aborted = True
-            result.abort_reason = (
-                f"CFL guard tripped at step {step}: dt*speed/h = {ratio:.3f} >= {cfg.cfl_max}"
-            )
-            if not result.states:  # dump the last state for post-mortem
-                result.states.append(ops.pack(state, y))
+            abort(f"CFL guard tripped at step {step}: dt*speed/h = {ratio:.3f} >= {cfg.cfl_max}",
+                  y, t)
             break
         if ratio > cfg.cfl_warn and not warned_cfl:
             warnings.warn(f"advective CFL number {ratio:.3f} above {cfg.cfl_warn}", RuntimeWarning)
             warned_cfl = True
 
-        y2 = tuple(a + 0.5 * dt * k for a, k in zip(y, k1))
-        p2 = None if pts is None else pts + 0.5 * dt * ptk1
-        k2, ptk2, _ = full_rhs(y2, p2)
-        y3 = tuple(a + 0.5 * dt * k for a, k in zip(y, k2))
-        p3 = None if pts is None else pts + 0.5 * dt * ptk2
-        k3, ptk3, _ = full_rhs(y3, p3)
-        y4 = tuple(a + dt * k for a, k in zip(y, k3))
-        p4 = None if pts is None else pts + dt * ptk3
-        k4, ptk4, _ = full_rhs(y4, p4)
-
+        k2, _ = full_rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
+        k3, _ = full_rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k2)))
+        k4, _ = full_rhs(tuple(a + dt * k for a, k in zip(y, k3)))
         y = tuple(
             a + (dt / 6.0) * (ka + 2.0 * kb + 2.0 * kc + kd)
             for a, ka, kb, kc, kd in zip(y, k1, k2, k3, k4)
         )
-        if pts is not None:
-            pts = pts + (dt / 6.0) * (ptk1 + 2.0 * ptk2 + 2.0 * ptk3 + ptk4)
         if cfg.renormalize:
-            y = ops.renorm(grid, y)
+            y = ops.renorm(grid, y[:n_model]) + y[n_model:]
         if not all(np.all(np.isfinite(a)) for a in y):
-            result.aborted = True
-            result.abort_reason = f"non-finite state after step {step}"
-            result.states.append(ops.pack(state, y))
-            result.times.append(t + dt)
+            abort(f"non-finite state after step {step}", y, t + dt)
             break
         t += dt
 

@@ -67,12 +67,23 @@ class MaxEntProblem:
 
 @dataclass
 class EquilibriumResult:
+    """A Gibbs state with its partition function Z_C and ln Z_C (NaN where
+    no closed form is built); Z_C overflows to inf long before ln Z_C does."""
+
     state: object
     mu: float
     Z_C: float
     branch: int
     energy: float
     residuals: dict = field(default_factory=dict)
+    ln_Z_C: float = float("nan")
+
+
+def _partition(Z_shifted, mu, shift):
+    """(Z_C, ln Z_C) from the integral of exp(-mu (H - shift))."""
+    with np.errstate(over="ignore"):
+        Z_C = Z_shifted * np.exp(-mu * shift)
+    return Z_C, float(np.log(Z_shifted) - mu * shift)
 
 
 def _seam_ring(shape, ring=2):
@@ -144,16 +155,17 @@ def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> Equilibriu
 
     dE_q = _dyn.pairing(psi[..., None], ham.dH_q)
     dE_p = _dyn.pairing(psi[..., None], ham.dH_p)
-    w = np.exp(-mu * (E_field - float(np.min(E_field))))
+    shift = float(np.min(E_field))
+    w = np.exp(-mu * (E_field - shift))
     if check_confined:
         _check_confined(grid, w, _seam_kinked(grid, E_field, dE_q, dE_p))
     Z_shift = float(grid.integrate(w))
-    Z_C = Z_shift * np.exp(-mu * float(np.min(E_field)))
+    Z_C, ln_Z_C = _partition(Z_shift, mu, shift)
     D = w / Z_shift
     split = ConditionalSplit(grid, D, psi)
     energy = float(grid.integrate(D * E_field))
     res = {"lambda_max_dev": float(np.max(np.abs(split.Lambda - 1.0)))}
-    return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res)
+    return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res, ln_Z_C)
 
 
 def gibbs_uhlmann(problem: MaxEntProblem, check_confined=True) -> EquilibriumResult:
@@ -173,12 +185,12 @@ def gibbs_uhlmann(problem: MaxEntProblem, check_confined=True) -> EquilibriumRes
         dZ_p = -mu * np.einsum("ijab,ijba->ij", M, ham.dH_p).real
         _check_confined(grid, Zfield, _seam_kinked(grid, Zfield, dZ_q, dZ_p))
     Ztot = float(grid.integrate(Zfield))
-    Z_C = Ztot * np.exp(-mu * shift)
+    Z_C, ln_Z_C = _partition(Ztot, mu, shift)
     P = M / Ztot
     split = uhlmann_factor(HybridDensity(grid, P), m=ham.n)
     energy = float(grid.integrate(np.einsum("ijab,ijba->ij", P, ham.H).real))
     res = {"lambda_max_dev": float(np.max(np.abs(split.Lambda - 1.0)))}
-    return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res)
+    return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res, ln_Z_C)
 
 
 def gibbs_meanfield_uncoupled(grid, ham: Hamiltonian, mu, check_confined=True) -> _dyn.MeanFieldState:
@@ -262,7 +274,8 @@ def marina_residual(split: ConditionalSplit, ham: Hamiltonian, mu):
     r = Lambda (H + lambda_1/mu) psi + i hbar {<psi, H psi>, psi}, with the
     real field lambda_1 fitted pointwise by least squares (it enforces the
     pointwise norm constraint, so only the component of r orthogonal to psi
-    carries information). Returns the D-weighted relative residual norm.
+    carries information). Returns the D-weighted relative residual norm and
+    its absolute value.
     """
     grid = split.grid
     psi, D = split.psi, split.D
@@ -281,7 +294,7 @@ def marina_residual(split: ConditionalSplit, ham: Hamiltonian, mu):
     r = r0 + (coeff * lam1)[..., None] * psi
     num = float(np.sqrt(grid.integrate(D * np.sum(np.abs(r) ** 2, axis=-1))))
     den = float(np.sqrt(grid.integrate(D * np.sum(np.abs(Lam[..., None] * Hpsi) ** 2, axis=-1))))
-    return {"marina": num / max(den, 1e-300), "marina_abs": num, "lambda1": lam1}
+    return {"marina": num / max(den, 1e-300), "marina_abs": num}
 
 
 def stationarity_residual(result: EquilibriumResult, ham: Hamiltonian, model=None,

@@ -118,9 +118,6 @@ class PhaseGrid:
         """4th-order periodic central difference along p (axis 1)."""
         return _diff4(np.asarray(values), 1, self.dp)
 
-    def grad(self, values):
-        return self.partial_q(values), self.partial_p(values)
-
     def poisson_bracket(self, f, g):
         """Canonical bracket {f, g} = dq(f) dp(g) - dp(f) dq(g), pointwise."""
         return self.partial_q(f) * self.partial_p(g) - self.partial_p(f) * self.partial_q(g)
@@ -172,13 +169,6 @@ class PhaseGrid:
         cols = [_one(flatc[:, :, k]) for k in range(flatc.shape[2])]
         out = np.stack(cols, axis=-1).reshape(stack.shape[1:] + trailing)
         return out.reshape(pts_shape + trailing) if pts_shape else out[0]
-
-    def wrap(self, q, p):
-        """Map points back into the fundamental domain."""
-        return (
-            self.q0 + np.mod(q - self.q0, self.Lq),
-            self.p0 + np.mod(p - self.p0, self.Lp),
-        )
 
 
 def _diff4(values, axis, h):
@@ -253,10 +243,6 @@ def matrix_log(M, clamp=EIG_CLAMP):
 
 def matrix_exp_herm(M):
     return matrix_function(M, np.exp)
-
-
-def matrix_power_psd(M, alpha, clamp=EIG_CLAMP):
-    return matrix_function(M, lambda w: np.power(w, alpha), clamp=clamp)
 
 
 def vn_entropy_trace(M, tol=HERM_TOL):

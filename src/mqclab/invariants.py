@@ -10,9 +10,11 @@ Functional families (P = hybrid density, D = Tr P, rho = P / Tr P):
                      invariants Gamma(A, x) = x^(1-alpha) Tr A^alpha;
 * mean-field, pure and Uhlmann entropies and their Renyi extensions.
 
-A split owns its Liouville volume and conditional spectrum (``split.Lambda``,
-``split.spectrum``: computed once, as a split is not changed in place once
-built); its functionals are pointwise integrands over the support of D.
+A split owns its Berry data, Liouville volume and conditional spectrum
+(``split.berry``, ``split.Lambda``, ``split.spectrum``: computed once, as a
+split is not changed in place once built); its functionals are pointwise
+integrands over the support of D. Support and vacuum are drawn by the one
+floor ``states.vacuum_floor``.
 
 The hybrid bracket is evaluated as
 
@@ -40,7 +42,6 @@ from .hamiltonians import Hamiltonian
 from .states import (
     HybridDensity,
     UhlmannSplit,
-    berry_data,
     compose,
     outer,
     uhlmann_factor,
@@ -227,38 +228,9 @@ class Functional:
         return None
 
 
-class MassFunctional(Functional):
-    name = "mass"
-
-    def value(self, state):
-        return float(state.grid.integrate(trace_field(state.P)))
-
-    def derivative(self, state):
-        n = state.n
-        return np.tile(np.eye(n, dtype=complex), state.grid.shape + (1, 1))
-
-    def pointwise_integrand(self, grid, P):
-        return trace_field(P)
-
-
-class EnergyFunctional(Functional):
-    name = "energy"
-
-    def __init__(self, ham: Hamiltonian):
-        self.ham = ham
-
-    def value(self, state):
-        return float(state.grid.integrate(np.einsum("ijab,ijba->ij", state.P, self.ham.H).real))
-
-    def derivative(self, state):
-        return np.array(self.ham.H, copy=True)
-
-    def pointwise_integrand(self, grid, P):
-        return np.einsum("ijab,ijba->ij", P, self.ham.H).real
-
-
 class WeightedTraceFunctional(Functional):
-    """F = integral w(q,p) Tr P, e.g. phase-space moments."""
+    """F = integral w(q,p) Tr P, e.g. phase-space moments; the weight is
+    broadcast to the grid (a number is a constant weight)."""
 
     def __init__(self, weight, name="moment"):
         self.weight = np.asarray(weight, dtype=float)
@@ -268,8 +240,8 @@ class WeightedTraceFunctional(Functional):
         return float(state.grid.integrate(self.weight * trace_field(state.P)))
 
     def derivative(self, state):
-        n = state.n
-        return self.weight[..., None, None] * np.eye(n, dtype=complex)
+        w = np.broadcast_to(self.weight, state.grid.shape)
+        return w[..., None, None] * np.eye(state.n, dtype=complex)
 
     def pointwise_integrand(self, grid, P):
         return self.weight * trace_field(P)
@@ -292,12 +264,25 @@ class LinearProbeFunctional(Functional):
         return np.einsum("ijab,ijba->ij", P, self.A).real
 
 
+class MassFunctional(WeightedTraceFunctional):
+    """F = integral Tr P."""
+
+    def __init__(self):
+        super().__init__(1.0, "mass")
+
+
+class EnergyFunctional(LinearProbeFunctional):
+    """F = integral Re Tr(H P), the Ehrenfest energy."""
+
+    def __init__(self, ham: Hamiltonian):
+        super().__init__(ham.H, "energy")
+
+
 class CasimirC1(Functional):
     """C1 = integral Tr P * Phi(P / Tr P); vacuum points contribute zero."""
 
-    def __init__(self, phi: SpectralFn, eps_tr_rel=1e-12):
+    def __init__(self, phi: SpectralFn):
         self.phi = phi
-        self.eps_tr_rel = eps_tr_rel
         self.name = f"C1[{phi.name}]"
 
     def value(self, state):
@@ -305,7 +290,7 @@ class CasimirC1(Functional):
 
     def pointwise_integrand(self, grid, P):
         D = trace_field(P)
-        floor = vacuum_floor(D, self.eps_tr_rel)
+        floor = vacuum_floor(D)
         Dsafe = np.where(D > floor, D, 1.0)
         w = np.linalg.eigvalsh(hermitize(P)) / Dsafe[..., None]
         return np.where(D > floor, D * self.phi.value_of_eigs(w), 0.0)
@@ -314,7 +299,7 @@ class CasimirC1(Functional):
         # dC1/dP = Phi'(rho) + (Phi(rho) - Tr(Phi'(rho) rho)) 1
         P = state.P
         D = trace_field(P)
-        floor = vacuum_floor(D, self.eps_tr_rel)
+        floor = vacuum_floor(D)
         Dsafe = np.where(D > floor, D, floor)
         w, v = np.linalg.eigh(hermitize(P))
         w = w / Dsafe[..., None]
@@ -336,11 +321,9 @@ class CasimirGeneral(Functional):
     conditional density W W^dag to be invertible (full-rank probe states).
     """
 
-    def __init__(self, gamma: GammaSpec, m=None, eps_tr_rel=1e-12, name="C_general",
-                 split=None):
+    def __init__(self, gamma: GammaSpec, m=None, name="C_general", split=None):
         self.gamma = gamma
         self.m = m
-        self.eps_tr_rel = eps_tr_rel
         self.name = name
         self.split = split
 
@@ -353,13 +336,13 @@ class CasimirGeneral(Functional):
         return self.split
 
     def value(self, state):
-        return casimir_general_value(self._factor(state), self.gamma, self.eps_tr_rel)
+        return casimir_general_value(self._factor(state), self.gamma)
 
     def derivative(self, state):
         grid = state.grid
         split = self._factor(state)
         D, W = split.D, split.W
-        floor = vacuum_floor(D, self.eps_tr_rel)
+        floor = vacuum_floor(D)
         Dsafe = np.where(D > floor, D, floor)
         x = split.Lambda / Dsafe
         A = outer(W)
@@ -455,8 +438,7 @@ def derivative_probe(func: Functional, state: HybridDensity, i, j, step_rel=1e-6
 # -- hybrid Poisson bracket -------------------------------------------------------
 
 
-def hybrid_bracket(f: Functional, g: Functional, state: HybridDensity, eps_tr_rel=1e-12,
-                   return_scale=False):
+def hybrid_bracket(f: Functional, g: Functional, state: HybridDensity, return_scale=False):
     """{{f, g}}(P), antisymmetric by construction; vacuum handled as in C1.
 
     With ``return_scale`` also returns the integral of the pointwise
@@ -468,7 +450,7 @@ def hybrid_bracket(f: Functional, g: Functional, state: HybridDensity, eps_tr_re
     Gf = f.derivative(state)
     Gg = g.derivative(state)
     TrP = trace_field(P)
-    mask = TrP > vacuum_floor(TrP, eps_tr_rel)
+    mask = TrP > vacuum_floor(TrP)
     denom = np.where(mask, TrP, 1.0)
 
     Afq = np.einsum("ijab,ijba->ij", P, grid.partial_q(Gf)).real
@@ -486,12 +468,11 @@ def hybrid_bracket(f: Functional, g: Functional, state: HybridDensity, eps_tr_re
     return value, scale
 
 
-def bracket_consistency(f: Functional, state: HybridDensity, ham: Hamiltonian,
-                        eps_tr_rel=1e-12):
+def bracket_consistency(f: Functional, state: HybridDensity, ham: Hamiltonian):
     """Compare {{f, h}} with dF/dt chained through the Ehrenfest tendency."""
     grid = state.grid
-    lhs = hybrid_bracket(f, EnergyFunctional(ham), state, eps_tr_rel)
-    tend = _dyn.ehrenfest_rhs(grid, state.P, ham, eps_tr_rel)[0][0]
+    lhs = hybrid_bracket(f, EnergyFunctional(ham), state)
+    tend = _dyn.ehrenfest_rhs(grid, state.P, ham)[0][0]
     Gf = f.derivative(state)
     rhs = float(grid.integrate(np.einsum("ijab,ijba->ij", Gf, tend).real))
     mag = float(
@@ -511,12 +492,12 @@ class FlaggedValue(NamedTuple):
     lambda_positive: bool
 
 
-def _support_integral(split, pointwise, eps_rel):
+def _support_integral(split, pointwise):
     """(integral of ``pointwise(D, Lambda)`` over the support of D, whether
     Lambda > 0 there). Off the support ``pointwise`` sees D = 1, and the
     floating-point warnings of those discarded points are silenced."""
     D, Lam = split.D, split.Lambda
-    mask = D > vacuum_floor(D, eps_rel)
+    mask = split.support()
     ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
     Dsafe = np.where(mask, D, 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -524,14 +505,14 @@ def _support_integral(split, pointwise, eps_rel):
     return float(split.grid.integrate(integrand)), ok
 
 
-def casimir_c2(split: UhlmannSplit, sigma: ScalarFn, eps_rel=1e-12) -> FlaggedValue:
+def casimir_c2(split: UhlmannSplit, sigma: ScalarFn) -> FlaggedValue:
     """C2 = integral D Sigma(Lambda / D); flags a sign-indefinite Lambda.
 
     With Sigma = ln this is the pure-state hybrid entropy (minus the KL
     divergence of D from Lambda); that interpretation is invalid when Lambda
     is not positive on the support, hence the flag.
     """
-    return FlaggedValue(*_support_integral(split, lambda D, Lam: D * sigma.f(Lam / D), eps_rel))
+    return FlaggedValue(*_support_integral(split, lambda D, Lam: D * sigma.f(Lam / D)))
 
 
 def shannon_pure(split: UhlmannSplit) -> FlaggedValue:
@@ -558,7 +539,7 @@ def renyi_meanfield(grid, D, rho, alpha) -> float:
     return float((qterm + cterm) / (1.0 - a))
 
 
-def entropy_uhlmann(split, eps_rel=1e-12) -> FlaggedValue:
+def entropy_uhlmann(split) -> FlaggedValue:
     """S = -Tr integral P ln(P / Lambda), from the pointwise spectrum of P."""
     floor = vacuum_floor(split.D, EIG_CLAMP)
 
@@ -567,10 +548,10 @@ def entropy_uhlmann(split, eps_rel=1e-12) -> FlaggedValue:
         logs = np.log(np.where(lam > 0, lam, 1.0) / Lam[..., None])
         return np.sum(np.where(lam > floor, -lam * logs, 0.0), axis=-1)
 
-    return FlaggedValue(*_support_integral(split, pointwise, eps_rel))
+    return FlaggedValue(*_support_integral(split, pointwise))
 
 
-def renyi_mqc(split, alpha, eps_rel=1e-12) -> FlaggedValue:
+def renyi_mqc(split, alpha) -> FlaggedValue:
     """H_alpha = (1-alpha)^-1 ln integral Lambda Tr(P / Lambda)^alpha."""
     a = float(alpha)
     if a == 1.0:
@@ -580,16 +561,16 @@ def renyi_mqc(split, alpha, eps_rel=1e-12) -> FlaggedValue:
         lam = D[..., None] * split.spectrum
         return Lam * np.sum(np.power(np.maximum(lam / Lam[..., None], 0.0), a), axis=-1)
 
-    total, ok = _support_integral(split, pointwise, eps_rel)
+    total, ok = _support_integral(split, pointwise)
     if not ok:
         return FlaggedValue(float("nan"), False)
     return FlaggedValue(float(np.log(total) / (1.0 - a)), ok)
 
 
-def casimir_general_value(split: UhlmannSplit, gamma: GammaSpec, eps_rel=1e-12) -> float:
+def casimir_general_value(split: UhlmannSplit, gamma: GammaSpec) -> float:
     """C = integral D Gamma(W W^dag, Lambda / D) for a (D, W) state."""
     w = split.spectrum
-    return _support_integral(split, lambda D, Lam: D * gamma.value(w, Lam / D), eps_rel)[0]
+    return _support_integral(split, lambda D, Lam: D * gamma.value(w, Lam / D))[0]
 
 
 # -- Poincare loop invariant --------------------------------------------------------
@@ -604,10 +585,9 @@ def loop_integral(split, points) -> float:
     interpolated from its grid stencils and p taken from the (unwrapped)
     loop coordinates themselves.
     """
-    grid = split.grid
-    bd = berry_data(grid, split.W, warn_nonpositive=False)
-    Aq = grid.interpolate(bd.A_B.X_q, points[:, 0], points[:, 1])
-    Ap = grid.interpolate(bd.A_B.X_p, points[:, 0], points[:, 1])
+    grid, A_B = split.grid, split.berry.A_B
+    Aq = grid.interpolate(A_B.X_q, points[:, 0], points[:, 1])
+    Ap = grid.interpolate(A_B.X_p, points[:, 0], points[:, 1])
     Fq = points[:, 1] - Aq
     Fp = -Ap
     dq = np.roll(points[:, 0], -1) - points[:, 0]

@@ -13,9 +13,9 @@ of (D, W) applies to it unchanged; ``psi`` is a view of W's single column.
 Plus the Berry connection / curvature of the conditional field and the
 Liouville volume Lambda = 1 + hbar Im Tr {field^dag, field}.
 
-A split owns its Liouville volume ``Lambda`` (``lambda_of``, on first read)
-and the spectrum of W W^dag; both are kept, so a split is not changed in
-place once built.
+A split owns its Berry data (``berry``: connection and Liouville volume
+``Lambda``, on first read) and the spectrum of W W^dag; both are kept, so a
+split is not changed in place once built.
 """
 
 from __future__ import annotations
@@ -106,6 +106,11 @@ class UhlmannSplit:
         return self.W.shape[-1]
 
     @cached_property
+    def berry(self):
+        """Berry connection and Liouville volume of W (``berry_data``)."""
+        return berry_data(self.grid, self.W, warn_nonpositive=False)
+
+    @cached_property
     def Lambda(self):
         """Liouville volume, from the derivatives of W."""
         return lambda_of(self)
@@ -153,10 +158,9 @@ class ConditionalSplit(UhlmannSplit):
 
 @dataclass
 class BerryData:
-    """Berry connection, curvature density B/omega, and Liouville volume."""
+    """Berry connection and Liouville volume."""
 
     A_B: VectorField2
-    curvature_density: np.ndarray
     Lambda: np.ndarray
     lambda_positive: bool = field(default=True)
 
@@ -289,8 +293,7 @@ def berry_data(grid: PhaseGrid, fieldvals, warn_nonpositive=True):
     hbar = grid.hbar
     A_q = hbar * np.sum(np.conj(f) * fq, axis=axes).imag
     A_p = hbar * np.sum(np.conj(f) * fp, axis=axes).imag
-    curv = 2.0 * hbar * np.sum(np.conj(fq) * fp, axis=axes).imag
-    Lam = 1.0 + curv
+    Lam = 1.0 + 2.0 * hbar * np.sum(np.conj(fq) * fp, axis=axes).imag
     positive = bool(np.min(Lam) > 0)
     if warn_nonpositive and not positive:
         warnings.warn(
@@ -299,9 +302,9 @@ def berry_data(grid: PhaseGrid, fieldvals, warn_nonpositive=True):
             RuntimeWarning,
             stacklevel=2,
         )
-    return BerryData(VectorField2(grid, A_q, A_p), curv, Lam, positive)
+    return BerryData(VectorField2(grid, A_q, A_p), Lam, positive)
 
 
 def lambda_of(split: UhlmannSplit):
     """Liouville volume of a split state (from the derivatives of W)."""
-    return berry_data(split.grid, split.W, warn_nonpositive=False).Lambda
+    return split.berry.Lambda

@@ -104,7 +104,11 @@ class TestConfig:
                                       "diagnostics.renyi_alpha=x",
                                       "diagnostics.renyi_alpha=1.0",
                                       "diagnostics.c2_sigma", "diagnostics.probes_seed",
-                                      "diagnostics.n_probes"])
+                                      "diagnostics.n_probes", "initial.density.uniform_weight",
+                                      "initial.state.amplitude", "initial.state.vector",
+                                      "initial.state.vector=[[0,0],[0,0]]",
+                                      "initial.state.branch", "hamiltonian.mass",
+                                      "hamiltonian.eta", "hamiltonian.B"])
     def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, case):
         key, _, value = case.partition("=")
         cfg = presets.nanowire_conditional(N=16)
@@ -118,14 +122,23 @@ class TestConfig:
             "equilibrium.T_check": "x",
             "diagnostics.loop": 5, "diagnostics.loop.center": 5, "diagnostics.loop.points": "x",
             "diagnostics.functionals": 5, "diagnostics.c2_sigma": "foo",
-            "diagnostics.probes_seed": "x", "diagnostics.n_probes": 0}.get(key)
+            "diagnostics.probes_seed": "x", "diagnostics.n_probes": 0,
+            "initial.density.uniform_weight": "x", "initial.state.amplitude": "x",
+            "initial.state.vector": "x", "initial.state.branch": 7, "hamiltonian.mass": "x",
+            "hamiltonian.eta": "x", "hamiltonian.B": [1, 2]}.get(key)
         if key in ("diagnostics.probes_seed", "diagnostics.n_probes"):
             command = "casimir-check"
         if case == "time.sample_every=x":  # the convergence study reads the stride first
             command, extra = "convergence", ["--levels", "2"]
         if key == "time.steps":  # a fixed step count needs a fixed dt
             cfg["time"] = {"dt": 0.01}
-        if key.startswith(("time.", "diagnostics.")) or key == "equilibrium.T_check":
+        if key == "initial.state.amplitude":
+            cfg["initial"]["state"] = {"profile": "twisted"}
+        elif key == "initial.state.branch":
+            cfg["initial"]["state"] = {"profile": "eigen"}
+        if key.startswith(("time.", "diagnostics.", "initial.state.")) or key in (
+                "equilibrium.T_check", "initial.density.uniform_weight", "hamiltonian.mass",
+                "hamiltonian.eta", "hamiltonian.B"):
             *parents, leaf = key.split(".")
             node = cfg
             for part in parents:
@@ -286,6 +299,34 @@ class TestEquilibriumCommand:
         assert rec["metrics"]["d_change_l1"] < 1e-3
         snap = read_snapshot(os.path.join(out, "equilibrium.snap"))
         assert isinstance(snap, ConditionalSplit)
+
+    # Z_C finite; Z_C beyond the float range (ln Z_C still finite); no closed form
+    @pytest.mark.parametrize("case", ["mu=2", "mu=1e4", "mean_field"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_json_holds_only_numbers_and_null(self, tmp_path, case):
+        if case == "mean_field":
+            cfg = presets.uncoupled_factorized(N=16)
+            cfg["equilibrium"] = {"representation": "mean_field", "mu": 1.0}
+        else:
+            cfg = presets.dephasing_equilibrium(N=16, mu=float(case[3:]))
+        cfg["equilibrium"]["T_check"] = 0.5
+        path = write_cfg(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["equilibrium", "--config", path, "--out", out, "--quiet"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not a JSON number")
+
+        with open(os.path.join(out, "equilibrium.json")) as fh:
+            rec = json.loads(fh.read(), parse_constant=reject)
+        for value in (rec["mu"], rec["energy"], *rec["metrics"].values()):
+            assert isinstance(value, (int, float)) and not isinstance(value, bool)
+        if case == "mu=2":
+            assert rec["ln_Z_C"] == pytest.approx(np.log(rec["Z_C"]), rel=1e-12)
+        elif case == "mu=1e4":
+            assert rec["Z_C"] is None and isinstance(rec["ln_Z_C"], float)
+        else:
+            assert rec["Z_C"] is None and rec["ln_Z_C"] is None
 
 
 class TestCasimirCheckCommand:

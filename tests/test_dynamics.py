@@ -441,3 +441,42 @@ class TestRK4Run:
         run = rk4_run("mean_field", state, ham, cfg)
         ps = [purity(s.rho) for s in run.states]
         assert max(abs(p - ps[0]) for p in ps) < 1e-12
+
+    def test_cfl_abort_records_the_aborting_state_and_time(self):
+        # the conditional Gibbs state of the truncated harmonic well speeds up
+        # as it leaves the well; at CFL 0.2 the guard trips at step 38
+        from mqclab import config as C, equilibria as eq, presets
+        from mqclab.dynamics import cfl_dt
+
+        cfg = presets.harmonic_gibbs(N=32)
+        grid = C.build_grid(cfg)
+        ham = C.build_hamiltonian(grid, cfg)
+        problem = C.build_problem(grid, ham, cfg)
+        state = eq.equilibrium_at(problem, eq.solve_mu(problem)[0], check_confined=True).state
+        dt = cfl_dt("ehrenfest_conditional", state, ham, 0.2)
+        cfg = StepperConfig(dt=dt, steps=100, sample_every=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the CFL warning before the trip
+            run = rk4_run("ehrenfest_conditional", state, ham, cfg, keep_states=True)
+        assert run.aborted
+        assert run.abort_reason.startswith("CFL guard tripped at step 38:")
+        assert len(run.times) == len(run.states) == 5
+        assert run.times[-1] == pytest.approx(38 * dt)
+        # the recorded state is the one the guard saw: one step beyond it trips again
+        _, info = conditional_rhs(grid, run.states[-1].D, run.states[-1].psi, ham)
+        assert dt * info["max_speed"] / min(grid.dq, grid.dp) >= cfg.cfl_max
+
+    def test_loop_tracer_leaves_model_arrays_bit_identical(self):
+        grid = make_grid(32)
+        ham = nanowire(grid)
+        split = ConditionalSplit(grid, gaussian(grid, pc=0.8), twisted_state(grid, 0.5))
+        cfg = StepperConfig(dt=0.02, steps=12, sample_every=4, renormalize=True)
+        loop = circle_loop((0.0, 0.8), 0.5, 32)
+        plain = rk4_run("ehrenfest_conditional", split, ham, cfg)
+        traced = rk4_run("ehrenfest_conditional", split, ham, cfg, loop=loop)
+        assert traced.times == plain.times
+        assert len(traced.loop_points) == len(plain.states) == 4
+        assert not np.array_equal(traced.loop_points[-1], loop)
+        for a, b in zip(plain.states, traced.states):
+            assert np.array_equal(a.D, b.D)
+            assert np.array_equal(a.psi, b.psi)

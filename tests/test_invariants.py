@@ -414,6 +414,31 @@ class TestPoincareLoop:
         drift = max(abs(v - vals[0]) for v in vals) / abs(vals[0])
         assert drift < 1e-5
 
+    def test_row_with_loop_computes_berry_data_once(self, monkeypatch):
+        # the loop integral and the Lambda columns share the split's Berry data
+        import sys
+
+        from mqclab import config as C, presets, states
+
+        cfg = presets.nanowire_conditional(N=16)
+        grid = C.build_grid(cfg)
+        ham = C.build_hamiltonian(grid, cfg)
+        split = C.build_initial_state(grid, ham, cfg)
+        sample = C.build_sample_fn(cfg, C.model_of(cfg), ham, with_loop=True)
+        calls = []
+        original = states.berry_data
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):  # every binding of the name
+            if name.startswith("mqclab") and getattr(module, "berry_data", None) is original:
+                monkeypatch.setattr(module, "berry_data", counted)
+        row = sample(0.0, split, C.build_loop(cfg), {})
+        assert row["poincare"] is not None and row["lambda_min"] is not None
+        assert len(calls) == 1
+
 
 class TestLambdaTransport:
     def test_constant_state_zero_residual(self):
