@@ -76,6 +76,7 @@ from .invariants import (
     LinearProbeFunctional,
     CasimirC1,
     CasimirGeneral,
+    bracket_operand,
     hybrid_bracket,
     bracket_consistency,
     casimir_c2,

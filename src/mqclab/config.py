@@ -17,7 +17,7 @@ from . import hamiltonians as _ham
 from .diagnostics import DEFAULT_FUNCTIONALS, make_sample_fn
 from .dynamics import MODELS, MeanFieldState, StepperConfig, cfl_dt, circle_loop
 from .equilibria import MaxEntProblem, ProblemError
-from .grids import MIN_POINTS, PhaseGrid, hermitize
+from .grids import MIN_POINTS, PhaseGrid, hermitize, require_hermitian
 from .hamiltonians import eigenfields
 from .invariants import scalar_fn, spectral_fn
 from .snapshots import read_snapshot
@@ -92,9 +92,20 @@ def build_grid(cfg) -> PhaseGrid:
 
 def build_hamiltonian(grid, cfg) -> _ham.Hamiltonian:
     spec = require(cfg, "hamiltonian", dict)
-    for key in ("mass", "eta", "B", "center_p"):  # the nanowire's numbers
+    for key in ("eta", "B", "center_p"):  # the nanowire's numbers
         if spec.get(key) is not None:
             spec[key] = require(cfg, f"hamiltonian.{key}", float)
+    if spec.get("mass") is not None:
+        spec["mass"] = positive(cfg, "hamiltonian.mass")
+    for key in ("H_Q", "A"):  # the quantum operators of the uncoupled and dephasing kinds
+        if key in spec:
+            _check_hermitian(spec[key], f"hamiltonian.{key}")
+    if "coeffs" in spec:  # the zeta-composed kind's A_k, all of one size
+        coeffs = spec["coeffs"]
+        if not isinstance(coeffs, list) or not coeffs:
+            raise ConfigError("hamiltonian.coeffs", "expected a list of matrices")
+        if len({_check_hermitian(c, f"hamiltonian.coeffs.{k}") for k, c in enumerate(coeffs)}) > 1:
+            raise ConfigError("hamiltonian.coeffs", "the matrices differ in size")
     try:
         return _ham.build(grid, spec)
     except KeyError as exc:
@@ -102,6 +113,20 @@ def build_hamiltonian(grid, cfg) -> _ham.Hamiltonian:
     except _ham.UnsupportedHamiltonianError as exc:
         path = "hamiltonian.kind" if spec.get("kind") not in _ham.KINDS else "hamiltonian"
         raise ConfigError(path, str(exc)) from None
+
+
+def _check_hermitian(data, path):
+    """The shape of ``data``, which must be a square Hermitian matrix: a named
+    one, rows of numbers or rows of [re, im] pairs (the builder parses it
+    again)."""
+    try:
+        M = _ham._matrix_arg(data)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError("expected a square matrix")
+        require_hermitian(M)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from None
+    return M.shape
 
 
 def _complex_array(data, path):
@@ -216,9 +241,14 @@ def _waveop_profile(grid, ham, spec, m, path):
                   f"{path}.matrix")
         return np.broadcast_to(W, grid.shape + W.shape).copy()
     if name == "eigen_mix":
-        weights = [float(w) for w in require_spec(spec, "weights", path)]
+        try:
+            weights = [float(w) for w in require_spec(spec, "weights", path)]
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}.weights", "expected a list of numbers") from None
         if len(weights) > m:
             raise ConfigError(f"{path}.weights", "more weights than ancilla columns")
+        if not (all(0.0 <= w < np.inf for w in weights) and sum(weights) > 0.0):
+            raise ConfigError(f"{path}.weights", "must be finite, non-negative, not all zero")
         total = sum(weights)
         eig = eigenfields(ham)
         W = np.zeros(grid.shape + (n, m), dtype=complex)
@@ -267,8 +297,14 @@ def build_initial_state(grid, ham, cfg):
         D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
         rho_spec = require(cfg, "initial.rho", dict)
         if "matrix" in rho_spec:
-            rho = hermitize(_complex_array(rho_spec["matrix"], "initial.rho.matrix"))
-            rho = rho / np.real(np.trace(rho))
+            rho = _complex_array(rho_spec["matrix"], "initial.rho.matrix")
+            if rho.shape != (ham.n, ham.n):
+                raise ConfigError("initial.rho.matrix", f"expected a {ham.n} x {ham.n} matrix")
+            rho = hermitize(rho)
+            trace = np.real(np.trace(rho))
+            if not trace > 0:
+                raise ConfigError("initial.rho.matrix", "must have a positive trace")
+            rho = rho / trace
         elif rho_spec.get("profile") == "marginal_of_state":
             psi = _state_profile(grid, ham, require_spec(rho_spec, "state", "initial.rho"),
                                  "initial.rho.state")

@@ -438,32 +438,50 @@ def derivative_probe(func: Functional, state: HybridDensity, i, j, step_rel=1e-6
 # -- hybrid Poisson bracket -------------------------------------------------------
 
 
-def hybrid_bracket(f: Functional, g: Functional, state: HybridDensity, return_scale=False):
+class BracketOperand(NamedTuple):
+    """One argument of the hybrid bracket, derived once: G = df/dP and the
+    transport pieces a_q = Re Tr(P d_q G), a_p = Re Tr(P d_p G)."""
+
+    G: np.ndarray
+    a_q: np.ndarray
+    a_p: np.ndarray
+
+
+def bracket_operand(f: Functional, state: HybridDensity) -> BracketOperand:
+    """The derivative of ``f`` at ``state`` and its two transport pieces, for
+    bracketing one functional against several others."""
+    grid, P = state.grid, state.P
+    G = f.derivative(state)
+    a_q = np.einsum("ijab,ijba->ij", P, grid.partial_q(G)).real
+    a_p = np.einsum("ijab,ijba->ij", P, grid.partial_p(G)).real
+    return BracketOperand(G, a_q, a_p)
+
+
+def hybrid_bracket(f, g, state: HybridDensity, return_scale=False):
     """{{f, g}}(P), antisymmetric by construction; vacuum handled as in C1.
 
-    With ``return_scale`` also returns the integral of the pointwise
-    magnitudes of the raw bracket pieces (the two transport products and the
-    commutator term, before any cancellation): the natural size of what a
-    Casimir cancels, hence the reference scale for |{{f, C}}| tests.
+    ``f`` and ``g`` are each a ``Functional`` or its ``bracket_operand`` at
+    ``state``; the value is the same either way. With ``return_scale`` also
+    returns the integral of the pointwise magnitudes of the raw bracket
+    pieces (the two transport products and the commutator term, before any
+    cancellation): the natural size of what a Casimir cancels, hence the
+    reference scale for |{{f, C}}| tests.
     """
     grid, P = state.grid, state.P
-    Gf = f.derivative(state)
-    Gg = g.derivative(state)
+    if isinstance(f, Functional):
+        f = bracket_operand(f, state)
+    if isinstance(g, Functional):
+        g = bracket_operand(g, state)
     TrP = trace_field(P)
     mask = TrP > vacuum_floor(TrP)
     denom = np.where(mask, TrP, 1.0)
+    term1 = np.where(mask, (f.a_q * g.a_p - f.a_p * g.a_q) / denom, 0.0)
 
-    Afq = np.einsum("ijab,ijba->ij", P, grid.partial_q(Gf)).real
-    Afp = np.einsum("ijab,ijba->ij", P, grid.partial_p(Gf)).real
-    Agq = np.einsum("ijab,ijba->ij", P, grid.partial_q(Gg)).real
-    Agp = np.einsum("ijab,ijba->ij", P, grid.partial_p(Gg)).real
-    term1 = np.where(mask, (Afq * Agp - Afp * Agq) / denom, 0.0)
-
-    term2 = np.einsum("ijab,ijba->ij", P, comm(Gf, Gg)).imag / grid.hbar
+    term2 = np.einsum("ijab,ijba->ij", P, comm(f.G, g.G)).imag / grid.hbar
     value = float(grid.integrate(term1 + term2))
     if not return_scale:
         return value
-    raw = np.where(mask, (np.abs(Afq * Agp) + np.abs(Afp * Agq)) / denom, 0.0)
+    raw = np.where(mask, (np.abs(f.a_q * g.a_p) + np.abs(f.a_p * g.a_q)) / denom, 0.0)
     scale = float(grid.integrate(raw + np.abs(term2)))
     return value, scale
 
@@ -471,13 +489,13 @@ def hybrid_bracket(f: Functional, g: Functional, state: HybridDensity, return_sc
 def bracket_consistency(f: Functional, state: HybridDensity, ham: Hamiltonian):
     """Compare {{f, h}} with dF/dt chained through the Ehrenfest tendency."""
     grid = state.grid
-    lhs = hybrid_bracket(f, EnergyFunctional(ham), state)
+    fo = bracket_operand(f, state)
+    lhs = hybrid_bracket(fo, EnergyFunctional(ham), state)
     tend = _dyn.ehrenfest_rhs(grid, state.P, ham)[0][0]
-    Gf = f.derivative(state)
-    rhs = float(grid.integrate(np.einsum("ijab,ijba->ij", Gf, tend).real))
+    rhs = float(grid.integrate(np.einsum("ijab,ijba->ij", fo.G, tend).real))
     mag = float(
         grid.integrate(
-            np.linalg.norm(Gf, axis=(-2, -1)) * np.linalg.norm(tend, axis=(-2, -1))
+            np.linalg.norm(fo.G, axis=(-2, -1)) * np.linalg.norm(tend, axis=(-2, -1))
         )
     )
     scale = max(abs(lhs), abs(rhs), mag, 1e-300)

@@ -108,10 +108,18 @@ class TestConfig:
                                       "initial.state.amplitude", "initial.state.vector",
                                       "initial.state.vector=[[0,0],[0,0]]",
                                       "initial.state.branch", "hamiltonian.mass",
-                                      "hamiltonian.eta", "hamiltonian.B"])
+                                      "hamiltonian.mass=0", "hamiltonian.eta", "hamiltonian.B",
+                                      "initial.waveop.weights",
+                                      "initial.waveop.weights=[0, 0]", "hamiltonian.H_Q",
+                                      "hamiltonian.coeffs", "initial.rho.matrix"])
     def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, case):
         key, _, value = case.partition("=")
-        cfg = presets.nanowire_conditional(N=16)
+        # the preset that reads the key, when the nanowire does not
+        cfg = {"initial.waveop.weights": presets.beyond_nanowire_mixed,
+               "hamiltonian.H_Q": presets.classical_well,
+               "hamiltonian.coeffs": presets.zeta_sigma_z,
+               "initial.rho.matrix": presets.nanowire_meanfield,
+               }.get(key, presets.nanowire_conditional)(N=16)
         command, extra = "simulate", []
         if key.startswith("equilibrium."):
             cfg = presets.dephasing_equilibrium(N=32)
@@ -125,7 +133,9 @@ class TestConfig:
             "diagnostics.probes_seed": "x", "diagnostics.n_probes": 0,
             "initial.density.uniform_weight": "x", "initial.state.amplitude": "x",
             "initial.state.vector": "x", "initial.state.branch": 7, "hamiltonian.mass": "x",
-            "hamiltonian.eta": "x", "hamiltonian.B": [1, 2]}.get(key)
+            "hamiltonian.eta": "x", "hamiltonian.B": [1, 2], "initial.waveop.weights": ["x", 1],
+            "hamiltonian.H_Q": [[0, 1], [2, 0]], "hamiltonian.coeffs": 5,
+            "initial.rho.matrix": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}.get(key)
         if key in ("diagnostics.probes_seed", "diagnostics.n_probes"):
             command = "casimir-check"
         if case == "time.sample_every=x":  # the convergence study reads the stride first
@@ -136,9 +146,10 @@ class TestConfig:
             cfg["initial"]["state"] = {"profile": "twisted"}
         elif key == "initial.state.branch":
             cfg["initial"]["state"] = {"profile": "eigen"}
-        if key.startswith(("time.", "diagnostics.", "initial.state.")) or key in (
+        if key.startswith(("time.", "diagnostics.", "initial.state.", "initial.waveop.",
+                           "initial.rho.")) or key in (
                 "equilibrium.T_check", "initial.density.uniform_weight", "hamiltonian.mass",
-                "hamiltonian.eta", "hamiltonian.B"):
+                "hamiltonian.eta", "hamiltonian.B", "hamiltonian.H_Q", "hamiltonian.coeffs"):
             *parents, leaf = key.split(".")
             node = cfg
             for part in parents:

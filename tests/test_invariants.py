@@ -16,6 +16,7 @@ from mqclab import (
     UhlmannSplit,
     WeightedTraceFunctional,
     bracket_consistency,
+    bracket_operand,
     casimir_c2,
     casimir_general_value,
     compose,
@@ -38,8 +39,13 @@ from mqclab import (
 )
 from mqclab.dynamics import circle_loop, ehrenfest_rhs
 from mqclab.grids import trace_field
-from mqclab.invariants import numeric_local_derivative
-from mqclab.probes import random_probe_functionals, random_psd_density
+from mqclab.invariants import Functional, numeric_local_derivative
+from mqclab.probes import (
+    casimir_probe_report,
+    random_probe_functionals,
+    random_psd_density,
+    random_smooth_split,
+)
 from test_split_equivalence import conditional_states
 
 
@@ -366,6 +372,54 @@ class TestHybridBracket:
         c1 = CasimirC1(spectral_fn("neg_x_log_x_trace"))
         assert abs(hybrid_bracket(probe, c1, state)) < 1e-6 * scale
         assert abs(hybrid_bracket(EnergyFunctional(ham), c1, state)) < 1e-6 * scale
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+           hbar=st.sampled_from([0.5, 1.0]))
+    def test_antisymmetric_and_same_bits_on_operands(self, seed, n, hbar):
+        """{{f, g}} = -{{g, f}} to round-off of the bracket's own scale on random
+        smooth splits and probe pairs, and operands give the functionals' bits."""
+        rng = np.random.default_rng(seed)
+        grid = make_grid(16, hbar=hbar)
+        state = compose(random_smooth_split(grid, n, rng))
+        f, g = random_probe_functionals(grid, n, rng, count=2)
+        fg, scale = hybrid_bracket(f, g, state, return_scale=True)
+        gf = hybrid_bracket(g, f, state)
+        assert abs(fg + gf) <= 16 * np.finfo(float).eps * scale
+        fo, go = bracket_operand(f, state), bracket_operand(g, state)
+        assert hybrid_bracket(fo, go, state, return_scale=True) == (fg, scale)
+        assert hybrid_bracket(fo, g, state) == fg
+        assert hybrid_bracket(go, f, state) == gf
+
+    def test_casimir_report_derives_each_functional_once(self, monkeypatch):
+        """3 probes, the energy and 5 Casimirs: 9 derivatives, and each row
+        holds the plain bracket of its probe and Casimir."""
+        grid = make_grid(16)
+        ham = nanowire(grid)
+        split = random_smooth_split(grid, 2, np.random.default_rng(16))
+        calls = []
+
+        def counted(derivative):
+            return lambda self, state: calls.append(self.name) or derivative(self, state)
+
+        classes, todo = [], [Functional]
+        while todo:
+            cls = todo.pop()
+            classes.append(cls)
+            todo.extend(cls.__subclasses__())
+        for cls in classes:
+            if "derivative" in vars(cls):
+                monkeypatch.setattr(cls, "derivative", counted(cls.derivative))
+
+        rep = casimir_probe_report(split, ham, np.random.default_rng(17), n_probes=3)
+        assert len(calls) == 9, calls
+        monkeypatch.undo()
+        probe = random_probe_functionals(grid, 2, np.random.default_rng(17), count=3, kmax=2)[1]
+        c1 = CasimirC1(spectral_fn("neg_x_log_x_trace"))
+        general = CasimirGeneral(GammaSpec.entropy(), split=split)
+        state = compose(split)
+        assert rep["rows"][1]["C1_entropy"] == abs(hybrid_bracket(probe, c1, state))
+        assert rep["rows"][1]["C_general_entropy"] == abs(hybrid_bracket(probe, general, state))
 
     def test_bracket_consistency_trio(self):
         grid = make_grid(32)
