@@ -270,11 +270,27 @@ def require_spec(spec, key, path):
 
 
 def build_initial_state(grid, ham, cfg):
-    """Returns the initial state object matching initial.representation."""
+    """Returns the initial state object matching initial.representation, in
+    the quantum dimension of the Hamiltonian."""
+    state = _initial_state(grid, ham, cfg)
+    if state.n != ham.n:
+        # the key that sets the dimension on the Hamiltonian's side, if any
+        path = "initial.snapshot" if "snapshot" in cfg["initial"] else next(
+            (f"hamiltonian.{key}" for key in ("H_Q", "A", "coeffs") if key in cfg["hamiltonian"]),
+            "initial")
+        raise ConfigError(path, f"the state has quantum dimension {state.n}, "
+                                f"the Hamiltonian {ham.n}")
+    return state
+
+
+def _initial_state(grid, ham, cfg):
     init = require(cfg, "initial")
     rep = require(cfg, "initial.representation")
     if "snapshot" in init:
-        state = read_snapshot(init["snapshot"])
+        try:
+            state = read_snapshot(init["snapshot"])
+        except ValueError as exc:
+            raise ConfigError("initial.snapshot", str(exc)) from None
         if not state.grid.compatible(grid):
             raise ConfigError("initial.snapshot", "snapshot grid does not match config")
         return state
@@ -292,7 +308,7 @@ def build_initial_state(grid, ham, cfg):
         inner_rep = sub.get("compose_from", "conditional")
         sub["representation"] = inner_rep
         base = {**cfg, "initial": sub}
-        return compose(build_initial_state(grid, ham, base))
+        return compose(_initial_state(grid, ham, base))
     if rep == "mean_field":
         D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
         rho_spec = require(cfg, "initial.rho", dict)

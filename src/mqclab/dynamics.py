@@ -64,6 +64,10 @@ class MeanFieldState:
         self.D = np.asarray(self.D, dtype=float)
         self.rho = np.asarray(self.rho, dtype=complex)
 
+    @property
+    def n(self):
+        return self.rho.shape[-1]
+
 
 @dataclass
 class StepperConfig:

@@ -19,6 +19,14 @@ contiguous plane. That costs a copy, so it pays only for fields that are
 read many times by the sums and never change (the Hamiltonian's for
 n <= 3, see ``Hamiltonian.planes``).
 
+The stencils difference a complex field on its float view (real and
+imaginary parts as a trailing axis of 2). Complex sums act on the two parts
+apart. numpy scales a complex by a real c as c*re - 0*im and divides it by c
+as (re + im*0) * (1/c); for finite parts these are c*re and re * (1/c), so
+the float view, multiplied by 1/(12h), gives the same bits with a fraction
+of the arithmetic. Only a zero part may come out with the other sign, and an
+infinite part no longer makes its partner nan.
+
 Grid arrays are indexed ``values[i, j]`` for the point
 ``(q0 + i*dq, p0 + j*dp)``; any trailing axes (matrix or vector components)
 are carried along unchanged by the calculus operations.
@@ -29,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 # Eigenvalues below this are clamped inside ln / fractional powers; entropy
 # traces use the 0*ln(0) = 0 convention instead.
@@ -143,8 +150,12 @@ class PhaseGrid:
         """Periodic bicubic interpolation of a grid field at points (q, p).
 
         Works for real or complex ``values`` with arbitrary trailing axes;
-        q and p may be scalars or arrays (broadcast together).
+        q and p may be scalars or arrays (broadcast together). scipy is
+        imported here, on first use: only the loop tracer interpolates, and
+        every other command starts faster without it.
         """
+        from scipy import ndimage
+
         values = np.asarray(values)
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
@@ -174,11 +185,28 @@ class PhaseGrid:
 def _diff4(values, axis, h):
     # one copy wrapped by two points on each side, read through four slices
     n = values.shape[axis]
-    ext = np.take(values, np.arange(-2, n + 2), axis=axis, mode="wrap")
     lead = (slice(None),) * axis
+    ext = np.empty(values.shape[:axis] + (n + 4,) + values.shape[axis + 1:],
+                   np.result_type(values, 1.0))
+    ext[lead + (slice(2, n + 2),)] = values
+    ext[lead + (slice(0, 2),)] = values[lead + (slice(n - 2, n),)]
+    ext[lead + (slice(n + 2, n + 4),)] = values[lead + (slice(0, 2),)]
+    complex_valued = ext.dtype.kind == "c"
+    if complex_valued:
+        # the same bits on the float view (see the module docstring)
+        ext = ext.view(ext.real.dtype).reshape(ext.shape + (2,))
     m2, m1, p1, p2 = (ext[lead + (slice(s, s + n),)] for s in (0, 1, 3, 4))
     # grouped by differences so constants map to exact zero
-    return ((m2 - p2) + 8.0 * (p1 - m1)) / (12.0 * h)
+    out = m2 - p2
+    tmp = p1 - m1
+    tmp *= 8.0
+    out += tmp
+    if not complex_valued:
+        out /= 12.0 * h
+        return out
+    # numpy's own complex division by the real 12h multiplies by this
+    out *= 1.0 / (12.0 * h)
+    return out.view(values.dtype).reshape(values.shape)
 
 
 # -- field containers -------------------------------------------------------

@@ -9,6 +9,8 @@ digits, so write -> read -> write is byte-identical.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .grids import PhaseGrid
@@ -32,6 +34,17 @@ def _rep_of(state):
     raise TypeError(f"cannot snapshot {type(state).__name__}")
 
 
+def _table(state, rep):
+    """The records as one (Nq*Np, k) float table: D first for the splits,
+    then the real/imag pairs of the matrix entries."""
+    rows = state.grid.Nq * state.grid.Np
+    entries = state.P if rep == "density" else state.W
+    pairs = np.ascontiguousarray(entries).reshape(rows, -1).view(float)
+    if rep == "density":
+        return pairs
+    return np.concatenate([np.reshape(state.D, (rows, 1)), pairs], axis=1)
+
+
 def snapshot_lines(state):
     grid = state.grid
     rep = _rep_of(state)
@@ -41,20 +54,10 @@ def snapshot_lines(state):
         [MAGIC, str(VERSION), rep, str(grid.Nq), str(grid.Np), str(state.n), str(m)]
         + [_fmt(v) for v in (grid.q0, grid.q1, grid.p0, grid.p1, grid.hbar)]
     )
-    lines = [header]
-    for i in range(grid.Nq):
-        for j in range(grid.Np):
-            if rep == "density":
-                entries = state.P[i, j].reshape(-1)
-                nums = []
-            else:
-                entries = state.W[i, j].reshape(-1)
-                nums = [_fmt(state.D[i, j])]
-            for z in entries:
-                nums.append(_fmt(z.real))
-                nums.append(_fmt(z.imag))
-            lines.append(" ".join(nums))
-    return lines
+    table = _table(state, rep)
+    # one "%" over the whole body: "%.17g" writes the digits _fmt writes
+    body = "\n".join([" ".join(["%.17g"] * table.shape[1])] * table.shape[0])
+    return [header] + (body % tuple(table.ravel().tolist())).split("\n")
 
 
 def write_snapshot(path, state):
@@ -79,27 +82,24 @@ def read_snapshot(path):
         shapes = {"density": (n, n), "conditional": (n, 1), "uhlmann": (n, m)}
         if rep not in shapes:
             raise ValueError(f"{path}: unknown representation '{rep}'")
-        data = np.empty((Nq, Np) + shapes[rep], dtype=complex)
-        D = None if rep == "density" else np.empty((Nq, Np))
+        records = [line.split() for line in itertools.islice(fh, Nq * Np)]
 
-        per_entry = data[0, 0].size
-        for i in range(Nq):
-            for j in range(Np):
-                vals = fh.readline().split()
-                expect = 2 * per_entry + (0 if D is None else 1)
-                if len(vals) != expect:
-                    raise ValueError(
-                        f"{path}: record ({i},{j}) has {len(vals)} numbers, expected {expect}"
-                    )
-                k = 0
-                if D is not None:
-                    D[i, j] = float(vals[0])
-                    k = 1
-                raw = np.array([float(v) for v in vals[k:]])
-                data[i, j] = raw.view(complex).reshape(data[i, j].shape)
-
+    # a truncated body reads as empty records
+    records += [[]] * (Nq * Np - len(records))
+    lead = 0 if rep == "density" else 1  # the D column of a split
+    expect = lead + 2 * n * shapes[rep][1]
+    bad = next((r for r, vals in enumerate(records) if len(vals) != expect), None)
+    if bad is not None:
+        i, j = divmod(bad, Np)
+        raise ValueError(
+            f"{path}: record ({i},{j}) has {len(records[bad])} numbers, expected {expect}"
+        )
+    table = np.array(records, dtype=float)
+    data = np.ascontiguousarray(table[:, lead:]).view(complex)
+    data = data.reshape((Nq, Np) + shapes[rep])
     if rep == "density":
         return HybridDensity(grid, data)
+    D = np.ascontiguousarray(table[:, 0]).reshape(Nq, Np)
     if rep == "conditional":
         return ConditionalSplit(grid, D, data[..., 0])
     return UhlmannSplit(grid, D, data)

@@ -1,17 +1,25 @@
 import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from mqclab import PhaseGrid, read_snapshot, snapshot_lines, write_snapshot
+from mqclab import HybridDensity, PhaseGrid, read_snapshot, snapshot_lines, write_snapshot
 from mqclab.cli import main
 from mqclab.config import ConfigError, build_grid, build_hamiltonian, build_initial_state, load_config
 from mqclab.diagnostics import read_csv
 from mqclab import presets
 from mqclab.probes import aligned_smooth_split, random_smooth_split
-from mqclab.states import ConditionalSplit, compose
+from mqclab.states import ConditionalSplit, UhlmannSplit, compose
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_cfg(tmp_path, cfg, name="scenario.yaml"):
@@ -71,6 +79,82 @@ class TestSnapshots:
             read_snapshot(p)
 
 
+# every float a snapshot may hold: abort.snap keeps non-finite states
+snapshot_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300,
+                     np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def snapshot_states(draw):
+    """A state of random size and representation, read from a float table."""
+    rep = draw(st.sampled_from(["density", "conditional", "uhlmann"]))
+    Nq, Np, n = draw(st.integers(8, 10)), draw(st.integers(8, 10)), draw(st.integers(1, 3))
+    m = {"density": n, "conditional": 1, "uhlmann": draw(st.integers(1, 3))}[rep]
+    lead = 0 if rep == "density" else 1
+    table = draw(hnp.arrays(float, (Nq * Np, lead + 2 * n * m), elements=snapshot_floats))
+    grid = PhaseGrid(-1.0, 1.0, -2.0, 2.0, Nq, Np, hbar=0.7)
+    entries = np.ascontiguousarray(table[:, lead:]).view(complex).reshape(Nq, Np, n, m)
+    if rep == "density":
+        return HybridDensity(grid, entries)
+    D = table[:, 0].reshape(Nq, Np)
+    return ConditionalSplit(grid, D, entries[..., 0]) if rep == "conditional" else \
+        UhlmannSplit(grid, D, entries)
+
+
+def reference_record_lines(state):
+    """The body as one formatted float at a time, "%.17g" per value."""
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    lines = []
+    for i in range(state.grid.Nq):
+        for j in range(state.grid.Np):
+            if isinstance(state, HybridDensity):
+                nums, entries = [], state.P[i, j].reshape(-1)
+            else:
+                nums, entries = [fmt(state.D[i, j])], state.W[i, j].reshape(-1)
+            for z in entries:
+                nums += [fmt(z.real), fmt(z.imag)]
+            lines.append(" ".join(nums))
+    return lines
+
+
+class TestSnapshotBodies:
+    @settings(max_examples=40, deadline=None)
+    @given(state=snapshot_states())
+    def test_per_value_format_and_roundtrip(self, state):
+        lines = snapshot_lines(state)
+        assert lines[1:] == reference_record_lines(state)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, again = os.path.join(tmp, "a.snap"), os.path.join(tmp, "b.snap")
+            write_snapshot(first, state)
+            write_snapshot(again, read_snapshot(first))
+            with open(first, "rb") as fa, open(again, "rb") as fb:
+                assert fa.read() == fb.read()
+
+    def written(self, tmp_path):
+        grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 8, 9)
+        path = tmp_path / "s.snap"
+        write_snapshot(path, random_smooth_split(grid, 2, np.random.default_rng(1)))
+        return path, path.read_text().splitlines()
+
+    def test_truncated_body_names_the_record(self, tmp_path):
+        path, lines = self.written(tmp_path)
+        path.write_text("\n".join(lines[:1 + 20]) + "\n")  # records (0,0)..(2,1)
+        with pytest.raises(ValueError, match=r"record \(2,2\) has 0 numbers, expected 9"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_wrong_count_names_the_record(self, tmp_path, extra):
+        path, lines = self.written(tmp_path)
+        nums = lines[1 + 13].split()  # record (1,4)
+        lines[1 + 13] = " ".join(nums + ["0"] if extra > 0 else nums[:-1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"record \(1,4\) has {9 + extra} numbers, "
+                                             r"expected 9"):
+            read_snapshot(path)
+
+
 class TestConfig:
     def test_missing_key_path(self, tmp_path):
         cfg = presets.nanowire_conditional(N=16)
@@ -111,7 +195,9 @@ class TestConfig:
                                       "hamiltonian.mass=0", "hamiltonian.eta", "hamiltonian.B",
                                       "initial.waveop.weights",
                                       "initial.waveop.weights=[0, 0]", "hamiltonian.H_Q",
-                                      "hamiltonian.coeffs", "initial.rho.matrix"])
+                                      "hamiltonian.coeffs", "initial.rho.matrix",
+                                      "hamiltonian.H_Q=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+                                      "initial.snapshot", "initial.snapshot=truncated"])
     def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, case):
         key, _, value = case.partition("=")
         # the preset that reads the key, when the nanowire does not
@@ -187,6 +273,15 @@ class TestConfig:
             cfg["domain"][hi] = cfg["domain"][hi[0] + "0"]
         elif key == "physics.hbar":
             cfg["physics"]["hbar"] = 0
+        elif key == "initial.snapshot":  # a three-level state, or a truncated body
+            grid = build_grid(cfg)
+            n = 2 if value == "truncated" else 3
+            snap = tmp_path / "restart.snap"
+            write_snapshot(snap, HybridDensity(
+                grid, np.broadcast_to(np.eye(n) / (n * grid.area), grid.shape + (n, n))))
+            if value == "truncated":
+                snap.write_text("".join(snap.read_text().splitlines(True)[:10]))
+            cfg["initial"]["snapshot"] = str(snap)
         elif key == "initial.density":
             cfg["initial"]["density"] = 5
         else:
@@ -352,6 +447,39 @@ class TestCasimirCheckCommand:
         assert rep["n_probes"] == 3
         assert rep["antisymmetry_max"] < 1e-9
         assert rep["max_ratio"] < 1e-3  # coarse grid; acceptance runs finer
+
+
+class TestStartup:
+    def test_scipy_loaded_only_by_the_loop_tracer(self, tmp_path):
+        """A fresh process imports scipy neither with the CLI nor for a
+        loop-free command; a loop-traced run imports it on first use and
+        writes the diagnostics a run in this process writes."""
+        probe = presets.nanowire_conditional(N=16, loop=False)
+        probe["diagnostics"]["n_probes"] = 2
+        traced = presets.nanowire_conditional(N=16, t_final=0.3, sample_every=4)
+        args = [write_cfg(tmp_path, probe, "probe.yaml"), str(tmp_path / "probe"),
+                write_cfg(tmp_path, traced, "traced.yaml"), str(tmp_path / "child")]
+        script = (
+            "import sys\n"
+            "import mqclab.cli\n"
+            "probe, probe_out, traced, traced_out = sys.argv[1:]\n"
+            "print('scipy' in sys.modules)\n"
+            "code = mqclab.cli.main(['casimir-check', '--config', probe, '--out', probe_out,"
+            " '--quiet'])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+            "code = mqclab.cli.main(['simulate', '--config', traced, '--out', traced_out,"
+            " '--quiet'])\n"
+            "print(code, 'scipy' in sys.modules)\n")
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", script] + args, capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": path})
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["False", "0", "False", "0", "True"]
+        here = tmp_path / "here"
+        assert main(["simulate", "--config", args[2], "--out", str(here), "--quiet"]) == 0
+        csv = (tmp_path / "child" / "diagnostics.csv").read_bytes()
+        assert b"poincare" in csv.splitlines()[0]
+        assert csv == (here / "diagnostics.csv").read_bytes()
 
 
 class TestConvergenceCommand:
