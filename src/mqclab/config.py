@@ -274,10 +274,11 @@ def build_initial_state(grid, ham, cfg):
     the quantum dimension of the Hamiltonian."""
     state = _initial_state(grid, ham, cfg)
     if state.n != ham.n:
-        # the key that sets the dimension on the Hamiltonian's side, if any
-        path = "initial.snapshot" if "snapshot" in cfg["initial"] else next(
-            (f"hamiltonian.{key}" for key in ("H_Q", "A", "coeffs") if key in cfg["hamiltonian"]),
-            "initial")
+        if "snapshot" in cfg["initial"]:
+            path = "initial.snapshot"
+        else:  # the Hamiltonian's matrix, where the config gives one
+            path = next((f"hamiltonian.{key}" for key in ("H_Q", "A", "coeffs")
+                         if key in cfg["hamiltonian"]), "initial")
         raise ConfigError(path, f"the state has quantum dimension {state.n}, "
                                 f"the Hamiltonian {ham.n}")
     return state
@@ -289,7 +290,7 @@ def _initial_state(grid, ham, cfg):
     if "snapshot" in init:
         try:
             state = read_snapshot(init["snapshot"])
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError("initial.snapshot", str(exc)) from None
         if not state.grid.compatible(grid):
             raise ConfigError("initial.snapshot", "snapshot grid does not match config")

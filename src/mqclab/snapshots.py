@@ -18,10 +18,7 @@ from .states import ConditionalSplit, HybridDensity, UhlmannSplit
 
 MAGIC = "MQCGRID"
 VERSION = 1
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
+FLOAT = "%.17g"
 
 
 def _rep_of(state):
@@ -52,11 +49,11 @@ def snapshot_lines(state):
     m = state.m if rep == "uhlmann" else state.n
     header = " ".join(
         [MAGIC, str(VERSION), rep, str(grid.Nq), str(grid.Np), str(state.n), str(m)]
-        + [_fmt(v) for v in (grid.q0, grid.q1, grid.p0, grid.p1, grid.hbar)]
+        + [FLOAT % v for v in (grid.q0, grid.q1, grid.p0, grid.p1, grid.hbar)]
     )
     table = _table(state, rep)
-    # one "%" over the whole body: "%.17g" writes the digits _fmt writes
-    body = "\n".join([" ".join(["%.17g"] * table.shape[1])] * table.shape[0])
+    # one "%" over the whole body
+    body = "\n".join([" ".join([FLOAT] * table.shape[1])] * table.shape[0])
     return [header] + (body % tuple(table.ravel().tolist())).split("\n")
 
 

@@ -197,7 +197,8 @@ class TestConfig:
                                       "initial.waveop.weights=[0, 0]", "hamiltonian.H_Q",
                                       "hamiltonian.coeffs", "initial.rho.matrix",
                                       "hamiltonian.H_Q=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
-                                      "initial.snapshot", "initial.snapshot=truncated"])
+                                      "initial.snapshot", "initial.snapshot=truncated",
+                                      "initial.snapshot=directory"])
     def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, case):
         key, _, value = case.partition("=")
         # the preset that reads the key, when the nanowire does not
@@ -273,6 +274,8 @@ class TestConfig:
             cfg["domain"][hi] = cfg["domain"][hi[0] + "0"]
         elif key == "physics.hbar":
             cfg["physics"]["hbar"] = 0
+        elif case == "initial.snapshot=directory":
+            cfg["initial"]["snapshot"] = str(tmp_path)
         elif key == "initial.snapshot":  # a three-level state, or a truncated body
             grid = build_grid(cfg)
             n = 2 if value == "truncated" else 3
