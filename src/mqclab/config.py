@@ -17,11 +17,15 @@ from . import hamiltonians as _ham
 from .diagnostics import DEFAULT_FUNCTIONALS, make_sample_fn
 from .dynamics import MODELS, MeanFieldState, StepperConfig, cfl_dt, circle_loop
 from .equilibria import MaxEntProblem, ProblemError
-from .grids import MIN_POINTS, PhaseGrid, hermitize, require_hermitian
+from .grids import MIN_POINTS, PhaseGrid, hermitize, require_hermitian, trace_field
 from .hamiltonians import eigenfields
 from .invariants import scalar_fn, spectral_fn
 from .snapshots import read_snapshot
-from .states import ConditionalSplit, UhlmannSplit, compose, quantum_marginal
+from .states import ConditionalSplit, HybridDensity, UhlmannSplit, compose, quantum_marginal
+
+# Largest max|P - D rho| / max|P| at which a density snapshot still counts as
+# the product state D rho of a mean-field run.
+MEANFIELD_FACTOR_TOL = 1e-10
 
 
 class ConfigError(ValueError):
@@ -294,6 +298,8 @@ def _initial_state(grid, ham, cfg):
             raise ConfigError("initial.snapshot", str(exc)) from None
         if not state.grid.compatible(grid):
             raise ConfigError("initial.snapshot", "snapshot grid does not match config")
+        if rep == "mean_field" and isinstance(state, HybridDensity):
+            return _meanfield_factors(state)
         return state
     if rep == "conditional":
         D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
@@ -330,6 +336,22 @@ def _initial_state(grid, ham, cfg):
             raise ConfigError("initial.rho", "give a matrix or profile=marginal_of_state")
         return MeanFieldState(grid, D, rho)
     raise ConfigError("initial.representation", f"unknown representation '{rep}'")
+
+
+def _meanfield_factors(density):
+    """The mean-field state (D, rho) of a density snapshot P = D rho:
+    D = Tr P and rho = integral P / integral D. A P farther than
+    ``MEANFIELD_FACTOR_TOL`` from D rho exits at ``initial.snapshot``."""
+    grid, P = density.grid, density.P
+    D = trace_field(P)
+    rho = hermitize(grid.integrate(P) / grid.integrate(D))
+    deviation = float(np.max(np.abs(P - D[..., None, None] * rho)))
+    scale = float(np.max(np.abs(P)))
+    if not deviation <= MEANFIELD_FACTOR_TOL * scale:
+        raise ConfigError("initial.snapshot",
+                          f"the density is not a product D rho (deviation {deviation:.3e}, "
+                          f"above {MEANFIELD_FACTOR_TOL:.0e} of max|P| = {scale:.3e})")
+    return MeanFieldState(grid, D, rho)
 
 
 def model_of(cfg, override=None):

@@ -413,10 +413,8 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
         tends, info = ops.rhs(grid, ham, arrays[:n_model])
         if loop is not None:
             pts = arrays[-1]
-            Xq, Xp = info["velocity"]
-            vq = grid.interpolate(Xq, pts[:, 0], pts[:, 1])
-            vp = grid.interpolate(Xp, pts[:, 0], pts[:, 1])
-            tends += (np.stack([vq, vp], axis=1),)
+            velocity = np.stack(info["velocity"], axis=-1)  # both components in one call
+            tends += (grid.interpolate(velocity, pts[:, 0], pts[:, 1]),)
         return tends, info
 
     def abort(reason, arrays, t):

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grids import EIG_CLAMP, comm, hermitize, trace_field
+from .grids import EIG_CLAMP, comm, eigvalsh_field, hermitize, trace_field
 from .hamiltonians import Hamiltonian
 from .states import (
     HybridDensity,
@@ -292,7 +292,7 @@ class CasimirC1(Functional):
         D = trace_field(P)
         floor = vacuum_floor(D)
         Dsafe = np.where(D > floor, D, 1.0)
-        w = np.linalg.eigvalsh(hermitize(P)) / Dsafe[..., None]
+        w = eigvalsh_field(hermitize(P)) / Dsafe[..., None]
         return np.where(D > floor, D * self.phi.value_of_eigs(w), 0.0)
 
     def derivative(self, state):
@@ -604,10 +604,9 @@ def loop_integral(split, points) -> float:
     loop coordinates themselves.
     """
     grid, A_B = split.grid, split.berry.A_B
-    Aq = grid.interpolate(A_B.X_q, points[:, 0], points[:, 1])
-    Ap = grid.interpolate(A_B.X_p, points[:, 0], points[:, 1])
-    Fq = points[:, 1] - Aq
-    Fp = -Ap
+    A = grid.interpolate(np.stack([A_B.X_q, A_B.X_p], axis=-1), points[:, 0], points[:, 1])
+    Fq = points[:, 1] - A[:, 0]
+    Fp = -A[:, 1]
     dq = np.roll(points[:, 0], -1) - points[:, 0]
     dp = np.roll(points[:, 1], -1) - points[:, 1]
     mq = 0.5 * (Fq + np.roll(Fq, -1))

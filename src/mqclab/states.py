@@ -29,6 +29,7 @@ import numpy as np
 from .grids import (
     PhaseGrid,
     VectorField2,
+    eigvalsh_field,
     hermitize,
     require_hermitian,
     trace_field,
@@ -71,7 +72,7 @@ class HybridDensity:
 
     def validate(self, herm_tol=1e-10, psd_tol=1e-10, mass_tol=1e-8):
         require_hermitian(self.P, herm_tol, what="hybrid density")
-        wmin = float(np.min(np.linalg.eigvalsh(hermitize(self.P))))
+        wmin = float(np.min(eigvalsh_field(hermitize(self.P))))
         if wmin < -psd_tol:
             raise UnphysicalStateError(f"hybrid density has eigenvalue {wmin:.3e} < -{psd_tol:.1e}")
         mass = float(self.grid.integrate(trace_field(self.P)))
@@ -118,7 +119,7 @@ class UhlmannSplit:
     @cached_property
     def spectrum(self):
         """Eigenvalues of the conditional density W W^dag, clipped at 0."""
-        return np.maximum(np.linalg.eigvalsh(hermitize(outer(self.W))), 0.0)
+        return np.maximum(eigvalsh_field(hermitize(outer(self.W))), 0.0)
 
     def support(self):
         return self.D > vacuum_floor(self.D)

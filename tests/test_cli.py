@@ -198,7 +198,8 @@ class TestConfig:
                                       "hamiltonian.coeffs", "initial.rho.matrix",
                                       "hamiltonian.H_Q=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
                                       "initial.snapshot", "initial.snapshot=truncated",
-                                      "initial.snapshot=directory"])
+                                      "initial.snapshot=directory",
+                                      "initial.snapshot=entangled"])
     def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, case):
         key, _, value = case.partition("=")
         # the preset that reads the key, when the nanowire does not
@@ -276,12 +277,18 @@ class TestConfig:
             cfg["physics"]["hbar"] = 0
         elif case == "initial.snapshot=directory":
             cfg["initial"]["snapshot"] = str(tmp_path)
-        elif key == "initial.snapshot":  # a three-level state, or a truncated body
+        elif key == "initial.snapshot":  # a three-level state, a truncated body, or
+            # a density that is no product D rho for a mean-field run
+            if value == "entangled":
+                cfg = presets.nanowire_meanfield(N=16)
             grid = build_grid(cfg)
-            n = 2 if value == "truncated" else 3
+            n = 3 if value is None else 2
             snap = tmp_path / "restart.snap"
-            write_snapshot(snap, HybridDensity(
-                grid, np.broadcast_to(np.eye(n) / (n * grid.area), grid.shape + (n, n))))
+            P = np.broadcast_to(np.eye(n) / (n * grid.area), grid.shape + (n, n)).copy()
+            if value == "entangled":  # rho = diag(cos^2, sin^2)(q/2) varies over the grid
+                P[..., 0, 0] = np.cos(grid.Q / 2) ** 2 / grid.area
+                P[..., 1, 1] = np.sin(grid.Q / 2) ** 2 / grid.area
+            write_snapshot(snap, HybridDensity(grid, P))
             if value == "truncated":
                 snap.write_text("".join(snap.read_text().splitlines(True)[:10]))
             cfg["initial"]["snapshot"] = str(snap)
@@ -333,6 +340,25 @@ class TestSimulateCommand:
         assert os.path.exists(os.path.join(out, "final.snap"))
         meta = json.load(open(os.path.join(out, "meta.json")))
         assert meta["flags"]["aborted"] is False
+
+    def test_meanfield_restart_continues_the_run(self, tmp_path):
+        """A mean-field run restarted from its own final snapshot (a density
+        D rho) for T ends where one run of 2T ends, within 1e-12 of max|P|."""
+        cfg = presets.nanowire_meanfield(N=16)
+        cfg["time"] = {"dt": 0.02, "steps": 20, "sample_every": 10}
+        first, whole, rest = (str(tmp_path / tag) for tag in ("first", "whole", "rest"))
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg, "first.yaml"),
+                     "--out", first, "--quiet"]) == 0
+        twice = {**cfg, "time": {**cfg["time"], "steps": 40}}
+        assert main(["simulate", "--config", write_cfg(tmp_path, twice, "whole.yaml"),
+                     "--out", whole, "--quiet"]) == 0
+        cfg["initial"] = {"representation": "mean_field",
+                          "snapshot": os.path.join(first, "final.snap")}
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg, "rest.yaml"),
+                     "--out", rest, "--quiet"]) == 0
+        want = read_snapshot(os.path.join(whole, "final.snap")).P
+        got = read_snapshot(os.path.join(rest, "final.snap")).P
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_deterministic_output(self, tmp_path):
         cfg = presets.nanowire_conditional(N=16, t_final=0.3, sample_every=4)
@@ -453,10 +479,10 @@ class TestCasimirCheckCommand:
 
 
 class TestStartup:
-    def test_scipy_loaded_only_by_the_loop_tracer(self, tmp_path):
-        """A fresh process imports scipy neither with the CLI nor for a
-        loop-free command; a loop-traced run imports it on first use and
-        writes the diagnostics a run in this process writes."""
+    def test_no_command_loads_scipy(self, tmp_path):
+        """A fresh process imports scipy neither with the CLI, nor for a
+        loop-free command, nor for a loop-traced run, and that run writes
+        the diagnostics a run in this process writes."""
         probe = presets.nanowire_conditional(N=16, loop=False)
         probe["diagnostics"]["n_probes"] = 2
         traced = presets.nanowire_conditional(N=16, t_final=0.3, sample_every=4)
@@ -477,7 +503,7 @@ class TestStartup:
         child = subprocess.run([sys.executable, "-c", script] + args, capture_output=True,
                                text=True, env={**os.environ, "PYTHONPATH": path})
         assert child.returncode == 0, child.stderr
-        assert child.stdout.split() == ["False", "0", "False", "0", "True"]
+        assert child.stdout.split() == ["False", "0", "False", "0", "False"]
         here = tmp_path / "here"
         assert main(["simulate", "--config", args[2], "--out", str(here), "--quiet"]) == 0
         csv = (tmp_path / "child" / "diagnostics.csv").read_bytes()

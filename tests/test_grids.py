@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqclab import PhaseGrid, matrix_function, matrix_log, vn_entropy_trace, random_band_limited
 from mqclab.grids import GridMismatchError, NotHermitianError, matrix_exp_herm
@@ -117,15 +121,13 @@ class TestIntegrate:
         assert abs(grid.integrate(f)) < 1e-12
 
     def test_gaussian_mass_against_erf_oracle(self):
-        from scipy.special import erf
-
         grid = make_grid(64, L=2 * np.pi)
         sq, sp_ = 0.5, 0.4
         f = np.exp(-0.5 * (grid.Q / sq) ** 2 - 0.5 * (grid.P / sp_) ** 2)
         # truncated-domain mass from the error function, per axis
         half = grid.Lq / 2
-        mass_q = sq * np.sqrt(2 * np.pi) * erf(half / (sq * np.sqrt(2)))
-        mass_p = sp_ * np.sqrt(2 * np.pi) * erf(half / (sp_ * np.sqrt(2)))
+        mass_q = sq * np.sqrt(2 * np.pi) * math.erf(half / (sq * np.sqrt(2)))
+        mass_p = sp_ * np.sqrt(2 * np.pi) * math.erf(half / (sp_ * np.sqrt(2)))
         assert np.isclose(grid.integrate(f), mass_q * mass_p, rtol=1e-8)
 
     def test_bracket_integrates_to_zero(self):
@@ -232,6 +234,56 @@ class TestInterpolation:
         out = grid.interpolate(psi, np.array([0.1]), np.array([0.2]))
         assert out.shape == (1, 2)
         assert abs(out[0, 0] - np.exp(1j * 0.1)) < 1e-3
+
+
+def map_coordinates_reference(grid, values, q, p):
+    """scipy's periodic cubic spline, one real plane at a time: the reference
+    for ``PhaseGrid.interpolate``."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    coords = np.stack([(q - grid.q0) / grid.dq, (p - grid.p0) / grid.dp])
+    planes = values.reshape(grid.shape + (-1,))
+
+    def one(plane):
+        if np.iscomplexobj(plane):
+            return one(plane.real) + 1j * one(plane.imag)
+        return ndimage.map_coordinates(plane, coords, order=3, mode="grid-wrap")
+
+    cols = [one(planes[..., k]) for k in range(planes.shape[-1])]
+    return np.stack(cols, axis=-1).reshape(q.shape + values.shape[2:])
+
+
+class TestInterpolationProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(8, 40), st.integers(8, 40)).filter(lambda s: s[0] != s[1]),
+           complex_valued=st.booleans(), trailing=st.sampled_from([(), (2,), (2, 1)]),
+           periods=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_map_coordinates(self, shape, complex_valued, trailing, periods, seed):
+        grid = PhaseGrid(-1.3, 2.1, -0.4, 0.9, *shape, hbar=0.7)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(grid.shape + trailing)
+        if complex_valued:
+            values = values + 1j * rng.standard_normal(grid.shape + trailing)
+        nodes = (rng.integers(0, grid.Nq, 5), rng.integers(0, grid.Np, 5))
+        # on nodes, inside the domain and up to ``periods`` periods outside it
+        q = np.concatenate([grid.q[nodes[0]], rng.uniform(grid.q0, grid.q1, 7),
+                            rng.uniform(grid.q0 - periods * grid.Lq,
+                                        grid.q1 + periods * grid.Lq, 7)])
+        p = np.concatenate([grid.p[nodes[1]], rng.uniform(grid.p0, grid.p1, 7),
+                            rng.uniform(grid.p0 - periods * grid.Lp,
+                                        grid.p1 + periods * grid.Lp, 7)])
+        got = grid.interpolate(values, q, p)
+        want = map_coordinates_reference(grid, values, q, p)
+        assert got.shape == want.shape and got.dtype == values.dtype
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("trailing", [(), (2,), (2, 1)])
+    def test_scalar_point_returns_trailing_shape(self, trailing):
+        grid = PhaseGrid(-1.0, 1.0, -2.0, 2.0, 12, 10)
+        values = np.random.default_rng(4).standard_normal(grid.shape + trailing)
+        got = grid.interpolate(values, 0.3, -0.7)
+        assert np.shape(got) == trailing
+        want = grid.interpolate(values, np.array([0.3]), np.array([-0.7]))[0]
+        assert np.array_equal(got, want)
 
 
 class TestFieldContainers:

@@ -1,7 +1,7 @@
 """Properties of the grid-field kernels: the matrix-field product and
-commutator, the trace of a product, the velocity pairing and the split
-right-hand side on component planes, the periodic stencil and the
-conservative divergence."""
+commutator, the trace of a product, the closed-form 2 x 2 spectrum, the
+velocity pairing and the split right-hand side on component planes, the
+periodic stencil and the conservative divergence."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqclab import Hamiltonian, PhaseGrid, tabulated
-from mqclab.dynamics import beyond_ehrenfest_rhs, ehrenfest_rhs, pairing, uhlmann_rhs
-from mqclab.grids import MM_SUMS_MAX, _diff4, comm, hermitize, mm, planar, tr_prod
+from mqclab.dynamics import MODELS, beyond_ehrenfest_rhs, ehrenfest_rhs, pairing, uhlmann_rhs
+from mqclab.grids import MM_SUMS_MAX, _diff4, comm, eigvalsh_field, hermitize, mm, planar, tr_prod
 
 EPS = np.finfo(float).eps
 
@@ -80,6 +80,57 @@ def test_tr_prod_matches_trace_of_matmul(complex_valued, shape, n, k, seed):
     assert np.max(np.abs(got - np.trace(A @ B, axis1=-2, axis2=-1).real)) <= tol
 
 
+@st.composite
+def hermitian_2x2_fields(draw):
+    """Hermitian (Nq, Np, 2, 2) fields, generic or with a = d, b = 0, an
+    exact or near degeneracy, all zero, or diagonals spread over 1e-150..1e150."""
+    shape = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    kind = draw(st.sampled_from(["generic", "a=d", "b=0", "degenerate", "near-degenerate",
+                                 "zero", "wide"]))
+    complex_valued = draw(st.booleans())
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    rng = np.random.default_rng(draw(seeds))
+    a, d = scale * rng.standard_normal(shape), scale * rng.standard_normal(shape)
+    b = scale * random_field(rng, shape, complex_valued)
+    if kind == "a=d":
+        d = a
+    elif kind == "b=0":
+        b = 0.0 * b
+    elif kind == "degenerate":
+        d, b = a, 0.0 * b
+    elif kind == "near-degenerate":
+        d = a * (1.0 + EPS * rng.integers(-4, 5, shape))
+        b = b * EPS
+    elif kind == "zero":
+        a, d, b = 0.0 * a, 0.0 * d, 0.0 * b
+    elif kind == "wide":
+        a = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-150, 150, shape)
+        d = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-150, 150, shape)
+        b = b / scale * 10.0 ** rng.uniform(-150, 150, shape)
+    M = np.empty(shape + (2, 2), dtype=complex if complex_valued else float)
+    M[..., 0, 0], M[..., 1, 1], M[..., 1, 0] = a, d, b
+    M[..., 0, 1] = np.conj(b)
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=hermitian_2x2_fields())
+def test_eigvalsh_field_matches_lapack_for_2x2(M):
+    got, want = eigvalsh_field(M), np.linalg.eigvalsh(M)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.all(got[..., 0] <= got[..., 1])
+    norm = np.max(np.abs(M), axis=(-2, -1))  # ||M||_2 <= 2 of these
+    assert np.all(np.abs(got - want) <= 8 * EPS * norm[..., None])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@settings(max_examples=10, deadline=None)
+@given(shape=grid_sizes, complex_valued=st.booleans(), seed=seeds)
+def test_eigvalsh_field_is_lapack_for_other_sizes(n, shape, complex_valued, seed):
+    M = hermitize(random_field(np.random.default_rng(seed), shape + (n, n), complex_valued))
+    assert np.array_equal(eigvalsh_field(M), np.linalg.eigvalsh(M))
+
+
 @pytest.mark.parametrize("layout", ["interleaved", "planar"])
 @settings(max_examples=25, deadline=None)
 @given(shape=grid_sizes, n=st.integers(1, 4), m=st.integers(1, 3), seed=seeds)
@@ -127,6 +178,44 @@ def test_uhlmann_rhs_matches_einsum_formula(shape, n, m, seed):
         speed / h + np.max(np.abs(ham.H)) / grid.hbar)
     assert np.max(np.abs(dD - want_dD)) <= tol_D
     assert np.max(np.abs(dW - want_dW)) <= tol_W
+
+
+def implied_density_tendency(model, arrays, tends):
+    """dP/dt of a model's tendencies: dD rho + D drho for the mean field,
+    dD W W^dag + D (dW W^dag + W dW^dag) for the splits, dP itself for the
+    density models."""
+    if len(arrays) == 1:
+        return tends[0]
+    (D, X), (dD, dX) = arrays, tends
+    if model == "mean_field":
+        return dD[..., None, None] * X + D[..., None, None] * dX
+    W, dW = (Y if Y.ndim == 4 else Y[..., None] for Y in (X, dX))
+    Wh, dWh = (np.conj(np.swapaxes(Y, -1, -2)) for Y in (W, dW))
+    return dD[..., None, None] * (W @ Wh) + D[..., None, None] * (dW @ Wh + W @ dWh)
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+@settings(max_examples=15, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 3), seed=seeds)
+def test_every_model_has_a_hermitian_density_tendency(model, shape, n, m, seed):
+    rng = np.random.default_rng(seed)
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, *shape, hbar=0.5)
+    ham = random_hamiltonian(grid, rng, n)
+    D = 1.0 + 0.5 * rng.random(shape)
+    W = random_field(rng, shape + (n, m), True)
+    if model == "mean_field":
+        rho = random_field(rng, (n, n), True)
+        arrays = (D, rho @ np.conj(rho.T))
+    elif model == "ehrenfest_conditional":
+        arrays = (D, W[..., 0])
+    elif model == "ehrenfest_uhlmann":
+        arrays = (D, W)
+    else:
+        arrays = (D[..., None, None] * (W @ np.conj(np.swapaxes(W, -1, -2))),)
+    tends, _ = MODELS[model].rhs(grid, ham, arrays)
+    dP = implied_density_tendency(model, arrays, tends)
+    residual = np.max(np.abs(dP - np.conj(np.swapaxes(dP, -1, -2))))
+    assert residual <= 64 * n * m * EPS * np.max(np.abs(dP))
 
 
 def test_density_rhs_builds_no_planes(monkeypatch):
