@@ -152,8 +152,13 @@ def cmd_equilibrium(args):
         key = "E" if exc.key == "mu" and problem.mu is None else exc.key
         raise Cmod.ConfigError(Cmod.problem_path(key), str(exc)) from None
 
-    metrics = dict(result.residuals)
-    if bool(Cmod.get(cfg, "equilibrium.certify", True)):
+    metrics, unmeasured = dict(result.residuals), {}
+    certify = bool(Cmod.get(cfg, "equilibrium.certify", True))
+    if certify and result.seam_kinked:
+        unmeasured = {"certificate": None, "certificate_reason": (
+            "not measured: the landscape is kinked at the domain seam, where the "
+            "stationarity run would advect a phase jump; certify a seam-free trig_* surrogate")}
+    elif certify:
         T_check = Cmod.positive(cfg, "equilibrium.T_check") or 6.283185307179586
         metrics.update(eq.stationarity_residual(result, ham, T_check=T_check))
 
@@ -168,7 +173,8 @@ def cmd_equilibrium(args):
         "metrics": metrics,
     }
     with open(os.path.join(args.out, "equilibrium.json"), "w") as fh:
-        json.dump(_json_numbers(record), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump({**_json_numbers(record), **unmeasured}, fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     _say(args, f"mu={result.mu:.6g} energy={result.energy:.6g} "
                + " ".join(f"{k}={v:.3e}" for k, v in metrics.items()

@@ -17,11 +17,12 @@ from . import hamiltonians as _ham
 from .diagnostics import DEFAULT_FUNCTIONALS, make_sample_fn
 from .dynamics import MODELS, MeanFieldState, StepperConfig, cfl_dt, circle_loop
 from .equilibria import MaxEntProblem, ProblemError
-from .grids import MIN_POINTS, PhaseGrid, hermitize, require_hermitian, trace_field
+from .grids import MIN_POINTS, NotHermitianError, PhaseGrid, hermitize, require_hermitian, trace_field
 from .hamiltonians import eigenfields
 from .invariants import scalar_fn, spectral_fn
 from .snapshots import read_snapshot
-from .states import ConditionalSplit, HybridDensity, UhlmannSplit, compose, quantum_marginal
+from .states import (ConditionalSplit, HybridDensity, UhlmannSplit, UnphysicalStateError, compose,
+                     quantum_marginal)
 
 # Largest max|P - D rho| / max|P| at which a density snapshot still counts as
 # the product state D rho of a mean-field run.
@@ -298,6 +299,13 @@ def _initial_state(grid, ham, cfg):
             raise ConfigError("initial.snapshot", str(exc)) from None
         if not state.grid.compatible(grid):
             raise ConfigError("initial.snapshot", "snapshot grid does not match config")
+        try:  # the physics of the state; a run's own snapshot drifts in norm and mass
+            if isinstance(state, HybridDensity):
+                state.validate(mass_tol=np.inf)
+            else:
+                state.validate(norm_tol=np.inf, mass_tol=np.inf)
+        except (UnphysicalStateError, NotHermitianError) as exc:
+            raise ConfigError("initial.snapshot", str(exc)) from None
         if rep == "mean_field" and isinstance(state, HybridDensity):
             return _meanfield_factors(state)
         return state

@@ -89,11 +89,11 @@ def mean_field_rhs(grid, D, rho, ham):
     The effective classical Hamiltonian gradient is assembled from the
     catalog's analytic gradients.
     """
-    dHeff_q = np.einsum("ab,ijba->ij", rho, ham.dH_q).real
-    dHeff_p = np.einsum("ab,ijba->ij", rho, ham.dH_p).real
+    dHeff_q = tr_prod(rho, ham.dH_q)
+    dHeff_p = tr_prod(rho, ham.dH_p)
     dD = dHeff_q * grid.partial_p(D) - dHeff_p * grid.partial_q(D)
     Hbar = hermitize(grid.integrate(D[..., None, None] * ham.H))
-    drho = (-1j / grid.hbar) * (Hbar @ rho - rho @ Hbar)
+    drho = (-1j / grid.hbar) * comm(Hbar, rho)
     speed = float(np.max(np.hypot(dHeff_p, dHeff_q)))
     return (dD, drho), {"max_speed": speed, "velocity": (dHeff_p, -dHeff_q)}
 
@@ -135,8 +135,8 @@ def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL):
     """dP/dt = -div(P <X_H>) - (i/hbar)[H, P], symmetrized."""
     P = np.asarray(P, dtype=complex)
     denom = _regularized_trace(P, eps_tr_rel)
-    Xq = np.einsum("ijab,ijba->ij", P, ham.X_q).real / denom
-    Xp = np.einsum("ijab,ijba->ij", P, ham.X_p).real / denom
+    Xq = tr_prod(P, ham.X_q) / denom
+    Xp = tr_prod(P, ham.X_p) / denom
     return _density_tendency(grid, P, Xq, Xp, ham.H)
 
 
@@ -214,7 +214,7 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL):
     Sig = tuple((0.5j * hbar) * comm(P, XPk) / Dmat for XPk in XP)
     dSig = tuple((grid.partial_q(Sk), grid.partial_p(Sk)) for Sk in Sig)
 
-    avgX = tuple(np.einsum("ijab,ijba->ij", P, XHk).real / D for XHk in XH)
+    avgX = tuple(tr_prod(P, XHk) / D for XHk in XH)
     calX = []
     for k in range(2):
         corr = tr_prod(XH[0], dSig[k][0]) + tr_prod(XH[1], dSig[k][1])
@@ -259,14 +259,12 @@ def energy_of(model, state, ham):
     """Hamiltonian functional of the given model at the given state."""
     grid = state.grid
     if model == "mean_field":
-        heff = np.einsum("ab,ijba->ij", state.rho, ham.H).real
-        return float(grid.integrate(state.D * heff))
+        return float(grid.integrate(state.D * tr_prod(state.rho, ham.H)))
     P = state.P if isinstance(state, HybridDensity) else compose(state).P
-    e = float(grid.integrate(np.einsum("ijab,ijba->ij", P, ham.H).real))
+    e = float(grid.integrate(tr_prod(P, ham.H)))
     if model == "beyond_ehrenfest":
         Sig = beyond_sigma_grad(grid, P)
-        extra = np.einsum("ijab,ijba->ij", Sig[0], ham.X_q).real
-        extra += np.einsum("ijab,ijba->ij", Sig[1], ham.X_p).real
+        extra = tr_prod(Sig[0], ham.X_q) + tr_prod(Sig[1], ham.X_p)
         e += float(grid.integrate(extra))
     return e
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dynamics as _dyn
 from . import invariants as _inv
-from .grids import hermitize, matrix_exp_herm, trace_field
+from .grids import eigen_compose, hermitize, matrix_exp_herm, mm, tr_prod, trace_field
 from .hamiltonians import Hamiltonian, UnsupportedHamiltonianError, eigenfields
 from .states import (
     ConditionalSplit,
@@ -68,7 +68,9 @@ class MaxEntProblem:
 @dataclass
 class EquilibriumResult:
     """A Gibbs state with its partition function Z_C and ln Z_C (NaN where
-    no closed form is built); Z_C overflows to inf long before ln Z_C does."""
+    no closed form is built); Z_C overflows to inf long before ln Z_C does.
+    ``seam_kinked``: a confinement-checked build found the landscape to be a
+    truncated non-periodic function, kinked at the domain seam."""
 
     state: object
     mu: float
@@ -77,6 +79,7 @@ class EquilibriumResult:
     energy: float
     residuals: dict = field(default_factory=dict)
     ln_Z_C: float = float("nan")
+    seam_kinked: bool = False
 
 
 def _partition(Z_shifted, mu, shift):
@@ -157,15 +160,15 @@ def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> Equilibriu
     dE_p = _dyn.pairing(psi[..., None], ham.dH_p)
     shift = float(np.min(E_field))
     w = np.exp(-mu * (E_field - shift))
-    if check_confined:
-        _check_confined(grid, w, _seam_kinked(grid, E_field, dE_q, dE_p))
+    kinked = check_confined and _seam_kinked(grid, E_field, dE_q, dE_p)
+    _check_confined(grid, w, kinked)
     Z_shift = float(grid.integrate(w))
     Z_C, ln_Z_C = _partition(Z_shift, mu, shift)
     D = w / Z_shift
     split = ConditionalSplit(grid, D, psi)
     energy = float(grid.integrate(D * E_field))
     res = {"lambda_max_dev": float(np.max(np.abs(split.Lambda - 1.0)))}
-    return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res, ln_Z_C)
+    return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res, ln_Z_C, kinked)
 
 
 def gibbs_uhlmann(problem: MaxEntProblem, check_confined=True) -> EquilibriumResult:
@@ -180,17 +183,16 @@ def gibbs_uhlmann(problem: MaxEntProblem, check_confined=True) -> EquilibriumRes
     shift = float(np.min(np.linalg.eigvalsh(ham.H)))
     M = matrix_exp_herm(-mu * (ham.H - shift * np.eye(ham.n)))
     Zfield = trace_field(M)
-    if check_confined:
-        dZ_q = -mu * np.einsum("ijab,ijba->ij", M, ham.dH_q).real
-        dZ_p = -mu * np.einsum("ijab,ijba->ij", M, ham.dH_p).real
-        _check_confined(grid, Zfield, _seam_kinked(grid, Zfield, dZ_q, dZ_p))
+    # the kink is sought in H itself: the weight is too small at the seam to show it
+    kinked = check_confined and _seam_kinked(grid, ham.H, ham.dH_q, ham.dH_p)
+    _check_confined(grid, Zfield, kinked)
     Ztot = float(grid.integrate(Zfield))
     Z_C, ln_Z_C = _partition(Ztot, mu, shift)
     P = M / Ztot
     split = uhlmann_factor(HybridDensity(grid, P), m=ham.n)
-    energy = float(grid.integrate(np.einsum("ijab,ijba->ij", P, ham.H).real))
+    energy = float(grid.integrate(tr_prod(P, ham.H)))
     res = {"lambda_max_dev": float(np.max(np.abs(split.Lambda - 1.0)))}
-    return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res, ln_Z_C)
+    return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res, ln_Z_C, kinked)
 
 
 def gibbs_meanfield_uncoupled(grid, ham: Hamiltonian, mu, check_confined=True) -> _dyn.MeanFieldState:
@@ -210,7 +212,7 @@ def gibbs_meanfield_uncoupled(grid, ham: Hamiltonian, mu, check_confined=True) -
     D = D / float(grid.integrate(D))
     w, v = np.linalg.eigh(H_Q)
     rw = np.exp(-mu * (w - w.min()))
-    rho = (v * (rw / rw.sum())) @ np.conj(v.T)
+    rho = eigen_compose(v, rw / rw.sum())
     return _dyn.MeanFieldState(grid, D, rho)
 
 
@@ -280,15 +282,15 @@ def marina_residual(split: ConditionalSplit, ham: Hamiltonian, mu):
     grid = split.grid
     psi, D = split.psi, split.D
     Lam = split.Lambda
-    Hpsi = np.einsum("ijab,ijb->ija", ham.H, psi)
-    Heff = np.einsum("ija,ija->ij", np.conj(psi), Hpsi).real
+    Hpsi = mm(ham.H, psi[..., None])[..., 0]
+    Heff = np.sum(np.conj(psi) * Hpsi, axis=-1).real
     br = (
         grid.partial_q(Heff)[..., None] * grid.partial_p(psi)
         - grid.partial_p(Heff)[..., None] * grid.partial_q(psi)
     )
     r0 = Lam[..., None] * Hpsi + 1j * grid.hbar * br
     coeff = Lam / mu
-    lam1 = -mu * np.einsum("ija,ija->ij", np.conj(psi), r0).real / np.where(
+    lam1 = -mu * np.sum(np.conj(psi) * r0, axis=-1).real / np.where(
         np.abs(Lam) > 1e-300, Lam, 1.0
     )
     r = r0 + (coeff * lam1)[..., None] * psi
@@ -353,14 +355,13 @@ def meanfield_maxent_residual(state: _dyn.MeanFieldState, ham: Hamiltonian, mu):
     n = rho.shape[-1]
 
     w, v = np.linalg.eigh(hermitize(rho))
-    lnrho = (v * np.log(np.maximum(w, 1e-300))) @ np.conj(v.T)
+    lnrho = eigen_compose(v, np.log(np.maximum(w, 1e-300)))
     Hbar = hermitize(grid.integrate(D[..., None, None] * ham.H))
     Mq = lnrho + mu * Hbar
     Mq_traceless = Mq - (np.trace(Mq) / n) * np.eye(n)
     r_quantum = float(np.linalg.norm(Mq_traceless)) / max(float(np.linalg.norm(Mq)), 1e-300)
 
-    heff = np.einsum("ab,ijba->ij", rho, ham.H).real
-    g = np.log(np.maximum(D, 1e-300)) + mu * heff
+    g = np.log(np.maximum(D, 1e-300)) + mu * tr_prod(rho, ham.H)
     gbar = float(grid.integrate(g)) / grid.area
     resid = g - gbar
     r_classical = float(np.sqrt(grid.integrate(resid**2) / grid.area)) / max(

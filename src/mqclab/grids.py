@@ -5,11 +5,12 @@ stencils, rectangle quadrature (exact trapezoid on a periodic grid), the
 canonical Poisson bracket, periodic bicubic interpolation, the spectra of
 Hermitian fields and Hermitian matrix functions via eigendecomposition.
 
-Matrix fields multiply through ``mm`` and ``comm`` ([A, B] = AB - BA). For a
-contracted dimension n <= 3 these write each entry as vectorised component
-sums over the grid, which beats numpy's batched ``@`` on such small
-matrices; for n >= 4 they fall through to ``@``. ``tr_prod`` gives the field
-Re Tr(AB) as component sums for every n, without forming the product.
+``mm``, ``comm`` ([A, B] = AB - BA), ``tr_prod`` and ``eigen_compose`` are the
+one path by which matrix fields are contracted. For a contracted dimension
+n <= 3 ``mm`` writes each entry as vectorised component sums over the grid,
+which beats numpy's batched ``@`` on such small matrices; for n >= 4 it
+falls through to ``@``. ``tr_prod`` gives the field Re Tr(AB) as component
+sums without forming AB, and ``eigen_compose`` is v diag(f) v^dag via ``mm``.
 
 The sums read one matrix component ``A[..., i, c]`` at a time. On an
 interleaved (Nq, Np, n, n) array that is a strided walk over the whole
@@ -300,8 +301,7 @@ def matrix_function(M, phi, clamp=None, tol=HERM_TOL):
     w, v = np.linalg.eigh(M)
     if clamp is not None:
         w = np.maximum(w, clamp)
-    fw = phi(w)
-    return hermitize(np.einsum("...ab,...b,...cb->...ac", v, fw, np.conj(v)))
+    return hermitize(eigen_compose(v, phi(w)))
 
 
 def matrix_log(M, clamp=EIG_CLAMP):
@@ -389,6 +389,13 @@ def tr_prod(A, B):
             if i or c:
                 s += A[..., i, c] * B[..., c, i]
     return s.real
+
+
+def eigen_compose(v, fw):
+    """v diag(fw) v^dag for eigenvector columns ``v`` (..., n, n) and values
+    ``fw`` (..., n), through ``mm``. Not hermitized: ``fw`` may be complex, as
+    exp(i w) is for a unitary."""
+    return mm(v * fw[..., None, :], dagger(v))
 
 
 def planar(M):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import MM_SUMS_MAX, PhaseGrid, hermitize, planar, require_hermitian
+from .grids import MM_SUMS_MAX, PhaseGrid, eigen_compose, hermitize, planar, require_hermitian
 from .states import _fix_eigvec_phase
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -304,7 +304,7 @@ def _align(v_ref, v, tol=1e-12):
 
 def reconstruction_error(ham: Hamiltonian, eig: Eigenfields):
     """Max pointwise || sum_n E_n v_n v_n^dag - H ||."""
-    R = np.einsum("...n,...an,...bn->...ab", eig.E, eig.V, np.conj(eig.V))
+    R = eigen_compose(eig.V, eig.E)
     return float(np.max(np.abs(R - ham.H)))
 
 

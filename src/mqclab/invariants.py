@@ -37,7 +37,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grids import EIG_CLAMP, comm, eigvalsh_field, hermitize, trace_field
+from .grids import (EIG_CLAMP, comm, dagger, eigen_compose, eigvalsh_field, hermitize, mm,
+                    tr_prod, trace_field)
 from .hamiltonians import Hamiltonian
 from .states import (
     HybridDensity,
@@ -65,7 +66,7 @@ class SpectralFn:
         return np.sum(self.f(w), axis=-1)
 
     def grad_matrix(self, w, v):
-        return hermitize(np.einsum("...ab,...b,...cb->...ac", v, self.df(w), np.conj(v)))
+        return hermitize(eigen_compose(v, self.df(w)))
 
 
 @dataclass
@@ -169,9 +170,7 @@ class GammaSpec:
                 g = arg.grad_matrix(w, v)
             elif kind == "renyi":
                 pw = arg * np.power(np.maximum(w, EIG_CLAMP), arg - 1.0)
-                g = np.power(x, 1.0 - arg)[..., None, None] * hermitize(
-                    np.einsum("...ab,...b,...cb->...ac", v, pw, np.conj(v))
-                )
+                g = np.power(x, 1.0 - arg)[..., None, None] * hermitize(eigen_compose(v, pw))
             else:
                 continue
             out = g if out is None else out + g
@@ -255,13 +254,13 @@ class LinearProbeFunctional(Functional):
         self.name = name
 
     def value(self, state):
-        return float(state.grid.integrate(np.einsum("ijab,ijba->ij", state.P, self.A).real))
+        return float(state.grid.integrate(tr_prod(state.P, self.A)))
 
     def derivative(self, state):
         return np.array(self.A, copy=True)
 
     def pointwise_integrand(self, grid, P):
-        return np.einsum("ijab,ijba->ij", P, self.A).real
+        return tr_prod(P, self.A)
 
 
 class MassFunctional(WeightedTraceFunctional):
@@ -354,7 +353,7 @@ class CasimirGeneral(Functional):
 
         dCdW = np.zeros_like(W)
         if gA is not None:
-            dCdW += 2.0 * Dsafe[..., None, None] * np.einsum("ijab,ijbk->ijak", gA, W)
+            dCdW += 2.0 * Dsafe[..., None, None] * mm(gA, W)
         # exact discrete adjoint of the Lambda dependence
         hbar = grid.hbar
         Wq = grid.partial_q(W)
@@ -363,10 +362,10 @@ class CasimirGeneral(Functional):
             grid.partial_q(gx[..., None, None] * Wp) - grid.partial_p(gx[..., None, None] * Wq)
         )
 
-        pair = np.einsum("ijak,ijak->ij", np.conj(dCdW), W).real
+        pair = tr_prod(dagger(dCdW), W)
         GW = dCdD[..., None, None] * W - (pair / (2.0 * Dsafe))[..., None, None] * W
         GW += dCdW / (2.0 * Dsafe)[..., None, None]
-        G = np.einsum("ijak,ijbk,ijbc->ijac", GW, np.conj(W), np.linalg.inv(A))
+        G = mm(mm(GW, dagger(W)), np.linalg.inv(A))
         return hermitize(G)
 
 
@@ -452,8 +451,8 @@ def bracket_operand(f: Functional, state: HybridDensity) -> BracketOperand:
     bracketing one functional against several others."""
     grid, P = state.grid, state.P
     G = f.derivative(state)
-    a_q = np.einsum("ijab,ijba->ij", P, grid.partial_q(G)).real
-    a_p = np.einsum("ijab,ijba->ij", P, grid.partial_p(G)).real
+    a_q = tr_prod(P, grid.partial_q(G))
+    a_p = tr_prod(P, grid.partial_p(G))
     return BracketOperand(G, a_q, a_p)
 
 
@@ -477,7 +476,8 @@ def hybrid_bracket(f, g, state: HybridDensity, return_scale=False):
     denom = np.where(mask, TrP, 1.0)
     term1 = np.where(mask, (f.a_q * g.a_p - f.a_p * g.a_q) / denom, 0.0)
 
-    term2 = np.einsum("ijab,ijba->ij", P, comm(f.G, g.G)).imag / grid.hbar
+    # Re Tr(P i[Gg, Gf]) = Im Tr(P [Gf, Gg])
+    term2 = tr_prod(P, 1j * comm(g.G, f.G)) / grid.hbar
     value = float(grid.integrate(term1 + term2))
     if not return_scale:
         return value
@@ -492,7 +492,7 @@ def bracket_consistency(f: Functional, state: HybridDensity, ham: Hamiltonian):
     fo = bracket_operand(f, state)
     lhs = hybrid_bracket(fo, EnergyFunctional(ham), state)
     tend = _dyn.ehrenfest_rhs(grid, state.P, ham)[0][0]
-    rhs = float(grid.integrate(np.einsum("ijab,ijba->ij", fo.G, tend).real))
+    rhs = float(grid.integrate(tr_prod(fo.G, tend)))
     mag = float(
         grid.integrate(
             np.linalg.norm(fo.G, axis=(-2, -1)) * np.linalg.norm(tend, axis=(-2, -1))

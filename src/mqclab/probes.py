@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import invariants as _inv
-from .grids import hermitize, random_band_limited, trace_field
-from .states import HybridDensity, UhlmannSplit, compose
+from .grids import eigen_compose, hermitize, random_band_limited, trace_field
+from .states import HybridDensity, UhlmannSplit, compose, outer
 
 
 def random_psd_density(grid, n, rng, kmax=2, floor=0.3):
@@ -22,8 +22,7 @@ def random_psd_density(grid, n, rng, kmax=2, floor=0.3):
     gradient-dependent Casimirs prefer ``random_smooth_split``.
     """
     G = random_band_limited(grid, rng, kmax=kmax, trailing=(n, n), complex_valued=True)
-    P = np.einsum("ijab,ijcb->ijac", G, np.conj(G))
-    P = hermitize(P)
+    P = hermitize(outer(G))
     mean_tr = float(np.mean(trace_field(P)))
     P += floor * mean_tr * np.eye(n)
     P /= float(grid.integrate(trace_field(P)))
@@ -43,7 +42,7 @@ def random_smooth_split(grid, n, rng, kmax=1, amplitude=0.4, floor=0.3):
                                         complex_valued=True)
     S = hermitize(S)
     w_eig, v = np.linalg.eigh(S)  # unitary field U = exp(i S)
-    U = np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w_eig), np.conj(v))
+    U = eigen_compose(v, np.exp(1j * w_eig))
     weights = np.linspace(1.5, 0.5, n)
     weights = weights / weights.sum()
     W = U * np.sqrt(weights)[None, None, None, :]

@@ -29,9 +29,12 @@ import numpy as np
 from .grids import (
     PhaseGrid,
     VectorField2,
+    dagger,
     eigvalsh_field,
     hermitize,
+    mm,
     require_hermitian,
+    tr_prod,
     trace_field,
 )
 
@@ -183,12 +186,12 @@ def quantum_marginal(state_or_split):
 
 def purity(rho):
     """Tr rho^2 of a density matrix; in [1/n, 1]."""
-    return float(np.real(np.trace(rho @ rho)))
+    return float(tr_prod(rho, rho))
 
 
 def outer(W):
     """Conditional density W W^dag at every grid point."""
-    return np.einsum("ijak,ijbk->ijab", W, np.conj(W))
+    return mm(W, dagger(W))
 
 
 def compose(split: UhlmannSplit):

@@ -199,7 +199,8 @@ class TestConfig:
                                       "hamiltonian.H_Q=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
                                       "initial.snapshot", "initial.snapshot=truncated",
                                       "initial.snapshot=directory",
-                                      "initial.snapshot=entangled"])
+                                      "initial.snapshot=entangled",
+                                      "initial.snapshot=negative"])
     def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, case):
         key, _, value = case.partition("=")
         # the preset that reads the key, when the nanowire does not
@@ -277,8 +278,8 @@ class TestConfig:
             cfg["physics"]["hbar"] = 0
         elif case == "initial.snapshot=directory":
             cfg["initial"]["snapshot"] = str(tmp_path)
-        elif key == "initial.snapshot":  # a three-level state, a truncated body, or
-            # a density that is no product D rho for a mean-field run
+        elif key == "initial.snapshot":  # a three-level state, a truncated body, a
+            # density that is no product D rho for a mean-field run, or one not PSD
             if value == "entangled":
                 cfg = presets.nanowire_meanfield(N=16)
             grid = build_grid(cfg)
@@ -288,6 +289,9 @@ class TestConfig:
             if value == "entangled":  # rho = diag(cos^2, sin^2)(q/2) varies over the grid
                 P[..., 0, 0] = np.cos(grid.Q / 2) ** 2 / grid.area
                 P[..., 1, 1] = np.sin(grid.Q / 2) ** 2 / grid.area
+            if value == "negative":  # P = diag(1.5, -0.5) / area, run as a density
+                P[..., 0, 0], P[..., 1, 1] = 1.5 / grid.area, -0.5 / grid.area
+                extra = ["--model", "ehrenfest_density"]
             write_snapshot(snap, HybridDensity(grid, P))
             if value == "truncated":
                 snap.write_text("".join(snap.read_text().splitlines(True)[:10]))
@@ -341,24 +345,41 @@ class TestSimulateCommand:
         meta = json.load(open(os.path.join(out, "meta.json")))
         assert meta["flags"]["aborted"] is False
 
-    def test_meanfield_restart_continues_the_run(self, tmp_path):
-        """A mean-field run restarted from its own final snapshot (a density
-        D rho) for T ends where one run of 2T ends, within 1e-12 of max|P|."""
-        cfg = presets.nanowire_meanfield(N=16)
-        cfg["time"] = {"dt": 0.02, "steps": 20, "sample_every": 10}
+    @pytest.mark.parametrize("model", ["mean_field", "ehrenfest_conditional",
+                                       "ehrenfest_density", "beyond_ehrenfest",
+                                       "ehrenfest_uhlmann"])
+    def test_restart_continues_the_run(self, tmp_path, model):
+        """A run restarted from its own final snapshot for T ends where one run
+        of 2T ends, within 1e-12 of max|field| (a mean-field run's snapshot
+        is the density D rho); the snapshot passes the restart's physics check."""
+        preset, dt = {"mean_field": (presets.nanowire_meanfield, 0.02),
+                      "ehrenfest_conditional": (presets.nanowire_conditional, 0.02),
+                      "ehrenfest_density": (presets.uncoupled_factorized, 0.02),
+                      "beyond_ehrenfest": (presets.beyond_nanowire_mixed, 0.01),
+                      "ehrenfest_uhlmann": (presets.nanowire_conditional, 0.02)}[model]
+        cfg = preset(N=16)
+        if model == "ehrenfest_uhlmann":
+            cfg["model"] = model
+            cfg["initial"] = {"representation": "uhlmann", "density": cfg["initial"]["density"],
+                              "waveop": {"profile": "eigen_mix", "weights": [0.7, 0.3]}}
+        assert cfg["model"] == model
+        cfg["time"] = {"dt": dt, "steps": 20, "sample_every": 10}
         first, whole, rest = (str(tmp_path / tag) for tag in ("first", "whole", "rest"))
         assert main(["simulate", "--config", write_cfg(tmp_path, cfg, "first.yaml"),
                      "--out", first, "--quiet"]) == 0
         twice = {**cfg, "time": {**cfg["time"], "steps": 40}}
         assert main(["simulate", "--config", write_cfg(tmp_path, twice, "whole.yaml"),
                      "--out", whole, "--quiet"]) == 0
-        cfg["initial"] = {"representation": "mean_field",
+        cfg["initial"] = {"representation": cfg["initial"]["representation"],
                           "snapshot": os.path.join(first, "final.snap")}
         assert main(["simulate", "--config", write_cfg(tmp_path, cfg, "rest.yaml"),
                      "--out", rest, "--quiet"]) == 0
-        want = read_snapshot(os.path.join(whole, "final.snap")).P
-        got = read_snapshot(os.path.join(rest, "final.snap")).P
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want = read_snapshot(os.path.join(whole, "final.snap"))
+        got = read_snapshot(os.path.join(rest, "final.snap"))
+        assert type(got) is type(want)
+        for name in ("P",) if isinstance(want, HybridDensity) else ("D", "W"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
     def test_deterministic_output(self, tmp_path):
         cfg = presets.nanowire_conditional(N=16, t_final=0.3, sample_every=4)
@@ -462,6 +483,26 @@ class TestEquilibriumCommand:
             assert rec["Z_C"] is None and isinstance(rec["ln_Z_C"], float)
         else:
             assert rec["Z_C"] is None and rec["ln_Z_C"] is None
+
+
+    @pytest.mark.parametrize("representation", ["conditional", "uhlmann"])
+    def test_kinked_landscape_reports_no_certificate(self, tmp_path, representation):
+        """On the polynomial harmonic well, whose landscape is kinked at the
+        domain seam, the Gibbs state is written without a stationarity run:
+        the certificate is null with its reason, and no stationarity metric
+        is reported (the run used to end in a CFL abort, exit 2)."""
+        cfg = presets.harmonic_gibbs(N=16)
+        if representation == "uhlmann":  # the Uhlmann Gibbs state needs an uncoupled H
+            cfg["hamiltonian"] = {"kind": "uncoupled", "h_c": {"name": "harmonic", "omega": 1.0},
+                                  "H_Q": "sigma_x"}
+            cfg["equilibrium"] = {"representation": "uhlmann", "mu": 2.0}
+        out = str(tmp_path / "out")
+        assert main(["equilibrium", "--config", write_cfg(tmp_path, cfg), "--out", out,
+                     "--quiet"]) == 0
+        rec = json.load(open(os.path.join(out, "equilibrium.json")))
+        assert rec["certificate"] is None and "seam" in rec["certificate_reason"]
+        assert set(rec["metrics"]) == {"lambda_max_dev"}
+        assert os.path.isfile(os.path.join(out, "equilibrium.snap"))
 
 
 class TestCasimirCheckCommand:

@@ -1,16 +1,22 @@
 """Properties of the grid-field kernels: the matrix-field product and
-commutator, the trace of a product, the closed-form 2 x 2 spectrum, the
-velocity pairing and the split right-hand side on component planes, the
-periodic stencil and the conservative divergence."""
+commutator, the trace of a product, the eigen-composition, the closed-form
+2 x 2 spectrum, the velocity pairing and the split right-hand side on
+component planes, the periodic stencil and the conservative divergence; and
+that they stay the package's one contraction path."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mqclab
 from mqclab import Hamiltonian, PhaseGrid, tabulated
 from mqclab.dynamics import MODELS, beyond_ehrenfest_rhs, ehrenfest_rhs, pairing, uhlmann_rhs
-from mqclab.grids import MM_SUMS_MAX, _diff4, comm, eigvalsh_field, hermitize, mm, planar, tr_prod
+from mqclab.grids import (MM_SUMS_MAX, _diff4, comm, eigen_compose, eigvalsh_field, hermitize, mm,
+                          planar, tr_prod)
 
 EPS = np.finfo(float).eps
 
@@ -78,6 +84,51 @@ def test_tr_prod_matches_trace_of_matmul(complex_valued, shape, n, k, seed):
     assert got.shape == shape and not np.iscomplexobj(got)
     tol = 8 * n * k * EPS * np.max(np.abs(A)) * np.max(np.abs(B))
     assert np.max(np.abs(got - np.trace(A @ B, axis1=-2, axis2=-1).real)) <= tol
+
+
+@pytest.mark.parametrize("complex_fw", [False, True])  # complex as exp(i w) for a unitary
+@settings(max_examples=25, deadline=None)
+@given(field=st.booleans(), shape=grid_sizes, n=st.integers(1, 4), seed=seeds)
+def test_eigen_compose_matches_einsum(complex_fw, field, shape, n, seed):
+    rng = np.random.default_rng(seed)
+    lead = shape if field else ()  # a field or a single matrix
+    v = random_field(rng, lead + (n, n), True)
+    w = rng.standard_normal(lead + (n,))
+    fw = np.exp(1j * w) if complex_fw else w
+    got = eigen_compose(v, fw)
+    want = np.einsum("...ab,...b,...cb->...ac", v, fw, np.conj(v))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    tol = 8 * n * EPS * np.max(np.abs(v)) ** 2 * np.max(np.abs(fw))
+    assert np.max(np.abs(got - want)) <= tol
+
+
+# The only functions of the package that call einsum: neither contracts a
+# matrix field (the spline gather, and a real dot product of (re, im) parts).
+EINSUM_ALLOWED = {("grids", "PhaseGrid.interpolate"), ("dynamics", "pairing")}
+
+
+def test_einsum_stays_out_of_the_contraction_path():
+    """Every matrix-field trace, product and eigen-composition goes through
+    ``grids.mm``/``comm``/``tr_prod``/``eigen_compose``: no einsum call
+    anywhere in the package outside ``EINSUM_ALLOWED``."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "einsum":
+                    found.add((module, ".".join(scope)))
+            visit(child, module, inner)
+
+    for path in sorted(pathlib.Path(mqclab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    assert found - EINSUM_ALLOWED == set()
+    assert found == EINSUM_ALLOWED  # the guard still sees the two it allows
 
 
 @st.composite

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqclab import (
     ConditionalSplit,
@@ -150,6 +152,21 @@ class TestUhlmannFactor:
         back = compose(split)
         assert np.max(np.abs(back.P - state.P)) < 1e-10
         assert np.isclose(grid.integrate(split.D), 1.0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.integers(8, 12), n=st.integers(1, 3), rank=st.integers(1, 3),
+           pad=st.integers(0, 2), scale=st.integers(-100, 100),
+           seed=st.integers(0, 2**32 - 1))
+    def test_compose_inverts_the_factor(self, N, n, rank, pad, scale, seed):
+        """compose(uhlmann_factor(P)) returns P for a random PSD field P of
+        any rank and overall scale, with or without ancilla padding."""
+        grid = PhaseGrid(0.0, 1.0, 0.0, 1.0, N, N)
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((N, N, n, min(rank, n))) + 1j * rng.standard_normal(
+            (N, N, n, min(rank, n)))
+        P = 10.0 ** scale * np.einsum("ijak,ijbk->ijab", G, np.conj(G))
+        back = compose(uhlmann_factor(HybridDensity(grid, P), m=n + pad))
+        assert np.max(np.abs(back.P - P)) <= 64 * n * np.finfo(float).eps * np.max(np.abs(P))
 
     def test_rectangular_padding(self):
         grid = make_grid(16)
