@@ -10,7 +10,6 @@ maximum-entropy equilibrium states with stationarity certification.
 from .grids import (
     PhaseGrid,
     VectorField2,
-    GridMismatchError,
     NotHermitianError,
     matrix_function,
     matrix_log,
@@ -49,7 +48,6 @@ from .hamiltonians import (
     SIGMA_Z,
 )
 from .dynamics import (
-    MODEL_KINDS,
     MeanFieldState,
     StepperConfig,
     NumericalAbort,

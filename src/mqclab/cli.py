@@ -14,6 +14,11 @@ import numbers
 import os
 import sys
 
+# A drift within this fraction of a column's largest |value| (or of 1, the
+# mass every functional integrates, where the values vanish: C1 of a pure
+# state) at every level is round-off: ``convergence`` fits it no order.
+ROUNDOFF_DRIFT = 64 * sys.float_info.epsilon
+
 
 def _cap_threads():
     t = os.environ.get("MQC_THREADS")
@@ -218,6 +223,7 @@ def cmd_convergence(args):
 
     drift_cols = ["mass", "energy", "C1", "C2", "S_pure", "S_uhlmann", "renyi_alpha"]
     table = []
+    roundoff = dict.fromkeys(drift_cols, True)  # drift within round-off at every level so far
     hs = []
     for level in range(args.levels):
         scaled = json.loads(json.dumps(cfg))
@@ -252,6 +258,7 @@ def cmd_convergence(args):
         for col in drift_cols:
             vals = [r[col] for r in run.rows if r.get(col) is not None]
             drifts[col] = max(abs(v - vals[0]) for v in vals) if vals else None
+            roundoff[col] &= bool(vals) and drifts[col] <= ROUNDOFF_DRIFT * max(1.0, *map(abs, vals))
         hs.append(grid.dq if args.mode == "both" else stepper.dt)
         table.append(drifts)
         _say(args, f"level {level}: N={grid.Nq} dt={stepper.dt:.3e} " +
@@ -265,6 +272,10 @@ def cmd_convergence(args):
         for col in drift_cols:
             ys = [row[col] for row in table]
             if any(y is None for y in ys) or any(y <= 0 for y in ys):
+                continue
+            if roundoff[col]:
+                print(f"no order fitted for {col}: its drift is round-off at every level",
+                      file=sys.stderr)
                 continue
             y = np.log(np.array(ys))
             A = np.stack([x, np.ones_like(x)], axis=1)

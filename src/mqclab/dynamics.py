@@ -14,12 +14,22 @@ Models
 
 ``MODELS`` is the one registry of the models: for each, the state type it
 evolves, the maps between that state and the tuple of arrays RK4 advances,
-the right-hand side ``rhs(grid, ham, arrays) -> (tendencies, info)`` and the
-renormalisation. Every right-hand side reports its transport velocity and
-the largest speed, which the loop tracer and the CFL step size read. Both
-density models end in one tendency, -div(P X) - (i/hbar)[H, P]. The vacuum
-floor is ``states.vacuum_floor`` throughout; only the density right-hand
-sides take its factor, so that at 0 a zero-trace region aborts.
+the right-hand side ``rhs(grid, ham, arrays, out=None, residual=False) ->
+(tendencies, info)`` and the renormalisation. Every right-hand side reports
+its transport velocity and the largest speed, which the loop tracer and the
+CFL step size read. Both density models end in one tendency,
+-div(P X) - (i/hbar)[H, P]. The vacuum floor is ``states.vacuum_floor``
+throughout; only the density right-hand sides take its factor, so that at 0
+a zero-trace region aborts.
+
+Every right-hand side writes its tendencies into ``out`` when given (and
+into fresh arrays without it, as ``cfl_dt`` and the equilibria need); its
+fluxes, gradients and commutators are ``grids.scratch`` buffers, kept across
+calls. ``rk4_run`` owns three arrays per state array, reused by every step:
+the stage input, the tendency being filled and the running sum of the
+tendencies, folded in the order of the written formula, so the result has
+the bits of y + (dt/6)(k1 + 2k2 + 2k3 + k4). A step therefore allocates no
+field-sized array, which the kernel would otherwise fault in afresh.
 
 The split-state right-hand side reads H, X_q and X_p through
 ``Hamiltonian.planes()``: for n <= 3, static fields held as contiguous
@@ -30,9 +40,11 @@ interleaved: copying it into planes at every stage measured no faster.
 All transport terms use the conservative form div(field * velocity); with the
 antisymmetric stencils the grid sum of such a divergence telescopes to zero,
 so total mass is conserved to round-off. Hermitian tendencies are symmetrized
-each stage and the anti-Hermitian residual is reported as a discretization
-health metric. The integrator is classic RK4 with a CFL guard; no adaptivity,
-so conservation drifts carry a clean dt^4 signal.
+each stage. The anti-Hermitian residual before symmetrizing, a
+discretization health metric, is computed only where a diagnostic row reads
+it: the driver asks for it (``residual``) on the first stage of a sampled
+step. The integrator is classic RK4 with a CFL guard; no adaptivity, so
+conservation drifts carry a clean dt^4 signal.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import PhaseGrid, antiherm_residual, comm, hermitize, mm, tr_prod, trace_field
+from .grids import PhaseGrid, antiherm_residual, comm, hermitize, mm, scratch, tr_prod, trace_field
 from .hamiltonians import Hamiltonian
 from .states import EPS_D_REL, ConditionalSplit, HybridDensity, UhlmannSplit, compose, vacuum_floor
 
@@ -82,18 +94,32 @@ class StepperConfig:
 # -- right-hand sides ----------------------------------------------------------
 
 
-def mean_field_rhs(grid, D, rho, ham):
+def _outputs(out, *arrays):
+    """The tendency arrays: ``out`` when given, else fresh arrays shaped
+    like the state ``arrays``, complex where they are."""
+    if out is not None:
+        return tuple(out)
+    return tuple(np.empty(a.shape, np.result_type(a, 1.0)) for a in arrays)
+
+
+def mean_field_rhs(grid, D, rho, ham, out=None):
     """Tendencies of the factorized model.
 
     dD/dt = {Tr(rho H), D};  i hbar drho/dt = [integral(D H), rho].
     The effective classical Hamiltonian gradient is assembled from the
     catalog's analytic gradients.
     """
+    D, rho = np.asarray(D), np.asarray(rho, dtype=complex)
+    dD, drho = _outputs(out, D, rho)
     dHeff_q = tr_prod(rho, ham.dH_q)
     dHeff_p = tr_prod(rho, ham.dH_p)
-    dD = dHeff_q * grid.partial_p(D) - dHeff_p * grid.partial_q(D)
-    Hbar = hermitize(grid.integrate(D[..., None, None] * ham.H))
-    drho = (-1j / grid.hbar) * comm(Hbar, rho)
+    grad = scratch(D.shape, dD.dtype, "mean_field.grad")
+    np.multiply(dHeff_q, grid.partial_p(D, out=grad), out=dD)
+    dD -= np.multiply(grid.partial_q(D, out=grad), dHeff_p, out=grad)
+    DH = scratch(ham.H.shape, np.result_type(D, ham.H), "mean_field.DH")
+    Hbar = hermitize(grid.integrate(np.multiply(D[..., None, None], ham.H, out=DH)))
+    comm(Hbar, rho, out=drho)
+    drho *= -1j / grid.hbar
     speed = float(np.max(np.hypot(dHeff_p, dHeff_q)))
     return (dD, drho), {"max_speed": speed, "velocity": (dHeff_p, -dHeff_q)}
 
@@ -114,30 +140,40 @@ def _regularized_trace(P, eps_tr_rel=EPS_D_REL):
     return D
 
 
-def _density_tendency(grid, P, Xq, Xp, H):
-    """The density models' tendency -div(P X) - (i/hbar)[H, P], symmetrized,
-    with its info dict; a ``NumericalAbort`` names the first grid point
-    where it is not finite."""
-    tend = -grid.divergence(P * Xq[..., None, None], P * Xp[..., None, None])
-    tend += (-1j / grid.hbar) * comm(H, P)
+def _density_tendency(grid, P, Xq, Xp, H, out, residual):
+    """The density models' tendency -div(P X) - (i/hbar)[H, P], symmetrized
+    into ``out`` (or a fresh array), with its info dict; a
+    ``NumericalAbort`` names the first grid point where it is not finite.
+
+    With ``residual`` the info also holds ``antiherm_resid``, the
+    anti-Hermitian residual of the tendency before symmetrizing."""
+    (dP,) = _outputs(out, P)
+    flux = scratch(P.shape, complex, "density.flux")
+    tend = grid.partial_q(np.multiply(P, Xq[..., None, None], out=flux),
+                          out=scratch(P.shape, complex, "density.tend"))
+    tend += grid.partial_p(np.multiply(P, Xp[..., None, None], out=flux),
+                           out=scratch(P.shape, complex, "density.dp"))
+    np.negative(tend, out=tend)
+    rot = comm(H, P, out=flux)
+    rot *= -1j / grid.hbar
+    tend += rot
     if not np.all(np.isfinite(tend)):
         bad = np.argwhere(~np.all(np.isfinite(tend), axis=(-2, -1)))[0]
         raise NumericalAbort(f"non-finite tendency at grid point {tuple(bad)}")
-    info = {
-        "max_speed": float(np.max(np.hypot(Xq, Xp))),
-        "antiherm_resid": antiherm_residual(tend),
-        "velocity": (Xq, Xp),
-    }
-    return (hermitize(tend),), info
+    info = {"max_speed": float(np.max(np.hypot(Xq, Xp))), "velocity": (Xq, Xp)}
+    if residual:
+        info["antiherm_resid"] = antiherm_residual(tend)
+    return (hermitize(tend, out=dP),), info
 
 
-def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL):
-    """dP/dt = -div(P <X_H>) - (i/hbar)[H, P], symmetrized."""
+def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):
+    """dP/dt = -div(P <X_H>) - (i/hbar)[H, P], symmetrized; with
+    ``residual`` the info holds ``antiherm_resid``."""
     P = np.asarray(P, dtype=complex)
     denom = _regularized_trace(P, eps_tr_rel)
     Xq = tr_prod(P, ham.X_q) / denom
     Xp = tr_prod(P, ham.X_p) / denom
-    return _density_tendency(grid, P, Xq, Xp, ham.H)
+    return _density_tendency(grid, P, Xq, Xp, ham.H, out, residual)
 
 
 def pairing(W, X):
@@ -150,7 +186,7 @@ def pairing(W, X):
     fields' (re, im) parts, which reads both fields contiguously.
     """
     W = np.ascontiguousarray(W, dtype=complex)
-    XW = mm(X, W)
+    XW = mm(X, W, out=scratch(W.shape, complex, "pairing"))
     return np.einsum("...x,...x->...", _parts(W), _parts(XW))
 
 
@@ -165,32 +201,37 @@ def _as_waveop(W):
     return W if W.ndim == 4 else W[..., None]
 
 
-def uhlmann_rhs(grid, D, W, ham):
+def uhlmann_rhs(grid, D, W, ham, out=None):
     """System dD/dt = -div(D X), i hbar (d_t + X.grad) W = H W,
     with X = Re Tr(W^dag X_H W) pointwise.
 
     ``W`` may be a state vector field psi of shape (Nq, Np, n), taken as the
     n x 1 operator psi[..., None]; its tendency keeps the shape it was given.
     """
-    W = np.asarray(W)
-    Wm = _as_waveop(W)
+    D, W = np.asarray(D), np.asarray(W, dtype=complex)
+    dD, dW = _outputs(out, D, W)
+    Wm, dWm = _as_waveop(W), _as_waveop(dW)
     H, X_q, X_p = ham.planes()
     Xq, Xp = pairing(Wm, X_q), pairing(Wm, X_p)
-    dD = -grid.divergence(D * Xq, D * Xp)
-    dW = mm(H, Wm)
-    dW *= -1j / grid.hbar
-    dW -= Xq[..., None, None] * grid.partial_q(Wm)
-    dW -= Xp[..., None, None] * grid.partial_p(Wm)
+    flux = scratch(D.shape, dD.dtype, "uhlmann.flux")
+    grid.partial_q(np.multiply(D, Xq, out=flux), out=dD)
+    dD += grid.partial_p(np.multiply(D, Xp, out=flux), out=scratch(D.shape, dD.dtype, "uhlmann.dp"))
+    np.negative(dD, out=dD)
+    mm(H, Wm, out=dWm)
+    dWm *= -1j / grid.hbar
+    grad = scratch(Wm.shape, complex, "uhlmann.grad")
+    dWm -= np.multiply(grid.partial_q(Wm, out=grad), Xq[..., None, None], out=grad)
+    dWm -= np.multiply(grid.partial_p(Wm, out=grad), Xp[..., None, None], out=grad)
     info = {"max_speed": float(np.max(np.hypot(Xq, Xp))), "velocity": (Xq, Xp)}
-    return (dD, dW.reshape(W.shape)), info
+    return (dD, dW), info
 
 
-def conditional_rhs(grid, D, psi, ham):
+def conditional_rhs(grid, D, psi, ham, out=None):
     """The (D, psi) system: ``uhlmann_rhs`` with psi as an n x 1 wave operator."""
-    return uhlmann_rhs(grid, D, psi, ham)
+    return uhlmann_rhs(grid, D, psi, ham, out)
 
 
-def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL):
+def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):
     """Gradient-corrected model: dP/dt = -div(P X) - (i/hbar)[scriptH, P].
 
     X_k   = <X_H>_k + (1/D) Tr(X_H . grad Sigma_k - Sigma . grad X_H,k)
@@ -198,21 +239,29 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL):
     scriptH = H + (i hbar / D) [grad P - P grad ln sqrt(D), X_H]
 
     Dots contract the 2-component phase-space index; matrix products are kept
-    in the written (left-to-right) order.
+    in the written (left-to-right) order. Every (Nq, Np, n, n) intermediate
+    lives in scratch.
     """
     P = np.asarray(P, dtype=complex)
     hbar = grid.hbar
     D = _regularized_trace(P, eps_tr_rel)
     Dmat = D[..., None, None]
 
-    dPq = grid.partial_q(P)
-    dPp = grid.partial_p(P)
-    XP = (dPp, -dPq)
+    def buf(tag):
+        return scratch(P.shape, complex, "beyond." + tag)
+
+    dPq = grid.partial_q(P, out=buf("dPq"))
+    dPp = grid.partial_p(P, out=buf("dPp"))
+    XP = (dPp, np.negative(dPq, out=buf("-dPq")))
     XH = (ham.X_q, ham.X_p)
     dXH = _beyond_xh_grads(grid, ham)
 
-    Sig = tuple((0.5j * hbar) * comm(P, XPk) / Dmat for XPk in XP)
-    dSig = tuple((grid.partial_q(Sk), grid.partial_p(Sk)) for Sk in Sig)
+    Sig = tuple(comm(P, XPk, out=buf(f"Sig{k}")) for k, XPk in enumerate(XP))
+    for Sk in Sig:
+        Sk *= 0.5j * hbar
+        Sk /= Dmat
+    dSig = tuple((grid.partial_q(Sk, out=buf(f"dSig{k}q")), grid.partial_p(Sk, out=buf(f"dSig{k}p")))
+                 for k, Sk in enumerate(Sig))
 
     avgX = tuple(tr_prod(P, XHk) / D for XHk in XH)
     calX = []
@@ -223,11 +272,16 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL):
 
     dlnsq = 0.5 * grid.partial_q(D) / D
     dlnsp = 0.5 * grid.partial_p(D) / D
-    G = (dPq - P * dlnsq[..., None, None], dPp - P * dlnsp[..., None, None])
-    GX = comm(G[0], XH[0]) + comm(G[1], XH[1])
-    scrH = hermitize(ham.H + (1j * hbar) * GX / Dmat)
+    # G_k = d_k P - P d_k ln sqrt(D), over the spent Sigma buffers
+    G = tuple(np.subtract(dPk, np.multiply(P, dlns[..., None, None], out=Gk), out=Gk)
+              for dPk, dlns, Gk in ((dPq, dlnsq, Sig[0]), (dPp, dlnsp, Sig[1])))
+    GX = comm(G[0], XH[0], out=buf("GX"))
+    GX += comm(G[1], XH[1], out=dPq)  # the gradients of P are spent
+    GX *= 1j * hbar
+    GX /= Dmat
+    scrH = hermitize(np.add(ham.H, GX, out=GX), out=dPp)
 
-    return _density_tendency(grid, P, calX[0], calX[1], scrH)
+    return _density_tendency(grid, P, calX[0], calX[1], scrH, out, residual)
 
 
 def _beyond_xh_grads(grid, ham):
@@ -276,8 +330,12 @@ def energy_of(model, state, ham):
 class Model:
     """A model's glue: the state type it evolves, state -> array tuple
     (``unpack``), (state, arrays) -> state (``pack``), the right-hand side
-    ``rhs(grid, ham, arrays) -> (tendencies, info)`` and the
-    renormalisation ``renorm(grid, arrays)``."""
+    ``rhs(grid, ham, arrays, out=None, residual=False) -> (tendencies, info)``
+    and the renormalisation ``renorm(grid, arrays)``.
+
+    ``rhs`` writes its tendencies into the arrays ``out`` when given and
+    returns them; ``residual`` asks a density model for ``antiherm_resid``
+    in the info (the other models have none)."""
 
     state_type: type
     unpack: Callable
@@ -313,40 +371,40 @@ MODELS = {
         MeanFieldState,
         lambda s: (s.D, s.rho),
         lambda s, a: MeanFieldState(s.grid, a[0], a[1]),
-        lambda grid, ham, a: mean_field_rhs(grid, a[0], a[1], ham),
+        lambda grid, ham, a, out=None, residual=False: mean_field_rhs(grid, a[0], a[1], ham, out),
         _mf_renorm,
     ),
     "ehrenfest_density": Model(
         HybridDensity,
         lambda s: (s.P,),
         lambda s, a: HybridDensity(s.grid, a[0]),
-        lambda grid, ham, a: ehrenfest_rhs(grid, a[0], ham),
+        lambda grid, ham, a, out=None, residual=False: ehrenfest_rhs(
+            grid, a[0], ham, out=out, residual=residual),
         _dens_renorm,
     ),
     "ehrenfest_conditional": Model(
         ConditionalSplit,
         lambda s: (s.D, s.psi),
         lambda s, a: ConditionalSplit(s.grid, a[0], a[1]),
-        lambda grid, ham, a: conditional_rhs(grid, a[0], a[1], ham),
+        lambda grid, ham, a, out=None, residual=False: conditional_rhs(grid, a[0], a[1], ham, out),
         _split_renorm,
     ),
     "ehrenfest_uhlmann": Model(
         UhlmannSplit,
         lambda s: (s.D, s.W),
         lambda s, a: UhlmannSplit(s.grid, a[0], a[1]),
-        lambda grid, ham, a: uhlmann_rhs(grid, a[0], a[1], ham),
+        lambda grid, ham, a, out=None, residual=False: uhlmann_rhs(grid, a[0], a[1], ham, out),
         _split_renorm,
     ),
     "beyond_ehrenfest": Model(
         HybridDensity,
         lambda s: (s.P,),
         lambda s, a: HybridDensity(s.grid, a[0]),
-        lambda grid, ham, a: beyond_ehrenfest_rhs(grid, a[0], ham),
+        lambda grid, ham, a, out=None, residual=False: beyond_ehrenfest_rhs(
+            grid, a[0], ham, out=out, residual=residual),
         _dens_renorm,
     ),
 }
-
-MODEL_KINDS = tuple(MODELS)
 
 
 def cfl_dt(model, state, ham, cfl):
@@ -403,17 +461,30 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
     n_model = len(y)  # the model arrays; a traced loop follows them
     if loop is not None:
         y += (np.array(loop, dtype=float, copy=True),)
+    # per state array: the stage input, the tendency being filled and the
+    # running sum of the tendencies, reused by every step
+    stage, k, ksum = (tuple(np.empty_like(a) for a in y) for _ in range(3))
     minh = min(grid.dq, grid.dp)
     result = RunResult()
     warned_cfl = False
 
-    def full_rhs(arrays):
-        tends, info = ops.rhs(grid, ham, arrays[:n_model])
+    def full_rhs(arrays, out, residual=False):
+        _, info = ops.rhs(grid, ham, arrays[:n_model], out[:n_model], residual)
         if loop is not None:
             pts = arrays[-1]
             velocity = np.stack(info["velocity"], axis=-1)  # both components in one call
-            tends += (grid.interpolate(velocity, pts[:, 0], pts[:, 1]),)
-        return tends, info
+            out[-1][...] = grid.interpolate(velocity, pts[:, 0], pts[:, 1])
+        return info
+
+    def stage_input(tends, h):
+        for s, kk, a in zip(stage, tends, y):
+            np.multiply(kk, h, out=s)
+            s += a
+
+    def fold_twice(tends):
+        for s, kk in zip(ksum, tends):
+            kk *= 2.0
+            s += kk
 
     def abort(reason, arrays, t):
         result.aborted, result.abort_reason = True, reason
@@ -423,12 +494,14 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
     dt = cfg.dt
     t = 0.0
     for step in range(cfg.steps + 1):
+        sampled = step % cfg.sample_every == 0 or step == cfg.steps
         try:
-            k1, info1 = full_rhs(y)
+            # k1 goes straight into the running sum
+            info1 = full_rhs(y, ksum, residual=sampled and sample_fn is not None)
         except NumericalAbort as exc:
             abort(str(exc), y, t)
             break
-        if step % cfg.sample_every == 0 or step == cfg.steps:
+        if sampled:
             snap = ops.pack(state, tuple(np.array(a, copy=True) for a in y[:n_model]))
             result.times.append(t)
             if keep_states or step == cfg.steps:  # final state always kept
@@ -453,13 +526,20 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
             warnings.warn(f"advective CFL number {ratio:.3f} above {cfg.cfl_warn}", RuntimeWarning)
             warned_cfl = True
 
-        k2, _ = full_rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
-        k3, _ = full_rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k2)))
-        k4, _ = full_rhs(tuple(a + dt * k for a, k in zip(y, k3)))
-        y = tuple(
-            a + (dt / 6.0) * (ka + 2.0 * kb + 2.0 * kc + kd)
-            for a, ka, kb, kc, kd in zip(y, k1, k2, k3, k4)
-        )
+        # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), each stage input y + c dt k
+        # built before its k is folded into the sum
+        stage_input(ksum, 0.5 * dt)
+        full_rhs(stage, k)
+        stage_input(k, 0.5 * dt)
+        fold_twice(k)
+        full_rhs(stage, k)
+        stage_input(k, dt)
+        fold_twice(k)
+        full_rhs(stage, k)
+        for a, s, kk in zip(y, ksum, k):
+            s += kk
+            s *= dt / 6.0
+            a += s
         if cfg.renormalize:
             y = ops.renorm(grid, y[:n_model]) + y[n_model:]
         if not all(np.all(np.isfinite(a)) for a in y):

@@ -195,25 +195,31 @@ def gibbs_uhlmann(problem: MaxEntProblem, check_confined=True) -> EquilibriumRes
     return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res, ln_Z_C, kinked)
 
 
-def gibbs_meanfield_uncoupled(grid, ham: Hamiltonian, mu, check_confined=True) -> _dyn.MeanFieldState:
+def gibbs_meanfield_uncoupled(problem: MaxEntProblem, check_confined=True) -> EquilibriumResult:
     """The factorized Gibbs pair rho ~ exp(-mu H_Q), D ~ exp(-mu H_C).
 
     Solves the mean-field maximum-entropy conditions exactly in the uncoupled
-    case; for coupled Hamiltonians no such pair exists.
+    case; for coupled Hamiltonians no such pair exists. No partition
+    function is built (``Z_C`` and ``ln_Z_C`` are NaN).
     """
+    ham = problem.ham
+    grid = ham.grid
     if ham.kind != "uncoupled":
         raise UnsupportedHamiltonianError("factorized Gibbs pair requires an uncoupled H")
+    mu = problem.mu if problem.mu is not None else solve_mu(problem)[0]
     prof = ham.extras["h_c"]
     h_c = prof.values
     D = np.exp(-mu * (h_c - float(np.min(h_c))))
-    if check_confined:
-        _check_confined(grid, D, _seam_kinked(grid, h_c, prof.d_q, prof.d_p))
+    kinked = check_confined and _seam_kinked(grid, h_c, prof.d_q, prof.d_p)
+    _check_confined(grid, D, kinked)
     H_Q = ham.extras["H_Q"]
     D = D / float(grid.integrate(D))
     w, v = np.linalg.eigh(H_Q)
     rw = np.exp(-mu * (w - w.min()))
     rho = eigen_compose(v, rw / rw.sum())
-    return _dyn.MeanFieldState(grid, D, rho)
+    state = _dyn.MeanFieldState(grid, D, rho)
+    energy = _dyn.energy_of("mean_field", state, ham)
+    return EquilibriumResult(state, mu, float("nan"), problem.branch, energy, seam_kinked=kinked)
 
 
 def equilibrium_at(problem: MaxEntProblem, mu, check_confined=False):
@@ -223,16 +229,9 @@ def equilibrium_at(problem: MaxEntProblem, mu, check_confined=False):
     delocalized, so only final states are checked.
     """
     sub = MaxEntProblem(problem.representation, problem.ham, mu=mu, branch=problem.branch)
-    if problem.representation == "uhlmann":
-        return gibbs_uhlmann(sub, check_confined=check_confined)
-    if problem.representation == "conditional":
-        return gibbs_conditional(sub, check_confined=check_confined)
-    st = gibbs_meanfield_uncoupled(problem.ham.grid, problem.ham, mu,
-                                   check_confined=check_confined)
-    return EquilibriumResult(
-        st, mu, float("nan"), problem.branch,
-        _dyn.energy_of("mean_field", st, problem.ham),
-    )
+    build = {"uhlmann": gibbs_uhlmann, "conditional": gibbs_conditional,
+             "mean_field": gibbs_meanfield_uncoupled}[problem.representation]
+    return build(sub, check_confined=check_confined)
 
 
 def solve_mu(problem: MaxEntProblem, mu_lo=1e-6, mu_hi=1e6, rel_tol=1e-10, max_iter=200):

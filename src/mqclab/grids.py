@@ -45,6 +45,16 @@ m = (a + d)/2, within a few eps ||M|| of LAPACK and about 20x cheaper than a
 batched ``eigvalsh`` at 64^2; other sizes call LAPACK. Every eigenvalue-only
 spectrum of a grid field goes through it.
 
+Buffers. ``partial_q``/``partial_p`` (``_diff4``), ``mm``, ``comm`` and
+``hermitize`` take ``out=``: the result is written there, with the bits of
+a fresh result. Their temporaries (the stencil's padded copy and its
+8(p1 - m1) term, each product entry's sum and term, BA of a commutator)
+are ``scratch`` buffers: one reusable buffer per tag, kept across calls so
+that a run's every step reuses the same memory instead of taking fresh
+pages from the kernel. A scratch buffer never leaves the function that took
+it: it is neither returned nor stored, so results with ``out=None`` never
+share memory.
+
 Grid arrays are indexed ``values[i, j]`` for the point
 ``(q0 + i*dq, p0 + j*dp)``; any trailing axes (matrix or vector components)
 are carried along unchanged by the calculus operations.
@@ -52,6 +62,7 @@ are carried along unchanged by the calculus operations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,10 +76,6 @@ HERM_TOL = 1e-12
 
 # Points per direction the 4th-order stencils need at least.
 MIN_POINTS = 8
-
-
-class GridMismatchError(ValueError):
-    """Fields living on different grids were combined."""
 
 
 class NotHermitianError(ValueError):
@@ -130,19 +137,15 @@ class PhaseGrid:
             and np.isclose(self.p1, other.p1)
         )
 
-    def require_same(self, other):
-        if self is not other and not self.compatible(other):
-            raise GridMismatchError("fields live on different grids")
-
     # -- calculus -----------------------------------------------------------
 
-    def partial_q(self, values):
+    def partial_q(self, values, out=None):
         """4th-order periodic central difference along q (axis 0)."""
-        return _diff4(np.asarray(values), 0, self.dq)
+        return _diff4(np.asarray(values), 0, self.dq, out)
 
-    def partial_p(self, values):
+    def partial_p(self, values, out=None):
         """4th-order periodic central difference along p (axis 1)."""
-        return _diff4(np.asarray(values), 1, self.dp)
+        return _diff4(np.asarray(values), 1, self.dp, out)
 
     def poisson_bracket(self, f, g):
         """Canonical bracket {f, g} = dq(f) dp(g) - dp(f) dq(g), pointwise."""
@@ -222,31 +225,71 @@ def _bspline_stencil(x, n):
     return nodes % np.reshape(n, (2, 1)), weights
 
 
-def _diff4(values, axis, h):
+def _diff4(values, axis, h, out=None):
     # one copy wrapped by two points on each side, read through four slices
     n = values.shape[axis]
     lead = (slice(None),) * axis
-    ext = np.empty(values.shape[:axis] + (n + 4,) + values.shape[axis + 1:],
-                   np.result_type(values, 1.0))
+    dtype = np.result_type(values, 1.0)
+    ext = scratch(values.shape[:axis] + (n + 4,) + values.shape[axis + 1:], dtype, "diff4.ext")
     ext[lead + (slice(2, n + 2),)] = values
     ext[lead + (slice(0, 2),)] = values[lead + (slice(n - 2, n),)]
     ext[lead + (slice(n + 2, n + 4),)] = values[lead + (slice(0, 2),)]
-    complex_valued = ext.dtype.kind == "c"
+    if out is None:
+        out = np.empty(values.shape, dtype)
+    res = out
+    complex_valued = dtype.kind == "c"
     if complex_valued:
         # the same bits on the float view (see the module docstring)
         ext = ext.view(ext.real.dtype).reshape(ext.shape + (2,))
+        res = out.view(ext.dtype).reshape(out.shape + (2,))
     m2, m1, p1, p2 = (ext[lead + (slice(s, s + n),)] for s in (0, 1, 3, 4))
     # grouped by differences so constants map to exact zero
-    out = m2 - p2
-    tmp = p1 - m1
+    np.subtract(m2, p2, out=res)
+    tmp = np.subtract(p1, m1, out=scratch(res.shape, res.dtype, "diff4.tmp"))
     tmp *= 8.0
-    out += tmp
-    if not complex_valued:
-        out /= 12.0 * h
-        return out
-    # numpy's own complex division by the real 12h multiplies by this
-    out *= 1.0 / (12.0 * h)
-    return out.view(values.dtype).reshape(values.shape)
+    res += tmp
+    if complex_valued:
+        # numpy's own complex division by the real 12h multiplies by this
+        res *= 1.0 / (12.0 * h)
+    else:
+        res /= 12.0 * h
+    return out
+
+
+# Largest total size the scratch buffers may reach before they are all let go.
+SCRATCH_MAX_BYTES = 64 << 20
+
+_scratch = {}  # tag -> its one byte buffer, grown to the largest size asked
+_views = {}    # (shape, dtype, tag) -> a view of that buffer
+
+
+def scratch(shape, dtype, tag):
+    """A reusable buffer of ``shape`` and ``dtype``: a view of the one buffer
+    kept under ``tag``, so the same tag at another shape or dtype shares it.
+
+    Its contents are whatever its last user left. A caller uses it only
+    until it returns: a scratch buffer is never returned nor stored, and
+    each buffer a function holds at once has a tag of its own (its name),
+    distinct from those of the functions it calls. Past
+    ``SCRATCH_MAX_BYTES`` in all, every buffer is let go and the next calls
+    allocate afresh.
+    """
+    key = (shape, dtype, tag)
+    view = _views.get(key)
+    if view is None:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        base = _scratch.get(tag)
+        if base is None or base.nbytes < nbytes:
+            for stale in [k for k in _views if k[2] == tag]:
+                del _views[stale]
+            _scratch.pop(tag, None)
+            if nbytes + sum(b.nbytes for b in _scratch.values()) > SCRATCH_MAX_BYTES:
+                _scratch.clear()
+                _views.clear()
+            base = _scratch[tag] = np.empty(nbytes, np.uint8)
+        view = _views[key] = base[:nbytes].view(dtype).reshape(shape)
+    return view
 
 
 # -- field containers -------------------------------------------------------
@@ -271,8 +314,15 @@ def dagger(M):
     return np.conj(np.swapaxes(M, -1, -2))
 
 
-def hermitize(M):
-    return 0.5 * (M + dagger(M))
+def hermitize(M, out=None):
+    """(M^dag + M) / 2, formed in ``out`` (which must not overlap M)."""
+    M = np.asarray(M)
+    if out is None:
+        out = np.empty(M.shape, np.result_type(M, 0.5))
+    np.conjugate(np.swapaxes(M, -1, -2), out=out)
+    out += M
+    out *= 0.5
+    return out
 
 
 def antiherm_residual(M):
@@ -351,43 +401,51 @@ def trace_field(M):
 MM_SUMS_MAX = 3
 
 
-def mm(A, B):
+def mm(A, B, out=None):
     """Matrix product of (..., n, k) and (..., k, m) fields.
 
     For k <= ``MM_SUMS_MAX`` each entry is the vectorised sum over the grid
-    sum_c A[..., i, c] * B[..., c, j]; above that, numpy's batched ``@``.
-    Leading axes broadcast as they do for ``@``.
+    sum_c A[..., i, c] * B[..., c, j], formed in scratch; above that,
+    numpy's batched ``@``. Leading axes broadcast as they do for ``@``.
     """
     n, k = A.shape[-2:]
     if k > MM_SUMS_MAX:
-        return A @ B
+        return np.matmul(A, B, out=out)
     m = B.shape[-1]
     lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-    out = np.empty(lead + (n, m), dtype=np.result_type(A, B))
+    dtype = np.result_type(A, B)
+    if out is None:
+        out = np.empty(lead + (n, m), dtype)
+    s, prod = scratch(lead, dtype, "mm.sum"), scratch(lead, dtype, "mm.prod")
     for i in range(n):
         for j in range(m):
-            s = A[..., i, 0] * B[..., 0, j]
+            np.multiply(A[..., i, 0], B[..., 0, j], out=s)
             for c in range(1, k):
-                s += A[..., i, c] * B[..., c, j]
+                s += np.multiply(A[..., i, c], B[..., c, j], out=prod)
             out[..., i, j] = s
     return out
 
 
-def comm(A, B):
-    """Commutator field [A, B] = AB - BA."""
-    return mm(A, B) - mm(B, A)
+def comm(A, B, out=None):
+    """Commutator field [A, B] = AB - BA, with BA formed in scratch."""
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+    BA = mm(B, A, out=scratch(shape, np.result_type(A, B), "comm"))
+    out = mm(A, B, out=out)
+    out -= BA
+    return out
 
 
 def tr_prod(A, B):
     """Field Re Tr(AB) of (..., n, k) and (..., k, n) fields: the vectorised
     sum over the grid of the n k products A[..., i, c] * B[..., c, i],
-    without forming AB."""
+    without forming AB (each product in scratch)."""
     n, k = A.shape[-2:]
     s = A[..., 0, 0] * B[..., 0, 0]
+    prod = scratch(s.shape, s.dtype, "tr_prod")
     for i in range(n):
         for c in range(k):
             if i or c:
-                s += A[..., i, c] * B[..., c, i]
+                s += np.multiply(A[..., i, c], B[..., c, i], out=prod)
     return s.real
 
 

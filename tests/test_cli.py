@@ -485,23 +485,26 @@ class TestEquilibriumCommand:
             assert rec["Z_C"] is None and rec["ln_Z_C"] is None
 
 
-    @pytest.mark.parametrize("representation", ["conditional", "uhlmann"])
+    @pytest.mark.parametrize("representation", ["conditional", "uhlmann", "mean_field"])
     def test_kinked_landscape_reports_no_certificate(self, tmp_path, representation):
         """On the polynomial harmonic well, whose landscape is kinked at the
         domain seam, the Gibbs state is written without a stationarity run:
         the certificate is null with its reason, and no stationarity metric
-        is reported (the run used to end in a CFL abort, exit 2)."""
+        is reported (the run used to end in a CFL abort, exit 2; the
+        mean-field build used to drop the flag and report d_change_l1)."""
         cfg = presets.harmonic_gibbs(N=16)
-        if representation == "uhlmann":  # the Uhlmann Gibbs state needs an uncoupled H
+        if representation != "conditional":  # these Gibbs states need an uncoupled H
             cfg["hamiltonian"] = {"kind": "uncoupled", "h_c": {"name": "harmonic", "omega": 1.0},
                                   "H_Q": "sigma_x"}
-            cfg["equilibrium"] = {"representation": "uhlmann", "mu": 2.0}
+            cfg["equilibrium"] = {"representation": representation, "mu": 2.0}
         out = str(tmp_path / "out")
         assert main(["equilibrium", "--config", write_cfg(tmp_path, cfg), "--out", out,
                      "--quiet"]) == 0
         rec = json.load(open(os.path.join(out, "equilibrium.json")))
         assert rec["certificate"] is None and "seam" in rec["certificate_reason"]
-        assert set(rec["metrics"]) == {"lambda_max_dev"}
+        # the mean-field build has no residual of its own
+        assert set(rec["metrics"]) == (set() if representation == "mean_field"
+                                       else {"lambda_max_dev"})
         assert os.path.isfile(os.path.join(out, "equilibrium.snap"))
 
 
@@ -608,6 +611,27 @@ class TestConvergenceCommand:
         orders = {line.split(",")[0]: float(line.split(",")[1])
                   for line in fits.splitlines()[1:]}
         assert orders["energy"] > 3.8
+
+    def test_no_order_fitted_to_round_off(self, tmp_path, capsys):
+        """Mass and C1 of the conditional model are conserved to round-off
+        (drifts of a few 1e-16 and 1e-17): no order is fitted to them, the
+        stderr note names each, and the drift table keeps their values; the
+        energy order is still fitted."""
+        cfg = presets.nanowire_conditional(N=16)
+        out = str(tmp_path / "out")
+        assert main(["convergence", "--config", write_cfg(tmp_path, cfg), "--out", out,
+                     "--quiet", "--levels", "3"]) == 0
+        table, fits = open(os.path.join(out, "convergence.csv")).read().split("\n\n")
+        orders = {line.split(",")[0]: float(line.split(",")[1])
+                  for line in fits.splitlines()[1:]}
+        assert "mass" not in orders and "C1" not in orders
+        assert orders["energy"] > 4.5
+        err = capsys.readouterr().err
+        assert "no order fitted for mass" in err and "no order fitted for C1" in err
+        header, *rows = [line.split(",") for line in table.splitlines()]
+        for col in ("mass", "C1"):
+            drifts = [float(row[header.index(col)]) for row in rows]
+            assert len(drifts) == 3 and 0 < max(drifts) < 1e-15
 
     def test_mass_flat_at_machine_level(self, tmp_path):
         cfg = presets.nanowire_conditional(N=16, t_final=0.5, sample_every=4, loop=False)

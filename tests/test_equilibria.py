@@ -232,7 +232,7 @@ class TestMeanFieldMaxEnt:
     def test_uncoupled_gibbs_pair(self):
         grid = big_grid()
         ham = uncoupled(grid, scalar_profile(grid, "harmonic"), 0.4 * SIGMA_X)
-        state = gibbs_meanfield_uncoupled(grid, ham, mu=2.0)
+        state = gibbs_meanfield_uncoupled(MaxEntProblem("mean_field", ham, mu=2.0)).state
         r_q, r_c = meanfield_maxent_residual(state, ham, mu=2.0)
         assert r_q < 1e-8
         assert r_c < 1e-8

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqclab import PhaseGrid, matrix_function, matrix_log, vn_entropy_trace, random_band_limited
-from mqclab.grids import GridMismatchError, NotHermitianError, matrix_exp_herm
+from mqclab.grids import NotHermitianError, matrix_exp_herm
 
 
 def make_grid(N=64, L=2 * np.pi, hbar=1.0):
@@ -138,11 +138,6 @@ class TestIntegrate:
         val = grid.integrate(grid.poisson_bracket(f, g))
         scale = np.max(np.abs(f)) * np.max(np.abs(g))
         assert abs(val) < 1e-10 * max(scale, 1.0)
-
-    def test_grid_mismatch_raises(self):
-        g1, g2 = make_grid(32), make_grid(48)
-        with pytest.raises(GridMismatchError):
-            g1.require_same(g2)
 
 
 class TestMatrixFunctions:
