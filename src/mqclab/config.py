@@ -408,7 +408,11 @@ def build_loop(cfg):
     spec = require(cfg, "diagnostics.loop", dict)
     center = _pair(spec, "center", (0.0, 0.0), "diagnostics.loop")
     radius = require(cfg, "diagnostics.loop.radius", float) if "radius" in spec else 0.5
+    if not 0.0 < radius < np.inf:
+        raise ConfigError("diagnostics.loop.radius", "must be positive and finite")
     K = require(cfg, "diagnostics.loop.points", int) if "points" in spec else 256
+    if K < 3:  # fewer points enclose no area
+        raise ConfigError("diagnostics.loop.points", "need at least 3 points")
     return circle_loop(center, radius, K)
 
 
@@ -436,6 +440,8 @@ def probe_spec(cfg):
     """(seed, count) of the ``casimir-check`` probes in the ``diagnostics`` section."""
     spec = require(cfg, "diagnostics", dict) if get(cfg, "diagnostics") else {}
     seed = require(cfg, "diagnostics.probes_seed", int) if "probes_seed" in spec else 12345
+    if seed < 0:
+        raise ConfigError("diagnostics.probes_seed", "must be a non-negative integer")
     return seed, positive(cfg, "diagnostics.n_probes", int) or 20
 
 

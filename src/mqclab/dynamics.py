@@ -31,11 +31,12 @@ tendencies, folded in the order of the written formula, so the result has
 the bits of y + (dt/6)(k1 + 2k2 + 2k3 + k4). A step therefore allocates no
 field-sized array, which the kernel would otherwise fault in afresh.
 
-The split-state right-hand side reads H, X_q and X_p through
-``Hamiltonian.planes()``: for n <= 3, static fields held as contiguous
-component planes, so that the component sums of ``grids.mm`` (the pairing
-and H W) read each matrix entry as one contiguous block. The state W stays
-interleaved: copying it into planes at every stage measured no faster.
+Every matrix or vector field the models read or write is stored as
+contiguous component planes (``grids.component_major``): the states and the
+Hamiltonian convert on construction, and each array a right-hand side or
+the driver allocates (tendencies, scratch buffers, stage arrays) takes the
+layout of its input. The right-hand sides also accept interleaved arrays and
+give the same bits on them; only speed depends on the layout.
 
 All transport terms use the conservative form div(field * velocity); with the
 antisymmetric stencils the grid sum of such a divergence telescopes to zero,
@@ -95,11 +96,11 @@ class StepperConfig:
 
 
 def _outputs(out, *arrays):
-    """The tendency arrays: ``out`` when given, else fresh arrays shaped
-    like the state ``arrays``, complex where they are."""
+    """The tendency arrays: ``out`` when given, else fresh arrays shaped and
+    laid out like the state ``arrays``, complex where they are."""
     if out is not None:
         return tuple(out)
-    return tuple(np.empty(a.shape, np.result_type(a, 1.0)) for a in arrays)
+    return tuple(np.empty_like(a, dtype=np.result_type(a, 1.0)) for a in arrays)
 
 
 def mean_field_rhs(grid, D, rho, ham, out=None):
@@ -116,7 +117,7 @@ def mean_field_rhs(grid, D, rho, ham, out=None):
     grad = scratch(D.shape, dD.dtype, "mean_field.grad")
     np.multiply(dHeff_q, grid.partial_p(D, out=grad), out=dD)
     dD -= np.multiply(grid.partial_q(D, out=grad), dHeff_p, out=grad)
-    DH = scratch(ham.H.shape, np.result_type(D, ham.H), "mean_field.DH")
+    DH = scratch(ham.H.shape, np.result_type(D, ham.H), "mean_field.DH", like=ham.H)
     Hbar = hermitize(grid.integrate(np.multiply(D[..., None, None], ham.H, out=DH)))
     comm(Hbar, rho, out=drho)
     drho *= -1j / grid.hbar
@@ -148,11 +149,11 @@ def _density_tendency(grid, P, Xq, Xp, H, out, residual):
     With ``residual`` the info also holds ``antiherm_resid``, the
     anti-Hermitian residual of the tendency before symmetrizing."""
     (dP,) = _outputs(out, P)
-    flux = scratch(P.shape, complex, "density.flux")
+    flux = scratch(P.shape, complex, "density.flux", like=P)
     tend = grid.partial_q(np.multiply(P, Xq[..., None, None], out=flux),
-                          out=scratch(P.shape, complex, "density.tend"))
+                          out=scratch(P.shape, complex, "density.tend", like=P))
     tend += grid.partial_p(np.multiply(P, Xp[..., None, None], out=flux),
-                           out=scratch(P.shape, complex, "density.dp"))
+                           out=scratch(P.shape, complex, "density.dp", like=P))
     np.negative(tend, out=tend)
     rot = comm(H, P, out=flux)
     rot *= -1j / grid.hbar
@@ -180,20 +181,25 @@ def pairing(W, X):
     """Re Tr(W^dag X W) at every grid point: a matrix field X averaged over
     the conditional state W (a transport velocity when X is X_H).
 
-    The sum of Re conj(W) (X W) over the n x m entries, with X W from ``mm``
-    (X interleaved or planar, ``grids.planar``). Since Re(conj(w) z) =
-    Re w Re z + Im w Im z, that sum is the real dot product of the two
-    fields' (re, im) parts, which reads both fields contiguously.
+    The sum of Re conj(W) (X W) over the n x m entries, with X W from ``mm``.
+    Since Re(conj(w) z) = Re w Re z + Im w Im z, it is the sum over the
+    entries of Re W Re XW, plus the same sum of Im W Im XW, each read one
+    component plane at a time.
     """
-    W = np.ascontiguousarray(W, dtype=complex)
-    XW = mm(X, W, out=scratch(W.shape, complex, "pairing"))
-    return np.einsum("...x,...x->...", _parts(W), _parts(XW))
+    W = np.asarray(W, dtype=complex)
+    XW = mm(X, W, out=scratch(W.shape, complex, "pairing", like=W))
+    lead = W.shape[:-2]
+    prod = scratch(lead, float, "pairing.prod")
 
+    def entry_sum(F, G, out):
+        np.multiply(F[..., 0, 0], G[..., 0, 0], out=out)
+        for i, k in list(np.ndindex(W.shape[-2:]))[1:]:
+            out += np.multiply(F[..., i, k], G[..., i, k], out=prod)
+        return out
 
-def _parts(Z):
-    """A C-contiguous complex (..., n, m) field as the real (..., 2 n m) array
-    of its entries' real and imaginary parts (a view)."""
-    return Z.view(float).reshape(Z.shape[:-2] + (-1,))
+    velocity = entry_sum(W.real, XW.real, np.empty(lead))
+    velocity += entry_sum(W.imag, XW.imag, scratch(lead, float, "pairing.im"))
+    return velocity
 
 
 def _as_waveop(W):
@@ -211,15 +217,14 @@ def uhlmann_rhs(grid, D, W, ham, out=None):
     D, W = np.asarray(D), np.asarray(W, dtype=complex)
     dD, dW = _outputs(out, D, W)
     Wm, dWm = _as_waveop(W), _as_waveop(dW)
-    H, X_q, X_p = ham.planes()
-    Xq, Xp = pairing(Wm, X_q), pairing(Wm, X_p)
+    Xq, Xp = pairing(Wm, ham.X_q), pairing(Wm, ham.X_p)
     flux = scratch(D.shape, dD.dtype, "uhlmann.flux")
     grid.partial_q(np.multiply(D, Xq, out=flux), out=dD)
     dD += grid.partial_p(np.multiply(D, Xp, out=flux), out=scratch(D.shape, dD.dtype, "uhlmann.dp"))
     np.negative(dD, out=dD)
-    mm(H, Wm, out=dWm)
+    mm(ham.H, Wm, out=dWm)
     dWm *= -1j / grid.hbar
-    grad = scratch(Wm.shape, complex, "uhlmann.grad")
+    grad = scratch(Wm.shape, complex, "uhlmann.grad", like=Wm)
     dWm -= np.multiply(grid.partial_q(Wm, out=grad), Xq[..., None, None], out=grad)
     dWm -= np.multiply(grid.partial_p(Wm, out=grad), Xp[..., None, None], out=grad)
     info = {"max_speed": float(np.max(np.hypot(Xq, Xp))), "velocity": (Xq, Xp)}
@@ -248,7 +253,7 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=
     Dmat = D[..., None, None]
 
     def buf(tag):
-        return scratch(P.shape, complex, "beyond." + tag)
+        return scratch(P.shape, complex, "beyond." + tag, like=P)
 
     dPq = grid.partial_q(P, out=buf("dPq"))
     dPp = grid.partial_p(P, out=buf("dPp"))

@@ -12,21 +12,25 @@ which beats numpy's batched ``@`` on such small matrices; for n >= 4 it
 falls through to ``@``. ``tr_prod`` gives the field Re Tr(AB) as component
 sums without forming AB, and ``eigen_compose`` is v diag(f) v^dag via ``mm``.
 
-The sums read one matrix component ``A[..., i, c]`` at a time. On an
-interleaved (Nq, Np, n, n) array that is a strided walk over the whole
-field; ``planar`` stores a field as contiguous (n, n, Nq, Np) component
-planes behind the same (Nq, Np, n, n) view, so each component read is one
-contiguous plane. That costs a copy, so it pays only for fields that are
-read many times by the sums and never change (the Hamiltonian's for
-n <= 3, see ``Hamiltonian.planes``).
+Layout. A field with trailing axes (a matrix or vector field) is stored as
+contiguous component planes: ``component_major`` keeps it as one C-ordered
+(..., Nq, Np) array behind the usual (Nq, Np, ...) view, so each component
+``M[:, :, i, j]`` the sums read is one contiguous plane, not a strided walk
+over interleaved (Nq, Np, n, n) memory. Fields are converted once, where
+they enter: the state constructors and the Hamiltonian. Every kernel reads
+either layout and gives the same bits on both; each array it allocates
+(results with ``out=None``, scratch buffers) takes the layout of its input,
+so planes stay planes. Only speed depends on the layout.
 
 The stencils difference a complex field on its float view (real and
-imaginary parts as a trailing axis of 2). Complex sums act on the two parts
-apart. numpy scales a complex by a real c as c*re - 0*im and divides it by c
-as (re + im*0) * (1/c); for finite parts these are c*re and re * (1/c), so
-the float view, multiplied by 1/(12h), gives the same bits with a fraction
-of the arithmetic. Only a zero part may come out with the other sign, and an
-infinite part no longer makes its partner nan.
+imaginary parts as a trailing axis of 2), taken on the grid-last transpose
+(the component-major order), where a field of planes is C-contiguous. Complex
+sums act on the two parts apart. numpy scales a complex by a real c as
+c*re - 0*im and divides it by c as (re + im*0) * (1/c); for finite parts
+these are c*re and re * (1/c), so the float view, multiplied by 1/(12h),
+gives the same bits with a fraction of the arithmetic. Only a zero part may
+come out with the other sign, and an infinite part no longer makes its
+partner nan.
 
 ``interpolate`` evaluates the periodic cubic B-spline interpolant through
 the nodes (order 3, wrapped at the grid period). Node values are the spline
@@ -46,14 +50,14 @@ batched ``eigvalsh`` at 64^2; other sizes call LAPACK. Every eigenvalue-only
 spectrum of a grid field goes through it.
 
 Buffers. ``partial_q``/``partial_p`` (``_diff4``), ``mm``, ``comm`` and
-``hermitize`` take ``out=``: the result is written there, with the bits of
-a fresh result. Their temporaries (the stencil's padded copy and its
-8(p1 - m1) term, each product entry's sum and term, BA of a commutator)
-are ``scratch`` buffers: one reusable buffer per tag, kept across calls so
-that a run's every step reuses the same memory instead of taking fresh
-pages from the kernel. A scratch buffer never leaves the function that took
-it: it is neither returned nor stored, so results with ``out=None`` never
-share memory.
+``hermitize`` take ``out=``, in either layout: the result is written there,
+with the bits of a fresh result. Their temporaries (the stencil's padded
+copy and its 8(p1 - m1) term, each product entry's sum and term, BA of a
+commutator) are ``scratch`` buffers: one reusable buffer per tag, kept
+across calls so that a run's every step reuses the same memory instead of
+taking fresh pages from the kernel. A scratch buffer never leaves the
+function that took it: it is neither returned nor stored, so results with
+``out=None`` never share memory.
 
 Grid arrays are indexed ``values[i, j]`` for the point
 ``(q0 + i*dq, p0 + j*dp)``; any trailing axes (matrix or vector components)
@@ -226,22 +230,23 @@ def _bspline_stencil(x, n):
 
 
 def _diff4(values, axis, h, out=None):
-    # one copy wrapped by two points on each side, read through four slices
+    # one copy wrapped by two points on each side, read through four slices;
+    # all on the grid-last transpose, where the padded copy is C-contiguous
+    dtype = np.result_type(values, 1.0)
+    if out is None:
+        out = np.empty_like(values, dtype=dtype)
+    values, res = _grid_last(values), _grid_last(out)
+    axis += values.ndim - 2
     n = values.shape[axis]
     lead = (slice(None),) * axis
-    dtype = np.result_type(values, 1.0)
     ext = scratch(values.shape[:axis] + (n + 4,) + values.shape[axis + 1:], dtype, "diff4.ext")
     ext[lead + (slice(2, n + 2),)] = values
     ext[lead + (slice(0, 2),)] = values[lead + (slice(n - 2, n),)]
     ext[lead + (slice(n + 2, n + 4),)] = values[lead + (slice(0, 2),)]
-    if out is None:
-        out = np.empty(values.shape, dtype)
-    res = out
     complex_valued = dtype.kind == "c"
     if complex_valued:
         # the same bits on the float view (see the module docstring)
-        ext = ext.view(ext.real.dtype).reshape(ext.shape + (2,))
-        res = out.view(ext.dtype).reshape(out.shape + (2,))
+        ext, res = _float_view(ext), _float_view(res)
     m2, m1, p1, p2 = (ext[lead + (slice(s, s + n),)] for s in (0, 1, 3, 4))
     # grouped by differences so constants map to exact zero
     np.subtract(m2, p2, out=res)
@@ -256,16 +261,57 @@ def _diff4(values, axis, h, out=None):
     return out
 
 
+def _grid_last(a):
+    """The field ``a`` (Nq, Np, ...) transposed to (..., Nq, Np), a view: C-contiguous
+    when ``a`` is stored as component planes."""
+    return a.transpose(tuple(range(2, a.ndim)) + (0, 1))
+
+
+def _grid_first(a):
+    """The inverse of ``_grid_last``: (..., Nq, Np) as the (Nq, Np, ...) view."""
+    return a.transpose((a.ndim - 2, a.ndim - 1) + tuple(range(a.ndim - 2)))
+
+
+def component_major(M):
+    """The field ``M`` (Nq, Np, ...) stored as contiguous (..., Nq, Np) component
+    planes, returned as the (Nq, Np, ...) view of that storage: the same values,
+    each component ``M[:, :, i, ...]`` one contiguous plane. Any number of trailing
+    axes; no copy when ``M`` is stored so already."""
+    return _grid_first(np.ascontiguousarray(_grid_last(np.asarray(M))))
+
+
+def _is_component_major(*arrays):
+    """Whether any of ``arrays`` is a field stored as component planes: the layout
+    an array allocated for their result takes."""
+    return any(a.ndim > 2 and _grid_last(a).flags.c_contiguous for a in arrays)
+
+
+def _empty(shape, dtype, planes):
+    """An uninitialised field of ``shape``, as component planes when ``planes``."""
+    return _grid_first(np.empty(shape[2:] + shape[:2], dtype)) if planes else np.empty(shape, dtype)
+
+
+def _float_view(z):
+    """The complex array ``z`` as the float array z.shape + (2,) of its real and
+    imaginary parts, a view of any layout."""
+    if z.flags.c_contiguous:
+        return z.view(z.real.dtype).reshape(z.shape + (2,))
+    re = z.real
+    return np.lib.stride_tricks.as_strided(re, z.shape + (2,), re.strides + (re.itemsize,))
+
+
 # Largest total size the scratch buffers may reach before they are all let go.
 SCRATCH_MAX_BYTES = 64 << 20
 
 _scratch = {}  # tag -> its one byte buffer, grown to the largest size asked
-_views = {}    # (shape, dtype, tag) -> a view of that buffer
+_views = {}    # (shape, dtype, tag, planes) -> a view of that buffer
 
 
-def scratch(shape, dtype, tag):
+def scratch(shape, dtype, tag, like=None):
     """A reusable buffer of ``shape`` and ``dtype``: a view of the one buffer
     kept under ``tag``, so the same tag at another shape or dtype shares it.
+    It takes the layout of the field ``like`` (component planes or not), and
+    is C-ordered without it.
 
     Its contents are whatever its last user left. A caller uses it only
     until it returns: a scratch buffer is never returned nor stored, and
@@ -274,7 +320,8 @@ def scratch(shape, dtype, tag):
     ``SCRATCH_MAX_BYTES`` in all, every buffer is let go and the next calls
     allocate afresh.
     """
-    key = (shape, dtype, tag)
+    planes = like is not None and _is_component_major(like)
+    key = (shape, dtype, tag, planes)
     view = _views.get(key)
     if view is None:
         dtype = np.dtype(dtype)
@@ -288,7 +335,9 @@ def scratch(shape, dtype, tag):
                 _scratch.clear()
                 _views.clear()
             base = _scratch[tag] = np.empty(nbytes, np.uint8)
-        view = _views[key] = base[:nbytes].view(dtype).reshape(shape)
+        view = base[:nbytes].view(dtype)
+        view = _views[key] = (_grid_first(view.reshape(shape[2:] + shape[:2])) if planes
+                              else view.reshape(shape))
     return view
 
 
@@ -318,7 +367,7 @@ def hermitize(M, out=None):
     """(M^dag + M) / 2, formed in ``out`` (which must not overlap M)."""
     M = np.asarray(M)
     if out is None:
-        out = np.empty(M.shape, np.result_type(M, 0.5))
+        out = np.empty_like(M, dtype=np.result_type(M, 0.5))
     np.conjugate(np.swapaxes(M, -1, -2), out=out)
     out += M
     out *= 0.5
@@ -392,7 +441,12 @@ def vn_entropy_trace(M, tol=HERM_TOL):
 
 
 def trace_field(M):
-    return np.real(np.trace(M, axis1=-2, axis2=-1))
+    """Re Tr M at every point: the real parts of the diagonal entries summed
+    in order, each one plane (the first plus 0.0, as numpy's own sum begins)."""
+    s = M[..., 0, 0].real + 0.0
+    for i in range(1, M.shape[-1]):
+        s += M[..., i, i].real
+    return s
 
 
 # Largest contracted dimension ``mm`` writes as component sums. numpy's
@@ -406,16 +460,18 @@ def mm(A, B, out=None):
 
     For k <= ``MM_SUMS_MAX`` each entry is the vectorised sum over the grid
     sum_c A[..., i, c] * B[..., c, j], formed in scratch; above that,
-    numpy's batched ``@``. Leading axes broadcast as they do for ``@``.
+    numpy's batched ``@`` on C-ordered copies, whose BLAS path gives the
+    same bits for either layout. Leading axes broadcast as they do for ``@``.
     """
     n, k = A.shape[-2:]
-    if k > MM_SUMS_MAX:
-        return np.matmul(A, B, out=out)
     m = B.shape[-1]
     lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     dtype = np.result_type(A, B)
     if out is None:
-        out = np.empty(lead + (n, m), dtype)
+        out = _empty(lead + (n, m), dtype, _is_component_major(A, B))
+    if k > MM_SUMS_MAX:
+        out[...] = np.matmul(np.ascontiguousarray(A), np.ascontiguousarray(B))
+        return out
     s, prod = scratch(lead, dtype, "mm.sum"), scratch(lead, dtype, "mm.prod")
     for i in range(n):
         for j in range(m):
@@ -428,11 +484,9 @@ def mm(A, B, out=None):
 
 def comm(A, B, out=None):
     """Commutator field [A, B] = AB - BA, with BA formed in scratch."""
-    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
-    BA = mm(B, A, out=scratch(shape, np.result_type(A, B), "comm"))
-    out = mm(A, B, out=out)
-    out -= BA
-    return out
+    AB = mm(A, B, out=out)
+    AB -= mm(B, A, out=scratch(AB.shape, AB.dtype, "comm", like=AB))
+    return AB
 
 
 def tr_prod(A, B):
@@ -454,13 +508,6 @@ def eigen_compose(v, fw):
     ``fw`` (..., n), through ``mm``. Not hermitized: ``fw`` may be complex, as
     exp(i w) is for a unitary."""
     return mm(v * fw[..., None, :], dagger(v))
-
-
-def planar(M):
-    """``M`` (..., n, m) copied into contiguous (n, m, ...) component planes,
-    returned as the (..., n, m) view of that copy: the same values, with
-    each component ``M[..., i, j]`` one contiguous block."""
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1))), (0, 1), (-2, -1))
 
 
 # -- random smooth fields (probe generation) ---------------------------------

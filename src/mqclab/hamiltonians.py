@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import MM_SUMS_MAX, PhaseGrid, eigen_compose, hermitize, planar, require_hermitian
+from .grids import PhaseGrid, component_major, eigen_compose, hermitize, require_hermitian
 from .states import _fix_eigvec_phase
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -109,12 +109,10 @@ class Hamiltonian:
     ``X_q = dH_p`` and ``X_p = -dH_q`` are the components of the hybrid
     Hamiltonian vector field, each an n x n Hermitian matrix field.
 
-    The fields are stored interleaved, (Nq, Np, n, n). For n <= 3
-    ``planes()`` also holds H, X_q and X_p as contiguous (n, n, Nq, Np)
-    component planes, which the component-sum kernels of ``grids`` read one
-    contiguous block at a time. The split-state right-hand side reads them
-    at every stage; they are copied on its first call and cached, so runs
-    that never evolve a split state do not hold the copy.
+    H, dH_q, dH_p and X_p are stored as contiguous component planes
+    (``grids.component_major``), converted once here from whatever layout
+    the builder made, so the component sums of ``grids`` read each matrix
+    entry as one contiguous plane.
     """
 
     grid: PhaseGrid
@@ -126,10 +124,11 @@ class Hamiltonian:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.H = require_hermitian(np.asarray(self.H, dtype=complex), 1e-12, "Hamiltonian")
-        self.dH_q = hermitize(np.asarray(self.dH_q, dtype=complex))
-        self.dH_p = hermitize(np.asarray(self.dH_p, dtype=complex))
-        self._X_p = -self.dH_q  # once: every right-hand side reads it
+        self.H, self.dH_q, self.dH_p = (component_major(np.asarray(F, dtype=complex))
+                                        for F in (self.H, self.dH_q, self.dH_p))
+        self.H = require_hermitian(self.H, 1e-12, "Hamiltonian")
+        self.dH_q, self.dH_p = hermitize(self.dH_q), hermitize(self.dH_p)
+        self._X_p = component_major(-self.dH_q)  # once: every right-hand side reads it
 
     @property
     def n(self):
@@ -142,18 +141,6 @@ class Hamiltonian:
     @property
     def X_p(self):
         return self._X_p
-
-    def planes(self):
-        """(H, X_q, X_p) as (Nq, Np, n, n) views of contiguous component
-        planes (``grids.planar``), built on the first call. The planes
-        serve the component sums of ``grids.mm``; for n above
-        ``MM_SUMS_MAX`` ``mm`` is numpy's ``@``, so these are the
-        interleaved fields themselves."""
-        if self.n > MM_SUMS_MAX:
-            return self.H, self.X_q, self.X_p
-        if "_planes" not in self.extras:
-            self.extras["_planes"] = tuple(planar(F) for F in (self.H, self.X_q, self.X_p))
-        return self.extras["_planes"]
 
     def gradient_fd_error(self):
         """Max deviation of the stored gradient from the 4th-order stencil.

@@ -13,6 +13,12 @@ of (D, W) applies to it unchanged; ``psi`` is a view of W's single column.
 Plus the Berry connection / curvature of the conditional field and the
 Liouville volume Lambda = 1 + hbar Im Tr {field^dag, field}.
 
+The matrix and vector fields of every state (P, W and the view psi) are
+stored as contiguous component planes (``grids.component_major``): the
+constructors convert what they are given, with no copy when it is stored so
+already. Snapshot reads, the Gibbs builders, the probe states and the RK4
+driver all build their states through these constructors.
+
 A split owns its Berry data (``berry``: connection and Liouville volume
 ``Lambda``, on first read) and the spectrum of W W^dag; both are kept, so a
 split is not changed in place once built.
@@ -29,6 +35,7 @@ import numpy as np
 from .grids import (
     PhaseGrid,
     VectorField2,
+    component_major,
     dagger,
     eigvalsh_field,
     hermitize,
@@ -62,12 +69,13 @@ class HybridDensity:
     """Matrix-valued density P(q,p); trace integrates to 1 when normalized."""
 
     grid: PhaseGrid
-    P: np.ndarray  # (Nq, Np, n, n) complex
+    P: np.ndarray  # (Nq, Np, n, n) complex, stored as component planes
 
     def __post_init__(self):
         self.P = np.asarray(self.P, dtype=complex)
         if self.P.shape[:2] != self.grid.shape or self.P.shape[-1] != self.P.shape[-2]:
             raise ValueError("P must have shape (Nq, Np, n, n)")
+        self.P = component_major(self.P)
 
     @property
     def n(self):
@@ -93,13 +101,14 @@ class UhlmannSplit:
 
     grid: PhaseGrid
     D: np.ndarray  # (Nq, Np) real, >= 0
-    W: np.ndarray  # (Nq, Np, n, m) complex
+    W: np.ndarray  # (Nq, Np, n, m) complex, stored as component planes
 
     def __post_init__(self):
         self.D = np.asarray(self.D, dtype=float)
         self.W = np.asarray(self.W, dtype=complex)
         if self.D.shape != self.grid.shape or self.W.shape[:2] != self.grid.shape:
             raise ValueError("D / W shapes do not match grid")
+        self.W = component_major(self.W)
 
     @property
     def n(self):

@@ -20,15 +20,10 @@ from mqclab.diagnostics import make_sample_fn
 from mqclab.dynamics import MODELS, StepperConfig, cfl_dt, circle_loop, conditional_rhs, rk4_run
 from mqclab.grids import MM_SUMS_MAX, _diff4, mm
 
-from test_kernels import diff4_roll, random_field
+from test_kernels import diff4_roll, random_field, same_bits
 
 grid_sizes = st.tuples(st.integers(8, 16), st.integers(8, 16))
 seeds = st.integers(0, 2**32 - 1)
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])

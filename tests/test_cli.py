@@ -184,10 +184,14 @@ class TestConfig:
                                       "time.sample_every=x", "equilibrium.T_check",
                                       "equilibrium.E=1e6", "hamiltonian", "equilibrium.mu",
                                       "diagnostics.loop", "diagnostics.loop.center",
-                                      "diagnostics.loop.points", "diagnostics.functionals",
+                                      "diagnostics.loop.points", "diagnostics.loop.points=-5",
+                                      "diagnostics.loop.points=0", "diagnostics.loop.points=1",
+                                      "diagnostics.loop.points=2", "diagnostics.loop.radius=0",
+                                      "diagnostics.functionals",
                                       "diagnostics.renyi_alpha=x",
                                       "diagnostics.renyi_alpha=1.0",
                                       "diagnostics.c2_sigma", "diagnostics.probes_seed",
+                                      "diagnostics.probes_seed=-1",
                                       "diagnostics.n_probes", "initial.density.uniform_weight",
                                       "initial.state.amplitude", "initial.state.vector",
                                       "initial.state.vector=[[0,0],[0,0]]",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mqclab import (
     MaxEntProblem,
@@ -22,8 +24,10 @@ from mqclab import (
     uncoupled,
     zeta_composed,
 )
+from mqclab.dynamics import MeanFieldState, pairing
+from mqclab.grids import eigen_compose, hermitize, random_band_limited
 from mqclab.hamiltonians import ScalarProfile
-from mqclab.states import quantum_marginal
+from mqclab.states import ConditionalSplit, quantum_marginal
 
 
 def big_grid(N=64, L=16.0):
@@ -288,3 +292,70 @@ class TestLocalMaximality:
                 continue
             s_pert = shannon_pure(ConditionalSplit(grid, D_proj, res.state.psi)).value
             assert s_pert <= s_eq + 1e-12
+
+
+# -- the maximum-entropy principle as properties ---------------------------------
+
+SEAM_FREE = ("sin_q", "cos_q", "sin_p", "cos_p", "trig_q", "trig_p")
+
+
+@st.composite
+def seam_free_landscapes(draw):
+    """A seam-free Hamiltonian on a small torus: pure dephasing with a
+    ``trig_well`` H_0 and a periodic H_I, or the trig nanowire."""
+    grid = torus_grid(draw(st.sampled_from([16, 20, 24])))
+    if draw(st.booleans()):
+        return nanowire(grid, mass=draw(st.floats(0.5, 2.0)), eta=draw(st.floats(0.1, 0.8)),
+                        B=draw(st.floats(0.2, 0.6)))
+    h0 = scalar_profile(grid, "trig_well", omega=draw(st.floats(0.3, 1.5)))
+    hi = scalar_profile(grid, draw(st.sampled_from(SEAM_FREE)),
+                        amplitude=draw(st.floats(-0.5, 0.5)))
+    return pure_dephasing(grid, h0, hi, SIGMA_Z)
+
+
+class TestMaxEntProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(ham=seam_free_landscapes(), mu=st.floats(0.5, 4.0), branch=st.integers(0, 1),
+           eps=st.floats(0.02, 0.3), kmax=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_conditional_gibbs_is_a_local_entropy_maximum(self, ham, mu, branch, eps, kmax, seed):
+        """No band-limited perturbation of the conditional Gibbs density,
+        projected back onto its mass and energy, has more entropy."""
+        grid = ham.grid
+        res = gibbs_conditional(MaxEntProblem("conditional", ham, mu=mu, branch=branch))
+        assert not res.seam_kinked
+        E_field = pairing(res.state.W, ham.H)  # the branch energy <psi|H|psi>
+        s_eq = shannon_pure(res.state).value
+        pert = res.state.D * (1.0 + eps * random_band_limited(grid, np.random.default_rng(seed),
+                                                               kmax=kmax))
+        try:
+            D_proj = project_to_constraints(grid, pert, E_field, res.energy)
+        except ValueError:  # the energy is out of reach of this reweighting
+            assume(False)
+        s_pert = shannon_pure(ConditionalSplit(grid, D_proj, res.state.psi)).value
+        assert s_pert <= s_eq + 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(N=st.sampled_from([16, 20, 24]), omega=st.floats(0.3, 1.5), n=st.integers(2, 3),
+           mu=st.floats(0.2, 4.0), eps=st.floats(1e-3, 0.3), seed=st.integers(0, 2**32 - 1))
+    def test_meanfield_conditions_vanish_only_at_the_gibbs_pair(self, N, omega, n, mu, eps, seed):
+        """Both mean-field residuals vanish at the uncoupled Gibbs pair for a
+        random Hermitian H_Q, and stay positive once the pair is perturbed
+        (D by exp(eps f), ln rho by eps X, each renormalised)."""
+        grid = torus_grid(N)
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H_Q = hermitize(G) / np.max(np.abs(G))
+        ham = uncoupled(grid, scalar_profile(grid, "trig_well", omega=omega), H_Q)
+        res = gibbs_meanfield_uncoupled(MaxEntProblem("mean_field", ham, mu=mu))
+        assert not res.seam_kinked
+        r_q, r_c = meanfield_maxent_residual(res.state, ham, mu=mu)
+        assert r_q < 1e-8 and r_c < 1e-8
+
+        f = random_band_limited(grid, rng, kmax=2)
+        D = res.state.D * np.exp(eps * f)
+        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w, v = np.linalg.eigh(hermitize(-mu * H_Q + eps * hermitize(X)))
+        rw = np.exp(w - np.max(w))
+        perturbed = MeanFieldState(grid, D / grid.integrate(D), eigen_compose(v, rw / rw.sum()))
+        r_q, r_c = meanfield_maxent_residual(perturbed, ham, mu=mu)
+        assert r_q > 1e-8 and r_c > 1e-8

@@ -1,8 +1,10 @@
 """Properties of the grid-field kernels: the matrix-field product and
 commutator, the trace of a product, the eigen-composition, the closed-form
-2 x 2 spectrum, the velocity pairing and the split right-hand side on
-component planes, the periodic stencil and the conservative divergence; and
-that they stay the package's one contraction path."""
+2 x 2 spectrum, the velocity pairing, the split right-hand side, the
+periodic stencil and the conservative divergence; that every kernel and
+right-hand side gives the same bits on component planes and on interleaved
+fields, and that the Hamiltonian and the states hold component planes; and
+that the kernels stay the package's one contraction path."""
 
 import ast
 import pathlib
@@ -13,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mqclab
-from mqclab import Hamiltonian, PhaseGrid, tabulated
-from mqclab.dynamics import MODELS, beyond_ehrenfest_rhs, ehrenfest_rhs, pairing, uhlmann_rhs
-from mqclab.grids import (MM_SUMS_MAX, _diff4, comm, eigen_compose, eigvalsh_field, hermitize, mm,
-                          planar, tr_prod)
+from mqclab import PhaseGrid, tabulated
+from mqclab.dynamics import MODELS, pairing, uhlmann_rhs
+from mqclab.grids import (MM_SUMS_MAX, _diff4, comm, component_major, eigen_compose, eigvalsh_field,
+                          hermitize, mm, tr_prod)
 
 EPS = np.finfo(float).eps
 
@@ -67,7 +69,7 @@ def test_mm_on_planar_view_gives_same_bits(complex_valued, shape, n, k, m, seed)
     rng = np.random.default_rng(seed)
     A = random_field(rng, shape + (n, k), complex_valued)
     B = random_field(rng, shape + (k, m), complex_valued)
-    Ap = planar(A)
+    Ap = component_major(A)
     assert np.array_equal(Ap, A)
     assert all(Ap[..., i, c].flags.c_contiguous for i, c in np.ndindex(n, k))
     assert np.array_equal(mm(Ap, B), mm(A, B))
@@ -102,9 +104,9 @@ def test_eigen_compose_matches_einsum(complex_fw, field, shape, n, seed):
     assert np.max(np.abs(got - want)) <= tol
 
 
-# The only functions of the package that call einsum: neither contracts a
-# matrix field (the spline gather, and a real dot product of (re, im) parts).
-EINSUM_ALLOWED = {("grids", "PhaseGrid.interpolate"), ("dynamics", "pairing")}
+# The only function of the package that calls einsum: the spline gather,
+# which contracts no matrix field.
+EINSUM_ALLOWED = {("grids", "PhaseGrid.interpolate")}
 
 
 def test_einsum_stays_out_of_the_contraction_path():
@@ -128,7 +130,7 @@ def test_einsum_stays_out_of_the_contraction_path():
     for path in sorted(pathlib.Path(mqclab.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, ())
     assert found - EINSUM_ALLOWED == set()
-    assert found == EINSUM_ALLOWED  # the guard still sees the two it allows
+    assert found == EINSUM_ALLOWED  # the guard still sees the one it allows
 
 
 @st.composite
@@ -182,14 +184,14 @@ def test_eigvalsh_field_is_lapack_for_other_sizes(n, shape, complex_valued, seed
     assert np.array_equal(eigvalsh_field(M), np.linalg.eigvalsh(M))
 
 
-@pytest.mark.parametrize("layout", ["interleaved", "planar"])
+@pytest.mark.parametrize("layout", ["interleaved", "component_major"])
 @settings(max_examples=25, deadline=None)
 @given(shape=grid_sizes, n=st.integers(1, 4), m=st.integers(1, 3), seed=seeds)
 def test_pairing_matches_einsum(layout, shape, n, m, seed):
     rng = np.random.default_rng(seed)
     W = random_field(rng, shape + (n, m), True)
     X = random_field(rng, shape + (n, n), True)  # complex, not Hermitian
-    Xl = planar(X) if layout == "planar" else X
+    Xl = component_major(X) if layout == "component_major" else X
     want = np.einsum("ijak,ijab,ijbk->ij", np.conj(W), X, W).real
     tol = 8 * n * n * m * EPS * np.max(np.abs(X)) * np.max(np.abs(W)) ** 2
     assert np.max(np.abs(pairing(W, Xl) - want)) <= tol
@@ -245,10 +247,9 @@ def implied_density_tendency(model, arrays, tends):
     return dD[..., None, None] * (W @ Wh) + D[..., None, None] * (dW @ Wh + W @ dWh)
 
 
-@pytest.mark.parametrize("model", list(MODELS))
-@settings(max_examples=15, deadline=None)
-@given(shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 3), seed=seeds)
-def test_every_model_has_a_hermitian_density_tendency(model, shape, n, m, seed):
+def model_case(model, shape, n, m, seed):
+    """(grid, ham, arrays): a random Hamiltonian and random interleaved state
+    arrays of ``model``, with D > 0."""
     rng = np.random.default_rng(seed)
     grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, *shape, hbar=0.5)
     ham = random_hamiltonian(grid, rng, n)
@@ -258,46 +259,149 @@ def test_every_model_has_a_hermitian_density_tendency(model, shape, n, m, seed):
         rho = random_field(rng, (n, n), True)
         arrays = (D, rho @ np.conj(rho.T))
     elif model == "ehrenfest_conditional":
-        arrays = (D, W[..., 0])
+        arrays = (D, W[..., 0].copy())
     elif model == "ehrenfest_uhlmann":
         arrays = (D, W)
     else:
         arrays = (D[..., None, None] * (W @ np.conj(np.swapaxes(W, -1, -2))),)
+    return grid, ham, arrays
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+@settings(max_examples=15, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 3), seed=seeds)
+def test_every_model_has_a_hermitian_density_tendency(model, shape, n, m, seed):
+    grid, ham, arrays = model_case(model, shape, n, m, seed)
     tends, _ = MODELS[model].rhs(grid, ham, arrays)
     dP = implied_density_tendency(model, arrays, tends)
     residual = np.max(np.abs(dP - np.conj(np.swapaxes(dP, -1, -2))))
     assert residual <= 64 * n * m * EPS * np.max(np.abs(dP))
 
 
-def test_density_rhs_builds_no_planes(monkeypatch):
-    """Only the split right-hand side copies the Hamiltonian into planes, so
-    density-model runs do not hold the copy."""
-    calls = []
-    planes = Hamiltonian.planes
-    monkeypatch.setattr(Hamiltonian, "planes", lambda self: calls.append(1) or planes(self))
-    rng = np.random.default_rng(7)
-    grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 12, 12)
+# -- one layout: component planes, and the same bits from either layout ---------
+
+LAYOUTS = ("interleaved", "component_major")
+
+
+def laid_out(a, layout):
+    """``a`` stored in ``layout``; a field without trailing axes has only one."""
+    a = np.asarray(a)
+    if a.ndim <= 2:
+        return a.copy()
+    return component_major(a.copy()) if layout == "component_major" else np.ascontiguousarray(a)
+
+
+def is_component_major(a):
+    return np.moveaxis(a, (0, 1), (-2, -1)).flags.c_contiguous
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def kernel_case(kernel, rng, shape, n, k, m, complex_valued):
+    """(operands, f(*operands, out=None) or f(*operands) without ``out``)."""
+    A = random_field(rng, shape + (n, k), complex_valued)
+    if kernel in ("diff4_q", "diff4_p"):
+        axis = 0 if kernel == "diff4_q" else 1
+        return (A,), lambda a, out=None: _diff4(a, axis, 0.37, out)
+    if kernel == "mm":
+        return (A, random_field(rng, shape + (k, m), complex_valued)), mm
+    if kernel == "comm":
+        square = random_field(rng, shape + (n, n), complex_valued)
+        return (square, random_field(rng, shape + (n, n), complex_valued)), comm
+    if kernel == "hermitize":
+        return (random_field(rng, shape + (n, n), complex_valued),), hermitize
+    if kernel == "tr_prod":
+        return (A, random_field(rng, shape + (k, n), complex_valued)), tr_prod
+    W = random_field(rng, shape + (n, m), True)
+    return (W, random_field(rng, shape + (n, n), complex_valued)), pairing
+
+
+@pytest.mark.parametrize("kernel", ["diff4_q", "diff4_p", "mm", "comm", "hermitize", "tr_prod",
+                                    "pairing"])
+@settings(max_examples=25, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 3), k=st.integers(1, MM_SUMS_MAX + 1),
+       m=st.integers(1, 3), complex_valued=st.booleans(), seed=seeds,
+       layouts=st.tuples(st.sampled_from(LAYOUTS), st.sampled_from(LAYOUTS)),
+       out_layout=st.sampled_from((None,) + LAYOUTS))
+def test_kernels_give_the_same_bits_in_either_layout(kernel, shape, n, k, m, complex_valued, seed,
+                                                     layouts, out_layout):
+    """Each kernel gives the bits of its interleaved result on operands in any
+    mix of layouts, writing into ``out=`` of either layout; a fresh result of
+    component-plane operands is component planes itself."""
+    operands, f = kernel_case(kernel, np.random.default_rng(seed), shape, n, k, m, complex_valued)
+    want = f(*operands)
+    laid = tuple(laid_out(a, lay) for a, lay in zip(operands, layouts))
+    takes_out = kernel not in ("tr_prod", "pairing")
+    if takes_out:
+        planes = f(*(laid_out(a, "component_major") for a in operands))
+        assert is_component_major(planes) and same_bits(planes, want)
+    if out_layout is None or not takes_out:
+        got = f(*laid)
+    else:
+        out = laid_out(np.full_like(want, np.nan), out_layout)
+        got = f(*laid, out=out)
+        assert got is out
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+@settings(max_examples=10, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 3), seed=seeds,
+       layout=st.sampled_from(LAYOUTS), out_layout=st.sampled_from((None,) + LAYOUTS))
+def test_rhs_gives_the_same_bits_in_either_layout(model, shape, n, m, seed, layout, out_layout):
+    """Each model's right-hand side gives the tendencies and velocity of its
+    interleaved state on the component-plane state, into ``out=`` of either
+    layout."""
+    grid, ham, arrays = model_case(model, shape, n, m, seed)
+    rhs = MODELS[model].rhs
+    want, want_info = rhs(grid, ham, arrays)
+    laid = tuple(laid_out(a, layout) for a in arrays)
+    out = None if out_layout is None else tuple(
+        laid_out(np.full_like(w, np.nan), out_layout) for w in want)
+    got, info = rhs(grid, ham, laid, out=out)
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+    if out is None and layout == "component_major":
+        assert all(is_component_major(g) for g in got)
+    assert info["max_speed"] == want_info["max_speed"]
+    assert all(same_bits(g, w) for g, w in zip(info["velocity"], want_info["velocity"]))
+
+
+def test_hamiltonian_and_states_hold_component_planes(tmp_path):
+    """The Hamiltonian and every state store their matrix and vector fields
+    as component planes: built from interleaved arrays, read back from a
+    snapshot, or built as the conditional Gibbs state; a state built from
+    planes keeps them without a copy."""
+    from mqclab import (ConditionalSplit, HybridDensity, MaxEntProblem, UhlmannSplit,
+                        gibbs_conditional, pure_dephasing, read_snapshot, scalar_profile,
+                        write_snapshot)
+    from mqclab.hamiltonians import SIGMA_Z
+
+    rng = np.random.default_rng(5)
+    grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 12, 10)
     ham = random_hamiltonian(grid, rng, 2)
+    assert all(is_component_major(F) for F in (ham.H, ham.dH_q, ham.dH_p, ham.X_q, ham.X_p))
+    D = 1.0 + rng.random(grid.shape)
     W = random_field(rng, grid.shape + (2, 2), True)
-    P = np.einsum("ijak,ijbk->ijab", W, np.conj(W))
-    ehrenfest_rhs(grid, P, ham)
-    beyond_ehrenfest_rhs(grid, P, ham)
-    assert not calls
-    uhlmann_rhs(grid, np.ones(grid.shape), W, ham)
-    assert calls
-
-
-@pytest.mark.parametrize("n", [MM_SUMS_MAX, MM_SUMS_MAX + 1])
-def test_planes_only_below_the_mm_guard(n):
-    """Above the guard ``mm`` is numpy's ``@``, which planes do not help, so
-    ``planes()`` hands out the interleaved fields without copying them."""
-    grid = PhaseGrid(-np.pi, np.pi, -np.pi, np.pi, 8, 8)
-    ham = random_hamiltonian(grid, np.random.default_rng(3), n)
-    fields = ham.planes()
-    for F, G in zip(fields, (ham.H, ham.X_q, ham.X_p)):
-        assert np.array_equal(F, G)
-        assert (F is G) == (n > MM_SUMS_MAX)
-    assert ("_planes" in ham.extras) == (n <= MM_SUMS_MAX)
+    assert not is_component_major(W)
+    states = [HybridDensity(grid, W @ np.conj(np.swapaxes(W, -1, -2))), UhlmannSplit(grid, D, W),
+              ConditionalSplit(grid, D, W[..., 0])]
+    for k, state in enumerate(list(states)):
+        write_snapshot(tmp_path / f"{k}.snap", state)
+        states.append(read_snapshot(tmp_path / f"{k}.snap"))
+    dephasing = pure_dephasing(grid, scalar_profile(grid, "trig_well", omega=0.4),
+                               scalar_profile(grid, "sin_q", amplitude=0.2), SIGMA_Z)
+    states.append(gibbs_conditional(MaxEntProblem("conditional", dephasing, mu=2.0, branch=1)).state)
+    for state in states:
+        fields = [state.P] if isinstance(state, HybridDensity) else [state.W]
+        if isinstance(state, ConditionalSplit):
+            fields.append(state.psi)
+        assert all(is_component_major(F) for F in fields), type(state).__name__
+    again = HybridDensity(grid, states[0].P)
+    assert np.shares_memory(again.P, states[0].P)
 
 
 def diff4_roll(values, axis, h):
