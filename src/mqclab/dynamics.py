@@ -16,8 +16,10 @@ Models
 evolves, the maps between that state and the tuple of arrays RK4 advances,
 the right-hand side ``rhs(grid, ham, arrays, out=None, residual=False) ->
 (tendencies, info)`` and the renormalisation. Every right-hand side reports
-its transport velocity and the largest speed, which the loop tracer and the
-CFL step size read. Both density models end in one tendency,
+its transport velocity, which the loop tracer reads. ``max_speed`` is the
+one place the largest speed is taken from it: ``cfl_dt`` reads it once and
+``rk4_run``'s CFL guard once per step, on the first stage, since the other
+stages need only the velocity. Both density models end in one tendency,
 -div(P X) - (i/hbar)[H, P]. The vacuum floor is ``states.vacuum_floor``
 throughout; only the density right-hand sides take its factor, so that at 0
 a zero-trace region aborts.
@@ -56,7 +58,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import PhaseGrid, antiherm_residual, comm, hermitize, mm, scratch, tr_prod, trace_field
+from .grids import (PhaseGrid, antiherm_residual, comm, frobenius_norm, hermitize, mm, scratch,
+                    tr_prod, trace_field)
 from .hamiltonians import Hamiltonian
 from .states import EPS_D_REL, ConditionalSplit, HybridDensity, UhlmannSplit, compose, vacuum_floor
 
@@ -121,8 +124,7 @@ def mean_field_rhs(grid, D, rho, ham, out=None):
     Hbar = hermitize(grid.integrate(np.multiply(D[..., None, None], ham.H, out=DH)))
     comm(Hbar, rho, out=drho)
     drho *= -1j / grid.hbar
-    speed = float(np.max(np.hypot(dHeff_p, dHeff_q)))
-    return (dD, drho), {"max_speed": speed, "velocity": (dHeff_p, -dHeff_q)}
+    return (dD, drho), {"velocity": (dHeff_p, -dHeff_q)}
 
 
 def _regularized_trace(P, eps_tr_rel=EPS_D_REL):
@@ -161,7 +163,7 @@ def _density_tendency(grid, P, Xq, Xp, H, out, residual):
     if not np.all(np.isfinite(tend)):
         bad = np.argwhere(~np.all(np.isfinite(tend), axis=(-2, -1)))[0]
         raise NumericalAbort(f"non-finite tendency at grid point {tuple(bad)}")
-    info = {"max_speed": float(np.max(np.hypot(Xq, Xp))), "velocity": (Xq, Xp)}
+    info = {"velocity": (Xq, Xp)}
     if residual:
         info["antiherm_resid"] = antiherm_residual(tend)
     return (hermitize(tend, out=dP),), info
@@ -177,29 +179,45 @@ def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):
     return _density_tendency(grid, P, Xq, Xp, ham.H, out, residual)
 
 
-def pairing(W, X):
-    """Re Tr(W^dag X W) at every grid point: a matrix field X averaged over
-    the conditional state W (a transport velocity when X is X_H).
+def pairing(W, *Xs):
+    """Re Tr(W^dag X W) at every grid point, for each matrix field X of
+    ``Xs``: X averaged over the conditional state W (a transport velocity
+    when X is X_H). One array per X; a single X gives its array alone.
 
-    The sum of Re conj(W) (X W) over the n x m entries, with X W from ``mm``.
-    Since Re(conj(w) z) = Re w Re z + Im w Im z, it is the sum over the
-    entries of Re W Re XW, plus the same sum of Im W Im XW, each read one
-    component plane at a time.
+    Re Tr(W^dag X W) = Re Tr(X R) with the local density R = W W^dag, formed
+    once for all the X and one entry plane at a time, each entry with the
+    sums of ``mm`` (R_ab = sum_c W_ac conj(W_bc)), so that R is exactly
+    Hermitian. Its real diagonal reads Re X_aa, and each off-diagonal pair
+    a < b is read once, as Re R_ab (Re X_ab + Re X_ba) + Im R_ab (Im X_ab -
+    Im X_ba): exact for any square X, Hermitian or not.
     """
     W = np.asarray(W, dtype=complex)
-    XW = mm(X, W, out=scratch(W.shape, complex, "pairing", like=W))
+    n, m = W.shape[-2:]
     lead = W.shape[:-2]
-    prod = scratch(lead, float, "pairing.prod")
-
-    def entry_sum(F, G, out):
-        np.multiply(F[..., 0, 0], G[..., 0, 0], out=out)
-        for i, k in list(np.ndindex(W.shape[-2:]))[1:]:
-            out += np.multiply(F[..., i, k], G[..., i, k], out=prod)
-        return out
-
-    velocity = entry_sum(W.real, XW.real, np.empty(lead))
-    velocity += entry_sum(W.imag, XW.imag, scratch(lead, float, "pairing.im"))
-    return velocity
+    R, conj_w = scratch(lead, complex, "pairing.R"), scratch(lead, complex, "pairing.conj")
+    term = scratch(lead, float, "pairing.term")
+    velocities = tuple(np.empty(lead) for _ in Xs)
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(m):
+                np.conjugate(W[..., b, c], out=conj_w)
+                if c == 0:
+                    np.multiply(W[..., a, c], conj_w, out=R)
+                else:
+                    R += np.multiply(W[..., a, c], conj_w, out=conj_w)
+            for X, v in zip(Xs, velocities):
+                if a == b == 0:
+                    np.multiply(X[..., 0, 0].real, R.real, out=v)
+                elif a == b:
+                    v += np.multiply(X[..., a, a].real, R.real, out=term)
+                else:
+                    np.add(X[..., a, b].real, X[..., b, a].real, out=term)
+                    term *= R.real
+                    v += term
+                    np.subtract(X[..., a, b].imag, X[..., b, a].imag, out=term)
+                    term *= R.imag
+                    v += term
+    return velocities[0] if len(velocities) == 1 else velocities
 
 
 def _as_waveop(W):
@@ -217,7 +235,7 @@ def uhlmann_rhs(grid, D, W, ham, out=None):
     D, W = np.asarray(D), np.asarray(W, dtype=complex)
     dD, dW = _outputs(out, D, W)
     Wm, dWm = _as_waveop(W), _as_waveop(dW)
-    Xq, Xp = pairing(Wm, ham.X_q), pairing(Wm, ham.X_p)
+    Xq, Xp = pairing(Wm, ham.X_q, ham.X_p)
     flux = scratch(D.shape, dD.dtype, "uhlmann.flux")
     grid.partial_q(np.multiply(D, Xq, out=flux), out=dD)
     dD += grid.partial_p(np.multiply(D, Xp, out=flux), out=scratch(D.shape, dD.dtype, "uhlmann.dp"))
@@ -227,8 +245,7 @@ def uhlmann_rhs(grid, D, W, ham, out=None):
     grad = scratch(Wm.shape, complex, "uhlmann.grad", like=Wm)
     dWm -= np.multiply(grid.partial_q(Wm, out=grad), Xq[..., None, None], out=grad)
     dWm -= np.multiply(grid.partial_p(Wm, out=grad), Xp[..., None, None], out=grad)
-    info = {"max_speed": float(np.max(np.hypot(Xq, Xp))), "velocity": (Xq, Xp)}
-    return (dD, dW), info
+    return (dD, dW), {"velocity": (Xq, Xp)}
 
 
 def conditional_rhs(grid, D, psi, ham, out=None):
@@ -359,7 +376,7 @@ def _mf_renorm(grid, arrays):
 def _split_renorm(grid, arrays):
     D, W = arrays
     Wm = _as_waveop(W)
-    norms = np.linalg.norm(Wm, axis=(-2, -1))
+    norms = frobenius_norm(Wm)
     Wm = Wm / np.where(norms > 0, norms, 1.0)[..., None, None]
     return (D / grid.integrate(D), Wm.reshape(W.shape))
 
@@ -412,13 +429,19 @@ MODELS = {
 }
 
 
+def max_speed(info):
+    """The largest transport speed |X| on the grid, from the velocity in a
+    right-hand side's ``info``: the one speed the CFL step size and guard read."""
+    return float(np.max(np.hypot(*info["velocity"])))
+
+
 def cfl_dt(model, state, ham, cfl):
     """Step size at advective CFL number ``cfl`` for the largest transport
-    speed the model's right-hand side reports at ``state``."""
+    speed of the model's right-hand side at ``state``."""
     spec = MODELS[model]
     grid = state.grid
     _, info = spec.rhs(grid, ham, spec.unpack(state))
-    return float(cfl) * min(grid.dq, grid.dp) / max(info["max_speed"], 1e-12)
+    return float(cfl) * min(grid.dq, grid.dp) / max(max_speed(info), 1e-12)
 
 
 # -- RK4 driver -------------------------------------------------------------------
@@ -521,7 +544,7 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
         if step == cfg.steps:
             break
 
-        ratio = abs(dt) * info1["max_speed"] / minh
+        ratio = abs(dt) * max_speed(info1) / minh
         result.cfl_max_seen = max(result.cfl_max_seen, ratio)
         if ratio >= cfg.cfl_max:
             abort(f"CFL guard tripped at step {step}: dt*speed/h = {ratio:.3f} >= {cfg.cfl_max}",

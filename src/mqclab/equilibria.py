@@ -23,7 +23,8 @@ import numpy as np
 
 from . import dynamics as _dyn
 from . import invariants as _inv
-from .grids import eigen_compose, hermitize, matrix_exp_herm, mm, tr_prod, trace_field
+from .grids import (eigen_compose, frobenius_norm, hermitize, matrix_exp_herm, mm, tr_prod,
+                    trace_field)
 from .hamiltonians import Hamiltonian, UnsupportedHamiltonianError, eigenfields
 from .states import (
     ConditionalSplit,
@@ -156,8 +157,7 @@ def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> Equilibriu
             "and pure-dephasing Hamiltonians"
         )
 
-    dE_q = _dyn.pairing(psi[..., None], ham.dH_q)
-    dE_p = _dyn.pairing(psi[..., None], ham.dH_p)
+    dE_q, dE_p = _dyn.pairing(psi[..., None], ham.dH_q, ham.dH_p)
     shift = float(np.min(E_field))
     w = np.exp(-mu * (E_field - shift))
     kinked = check_confined and _seam_kinked(grid, E_field, dE_q, dE_p)
@@ -326,7 +326,7 @@ def stationarity_residual(result: EquilibriumResult, ham: Hamiltonian, model=Non
         grid.integrate(np.abs(D0))
     )
     if isinstance(state, UhlmannSplit):
-        diff = np.linalg.norm(outer(final.W) - outer(state.W), axis=(-2, -1))
+        diff = frobenius_norm(outer(final.W) - outer(state.W))
         metrics["projector_change_l1"] = float(grid.integrate(D0 * diff))
     if isinstance(state, ConditionalSplit):
         metrics["entropy_change"] = (

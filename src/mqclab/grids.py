@@ -51,13 +51,14 @@ spectrum of a grid field goes through it.
 
 Buffers. ``partial_q``/``partial_p`` (``_diff4``), ``mm``, ``comm`` and
 ``hermitize`` take ``out=``, in either layout: the result is written there,
-with the bits of a fresh result. Their temporaries (the stencil's padded
-copy and its 8(p1 - m1) term, each product entry's sum and term, BA of a
-commutator) are ``scratch`` buffers: one reusable buffer per tag, kept
-across calls so that a run's every step reuses the same memory instead of
-taking fresh pages from the kernel. A scratch buffer never leaves the
-function that took it: it is neither returned nor stored, so results with
-``out=None`` never share memory.
+with the bits of a fresh result. ``mm`` sums each entry straight into its
+plane of the result, so its ``out`` must not overlap the operands. The
+temporaries (the stencil's padded copy and its 8(p1 - m1) term, each
+product term, BA of a commutator) are ``scratch`` buffers: one reusable
+buffer per tag, kept across calls so that a run's every step reuses the
+same memory instead of taking fresh pages from the kernel. A scratch
+buffer never leaves the function that took it: it is neither returned nor
+stored, so results with ``out=None`` never share memory.
 
 Grid arrays are indexed ``values[i, j]`` for the point
 ``(q0 + i*dq, p0 + j*dp)``; any trailing axes (matrix or vector components)
@@ -374,10 +375,29 @@ def hermitize(M, out=None):
     return out
 
 
+def frobenius_norm(M):
+    """Pointwise Frobenius norm sqrt(sum_ij |M_ij|^2) of a (..., n, m) field.
+
+    Each |M_ij|^2 = Re(conj(M_ij) M_ij) is formed one entry plane at a time
+    and summed in row-major entry order, so the bits do not depend on the
+    layout, as those of ``np.linalg.norm(M, axis=(-2, -1))`` do from 3 x 3 on
+    (it sums in memory order). Up to 2 x 2 they are its bits on interleaved
+    input.
+    """
+    M = np.asarray(M)
+    term = np.empty(M.shape[:-2], np.result_type(M, 1.0))
+    total = np.zeros(M.shape[:-2])  # 0 + |M_00|^2 is |M_00|^2: no bit moves
+    for i, j in np.ndindex(M.shape[-2:]):
+        np.conjugate(M[..., i, j], out=term)
+        term *= M[..., i, j]
+        total += term.real
+    return np.sqrt(total, out=total)
+
+
 def antiherm_residual(M):
     """Max pointwise ||M - M^dag|| relative to ||M|| (Frobenius)."""
-    num = np.linalg.norm(M - dagger(M), axis=(-2, -1))
-    den = np.linalg.norm(M, axis=(-2, -1))
+    num = frobenius_norm(M - dagger(M))
+    den = frobenius_norm(M)
     scale = max(float(np.max(den)), 1e-300)
     return float(np.max(num)) / scale
 
@@ -459,9 +479,12 @@ def mm(A, B, out=None):
     """Matrix product of (..., n, k) and (..., k, m) fields.
 
     For k <= ``MM_SUMS_MAX`` each entry is the vectorised sum over the grid
-    sum_c A[..., i, c] * B[..., c, j], formed in scratch; above that,
-    numpy's batched ``@`` on C-ordered copies, whose BLAS path gives the
-    same bits for either layout. Leading axes broadcast as they do for ``@``.
+    sum_c A[..., i, c] * B[..., c, j], summed straight into its plane of
+    ``out`` (each term in scratch); above that, numpy's batched ``@`` on
+    C-ordered copies, whose BLAS path gives the same bits for either layout.
+    Leading axes broadcast as they do for ``@``. ``out`` must not overlap A
+    or B, since the entries written first would be read again: a
+    ``ValueError`` says so.
     """
     n, k = A.shape[-2:]
     m = B.shape[-1]
@@ -469,16 +492,18 @@ def mm(A, B, out=None):
     dtype = np.result_type(A, B)
     if out is None:
         out = _empty(lead + (n, m), dtype, _is_component_major(A, B))
+    elif np.may_share_memory(out, A) or np.may_share_memory(out, B):
+        raise ValueError("mm: out must not overlap A or B")
     if k > MM_SUMS_MAX:
         out[...] = np.matmul(np.ascontiguousarray(A), np.ascontiguousarray(B))
         return out
-    s, prod = scratch(lead, dtype, "mm.sum"), scratch(lead, dtype, "mm.prod")
+    prod = scratch(lead, dtype, "mm.prod")
     for i in range(n):
         for j in range(m):
+            s = out[..., i, j]
             np.multiply(A[..., i, 0], B[..., 0, j], out=s)
             for c in range(1, k):
                 s += np.multiply(A[..., i, c], B[..., c, j], out=prod)
-            out[..., i, j] = s
     return out
 
 

@@ -37,8 +37,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grids import (EIG_CLAMP, comm, dagger, eigen_compose, eigvalsh_field, hermitize, mm,
-                    tr_prod, trace_field)
+from .grids import (EIG_CLAMP, comm, component_major, dagger, eigen_compose, eigvalsh_field,
+                    frobenius_norm, hermitize, mm, tr_prod, trace_field)
 from .hamiltonians import Hamiltonian
 from .states import (
     HybridDensity,
@@ -450,7 +450,7 @@ def bracket_operand(f: Functional, state: HybridDensity) -> BracketOperand:
     """The derivative of ``f`` at ``state`` and its two transport pieces, for
     bracketing one functional against several others."""
     grid, P = state.grid, state.P
-    G = f.derivative(state)
+    G = component_major(f.derivative(state))  # planes, as the stencils read them
     a_q = tr_prod(P, grid.partial_q(G))
     a_p = tr_prod(P, grid.partial_p(G))
     return BracketOperand(G, a_q, a_p)
@@ -493,11 +493,7 @@ def bracket_consistency(f: Functional, state: HybridDensity, ham: Hamiltonian):
     lhs = hybrid_bracket(fo, EnergyFunctional(ham), state)
     tend = _dyn.ehrenfest_rhs(grid, state.P, ham)[0][0]
     rhs = float(grid.integrate(tr_prod(fo.G, tend)))
-    mag = float(
-        grid.integrate(
-            np.linalg.norm(fo.G, axis=(-2, -1)) * np.linalg.norm(tend, axis=(-2, -1))
-        )
-    )
+    mag = float(grid.integrate(frobenius_norm(fo.G) * frobenius_norm(tend)))
     scale = max(abs(lhs), abs(rhs), mag, 1e-300)
     return {"bracket": lhs, "chain_rate": rhs, "residual": abs(lhs - rhs) / scale, "scale": scale}
 
@@ -619,7 +615,7 @@ def loop_integral(split, points) -> float:
 
 def split_velocity(split: UhlmannSplit, ham: Hamiltonian):
     """Transport velocity X = Re Tr(W^dag X_H W) of a split state."""
-    return _dyn.pairing(split.W, ham.X_q), _dyn.pairing(split.W, ham.X_p)
+    return _dyn.pairing(split.W, ham.X_q, ham.X_p)
 
 
 def lambda_transport_residual(times, splits, ham: Hamiltonian):

@@ -38,6 +38,7 @@ from .grids import (
     component_major,
     dagger,
     eigvalsh_field,
+    frobenius_norm,
     hermitize,
     mm,
     require_hermitian,
@@ -140,7 +141,7 @@ class UhlmannSplit:
         if np.min(self.D) < -1e-12 * np.max(self.D):
             raise UnphysicalStateError("negative classical density")
         mask = self.support()
-        norms = np.linalg.norm(self.W, axis=(-2, -1))
+        norms = frobenius_norm(self.W)
         err = float(np.max(np.abs(norms[mask] ** 2 - 1.0))) if np.any(mask) else 0.0
         if err > norm_tol:
             raise UnphysicalStateError(f"W Frobenius-norm error {err:.3e} on the support of D")

@@ -20,7 +20,7 @@ from mqclab.diagnostics import make_sample_fn
 from mqclab.dynamics import MODELS, StepperConfig, cfl_dt, circle_loop, conditional_rhs, rk4_run
 from mqclab.grids import MM_SUMS_MAX, _diff4, mm
 
-from test_kernels import diff4_roll, random_field, same_bits
+from test_kernels import LAYOUTS, diff4_roll, laid_out, random_field, same_bits
 
 grid_sizes = st.tuples(st.integers(8, 16), st.integers(8, 16))
 seeds = st.integers(0, 2**32 - 1)
@@ -43,15 +43,28 @@ def test_diff4_out_has_the_bits_of_a_fresh_result(axis, complex_valued, shape, h
 @pytest.mark.parametrize("complex_valued", [False, True])
 @settings(max_examples=20, deadline=None)
 @given(shape=grid_sizes, n=st.integers(1, 3), k=st.integers(1, MM_SUMS_MAX + 1),
-       m=st.integers(1, 3), seed=seeds)
-def test_mm_out_has_the_bits_of_a_fresh_result(complex_valued, shape, n, k, m, seed):
+       m=st.integers(1, 3), seed=seeds, out_layout=st.sampled_from(LAYOUTS))
+def test_mm_out_has_the_bits_of_a_fresh_result(complex_valued, shape, n, k, m, seed, out_layout):
+    """Each entry summed straight into ``out``, of either layout, has the bits
+    of the fresh product."""
     rng = np.random.default_rng(seed)
     A = random_field(rng, shape + (n, k), complex_valued)
     B = random_field(rng, shape + (k, m), complex_valued)
     fresh = mm(A, B)
-    buf = np.full_like(fresh, np.nan)
+    buf = laid_out(np.full_like(fresh, np.nan), out_layout)
     assert mm(A, B, out=buf) is buf
     assert same_bits(buf, fresh)
+
+
+@pytest.mark.parametrize("k", [2, MM_SUMS_MAX + 1])
+def test_mm_rejects_an_out_that_overlaps_an_operand(k):
+    """``mm`` writes entries into ``out`` while it still reads A and B, so an
+    ``out`` sharing memory with either is refused, not silently wrong."""
+    rng = np.random.default_rng(k)
+    A, B = (random_field(rng, (8, 8, k, k), True) for _ in range(2))
+    for out in (A, B, A[..., ::-1, :]):
+        with pytest.raises(ValueError, match="overlap"):
+            mm(A, B, out=out)
 
 
 def nanowire_split(N=16):

@@ -27,7 +27,7 @@ from mqclab import (
     uhlmann_rhs,
     uncoupled,
 )
-from mqclab.dynamics import circle_loop
+from mqclab.dynamics import circle_loop, max_speed
 from mqclab.grids import trace_field
 
 
@@ -377,7 +377,7 @@ class TestRK4Run:
         from mqclab.dynamics import conditional_rhs as crhs
 
         _, info = crhs(grid, split.D, split.psi, ham)
-        dt = 0.45 * min(grid.dq, grid.dp) / info["max_speed"]
+        dt = 0.45 * min(grid.dq, grid.dp) / max_speed(info)
         cfg = StepperConfig(dt=dt, steps=2, sample_every=1)
         with pytest.warns(RuntimeWarning, match="CFL"):
             rk4_run("ehrenfest_conditional", split, ham, cfg)
@@ -464,7 +464,7 @@ class TestRK4Run:
         assert run.times[-1] == pytest.approx(38 * dt)
         # the recorded state is the one the guard saw: one step beyond it trips again
         _, info = conditional_rhs(grid, run.states[-1].D, run.states[-1].psi, ham)
-        assert dt * info["max_speed"] / min(grid.dq, grid.dp) >= cfg.cfl_max
+        assert dt * max_speed(info) / min(grid.dq, grid.dp) >= cfg.cfl_max
 
     def test_loop_tracer_leaves_model_arrays_bit_identical(self):
         grid = make_grid(32)

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import mqclab
 from mqclab import PhaseGrid, tabulated
-from mqclab.dynamics import MODELS, pairing, uhlmann_rhs
-from mqclab.grids import (MM_SUMS_MAX, _diff4, comm, component_major, eigen_compose, eigvalsh_field,
-                          hermitize, mm, tr_prod)
+from mqclab.dynamics import MODELS, StepperConfig, cfl_dt, max_speed, pairing, rk4_run, uhlmann_rhs
+from mqclab.grids import (MM_SUMS_MAX, _diff4, antiherm_residual, comm, component_major,
+                          eigen_compose, eigvalsh_field, frobenius_norm, hermitize, mm, tr_prod)
 
 EPS = np.finfo(float).eps
 
@@ -133,6 +133,38 @@ def test_einsum_stays_out_of_the_contraction_path():
     assert found == EINSUM_ALLOWED  # the guard still sees the one it allows
 
 
+def test_the_speed_policy_stays_in_max_speed():
+    """The largest transport speed is taken in one place: ``dynamics`` calls
+    ``hypot`` only inside ``max_speed``, and no right-hand side puts a
+    ``"max_speed"`` key in its info."""
+    hypot_scopes, speed_keys = set(), []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "hypot":
+                    hypot_scopes.add(".".join(scope))
+                speed_keys.extend(".".join(scope) for kw in child.keywords if kw.arg == "max_speed")
+            elif isinstance(child, ast.Dict):
+                speed_keys.extend(".".join(scope) for key in child.keys
+                                  if isinstance(key, ast.Constant) and key.value == "max_speed")
+            elif isinstance(child, ast.Subscript):
+                key = child.slice
+                if isinstance(key, ast.Constant) and key.value == "max_speed":
+                    speed_keys.append(".".join(scope))
+            visit(child, inner)
+
+    path = pathlib.Path(mqclab.__file__).parent / "dynamics.py"
+    visit(ast.parse(path.read_text()), ())
+    assert hypot_scopes == {"max_speed"}
+    assert speed_keys == []
+
+
 @st.composite
 def hermitian_2x2_fields(draw):
     """Hermitian (Nq, Np, 2, 2) fields, generic or with a = d, b = 0, an
@@ -195,6 +227,21 @@ def test_pairing_matches_einsum(layout, shape, n, m, seed):
     want = np.einsum("ijak,ijab,ijbk->ij", np.conj(W), X, W).real
     tol = 8 * n * n * m * EPS * np.max(np.abs(X)) * np.max(np.abs(W)) ** 2
     assert np.max(np.abs(pairing(W, Xl) - want)) <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 2), seed=seeds)
+def test_pairing_of_two_fields_equals_two_one_field_calls(shape, n, m, seed):
+    """``pairing(W, X1, X2)``, one local density W W^dag for both fields,
+    gives what ``pairing(W, X1)`` and ``pairing(W, X2)`` give."""
+    rng = np.random.default_rng(seed)
+    W = random_field(rng, shape + (n, m), True)
+    Xs = [random_field(rng, shape + (n, n), True) for _ in range(2)]
+    both = pairing(W, *Xs)
+    assert isinstance(both, tuple) and len(both) == 2
+    for got, X in zip(both, Xs):
+        tol = 8 * n * n * m * EPS * np.max(np.abs(X)) * np.max(np.abs(W)) ** 2
+        assert got.shape == shape and np.max(np.abs(got - pairing(W, X))) <= tol
 
 
 def uhlmann_rhs_einsum(grid, D, W, ham):
@@ -366,8 +413,37 @@ def test_rhs_gives_the_same_bits_in_either_layout(model, shape, n, m, seed, layo
         assert same_bits(g, w)
     if out is None and layout == "component_major":
         assert all(is_component_major(g) for g in got)
-    assert info["max_speed"] == want_info["max_speed"]
+    assert max_speed(info) == max_speed(want_info)
     assert all(same_bits(g, w) for g, w in zip(info["velocity"], want_info["velocity"]))
+
+
+def old_max_speed(model, arrays, ham, info):
+    """The largest speed as each right-hand side used to take it: hypot(dHeff_p,
+    dHeff_q) for the mean field, whose velocity is (dHeff_p, -dHeff_q), and
+    hypot(X_q, X_p) of the velocity (X_q, X_p) for the other models."""
+    if model == "mean_field":
+        rho = arrays[1]
+        return float(np.max(np.hypot(tr_prod(rho, ham.dH_p), tr_prod(rho, ham.dH_q))))
+    return float(np.max(np.hypot(*info["velocity"])))
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+@settings(max_examples=10, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 3), seed=seeds,
+       cfl=st.floats(0.05, 0.3))
+def test_cfl_step_and_guard_read_the_old_per_model_speed(model, shape, n, m, seed, cfl):
+    """``cfl_dt`` and the CFL ratio of ``rk4_run`` (one step, dt < 0) have the
+    bits of the speed each right-hand side used to report itself."""
+    grid, ham, arrays = model_case(model, shape, n, m, seed)
+    _, info = MODELS[model].rhs(grid, ham, arrays)
+    speed = old_max_speed(model, arrays, ham, info)
+    assert same_bits(max_speed(info), speed)
+    state = MODELS[model].state_type(grid, *arrays)
+    minh = min(grid.dq, grid.dp)
+    dt = cfl_dt(model, state, ham, cfl)
+    assert same_bits(dt, float(cfl) * minh / max(speed, 1e-12))
+    run = rk4_run(model, state, ham, StepperConfig(dt=-dt, steps=1))
+    assert not run.aborted and same_bits(run.cfl_max_seen, abs(-dt) * speed / minh)
 
 
 def test_hamiltonian_and_states_hold_component_planes(tmp_path):
@@ -402,6 +478,30 @@ def test_hamiltonian_and_states_hold_component_planes(tmp_path):
         assert all(is_component_major(F) for F in fields), type(state).__name__
     again = HybridDensity(grid, states[0].P)
     assert np.shares_memory(again.P, states[0].P)
+
+
+def test_frobenius_norms_give_the_same_bits_in_either_layout():
+    """The pointwise Frobenius norms sum the entries in one fixed order, so
+    ``antiherm_residual`` and the split renormalisation give the same bits on
+    3 x 3 component planes as interleaved; up to 2 x 2 the norm keeps the
+    bits of ``np.linalg.norm``, and beyond that agrees with it to round-off."""
+    rng = np.random.default_rng(36)
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, 16, 16)
+    renorm = MODELS["ehrenfest_uhlmann"].renorm
+    for _ in range(20):
+        M = random_field(rng, grid.shape + (3, 3), True)
+        assert antiherm_residual(laid_out(M, "component_major")) == antiherm_residual(M)
+        D, W = 1.0 + rng.random(grid.shape), random_field(rng, grid.shape + (3, 3), True)
+        planes = renorm(grid, (D, laid_out(W, "component_major")))
+        assert all(same_bits(p, i) for p, i in zip(planes, renorm(grid, (D, W))))
+    for n, m in np.ndindex(4, 4):
+        for complex_valued in (False, True):
+            M = random_field(rng, grid.shape + (n + 1, m + 1), complex_valued)
+            got, want = frobenius_norm(M), np.linalg.norm(M, axis=(-2, -1))
+            assert same_bits(frobenius_norm(laid_out(M, "component_major")), got)
+            if n < 2 and m < 2:
+                assert same_bits(got, want)
+            assert np.max(np.abs(got - want)) <= 4 * (n + 1) * (m + 1) * EPS * np.max(want)
 
 
 def diff4_roll(values, axis, h):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqclab import ConditionalSplit, PhaseGrid, conditional_to_uhlmann, tabulated
-from mqclab.dynamics import MODELS, conditional_rhs, energy_of, uhlmann_rhs
+from mqclab.dynamics import MODELS, conditional_rhs, energy_of, max_speed, uhlmann_rhs
 from mqclab.grids import EIG_CLAMP, hermitize, random_band_limited
 from mqclab.invariants import (
     GammaSpec,
@@ -65,7 +65,7 @@ def test_m1_embedding_gives_identical_bits(case):
     (dD_u, dW), info_u = uhlmann_rhs(grid, emb.D, emb.W, ham)
     assert dpsi.shape == split.psi.shape and dW.shape == emb.W.shape
     assert same_bits(dD_c, dD_u) and same_bits(dpsi, dW[..., 0])
-    assert same_bits(info_c["max_speed"], info_u["max_speed"])
+    assert same_bits(max_speed(info_c), max_speed(info_u))
     assert all(same_bits(a, b) for a, b in zip(info_c["velocity"], info_u["velocity"]))
 
     renorm_c = MODELS["ehrenfest_conditional"].renorm(grid, (split.D, split.psi))
