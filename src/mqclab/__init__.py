@@ -12,8 +12,6 @@ from .grids import (
     VectorField2,
     NotHermitianError,
     matrix_function,
-    matrix_log,
-    matrix_exp_herm,
     vn_entropy_trace,
     random_band_limited,
 )
@@ -21,9 +19,9 @@ from .states import (
     HybridDensity,
     ConditionalSplit,
     UhlmannSplit,
+    MeanFieldState,
     BerryData,
     UnphysicalStateError,
-    classical_density,
     quantum_marginal,
     purity,
     compose,
@@ -48,7 +46,6 @@ from .hamiltonians import (
     SIGMA_Z,
 )
 from .dynamics import (
-    MeanFieldState,
     StepperConfig,
     NumericalAbort,
     RunResult,

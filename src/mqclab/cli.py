@@ -121,7 +121,7 @@ def cmd_simulate(args):
     sample_fn = Cmod.build_sample_fn(cfg, model, ham, with_loop=loop is not None)
 
     os.makedirs(args.out, exist_ok=True)
-    write_snapshot(os.path.join(args.out, "initial.snap"), _snapshotable(state))
+    write_snapshot(os.path.join(args.out, "initial.snap"), state)
     run = rk4_run(model, state, ham, stepper, sample_fn=sample_fn, loop=loop,
                   keep_states=False)
     with open(os.path.join(args.out, "diagnostics.csv"), "w") as fh:
@@ -131,10 +131,10 @@ def cmd_simulate(args):
         fh.write("\n")
     if run.aborted:
         if run.states:
-            write_snapshot(os.path.join(args.out, "abort.snap"), _snapshotable(run.states[-1]))
+            write_snapshot(os.path.join(args.out, "abort.snap"), run.states[-1])
         print(f"numerical abort: {run.abort_reason}", file=sys.stderr)
         return 2
-    write_snapshot(os.path.join(args.out, "final.snap"), _snapshotable(run.states[-1]))
+    write_snapshot(os.path.join(args.out, "final.snap"), run.states[-1])
     _say(args, f"{model}: {stepper.steps} steps of dt={stepper.dt:.6g}, "
                f"{len(run.rows)} samples, max CFL {run.cfl_max_seen:.3f}")
     return 0
@@ -168,7 +168,7 @@ def cmd_equilibrium(args):
         metrics.update(eq.stationarity_residual(result, ham, T_check=T_check))
 
     os.makedirs(args.out, exist_ok=True)
-    write_snapshot(os.path.join(args.out, "equilibrium.snap"), _snapshotable(result.state))
+    write_snapshot(os.path.join(args.out, "equilibrium.snap"), result.state)
     record = {
         "mu": result.mu,
         "Z_C": result.Z_C,
@@ -300,16 +300,6 @@ def cmd_convergence(args):
     for col, fit in fits.items():
         _say(args, f"{col}: observed order {fit['order']:.2f} (R2 {fit['r2']:.4f})")
     return 0
-
-
-def _snapshotable(state):
-    from .dynamics import MeanFieldState
-    from .states import HybridDensity
-
-    if isinstance(state, MeanFieldState):
-        P = state.D[..., None, None] * state.rho
-        return HybridDensity(state.grid, P)
-    return state
 
 
 def _json_numbers(record):

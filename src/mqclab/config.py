@@ -15,14 +15,14 @@ import yaml
 
 from . import hamiltonians as _ham
 from .diagnostics import DEFAULT_FUNCTIONALS, make_sample_fn
-from .dynamics import MODELS, MeanFieldState, StepperConfig, cfl_dt, circle_loop
+from .dynamics import MODELS, StepperConfig, cfl_dt, circle_loop
 from .equilibria import MaxEntProblem, ProblemError
-from .grids import MIN_POINTS, NotHermitianError, PhaseGrid, hermitize, require_hermitian, trace_field
+from .grids import MIN_POINTS, NotHermitianError, PhaseGrid, hermitize, require_hermitian
 from .hamiltonians import eigenfields
 from .invariants import scalar_fn, spectral_fn
 from .snapshots import read_snapshot
-from .states import (ConditionalSplit, HybridDensity, UhlmannSplit, UnphysicalStateError, compose,
-                     quantum_marginal)
+from .states import (ConditionalSplit, HybridDensity, MeanFieldState, UhlmannSplit,
+                     UnphysicalStateError, quantum_marginal)
 
 # Largest max|P - D rho| / max|P| at which a density snapshot still counts as
 # the product state D rho of a mean-field run.
@@ -58,12 +58,10 @@ def require(cfg, path, kind=None):
 
 
 def get(cfg, path, default=None):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node
+    try:
+        return require(cfg, path)
+    except ConfigError:
+        return default
 
 
 def positive(cfg, path, kind=float):
@@ -299,16 +297,10 @@ def _initial_state(grid, ham, cfg):
             raise ConfigError("initial.snapshot", str(exc)) from None
         if not state.grid.compatible(grid):
             raise ConfigError("initial.snapshot", "snapshot grid does not match config")
-        try:  # the physics of the state; a run's own snapshot drifts in norm and mass
-            if isinstance(state, HybridDensity):
-                state.validate(mass_tol=np.inf)
-            else:
-                state.validate(norm_tol=np.inf, mass_tol=np.inf)
-        except (UnphysicalStateError, NotHermitianError) as exc:
-            raise ConfigError("initial.snapshot", str(exc)) from None
         if rep == "mean_field" and isinstance(state, HybridDensity):
-            return _meanfield_factors(state)
-        return state
+            state = _meanfield_factors(state)
+        # the physics of the state; a run's own snapshot drifts in norm and mass
+        return _validated(state, "initial.snapshot", normalized=False)
     if rep == "conditional":
         D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
         psi = _state_profile(grid, ham, require(cfg, "initial.state", dict), "initial.state")
@@ -323,7 +315,7 @@ def _initial_state(grid, ham, cfg):
         inner_rep = sub.get("compose_from", "conditional")
         sub["representation"] = inner_rep
         base = {**cfg, "initial": sub}
-        return compose(_initial_state(grid, ham, base))
+        return _initial_state(grid, ham, base).compose()
     if rep == "mean_field":
         D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
         rho_spec = require(cfg, "initial.rho", dict)
@@ -342,24 +334,32 @@ def _initial_state(grid, ham, cfg):
             rho = quantum_marginal(ConditionalSplit(grid, D, psi))
         else:
             raise ConfigError("initial.rho", "give a matrix or profile=marginal_of_state")
-        return MeanFieldState(grid, D, rho)
+        key = "initial.rho.matrix" if "matrix" in rho_spec else "initial.rho"
+        return _validated(MeanFieldState(grid, D, rho), key)
     raise ConfigError("initial.representation", f"unknown representation '{rep}'")
+
+
+def _validated(state, path, normalized=True):
+    """``state`` once its ``validate`` passes; a failure exits at ``path``."""
+    try:
+        return state.validate(normalized)
+    except (UnphysicalStateError, NotHermitianError) as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _meanfield_factors(density):
     """The mean-field state (D, rho) of a density snapshot P = D rho:
     D = Tr P and rho = integral P / integral D. A P farther than
     ``MEANFIELD_FACTOR_TOL`` from D rho exits at ``initial.snapshot``."""
-    grid, P = density.grid, density.P
-    D = trace_field(P)
-    rho = hermitize(grid.integrate(P) / grid.integrate(D))
-    deviation = float(np.max(np.abs(P - D[..., None, None] * rho)))
+    grid, P, D = density.grid, density.P, density.D
+    state = MeanFieldState(grid, D, hermitize(grid.integrate(P) / grid.integrate(D)))
+    deviation = float(np.max(np.abs(P - state.compose().P)))
     scale = float(np.max(np.abs(P)))
     if not deviation <= MEANFIELD_FACTOR_TOL * scale:
         raise ConfigError("initial.snapshot",
                           f"the density is not a product D rho (deviation {deviation:.3e}, "
                           f"above {MEANFIELD_FACTOR_TOL:.0e} of max|P| = {scale:.3e})")
-    return MeanFieldState(grid, D, rho)
+    return state
 
 
 def model_of(cfg, override=None):

@@ -12,9 +12,7 @@ from . import dynamics as _dyn
 from . import invariants as _inv
 from .states import (
     ConditionalSplit,
-    HybridDensity,
     UhlmannSplit,
-    compose,
     purity,
     quantum_marginal,
 )
@@ -30,31 +28,27 @@ DEFAULT_FUNCTIONALS = ["mass", "energy", "C1", "C2", "S_pure", "S_uhlmann", "ren
 
 def make_sample_fn(model, ham, functionals=None, renyi_alpha=2.0,
                    c1_phi="neg_x_log_x_trace", c2_sigma="log", with_loop=False):
-    """Build the per-sample diagnostic row function for ``rk4_run``."""
+    """The per-sample row function for ``rk4_run``; a row composes its state once."""
     wanted = set(DEFAULT_FUNCTIONALS if functionals is None else functionals)
     phi = _inv.spectral_fn(c1_phi)
     sigma = _inv.scalar_fn(c2_sigma)
     c1 = _inv.CasimirC1(phi)
+    entropy, renyi = _inv.uhlmann_entropies(_dyn.MODELS[model].state_type)
 
     def sample(t, state, loop_pts, info):
         row = {k: None for k in CSV_COLUMNS}
         row["t"] = t
-        grid = state.grid
-        is_split = isinstance(state, UhlmannSplit)
-        is_density = isinstance(state, HybridDensity)
+        dens = state.compose()
 
         if "mass" in wanted:
-            row["mass"] = state.mass() if is_density else float(grid.integrate(state.D))
+            row["mass"] = state.mass()
         if "energy" in wanted:
-            row["energy"] = _dyn.energy_of(model, state, ham)
+            row["energy"] = _dyn.energy_of(model, dens, ham)
         if "purity" in wanted:
-            row["purity"] = purity(quantum_marginal(state)) if not isinstance(
-                state, _dyn.MeanFieldState
-            ) else purity(state.rho)
-        if "C1" in wanted and (is_density or is_split):
-            dens = state if is_density else compose(state)
+            row["purity"] = purity(quantum_marginal(dens))
+        if "C1" in wanted:
             row["C1"] = c1.value(dens)
-        if is_split:
+        if isinstance(state, UhlmannSplit):
             if "lambda" in wanted:
                 row["lambda_min"] = float(np.min(state.Lambda))
                 row["lambda_max"] = float(np.max(state.Lambda))
@@ -62,19 +56,12 @@ def make_sample_fn(model, ham, functionals=None, renyi_alpha=2.0,
                 row["C2"] = _inv.casimir_c2(state, sigma).value
             if "S_pure" in wanted and isinstance(state, ConditionalSplit):
                 row["S_pure"] = _inv.shannon_pure(state).value
-            if "S_uhlmann" in wanted:
-                row["S_uhlmann"] = _inv.entropy_uhlmann(state).value
-            if "renyi" in wanted:
-                row["renyi_alpha"] = _inv.renyi_mqc(state, renyi_alpha).value
             if with_loop and loop_pts is not None:
                 row["poincare"] = _inv.loop_integral(state, loop_pts)
-        elif isinstance(state, _dyn.MeanFieldState):
-            if "S_uhlmann" in wanted:
-                # the mean-field state is the grad-W = 0 reduction, where the
-                # Uhlmann entropy equals the mean-field entropy identically
-                row["S_uhlmann"] = _inv.entropy_meanfield(grid, state.D, state.rho)
-            if "renyi" in wanted:
-                row["renyi_alpha"] = _inv.renyi_meanfield(grid, state.D, state.rho, renyi_alpha)
+        if "S_uhlmann" in wanted and entropy is not None:
+            row["S_uhlmann"] = entropy(state)
+        if "renyi" in wanted and renyi is not None:
+            row["renyi_alpha"] = renyi(state, renyi_alpha)
         if "antiherm_resid" in info:
             row["antiherm_resid"] = info["antiherm_resid"]
         return row

@@ -3,7 +3,7 @@
 Models
 ------
 * ``mean_field``            (D, rho): D advected by Tr(rho H), rho rotated by
-                            the D-averaged Hamiltonian.
+                            the D-averaged Hamiltonian (``states.MeanFieldState``).
 * ``ehrenfest_density``     P transported along <X_H> and rotated by [H, .].
 * ``ehrenfest_uhlmann``     (D, W) form, transported along the pairing
                             X = Re Tr(W^dag X_H W).
@@ -15,14 +15,15 @@ Models
 ``MODELS`` is the one registry of the models: for each, the state type it
 evolves, the maps between that state and the tuple of arrays RK4 advances,
 the right-hand side ``rhs(grid, ham, arrays, out=None, residual=False) ->
-(tendencies, info)`` and the renormalisation. Every right-hand side reports
-its transport velocity, which the loop tracer reads. ``max_speed`` is the
-one place the largest speed is taken from it: ``cfl_dt`` reads it once and
-``rk4_run``'s CFL guard once per step, on the first stage, since the other
-stages need only the velocity. Both density models end in one tendency,
--div(P X) - (i/hbar)[H, P]. The vacuum floor is ``states.vacuum_floor``
-throughout; only the density right-hand sides take its factor, so that at 0
-a zero-trace region aborts.
+(tendencies, info)`` and the renormalisation; outside it a state is read
+through the protocol of ``states`` (``energy_of`` reads any ``compose()``).
+Every right-hand side reports its transport velocity, which the loop tracer
+reads. ``max_speed`` is the one place the largest speed is taken from it:
+``cfl_dt`` reads it once and ``rk4_run``'s CFL guard once per step, on the
+first stage, since the other stages need only the velocity. Both density
+models end in one tendency, -div(P X) - (i/hbar)[H, P]. The vacuum floor is
+``states.vacuum_floor`` throughout; only the density right-hand sides take
+its factor, so that at 0 a zero-trace region aborts.
 
 Every right-hand side writes its tendencies into ``out`` when given (and
 into fresh arrays without it, as ``cfl_dt`` and the equilibria need); its
@@ -58,31 +59,14 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import (PhaseGrid, antiherm_residual, comm, frobenius_norm, hermitize, mm, scratch,
-                    tr_prod, trace_field)
-from .hamiltonians import Hamiltonian
-from .states import EPS_D_REL, ConditionalSplit, HybridDensity, UhlmannSplit, compose, vacuum_floor
+from .grids import (antiherm_residual, comm, frobenius_norm, hermitize, mm, scratch, tr_prod,
+                    trace_field)
+from .states import (EPS_D_REL, ConditionalSplit, HybridDensity, MeanFieldState, UhlmannSplit,
+                     vacuum_floor)
 
 
 class NumericalAbort(RuntimeError):
     """Evolution produced NaN/Inf or broke the CFL guard."""
-
-
-@dataclass
-class MeanFieldState:
-    """Factorized state: classical density D(q,p) and quantum matrix rho."""
-
-    grid: PhaseGrid
-    D: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.D = np.asarray(self.D, dtype=float)
-        self.rho = np.asarray(self.rho, dtype=complex)
-
-    @property
-    def n(self):
-        return self.rho.shape[-1]
 
 
 @dataclass
@@ -332,11 +316,9 @@ def beyond_sigma_grad(grid, P):
 
 
 def energy_of(model, state, ham):
-    """Hamiltonian functional of the given model at the given state."""
+    """Hamiltonian functional of the given model at any state, from its ``compose()``."""
     grid = state.grid
-    if model == "mean_field":
-        return float(grid.integrate(state.D * tr_prod(state.rho, ham.H)))
-    P = state.P if isinstance(state, HybridDensity) else compose(state).P
+    P = state.compose().P
     e = float(grid.integrate(tr_prod(P, ham.H)))
     if model == "beyond_ehrenfest":
         Sig = beyond_sigma_grad(grid, P)
@@ -350,10 +332,10 @@ def energy_of(model, state, ham):
 
 @dataclass(frozen=True)
 class Model:
-    """A model's glue: the state type it evolves, state -> array tuple
-    (``unpack``), (state, arrays) -> state (``pack``), the right-hand side
-    ``rhs(grid, ham, arrays, out=None, residual=False) -> (tendencies, info)``
-    and the renormalisation ``renorm(grid, arrays)``.
+    """A model's glue: the state type it evolves (``state_type(grid,
+    *arrays)`` builds one), state -> array tuple (``unpack``), the right-hand
+    side ``rhs(grid, ham, arrays, out=None, residual=False) -> (tendencies,
+    info)`` and the renormalisation ``renorm(grid, arrays)``.
 
     ``rhs`` writes its tendencies into the arrays ``out`` when given and
     returns them; ``residual`` asks a density model for ``antiherm_resid``
@@ -361,7 +343,6 @@ class Model:
 
     state_type: type
     unpack: Callable
-    pack: Callable
     rhs: Callable
     renorm: Callable
 
@@ -392,14 +373,12 @@ MODELS = {
     "mean_field": Model(
         MeanFieldState,
         lambda s: (s.D, s.rho),
-        lambda s, a: MeanFieldState(s.grid, a[0], a[1]),
         lambda grid, ham, a, out=None, residual=False: mean_field_rhs(grid, a[0], a[1], ham, out),
         _mf_renorm,
     ),
     "ehrenfest_density": Model(
         HybridDensity,
         lambda s: (s.P,),
-        lambda s, a: HybridDensity(s.grid, a[0]),
         lambda grid, ham, a, out=None, residual=False: ehrenfest_rhs(
             grid, a[0], ham, out=out, residual=residual),
         _dens_renorm,
@@ -407,21 +386,18 @@ MODELS = {
     "ehrenfest_conditional": Model(
         ConditionalSplit,
         lambda s: (s.D, s.psi),
-        lambda s, a: ConditionalSplit(s.grid, a[0], a[1]),
         lambda grid, ham, a, out=None, residual=False: conditional_rhs(grid, a[0], a[1], ham, out),
         _split_renorm,
     ),
     "ehrenfest_uhlmann": Model(
         UhlmannSplit,
         lambda s: (s.D, s.W),
-        lambda s, a: UhlmannSplit(s.grid, a[0], a[1]),
         lambda grid, ham, a, out=None, residual=False: uhlmann_rhs(grid, a[0], a[1], ham, out),
         _split_renorm,
     ),
     "beyond_ehrenfest": Model(
         HybridDensity,
         lambda s: (s.P,),
-        lambda s, a: HybridDensity(s.grid, a[0]),
         lambda grid, ham, a, out=None, residual=False: beyond_ehrenfest_rhs(
             grid, a[0], ham, out=out, residual=residual),
         _dens_renorm,
@@ -516,7 +492,7 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
 
     def abort(reason, arrays, t):
         result.aborted, result.abort_reason = True, reason
-        result.states.append(ops.pack(state, arrays[:n_model]))
+        result.states.append(ops.state_type(grid, *arrays[:n_model]))
         result.times.append(t)
 
     dt = cfg.dt
@@ -530,7 +506,7 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
             abort(str(exc), y, t)
             break
         if sampled:
-            snap = ops.pack(state, tuple(np.array(a, copy=True) for a in y[:n_model]))
+            snap = ops.state_type(grid, *(np.array(a, copy=True) for a in y[:n_model]))
             result.times.append(t)
             if keep_states or step == cfg.steps:  # final state always kept
                 result.states.append(snap)

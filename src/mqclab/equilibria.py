@@ -23,12 +23,13 @@ import numpy as np
 
 from . import dynamics as _dyn
 from . import invariants as _inv
-from .grids import (eigen_compose, frobenius_norm, hermitize, matrix_exp_herm, mm, tr_prod,
+from .grids import (eigen_compose, frobenius_norm, hermitize, matrix_function, mm, tr_prod,
                     trace_field)
 from .hamiltonians import Hamiltonian, UnsupportedHamiltonianError, eigenfields
 from .states import (
     ConditionalSplit,
     HybridDensity,
+    MeanFieldState,
     UhlmannSplit,
     _fix_eigvec_phase,
     outer,
@@ -181,7 +182,7 @@ def gibbs_uhlmann(problem: MaxEntProblem, check_confined=True) -> EquilibriumRes
         )
     mu = problem.mu if problem.mu is not None else solve_mu(problem)[0]
     shift = float(np.min(np.linalg.eigvalsh(ham.H)))
-    M = matrix_exp_herm(-mu * (ham.H - shift * np.eye(ham.n)))
+    M = matrix_function(-mu * (ham.H - shift * np.eye(ham.n)), np.exp)
     Zfield = trace_field(M)
     # the kink is sought in H itself: the weight is too small at the seam to show it
     kinked = check_confined and _seam_kinked(grid, ham.H, ham.dH_q, ham.dH_p)
@@ -217,7 +218,7 @@ def gibbs_meanfield_uncoupled(problem: MaxEntProblem, check_confined=True) -> Eq
     w, v = np.linalg.eigh(H_Q)
     rw = np.exp(-mu * (w - w.min()))
     rho = eigen_compose(v, rw / rw.sum())
-    state = _dyn.MeanFieldState(grid, D, rho)
+    state = MeanFieldState(grid, D, rho)
     energy = _dyn.energy_of("mean_field", state, ham)
     return EquilibriumResult(state, mu, float("nan"), problem.branch, energy, seam_kinked=kinked)
 
@@ -340,7 +341,7 @@ def stationarity_residual(result: EquilibriumResult, ham: Hamiltonian, model=Non
     return metrics
 
 
-def meanfield_maxent_residual(state: _dyn.MeanFieldState, ham: Hamiltonian, mu):
+def meanfield_maxent_residual(state: MeanFieldState, ham: Hamiltonian, mu):
     """Residuals of the two mean-field maximum-entropy conditions.
 
     quantum:   (1 + lambda_1) 1 + ln rho + mu integral(D H) = 0
@@ -351,10 +352,9 @@ def meanfield_maxent_residual(state: _dyn.MeanFieldState, ham: Hamiltonian, mu):
     """
     grid = state.grid
     D, rho = state.D, state.rho
-    n = rho.shape[-1]
+    n = state.n
 
-    w, v = np.linalg.eigh(hermitize(rho))
-    lnrho = eigen_compose(v, np.log(np.maximum(w, 1e-300)))
+    lnrho = matrix_function(rho, np.log, clamp=1e-300)
     Hbar = hermitize(grid.integrate(D[..., None, None] * ham.H))
     Mq = lnrho + mu * Hbar
     Mq_traceless = Mq - (np.trace(Mq) / n) * np.eye(n)

@@ -423,14 +423,6 @@ def matrix_function(M, phi, clamp=None, tol=HERM_TOL):
     return hermitize(eigen_compose(v, phi(w)))
 
 
-def matrix_log(M, clamp=EIG_CLAMP):
-    return matrix_function(M, np.log, clamp=clamp)
-
-
-def matrix_exp_herm(M):
-    return matrix_function(M, np.exp)
-
-
 def eigvalsh_field(M):
     """Ascending eigenvalues of a Hermitian (..., n, n) field, read from its
     diagonal and lower triangle as LAPACK reads them.

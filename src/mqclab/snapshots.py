@@ -3,8 +3,9 @@
 Line 1:   ``MQCGRID 1 <rep> <Nq> <Np> <n> <m> <q0> <q1> <p0> <p1> <hbar>``
 Then one record per grid point in row-major (i, j) order. Records hold
 real/imag pairs of all matrix entries (row-major); split representations
-store D first, then the psi / W entries. All floats carry 17 significant
-digits, so write -> read -> write is byte-identical.
+store D first, then the psi / W entries; any other state is written as its
+density ``compose()``. All floats carry 17 significant digits, so
+write -> read -> write is byte-identical.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ FLOAT = "%.17g"
 
 
 def _rep_of(state):
-    if isinstance(state, HybridDensity):
-        return "density"
     if isinstance(state, ConditionalSplit):
         return "conditional"
     if isinstance(state, UhlmannSplit):
         return "uhlmann"
-    raise TypeError(f"cannot snapshot {type(state).__name__}")
+    return "density"
 
 
 def _table(state, rep):
@@ -43,8 +42,10 @@ def _table(state, rep):
 
 
 def snapshot_lines(state):
-    grid = state.grid
     rep = _rep_of(state)
+    if rep == "density":  # a mean-field state as its density D rho
+        state = state.compose()
+    grid = state.grid
     # density and conditional headers repeat n in the m slot
     m = state.m if rep == "uhlmann" else state.n
     header = " ".join(

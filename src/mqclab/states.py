@@ -1,14 +1,19 @@
 """Hybrid-state representations and their geometry.
 
-Two encodings of an operator-valued phase-space density:
+Three encodings of an operator-valued phase-space density:
 
 * ``HybridDensity``    -- P(q,p), an n x n Hermitian PSD matrix field;
 * ``UhlmannSplit``     -- (D, W), scalar density times unit-Frobenius-norm
-  n x m conditional wave operator, P = D W W^dag.
+  n x m conditional wave operator, P = D W W^dag;
+* ``MeanFieldState``   -- (D, rho), the product P = D rho with one rho.
 
 ``ConditionalSplit`` -- (D, psi), P = D psi psi^dag -- is the pure-state
 case: an ``UhlmannSplit`` with m = 1 and W = psi[..., None]. Every function
 of (D, W) applies to it unchanged; ``psi`` is a view of W's single column.
+
+Every state offers ``grid``, ``n``, the classical density ``D`` (Tr P),
+``mass()``, ``validate()`` and ``compose()``: P as a ``HybridDensity`` (a
+density itself, a split through the module function ``compose``).
 
 Plus the Berry connection / curvature of the conditional field and the
 Liouville volume Lambda = 1 + hbar Im Tr {field^dag, field}.
@@ -65,8 +70,35 @@ class UnphysicalStateError(ValueError):
     """Input violates positivity/normalization beyond tolerance."""
 
 
+def _require_psd(M, what, tol=1e-10):
+    """M (a matrix or a matrix field) Hermitian and PSD within ``tol``."""
+    require_hermitian(M, tol, what=what)
+    wmin = float(np.min(eigvalsh_field(hermitize(M))))
+    if wmin < -tol:
+        raise UnphysicalStateError(f"{what} has eigenvalue {wmin:.3e} < -{tol:.1e}")
+
+
+def _require_nonnegative(D):
+    if np.min(D) < -1e-12 * np.max(D):
+        raise UnphysicalStateError("negative classical density")
+
+
+class _State:
+    """``mass()`` and ``validate()`` of every state, around its ``_check``."""
+
+    def mass(self):
+        return float(self.grid.integrate(self.D))
+
+    def validate(self, normalized=True):
+        """The physics; ``normalized`` adds the unit norm and mass a run drifts in."""
+        self._check(normalized)
+        if normalized and abs(self.mass() - 1.0) > 1e-8:
+            raise UnphysicalStateError(f"D integrates to {self.mass():.12f}, not 1")
+        return self
+
+
 @dataclass
-class HybridDensity:
+class HybridDensity(_State):
     """Matrix-valued density P(q,p); trace integrates to 1 when normalized."""
 
     grid: PhaseGrid
@@ -82,22 +114,20 @@ class HybridDensity:
     def n(self):
         return self.P.shape[-1]
 
-    def validate(self, herm_tol=1e-10, psd_tol=1e-10, mass_tol=1e-8):
-        require_hermitian(self.P, herm_tol, what="hybrid density")
-        wmin = float(np.min(eigvalsh_field(hermitize(self.P))))
-        if wmin < -psd_tol:
-            raise UnphysicalStateError(f"hybrid density has eigenvalue {wmin:.3e} < -{psd_tol:.1e}")
-        mass = float(self.grid.integrate(trace_field(self.P)))
-        if abs(mass - 1.0) > mass_tol:
-            raise UnphysicalStateError(f"Tr-integral of P is {mass:.12f}, not 1")
-        return self
+    @property
+    def D(self):
+        """Classical density Tr P, pointwise."""
+        return trace_field(self.P)
 
-    def mass(self):
-        return float(self.grid.integrate(trace_field(self.P)))
+    def _check(self, normalized):
+        _require_psd(self.P, "hybrid density")
+
+    def compose(self):
+        return self
 
 
 @dataclass
-class UhlmannSplit:
+class UhlmannSplit(_State):
     """(D, W): classical density plus unit-Frobenius conditional wave operator."""
 
     grid: PhaseGrid
@@ -137,18 +167,16 @@ class UhlmannSplit:
     def support(self):
         return self.D > vacuum_floor(self.D)
 
-    def validate(self, norm_tol=1e-10, mass_tol=1e-8):
-        if np.min(self.D) < -1e-12 * np.max(self.D):
-            raise UnphysicalStateError("negative classical density")
+    def _check(self, normalized):
+        _require_nonnegative(self.D)
         mask = self.support()
-        norms = frobenius_norm(self.W)
-        err = float(np.max(np.abs(norms[mask] ** 2 - 1.0))) if np.any(mask) else 0.0
-        if err > norm_tol:
-            raise UnphysicalStateError(f"W Frobenius-norm error {err:.3e} on the support of D")
-        mass = float(self.grid.integrate(self.D))
-        if abs(mass - 1.0) > mass_tol:
-            raise UnphysicalStateError(f"D integrates to {mass:.12f}, not 1")
-        return self
+        if normalized and np.any(mask):
+            err = float(np.max(np.abs(frobenius_norm(self.W)[mask] ** 2 - 1.0)))
+            if err > 1e-10:
+                raise UnphysicalStateError(f"W Frobenius-norm error {err:.3e} on the support of D")
+
+    def compose(self):
+        return compose(self)
 
 
 class ConditionalSplit(UhlmannSplit):
@@ -171,6 +199,34 @@ class ConditionalSplit(UhlmannSplit):
 
 
 @dataclass
+class MeanFieldState(_State):
+    """Factorized state: classical density D(q,p) and quantum matrix rho."""
+
+    grid: PhaseGrid
+    D: np.ndarray  # (Nq, Np) real, >= 0
+    rho: np.ndarray  # (n, n) complex
+
+    def __post_init__(self):
+        self.D = np.asarray(self.D, dtype=float)
+        self.rho = np.asarray(self.rho, dtype=complex)
+
+    @property
+    def n(self):
+        return self.rho.shape[-1]
+
+    def _check(self, normalized):
+        _require_psd(self.rho, "rho")
+        _require_nonnegative(self.D)
+        trace = float(np.real(np.trace(self.rho)))
+        if normalized and abs(trace - 1.0) > 1e-10:
+            raise UnphysicalStateError(f"Tr rho is {trace:.12f}, not 1")
+
+    def compose(self):
+        """The product density P = D rho."""
+        return HybridDensity(self.grid, self.D[..., None, None] * self.rho)
+
+
+@dataclass
 class BerryData:
     """Berry connection and Liouville volume."""
 
@@ -182,16 +238,9 @@ class BerryData:
 # -- marginals and composition ------------------------------------------------
 
 
-def classical_density(state: HybridDensity):
-    """D = Tr P, pointwise."""
-    return trace_field(state.P)
-
-
-def quantum_marginal(state_or_split):
+def quantum_marginal(state):
     """rho = integral of P over phase space; Hermitian, unit trace."""
-    state = state_or_split
-    P = state.P if isinstance(state, HybridDensity) else compose(state).P
-    return hermitize(state.grid.integrate(P))
+    return hermitize(state.grid.integrate(state.compose().P))
 
 
 def purity(rho):

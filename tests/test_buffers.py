@@ -140,7 +140,7 @@ def reference_rk4(model, state, ham, dt, steps, sample_every, sample_fn, loop):
         sampled = step % sample_every == 0 or step == steps
         k1, info = f(y, residual=sampled)
         if sampled:
-            snap = ops.pack(state, tuple(np.array(a, copy=True) for a in y[:n]))
+            snap = ops.state_type(grid, *(np.array(a, copy=True) for a in y[:n]))
             rows.append(sample_fn(t, snap, None if loop is None else y[-1].copy(), info))
         if step == steps:
             break

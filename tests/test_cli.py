@@ -200,6 +200,7 @@ class TestConfig:
                                       "initial.waveop.weights",
                                       "initial.waveop.weights=[0, 0]", "hamiltonian.H_Q",
                                       "hamiltonian.coeffs", "initial.rho.matrix",
+                                      "initial.rho.matrix=[[[1.5,0],[0,0]],[[0,0],[-0.5,0]]]",
                                       "hamiltonian.H_Q=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
                                       "initial.snapshot", "initial.snapshot=truncated",
                                       "initial.snapshot=directory",

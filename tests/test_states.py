@@ -1,16 +1,21 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mqclab
 from mqclab import (
     ConditionalSplit,
     HybridDensity,
+    MeanFieldState,
     PhaseGrid,
+    UhlmannSplit,
     UnphysicalStateError,
     berry_data,
-    classical_density,
     compose,
     conditional_to_uhlmann,
     lambda_of,
@@ -18,7 +23,14 @@ from mqclab import (
     quantum_marginal,
     uhlmann_factor,
 )
-from mqclab.grids import random_band_limited
+from mqclab import config as C
+from mqclab import dynamics, presets, states
+from mqclab.diagnostics import make_sample_fn
+from mqclab.dynamics import MODELS, energy_of
+from mqclab.grids import NotHermitianError, random_band_limited
+from mqclab.snapshots import write_snapshot
+
+from test_buffers import model_case
 
 
 def make_grid(N=48, L=2 * np.pi, hbar=1.0):
@@ -45,19 +57,19 @@ class TestMarginals:
         D0 = gaussian(grid)
         P = np.zeros(grid.shape + (2, 2), dtype=complex)
         P[..., 0, 0] = D0
-        assert np.allclose(classical_density(HybridDensity(grid, P)), D0)
+        assert np.allclose(HybridDensity(grid, P).D, D0)
 
     def test_classical_density_mixed(self):
         grid = make_grid()
         D0 = gaussian(grid)
         P = 0.5 * D0[..., None, None] * np.eye(2)
-        assert np.allclose(classical_density(HybridDensity(grid, P)), D0)
+        assert np.allclose(HybridDensity(grid, P).D, D0)
 
     def test_classical_density_matches_eigenvalue_sum(self):
         grid = make_grid(24)
         state = random_psd(grid, 3, np.random.default_rng(0))
         w = np.linalg.eigvalsh(state.P)
-        assert np.allclose(classical_density(state), w.sum(axis=-1), atol=1e-12)
+        assert np.allclose(state.D, w.sum(axis=-1), atol=1e-12)
 
     def test_quantum_marginal_factorized(self):
         grid = make_grid()
@@ -120,6 +132,110 @@ class TestCompose:
         P = gaussian(grid)[..., None, None] * np.diag([1.0, -0.2])
         with pytest.raises(UnphysicalStateError):
             HybridDensity(grid, P).validate()
+
+
+class TestStateProtocol:
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_every_state_composes_to_its_density(self, model, tmp_path):
+        """compose() is a HybridDensity of the state's mass, it validates, and
+        the energy of a model without gradient terms is the density's; a state
+        that is not a split is snapshotted as its compose()."""
+        _, ham, state = model_case(model)
+        dens = state.compose()
+        assert isinstance(dens, HybridDensity) and dens.compose() is dens
+        assert dens.grid is state.grid and dens.n == state.n
+        assert abs(dens.mass() - state.mass()) <= 1e-14
+        assert state.validate() is state
+        if model != "beyond_ehrenfest":
+            e, e_dens = energy_of(model, state, ham), energy_of("ehrenfest_density", dens, ham)
+            assert abs(e - e_dens) <= 1e-14 * abs(e_dens)
+        if not isinstance(state, UhlmannSplit):
+            write_snapshot(tmp_path / "state.snap", state)
+            write_snapshot(tmp_path / "dens.snap", dens)
+            assert (tmp_path / "state.snap").read_bytes() == (tmp_path / "dens.snap").read_bytes()
+
+    def test_a_density_composes_from_a_mean_field_state(self):
+        cfg = presets.nanowire_meanfield(N=16)
+        grid = C.build_grid(cfg)
+        ham = C.build_hamiltonian(grid, cfg)
+        mf = C.build_initial_state(grid, ham, cfg)
+        cfg["initial"].update(representation="density", compose_from="mean_field")
+        assert np.array_equal(C.build_initial_state(grid, ham, cfg).P, mf.compose().P)
+
+    def test_mean_field_state_is_one_class(self):
+        assert dynamics.MeanFieldState is states.MeanFieldState is MeanFieldState
+
+    @pytest.mark.parametrize("case", ["not_psd", "not_hermitian", "trace", "negative_D", "mass"])
+    def test_mean_field_validation(self, case):
+        grid = make_grid(16)
+        D, rho = gaussian(grid), np.diag([0.7, 0.3]).astype(complex)
+        error = NotHermitianError if case == "not_hermitian" else UnphysicalStateError
+        if case == "not_psd":
+            rho = np.diag([1.5, -0.5]).astype(complex)
+        elif case == "not_hermitian":
+            rho[0, 1] = 0.1
+        elif case == "trace":
+            rho = 1.1 * rho
+        elif case == "negative_D":
+            D = D - 0.5 * np.max(D)
+        else:
+            D = 2 * D
+        MeanFieldState(grid, gaussian(grid), np.diag([0.7, 0.3])).validate()
+        with pytest.raises(error):
+            MeanFieldState(grid, D, rho).validate()
+        if case in ("trace", "mass"):  # normalization only: a restart's drift
+            MeanFieldState(grid, D, rho).validate(normalized=False)
+
+    def test_a_diagnostic_row_composes_once(self, monkeypatch):
+        _, ham, state = model_case("ehrenfest_conditional")
+        calls = []
+        original = states.compose
+        monkeypatch.setattr(states, "compose", lambda s: calls.append(1) or original(s))
+        row = make_sample_fn("ehrenfest_conditional", ham)(0.0, state, None, {})
+        assert len(calls) == 1
+        assert None not in (row["energy"], row["purity"], row["C1"])
+
+
+# The readers that take every state through its protocol, by module, and the
+# one function of the module when it is not the whole module.
+PROTOCOL_READERS = {"cli": None, "diagnostics": None, "states": "quantum_marginal",
+                    "dynamics": "energy_of"}
+
+
+def mean_field_branches(tree):
+    """Lines that test for the mean-field state: isinstance/issubclass
+    against ``MeanFieldState``, or a comparison with it or "mean_field"."""
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance",
+                                                                             "issubclass"):
+            if "MeanFieldState" in names(node):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Constant) and o.value == "mean_field" for o in operands) \
+                    or "MeanFieldState" in set().union(*map(names, operands)):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_mean_field_branch_in_the_protocol_readers():
+    """``cli``, ``diagnostics``, ``states.quantum_marginal`` and
+    ``dynamics.energy_of`` read a state through its protocol and never test
+    for the mean-field state or model."""
+    root = pathlib.Path(mqclab.__file__).parent
+    for module, function in PROTOCOL_READERS.items():
+        tree = ast.parse((root / f"{module}.py").read_text())
+        if function is not None:
+            tree = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == function)
+        assert mean_field_branches(tree) == [], module
+    # the guard sees the branches of a module that builds the mean-field state
+    assert mean_field_branches(ast.parse((root / "config.py").read_text()))
 
 
 class TestUhlmannFactor:
