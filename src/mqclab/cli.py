@@ -193,9 +193,9 @@ def cmd_casimir_check(args):
     from .probes import casimir_probe_report, random_smooth_split
 
     Cmod, cfg, grid, ham = _prepare(args)
-    seed, n_probes = Cmod.probe_spec(cfg)
+    seed, n_probes, n = Cmod.probe_spec(cfg, ham)
     rng = np.random.default_rng(seed)
-    split = random_smooth_split(grid, int(Cmod.require(cfg, "grid.n", int)), rng)
+    split = random_smooth_split(grid, n, rng)
     report = casimir_probe_report(split, ham, rng, n_probes=n_probes)
 
     os.makedirs(args.out, exist_ok=True)

@@ -78,19 +78,12 @@ def build_grid(cfg) -> PhaseGrid:
     for path in ("grid.Nq", "grid.Np"):
         if require(cfg, path, int) < MIN_POINTS:
             raise ConfigError(path, f"the stencils need at least {MIN_POINTS} points")
-    for lo, hi in (("domain.q0", "domain.q1"), ("domain.p0", "domain.p1")):
-        if not require(cfg, hi, float) > require(cfg, lo, float):
-            raise ConfigError(hi, f"must exceed {lo}")
-    hbar = positive(cfg, "physics.hbar") or 1.0
-    return PhaseGrid(
-        require(cfg, "domain.q0", float),
-        require(cfg, "domain.q1", float),
-        require(cfg, "domain.p0", float),
-        require(cfg, "domain.p1", float),
-        require(cfg, "grid.Nq", int),
-        require(cfg, "grid.Np", int),
-        hbar=hbar,
-    )
+    bounds = {key: require(cfg, f"domain.{key}", float) for key in ("q0", "q1", "p0", "p1")}
+    for lo, hi in (("q0", "q1"), ("p0", "p1")):
+        if not bounds[hi] > bounds[lo]:
+            raise ConfigError(f"domain.{hi}", f"must exceed domain.{lo}")
+    return PhaseGrid(**bounds, Nq=require(cfg, "grid.Nq", int), Np=require(cfg, "grid.Np", int),
+                     hbar=positive(cfg, "physics.hbar") or 1.0)
 
 
 def build_hamiltonian(grid, cfg) -> _ham.Hamiltonian:
@@ -311,11 +304,10 @@ def _initial_state(grid, ham, cfg):
         W = _waveop_profile(grid, ham, require(cfg, "initial.waveop", dict), m, "initial.waveop")
         return UhlmannSplit(grid, D, W)
     if rep == "density":
-        sub = dict(require(cfg, "initial"))
-        inner_rep = sub.get("compose_from", "conditional")
-        sub["representation"] = inner_rep
-        base = {**cfg, "initial": sub}
-        return _initial_state(grid, ham, base).compose()
+        sub = {**init, "representation": init.get("compose_from", "conditional")}
+        if sub["representation"] not in ("conditional", "uhlmann", "mean_field"):
+            raise ConfigError("initial.compose_from", "must be conditional, uhlmann or mean_field")
+        return _initial_state(grid, ham, {**cfg, "initial": sub}).compose()
     if rep == "mean_field":
         D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
         rho_spec = require(cfg, "initial.rho", dict)
@@ -436,13 +428,16 @@ def build_sample_fn(cfg, model, ham, with_loop=False):
     return make_sample_fn(model, ham, functionals, alpha, with_loop=with_loop, **names)
 
 
-def probe_spec(cfg):
-    """(seed, count) of the ``casimir-check`` probes in the ``diagnostics`` section."""
+def probe_spec(cfg, ham):
+    """(seed, count, n) of the ``casimir-check`` probes; ``grid.n`` must be ``ham.n``."""
     spec = require(cfg, "diagnostics", dict) if get(cfg, "diagnostics") else {}
     seed = require(cfg, "diagnostics.probes_seed", int) if "probes_seed" in spec else 12345
     if seed < 0:
         raise ConfigError("diagnostics.probes_seed", "must be a non-negative integer")
-    return seed, positive(cfg, "diagnostics.n_probes", int) or 20
+    n = require(cfg, "grid.n", int)
+    if n != ham.n:
+        raise ConfigError("grid.n", f"the state has quantum dimension {n}, the Hamiltonian {ham.n}")
+    return seed, positive(cfg, "diagnostics.n_probes", int) or 20, n
 
 
 def problem_path(key):

@@ -49,6 +49,14 @@ m = (a + d)/2, within a few eps ||M|| of LAPACK and about 20x cheaper than a
 batched ``eigvalsh`` at 64^2; other sizes call LAPACK. Every eigenvalue-only
 spectrum of a grid field goes through it.
 
+``random_band_limited`` sums C_ab exp(i(a kq q + b kp p)) over |a|, |b| <= kmax
+as the separable product E_q C E_p^T, E_q[i, a] = exp(i a kq q_i): 2(2 kmax + 1)
+one-dimensional exponentials, a sum over b on the small (Np, modes) side, then
+2 kmax + 1 field-sized multiply-adds. C is drawn per mode, real then imaginary
+part, so the generator ends where a mode-by-mode sum leaves it; the field
+differs from that sum at round-off. No BLAS: on operands this small a call
+under a multi-threaded pool now and then stalls for ~15 ms.
+
 Buffers. ``partial_q``/``partial_p`` (``_diff4``), ``mm``, ``comm`` and
 ``hermitize`` take ``out=``, in either layout: the result is written there,
 with the bits of a fresh result. ``mm`` sums each entry straight into its
@@ -531,23 +539,20 @@ def eigen_compose(v, fw):
 
 
 def random_band_limited(grid, rng, kmax=3, trailing=(), complex_valued=False):
-    """Smooth random field from Fourier modes with |k| <= kmax per direction.
-
-    Returns an array of shape grid.shape + trailing; real unless
-    ``complex_valued``. Normalized to max-abs 1.
-    """
+    """Smooth random field (grid.shape + trailing) of the Fourier modes |k| <= kmax
+    per direction, max-abs 1; real unless ``complex_valued``."""
     shape = trailing if isinstance(trailing, tuple) else (trailing,)
-    out = np.zeros(grid.shape + shape, dtype=complex)
-    # one buffer for every mode's term: a fresh field-sized temporary per mode
-    # can be handed back to the kernel on free and faulted in again
-    term = np.empty_like(out)
-    kq = 2 * np.pi / grid.Lq
-    kp = 2 * np.pi / grid.Lp
-    for a in range(-kmax, kmax + 1):
-        for b in range(-kmax, kmax + 1):
-            coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            phase = np.exp(1j * (a * kq * grid.Q + b * kp * grid.P))
-            out += np.multiply(phase[(...,) + (None,) * len(shape)], coeff, out=term)
+    modes = np.arange(-kmax, kmax + 1)
+    z = rng.standard_normal((modes.size, modes.size, 2) + shape)  # mode (a, b): re, then im
+    coeff = (z[:, :, 0] + 1j * z[:, :, 1]).reshape(modes.size, modes.size, -1)  # (a, b, c)
+    eq, ep = (np.exp(1j * np.outer(x, modes * (2 * np.pi / L)))
+              for x, L in ((grid.q, grid.Lq), (grid.p, grid.Lp)))
+    # the sum over b on the small (a, Np, c) side, then over a in rows of Np * c
+    half = (ep[None, :, :, None] * coeff[:, None]).sum(axis=2).reshape(modes.size, -1)
+    out = eq[:, :1] * half[0]
+    for a in range(1, modes.size):
+        out += eq[:, a:a + 1] * half[a]
+    out = out.reshape(grid.shape + shape)
     if not complex_valued:
         out = out.real
     return out / np.max(np.abs(out))

@@ -205,7 +205,9 @@ class TestConfig:
                                       "initial.snapshot", "initial.snapshot=truncated",
                                       "initial.snapshot=directory",
                                       "initial.snapshot=entangled",
-                                      "initial.snapshot=negative"])
+                                      "initial.snapshot=negative", "grid.n=3", "grid.n=0",
+                                      "initial.compose_from=density",
+                                      "initial.compose_from=bogus"])
     def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, case):
         key, _, value = case.partition("=")
         # the preset that reads the key, when the nanowire does not
@@ -213,6 +215,7 @@ class TestConfig:
                "hamiltonian.H_Q": presets.classical_well,
                "hamiltonian.coeffs": presets.zeta_sigma_z,
                "initial.rho.matrix": presets.nanowire_meanfield,
+               "initial.compose_from": presets.uncoupled_factorized,
                }.get(key, presets.nanowire_conditional)(N=16)
         command, extra = "simulate", []
         if key.startswith("equilibrium."):
@@ -230,7 +233,7 @@ class TestConfig:
             "hamiltonian.eta": "x", "hamiltonian.B": [1, 2], "initial.waveop.weights": ["x", 1],
             "hamiltonian.H_Q": [[0, 1], [2, 0]], "hamiltonian.coeffs": 5,
             "initial.rho.matrix": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}.get(key)
-        if key in ("diagnostics.probes_seed", "diagnostics.n_probes"):
+        if key in ("diagnostics.probes_seed", "diagnostics.n_probes", "grid.n"):
             command = "casimir-check"
         if case == "time.sample_every=x":  # the convergence study reads the stride first
             command, extra = "convergence", ["--levels", "2"]
@@ -243,7 +246,8 @@ class TestConfig:
         if key.startswith(("time.", "diagnostics.", "initial.state.", "initial.waveop.",
                            "initial.rho.")) or key in (
                 "equilibrium.T_check", "initial.density.uniform_weight", "hamiltonian.mass",
-                "hamiltonian.eta", "hamiltonian.B", "hamiltonian.H_Q", "hamiltonian.coeffs"):
+                "hamiltonian.eta", "hamiltonian.B", "hamiltonian.H_Q", "hamiltonian.coeffs",
+                "grid.n", "initial.compose_from"):
             *parents, leaf = key.split(".")
             node = cfg
             for part in parents:

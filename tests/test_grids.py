@@ -288,3 +288,53 @@ class TestFieldContainers:
         grid = make_grid(16)
         v = VectorField2(grid, np.ones(grid.shape), 2.0 * np.ones(grid.shape))
         assert np.isclose(v.max_speed(), np.sqrt(5.0))
+
+
+def band_limited_per_mode(grid, rng, kmax, trailing, complex_valued):
+    """Reference: the mode-by-mode sum of full-grid exponentials, drawing each
+    mode's coefficients (real part, then imaginary part) in (a, b) order."""
+    out = np.zeros(grid.shape + trailing, dtype=complex)
+    kq = 2 * np.pi / grid.Lq
+    kp = 2 * np.pi / grid.Lp
+    for a in range(-kmax, kmax + 1):
+        for b in range(-kmax, kmax + 1):
+            coeff = rng.standard_normal(trailing) + 1j * rng.standard_normal(trailing)
+            phase = np.exp(1j * (a * kq * grid.Q + b * kp * grid.P))
+            out += phase[(...,) + (None,) * len(trailing)] * coeff
+    if not complex_valued:
+        out = out.real
+    return out / np.max(np.abs(out))
+
+
+class TestRandomBandLimited:
+    CASES = [(kmax, trailing, complex_valued) for kmax in range(4)
+             for trailing in [(), (3,), (3, 3)] for complex_valued in (False, True)]
+
+    @staticmethod
+    def grid():
+        return PhaseGrid(-3.0, 5.0, -1.0, 2.0, 24, 20)
+
+    @pytest.mark.parametrize("kmax,trailing,complex_valued", CASES)
+    def test_matches_the_per_mode_sum_and_its_generator_state(
+            self, kmax, trailing, complex_valued):
+        grid = self.grid()
+        rng, ref_rng = np.random.default_rng(kmax), np.random.default_rng(kmax)
+        f = random_band_limited(grid, rng, kmax=kmax, trailing=trailing,
+                                complex_valued=complex_valued)
+        ref = band_limited_per_mode(grid, ref_rng, kmax, trailing, complex_valued)
+        assert f.shape == ref.shape == grid.shape + trailing
+        assert np.max(np.abs(f - ref)) < 1e-13
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("kmax,trailing,complex_valued", CASES)
+    def test_band_limit_norm_and_dtype(self, kmax, trailing, complex_valued):
+        grid = self.grid()
+        f = random_band_limited(grid, np.random.default_rng(7), kmax=kmax, trailing=trailing,
+                                complex_valued=complex_valued)
+        assert np.max(np.abs(f)) == pytest.approx(1.0, abs=1e-15)
+        assert np.iscomplexobj(f) == complex_valued
+        spectrum = np.abs(np.fft.fft2(f, axes=(0, 1)))
+        kq = np.abs(np.fft.fftfreq(grid.Nq, 1.0 / grid.Nq))
+        kp = np.abs(np.fft.fftfreq(grid.Np, 1.0 / grid.Np))
+        outside = (kq[:, None] > kmax) | (kp[None, :] > kmax)
+        assert np.max(spectrum[outside]) < 1e-12 * np.max(spectrum)
