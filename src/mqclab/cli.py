@@ -147,6 +147,7 @@ def cmd_equilibrium(args):
 
     Cmod, cfg, grid, ham = _prepare(args)
     problem = Cmod.build_problem(grid, ham, cfg)
+    T_check = Cmod.certificate_time(cfg)
     try:
         mu = problem.mu if problem.mu is not None else eq.solve_mu(problem)[0]
         result = eq.equilibrium_at(problem, mu, check_confined=True)
@@ -158,13 +159,11 @@ def cmd_equilibrium(args):
         raise Cmod.ConfigError(Cmod.problem_path(key), str(exc)) from None
 
     metrics, unmeasured = dict(result.residuals), {}
-    certify = bool(Cmod.get(cfg, "equilibrium.certify", True))
-    if certify and result.seam_kinked:
+    if T_check is not None and result.seam_kinked:
         unmeasured = {"certificate": None, "certificate_reason": (
             "not measured: the landscape is kinked at the domain seam, where the "
             "stationarity run would advect a phase jump; certify a seam-free trig_* surrogate")}
-    elif certify:
-        T_check = Cmod.positive(cfg, "equilibrium.T_check") or 6.283185307179586
+    elif T_check is not None:
         metrics.update(eq.stationarity_residual(result, ham, T_check=T_check))
 
     os.makedirs(args.out, exist_ok=True)
@@ -215,10 +214,8 @@ def cmd_convergence(args):
     from .dynamics import rk4_run
 
     Cmod, cfg, grid0, _ = _prepare(args)
-    has_fixed_T = Cmod.get(cfg, "time.t_final") is not None or (
-        Cmod.get(cfg, "time.dt") is not None and Cmod.get(cfg, "time.steps") is not None
-    )
-    if not has_fixed_T:
+    time0 = Cmod.time_spec(cfg)
+    if time0["t_final"] is None and None in (time0["dt"], time0["steps"]):
         raise Cmod.ConfigError("time.t_final", "convergence study needs a fixed final time")
 
     drift_cols = ["mass", "energy", "C1", "C2", "S_pure", "S_uhlmann", "renyi_alpha"]
@@ -226,21 +223,14 @@ def cmd_convergence(args):
     roundoff = dict.fromkeys(drift_cols, True)  # drift within round-off at every level so far
     hs = []
     for level in range(args.levels):
-        scaled = json.loads(json.dumps(cfg))
         f = 2**level
-        if args.mode == "both":
-            scaled["grid"]["Nq"] = cfg["grid"]["Nq"] * f
-            scaled["grid"]["Np"] = cfg["grid"]["Np"] * f
-            if "dt" in scaled.get("time", {}):
-                scaled["time"]["dt"] = cfg["time"]["dt"] / f
-                if "steps" in scaled["time"]:
-                    scaled["time"]["steps"] = cfg["time"]["steps"] * f
-        elif level > 0:
+        time = dict(time0, sample_every=time0["sample_every"] * f)
+        if args.mode == "both" and time0["dt"] is not None:  # a given step count too
+            time.update(dt=time0["dt"] / f, steps=time0["steps"] and time0["steps"] * f)
+        elif args.mode == "temporal" and level > 0:
             # the level-0 step, however it was set, halved at the same final time
-            for key in ("cfl", "t_final"):
-                scaled["time"].pop(key, None)
-            scaled["time"].update(dt=dt0 / f, steps=steps0 * f)
-        scaled["time"]["sample_every"] = (Cmod.positive(cfg, "time.sample_every", int) or 1) * f
+            time.update(dt=dt0 / f, steps=steps0 * f, cfl=None, t_final=None)
+        scaled = Cmod.rescaled(cfg, grid0, f if args.mode == "both" else 1, time)
 
         grid = Cmod.build_grid(scaled)
         ham = Cmod.build_hamiltonian(grid, scaled)

@@ -4,8 +4,15 @@ Sections: ``domain`` (q0,q1,p0,p1), ``grid`` (Nq,Np,n[,m]), ``physics``
 (hbar), ``time`` (dt or cfl, steps or t_final, sample_every, renormalize),
 ``model``, ``hamiltonian`` (kind + parameters), ``initial`` (representation +
 profile specs), ``diagnostics`` (functional list, loop spec, probe seed) and
-``equilibrium`` (representation, E or mu, branch). Missing keys raise
-``ConfigError`` carrying the dotted key path.
+``equilibrium`` (representation, E or mu, branch, certify, T_check).
+
+Every key is read once, by ``read``: it follows the dotted key path (list
+items by index), converts the value to one kind and checks its range.
+Numbers are finite (a numeric string counts: YAML 1.1 reads ``1e-3`` as one),
+integers integral, booleans YAML booleans, sections mappings; a null key is
+absent. Any invalid value raises ``ConfigError`` at the key's path, and a grid
+whose fields cannot be allocated raises it at its larger axis, ``grid.Nq`` or
+``grid.Np``.
 """
 
 from __future__ import annotations
@@ -43,98 +50,180 @@ def load_config(path):
     return cfg
 
 
-def require(cfg, path, kind=None):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+_REQUIRED = object()
+
+
+def read(cfg, path, kind, default=_REQUIRED, check=None, why="out of range"):
+    """The value at the dotted key ``path`` of ``cfg`` converted by ``kind``;
+    ``default`` when the key is absent or null (a ConfigError when there is
+    none). ``check(value)`` must be true, else the error says ``why``; it may
+    also raise ValueError with its own message."""
+    node, parts = cfg, path.split(".")
+    for k, part in enumerate(parts):
+        if isinstance(node, list) and part.isdigit():
+            node = node[int(part)] if int(part) < len(node) else None
+        elif isinstance(node, dict):
+            node = node.get(part)
+        elif node is not None:
+            raise ConfigError(".".join(parts[:k]), "expected a mapping")
+    if node is None:
+        if default is _REQUIRED:
             raise ConfigError(path)
-        node = node[part]
-    if kind is not None:
-        try:
-            node = kind(node)
-        except (TypeError, ValueError):
-            raise ConfigError(path, "wrong type") from None
-    return node
-
-
-def get(cfg, path, default=None):
-    try:
-        return require(cfg, path)
-    except ConfigError:
         return default
-
-
-def positive(cfg, path, kind=float):
-    """The number at ``path`` as ``kind`` (None when absent); it must be positive."""
-    if get(cfg, path) is None:
-        return None
-    value = require(cfg, path, kind)
-    if not value > 0:
-        raise ConfigError(path, "must be positive")
+    try:
+        value = kind(node)
+        if check is not None and not check(value):
+            raise ValueError(why)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(path, str(exc)) from None
     return value
 
 
+def _finite(value):
+    if isinstance(value, bool):
+        raise TypeError("expected a number, not a boolean")
+    if not np.isfinite(x := float(value)):
+        raise ValueError("must be finite")
+    return x
+
+
+def _integer(value):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if not (x := _finite(value)).is_integer():
+        raise ValueError("expected an integer")
+    return int(x)
+
+
+def _instance(kind, what):
+    def convert(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {what}")
+        return value
+    return convert
+
+
+_boolean, _string = _instance(bool, "true or false"), _instance(str, "a string")
+_mapping, _list = _instance(dict, "a mapping"), _instance(list, "a list")
+
+
+def _list_of(kind):
+    return lambda value: [kind(item) for item in _list(value)]
+
+
+def _pair(value):
+    if len(_list(value)) != 2:
+        raise ValueError("expected a pair of numbers")
+    return _finite(value[0]), _finite(value[1])
+
+
+def _complex(value):
+    """Complex entries are [re, im] pairs at the innermost level, e.g. a
+    2-vector is [[1.0, 0.0], [0.0, 0.0]]."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] != 2 or not np.all(np.isfinite(arr)):
+        raise ValueError("complex values must be finite [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+_NAMED_MATRICES = {"sigma_x": _ham.SIGMA_X, "sigma_y": _ham.SIGMA_Y, "sigma_z": _ham.SIGMA_Z}
+
+
+def _hermitian(value, ndim=2):
+    """A Hermitian matrix (a field for ``ndim`` 4): a named one, rows of
+    numbers, or rows of [re, im] pairs."""
+    if isinstance(value, str):
+        if value not in _NAMED_MATRICES:
+            raise ValueError(f"unknown named matrix '{value}'")
+        return _NAMED_MATRICES[value]
+    M = _complex(value) if np.ndim(value) == 3 else np.asarray(value, dtype=float) + 0j
+    if M.ndim != ndim or M.shape[-1] != M.shape[-2] or not np.all(np.isfinite(M)):
+        raise ValueError("expected a finite square matrix")
+    return require_hermitian(M)
+
+
+# a range check and what it wants, passed on as read(..., *_POSITIVE)
+_POSITIVE = (lambda x: x > 0, "must be positive")
+
+
+def _set_keys(cfg, path, params):
+    """The keys of ``params`` (key -> kind[, check]) that are set under ``path``."""
+    values = {key: read(cfg, f"{path}.{key}", kind, None, *check)
+              for key, (kind, *check) in params.items()}
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def build_grid(cfg) -> PhaseGrid:
-    for path in ("grid.Nq", "grid.Np"):
-        if require(cfg, path, int) < MIN_POINTS:
-            raise ConfigError(path, f"the stencils need at least {MIN_POINTS} points")
-    bounds = {key: require(cfg, f"domain.{key}", float) for key in ("q0", "q1", "p0", "p1")}
+    N = [read(cfg, path, _integer, check=lambda n: n >= MIN_POINTS,
+              why=f"the stencils need at least {MIN_POINTS} points")
+         for path in ("grid.Nq", "grid.Np")]
+    bounds = {key: read(cfg, f"domain.{key}", _finite) for key in ("q0", "q1", "p0", "p1")}
     for lo, hi in (("q0", "q1"), ("p0", "p1")):
-        if not bounds[hi] > bounds[lo]:
-            raise ConfigError(f"domain.{hi}", f"must exceed domain.{lo}")
-    return PhaseGrid(**bounds, Nq=require(cfg, "grid.Nq", int), Np=require(cfg, "grid.Np", int),
-                     hbar=positive(cfg, "physics.hbar") or 1.0)
+        if not 0 < bounds[hi] - bounds[lo] < np.inf:
+            raise ConfigError(f"domain.{hi}", f"must exceed domain.{lo} by a finite length")
+    hbar = read(cfg, "physics.hbar", _finite, 1.0, *_POSITIVE)
+    try:
+        return PhaseGrid(**bounds, Nq=N[0], Np=N[1], hbar=hbar)
+    except (MemoryError, ValueError, OverflowError):  # numpy refuses the size
+        raise _oversized(*N) from None
+
+
+def _oversized(Nq, Np):
+    return ConfigError("grid.Nq" if Nq >= Np else "grid.Np",
+                       "the grid's fields do not fit in memory")
+
+
+_PROFILE_PARAMS = {"amplitude": (_finite,), "center": (_pair,),
+                   "mode": (_integer, lambda k: k != 0, "must not be zero"),
+                   "omega": (_finite,), "mass": (_finite, *_POSITIVE)}
+_NANOWIRE_PARAMS = {"mass": (_finite, *_POSITIVE), "eta": (_finite,), "B": (_finite,),
+                    "trig": (_boolean,), "center_p": (_finite,)}
+
+
+def _profile_name(value):
+    if _string(value) not in _ham.PROFILES:
+        raise ValueError(f"unknown scalar profile '{value}'")
+    return value
+
+
+def _profile(cfg, path):
+    """``scalar_profile``'s arguments at ``path``: a profile name, or a
+    mapping of ``name`` and the parameters it sets."""
+    node = read(cfg, path, lambda v: v if isinstance(v, dict) else _profile_name(v))
+    return {"name": node} if isinstance(node, str) else {
+        "name": read(cfg, f"{path}.name", _profile_name), **_set_keys(cfg, path, _PROFILE_PARAMS)}
+
+
+# the key that sets each kind's quantum dimension
+_DIMENSION_KEY = {"uncoupled": "hamiltonian.H_Q", "pure_dephasing": "hamiltonian.A",
+                  "zeta_composed": "hamiltonian.coeffs", "tabulated": "hamiltonian.H"}
 
 
 def build_hamiltonian(grid, cfg) -> _ham.Hamiltonian:
-    spec = require(cfg, "hamiltonian", dict)
-    for key in ("eta", "B", "center_p"):  # the nanowire's numbers
-        if spec.get(key) is not None:
-            spec[key] = require(cfg, f"hamiltonian.{key}", float)
-    if spec.get("mass") is not None:
-        spec["mass"] = positive(cfg, "hamiltonian.mass")
-    for key in ("H_Q", "A"):  # the quantum operators of the uncoupled and dephasing kinds
-        if key in spec:
-            _check_hermitian(spec[key], f"hamiltonian.{key}")
-    if "coeffs" in spec:  # the zeta-composed kind's A_k, all of one size
-        coeffs = spec["coeffs"]
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError("hamiltonian.coeffs", "expected a list of matrices")
-        if len({_check_hermitian(c, f"hamiltonian.coeffs.{k}") for k, c in enumerate(coeffs)}) > 1:
-            raise ConfigError("hamiltonian.coeffs", "the matrices differ in size")
+    read(cfg, "hamiltonian", _mapping)
+    kind = read(cfg, "hamiltonian.kind", _string, check=_ham.KINDS.__contains__,
+                why="unknown hamiltonian kind")
+    key = "hamiltonian."
+    if kind == "nanowire":
+        args = _set_keys(cfg, "hamiltonian", _NANOWIRE_PARAMS)
+    elif kind == "uncoupled":
+        args = {"h_c": _profile(cfg, key + "h_c"), "H_Q": read(cfg, key + "H_Q", _hermitian)}
+    elif kind == "pure_dephasing":
+        args = {"h_0": _profile(cfg, key + "h_0"), "h_i": _profile(cfg, key + "h_i"),
+                "A": read(cfg, key + "A", _hermitian)}
+    elif kind == "zeta_composed":  # a non-empty list of matrices, all of one size
+        count = len(read(cfg, key + "coeffs", _list, check=len, why="must not be empty"))
+        args = {"zeta": _profile(cfg, key + "zeta"), "coeffs": [
+            read(cfg, f"{key}coeffs.{k}", _hermitian) for k in range(count)]}
+        if len({c.shape for c in args["coeffs"]}) > 1:
+            raise ConfigError(key + "coeffs", "the matrices differ in size")
+    else:
+        args = {"H": read(cfg, key + "H", lambda v: _hermitian(v, ndim=4),
+                          lambda H: H.shape[:2] == grid.shape, "expected an (Nq, Np) field")}
     try:
-        return _ham.build(grid, spec)
-    except KeyError as exc:
-        raise ConfigError(f"hamiltonian.{exc.args[0]}") from None
-    except _ham.UnsupportedHamiltonianError as exc:
-        path = "hamiltonian.kind" if spec.get("kind") not in _ham.KINDS else "hamiltonian"
-        raise ConfigError(path, str(exc)) from None
-
-
-def _check_hermitian(data, path):
-    """The shape of ``data``, which must be a square Hermitian matrix: a named
-    one, rows of numbers or rows of [re, im] pairs (the builder parses it
-    again)."""
-    try:
-        M = _ham._matrix_arg(data)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("expected a square matrix")
-        require_hermitian(M)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from None
-    return M.shape
-
-
-def _complex_array(data, path):
-    """Complex entries are [re, im] pairs at the innermost level, e.g. a
-    2-vector is [[1.0, 0.0], [0.0, 0.0]]."""
-    try:
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim == 0 or arr.shape[-1] != 2:
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ConfigError(path, "complex values must be [re, im] pairs") from None
-    return arr[..., 0] + 1j * arr[..., 1]
+        return _ham.build(grid, {"kind": kind, **args})
+    except MemoryError:
+        raise _oversized(grid.Nq, grid.Np) from None
 
 
 def _unit(values, path):
@@ -145,36 +234,22 @@ def _unit(values, path):
     return values / norm
 
 
-def _number(spec, key, default, path, kind=float):
-    """``spec[key]`` as ``kind``, or ``default`` when it is absent."""
-    try:
-        return kind(spec.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}", "wrong type") from None
+def _gaussian(grid, cfg, path):
+    qc, pc = read(cfg, f"{path}.center", _pair, (0.0, 0.0))
+    sq, sp = read(cfg, f"{path}.sigma", _pair, (1.0, 1.0))
+    return np.exp(-0.5 * ((grid.Q - qc) / sq) ** 2 - 0.5 * ((grid.P - pc) / sp) ** 2)
 
 
-def _pair(spec, key, default, path):
-    """The two numbers at ``spec[key]``, or ``default`` when it is absent."""
-    try:
-        a, b = spec.get(key, default)
-        return float(a), float(b)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}", "expected a pair of numbers") from None
-
-
-def _density_profile(grid, spec, path):
-    name = spec.get("profile")
+def _density_profile(grid, cfg, path):
+    read(cfg, path, _mapping)
+    name = read(cfg, f"{path}.profile", _string)
     if name == "gaussian":
-        qc, pc = _pair(spec, "center", (0.0, 0.0), path)
-        sq, sp = _pair(spec, "sigma", (1.0, 1.0), path)
-        D = np.exp(
-            -0.5 * ((grid.Q - qc) / sq) ** 2 - 0.5 * ((grid.P - pc) / sp) ** 2
-        )
+        D = _gaussian(grid, cfg, path)
     elif name == "von_mises":
         # torus-native Gaussian: exp(kappa (cos(k dx) - 1)), seam-smooth by
         # construction, width ~ 1/sqrt(kappa) near the peak
-        qc, pc = _pair(spec, "center", (0.0, 0.0), path)
-        kq, kp = _pair(spec, "kappa", (2.0, 2.0), path)
+        qc, pc = read(cfg, f"{path}.center", _pair, (0.0, 0.0))
+        kq, kp = read(cfg, f"{path}.kappa", _pair, (2.0, 2.0))
         aq = 2 * np.pi / grid.Lq
         ap = 2 * np.pi / grid.Lp
         D = np.exp(
@@ -185,41 +260,38 @@ def _density_profile(grid, spec, path):
         D = np.ones(grid.shape)
     elif name == "double_gaussian":
         D = np.zeros(grid.shape)
-        for k, bump in enumerate(spec.get("bumps", [])):
-            qc, pc = _pair(bump, "center", (0.0, 0.0), f"{path}.bumps.{k}")
-            sq, sp = _pair(bump, "sigma", (1.0, 1.0), f"{path}.bumps.{k}")
-            w = _number(bump, "weight", 1.0, f"{path}.bumps.{k}")
-            D += w * np.exp(
-                -0.5 * ((grid.Q - qc) / sq) ** 2 - 0.5 * ((grid.P - pc) / sp) ** 2
-            )
+        for k in range(len(read(cfg, f"{path}.bumps", _list_of(_mapping), []))):
+            bump = f"{path}.bumps.{k}"
+            D += read(cfg, f"{bump}.weight", _finite, 1.0) * _gaussian(grid, cfg, bump)
     else:
         raise ConfigError(f"{path}.profile", f"unknown density profile '{name}'")
     D = D / float(grid.integrate(D))
-    w = _number(spec, "uniform_weight", 0.0, path)
+    w = read(cfg, f"{path}.uniform_weight", _finite, 0.0, lambda w: 0 <= w <= 1,
+             "must lie in [0, 1]")  # a larger weight makes D negative
     if w > 0.0:
         D = (1.0 - w) * D + w / grid.area
     return D
 
 
-def _state_profile(grid, ham, spec, path):
-    name = spec.get("profile")
+def _state_profile(grid, ham, cfg, path):
+    read(cfg, path, _mapping)
+    name = read(cfg, f"{path}.profile", _string)
     if name == "constant":
-        vec = _complex_array(require_spec(spec, "vector", path), f"{path}.vector")
-        vec = _unit(vec, f"{path}.vector")
+        vec = _unit(read(cfg, f"{path}.vector", _complex, check=lambda v: v.ndim == 1,
+                         why="expected a vector"), f"{path}.vector")
         return np.broadcast_to(vec, grid.shape + vec.shape).copy()
     if name == "eigen":
-        branch = _number(spec, "branch", 0, path, int)
-        if not 0 <= branch < ham.n:
-            raise ConfigError(f"{path}.branch", f"branch {branch} outside quantum dimension {ham.n}")
+        branch = read(cfg, f"{path}.branch", _integer, 0, lambda b: 0 <= b < ham.n,
+                      f"outside quantum dimension {ham.n}")
         return np.ascontiguousarray(eigenfields(ham).state(branch))
     if name == "twisted":
         # periodic for any amplitude: the mixing angle is itself a periodic
         # function of p, theta = amplitude * sin(k kappa_p (p - pc))
-        k = _number(spec, "k", 1, path, int)
-        ell = _number(spec, "l", 1, path, int)
-        qc, pc = _pair(spec, "center", (0.5 * (grid.q0 + grid.q1), 0.5 * (grid.p0 + grid.p1)),
-                       path)
-        amp = _number(spec, "amplitude", 1.0, path)
+        k = read(cfg, f"{path}.k", _integer, 1)
+        ell = read(cfg, f"{path}.l", _integer, 1)
+        qc, pc = read(cfg, f"{path}.center", _pair,
+                      (0.5 * (grid.q0 + grid.q1), 0.5 * (grid.p0 + grid.p1)))
+        amp = read(cfg, f"{path}.amplitude", _finite, 1.0)
         th = amp * np.sin(k * (2 * np.pi / grid.Lp) * (grid.P - pc))
         ph = ell * (2 * np.pi / grid.Lq) * (grid.Q - qc)
         psi = np.zeros(grid.shape + (2,), dtype=complex)
@@ -229,106 +301,88 @@ def _state_profile(grid, ham, spec, path):
     raise ConfigError(f"{path}.profile", f"unknown state profile '{name}'")
 
 
-def _waveop_profile(grid, ham, spec, m, path):
-    name = spec.get("profile")
-    n = ham.n
+def _waveop_profile(grid, ham, cfg, m, path):
+    read(cfg, path, _mapping)
+    name = read(cfg, f"{path}.profile", _string)
     if name == "constant":
-        W = _unit(_complex_array(require_spec(spec, "matrix", path), f"{path}.matrix"),
-                  f"{path}.matrix")
+        W = _unit(read(cfg, f"{path}.matrix", _complex, check=lambda W: W.ndim == 2,
+                       why="expected a matrix"), f"{path}.matrix")
         return np.broadcast_to(W, grid.shape + W.shape).copy()
+    W = np.zeros(grid.shape + (ham.n, m), dtype=complex)
     if name == "eigen_mix":
-        try:
-            weights = [float(w) for w in require_spec(spec, "weights", path)]
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.weights", "expected a list of numbers") from None
-        if len(weights) > m:
-            raise ConfigError(f"{path}.weights", "more weights than ancilla columns")
-        if not (all(0.0 <= w < np.inf for w in weights) and sum(weights) > 0.0):
-            raise ConfigError(f"{path}.weights", "must be finite, non-negative, not all zero")
-        total = sum(weights)
+        weights = read(cfg, f"{path}.weights", _list_of(_finite),
+                       check=lambda ws: len(ws) <= m and min(ws, default=0) >= 0 and sum(ws) > 0,
+                       why=f"expected at most {m} weights, non-negative, not all zero")
         eig = eigenfields(ham)
-        W = np.zeros(grid.shape + (n, m), dtype=complex)
         for b, w in enumerate(weights):
-            W[..., :, b] = np.sqrt(w / total) * eig.state(b)
+            W[..., :, b] = np.sqrt(w / sum(weights)) * eig.state(b)
         return W
     if name == "embed_state":
-        psi = _state_profile(grid, ham, require_spec(spec, "state", path), f"{path}.state")
-        W = np.zeros(grid.shape + (n, m), dtype=complex)
-        W[..., :, 0] = psi
+        W[..., :, 0] = _state_profile(grid, ham, cfg, f"{path}.state")
         return W
     raise ConfigError(f"{path}.profile", f"unknown wave-operator profile '{name}'")
-
-
-def require_spec(spec, key, path):
-    if key not in spec:
-        raise ConfigError(f"{path}.{key}")
-    return spec[key]
 
 
 def build_initial_state(grid, ham, cfg):
     """Returns the initial state object matching initial.representation, in
     the quantum dimension of the Hamiltonian."""
-    state = _initial_state(grid, ham, cfg)
+    return _same_dimension(_initial_state(grid, ham, cfg), ham,
+                           _DIMENSION_KEY.get(ham.kind, "initial"))
+
+
+def _same_dimension(state, ham, path):
     if state.n != ham.n:
-        if "snapshot" in cfg["initial"]:
-            path = "initial.snapshot"
-        else:  # the Hamiltonian's matrix, where the config gives one
-            path = next((f"hamiltonian.{key}" for key in ("H_Q", "A", "coeffs")
-                         if key in cfg["hamiltonian"]), "initial")
         raise ConfigError(path, f"the state has quantum dimension {state.n}, "
                                 f"the Hamiltonian {ham.n}")
     return state
 
 
 def _initial_state(grid, ham, cfg):
-    init = require(cfg, "initial")
-    rep = require(cfg, "initial.representation")
-    if "snapshot" in init:
+    init = read(cfg, "initial", _mapping)
+    rep = read(cfg, "initial.representation", _string,
+               check=("conditional", "uhlmann", "density", "mean_field").__contains__,
+               why="unknown representation")
+    snapshot = read(cfg, "initial.snapshot", _string, None)
+    if snapshot is not None:
         try:
-            state = read_snapshot(init["snapshot"])
+            state = read_snapshot(snapshot)
         except (OSError, ValueError) as exc:
             raise ConfigError("initial.snapshot", str(exc)) from None
         if not state.grid.compatible(grid):
             raise ConfigError("initial.snapshot", "snapshot grid does not match config")
+        _same_dimension(state, ham, "initial.snapshot")
         if rep == "mean_field" and isinstance(state, HybridDensity):
             state = _meanfield_factors(state)
         # the physics of the state; a run's own snapshot drifts in norm and mass
         return _validated(state, "initial.snapshot", normalized=False)
-    if rep == "conditional":
-        D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
-        psi = _state_profile(grid, ham, require(cfg, "initial.state", dict), "initial.state")
-        return ConditionalSplit(grid, D, psi)
-    if rep == "uhlmann":
-        m = ham.n if get(cfg, "grid.m") is None else require(cfg, "grid.m", int)
-        D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
-        W = _waveop_profile(grid, ham, require(cfg, "initial.waveop", dict), m, "initial.waveop")
-        return UhlmannSplit(grid, D, W)
     if rep == "density":
-        sub = {**init, "representation": init.get("compose_from", "conditional")}
-        if sub["representation"] not in ("conditional", "uhlmann", "mean_field"):
-            raise ConfigError("initial.compose_from", "must be conditional, uhlmann or mean_field")
-        return _initial_state(grid, ham, {**cfg, "initial": sub}).compose()
-    if rep == "mean_field":
-        D = _density_profile(grid, require(cfg, "initial.density", dict), "initial.density")
-        rho_spec = require(cfg, "initial.rho", dict)
-        if "matrix" in rho_spec:
-            rho = _complex_array(rho_spec["matrix"], "initial.rho.matrix")
-            if rho.shape != (ham.n, ham.n):
-                raise ConfigError("initial.rho.matrix", f"expected a {ham.n} x {ham.n} matrix")
-            rho = hermitize(rho)
-            trace = np.real(np.trace(rho))
-            if not trace > 0:
-                raise ConfigError("initial.rho.matrix", "must have a positive trace")
-            rho = rho / trace
-        elif rho_spec.get("profile") == "marginal_of_state":
-            psi = _state_profile(grid, ham, require_spec(rho_spec, "state", "initial.rho"),
-                                 "initial.rho.state")
-            rho = quantum_marginal(ConditionalSplit(grid, D, psi))
-        else:
-            raise ConfigError("initial.rho", "give a matrix or profile=marginal_of_state")
-        key = "initial.rho.matrix" if "matrix" in rho_spec else "initial.rho"
-        return _validated(MeanFieldState(grid, D, rho), key)
-    raise ConfigError("initial.representation", f"unknown representation '{rep}'")
+        source = read(cfg, "initial.compose_from", _string, "conditional",
+                      check=("conditional", "uhlmann", "mean_field").__contains__,
+                      why="must be conditional, uhlmann or mean_field")
+        sub = {**cfg, "initial": {**init, "representation": source}}
+        return _initial_state(grid, ham, sub).compose()
+    D = _density_profile(grid, cfg, "initial.density")
+    if rep == "conditional":
+        return ConditionalSplit(grid, D, _state_profile(grid, ham, cfg, "initial.state"))
+    if rep == "uhlmann":
+        # more than n columns add no state: W W^dag has rank at most n
+        m = read(cfg, "grid.m", _integer, ham.n, lambda m: 1 <= m <= ham.n,
+                 f"must be between 1 and the quantum dimension {ham.n}")
+        return UhlmannSplit(grid, D, _waveop_profile(grid, ham, cfg, m, "initial.waveop"))
+    read(cfg, "initial.rho", _mapping)
+    rho = read(cfg, "initial.rho.matrix", _complex, None,
+               lambda r: r.shape == (ham.n, ham.n), f"expected a {ham.n} x {ham.n} matrix")
+    if rho is not None:
+        rho = hermitize(rho)
+        trace = np.real(np.trace(rho))
+        if not trace > 0:
+            raise ConfigError("initial.rho.matrix", "must have a positive trace")
+        return _validated(MeanFieldState(grid, D, rho / trace), "initial.rho.matrix")
+    if read(cfg, "initial.rho.profile", _string, None) != "marginal_of_state":
+        raise ConfigError("initial.rho", "give a matrix or profile=marginal_of_state")
+    psi = _state_profile(grid, ham, cfg, "initial.rho.state")
+    rho = quantum_marginal(ConditionalSplit(grid, D, psi))
+    return _validated(MeanFieldState(grid, D, rho), "initial.rho")
 
 
 def _validated(state, path, normalized=True):
@@ -355,12 +409,26 @@ def _meanfield_factors(density):
 
 
 def model_of(cfg, override=None):
-    model = override or get(cfg, "model")
-    if model is None:
-        raise ConfigError("model")
-    if model not in MODELS:
-        raise ConfigError("model", f"unknown model '{model}'")
-    return model
+    return read({"model": override} if override else cfg, "model", _string,
+                check=MODELS.__contains__, why="unknown model")
+
+
+def time_spec(cfg):
+    """The ``time`` section as numbers, None where a key is absent."""
+    return {"dt": read(cfg, "time.dt", _finite, None, *_POSITIVE),
+            "steps": read(cfg, "time.steps", _integer, None, lambda s: s >= 0,
+                          "must not be negative"),
+            "cfl": read(cfg, "time.cfl", _finite, None, *_POSITIVE),
+            "t_final": read(cfg, "time.t_final", _finite, None, *_POSITIVE),
+            "sample_every": read(cfg, "time.sample_every", _integer, 1, *_POSITIVE),
+            "renormalize": read(cfg, "time.renormalize", _boolean, False)}
+
+
+def rescaled(cfg, grid, f, time):
+    """``cfg`` on ``grid`` refined ``f`` times along each axis, its ``time``
+    section replaced by the numbers of ``time`` (a ``time_spec``)."""
+    return {**cfg, "grid": {**cfg["grid"], "Nq": grid.Nq * f, "Np": grid.Np * f},
+            "time": {k: v for k, v in time.items() if v is not None}}
 
 
 def build_stepper(cfg, grid, ham, model, state) -> StepperConfig:
@@ -368,17 +436,12 @@ def build_stepper(cfg, grid, ham, model, state) -> StepperConfig:
     if not isinstance(state, state_type):
         raise ConfigError("model", f"model '{model}' evolves a {state_type.__name__}, "
                                    f"the initial state is a {type(state).__name__}")
-    dt = positive(cfg, "time.dt")
-    steps = None if get(cfg, "time.steps") is None else require(cfg, "time.steps", int)
-    if steps is not None and steps < 0:
-        raise ConfigError("time.steps", "must not be negative")
-    cfl = positive(cfg, "time.cfl")
-    t_final = positive(cfg, "time.t_final")
-    sample_every = positive(cfg, "time.sample_every", int) or 1
+    time = time_spec(cfg)
+    dt, steps, t_final = time["dt"], time["steps"], time["t_final"]
     if dt is None:
-        if cfl is None:
+        if time["cfl"] is None:
             raise ConfigError("time.dt", "give dt or cfl")
-        dt = cfl_dt(model, state, ham, cfl)
+        dt = cfl_dt(model, state, ham, time["cfl"])
         if t_final is not None:
             steps = max(int(np.ceil(t_final / dt)), 1)
             dt = t_final / steps
@@ -386,58 +449,41 @@ def build_stepper(cfg, grid, ham, model, state) -> StepperConfig:
         if t_final is None:
             raise ConfigError("time.steps", "give steps or t_final")
         steps = max(int(round(t_final / dt)), 1)
-    return StepperConfig(
-        dt=dt,
-        steps=steps,
-        sample_every=sample_every,
-        renormalize=bool(get(cfg, "time.renormalize", False)),
-    )
+    return StepperConfig(dt=dt, steps=steps, sample_every=time["sample_every"],
+                         renormalize=time["renormalize"])
 
 
 def build_loop(cfg):
-    if get(cfg, "diagnostics.loop") is None:
+    if read(cfg, "diagnostics.loop", _mapping, None) is None:
         return None
-    spec = require(cfg, "diagnostics.loop", dict)
-    center = _pair(spec, "center", (0.0, 0.0), "diagnostics.loop")
-    radius = require(cfg, "diagnostics.loop.radius", float) if "radius" in spec else 0.5
-    if not 0.0 < radius < np.inf:
-        raise ConfigError("diagnostics.loop.radius", "must be positive and finite")
-    K = require(cfg, "diagnostics.loop.points", int) if "points" in spec else 256
-    if K < 3:  # fewer points enclose no area
-        raise ConfigError("diagnostics.loop.points", "need at least 3 points")
-    return circle_loop(center, radius, K)
+    return circle_loop(read(cfg, "diagnostics.loop.center", _pair, (0.0, 0.0)),
+                       read(cfg, "diagnostics.loop.radius", _finite, 0.5, *_POSITIVE),
+                       read(cfg, "diagnostics.loop.points", _integer, 256, lambda k: k >= 3,
+                            "need at least 3 points"))  # fewer enclose no area
 
 
 def build_sample_fn(cfg, model, ham, with_loop=False):
     """The row function of the ``diagnostics`` section, every key checked first."""
-    spec = require(cfg, "diagnostics", dict) if get(cfg, "diagnostics") else {}
-    functionals = spec.get("functionals")
-    if functionals is not None and (not isinstance(functionals, list)
-                                    or any(f not in DEFAULT_FUNCTIONALS for f in functionals)):
-        raise ConfigError("diagnostics.functionals", f"expected names from {DEFAULT_FUNCTIONALS}")
-    alpha = require(cfg, "diagnostics.renyi_alpha", float) if "renyi_alpha" in spec else 2.0
-    if alpha == 1.0:
-        raise ConfigError("diagnostics.renyi_alpha", "must differ from 1")
-    names = {"c1_phi": spec.get("c1_phi", "neg_x_log_x_trace"),
-             "c2_sigma": spec.get("c2_sigma", "log")}
-    for key, make in (("c1_phi", spectral_fn), ("c2_sigma", scalar_fn)):
-        try:
-            make(names[key])
-        except ValueError as exc:
-            raise ConfigError(f"diagnostics.{key}", str(exc)) from None
-    return make_sample_fn(model, ham, functionals, alpha, with_loop=with_loop, **names)
+    read(cfg, "diagnostics", _mapping, None)
+    functionals = read(cfg, "diagnostics.functionals", _list_of(_string), None,
+                       lambda fs: set(fs) <= set(DEFAULT_FUNCTIONALS),
+                       f"expected names from {DEFAULT_FUNCTIONALS}")
+    alpha = read(cfg, "diagnostics.renyi_alpha", _finite, 2.0, lambda a: a != 1.0,
+                 "must differ from 1")
+    return make_sample_fn(
+        model, ham, functionals, alpha, with_loop=with_loop,
+        c1_phi=read(cfg, "diagnostics.c1_phi", _string, "neg_x_log_x_trace", spectral_fn),
+        c2_sigma=read(cfg, "diagnostics.c2_sigma", _string, "log", scalar_fn))
 
 
 def probe_spec(cfg, ham):
     """(seed, count, n) of the ``casimir-check`` probes; ``grid.n`` must be ``ham.n``."""
-    spec = require(cfg, "diagnostics", dict) if get(cfg, "diagnostics") else {}
-    seed = require(cfg, "diagnostics.probes_seed", int) if "probes_seed" in spec else 12345
-    if seed < 0:
-        raise ConfigError("diagnostics.probes_seed", "must be a non-negative integer")
-    n = require(cfg, "grid.n", int)
-    if n != ham.n:
-        raise ConfigError("grid.n", f"the state has quantum dimension {n}, the Hamiltonian {ham.n}")
-    return seed, positive(cfg, "diagnostics.n_probes", int) or 20, n
+    read(cfg, "diagnostics", _mapping, None)
+    seed = read(cfg, "diagnostics.probes_seed", _integer, 12345, lambda s: s >= 0,
+                "must be a non-negative integer")
+    n = read(cfg, "grid.n", _integer, check=lambda n: n == ham.n,
+             why=f"the Hamiltonian has quantum dimension {ham.n}")
+    return seed, read(cfg, "diagnostics.n_probes", _integer, 20, *_POSITIVE), n
 
 
 def problem_path(key):
@@ -446,18 +492,22 @@ def problem_path(key):
 
 
 def build_problem(grid, ham, cfg) -> MaxEntProblem:
-    eq = require(cfg, "equilibrium", dict)
-
-    def optional(key, kind):
-        return None if eq.get(key) is None else require(cfg, f"equilibrium.{key}", kind)
-
+    read(cfg, "equilibrium", _mapping)
     try:
         return MaxEntProblem(
-            representation=require(cfg, "equilibrium.representation"),
+            representation=read(cfg, "equilibrium.representation", _string),
             ham=ham,
-            E=optional("E", float),
-            mu=optional("mu", float),
-            branch=optional("branch", int) or 0,
+            E=read(cfg, "equilibrium.E", _finite, None),
+            mu=read(cfg, "equilibrium.mu", _finite, None),
+            branch=read(cfg, "equilibrium.branch", _integer, 0),
         )
     except ProblemError as exc:
         raise ConfigError(problem_path(exc.key), str(exc)) from None
+
+
+def certificate_time(cfg):
+    """T_check of the equilibrium's stationarity certificate, or None when
+    ``equilibrium.certify`` is false."""
+    if not read(cfg, "equilibrium.certify", _boolean, True):
+        return None
+    return read(cfg, "equilibrium.T_check", _finite, 2 * np.pi, *_POSITIVE)

@@ -44,13 +44,19 @@ class ScalarProfile:
     d_p: np.ndarray
 
 
-def scalar_profile(grid: PhaseGrid, name: str, **params) -> ScalarProfile:
-    """Build a named scalar profile; see the module docstring for seam caveats."""
+PROFILES = ("zero", "constant", "harmonic", "trig_well", "quadratic_p", "trig_kinetic_p",
+            "coordinate_q", "coordinate_p", "trig_p", "trig_q", "sin_q", "cos_q", "sin_p",
+            "cos_p", "sin2_well")
+
+
+def scalar_profile(grid: PhaseGrid, name: str, amplitude=1.0, center=None, mode=1, omega=1.0,
+                   mass=1.0) -> ScalarProfile:
+    """Build a named scalar profile, one of ``PROFILES``; see the module
+    docstring for seam caveats. ``center`` defaults to the domain center."""
     Q, P = grid.Q, grid.P
     zeros = np.zeros(grid.shape)
-    amp = float(params.get("amplitude", 1.0))
-    qc, pc = params.get("center", (0.5 * (grid.q0 + grid.q1), 0.5 * (grid.p0 + grid.p1)))
-    mode = int(params.get("mode", 1))
+    amp = amplitude
+    qc, pc = center or (0.5 * (grid.q0 + grid.q1), 0.5 * (grid.p0 + grid.p1))
     kq = 2 * np.pi * mode / grid.Lq
     kp = 2 * np.pi * mode / grid.Lp
 
@@ -59,22 +65,18 @@ def scalar_profile(grid: PhaseGrid, name: str, **params) -> ScalarProfile:
     if name == "constant":
         return ScalarProfile(name, amp * np.ones(grid.shape), zeros, zeros)
     if name == "harmonic":
-        omega = float(params.get("omega", 1.0))
         v = 0.5 * omega**2 * ((Q - qc) ** 2 + (P - pc) ** 2)
         return ScalarProfile(name, amp * v, amp * omega**2 * (Q - qc), amp * omega**2 * (P - pc))
     if name == "trig_well":
         # 2(1 - cos)/k^2 ~ x^2 near the center; periodic harmonic surrogate
-        omega = float(params.get("omega", 1.0))
         v = (1 - np.cos(kq * (Q - qc))) / kq**2 + (1 - np.cos(kp * (P - pc))) / kp**2
         dq = np.sin(kq * (Q - qc)) / kq
         dp = np.sin(kp * (P - pc)) / kp
         s = amp * omega**2
         return ScalarProfile(name, s * v, s * dq, s * dp)
     if name == "quadratic_p":
-        mass = float(params.get("mass", 1.0))
         return ScalarProfile(name, 0.5 * (P - pc) ** 2 / mass, zeros, (P - pc) / mass)
     if name == "trig_kinetic_p":
-        mass = float(params.get("mass", 1.0))
         v = (1 - np.cos(kp * (P - pc))) / (mass * kp**2)
         return ScalarProfile(name, v, zeros, np.sin(kp * (P - pc)) / (mass * kp))
     if name == "coordinate_q":
@@ -120,7 +122,6 @@ class Hamiltonian:
     H: np.ndarray
     dH_q: np.ndarray
     dH_p: np.ndarray
-    params: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -161,11 +162,8 @@ def uncoupled(grid, h_c: ScalarProfile, H_Q) -> Hamiltonian:
     n = H_Q.shape[-1]
     eye = np.eye(n, dtype=complex)
     H = _scalar_times(h_c.values, eye) + H_Q
-    return Hamiltonian(
-        grid, "uncoupled",
-        H, _scalar_times(h_c.d_q, eye), _scalar_times(h_c.d_p, eye),
-        params={"h_c": h_c.name}, extras={"h_c": h_c, "H_Q": H_Q},
-    )
+    return Hamiltonian(grid, "uncoupled", H, _scalar_times(h_c.d_q, eye),
+                       _scalar_times(h_c.d_p, eye), extras={"h_c": h_c, "H_Q": H_Q})
 
 
 def nanowire(grid, mass=1.0, eta=0.5, B=0.3, trig=True, center_p=None) -> Hamiltonian:
@@ -175,7 +173,7 @@ def nanowire(grid, mass=1.0, eta=0.5, B=0.3, trig=True, center_p=None) -> Hamilt
     kinetic = (1 - cos k(p-pc)) / (m k^2) and p -> sin(k(p-pc))/k with
     k = 2 pi / Lp, which match p^2/2m and p near the domain center.
     """
-    pc = 0.5 * (grid.p0 + grid.p1) if center_p is None else float(center_p)
+    pc = 0.5 * (grid.p0 + grid.p1) if center_p is None else center_p
     eye = np.eye(2, dtype=complex)
     if trig:
         kin = scalar_profile(grid, "trig_kinetic_p", mass=mass, center=(0.0, pc))
@@ -187,10 +185,7 @@ def nanowire(grid, mass=1.0, eta=0.5, B=0.3, trig=True, center_p=None) -> Hamilt
     H = _scalar_times(kin.values, eye) + eta * _scalar_times(pvar.values, SIGMA_Z) + B * SIGMA_X
     dH_q = np.zeros_like(H)
     dH_p = _scalar_times(kin.d_p, eye) + eta * _scalar_times(pvar.d_p, SIGMA_Z)
-    return Hamiltonian(
-        grid, "nanowire", H, dH_q, dH_p,
-        params={"mass": mass, "eta": eta, "B": B, "trig": bool(trig), "center_p": pc},
-    )
+    return Hamiltonian(grid, "nanowire", H, dH_q, dH_p)
 
 
 def pure_dephasing(grid, h_0: ScalarProfile, h_i: ScalarProfile, A) -> Hamiltonian:
@@ -201,11 +196,8 @@ def pure_dephasing(grid, h_0: ScalarProfile, h_i: ScalarProfile, A) -> Hamiltoni
     H = _scalar_times(h_0.values, eye) + _scalar_times(h_i.values, A)
     dH_q = _scalar_times(h_0.d_q, eye) + _scalar_times(h_i.d_q, A)
     dH_p = _scalar_times(h_0.d_p, eye) + _scalar_times(h_i.d_p, A)
-    return Hamiltonian(
-        grid, "pure_dephasing", H, dH_q, dH_p,
-        params={"h_0": h_0.name, "h_i": h_i.name},
-        extras={"h_0": h_0, "h_i": h_i, "A": A},
-    )
+    return Hamiltonian(grid, "pure_dephasing", H, dH_q, dH_p,
+                       extras={"h_0": h_0, "h_i": h_i, "A": A})
 
 
 def zeta_composed(grid, zeta: ScalarProfile, coeffs) -> Hamiltonian:
@@ -219,12 +211,8 @@ def zeta_composed(grid, zeta: ScalarProfile, coeffs) -> Hamiltonian:
         H += (z**k)[..., None, None] * A_k
         if k >= 1:
             dHdz += (k * z ** (k - 1))[..., None, None] * A_k
-    return Hamiltonian(
-        grid, "zeta_composed",
-        H, zeta.d_q[..., None, None] * dHdz, zeta.d_p[..., None, None] * dHdz,
-        params={"zeta": zeta.name, "degree": len(coeffs) - 1},
-        extras={"zeta": zeta, "coeffs": coeffs},
-    )
+    return Hamiltonian(grid, "zeta_composed", H, zeta.d_q[..., None, None] * dHdz,
+                       zeta.d_p[..., None, None] * dHdz, extras={"zeta": zeta, "coeffs": coeffs})
 
 
 def tabulated(grid, H) -> Hamiltonian:
@@ -299,49 +287,19 @@ KINDS = ("uncoupled", "nanowire", "pure_dephasing", "zeta_composed", "tabulated"
 
 
 def build(grid: PhaseGrid, spec: dict) -> Hamiltonian:
-    """Construct a Hamiltonian from a config-style mapping with key 'kind'."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind is None:
-        raise KeyError("kind")
+    """Construct the Hamiltonian of ``spec["kind"]`` from typed arguments:
+    each profile a mapping of ``scalar_profile`` arguments, each quantum
+    operator an array (``config`` reads a scenario into this form)."""
+    kind = spec["kind"]
     if kind not in KINDS:
         raise UnsupportedHamiltonianError(f"unknown hamiltonian kind '{kind}'")
     if kind == "uncoupled":
-        prof = scalar_profile(grid, **_profile_args(spec.pop("h_c")))
-        return uncoupled(grid, prof, _matrix_arg(spec.pop("H_Q")))
+        return uncoupled(grid, scalar_profile(grid, **spec["h_c"]), spec["H_Q"])
     if kind == "nanowire":
-        return nanowire(grid, **{k: spec[k] for k in spec if k in ("mass", "eta", "B", "trig", "center_p")})
+        return nanowire(grid, **{k: v for k, v in spec.items() if k != "kind"})
     if kind == "pure_dephasing":
-        h0 = scalar_profile(grid, **_profile_args(spec.pop("h_0")))
-        hi = scalar_profile(grid, **_profile_args(spec.pop("h_i")))
-        return pure_dephasing(grid, h0, hi, _matrix_arg(spec.pop("A")))
+        return pure_dephasing(grid, scalar_profile(grid, **spec["h_0"]),
+                              scalar_profile(grid, **spec["h_i"]), spec["A"])
     if kind == "zeta_composed":
-        zeta = scalar_profile(grid, **_profile_args(spec.pop("zeta")))
-        coeffs = [_matrix_arg(c) for c in spec.pop("coeffs")]
-        return zeta_composed(grid, zeta, coeffs)
-    return tabulated(grid, np.asarray(spec.pop("H"), dtype=complex))
-
-
-_NAMED_MATRICES = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
-
-
-def _matrix_arg(m):
-    if isinstance(m, str):
-        if m in _NAMED_MATRICES:
-            return _NAMED_MATRICES[m]
-        raise UnsupportedHamiltonianError(f"unknown named matrix '{m}'")
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim == 3 and arr.shape[-1] == 2:  # [re, im] pairs
-        return arr[..., 0] + 1j * arr[..., 1]
-    return arr.astype(complex)
-
-
-def _profile_args(p):
-    if isinstance(p, str):
-        return {"name": p}
-    args = dict(p)
-    if "name" not in args:
-        raise KeyError("profile.name")
-    if "center" in args:
-        args["center"] = tuple(args["center"])
-    return args
+        return zeta_composed(grid, scalar_profile(grid, **spec["zeta"]), spec["coeffs"])
+    return tabulated(grid, spec["H"])

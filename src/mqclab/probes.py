@@ -120,7 +120,7 @@ def casimir_probe_report(split, ham, rng, n_probes=20, kmax=2):
             entry[cname] = abs(_inv.hybrid_bracket(fo, operands[cname], state))
         rows.append(entry)
         gf = _inv.hybrid_bracket(reference, fo, state)
-        anti.append(abs(fg + gf) / (abs(fg) + scale))
+        anti.append(abs(fg + gf) / max(abs(fg) + scale, 1e-300))  # 0 where H = 0
 
     worst = {}
     for cname in casimirs:

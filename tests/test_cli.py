@@ -1,5 +1,9 @@
+import ast
+import contextlib
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -7,7 +11,7 @@ import tempfile
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -336,6 +340,231 @@ class TestConfig:
         assert st.dt * st.steps == pytest.approx(cfg["time"]["t_final"])
 
 
+# -- one bad key at a time ---------------------------------------------------
+
+# The presets of the scenario fuzz, each read at N = 16 with a short run.
+FUZZ_PRESETS = ("nanowire_conditional", "nanowire_meanfield", "dephasing_equilibrium",
+                "harmonic_gibbs", "uncoupled_factorized", "beyond_nanowire_mixed",
+                "zeta_sigma_z", "classical_well")
+# Values drawn for one key; DELETE removes it. No value asks for a large grid
+# (it would allocate against the machine's memory; see
+# test_oversized_grid_exits_1_in_a_capped_child) or for an unbounded run, as
+# 1e6 does for a domain bound, t_final, omega or n_probes.
+DELETE = "<delete>"
+FUZZ_VALUES = (None, -1, 0, 1, 2.5, -0.5, "x", "false", [], [1], {}, True, float("nan"),
+               float("inf"), [[1.0, 0.0], [0.0, 1.0]], "mean_field", "density", DELETE)
+
+
+def short_run(preset):
+    """The preset at N = 16, with a short run, certificate and probe count."""
+    cfg = getattr(presets, preset)(N=16)
+    if "time" in cfg:
+        cfg["time"]["t_final"] = 0.1
+    if "equilibrium" in cfg:
+        cfg["equilibrium"]["T_check"] = 0.3
+    if "diagnostics" in cfg:
+        cfg["diagnostics"]["n_probes"] = 2
+    return cfg
+
+
+def key_paths(node, prefix=""):
+    """Every key path of a config, mappings included."""
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from key_paths(value, f"{prefix}{key}.")
+
+
+def commands_of(cfg):
+    """The commands the unchanged preset runs to exit 0."""
+    return (["casimir-check"] + (["simulate"] if "model" in cfg else [])
+            + (["equilibrium"] if "equilibrium" in cfg else []))
+
+
+def run_with(preset, path, value, command):
+    """Exit code and stderr of ``command`` on the short preset with ``path``
+    set to ``value`` (or deleted)."""
+    cfg = short_run(preset)
+    *parents, leaf = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    if value == DELETE:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = main([command, "--config", write_cfg(pathlib.Path(tmp), cfg), "--out",
+                     os.path.join(tmp, "out"), "--quiet"])
+    return code, err.getvalue().strip()
+
+
+# A bad key may also be reported at a key it depends on: a bound and its
+# partner, dt or cfl and steps or t_final, E or mu, the sections a
+# representation reads and the model that evolves it, the columns of the wave
+# operator, and the Gibbs problem of the Hamiltonian on the domain.
+DEPENDS = (("domain.", "domain."), ("time.", "time."), ("equilibrium.", "equilibrium."),
+           ("initial.representation", "initial."), ("initial.representation", "model"),
+           ("initial.compose_from", "initial."),
+           ("grid.m", "initial.waveop"), ("domain.", "equilibrium."),
+           ("hamiltonian", "equilibrium."))
+
+
+def reported_at(drawn, reported):
+    """Whether an error at ``reported`` names the drawn key, one of its
+    parents or children, or a key it depends on."""
+    if reported == drawn or drawn.startswith(reported + ".") or \
+            reported.startswith(drawn + "."):
+        return True
+    return any(drawn.startswith(a) and reported.startswith(b) for a, b in DEPENDS)
+
+
+@st.composite
+def bad_keys(draw):
+    preset = draw(st.sampled_from(FUZZ_PRESETS))
+    cfg = short_run(preset)
+    return (preset, draw(st.sampled_from(sorted(key_paths(cfg)))),
+            draw(st.sampled_from(FUZZ_VALUES)), draw(st.sampled_from(commands_of(cfg))))
+
+
+class TestOneBadKey:
+    # The explicit examples ended in a traceback before every key went
+    # through one reader, at one source line each. The two lines reached by a
+    # grid of 1e6 points (a MemoryError) are tested in a capped child below.
+    @settings(max_examples=150, deadline=None)
+    @given(case=bad_keys())
+    @example(case=("nanowire_conditional", "grid.Nq", float("inf"), "casimir-check"))
+    @example(case=("nanowire_conditional", "time.t_final", float("inf"), "simulate"))
+    @example(case=("nanowire_conditional", "domain.p1", float("inf"), "simulate"))
+    @example(case=("dephasing_equilibrium", "domain.q1", float("inf"), "equilibrium"))
+    @example(case=("zeta_sigma_z", "initial.state.branch", float("inf"), "simulate"))
+    @example(case=("dephasing_equilibrium", "hamiltonian.h_i.amplitude", "x", "simulate"))
+    @example(case=("harmonic_gibbs", "hamiltonian.h_0.omega", None, "equilibrium"))
+    @example(case=("dephasing_equilibrium", "hamiltonian.h_0.omega", None, "equilibrium"))
+    @example(case=("nanowire_conditional", "hamiltonian.mass", None, "simulate"))
+    @example(case=("nanowire_conditional", "hamiltonian.eta", None, "simulate"))
+    @example(case=("nanowire_conditional", "model", [], "simulate"))
+    @example(case=("dephasing_equilibrium", "hamiltonian.h_0", 1, "simulate"))
+    @example(case=("nanowire_meanfield", "initial.rho.state", -1, "simulate"))
+    @example(case=("harmonic_gibbs", "hamiltonian.h_0.omega", 0, "casimir-check"))
+    def test_exits_0_1_or_2_and_1_names_the_key(self, case):
+        """Any one key set to a bad value (or deleted) succeeds, exits 2 on a
+        numerical abort, or exits 1 naming the key or a key it depends on;
+        it never ends in a traceback."""
+        preset, path, value, command = case
+        code, err = run_with(preset, path, value, command)
+        assert code in (0, 1, 2), err
+        if code == 1:
+            assert err.startswith("config error:"), err
+            assert reported_at(path, err.rsplit(": ", 1)[-1]), err
+
+    @pytest.mark.parametrize("preset, path, value, command, reported", [
+        # booleans are YAML booleans: each string used to count as true
+        ("nanowire_conditional", "time.renormalize", "false", "simulate", None),
+        ("dephasing_equilibrium", "equilibrium.certify", "false", "equilibrium", None),
+        ("nanowire_conditional", "hamiltonian.trig", "x", "simulate", None),
+        # a floor weight above 1 made D negative, and the run exited 0
+        ("nanowire_conditional", "initial.density.uniform_weight", 2.5, "simulate", None),
+        # a section is a mapping: one that is not used to be read as empty
+        ("nanowire_conditional", "physics", "x", "simulate", None),
+        # numbers are finite: a NaN alpha used to write a NaN renyi_alpha column
+        ("nanowire_conditional", "diagnostics.renyi_alpha", float("nan"), "simulate", None),
+        # a profile without its name, once reported at hamiltonian.profile.name
+        ("classical_well", "hamiltonian.h_c", {"amplitude": 1.0}, "simulate",
+         "hamiltonian.h_c.name"),
+        # once tracebacks: an unhashable model, non-finite numbers, a string amplitude
+        ("nanowire_conditional", "model", [], "simulate", None),
+        ("nanowire_conditional", "grid.Nq", float("inf"), "casimir-check", None),
+        ("nanowire_conditional", "time.t_final", float("inf"), "simulate", None),
+        ("nanowire_conditional", "domain.q1", float("inf"), "simulate", None),
+        ("zeta_sigma_z", "initial.state.branch", float("inf"), "simulate", None),
+        ("dephasing_equilibrium", "equilibrium.T_check", float("inf"), "equilibrium", None),
+        ("dephasing_equilibrium", "hamiltonian.h_i.amplitude", "x", "simulate", None),
+        ("beyond_nanowire_mixed", "grid.m", 3, "simulate", None),
+    ])
+    def test_bad_value_exits_1_at_its_key(self, preset, path, value, command, reported):
+        code, err = run_with(preset, path, value, command)
+        assert code == 1, err
+        assert err.startswith("config error:") and err.endswith(f": {reported or path}"), err
+
+    @pytest.mark.parametrize("preset, key", [("nanowire_conditional", "grid.Nq"),
+                                             ("zeta_sigma_z", "grid.Np")])
+    def test_oversized_grid_exits_1_in_a_capped_child(self, tmp_path, preset, key):
+        """A grid of 1e6 x 16 points, whose (N, N, 2, 2) fields take 977 MiB
+        each, exits 1 at its larger axis. The run is a child that caps its own
+        address space at 1 GiB, so nothing allocates against the machine's
+        memory (before, it ended in a MemoryError)."""
+        cfg = presets.nanowire_conditional(N=16) if preset == "nanowire_conditional" else \
+            presets.zeta_sigma_z(N=16)
+        cfg["grid"][key.split(".")[1]] = 1000000
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from mqclab.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "MQC_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        child = subprocess.run([sys.executable, "-c", script, "simulate", "--config",
+                                write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                                "--quiet"], capture_output=True, text=True, env=env,
+                               timeout=300)
+        assert child.returncode == 1, child.stderr
+        assert child.stderr.rstrip().endswith(f"do not fit in memory: {key}"), child.stderr
+
+
+# -- the reader is the only place a config value is parsed -------------------
+
+# The config names ``cli`` may call: the builders, which read every key.
+CONFIG_BUILDERS = {"load_config", "build_grid", "build_hamiltonian", "build_initial_state",
+                   "build_stepper", "build_loop", "build_sample_fn", "build_problem",
+                   "model_of", "probe_spec", "time_spec", "rescaled", "certificate_time",
+                   "problem_path", "ConfigError"}
+
+
+def config_value_parses(tree, module):
+    """Lines of ``module`` that parse a config value outside ``config``'s
+    reader. In ``hamiltonians``: a ``.get`` or ``.pop`` call, or ``float``,
+    ``int`` or ``bool`` of a name, a subscript or a ``.get``. In ``cli``: an
+    index into ``cfg``, or a call on the config module (``C`` or ``Cmod``)
+    to anything but its builders."""
+    found = []
+    for node in ast.walk(tree):
+        if module == "cli":
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg" or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) in ("C", "Cmod")
+                    and node.func.attr not in CONFIG_BUILDERS):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("get", "pop"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("float", "int",
+                                                                               "bool"):
+            arg = node.args[0] if node.args else None
+            if isinstance(arg, (ast.Name, ast.Subscript)) or (
+                    isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "get"):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_config_value_parsed_outside_the_reader():
+    """``hamiltonians`` receives typed values and ``cli`` takes what it needs
+    from the objects ``config`` builds: neither parses a config value."""
+    root = pathlib.Path(SRC) / "mqclab"
+    for module in ("hamiltonians", "cli"):
+        tree = ast.parse((root / f"{module}.py").read_text())
+        assert config_value_parses(tree, module) == [], module
+    # the guard flags the parses these modules used to make
+    for module, line in (("hamiltonians", 'amp = float(params.get("amplitude", 1.0))'),
+                         ("hamiltonians", 'mode = int(params.get("mode", 1))'),
+                         ("hamiltonians", "pc = float(center_p)"),
+                         ("hamiltonians", 'kind = spec.pop("kind", None)'),
+                         ("cli", 'certify = bool(Cmod.get(cfg, "equilibrium.certify", True))'),
+                         ("cli", 'T_check = Cmod.positive(cfg, "equilibrium.T_check")'),
+                         ("cli", 'scaled["grid"]["Nq"] = cfg["grid"]["Nq"] * f')):
+        assert config_value_parses(ast.parse(line), module), line
+
+
 class TestSimulateCommand:
     def test_zero_hamiltonian_constant_columns(self, tmp_path):
         cfg = presets.nanowire_conditional(N=16, t_final=0.5, sample_every=2, loop=False)
@@ -653,3 +882,18 @@ class TestConvergenceCommand:
         mcol = header.index("mass")
         for row in lines[1:3]:
             assert float(row[mcol]) < 1e-12
+
+    @pytest.mark.parametrize("key, value", [("Nq", "16"), ("dt", "0.01")])
+    def test_levels_scale_the_numbers_read(self, tmp_path, key, value):
+        """A quoted number is read as the number: level 1 halves h on a 32 x 32
+        grid (a quoted Nq used to run it at N = 1616, "16" * 2, and a quoted
+        dt ended in a TypeError)."""
+        cfg = presets.nanowire_conditional(N=16, loop=False)
+        cfg["time"] = {"dt": 0.01, "steps": 4, "sample_every": 4}
+        cfg["grid" if key == "Nq" else "time"][key] = value
+        out = str(tmp_path / "out")
+        assert main(["convergence", "--config", write_cfg(tmp_path, cfg), "--out", out,
+                     "--quiet", "--levels", "2"]) == 0
+        table = open(os.path.join(out, "convergence.csv")).read().split("\n\n")[0]
+        hs = [float(line.split(",")[1]) for line in table.splitlines()[1:]]
+        assert hs == [2 * np.pi / 16, 2 * np.pi / 32]

@@ -421,6 +421,28 @@ class TestHybridBracket:
         assert rep["rows"][1]["C1_entropy"] == abs(hybrid_bracket(probe, c1, state))
         assert rep["rows"][1]["C_general_entropy"] == abs(hybrid_bracket(probe, general, state))
 
+    @settings(max_examples=30, deadline=None)
+    @given(state_seed=st.integers(0, 2**32 - 1), probe_seed=st.integers(0, 2**32 - 1),
+           kmax=st.integers(1, 3), amplitude=st.floats(0.1, 0.6))
+    def test_casimirs_commute_to_fourth_order(self, state_seed, probe_seed, kmax, amplitude):
+        """Every Casimir of the report brackets to zero with random band-limited
+        probes up to the discretisation error, which falls at fourth order:
+        the worst ratio at N = 32 is at most 1/8 of the one at N = 16 (order
+        >= 3), and at N = 16 it stays below 1e-3. Over 900 random draws the
+        ratio fell by at least 11x, and at N = 16 it was at most 5.7e-4.
+        A second-order stencil in ``bracket_operand`` falls by about 4x."""
+        worst = {}
+        for N in (16, 32):
+            grid = make_grid(N)
+            split = random_smooth_split(grid, 2, np.random.default_rng(state_seed),
+                                        amplitude=amplitude)
+            worst[N] = casimir_probe_report(split, nanowire(grid),
+                                            np.random.default_rng(probe_seed), n_probes=5,
+                                            kmax=kmax)["worst_ratio"]
+        for name, ratio in worst[16].items():
+            assert ratio < 1e-3, name
+            assert worst[32][name] <= ratio / 8, name
+
     def test_bracket_consistency_trio(self):
         grid = make_grid(32)
         ham = nanowire(grid)
