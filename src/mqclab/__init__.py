@@ -83,7 +83,6 @@ from .invariants import (
     casimir_general_value,
     loop_integral,
     lambda_transport_residual,
-    derivative_probe,
 )
 from .equilibria import (
     MaxEntProblem,

@@ -362,13 +362,16 @@ def _initial_state(grid, ham, cfg):
         sub = {**cfg, "initial": {**init, "representation": source}}
         return _initial_state(grid, ham, sub).compose()
     D = _density_profile(grid, cfg, "initial.density")
+    # the profiles give a unit psi or W, so the density is what can fail
     if rep == "conditional":
-        return ConditionalSplit(grid, D, _state_profile(grid, ham, cfg, "initial.state"))
+        psi = _state_profile(grid, ham, cfg, "initial.state")
+        return _validated(ConditionalSplit(grid, D, psi), "initial.density")
     if rep == "uhlmann":
         # more than n columns add no state: W W^dag has rank at most n
         m = read(cfg, "grid.m", _integer, ham.n, lambda m: 1 <= m <= ham.n,
                  f"must be between 1 and the quantum dimension {ham.n}")
-        return UhlmannSplit(grid, D, _waveop_profile(grid, ham, cfg, m, "initial.waveop"))
+        W = _waveop_profile(grid, ham, cfg, m, "initial.waveop")
+        return _validated(UhlmannSplit(grid, D, W), "initial.density")
     read(cfg, "initial.rho", _mapping)
     rho = read(cfg, "initial.rho.matrix", _complex, None,
                lambda r: r.shape == (ham.n, ham.n), f"expected a {ham.n} x {ham.n} matrix")

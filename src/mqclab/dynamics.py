@@ -18,12 +18,24 @@ the right-hand side ``rhs(grid, ham, arrays, out=None, residual=False) ->
 (tendencies, info)`` and the renormalisation; outside it a state is read
 through the protocol of ``states`` (``energy_of`` reads any ``compose()``).
 Every right-hand side reports its transport velocity, which the loop tracer
-reads. ``max_speed`` is the one place the largest speed is taken from it:
-``cfl_dt`` reads it once and ``rk4_run``'s CFL guard once per step, on the
-first stage, since the other stages need only the velocity. Both density
-models end in one tendency, -div(P X) - (i/hbar)[H, P]. The vacuum floor is
-``states.vacuum_floor`` throughout; only the density right-hand sides take
-its factor, so that at 0 a zero-trace region aborts.
+reads, in one layout: ``info["velocity"]`` is one fresh (2, Nq, Np) float
+array, the q and p components as its two planes, each written in place. The
+tracer hands ``grids.interpolate`` its (Nq, Np, 2) view, which it reads as
+planes without a copy. ``max_speed`` is the one place the largest speed is
+taken from it: ``cfl_dt`` reads it once and ``rk4_run``'s CFL guard once per
+step, on the first stage, since the other stages need only the velocity.
+Both density models end in one tendency, -div(P X) - (i/hbar)[H, P]. The
+vacuum floor is ``states.vacuum_floor`` throughout; only the density
+right-hand sides take its factor, so that at 0 a zero-trace region aborts.
+
+The split models' velocity is the pairing X = Re Tr(W^dag X_H W), and
+``grids.pair_planes`` is its one kernel: it forms the local density
+R = W W^dag one entry at a time and meets each entry with both components
+of X_H at once, read from the Hamiltonian's static pre-combined float
+planes (``Hamiltonian.X_planes``, built on first use). ``pairing(W, *Xs)``,
+for any other X (the equilibria's dH, a split's velocity in the
+diagnostics), combines the planes of ``Xs`` and calls the same kernel, so
+every pairing sums the same terms in the same order.
 
 Every right-hand side writes its tendencies into ``out`` when given (and
 into fresh arrays without it, as ``cfl_dt`` and the equilibria need); its
@@ -59,8 +71,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import (antiherm_residual, comm, frobenius_norm, hermitize, mm, scratch, tr_prod,
-                    trace_field)
+from .grids import (_grid_first, antiherm_residual, comm, frobenius_norm, hermitize, mm,
+                    pair_planes, pairing_planes, scratch, tr_prod, trace_field)
 from .states import (EPS_D_REL, ConditionalSplit, HybridDensity, MeanFieldState, UhlmannSplit,
                      vacuum_floor)
 
@@ -99,16 +111,18 @@ def mean_field_rhs(grid, D, rho, ham, out=None):
     """
     D, rho = np.asarray(D), np.asarray(rho, dtype=complex)
     dD, drho = _outputs(out, D, rho)
+    velocity = np.empty((2,) + D.shape)  # (dHeff_p, -dHeff_q)
     dHeff_q = tr_prod(rho, ham.dH_q)
-    dHeff_p = tr_prod(rho, ham.dH_p)
+    velocity[0] = tr_prod(rho, ham.dH_p)
+    np.negative(dHeff_q, out=velocity[1])
     grad = scratch(D.shape, dD.dtype, "mean_field.grad")
     np.multiply(dHeff_q, grid.partial_p(D, out=grad), out=dD)
-    dD -= np.multiply(grid.partial_q(D, out=grad), dHeff_p, out=grad)
+    dD -= np.multiply(grid.partial_q(D, out=grad), velocity[0], out=grad)
     DH = scratch(ham.H.shape, np.result_type(D, ham.H), "mean_field.DH", like=ham.H)
     Hbar = hermitize(grid.integrate(np.multiply(D[..., None, None], ham.H, out=DH)))
     comm(Hbar, rho, out=drho)
     drho *= -1j / grid.hbar
-    return (dD, drho), {"velocity": (dHeff_p, -dHeff_q)}
+    return (dD, drho), {"velocity": velocity}
 
 
 def _regularized_trace(P, eps_tr_rel=EPS_D_REL):
@@ -127,14 +141,16 @@ def _regularized_trace(P, eps_tr_rel=EPS_D_REL):
     return D
 
 
-def _density_tendency(grid, P, Xq, Xp, H, out, residual):
-    """The density models' tendency -div(P X) - (i/hbar)[H, P], symmetrized
-    into ``out`` (or a fresh array), with its info dict; a
-    ``NumericalAbort`` names the first grid point where it is not finite.
+def _density_tendency(grid, P, velocity, H, out, residual):
+    """The density models' tendency -div(P X) - (i/hbar)[H, P], with X the
+    (2, Nq, Np) ``velocity``, symmetrized into ``out`` (or a fresh array),
+    with its info dict; a ``NumericalAbort`` names the first grid point
+    where it is not finite.
 
     With ``residual`` the info also holds ``antiherm_resid``, the
     anti-Hermitian residual of the tendency before symmetrizing."""
     (dP,) = _outputs(out, P)
+    Xq, Xp = velocity
     flux = scratch(P.shape, complex, "density.flux", like=P)
     tend = grid.partial_q(np.multiply(P, Xq[..., None, None], out=flux),
                           out=scratch(P.shape, complex, "density.tend", like=P))
@@ -147,7 +163,7 @@ def _density_tendency(grid, P, Xq, Xp, H, out, residual):
     if not np.all(np.isfinite(tend)):
         bad = np.argwhere(~np.all(np.isfinite(tend), axis=(-2, -1)))[0]
         raise NumericalAbort(f"non-finite tendency at grid point {tuple(bad)}")
-    info = {"velocity": (Xq, Xp)}
+    info = {"velocity": velocity}
     if residual:
         info["antiherm_resid"] = antiherm_residual(tend)
     return (hermitize(tend, out=dP),), info
@@ -158,50 +174,19 @@ def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):
     ``residual`` the info holds ``antiherm_resid``."""
     P = np.asarray(P, dtype=complex)
     denom = _regularized_trace(P, eps_tr_rel)
-    Xq = tr_prod(P, ham.X_q) / denom
-    Xp = tr_prod(P, ham.X_p) / denom
-    return _density_tendency(grid, P, Xq, Xp, ham.H, out, residual)
+    velocity = np.empty((2,) + denom.shape)
+    for X, v in zip((ham.X_q, ham.X_p), velocity):
+        np.divide(tr_prod(P, X), denom, out=v)
+    return _density_tendency(grid, P, velocity, ham.H, out, residual)
 
 
 def pairing(W, *Xs):
     """Re Tr(W^dag X W) at every grid point, for each matrix field X of
-    ``Xs``: X averaged over the conditional state W (a transport velocity
-    when X is X_H). One array per X; a single X gives its array alone.
-
-    Re Tr(W^dag X W) = Re Tr(X R) with the local density R = W W^dag, formed
-    once for all the X and one entry plane at a time, each entry with the
-    sums of ``mm`` (R_ab = sum_c W_ac conj(W_bc)), so that R is exactly
-    Hermitian. Its real diagonal reads Re X_aa, and each off-diagonal pair
-    a < b is read once, as Re R_ab (Re X_ab + Re X_ba) + Im R_ab (Im X_ab -
-    Im X_ba): exact for any square X, Hermitian or not.
-    """
+    ``Xs``: ``grids.pair_planes`` on the ``grids.pairing_planes`` of ``Xs``.
+    One array per X; a single X gives its array alone."""
     W = np.asarray(W, dtype=complex)
-    n, m = W.shape[-2:]
-    lead = W.shape[:-2]
-    R, conj_w = scratch(lead, complex, "pairing.R"), scratch(lead, complex, "pairing.conj")
-    term = scratch(lead, float, "pairing.term")
-    velocities = tuple(np.empty(lead) for _ in Xs)
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(m):
-                np.conjugate(W[..., b, c], out=conj_w)
-                if c == 0:
-                    np.multiply(W[..., a, c], conj_w, out=R)
-                else:
-                    R += np.multiply(W[..., a, c], conj_w, out=conj_w)
-            for X, v in zip(Xs, velocities):
-                if a == b == 0:
-                    np.multiply(X[..., 0, 0].real, R.real, out=v)
-                elif a == b:
-                    v += np.multiply(X[..., a, a].real, R.real, out=term)
-                else:
-                    np.add(X[..., a, b].real, X[..., b, a].real, out=term)
-                    term *= R.real
-                    v += term
-                    np.subtract(X[..., a, b].imag, X[..., b, a].imag, out=term)
-                    term *= R.imag
-                    v += term
-    return velocities[0] if len(velocities) == 1 else velocities
+    velocities = pair_planes(W, pairing_planes(*Xs), np.empty((len(Xs),) + W.shape[:-2]))
+    return velocities[0] if len(Xs) == 1 else tuple(velocities)
 
 
 def _as_waveop(W):
@@ -219,17 +204,18 @@ def uhlmann_rhs(grid, D, W, ham, out=None):
     D, W = np.asarray(D), np.asarray(W, dtype=complex)
     dD, dW = _outputs(out, D, W)
     Wm, dWm = _as_waveop(W), _as_waveop(dW)
-    Xq, Xp = pairing(Wm, ham.X_q, ham.X_p)
-    flux = scratch(D.shape, dD.dtype, "uhlmann.flux")
-    grid.partial_q(np.multiply(D, Xq, out=flux), out=dD)
-    dD += grid.partial_p(np.multiply(D, Xp, out=flux), out=scratch(D.shape, dD.dtype, "uhlmann.dp"))
+    velocity = pair_planes(Wm, ham.X_planes, np.empty((2,) + D.shape))
+    Xq, Xp = velocity
+    flux = np.multiply(D, velocity, out=scratch(velocity.shape, dD.dtype, "uhlmann.flux"))
+    grid.partial_q(flux[0], out=dD)
+    dD += grid.partial_p(flux[1], out=scratch(D.shape, dD.dtype, "uhlmann.dp"))
     np.negative(dD, out=dD)
     mm(ham.H, Wm, out=dWm)
     dWm *= -1j / grid.hbar
     grad = scratch(Wm.shape, complex, "uhlmann.grad", like=Wm)
     dWm -= np.multiply(grid.partial_q(Wm, out=grad), Xq[..., None, None], out=grad)
     dWm -= np.multiply(grid.partial_p(Wm, out=grad), Xp[..., None, None], out=grad)
-    return (dD, dW), {"velocity": (Xq, Xp)}
+    return (dD, dW), {"velocity": velocity}
 
 
 def conditional_rhs(grid, D, psi, ham, out=None):
@@ -270,11 +256,11 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=
                  for k, Sk in enumerate(Sig))
 
     avgX = tuple(tr_prod(P, XHk) / D for XHk in XH)
-    calX = []
+    calX = np.empty((2,) + D.shape)
     for k in range(2):
         corr = tr_prod(XH[0], dSig[k][0]) + tr_prod(XH[1], dSig[k][1])
         corr -= tr_prod(Sig[0], dXH[k][0]) + tr_prod(Sig[1], dXH[k][1])
-        calX.append(avgX[k] + corr / D)
+        np.add(avgX[k], corr / D, out=calX[k])
 
     dlnsq = 0.5 * grid.partial_q(D) / D
     dlnsp = 0.5 * grid.partial_p(D) / D
@@ -287,7 +273,7 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=
     GX /= Dmat
     scrH = hermitize(np.add(ham.H, GX, out=GX), out=dPp)
 
-    return _density_tendency(grid, P, calX[0], calX[1], scrH, out, residual)
+    return _density_tendency(grid, P, calX, scrH, out, residual)
 
 
 def _beyond_xh_grads(grid, ham):
@@ -475,9 +461,8 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
     def full_rhs(arrays, out, residual=False):
         _, info = ops.rhs(grid, ham, arrays[:n_model], out[:n_model], residual)
         if loop is not None:
-            pts = arrays[-1]
-            velocity = np.stack(info["velocity"], axis=-1)  # both components in one call
-            out[-1][...] = grid.interpolate(velocity, pts[:, 0], pts[:, 1])
+            pts = arrays[-1]  # both components in one call, read as planes
+            out[-1][...] = grid.interpolate(_grid_first(info["velocity"]), pts[:, 0], pts[:, 1])
         return info
 
     def stage_input(tends, h):

@@ -1,9 +1,9 @@
 """Discrete phase-space infrastructure.
 
 Uniform periodic grids on ``[q0, q1) x [p0, p1)`` with 4th-order central
-stencils, rectangle quadrature (exact trapezoid on a periodic grid), the
-canonical Poisson bracket, periodic bicubic interpolation, the spectra of
-Hermitian fields and Hermitian matrix functions via eigendecomposition.
+stencils, rectangle quadrature (exact trapezoid on a periodic grid),
+periodic bicubic interpolation, the spectra of Hermitian fields and
+Hermitian matrix functions via eigendecomposition.
 
 ``mm``, ``comm`` ([A, B] = AB - BA), ``tr_prod`` and ``eigen_compose`` are the
 one path by which matrix fields are contracted. For a contracted dimension
@@ -11,6 +11,10 @@ n <= 3 ``mm`` writes each entry as vectorised component sums over the grid,
 which beats numpy's batched ``@`` on such small matrices; for n >= 4 it
 falls through to ``@``. ``tr_prod`` gives the field Re Tr(AB) as component
 sums without forming AB, and ``eigen_compose`` is v diag(f) v^dag via ``mm``.
+``pair_planes`` gives the velocity pairing Re Tr(W^dag X W) = Re Tr(X R),
+R = W W^dag, of several X at once, each X given by the float planes
+``pairing_planes`` pre-combines from it (Re X_aa, Re X_ab + Re X_ba and
+Im X_ab - Im X_ba); a static X (the Hamiltonian's X_H) is combined once.
 
 Layout. A field with trailing axes (a matrix or vector field) is stored as
 contiguous component planes: ``component_major`` keeps it as one C-ordered
@@ -42,6 +46,11 @@ coefficients around it, gathered by one ``np.take`` on flat indices, with
 the cubic B-spline weights. The dense prefilter costs O(N^3) per call: on
 two 64^2 planes it is about 4x faster than an FFT or a recursive spline
 filter, at 256^2 all three take about 4 ms, and above that it falls behind.
+The planes of a real field are read through its grid-last view: a field
+stored as component planes (the loop tracer's velocity) is prefiltered as it
+lies, without a copy; a complex one is split into real and imaginary planes.
+Either layout gives the same bits. The B-spline weights are written row by
+row into one array, each formula's operations in their written order.
 
 ``eigvalsh_field`` gives the ascending eigenvalues of a Hermitian field.
 For 2 x 2 fields it is the closed form m -+ hypot((a - d)/2, |b|) with
@@ -160,10 +169,6 @@ class PhaseGrid:
         """4th-order periodic central difference along p (axis 1)."""
         return _diff4(np.asarray(values), 1, self.dp, out)
 
-    def poisson_bracket(self, f, g):
-        """Canonical bracket {f, g} = dq(f) dp(g) - dp(f) dq(g), pointwise."""
-        return self.partial_q(f) * self.partial_p(g) - self.partial_p(f) * self.partial_q(g)
-
     def integrate(self, values):
         """Quadrature sum(values) * dq * dp over the first two axes.
 
@@ -192,22 +197,25 @@ class PhaseGrid:
         arrays (broadcast together).
         """
         values = np.asarray(values)
-        iq, ip = np.broadcast_arrays((np.asarray(q, dtype=float) - self.q0) / self.dq,
-                                     (np.asarray(p, dtype=float) - self.p0) / self.dp)
-        pts_shape, trailing = iq.shape, values.shape[2:]
-        planes = np.ascontiguousarray(values.reshape(self.shape + (-1,)))
+        q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
+        x = np.empty((2,) + q.shape)  # the points in grid units
+        for xk, v, v0, h in ((x[0, ...], q, self.q0, self.dq), (x[1, ...], p, self.p0, self.dp)):
+            np.subtract(v, v0, out=xk)
+            xk /= h
+        trailing = values.shape[2:]
+        planes = _grid_last(values).reshape((-1,) + self.shape)  # a view of component planes
         complex_valued = planes.dtype.kind == "c"
         if complex_valued:  # the real and imaginary parts as planes of their own
-            planes = planes.view(planes.real.dtype)
+            planes = np.stack([planes.real, planes.imag], axis=1).reshape((-1,) + self.shape)
         Aq, Ap = self._spline_inverse
-        coeffs = Aq @ np.moveaxis(planes, -1, 0) @ Ap  # A_p = A_p^T
-        nodes, weights = _bspline_stencil(np.stack([iq.ravel(), ip.ravel()]), self.shape)
+        coeffs = Aq @ planes @ Ap  # A_p = A_p^T
+        nodes, weights = _bspline_stencil(x.reshape(2, -1), self.shape)
         flat = (nodes[:, 0] * self.Np)[:, None, :] + nodes[None, :, 1]  # (4, 4, K)
         near = np.take(coeffs.reshape(len(coeffs), -1), flat, axis=1)  # (planes, 4, 4, K)
         out = np.einsum("cabk,ak,bk->kc", near, weights[:, 0], weights[:, 1])
         if complex_valued:
             out = np.ascontiguousarray(out).view(values.dtype)
-        return out.reshape(pts_shape + trailing)[()]  # a numpy scalar for one plane at one point
+        return out.reshape(q.shape + trailing)[()]  # a numpy scalar for one plane at one point
 
     @cached_property
     def _spline_inverse(self):
@@ -228,14 +236,27 @@ def _bspline_stencil(x, n):
     nodes floor(x) - 1 .. floor(x) + 2, wrapped by the node counts ``n`` of
     the two axes, and the cubic B-spline weights (4, 2, K) they carry."""
     base = np.floor(x)
-    t = x - base
-    s = 1.0 - t
-    t2 = t * t
-    t3 = t2 * t
-    weights = np.stack([s * s * s, 4.0 - 6.0 * t2 + 3.0 * t3, 1.0 + 3.0 * (t + t2 - t3), t3])
-    weights /= 6.0
     nodes = base.astype(np.intp) + np.arange(-1, 3)[:, None, None]
-    return nodes % np.reshape(n, (2, 1)), weights
+    nodes %= np.reshape(n, (2, 1))
+    t = np.subtract(x, base, out=base)
+    # the rows s^3, 4 - 6 t^2 + 3 t^3, 1 + 3 (t + t^2 - t^3) and t^3, with
+    # s = 1 - t and t^2 held in rows not yet written, and t spent last
+    weights = np.empty((4,) + x.shape)
+    w0, w1, w2, w3 = weights
+    s = np.subtract(1.0, t, out=w3)
+    np.multiply(s, s, out=w0)
+    w0 *= s
+    t2 = np.multiply(t, t, out=w2)
+    np.multiply(6.0, t2, out=w1)
+    np.subtract(4.0, w1, out=w1)
+    t3 = np.multiply(t2, t, out=w3)
+    w2 += t
+    w2 -= t3
+    w2 *= 3.0
+    w2 += 1.0
+    w1 += np.multiply(3.0, t3, out=t)
+    weights /= 6.0
+    return nodes, weights
 
 
 def _diff4(values, axis, h, out=None):
@@ -526,6 +547,66 @@ def tr_prod(A, B):
             if i or c:
                 s += np.multiply(A[..., i, c], B[..., c, i], out=prod)
     return s.real
+
+
+def pairing_planes(*Xs):
+    """The (len(Xs), n^2, ...) float planes the velocity pairing Re Tr(X R)
+    reads of each n x n matrix field X of ``Xs``, against a Hermitian R.
+
+    Per X, in the order the pairing sums them: for a = 0 .. n - 1, Re X_aa,
+    then for each b > a the pair Re X_ab + Re X_ba and Im X_ab - Im X_ba
+    (paired with Re R_ab and Im R_ab). Exact for any square X, Hermitian
+    or not.
+    """
+    n = Xs[0].shape[-1]
+    planes = np.empty((len(Xs), n * n) + np.broadcast_shapes(*(X.shape[:-2] for X in Xs)))
+    for X, out in zip(Xs, planes):
+        t = 0
+        for a in range(n):
+            out[t] = X[..., a, a].real
+            t += 1
+            for b in range(a + 1, n):
+                np.add(X[..., a, b].real, X[..., b, a].real, out=out[t])
+                np.subtract(X[..., a, b].imag, X[..., b, a].imag, out=out[t + 1])
+                t += 2
+    return planes
+
+
+def pair_planes(W, planes, out):
+    """Re Tr(W^dag X W) at every grid point into ``out[k]``, for each X
+    given by its pre-combined ``planes[k]`` (``pairing_planes``):
+    X averaged over the conditional state W (a transport velocity when X
+    is X_H). Returns ``out``.
+
+    Re Tr(W^dag X W) = Re Tr(X R) with the local density R = W W^dag,
+    formed once for all the X and one entry plane at a time, each entry
+    with the sums of ``mm`` (R_ab = sum_c W_ac conj(W_bc)), so that R is
+    exactly Hermitian. Its real diagonal reads Re X_aa, and each
+    off-diagonal pair a < b is read once, as Re R_ab (Re X_ab + Re X_ba) +
+    Im R_ab (Im X_ab - Im X_ba); each entry of R meets every X in one
+    multiply.
+    """
+    n, m = W.shape[-2:]
+    lead = W.shape[:-2]
+    R, conj_w = scratch(lead, complex, "pairing.R"), scratch(lead, complex, "pairing.conj")
+    term = scratch(out.shape, float, "pairing.term")
+    t = 0
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(m):
+                np.conjugate(W[..., b, c], out=conj_w)
+                if c == 0:
+                    np.multiply(W[..., a, c], conj_w, out=R)
+                else:
+                    R += np.multiply(W[..., a, c], conj_w, out=conj_w)
+            if t == 0:
+                np.multiply(planes[:, 0], R.real, out=out)
+            else:
+                out += np.multiply(planes[:, t], R.real, out=term)
+            if a != b:
+                out += np.multiply(planes[:, t + 1], R.imag, out=term)
+            t += 1 if a == b else 2
+    return out
 
 
 def eigen_compose(v, fw):

@@ -19,10 +19,11 @@ polynomial counterparts near the domain center.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .grids import PhaseGrid, component_major, eigen_compose, hermitize, require_hermitian
+from .grids import PhaseGrid, component_major, hermitize, pairing_planes, require_hermitian
 from .states import _fix_eigvec_phase
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -115,6 +116,13 @@ class Hamiltonian:
     (``grids.component_major``), converted once here from whatever layout
     the builder made, so the component sums of ``grids`` read each matrix
     entry as one contiguous plane.
+
+    ``X_planes`` holds X_q and X_p as the pre-combined float planes the
+    velocity pairing reads (``grids.pairing_planes``), so that the right-hand
+    sides do not re-form them from strided real and imaginary parts on
+    every call. It is built on first use by a right-hand side, not here, so
+    a Hamiltonian that evolves nothing (``casimir-check``'s) never pays for
+    it.
     """
 
     grid: PhaseGrid
@@ -129,7 +137,7 @@ class Hamiltonian:
                                         for F in (self.H, self.dH_q, self.dH_p))
         self.H = require_hermitian(self.H, 1e-12, "Hamiltonian")
         self.dH_q, self.dH_p = hermitize(self.dH_q), hermitize(self.dH_p)
-        self._X_p = component_major(-self.dH_q)  # once: every right-hand side reads it
+        self._X_p = component_major(-self.dH_q)  # once: the right-hand sides read it
 
     @property
     def n(self):
@@ -143,14 +151,10 @@ class Hamiltonian:
     def X_p(self):
         return self._X_p
 
-    def gradient_fd_error(self):
-        """Max deviation of the stored gradient from the 4th-order stencil.
-
-        Meaningful for seam-free (periodic) kinds only.
-        """
-        eq = np.max(np.abs(self.grid.partial_q(self.H) - self.dH_q))
-        ep = np.max(np.abs(self.grid.partial_p(self.H) - self.dH_p))
-        return float(max(eq, ep))
+    @cached_property
+    def X_planes(self):
+        """X_q and X_p as the (2, n^2, Nq, Np) planes of ``pairing_planes``."""
+        return pairing_planes(self.X_q, self.X_p)
 
 
 def _scalar_times(field2d, mat):
@@ -275,12 +279,6 @@ def _align(v_ref, v, tol=1e-12):
     mag = np.abs(ov)
     phase = np.where(mag > tol, ov / np.where(mag > 0, mag, 1.0), 1.0)
     return v * np.conj(phase)[..., None, :]
-
-
-def reconstruction_error(ham: Hamiltonian, eig: Eigenfields):
-    """Max pointwise || sum_n E_n v_n v_n^dag - H ||."""
-    R = eigen_compose(eig.V, eig.E)
-    return float(np.max(np.abs(R - ham.H)))
 
 
 KINDS = ("uncoupled", "nanowire", "pure_dephasing", "zeta_composed", "tabulated")

@@ -191,25 +191,6 @@ class GammaSpec:
 # -- functionals of the hybrid density ------------------------------------------
 
 
-def hermitian_basis(n):
-    """Real basis of Her(n): diagonal units, symmetric and antisymmetric pairs."""
-    basis = []
-    for a in range(n):
-        E = np.zeros((n, n), dtype=complex)
-        E[a, a] = 1.0
-        basis.append(("diag", a, a, E))
-    for a in range(n):
-        for b in range(a + 1, n):
-            S = np.zeros((n, n), dtype=complex)
-            S[a, b] = S[b, a] = 1.0
-            basis.append(("sym", a, b, S))
-            K = np.zeros((n, n), dtype=complex)
-            K[a, b] = 1.0j
-            K[b, a] = -1.0j
-            basis.append(("asym", a, b, K))
-    return basis
-
-
 class Functional:
     """Base class: a real functional of a HybridDensity with a derivative."""
 
@@ -221,7 +202,7 @@ class Functional:
 
     def derivative(self, state: HybridDensity) -> np.ndarray:
         """delta F / delta P as a Hermitian matrix field."""
-        return numeric_local_derivative(self, state)
+        raise NotImplementedError(f"functional '{self.name}' has no derivative")
 
     def pointwise_integrand(self, grid, P):
         """Integrand phi with F = sum phi(P_ij) dq dp, when P-local (no gradients)."""
@@ -362,71 +343,6 @@ class CasimirGeneral(Functional):
         GW += dCdW / (2.0 * Dsafe)[..., None, None]
         G = mm(mm(GW, dagger(W)), np.linalg.inv(A))
         return hermitize(G)
-
-
-def _add_basis_derivative(G, kind, a, b, d):
-    """Add d * (dual of the Hermitian basis element (kind, a, b)) to the
-    matrices G[..., :, :], turning basis-coefficient derivatives into dF/dP."""
-    if kind == "diag":
-        G[..., a, a] += d
-    elif kind == "sym":
-        G[..., a, b] += 0.5 * d
-        G[..., b, a] += 0.5 * d
-    else:
-        G[..., a, b] += 0.5j * d
-        G[..., b, a] += -0.5j * d
-
-
-def numeric_local_derivative(func: Functional, state: HybridDensity, step_rel=1e-6):
-    """Numeric dF/dP for P-local functionals, by central differences in the
-    coefficients of the Hermitian basis, vectorized over the grid."""
-    grid, P = state.grid, state.P
-    if func.pointwise_integrand(grid, P) is None:
-        raise ValueError(
-            f"functional '{func.name}' does not expose a pointwise integrand; "
-            "use its analytic derivative or the single-point probe"
-        )
-    n = state.n
-    scale = max(float(np.max(np.abs(P))), 1e-30)
-    h = step_rel * scale
-    G = np.zeros(grid.shape + (n, n), dtype=complex)
-    for kind, a, b, E in hermitian_basis(n):
-        fp = func.pointwise_integrand(grid, P + h * E)
-        fm = func.pointwise_integrand(grid, P - h * E)
-        _add_basis_derivative(G, kind, a, b, (fp - fm) / (2.0 * h))
-    return G
-
-
-def derivative_probe(func: Functional, state: HybridDensity, i, j, step_rel=1e-6,
-                     richardson=True):
-    """Single-point dF/dP probe by perturbing the full functional at (i, j).
-
-    Central differences in each Hermitian basis coefficient, scaled by
-    1/(dq dp); with ``richardson`` the step is halved and the results
-    compared, returning (G, discrepancy).
-    """
-    grid = state.grid
-    n = state.n
-    scale = max(float(np.max(np.abs(state.P))), 1e-30)
-
-    def probe(h):
-        G = np.zeros((n, n), dtype=complex)
-        for kind, a, b, E in hermitian_basis(n):
-            Pp = np.array(state.P, copy=True)
-            Pm = np.array(state.P, copy=True)
-            Pp[i, j] += h * E
-            Pm[i, j] -= h * E
-            d = (func.value(HybridDensity(grid, Pp)) - func.value(HybridDensity(grid, Pm)))
-            d /= 2.0 * h * grid.dq * grid.dp
-            _add_basis_derivative(G, kind, a, b, d)
-        return G
-
-    h = step_rel * scale
-    G = probe(h)
-    if not richardson:
-        return G, None
-    G2 = probe(0.5 * h)
-    return G2, float(np.max(np.abs(G - G2)))
 
 
 # -- hybrid Poisson bracket -------------------------------------------------------

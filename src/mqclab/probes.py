@@ -11,22 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import invariants as _inv
-from .grids import eigen_compose, hermitize, random_band_limited, trace_field
-from .states import HybridDensity, UhlmannSplit, compose, outer
-
-
-def random_psd_density(grid, n, rng, kmax=2, floor=0.3):
-    """Smooth random PSD matrix field with trace bounded away from zero.
-
-    Suitable for the trace-local functionals (C1, moments, probes); for the
-    gradient-dependent Casimirs prefer ``random_smooth_split``.
-    """
-    G = random_band_limited(grid, rng, kmax=kmax, trailing=(n, n), complex_valued=True)
-    P = hermitize(outer(G))
-    mean_tr = float(np.mean(trace_field(P)))
-    P += floor * mean_tr * np.eye(n)
-    P /= float(grid.integrate(trace_field(P)))
-    return HybridDensity(grid, P)
+from .grids import eigen_compose, hermitize, random_band_limited
+from .states import UhlmannSplit, compose
 
 
 def random_smooth_split(grid, n, rng, kmax=1, amplitude=0.4, floor=0.3):

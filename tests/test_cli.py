@@ -183,6 +183,7 @@ class TestConfig:
                                       "physics.hbar", "initial.density.center",
                                       "equilibrium.representation=foo", "equilibrium.E",
                                       "equilibrium.branch", "initial.density",
+                                      "initial.density=-0.5",
                                       "time.t_final", "time.dt", "time.cfl=0",
                                       "time.cfl=x", "time.sample_every", "time.steps",
                                       "time.sample_every=x", "equilibrium.T_check",
@@ -309,8 +310,12 @@ class TestConfig:
             if value == "truncated":
                 snap.write_text("".join(snap.read_text().splitlines(True)[:10]))
             cfg["initial"]["snapshot"] = str(snap)
-        elif key == "initial.density":
+        elif case == "initial.density":
             cfg["initial"]["density"] = 5
+        elif key == "initial.density":  # a second bump of negative weight: min D < 0
+            cfg["initial"]["density"] = {"profile": "double_gaussian", "bumps": [
+                {"center": [-1.0, 0.0], "sigma": [0.5, 0.5]},
+                {"center": [1.0, 0.0], "sigma": [0.5, 0.5], "weight": value}]}
         else:
             cfg["initial"]["density"]["center"] = 5
         path = write_cfg(tmp_path, cfg)
@@ -328,6 +333,20 @@ class TestConfig:
             ham = build_hamiltonian(grid, cfg)
             state = build_initial_state(grid, ham, cfg)
             assert state is not None
+
+    @pytest.mark.parametrize("maker", [presets.nanowire_conditional, presets.beyond_nanowire_mixed])
+    def test_generated_split_with_negative_density_exits_at_its_key(self, maker):
+        """A generated conditional or Uhlmann state is validated: a density
+        profile that dips below zero fails at ``initial.density``, also when
+        the state is composed into a density."""
+        cfg = maker(N=16)
+        cfg["initial"]["density"] = {"profile": "double_gaussian", "bumps": [
+            {"center": [-1.0, 0.0], "sigma": [0.5, 0.5]},
+            {"center": [1.0, 0.0], "sigma": [0.5, 0.5], "weight": -0.5}]}
+        grid = build_grid(cfg)
+        with pytest.raises(ConfigError) as err:
+            build_initial_state(grid, build_hamiltonian(grid, cfg), cfg)
+        assert err.value.path == "initial.density"
 
     def test_cfl_time_stepping(self):
         cfg = presets.nanowire_conditional(N=16)

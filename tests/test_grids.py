@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqclab import PhaseGrid, matrix_function, vn_entropy_trace, random_band_limited
-from mqclab.grids import EIG_CLAMP, NotHermitianError
+from mqclab.grids import EIG_CLAMP, NotHermitianError, _bspline_stencil, _grid_first, component_major
+from oracles import poisson_bracket
 
 
 def make_grid(N=64, L=2 * np.pi, hbar=1.0):
@@ -69,7 +70,7 @@ class TestPoissonBracket:
         k, l = 1.0, 2.0
         f = np.sin(k * grid.Q)
         g = np.cos(l * grid.P)
-        pb = grid.poisson_bracket(f, g)
+        pb = poisson_bracket(grid, f, g)
         exact = -k * l * np.cos(k * grid.Q) * np.sin(l * grid.P)
         tol = k * l * ((k * grid.dq) ** 4 + (l * grid.dp) ** 4) / 20.0
         assert np.max(np.abs(pb - exact)) < tol
@@ -78,7 +79,7 @@ class TestPoissonBracket:
         grid = make_grid(32)
         rng = np.random.default_rng(0)
         f = random_band_limited(grid, rng, kmax=3)
-        assert np.max(np.abs(grid.poisson_bracket(f, f))) == 0.0
+        assert np.max(np.abs(poisson_bracket(grid, f, f))) == 0.0
 
     def test_antisymmetry_and_bilinearity(self):
         grid = make_grid(32)
@@ -86,9 +87,9 @@ class TestPoissonBracket:
         f = random_band_limited(grid, rng, kmax=3)
         g = random_band_limited(grid, rng, kmax=3)
         h = random_band_limited(grid, rng, kmax=3)
-        assert np.max(np.abs(grid.poisson_bracket(f, g) + grid.poisson_bracket(g, f))) < 1e-14
-        lin = grid.poisson_bracket(2.0 * f + 3.0 * g, h)
-        split = 2.0 * grid.poisson_bracket(f, h) + 3.0 * grid.poisson_bracket(g, h)
+        assert np.max(np.abs(poisson_bracket(grid, f, g) + poisson_bracket(grid, g, f))) < 1e-14
+        lin = poisson_bracket(grid, 2.0 * f + 3.0 * g, h)
+        split = 2.0 * poisson_bracket(grid, f, h) + 3.0 * poisson_bracket(grid, g, h)
         assert np.max(np.abs(lin - split)) < 1e-12
 
     def test_jacobi_residual_small_and_decaying(self):
@@ -99,9 +100,9 @@ class TestPoissonBracket:
             g = random_band_limited(grid, rng, kmax=1)
             h = random_band_limited(grid, rng, kmax=1)
             r = (
-                grid.poisson_bracket(f, grid.poisson_bracket(g, h))
-                + grid.poisson_bracket(g, grid.poisson_bracket(h, f))
-                + grid.poisson_bracket(h, grid.poisson_bracket(f, g))
+                poisson_bracket(grid, f, poisson_bracket(grid, g, h))
+                + poisson_bracket(grid, g, poisson_bracket(grid, h, f))
+                + poisson_bracket(grid, h, poisson_bracket(grid, f, g))
             )
             return np.max(np.abs(r))
 
@@ -135,7 +136,7 @@ class TestIntegrate:
         rng = np.random.default_rng(3)
         f = random_band_limited(grid, rng, kmax=3)
         g = random_band_limited(grid, rng, kmax=3)
-        val = grid.integrate(grid.poisson_bracket(f, g))
+        val = grid.integrate(poisson_bracket(grid, f, g))
         scale = np.max(np.abs(f)) * np.max(np.abs(g))
         assert abs(val) < 1e-10 * max(scale, 1.0)
 
@@ -279,6 +280,73 @@ class TestInterpolationProperties:
         assert np.shape(got) == trailing
         want = grid.interpolate(values, np.array([0.3]), np.array([-0.7]))[0]
         assert np.array_equal(got, want)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(8, 24), st.integers(8, 24)), complex_valued=st.booleans(),
+           trailing=st.sampled_from([(), (2,), (2, 2)]), scalar_point=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_component_planes_give_the_bits_of_the_interleaved_copy(
+            self, shape, complex_valued, trailing, scalar_point, seed):
+        """A field stored as component planes, read through its (Nq, Np, ...)
+        view, interpolates to the bits of its interleaved copy, at one point
+        or at many."""
+        grid = PhaseGrid(-1.3, 2.1, -0.4, 0.9, *shape)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(grid.shape + trailing)
+        if complex_valued:
+            values = values + 1j * rng.standard_normal(grid.shape + trailing)
+        planes = component_major(values)
+        if trailing:
+            assert not planes.flags.c_contiguous
+        if scalar_point:
+            q, p = rng.uniform(-3.0, 3.0, 2)
+        else:
+            q, p = rng.uniform(-3.0, 3.0, (2, 9))
+        got, want = grid.interpolate(planes, q, p), grid.interpolate(values, q, p)
+        assert np.shape(got) == np.shape(want) == np.shape(q) + trailing
+        assert np.asarray(got).dtype == values.dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_velocity_plane_view_gives_the_bits_of_its_stacked_copy(self):
+        """The loop tracer's input, the (Nq, Np, 2) view of a (2, Nq, Np)
+        velocity, interpolates to the bits of the interleaved stack it replaces."""
+        grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, 64, 64)
+        rng = np.random.default_rng(17)
+        velocity = rng.standard_normal((2,) + grid.shape)
+        q, p = rng.uniform(-4.0, 4.0, (2, 256))
+        got = grid.interpolate(_grid_first(velocity), q, p)
+        want = grid.interpolate(np.stack(list(velocity), axis=-1), q, p)
+        assert got.shape == (256, 2) and got.tobytes() == want.tobytes()
+
+
+def bspline_stencil_stacked(x, n):
+    """The stencil as it was written before it filled its rows in place:
+    the reference for ``_bspline_stencil``."""
+    base = np.floor(x)
+    t = x - base
+    s = 1.0 - t
+    t2 = t * t
+    t3 = t2 * t
+    weights = np.stack([s * s * s, 4.0 - 6.0 * t2 + 3.0 * t3, 1.0 + 3.0 * (t + t2 - t3), t3])
+    weights /= 6.0
+    nodes = base.astype(np.intp) + np.arange(-1, 3)[:, None, None]
+    return nodes % np.reshape(n, (2, 1)), weights
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.tuples(st.integers(8, 300), st.integers(8, 300)), k=st.integers(1, 64),
+       scale=st.sampled_from([1.0, 50.0, 1e6]), seed=st.integers(0, 2**32 - 1))
+def test_bspline_stencil_gives_the_bits_of_the_stacked_form(n, k, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = scale * rng.uniform(-1.0, 1.0, (2, k))
+    x[:, : k // 4] = np.round(x[:, : k // 4])  # points on nodes: t = 0
+    x_before = x.copy()
+    nodes, weights = _bspline_stencil(x, n)
+    want_nodes, want_weights = bspline_stencil_stacked(x, n)
+    assert np.array_equal(x, x_before)  # the points are not written
+    assert nodes.dtype == want_nodes.dtype and np.array_equal(nodes, want_nodes)
+    assert weights.shape == want_weights.shape and weights.tobytes() == want_weights.tobytes()
 
 
 class TestFieldContainers:

@@ -21,7 +21,6 @@ from mqclab import (
     casimir_general_value,
     compose,
     conditional_to_uhlmann,
-    derivative_probe,
     entropy_meanfield,
     entropy_uhlmann,
     hybrid_bracket,
@@ -39,13 +38,13 @@ from mqclab import (
 )
 from mqclab.dynamics import circle_loop, ehrenfest_rhs
 from mqclab.grids import trace_field
-from mqclab.invariants import Functional, numeric_local_derivative
+from mqclab.invariants import Functional
 from mqclab.probes import (
     casimir_probe_report,
     random_probe_functionals,
-    random_psd_density,
     random_smooth_split,
 )
+from oracles import derivative_probe, numeric_local_derivative, random_psd_density
 from test_split_equivalence import conditional_states
 
 

@@ -18,7 +18,8 @@ import mqclab
 from mqclab import PhaseGrid, tabulated
 from mqclab.dynamics import MODELS, StepperConfig, cfl_dt, max_speed, pairing, rk4_run, uhlmann_rhs
 from mqclab.grids import (MM_SUMS_MAX, _diff4, antiherm_residual, comm, component_major,
-                          eigen_compose, eigvalsh_field, frobenius_norm, hermitize, mm, tr_prod)
+                          eigen_compose, eigvalsh_field, frobenius_norm, hermitize, mm, pair_planes,
+                          pairing_planes, tr_prod)
 
 EPS = np.finfo(float).eps
 
@@ -163,6 +164,48 @@ def test_the_speed_policy_stays_in_max_speed():
     visit(ast.parse(path.read_text()), ())
     assert hypot_scopes == {"max_speed"}
     assert speed_keys == []
+
+
+def one_velocity_path_breaches(source):
+    """(scope, call) pairs of ``source`` that leave the one velocity path: a
+    right-hand side (a function named ``*_rhs``) calling ``pairing``, which
+    re-combines raw X fields on every call, and ``rk4_run`` calling
+    ``stack``, which copies the velocity the tracer can read as planes."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if (name == "pairing" and any(s.endswith("_rhs") for s in scope)
+                        or name == "stack" and "rk4_run" in scope):
+                    found.add((".".join(scope), name))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_rhs_pair_against_the_static_planes_and_the_tracer_stacks_nothing():
+    """No right-hand side calls ``pairing`` on X fields: they read the
+    Hamiltonian's pre-combined planes through ``pair_planes``. ``rk4_run``
+    hands the loop tracer the velocity's plane view without ``np.stack``.
+    The guard flags both forms as they were written before."""
+    before = (
+        "def uhlmann_rhs(grid, D, W, ham, out=None):\n"
+        "    Xq, Xp = pairing(Wm, ham.X_q, ham.X_p)\n"
+        "def rk4_run(model, state, ham, cfg):\n"
+        "    def full_rhs(arrays, out, residual=False):\n"
+        "        velocity = np.stack(info['velocity'], axis=-1)\n"
+    )
+    assert one_velocity_path_breaches(before) == {("uhlmann_rhs", "pairing"),
+                                                  ("rk4_run.full_rhs", "stack")}
+    path = pathlib.Path(mqclab.__file__).parent / "dynamics.py"
+    assert one_velocity_path_breaches(path.read_text()) == set()
 
 
 @st.composite
@@ -444,6 +487,96 @@ def test_cfl_step_and_guard_read_the_old_per_model_speed(model, shape, n, m, see
     assert same_bits(dt, float(cfl) * minh / max(speed, 1e-12))
     run = rk4_run(model, state, ham, StepperConfig(dt=-dt, steps=1))
     assert not run.aborted and same_bits(run.cfl_max_seen, abs(-dt) * speed / minh)
+
+
+def pairing_per_x(W, *Xs):
+    """The pairing as it was summed before the X planes were pre-combined:
+    one W W^dag entry at a time, each X's Re X_aa, Re X_ab + Re X_ba and
+    Im X_ab - Im X_ba formed from its strided real and imaginary parts on
+    every call. The reference for ``pair_planes``."""
+    W = np.asarray(W, dtype=complex)
+    n, m = W.shape[-2:]
+    lead = W.shape[:-2]
+    R, conj_w, term = np.empty(lead, complex), np.empty(lead, complex), np.empty(lead)
+    velocities = tuple(np.empty(lead) for _ in Xs)
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(m):
+                np.conjugate(W[..., b, c], out=conj_w)
+                if c == 0:
+                    np.multiply(W[..., a, c], conj_w, out=R)
+                else:
+                    R += np.multiply(W[..., a, c], conj_w, out=conj_w)
+            for X, v in zip(Xs, velocities):
+                if a == b == 0:
+                    np.multiply(X[..., 0, 0].real, R.real, out=v)
+                elif a == b:
+                    v += np.multiply(X[..., a, a].real, R.real, out=term)
+                else:
+                    np.add(X[..., a, b].real, X[..., b, a].real, out=term)
+                    term *= R.real
+                    v += term
+                    np.subtract(X[..., a, b].imag, X[..., b, a].imag, out=term)
+                    term *= R.imag
+                    v += term
+    return velocities
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(shape=grid_sizes, seed=seeds)
+def test_pair_planes_gives_the_bits_of_the_per_x_loop(n, m, layout, hermitian, shape, seed):
+    """The pairing against pre-combined X planes, both X in one pass, gives
+    the bits of the per-X loop it replaces, as does the ``pairing`` wrapper;
+    the Hamiltonian's cached planes are those of its X_q and X_p."""
+    rng = np.random.default_rng(seed)
+    W = random_field(rng, shape + (n, m), True)
+    Xs = [random_field(rng, shape + (n, n), True) for _ in range(2)]
+    if hermitian:
+        Xs = [hermitize(X) for X in Xs]
+    if layout == "component_major":
+        W, Xs = component_major(W), [component_major(X) for X in Xs]
+    want = pairing_per_x(W, *Xs)
+    planes = pairing_planes(*Xs)
+    assert planes.shape == (2, n * n) + shape and planes.dtype == float
+    got = pair_planes(W, planes, np.full((2,) + shape, np.nan))
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+    assert all(same_bits(g, w) for g, w in zip(pairing(W, *Xs), want))
+    assert same_bits(pairing(W, Xs[1]), want[1])
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, *shape)
+    ham = tabulated(grid, Xs[0] if hermitian else hermitize(Xs[0]))
+    assert same_bits(ham.X_planes, pairing_planes(ham.X_q, ham.X_p))
+    assert ham.X_planes is ham.X_planes  # built once
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+@settings(max_examples=10, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 3), seed=seeds,
+       layout=st.sampled_from(LAYOUTS))
+def test_every_model_reports_one_velocity_array(model, shape, n, m, seed, layout):
+    """Each right-hand side reports its velocity as one (2, Nq, Np) float
+    array, the one layout the CFL speed and the loop tracer read; the split
+    models' holds the bits of the per-X pairing, and the density model's
+    those of <X_H> = Tr(P X_H) / Tr P."""
+    grid, ham, arrays = model_case(model, shape, n, m, seed)
+    arrays = tuple(laid_out(a, layout) for a in arrays)
+    _, info = MODELS[model].rhs(grid, ham, arrays)
+    velocity = info["velocity"]
+    assert isinstance(velocity, np.ndarray)
+    assert velocity.shape == (2,) + shape and velocity.dtype == float
+    assert velocity.flags.c_contiguous
+    if model in ("ehrenfest_conditional", "ehrenfest_uhlmann"):
+        W = arrays[1] if arrays[1].ndim == 4 else arrays[1][..., None]
+        assert all(same_bits(v, w) for v, w in zip(velocity, pairing_per_x(W, ham.X_q, ham.X_p)))
+    elif model == "ehrenfest_density":
+        P = arrays[0]
+        denom = np.trace(P, axis1=-2, axis2=-1).real
+        denom = denom + 1e-12 * np.max(denom)
+        want = [tr_prod(P, X) / denom for X in (ham.X_q, ham.X_p)]
+        assert all(np.max(np.abs(v - w)) <= 64 * EPS * np.max(np.abs(w)) for v, w in zip(velocity, want))
 
 
 def test_hamiltonian_and_states_hold_component_planes(tmp_path):
