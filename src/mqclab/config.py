@@ -29,7 +29,7 @@ from .hamiltonians import eigenfields
 from .invariants import scalar_fn, spectral_fn
 from .snapshots import read_snapshot
 from .states import (ConditionalSplit, HybridDensity, MeanFieldState, UhlmannSplit,
-                     UnphysicalStateError, quantum_marginal)
+                     UnphysicalStateError, quantum_marginal, require_density)
 
 # Largest max|P - D rho| / max|P| at which a density snapshot still counts as
 # the product state D rho of a mean-field run.
@@ -265,11 +265,18 @@ def _density_profile(grid, cfg, path):
             D += read(cfg, f"{bump}.weight", _finite, 1.0) * _gaussian(grid, cfg, bump)
     else:
         raise ConfigError(f"{path}.profile", f"unknown density profile '{name}'")
-    D = D / float(grid.integrate(D))
+    mass = float(grid.integrate(D))
+    if mass == 0.0:
+        raise ConfigError(path, "the profile integrates to 0")
+    D = D / mass
     w = read(cfg, f"{path}.uniform_weight", _finite, 0.0, lambda w: 0 <= w <= 1,
              "must lie in [0, 1]")  # a larger weight makes D negative
     if w > 0.0:
         D = (1.0 - w) * D + w / grid.area
+    try:  # here, before a state of any representation is built from it
+        require_density(D)
+    except UnphysicalStateError as exc:
+        raise ConfigError(path, str(exc)) from None
     return D
 
 

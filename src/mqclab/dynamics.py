@@ -28,6 +28,13 @@ Both density models end in one tendency, -div(P X) - (i/hbar)[H, P]. The
 vacuum floor is ``states.vacuum_floor`` throughout; only the density
 right-hand sides take its factor, so that at 0 a zero-trace region aborts.
 
+A density right-hand side reads only the Hermitian part of P: it takes
+``hermitize(P)`` once at entry (P itself, bit for bit, when P is exactly
+Hermitian, as every state ``rk4_run`` makes from a Hermitian start is).
+Every operand after that is Hermitian, so its commutators are
+``grids.hcomm`` and its traces Re Tr(X R) ``grids.pair_hermitian`` against
+the Hamiltonian's static planes (``X_planes``, ``dX_planes``).
+
 The split models' velocity is the pairing X = Re Tr(W^dag X_H W), and
 ``grids.pair_planes`` is its one kernel: it forms the local density
 R = W W^dag one entry at a time and meets each entry with both components
@@ -71,8 +78,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import (_grid_first, antiherm_residual, comm, frobenius_norm, hermitize, mm,
-                    pair_planes, pairing_planes, scratch, tr_prod, trace_field)
+from .grids import (_grid_first, antiherm_residual, comm, frobenius_norm, hcomm, hermitize, mm,
+                    pair_hermitian, pair_planes, pairing_planes, scratch, tr_prod, trace_field)
 from .states import (EPS_D_REL, ConditionalSplit, HybridDensity, MeanFieldState, UhlmannSplit,
                      vacuum_floor)
 
@@ -141,11 +148,18 @@ def _regularized_trace(P, eps_tr_rel=EPS_D_REL):
     return D
 
 
+def _hermitian_part(P):
+    """The Hermitian part of the density P, in scratch: all a density
+    right-hand side reads of P (for an exactly Hermitian P, P itself)."""
+    P = np.asarray(P, dtype=complex)
+    return hermitize(P, out=scratch(P.shape, complex, "density.P", like=P))
+
+
 def _density_tendency(grid, P, velocity, H, out, residual):
     """The density models' tendency -div(P X) - (i/hbar)[H, P], with X the
-    (2, Nq, Np) ``velocity``, symmetrized into ``out`` (or a fresh array),
-    with its info dict; a ``NumericalAbort`` names the first grid point
-    where it is not finite.
+    (2, Nq, Np) ``velocity`` and H and P Hermitian, symmetrized into ``out``
+    (or a fresh array), with its info dict; a ``NumericalAbort`` names the
+    first grid point where it is not finite.
 
     With ``residual`` the info also holds ``antiherm_resid``, the
     anti-Hermitian residual of the tendency before symmetrizing."""
@@ -157,7 +171,7 @@ def _density_tendency(grid, P, velocity, H, out, residual):
     tend += grid.partial_p(np.multiply(P, Xp[..., None, None], out=flux),
                            out=scratch(P.shape, complex, "density.dp", like=P))
     np.negative(tend, out=tend)
-    rot = comm(H, P, out=flux)
+    rot = hcomm(H, P, out=flux)
     rot *= -1j / grid.hbar
     tend += rot
     if not np.all(np.isfinite(tend)):
@@ -172,11 +186,9 @@ def _density_tendency(grid, P, velocity, H, out, residual):
 def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):
     """dP/dt = -div(P <X_H>) - (i/hbar)[H, P], symmetrized; with
     ``residual`` the info holds ``antiherm_resid``."""
-    P = np.asarray(P, dtype=complex)
-    denom = _regularized_trace(P, eps_tr_rel)
-    velocity = np.empty((2,) + denom.shape)
-    for X, v in zip((ham.X_q, ham.X_p), velocity):
-        np.divide(tr_prod(P, X), denom, out=v)
+    P = _hermitian_part(P)
+    velocity = pair_hermitian(P, ham.X_planes, np.empty((2,) + P.shape[:2]))
+    velocity /= _regularized_trace(P, eps_tr_rel)
     return _density_tendency(grid, P, velocity, ham.H, out, residual)
 
 
@@ -230,75 +242,70 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=
     Sigma = (i hbar / 2D) [P, X_P],  X_P = (d_p P, -d_q P)
     scriptH = H + (i hbar / D) [grad P - P grad ln sqrt(D), X_H]
 
-    Dots contract the 2-component phase-space index; matrix products are kept
-    in the written (left-to-right) order. Every (Nq, Np, n, n) intermediate
-    lives in scratch.
+    Dots contract the 2-component phase-space index. Both Sigma, and then
+    their four gradients, are one stacked field each (one stencil call per
+    axis). Every (Nq, Np, n, n) intermediate lives in scratch.
     """
-    P = np.asarray(P, dtype=complex)
-    hbar = grid.hbar
+    P = _hermitian_part(P)
     D = _regularized_trace(P, eps_tr_rel)
-    Dmat = D[..., None, None]
+    inv_D = 1.0 / D
 
-    def buf(tag):
-        return scratch(P.shape, complex, "beyond." + tag, like=P)
+    def buf(tag, stack=()):
+        return scratch(P.shape[:2] + stack + P.shape[2:], complex, "beyond." + tag, like=P)
 
     dPq = grid.partial_q(P, out=buf("dPq"))
     dPp = grid.partial_p(P, out=buf("dPp"))
-    XP = (dPp, np.negative(dPq, out=buf("-dPq")))
-    XH = (ham.X_q, ham.X_p)
-    dXH = _beyond_xh_grads(grid, ham)
+    Sig = beyond_sigma(grid, P, inv_D, (dPp, dPq), (1.0, -1.0), out=buf("Sig", (2,)))
+    dSig = buf("dSig", (2, 2))  # [j, k]: d_j Sigma_k
+    grid.partial_q(Sig, out=dSig[:, :, 0])
+    grid.partial_p(Sig, out=dSig[:, :, 1])
 
-    Sig = tuple(comm(P, XPk, out=buf(f"Sig{k}")) for k, XPk in enumerate(XP))
-    for Sk in Sig:
-        Sk *= 0.5j * hbar
-        Sk /= Dmat
-    dSig = tuple((grid.partial_q(Sk, out=buf(f"dSig{k}q")), grid.partial_p(Sk, out=buf(f"dSig{k}p")))
-                 for k, Sk in enumerate(Sig))
+    calX = pair_hermitian(P, ham.X_planes, np.empty((2,) + D.shape))
+    grad_sig = pair_hermitian(dSig, ham.X_planes[:, :, None],
+                              scratch((2, 2) + D.shape, float, "beyond.grad_sig"))
+    sig_grad = pair_hermitian(Sig, ham.dX_planes,
+                              scratch((2, 2) + D.shape, float, "beyond.sig_grad"))
+    # Tr(X_H . grad Sigma_k) - Tr(Sigma . grad X_H,k), indexed [j, k] and [k, j]
+    corr = np.add(grad_sig[0], grad_sig[1], out=scratch(calX.shape, float, "beyond.corr"))
+    corr -= np.add(sig_grad[:, 0], sig_grad[:, 1], out=grad_sig[0])
+    calX += corr
+    calX *= inv_D
 
-    avgX = tuple(tr_prod(P, XHk) / D for XHk in XH)
-    calX = np.empty((2,) + D.shape)
-    for k in range(2):
-        corr = tr_prod(XH[0], dSig[k][0]) + tr_prod(XH[1], dSig[k][1])
-        corr -= tr_prod(Sig[0], dXH[k][0]) + tr_prod(Sig[1], dXH[k][1])
-        np.add(avgX[k], corr / D, out=calX[k])
-
-    dlnsq = 0.5 * grid.partial_q(D) / D
-    dlnsp = 0.5 * grid.partial_p(D) / D
-    # G_k = d_k P - P d_k ln sqrt(D), over the spent Sigma buffers
-    G = tuple(np.subtract(dPk, np.multiply(P, dlns[..., None, None], out=Gk), out=Gk)
-              for dPk, dlns, Gk in ((dPq, dlnsq, Sig[0]), (dPp, dlnsp, Sig[1])))
-    GX = comm(G[0], XH[0], out=buf("GX"))
-    GX += comm(G[1], XH[1], out=dPq)  # the gradients of P are spent
-    GX *= 1j * hbar
-    GX /= Dmat
-    scrH = hermitize(np.add(ham.H, GX, out=GX), out=dPp)
+    # G_k = d_k P - P d_k ln sqrt(D), over the spent Sigma stack; d_k D is
+    # Tr d_k P (the stencil is linear and takes the floor's constant to 0)
+    G = Sig
+    for k, dPk in enumerate((dPq, dPp)):
+        dlns = trace_field(dPk)
+        dlns *= 0.5
+        dlns *= inv_D
+        np.subtract(dPk, np.multiply(P, dlns[..., None, None], out=G[:, :, k]), out=G[:, :, k])
+    GX = hcomm(G[:, :, 0], ham.X_q, out=buf("GX"))
+    GX += hcomm(G[:, :, 1], ham.X_p, out=dPq)  # the gradients of P are spent
+    GX *= ((1j * grid.hbar) * inv_D)[..., None, None]
+    # Hermitian as it stands: H plus i/D times a sum of hcomm
+    scrH = np.add(ham.H, GX, out=dPp)
 
     return _density_tendency(grid, P, calX, scrH, out, residual)
 
 
-def _beyond_xh_grads(grid, ham):
-    # X_H is static; cache its stencil gradients on the Hamiltonian object.
-    key = "_xh_grads"
-    if key not in ham.extras:
-        ham.extras[key] = (
-            (grid.partial_q(ham.X_q), grid.partial_p(ham.X_q)),
-            (grid.partial_q(ham.X_p), grid.partial_p(ham.X_p)),
-        )
-    return ham.extras[key]
+def beyond_sigma(grid, P, inv_D, grads, signs, out):
+    """The Sigma-hat terms s_k (i hbar / 2D) [P, grads[k]] of the beyond
+    model, stacked into ``out`` (Nq, Np, K, n, n) and returned, for a
+    Hermitian P, its Hermitian gradient fields ``grads``, signs ``s`` and
+    ``inv_D`` = 1/D: the one source of the right-hand side's Sigma
+    (grads (d_p P, d_q P), signs (1, -1): X_P = (d_p P, -d_q P)) and of the
+    energy's gradient-indexed one (grads (d_q P, d_p P), signs (1, 1)).
 
-
-def beyond_sigma_grad(grid, P):
-    """Gradient-indexed Sigma-hat, (i hbar / 2D) [P, d_k P] for k = q, p.
-
-    The model's energy pairs these components straight against
+    The energy pairs the gradient-indexed components straight against
     (X_H,q, X_H,p); equivalently, the symplectically-indexed Sigma-hat of the
     evolution equation is paired with X_H through the symplectic form. That
     index convention is the one the flow actually conserves (the straight
     X-on-X pairing is not a constant of motion).
     """
-    Dmat = _regularized_trace(P)[..., None, None]
-    grads = (grid.partial_q(P), grid.partial_p(P))
-    return tuple((0.5j * grid.hbar) * comm(P, Gk) / Dmat for Gk in grads)
+    for k, (G, sign) in enumerate(zip(grads, signs)):
+        Sk = hcomm(P, G, out=out[:, :, k])
+        Sk *= ((sign * 0.5j * grid.hbar) * inv_D)[..., None, None]
+    return out
 
 
 def energy_of(model, state, ham):
@@ -307,9 +314,12 @@ def energy_of(model, state, ham):
     P = state.compose().P
     e = float(grid.integrate(tr_prod(P, ham.H)))
     if model == "beyond_ehrenfest":
-        Sig = beyond_sigma_grad(grid, P)
-        extra = tr_prod(Sig[0], ham.X_q) + tr_prod(Sig[1], ham.X_p)
-        e += float(grid.integrate(extra))
+        P = hermitize(P)
+        grads = (grid.partial_q(P), grid.partial_p(P))
+        stacked = scratch(P.shape[:2] + (2,) + P.shape[2:], complex, "energy.Sig", like=P)
+        Sig = beyond_sigma(grid, P, 1.0 / _regularized_trace(P), grads, (1.0, 1.0), out=stacked)
+        pairs = pair_hermitian(Sig, ham.X_planes, np.empty((2,) + grid.shape))
+        e += float(grid.integrate(pairs[0] + pairs[1]))
     return e
 
 

@@ -123,6 +123,13 @@ class Hamiltonian:
     every call. It is built on first use by a right-hand side, not here, so
     a Hamiltonian that evolves nothing (``casimir-check``'s) never pays for
     it.
+
+    ``dX_planes`` holds the stencil gradients of X_H the same way, built on
+    first use by the beyond model (its right-hand side pairs the Sigma-hat
+    terms against them): the (2, n^2, 2, Nq, Np) planes whose [k, :, j] are
+    those of d_j X_k, for k, j = q, p. So one call of
+    ``grids.pair_hermitian`` on the stacked (Sigma_q, Sigma_p) gives every
+    Re Tr(Sigma_j d_j X_k).
     """
 
     grid: PhaseGrid
@@ -155,6 +162,14 @@ class Hamiltonian:
     def X_planes(self):
         """X_q and X_p as the (2, n^2, Nq, Np) planes of ``pairing_planes``."""
         return pairing_planes(self.X_q, self.X_p)
+
+    @cached_property
+    def dX_planes(self):
+        """d_q X_H and d_p X_H as the (2, n^2, 2, Nq, Np) planes of
+        ``pairing_planes``: [k, :, j] are those of d_j X_k."""
+        grid = self.grid
+        return pairing_planes(*(np.stack([grid.partial_q(X), grid.partial_p(X)])
+                                for X in (self.X_q, self.X_p)))
 
 
 def _scalar_times(field2d, mat):

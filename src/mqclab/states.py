@@ -78,7 +78,10 @@ def _require_psd(M, what, tol=1e-10):
         raise UnphysicalStateError(f"{what} has eigenvalue {wmin:.3e} < -{tol:.1e}")
 
 
-def _require_nonnegative(D):
+def require_density(D):
+    """D a classical density: finite, and non-negative within round-off of its max."""
+    if not np.all(np.isfinite(D)):
+        raise UnphysicalStateError("non-finite classical density")
     if np.min(D) < -1e-12 * np.max(D):
         raise UnphysicalStateError("negative classical density")
 
@@ -120,6 +123,7 @@ class HybridDensity(_State):
         return trace_field(self.P)
 
     def _check(self, normalized):
+        require_density(self.D)
         _require_psd(self.P, "hybrid density")
 
     def compose(self):
@@ -168,7 +172,7 @@ class UhlmannSplit(_State):
         return self.D > vacuum_floor(self.D)
 
     def _check(self, normalized):
-        _require_nonnegative(self.D)
+        require_density(self.D)
         mask = self.support()
         if normalized and np.any(mask):
             err = float(np.max(np.abs(frobenius_norm(self.W)[mask] ** 2 - 1.0)))
@@ -216,7 +220,7 @@ class MeanFieldState(_State):
 
     def _check(self, normalized):
         _require_psd(self.rho, "rho")
-        _require_nonnegative(self.D)
+        require_density(self.D)
         trace = float(np.real(np.trace(self.rho)))
         if normalized and abs(trace - 1.0) > 1e-10:
             raise UnphysicalStateError(f"Tr rho is {trace:.12f}, not 1")

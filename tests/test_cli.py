@@ -183,7 +183,8 @@ class TestConfig:
                                       "physics.hbar", "initial.density.center",
                                       "equilibrium.representation=foo", "equilibrium.E",
                                       "equilibrium.branch", "initial.density",
-                                      "initial.density=-0.5",
+                                      "initial.density=-0.5", "initial.density=zero_mass",
+                                      "initial.density=mean_field",
                                       "time.t_final", "time.dt", "time.cfl=0",
                                       "time.cfl=x", "time.sample_every", "time.steps",
                                       "time.sample_every=x", "equilibrium.T_check",
@@ -312,7 +313,12 @@ class TestConfig:
             cfg["initial"]["snapshot"] = str(snap)
         elif case == "initial.density":
             cfg["initial"]["density"] = 5
+        elif case == "initial.density=zero_mass":  # two bumps at one center, weights 1, -1
+            cfg["initial"]["density"] = {"profile": "double_gaussian", "bumps": [
+                {"center": [0.0, 1.0], "weight": 1.0}, {"center": [0.0, 1.0], "weight": -1.0}]}
         elif key == "initial.density":  # a second bump of negative weight: min D < 0
+            if value == "mean_field":  # the same bump in a mean-field run
+                cfg, value = presets.nanowire_meanfield(N=16), -0.5
             cfg["initial"]["density"] = {"profile": "double_gaussian", "bumps": [
                 {"center": [-1.0, 0.0], "sigma": [0.5, 0.5]},
                 {"center": [1.0, 0.0], "sigma": [0.5, 0.5], "weight": value}]}

@@ -1,10 +1,12 @@
 """Properties of the grid-field kernels: the matrix-field product and
-commutator, the trace of a product, the eigen-composition, the closed-form
-2 x 2 spectrum, the velocity pairing, the split right-hand side, the
-periodic stencil and the conservative divergence; that every kernel and
+commutator (general and Hermitian), the trace of a product, the
+eigen-composition, the closed-form 2 x 2 spectrum, the velocity pairing
+(of a wave operator and of a Hermitian field), the split right-hand side,
+the periodic stencil and the conservative divergence; that every kernel and
 right-hand side gives the same bits on component planes and on interleaved
-fields, and that the Hamiltonian and the states hold component planes; and
-that the kernels stay the package's one contraction path."""
+fields, and that the Hamiltonian and the states hold component planes; that
+the density right-hand sides read only the Hermitian part of P; and that
+the kernels stay the package's one contraction path."""
 
 import ast
 import pathlib
@@ -17,9 +19,9 @@ from hypothesis import strategies as st
 import mqclab
 from mqclab import PhaseGrid, tabulated
 from mqclab.dynamics import MODELS, StepperConfig, cfl_dt, max_speed, pairing, rk4_run, uhlmann_rhs
-from mqclab.grids import (MM_SUMS_MAX, _diff4, antiherm_residual, comm, component_major,
-                          eigen_compose, eigvalsh_field, frobenius_norm, hermitize, mm, pair_planes,
-                          pairing_planes, tr_prod)
+from mqclab.grids import (MM_SUMS_MAX, _diff4, antiherm_residual, comm, component_major, dagger,
+                          eigen_compose, eigvalsh_field, frobenius_norm, hcomm, hermitize, mm,
+                          pair_hermitian, pair_planes, pairing_planes, tr_prod)
 
 EPS = np.finfo(float).eps
 
@@ -60,6 +62,53 @@ def test_comm_matches_matmul(complex_valued, shape, n, seed):
     B = random_field(rng, shape + (n, n), complex_valued)
     tol = 8 * n * EPS * np.max(np.abs(A)) * np.max(np.abs(B))
     assert np.max(np.abs(comm(A, B) - (A @ B - B @ A))) <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 3), complex_valued=st.booleans(), seed=seeds,
+       layouts=st.tuples(st.sampled_from(["interleaved", "component_major"]),
+                         st.sampled_from(["interleaved", "component_major"])),
+       out_layout=st.sampled_from([None, "interleaved", "component_major"]))
+def test_hcomm_matches_comm_and_is_exactly_antihermitian(shape, n, complex_valued, seed, layouts,
+                                                          out_layout):
+    """On Hermitian operands the one-product commutator AB - (AB)^dag is
+    ``comm`` within round-off, in any mix of layouts and into ``out=`` of
+    either layout, and exactly anti-Hermitian."""
+    rng = np.random.default_rng(seed)
+    A, B = (hermitize(random_field(rng, shape + (n, n), complex_valued)) for _ in range(2))
+    want = comm(A, B)
+    A, B = (component_major(M) if lay == "component_major" else M for M, lay in zip((A, B), layouts))
+    out = None
+    if out_layout is not None:
+        out = np.full(shape + (n, n), np.nan, complex)
+        out = component_major(out) if out_layout == "component_major" else out
+    got = hcomm(A, B, out=out)
+    assert out is None or got is out
+    assert got.shape == want.shape and (out is not None or got.dtype == want.dtype)
+    assert np.array_equal(got, -dagger(got))
+    tol = 8 * n * EPS * np.max(np.abs(A)) * np.max(np.abs(B))
+    assert np.max(np.abs(got - want)) <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 3), stack=st.sampled_from([(), (2,), (2, 2)]),
+       seed=seeds, layout=st.sampled_from(["interleaved", "component_major"]))
+def test_pair_hermitian_matches_tr_prod(shape, n, stack, seed, layout):
+    """The pairing of a Hermitian field R against the planes of X is Re Tr(X R)
+    (``tr_prod``) within round-off, for one R or a stack of R (Nq, Np, s, n, n)
+    in either layout, each paired with every X."""
+    rng = np.random.default_rng(seed)
+    R = hermitize(random_field(rng, shape + stack + (n, n), True))
+    Xs = [random_field(rng, shape + (n, n), True) for _ in range(2)]  # not Hermitian
+    Rl = component_major(R) if layout == "component_major" else R
+    out = np.full((2,) + stack + shape, np.nan)
+    planes = pairing_planes(*Xs).reshape((2, n * n) + (1,) * len(stack) + shape)
+    assert pair_hermitian(Rl, planes, out) is out
+    for X, got in zip(Xs, out):
+        for index in np.ndindex(stack):
+            Rs = R[(slice(None), slice(None)) + index]
+            tol = 8 * n * n * EPS * np.max(np.abs(X)) * np.max(np.abs(Rs))
+            assert np.max(np.abs(got[index] - tr_prod(X, Rs))) <= tol
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])
@@ -166,11 +215,19 @@ def test_the_speed_policy_stays_in_max_speed():
     assert speed_keys == []
 
 
+# The density right-hand sides and the Sigma-hat function they share: every
+# operand there is Hermitian, so no general commutator and no full trace.
+DENSITY_RHS = {"ehrenfest_rhs", "beyond_ehrenfest_rhs", "beyond_sigma", "_density_tendency"}
+
+
 def one_velocity_path_breaches(source):
     """(scope, call) pairs of ``source`` that leave the one velocity path: a
     right-hand side (a function named ``*_rhs``) calling ``pairing``, which
-    re-combines raw X fields on every call, and ``rk4_run`` calling
-    ``stack``, which copies the velocity the tracer can read as planes."""
+    re-combines raw X fields on every call, ``rk4_run`` calling ``stack``,
+    which copies the velocity the tracer can read as planes, and a density
+    right-hand side (``DENSITY_RHS``) calling ``tr_prod`` or the general
+    ``comm`` where its Hermitian operands need only ``pair_hermitian`` and
+    ``hcomm``."""
     found = set()
 
     def visit(node, scope):
@@ -182,7 +239,8 @@ def one_velocity_path_breaches(source):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if (name == "pairing" and any(s.endswith("_rhs") for s in scope)
-                        or name == "stack" and "rk4_run" in scope):
+                        or name == "stack" and "rk4_run" in scope
+                        or name in ("tr_prod", "comm") and DENSITY_RHS.intersection(scope)):
                     found.add((".".join(scope), name))
             visit(child, inner)
 
@@ -194,18 +252,32 @@ def test_rhs_pair_against_the_static_planes_and_the_tracer_stacks_nothing():
     """No right-hand side calls ``pairing`` on X fields: they read the
     Hamiltonian's pre-combined planes through ``pair_planes``. ``rk4_run``
     hands the loop tracer the velocity's plane view without ``np.stack``.
-    The guard flags both forms as they were written before."""
+    No density right-hand side calls ``tr_prod`` or ``comm``. The guard
+    flags each form as it was written before."""
     before = (
         "def uhlmann_rhs(grid, D, W, ham, out=None):\n"
         "    Xq, Xp = pairing(Wm, ham.X_q, ham.X_p)\n"
         "def rk4_run(model, state, ham, cfg):\n"
         "    def full_rhs(arrays, out, residual=False):\n"
         "        velocity = np.stack(info['velocity'], axis=-1)\n"
+        "def _density_tendency(grid, P, velocity, H, out, residual):\n"
+        "    rot = comm(H, P, out=flux)\n"
+        "def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):\n"
+        "    for X, v in zip((ham.X_q, ham.X_p), velocity):\n"
+        "        np.divide(tr_prod(P, X), denom, out=v)\n"
+        "def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):\n"
+        "    Sig = tuple(comm(P, XPk, out=buf(f'Sig{k}')) for k, XPk in enumerate(XP))\n"
+        "    avgX = tuple(tr_prod(P, XHk) / D for XHk in XH)\n"
     )
-    assert one_velocity_path_breaches(before) == {("uhlmann_rhs", "pairing"),
-                                                  ("rk4_run.full_rhs", "stack")}
+    assert one_velocity_path_breaches(before) == {
+        ("uhlmann_rhs", "pairing"), ("rk4_run.full_rhs", "stack"),
+        ("_density_tendency", "comm"), ("ehrenfest_rhs", "tr_prod"),
+        ("beyond_ehrenfest_rhs", "comm"), ("beyond_ehrenfest_rhs", "tr_prod")}
     path = pathlib.Path(mqclab.__file__).parent / "dynamics.py"
-    assert one_velocity_path_breaches(path.read_text()) == set()
+    source = path.read_text()
+    assert one_velocity_path_breaches(source) == set()
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert DENSITY_RHS <= defined  # the guard still watches functions that exist
 
 
 @st.composite
@@ -403,14 +475,21 @@ def kernel_case(kernel, rng, shape, n, k, m, complex_valued):
         return (square, random_field(rng, shape + (n, n), complex_valued)), comm
     if kernel == "hermitize":
         return (random_field(rng, shape + (n, n), complex_valued),), hermitize
+    if kernel == "hcomm":
+        return tuple(hermitize(random_field(rng, shape + (n, n), complex_valued))
+                     for _ in range(2)), hcomm
     if kernel == "tr_prod":
         return (A, random_field(rng, shape + (k, n), complex_valued)), tr_prod
+    if kernel == "pair_hermitian":
+        R = hermitize(random_field(rng, shape + (n, n), complex_valued))
+        return (R, random_field(rng, shape + (n, n), True)), lambda R, X: pair_hermitian(
+            R, pairing_planes(X), np.empty((1,) + R.shape[:2]))
     W = random_field(rng, shape + (n, m), True)
     return (W, random_field(rng, shape + (n, n), complex_valued)), pairing
 
 
-@pytest.mark.parametrize("kernel", ["diff4_q", "diff4_p", "mm", "comm", "hermitize", "tr_prod",
-                                    "pairing"])
+@pytest.mark.parametrize("kernel", ["diff4_q", "diff4_p", "mm", "comm", "hcomm", "hermitize",
+                                    "tr_prod", "pairing", "pair_hermitian"])
 @settings(max_examples=25, deadline=None)
 @given(shape=grid_sizes, n=st.integers(1, 3), k=st.integers(1, MM_SUMS_MAX + 1),
        m=st.integers(1, 3), complex_valued=st.booleans(), seed=seeds,
@@ -424,7 +503,7 @@ def test_kernels_give_the_same_bits_in_either_layout(kernel, shape, n, k, m, com
     operands, f = kernel_case(kernel, np.random.default_rng(seed), shape, n, k, m, complex_valued)
     want = f(*operands)
     laid = tuple(laid_out(a, lay) for a, lay in zip(operands, layouts))
-    takes_out = kernel not in ("tr_prod", "pairing")
+    takes_out = kernel not in ("tr_prod", "pairing", "pair_hermitian")
     if takes_out:
         planes = f(*(laid_out(a, "component_major") for a in operands))
         assert is_component_major(planes) and same_bits(planes, want)
@@ -458,6 +537,30 @@ def test_rhs_gives_the_same_bits_in_either_layout(model, shape, n, m, seed, layo
         assert all(is_component_major(g) for g in got)
     assert max_speed(info) == max_speed(want_info)
     assert all(same_bits(g, w) for g, w in zip(info["velocity"], want_info["velocity"]))
+
+
+DENSITY_MODELS = [name for name, spec in MODELS.items() if spec.state_type is mqclab.HybridDensity]
+
+
+@pytest.mark.parametrize("model", DENSITY_MODELS)
+@settings(max_examples=10, deadline=None)
+@given(shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 3), seed=seeds,
+       eps=st.floats(1e-12, 1e-2), layout=st.sampled_from(LAYOUTS))
+def test_density_rhs_reads_the_hermitian_part_of_p(model, shape, n, m, seed, eps, layout):
+    """A density right-hand side gives, bit for bit, the same tendency and
+    velocity for P + eps A, A anti-Hermitian, as for the Hermitian part of
+    that P; on an exactly Hermitian P taking that part changes no bit."""
+    grid, ham, (P,) = model_case(model, shape, n, m, seed)
+    A = random_field(np.random.default_rng(seed + 1), P.shape, True)
+    P = hermitize(P) + eps * (A - np.conj(np.swapaxes(A, -1, -2)))
+    herm = hermitize(P)
+    assert same_bits(hermitize(herm), herm)
+    rhs = MODELS[model].rhs
+    (got,), info = rhs(grid, ham, (laid_out(P, layout),), residual=True)
+    (want,), want_info = rhs(grid, ham, (laid_out(herm, layout),), residual=True)
+    assert same_bits(got, want)
+    assert same_bits(info["velocity"], want_info["velocity"])
+    assert same_bits(info["antiherm_resid"], want_info["antiherm_resid"])
 
 
 def old_max_speed(model, arrays, ham, info):
@@ -650,10 +753,20 @@ def diff4_roll(values, axis, h):
 @pytest.mark.parametrize("axis", [0, 1])
 @settings(max_examples=25, deadline=None)
 @given(shape=grid_sizes, h=st.floats(1e-3, 10.0), seed=seeds,
-       trailing=st.integers(1, 4).flatmap(lambda n: st.sampled_from([(), (n,), (n, 1), (n, n)])))
-def test_diff4_equals_rolled_stencil(axis, complex_valued, shape, h, seed, trailing):
+       trailing=st.integers(1, 4).flatmap(
+           lambda n: st.sampled_from([(), (n,), (n, 1), (n, n), (2, 1), (2, 2), (2, n, n)])),
+       layout=st.sampled_from(LAYOUTS), out_layout=st.sampled_from((None,) + LAYOUTS))
+def test_diff4_equals_rolled_stencil(axis, complex_valued, shape, h, seed, trailing, layout,
+                                     out_layout):
+    """Both axes give the bits of the rolled stencil (along p the flat
+    padded copy, along q its whole-plane slices), for Nq and Np apart, a
+    stacked (2, n, n) field, either layout and ``out=`` of either layout."""
     values = random_field(np.random.default_rng(seed), shape + trailing, complex_valued)
-    assert np.array_equal(_diff4(values, axis, h), diff4_roll(values, axis, h))
+    want = diff4_roll(values, axis, h)
+    out = None if out_layout is None else laid_out(np.full_like(want, np.nan), out_layout)
+    got = _diff4(laid_out(values, layout), axis, h, out)
+    assert out is None or got is out
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=25, deadline=None)
