@@ -9,7 +9,6 @@ maximum-entropy equilibrium states with stationarity certification.
 
 from .grids import (
     PhaseGrid,
-    VectorField2,
     NotHermitianError,
     matrix_function,
     vn_entropy_trace,

@@ -28,21 +28,21 @@ Both density models end in one tendency, -div(P X) - (i/hbar)[H, P]. The
 vacuum floor is ``states.vacuum_floor`` throughout; only the density
 right-hand sides take its factor, so that at 0 a zero-trace region aborts.
 
-A density right-hand side reads only the Hermitian part of P: it takes
-``hermitize(P)`` once at entry (P itself, bit for bit, when P is exactly
-Hermitian, as every state ``rk4_run`` makes from a Hermitian start is).
-Every operand after that is Hermitian, so its commutators are
-``grids.hcomm`` and its traces Re Tr(X R) ``grids.pair_hermitian`` against
-the Hamiltonian's static planes (``X_planes``, ``dX_planes``).
+The mean field and the density right-hand sides read only the Hermitian
+part of rho or P: each takes ``hermitize`` once at entry (the input itself,
+bit for bit, when it is exactly Hermitian, as every state ``rk4_run`` makes
+from a Hermitian start is). Every operand after that is Hermitian, so their
+commutators are ``grids.hcomm`` and their traces Re Tr(X R)
+``grids.pair_hermitian`` against the Hamiltonian's static planes
+(``X_planes``, ``dX_planes``); the mean field's constant rho broadcasts
+against them.
 
 The split models' velocity is the pairing X = Re Tr(W^dag X_H W), and
 ``grids.pair_planes`` is its one kernel: it forms the local density
 R = W W^dag one entry at a time and meets each entry with both components
-of X_H at once, read from the Hamiltonian's static pre-combined float
-planes (``Hamiltonian.X_planes``, built on first use). ``pairing(W, *Xs)``,
-for any other X (the equilibria's dH, a split's velocity in the
-diagnostics), combines the planes of ``Xs`` and calls the same kernel, so
-every pairing sums the same terms in the same order.
+of X_H at once, read from the same static planes (built on first use), and
+with the accumulation of ``pair_hermitian``. So every velocity pairing sums
+the same terms in the same order.
 
 Every right-hand side writes its tendencies into ``out`` when given (and
 into fresh arrays without it, as ``cfl_dt`` and the equilibria need); its
@@ -78,8 +78,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import (_grid_first, antiherm_residual, comm, frobenius_norm, hcomm, hermitize, mm,
-                    pair_hermitian, pair_planes, pairing_planes, scratch, tr_prod, trace_field)
+from .grids import (_grid_first, antiherm_residual, frobenius_norm, hcomm, hermitize, mm,
+                    pair_hermitian, pair_planes, scratch, tr_prod, trace_field)
 from .states import (EPS_D_REL, ConditionalSplit, HybridDensity, MeanFieldState, UhlmannSplit,
                      vacuum_floor)
 
@@ -113,21 +113,21 @@ def mean_field_rhs(grid, D, rho, ham, out=None):
     """Tendencies of the factorized model.
 
     dD/dt = {Tr(rho H), D};  i hbar drho/dt = [integral(D H), rho].
-    The effective classical Hamiltonian gradient is assembled from the
-    catalog's analytic gradients.
+    The transport velocity is <X_H> = Re Tr(rho X_H) = (dHeff_p, -dHeff_q),
+    read from the Hamiltonian's static planes; rho enters through its
+    Hermitian part, as P does in the density models.
     """
-    D, rho = np.asarray(D), np.asarray(rho, dtype=complex)
+    D, rho = np.asarray(D), _hermitian_part(rho)
     dD, drho = _outputs(out, D, rho)
-    velocity = np.empty((2,) + D.shape)  # (dHeff_p, -dHeff_q)
-    dHeff_q = tr_prod(rho, ham.dH_q)
-    velocity[0] = tr_prod(rho, ham.dH_p)
-    np.negative(dHeff_q, out=velocity[1])
+    velocity = pair_hermitian(rho[None, None], ham.X_planes, np.empty((2,) + D.shape))
+    # {Tr(rho H), D} = dHeff_q d_p D - dHeff_p d_q D, with dHeff_q = -velocity[1]
     grad = scratch(D.shape, dD.dtype, "mean_field.grad")
-    np.multiply(dHeff_q, grid.partial_p(D, out=grad), out=dD)
-    dD -= np.multiply(grid.partial_q(D, out=grad), velocity[0], out=grad)
+    np.multiply(velocity[1], grid.partial_p(D, out=grad), out=dD)
+    dD += np.multiply(grid.partial_q(D, out=grad), velocity[0], out=grad)
+    np.negative(dD, out=dD)
     DH = scratch(ham.H.shape, np.result_type(D, ham.H), "mean_field.DH", like=ham.H)
     Hbar = hermitize(grid.integrate(np.multiply(D[..., None, None], ham.H, out=DH)))
-    comm(Hbar, rho, out=drho)
+    hcomm(Hbar, rho, out=drho)
     drho *= -1j / grid.hbar
     return (dD, drho), {"velocity": velocity}
 
@@ -149,8 +149,9 @@ def _regularized_trace(P, eps_tr_rel=EPS_D_REL):
 
 
 def _hermitian_part(P):
-    """The Hermitian part of the density P, in scratch: all a density
-    right-hand side reads of P (for an exactly Hermitian P, P itself)."""
+    """The Hermitian part of the density P (or the mean field's rho), in
+    scratch: all a right-hand side reads of it (for an exactly Hermitian P,
+    P itself)."""
     P = np.asarray(P, dtype=complex)
     return hermitize(P, out=scratch(P.shape, complex, "density.P", like=P))
 
@@ -190,15 +191,6 @@ def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):
     velocity = pair_hermitian(P, ham.X_planes, np.empty((2,) + P.shape[:2]))
     velocity /= _regularized_trace(P, eps_tr_rel)
     return _density_tendency(grid, P, velocity, ham.H, out, residual)
-
-
-def pairing(W, *Xs):
-    """Re Tr(W^dag X W) at every grid point, for each matrix field X of
-    ``Xs``: ``grids.pair_planes`` on the ``grids.pairing_planes`` of ``Xs``.
-    One array per X; a single X gives its array alone."""
-    W = np.asarray(W, dtype=complex)
-    velocities = pair_planes(W, pairing_planes(*Xs), np.empty((len(Xs),) + W.shape[:-2]))
-    return velocities[0] if len(Xs) == 1 else tuple(velocities)
 
 
 def _as_waveop(W):

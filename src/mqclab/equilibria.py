@@ -23,8 +23,8 @@ import numpy as np
 
 from . import dynamics as _dyn
 from . import invariants as _inv
-from .grids import (eigen_compose, frobenius_norm, hermitize, matrix_function, mm, tr_prod,
-                    trace_field)
+from .grids import (eigen_compose, frobenius_norm, hermitize, matrix_function, mm, pair_planes,
+                    tr_prod, trace_field)
 from .hamiltonians import Hamiltonian, UnsupportedHamiltonianError, eigenfields
 from .states import (
     ConditionalSplit,
@@ -62,6 +62,8 @@ class MaxEntProblem:
         if self.representation not in ("mean_field", "conditional", "uhlmann"):
             raise ProblemError("representation",
                                f"unknown representation '{self.representation}'")
+        if self.mu == 0:  # the maximum-entropy residuals divide by mu
+            raise ProblemError("mu", "must not be zero")
         if not 0 <= self.branch < self.ham.n:
             raise ProblemError("branch",
                                f"branch {self.branch} outside quantum dimension {self.ham.n}")
@@ -158,7 +160,9 @@ def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> Equilibriu
             "and pure-dephasing Hamiltonians"
         )
 
-    dE_q, dE_p = _dyn.pairing(psi[..., None], ham.dH_q, ham.dH_p)
+    # <psi|grad H|psi> from the pairing with X_H = (dH_p, -dH_q)
+    v = pair_planes(psi[..., None], ham.X_planes, np.empty((2,) + grid.shape))
+    dE_q, dE_p = -v[1], v[0]
     shift = float(np.min(E_field))
     w = np.exp(-mu * (E_field - shift))
     kinked = check_confined and _seam_kinked(grid, E_field, dE_q, dE_p)

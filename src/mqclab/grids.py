@@ -5,27 +5,30 @@ stencils, rectangle quadrature (exact trapezoid on a periodic grid),
 periodic bicubic interpolation, the spectra of Hermitian fields and
 Hermitian matrix functions via eigendecomposition.
 
-``mm``, ``comm`` ([A, B] = AB - BA), ``tr_prod`` and ``eigen_compose`` are the
-one path by which matrix fields are contracted. For a contracted dimension
-n <= 3 ``mm`` writes each entry as vectorised component sums over the grid,
-which beats numpy's batched ``@`` on such small matrices; for n >= 4 it
-falls through to ``@``. ``tr_prod`` gives the field Re Tr(AB) as component
-sums without forming AB, and ``eigen_compose`` is v diag(f) v^dag via ``mm``.
-``pair_planes`` gives the velocity pairing Re Tr(W^dag X W) = Re Tr(X R),
-R = W W^dag, of several X at once, each X given by the float planes
-``pairing_planes`` pre-combines from it (Re X_aa, Re X_ab + Re X_ba and
-Im X_ab - Im X_ba); a static X (the Hamiltonian's X_H) is combined once.
+``mm``, ``hcomm``, ``tr_prod`` and ``eigen_compose`` are the one path by which
+matrix fields are contracted. For a contracted dimension n <= 3 ``mm``
+writes each entry as vectorised component sums over the grid, which beats
+numpy's batched ``@`` on such small matrices; for n >= 4 it falls through
+to ``@``. ``tr_prod`` gives the field Re Tr(AB) as component sums without
+forming AB, and ``eigen_compose`` is v diag(f) v^dag via ``mm``.
 
-Hermitian operands. Two kernels require them; the density right-hand
-sides, whose operands all are, use them. ``hcomm`` is the commutator
-AB - (AB)^dag: one ``mm``, exactly anti-Hermitian by construction, equal
-to [A, B] only for Hermitian A and B and then within round-off of ``comm``
-(numpy's complex product is not bitwise commutative). ``pair_hermitian``
-is Re Tr(X R) against the planes of X; it reads only the upper triangle of
-R, so R must be exactly Hermitian. It shares its accumulation with
-``pair_planes``: a split's W W^dag and a density's P meet the planes
-through the same sums in the same order. ``comm`` and ``tr_prod`` serve
-operands that need not be Hermitian (the hybrid bracket).
+Every commutator in the package has Hermitian operands (the Hamiltonian,
+densities, their gradients, the Sigma-hat terms and the derivatives of
+functionals), so ``hcomm`` is its one commutator: AB - (AB)^dag, one
+``mm``, exactly anti-Hermitian by construction and equal to [A, B] =
+AB - BA for Hermitian A and B (within round-off of the two-product form;
+numpy's complex product is not bitwise commutative).
+
+The velocity pairing Re Tr(X R) of a Hermitian R with an X-type field has
+one accumulation, fed two ways: ``pair_planes`` forms R = W W^dag of a
+wave operator W (the split models, Re Tr(W^dag X W)), and
+``pair_hermitian`` reads a Hermitian R as it is (a density P, rho or a
+Sigma-hat term). Both read the upper triangle of R only, and each X as the
+float planes ``pairing_planes`` pre-combines from it (Re X_aa, Re X_ab +
+Re X_ba and Im X_ab - Im X_ba); the X of the package are X_H and its
+gradients, whose planes the Hamiltonian builds once (``X_planes``,
+``dX_planes``), so a split's W W^dag and a density's P meet them through
+the same sums in the same order.
 
 Layout. A field with trailing axes (a matrix or vector field) is stored as
 contiguous component planes: ``component_major`` keeps it as one C-ordered
@@ -86,12 +89,12 @@ part, so the generator ends where a mode-by-mode sum leaves it; the field
 differs from that sum at round-off. No BLAS: on operands this small a call
 under a multi-threaded pool now and then stalls for ~15 ms.
 
-Buffers. ``partial_q``/``partial_p`` (``_diff4``), ``mm``, ``comm``,
-``hcomm`` and ``hermitize`` take ``out=``, in either layout: the result is
+Buffers. ``partial_q``/``partial_p`` (``_diff4``), ``mm``, ``hcomm`` and
+``hermitize`` take ``out=``, in either layout: the result is
 written there, with the bits of a fresh result. ``mm`` sums each entry
 straight into its plane of the result, so its ``out`` must not overlap the
 operands. The temporaries (the stencil's padded copy and its difference
-terms, each product term, BA of a commutator, AB of ``hcomm``) are
+terms, each product term, AB of ``hcomm``) are
 ``scratch`` buffers: one reusable buffer per tag, kept across calls so that
 a run's every step reuses the same memory instead of taking fresh pages
 from the kernel. A scratch
@@ -106,7 +109,6 @@ are carried along unchanged by the calculus operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -405,21 +407,6 @@ def scratch(shape, dtype, tag, like=None):
     return view
 
 
-# -- field containers -------------------------------------------------------
-
-
-@dataclass
-class VectorField2:
-    """Two-component phase-space vector field (X_q, X_p)."""
-
-    grid: PhaseGrid
-    X_q: np.ndarray
-    X_p: np.ndarray
-
-    def max_speed(self):
-        return float(np.max(np.hypot(np.abs(self.X_q), np.abs(self.X_p))))
-
-
 # -- Hermitian matrix helpers ------------------------------------------------
 
 
@@ -562,13 +549,6 @@ def mm(A, B, out=None):
     return out
 
 
-def comm(A, B, out=None):
-    """Commutator field [A, B] = AB - BA, with BA formed in scratch."""
-    AB = mm(A, B, out=out)
-    AB -= mm(B, A, out=scratch(AB.shape, AB.dtype, "comm", like=AB))
-    return AB
-
-
 def hcomm(A, B, out=None):
     """Commutator field [A, B] of Hermitian A and B as AB - (AB)^dag, since
     then BA = (AB)^dag: one ``mm`` (in scratch) and a conjugate-transposed
@@ -657,7 +637,8 @@ def pair_hermitian(R, planes, out):
     matrix axes, a stack of fields (Nq, Np, s, n, n): each entry is read as
     its grid-last (s, Nq, Np) block, which broadcasts against ``planes[:,
     t]`` into ``out``, so one call pairs a stack of R with one set of
-    planes (or one R with a stack of planes).
+    planes (or one R with a stack of planes). A constant matrix R, given
+    as (1, 1, n, n), broadcasts the same way.
     """
     n = R.shape[-1]
     R = _grid_last(R)

@@ -118,16 +118,17 @@ class Hamiltonian:
     entry as one contiguous plane.
 
     ``X_planes`` holds X_q and X_p as the pre-combined float planes the
-    velocity pairing reads (``grids.pairing_planes``), so that the right-hand
-    sides do not re-form them from strided real and imaginary parts on
-    every call. It is built on first use by a right-hand side, not here, so
-    a Hamiltonian that evolves nothing (``casimir-check``'s) never pays for
-    it.
+    velocity pairing reads (``grids.pairing_planes``): every pairing with
+    X_H in the package (the right-hand sides, the conditional Gibbs
+    gradient, a split's velocity) reads them, so none re-forms them from
+    strided real and imaginary parts. They are built on first use by any
+    pairing, not here, so a Hamiltonian that pairs nothing
+    (``casimir-check``'s) never pays for them.
 
     ``dX_planes`` holds the stencil gradients of X_H the same way, built on
-    first use by the beyond model (its right-hand side pairs the Sigma-hat
-    terms against them): the (2, n^2, 2, Nq, Np) planes whose [k, :, j] are
-    those of d_j X_k, for k, j = q, p. So one call of
+    first use by any pairing with them (the beyond model's right-hand side
+    pairs the Sigma-hat terms against them): the (2, n^2, 2, Nq, Np) planes
+    whose [k, :, j] are those of d_j X_k, for k, j = q, p. So one call of
     ``grids.pair_hermitian`` on the stacked (Sigma_q, Sigma_p) gives every
     Re Tr(Sigma_j d_j X_k).
     """

@@ -37,8 +37,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grids import (EIG_CLAMP, comm, component_major, dagger, eigen_compose, eigvalsh_field,
-                    frobenius_norm, hermitize, mm, tr_prod, trace_field, vn_entropy_trace)
+from .grids import (EIG_CLAMP, _grid_first, component_major, dagger, eigen_compose, eigvalsh_field,
+                    frobenius_norm, hcomm, hermitize, mm, pair_planes, tr_prod, trace_field,
+                    vn_entropy_trace)
 from .hamiltonians import Hamiltonian
 from .states import (
     HybridDensity,
@@ -387,8 +388,8 @@ def hybrid_bracket(f, g, state: HybridDensity, return_scale=False):
     denom = np.where(mask, TrP, 1.0)
     term1 = np.where(mask, (f.a_q * g.a_p - f.a_p * g.a_q) / denom, 0.0)
 
-    # Re Tr(P i[Gg, Gf]) = Im Tr(P [Gf, Gg])
-    term2 = tr_prod(P, 1j * comm(g.G, f.G)) / grid.hbar
+    # Re Tr(P i[Gg, Gf]) = Im Tr(P [Gf, Gg]); every G is Hermitian
+    term2 = tr_prod(P, 1j * hcomm(g.G, f.G)) / grid.hbar
     value = float(grid.integrate(term1 + term2))
     if not return_scale:
         return value
@@ -521,7 +522,7 @@ def loop_integral(split, points) -> float:
     loop coordinates themselves.
     """
     grid, A_B = split.grid, split.berry.A_B
-    A = grid.interpolate(np.stack([A_B.X_q, A_B.X_p], axis=-1), points[:, 0], points[:, 1])
+    A = grid.interpolate(_grid_first(A_B), points[:, 0], points[:, 1])  # read as planes
     Fq = points[:, 1] - A[:, 0]
     Fp = -A[:, 1]
     dq = np.roll(points[:, 0], -1) - points[:, 0]
@@ -535,8 +536,9 @@ def loop_integral(split, points) -> float:
 
 
 def split_velocity(split: UhlmannSplit, ham: Hamiltonian):
-    """Transport velocity X = Re Tr(W^dag X_H W) of a split state."""
-    return _dyn.pairing(split.W, ham.X_q, ham.X_p)
+    """Transport velocity X = Re Tr(W^dag X_H W) of a split state, as the
+    (2, Nq, Np) planes (X_q, X_p)."""
+    return pair_planes(split.W, ham.X_planes, np.empty((2,) + split.grid.shape))
 
 
 def lambda_transport_residual(times, splits, ham: Hamiltonian):

@@ -39,7 +39,6 @@ import numpy as np
 
 from .grids import (
     PhaseGrid,
-    VectorField2,
     component_major,
     dagger,
     eigvalsh_field,
@@ -232,9 +231,11 @@ class MeanFieldState(_State):
 
 @dataclass
 class BerryData:
-    """Berry connection and Liouville volume."""
+    """Berry connection and Liouville volume. ``A_B`` is the connection
+    (A_q, A_p) as one (2, Nq, Np) float array of two planes, the layout of a
+    right-hand side's ``info["velocity"]``."""
 
-    A_B: VectorField2
+    A_B: np.ndarray
     Lambda: np.ndarray
     lambda_positive: bool = field(default=True)
 
@@ -358,8 +359,7 @@ def berry_data(grid: PhaseGrid, fieldvals, warn_nonpositive=True):
     fq = grid.partial_q(f)
     fp = grid.partial_p(f)
     hbar = grid.hbar
-    A_q = hbar * np.sum(np.conj(f) * fq, axis=axes).imag
-    A_p = hbar * np.sum(np.conj(f) * fp, axis=axes).imag
+    A_B = hbar * np.stack([np.sum(np.conj(f) * fk, axis=axes).imag for fk in (fq, fp)])
     Lam = 1.0 + 2.0 * hbar * np.sum(np.conj(fq) * fp, axis=axes).imag
     positive = bool(np.min(Lam) > 0)
     if warn_nonpositive and not positive:
@@ -369,7 +369,7 @@ def berry_data(grid: PhaseGrid, fieldvals, warn_nonpositive=True):
             RuntimeWarning,
             stacklevel=2,
         )
-    return BerryData(VectorField2(grid, A_q, A_p), Lam, positive)
+    return BerryData(A_B, Lam, positive)
 
 
 def lambda_of(split: UhlmannSplit):

@@ -507,6 +507,8 @@ class TestOneBadKey:
         ("dephasing_equilibrium", "equilibrium.T_check", float("inf"), "equilibrium", None),
         ("dephasing_equilibrium", "hamiltonian.h_i.amplitude", "x", "simulate", None),
         ("beyond_nanowire_mixed", "grid.m", 3, "simulate", None),
+        # mu = 0 used to exit 0 with a null marina residual, which divides by mu
+        ("dephasing_equilibrium", "equilibrium.mu", 0, "equilibrium", None),
     ])
     def test_bad_value_exits_1_at_its_key(self, preset, path, value, command, reported):
         code, err = run_with(preset, path, value, command)

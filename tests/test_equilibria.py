@@ -24,8 +24,8 @@ from mqclab import (
     uncoupled,
     zeta_composed,
 )
-from mqclab.dynamics import MeanFieldState, pairing
-from mqclab.grids import eigen_compose, hermitize, random_band_limited
+from mqclab.dynamics import MeanFieldState
+from mqclab.grids import eigen_compose, hermitize, pair_planes, pairing_planes, random_band_limited
 from mqclab.hamiltonians import ScalarProfile
 from mqclab.states import ConditionalSplit, quantum_marginal
 
@@ -323,7 +323,8 @@ class TestMaxEntProperties:
         grid = ham.grid
         res = gibbs_conditional(MaxEntProblem("conditional", ham, mu=mu, branch=branch))
         assert not res.seam_kinked
-        E_field = pairing(res.state.W, ham.H)  # the branch energy <psi|H|psi>
+        # the branch energy <psi|H|psi>
+        E_field = pair_planes(res.state.W, pairing_planes(ham.H), np.empty((1,) + grid.shape))[0]
         s_eq = shannon_pure(res.state).value
         pert = res.state.D * (1.0 + eps * random_band_limited(grid, np.random.default_rng(seed),
                                                                kmax=kmax))

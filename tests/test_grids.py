@@ -349,15 +349,6 @@ def test_bspline_stencil_gives_the_bits_of_the_stacked_form(n, k, scale, seed):
     assert weights.shape == want_weights.shape and weights.tobytes() == want_weights.tobytes()
 
 
-class TestFieldContainers:
-    def test_shape_validation(self):
-        from mqclab import VectorField2
-
-        grid = make_grid(16)
-        v = VectorField2(grid, np.ones(grid.shape), 2.0 * np.ones(grid.shape))
-        assert np.isclose(v.max_speed(), np.sqrt(5.0))
-
-
 def band_limited_per_mode(grid, rng, kmax, trailing, complex_valued):
     """Reference: the mode-by-mode sum of full-grid exponentials, drawing each
     mode's coefficients (real part, then imaginary part) in (a, b) order."""

@@ -1,12 +1,13 @@
-"""Properties of the grid-field kernels: the matrix-field product and
-commutator (general and Hermitian), the trace of a product, the
+"""Properties of the grid-field kernels: the matrix-field product, the
+Hermitian commutator, the trace of a product, the
 eigen-composition, the closed-form 2 x 2 spectrum, the velocity pairing
 (of a wave operator and of a Hermitian field), the split right-hand side,
 the periodic stencil and the conservative divergence; that every kernel and
 right-hand side gives the same bits on component planes and on interleaved
 fields, and that the Hamiltonian and the states hold component planes; that
 the density right-hand sides read only the Hermitian part of P; and that
-the kernels stay the package's one contraction path."""
+the kernels stay the package's one contraction path, with one commutator,
+one velocity pairing and one speed rule."""
 
 import ast
 import pathlib
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 
 import mqclab
 from mqclab import PhaseGrid, tabulated
-from mqclab.dynamics import MODELS, StepperConfig, cfl_dt, max_speed, pairing, rk4_run, uhlmann_rhs
-from mqclab.grids import (MM_SUMS_MAX, _diff4, antiherm_residual, comm, component_major, dagger,
+from mqclab.dynamics import MODELS, StepperConfig, cfl_dt, max_speed, rk4_run, uhlmann_rhs
+from mqclab.grids import (MM_SUMS_MAX, _diff4, antiherm_residual, component_major, dagger,
                           eigen_compose, eigvalsh_field, frobenius_norm, hcomm, hermitize, mm,
                           pair_hermitian, pair_planes, pairing_planes, tr_prod)
 
@@ -53,30 +54,26 @@ def test_mm_matches_matmul(k, complex_valued, shape, n, m, seed):
     assert np.max(np.abs(got - want)) <= tol
 
 
-@pytest.mark.parametrize("complex_valued", [False, True])
-@settings(max_examples=25, deadline=None)
-@given(shape=grid_sizes, n=st.integers(1, 4), seed=seeds)
-def test_comm_matches_matmul(complex_valued, shape, n, seed):
-    rng = np.random.default_rng(seed)
-    A = random_field(rng, shape + (n, n), complex_valued)
-    B = random_field(rng, shape + (n, n), complex_valued)
-    tol = 8 * n * EPS * np.max(np.abs(A)) * np.max(np.abs(B))
-    assert np.max(np.abs(comm(A, B) - (A @ B - B @ A))) <= tol
+def pairing(W, *Xs):
+    """Re Tr(W^dag X W) of each X of ``Xs`` (one array per X, a single X gives
+    its array alone): ``pair_planes`` on the ``pairing_planes`` of ``Xs``."""
+    velocities = pair_planes(W, pairing_planes(*Xs), np.empty((len(Xs),) + W.shape[:-2]))
+    return velocities[0] if len(Xs) == 1 else tuple(velocities)
 
 
 @settings(max_examples=25, deadline=None)
-@given(shape=grid_sizes, n=st.integers(1, 3), complex_valued=st.booleans(), seed=seeds,
+@given(shape=grid_sizes, n=st.integers(1, 4), complex_valued=st.booleans(), seed=seeds,
        layouts=st.tuples(st.sampled_from(["interleaved", "component_major"]),
                          st.sampled_from(["interleaved", "component_major"])),
        out_layout=st.sampled_from([None, "interleaved", "component_major"]))
-def test_hcomm_matches_comm_and_is_exactly_antihermitian(shape, n, complex_valued, seed, layouts,
-                                                          out_layout):
+def test_hcomm_matches_matmul_and_is_exactly_antihermitian(shape, n, complex_valued, seed,
+                                                            layouts, out_layout):
     """On Hermitian operands the one-product commutator AB - (AB)^dag is
-    ``comm`` within round-off, in any mix of layouts and into ``out=`` of
-    either layout, and exactly anti-Hermitian."""
+    AB - BA within round-off, in any mix of layouts and into ``out=`` of
+    either layout, and exactly anti-Hermitian; n = 4 takes ``mm``'s ``@``."""
     rng = np.random.default_rng(seed)
     A, B = (hermitize(random_field(rng, shape + (n, n), complex_valued)) for _ in range(2))
-    want = comm(A, B)
+    want = A @ B - B @ A
     A, B = (component_major(M) if lay == "component_major" else M for M, lay in zip((A, B), layouts))
     out = None
     if out_layout is not None:
@@ -161,7 +158,7 @@ EINSUM_ALLOWED = {("grids", "PhaseGrid.interpolate")}
 
 def test_einsum_stays_out_of_the_contraction_path():
     """Every matrix-field trace, product and eigen-composition goes through
-    ``grids.mm``/``comm``/``tr_prod``/``eigen_compose``: no einsum call
+    ``grids.mm``/``hcomm``/``tr_prod``/``eigen_compose``: no einsum call
     anywhere in the package outside ``EINSUM_ALLOWED``."""
     found = set()
 
@@ -278,6 +275,69 @@ def test_rhs_pair_against_the_static_planes_and_the_tracer_stacks_nothing():
     assert one_velocity_path_breaches(source) == set()
     defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
     assert DENSITY_RHS <= defined  # the guard still watches functions that exist
+
+
+# Names that a second commutator, pairing or speed rule went by.
+RETIRED = {"comm", "pairing", "VectorField2"}
+
+
+def second_path_breaches(sources):
+    """(module, scope, what) of ``sources`` ({module name: source}) that open a
+    second path: a definition of a ``RETIRED`` name or of ``max_speed``
+    outside ``dynamics``, a call of ``comm``, or a call of ``pairing_planes``
+    outside ``hamiltonians``, whose ``X_planes`` and ``dX_planes`` are the X
+    planes every pairing reads. ``what`` is ``def <name>`` or the called name."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                if child.name in RETIRED or child.name == "max_speed" and module != "dynamics":
+                    found.add((module, ".".join(inner), "def " + child.name))
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "comm" or name == "pairing_planes" and module != "hamiltonians":
+                    found.add((module, ".".join(scope), name))
+            visit(child, module, inner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, ())
+    return found
+
+
+def test_one_commutator_one_pairing_one_speed_rule():
+    """No module of the package defines or calls ``comm`` or defines
+    ``pairing`` or ``VectorField2``; only ``hamiltonians`` builds X planes
+    (``pairing_planes``), and only ``dynamics`` defines ``max_speed``. The
+    guard flags each form as it was written before."""
+    before = {
+        "grids": ("def comm(A, B, out=None):\n"
+                  "    return mm(A, B) - mm(B, A)\n"
+                  "class VectorField2:\n"
+                  "    def max_speed(self):\n"
+                  "        return float(np.max(np.hypot(np.abs(self.X_q), np.abs(self.X_p))))\n"),
+        "dynamics": ("def mean_field_rhs(grid, D, rho, ham, out=None):\n"
+                     "    comm(Hbar, rho, out=drho)\n"
+                     "def pairing(W, *Xs):\n"
+                     "    return pair_planes(W, pairing_planes(*Xs), out)\n"),
+        "invariants": ("def hybrid_bracket(f, g, state, return_scale=False):\n"
+                       "    term2 = tr_prod(P, 1j * comm(g.G, f.G)) / grid.hbar\n"),
+    }
+    assert second_path_breaches(before) == {
+        ("grids", "comm", "def comm"), ("grids", "VectorField2", "def VectorField2"),
+        ("grids", "VectorField2.max_speed", "def max_speed"),
+        ("dynamics", "mean_field_rhs", "comm"), ("dynamics", "pairing", "def pairing"),
+        ("dynamics", "pairing", "pairing_planes"), ("invariants", "hybrid_bracket", "comm")}
+    sources = {path.stem: path.read_text()
+               for path in sorted(pathlib.Path(mqclab.__file__).parent.glob("*.py"))}
+    assert second_path_breaches(sources) == set()
+    # the guard still sees the one place of each
+    assert "pairing_planes(" in sources["hamiltonians"] and "def max_speed(" in sources["dynamics"]
+    assert not any(hasattr(mod, name) for mod in (mqclab, mqclab.grids, mqclab.dynamics)
+                   for name in RETIRED)
 
 
 @st.composite
@@ -470,9 +530,6 @@ def kernel_case(kernel, rng, shape, n, k, m, complex_valued):
         return (A,), lambda a, out=None: _diff4(a, axis, 0.37, out)
     if kernel == "mm":
         return (A, random_field(rng, shape + (k, m), complex_valued)), mm
-    if kernel == "comm":
-        square = random_field(rng, shape + (n, n), complex_valued)
-        return (square, random_field(rng, shape + (n, n), complex_valued)), comm
     if kernel == "hermitize":
         return (random_field(rng, shape + (n, n), complex_valued),), hermitize
     if kernel == "hcomm":
@@ -488,7 +545,7 @@ def kernel_case(kernel, rng, shape, n, k, m, complex_valued):
     return (W, random_field(rng, shape + (n, n), complex_valued)), pairing
 
 
-@pytest.mark.parametrize("kernel", ["diff4_q", "diff4_p", "mm", "comm", "hcomm", "hermitize",
+@pytest.mark.parametrize("kernel", ["diff4_q", "diff4_p", "mm", "hcomm", "hermitize",
                                     "tr_prod", "pairing", "pair_hermitian"])
 @settings(max_examples=25, deadline=None)
 @given(shape=grid_sizes, n=st.integers(1, 3), k=st.integers(1, MM_SUMS_MAX + 1),
@@ -563,13 +620,9 @@ def test_density_rhs_reads_the_hermitian_part_of_p(model, shape, n, m, seed, eps
     assert same_bits(info["antiherm_resid"], want_info["antiherm_resid"])
 
 
-def old_max_speed(model, arrays, ham, info):
-    """The largest speed as each right-hand side used to take it: hypot(dHeff_p,
-    dHeff_q) for the mean field, whose velocity is (dHeff_p, -dHeff_q), and
-    hypot(X_q, X_p) of the velocity (X_q, X_p) for the other models."""
-    if model == "mean_field":
-        rho = arrays[1]
-        return float(np.max(np.hypot(tr_prod(rho, ham.dH_p), tr_prod(rho, ham.dH_q))))
+def old_max_speed(info):
+    """The largest speed as each right-hand side used to take it: hypot(X_q,
+    X_p) of its velocity (X_q, X_p); the mean field's is (dHeff_p, -dHeff_q)."""
     return float(np.max(np.hypot(*info["velocity"])))
 
 
@@ -582,7 +635,7 @@ def test_cfl_step_and_guard_read_the_old_per_model_speed(model, shape, n, m, see
     bits of the speed each right-hand side used to report itself."""
     grid, ham, arrays = model_case(model, shape, n, m, seed)
     _, info = MODELS[model].rhs(grid, ham, arrays)
-    speed = old_max_speed(model, arrays, ham, info)
+    speed = old_max_speed(info)
     assert same_bits(max_speed(info), speed)
     state = MODELS[model].state_type(grid, *arrays)
     minh = min(grid.dq, grid.dp)
@@ -633,8 +686,8 @@ def pairing_per_x(W, *Xs):
 @given(shape=grid_sizes, seed=seeds)
 def test_pair_planes_gives_the_bits_of_the_per_x_loop(n, m, layout, hermitian, shape, seed):
     """The pairing against pre-combined X planes, both X in one pass, gives
-    the bits of the per-X loop it replaces, as does the ``pairing`` wrapper;
-    the Hamiltonian's cached planes are those of its X_q and X_p."""
+    the bits of the per-X loop it replaces, as does one X alone; the
+    Hamiltonian's cached planes are those of its X_q and X_p."""
     rng = np.random.default_rng(seed)
     W = random_field(rng, shape + (n, m), True)
     Xs = [random_field(rng, shape + (n, n), True) for _ in range(2)]
@@ -662,8 +715,9 @@ def test_pair_planes_gives_the_bits_of_the_per_x_loop(n, m, layout, hermitian, s
 def test_every_model_reports_one_velocity_array(model, shape, n, m, seed, layout):
     """Each right-hand side reports its velocity as one (2, Nq, Np) float
     array, the one layout the CFL speed and the loop tracer read; the split
-    models' holds the bits of the per-X pairing, and the density model's
-    those of <X_H> = Tr(P X_H) / Tr P."""
+    models' holds the bits of the per-X pairing, the density model's is
+    <X_H> = Tr(P X_H) / Tr P and the mean field's Tr(rho X_H) = (Tr(rho
+    dH_p), -Tr(rho dH_q)), both within round-off."""
     grid, ham, arrays = model_case(model, shape, n, m, seed)
     arrays = tuple(laid_out(a, layout) for a in arrays)
     _, info = MODELS[model].rhs(grid, ham, arrays)
@@ -680,6 +734,11 @@ def test_every_model_reports_one_velocity_array(model, shape, n, m, seed, layout
         denom = denom + 1e-12 * np.max(denom)
         want = [tr_prod(P, X) / denom for X in (ham.X_q, ham.X_p)]
         assert all(np.max(np.abs(v - w)) <= 64 * EPS * np.max(np.abs(w)) for v, w in zip(velocity, want))
+    elif model == "mean_field":
+        rho = arrays[1]
+        want = [tr_prod(rho, ham.dH_p), -tr_prod(rho, ham.dH_q)]
+        scale = n * np.max(np.abs(rho)) * max(np.max(np.abs(ham.dH_q)), np.max(np.abs(ham.dH_p)))
+        assert all(np.max(np.abs(v - w)) <= 16 * n * EPS * scale for v, w in zip(velocity, want))
 
 
 def test_hamiltonian_and_states_hold_component_planes(tmp_path):

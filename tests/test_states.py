@@ -329,8 +329,8 @@ class TestBerryData:
         grid = make_grid()
         psi = np.broadcast_to(np.array([1.0, 1.0j]) / np.sqrt(2), grid.shape + (2,)).copy()
         bd = berry_data(grid, psi)
-        assert np.max(np.abs(bd.A_B.X_q)) == 0.0
-        assert np.max(np.abs(bd.A_B.X_p)) == 0.0
+        assert bd.A_B.shape == (2,) + grid.shape and bd.A_B.dtype == float
+        assert np.max(np.abs(bd.A_B)) == 0.0
         assert np.allclose(bd.Lambda, 1.0)
 
     def test_real_state_has_unit_volume(self):
