@@ -349,6 +349,18 @@ def test_bspline_stencil_gives_the_bits_of_the_stacked_form(n, k, scale, seed):
     assert weights.shape == want_weights.shape and weights.tobytes() == want_weights.tobytes()
 
 
+class TestFieldContainers:
+    def test_shape_validation(self):
+        """A velocity is one (2, Nq, Np) plane stack, and its speed is the one
+        rule ``dynamics.max_speed``: |(1, 2)| = sqrt(5) on a uniform field."""
+        from mqclab.dynamics import max_speed
+
+        grid = make_grid(16)
+        velocity = np.stack([np.ones(grid.shape), 2.0 * np.ones(grid.shape)])
+        assert velocity.shape == (2,) + grid.shape
+        assert np.isclose(max_speed({"velocity": velocity}), np.sqrt(5.0))
+
+
 def band_limited_per_mode(grid, rng, kmax, trailing, complex_valued):
     """Reference: the mode-by-mode sum of full-grid exponentials, drawing each
     mode's coefficients (real part, then imaginary part) in (a, b) order."""
