@@ -79,8 +79,9 @@ def _prepare(args):
     return C, cfg, grid, ham
 
 
-def _meta(cfg, model, run=None, extra=None):
-    meta = {
+def _meta(cfg, model, run):
+    lam_mins = [r.get("lambda_min") for r in run.rows if r.get("lambda_min") is not None]
+    return {
         "format": "mqclab-meta 1",
         "model": model,
         "config": cfg,
@@ -94,18 +95,13 @@ def _meta(cfg, model, run=None, extra=None):
                 "the nearest valid point along grid lines"
             ),
         },
-    }
-    if run is not None:
-        lam_mins = [r.get("lambda_min") for r in run.rows if r.get("lambda_min") is not None]
-        meta["flags"] = {
+        "flags": {
             "aborted": run.aborted,
             "abort_reason": run.abort_reason,
             "cfl_max_seen": run.cfl_max_seen,
             "lambda_nonpositive_seen": min(lam_mins) <= 0.0 if lam_mins else None,
-        }
-    if extra:
-        meta.update(extra)
-    return meta
+        },
+    }
 
 
 def cmd_simulate(args):

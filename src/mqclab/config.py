@@ -478,8 +478,8 @@ def build_sample_fn(cfg, model, ham, with_loop=False):
     functionals = read(cfg, "diagnostics.functionals", _list_of(_string), None,
                        lambda fs: set(fs) <= set(DEFAULT_FUNCTIONALS),
                        f"expected names from {DEFAULT_FUNCTIONALS}")
-    alpha = read(cfg, "diagnostics.renyi_alpha", _finite, 2.0, lambda a: a != 1.0,
-                 "must differ from 1")
+    alpha = read(cfg, "diagnostics.renyi_alpha", _finite, 2.0, lambda a: a > 0.0 and a != 1.0,
+                 "must be positive and differ from 1")
     return make_sample_fn(
         model, ham, functionals, alpha, with_loop=with_loop,
         c1_phi=read(cfg, "diagnostics.c1_phi", _string, "neg_x_log_x_trace", spectral_fn),

@@ -88,14 +88,18 @@ class NumericalAbort(RuntimeError):
     """Evolution produced NaN/Inf or broke the CFL guard."""
 
 
+# The CFL guard of ``rk4_run``: an advective CFL number dt |X| / h above
+# CFL_WARN warns once per run, and one at or above CFL_MAX aborts it.
+CFL_WARN = 0.35
+CFL_MAX = 0.5
+
+
 @dataclass
 class StepperConfig:
     dt: float
     steps: int
     sample_every: int = 1
     renormalize: bool = False
-    cfl_warn: float = 0.35
-    cfl_max: float = 0.5
 
 
 # -- right-hand sides ----------------------------------------------------------
@@ -509,12 +513,12 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
 
         ratio = abs(dt) * max_speed(info1) / minh
         result.cfl_max_seen = max(result.cfl_max_seen, ratio)
-        if ratio >= cfg.cfl_max:
-            abort(f"CFL guard tripped at step {step}: dt*speed/h = {ratio:.3f} >= {cfg.cfl_max}",
+        if ratio >= CFL_MAX:
+            abort(f"CFL guard tripped at step {step}: dt*speed/h = {ratio:.3f} >= {CFL_MAX}",
                   y, t)
             break
-        if ratio > cfg.cfl_warn and not warned_cfl:
-            warnings.warn(f"advective CFL number {ratio:.3f} above {cfg.cfl_warn}", RuntimeWarning)
+        if ratio > CFL_WARN and not warned_cfl:
+            warnings.warn(f"advective CFL number {ratio:.3f} above {CFL_WARN}", RuntimeWarning)
             warned_cfl = True
 
         # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), each stage input y + c dt k

@@ -93,10 +93,11 @@ def _partition(Z_shifted, mu, shift):
     return Z_C, float(np.log(Z_shifted) - mu * shift)
 
 
-def _seam_ring(shape, ring=2):
+def _seam_ring(shape):
+    """The cells within 2 of the domain seam."""
     edge = np.zeros(shape, dtype=bool)
-    edge[:ring, :] = edge[-ring:, :] = True
-    edge[:, :ring] = edge[:, -ring:] = True
+    edge[:2, :] = edge[-2:, :] = True
+    edge[:, :2] = edge[:, -2:] = True
     return edge
 
 
@@ -112,22 +113,23 @@ def _seam_kinked(grid, values, d_q, d_p):
     return seam > 100.0 * interior + 1e-8 * scale
 
 
-def _check_confined(grid, D, kinked, ring=2, reject_tol=1e-6, warn_tol=1e-10):
+def _check_confined(grid, D, kinked):
     """For truncated (seam-kinked) landscapes, Gibbs mass must decay toward
-    the seam; periodic landscapes live on the torus natively and need no
-    check."""
+    the seam: a seam-ring mass fraction above 1e-6 is rejected, one above
+    1e-10 warned of. Periodic landscapes live on the torus natively and need
+    no check."""
     if not kinked:
         return
-    edge = _seam_ring(grid.shape, ring)
+    edge = _seam_ring(grid.shape)
     total = float(grid.integrate(D))
     ring_mass = float(grid.integrate(np.where(edge, D, 0.0))) / max(total, 1e-300)
-    if ring_mass > reject_tol:
+    if ring_mass > 1e-6:
         raise ProblemError("mu", f"Gibbs weight carries mass fraction {ring_mass:.2e} at the "
                            "domain seam of a non-periodic landscape; the branch is not "
                            "normalizable on this domain")
-    if ring_mass > warn_tol:
+    if ring_mass > 1e-10:
         warnings.warn(
-            f"Gibbs profile carries mass {ring_mass:.2e} within {ring} cells of the seam; "
+            f"Gibbs profile carries mass {ring_mass:.2e} within 2 cells of the seam; "
             "truncation error may not be subdominant",
             RuntimeWarning,
         )
@@ -239,11 +241,13 @@ def equilibrium_at(problem: MaxEntProblem, mu, check_confined=False):
     return build(sub, check_confined=check_confined)
 
 
-def solve_mu(problem: MaxEntProblem, mu_lo=1e-6, mu_hi=1e6, rel_tol=1e-10, max_iter=200):
+def solve_mu(problem: MaxEntProblem):
     """Invert E(mu) by bisection on the monotone-decreasing energy curve.
 
-    Returns (mu, achieved energy). The target must lie inside the attainable
-    range on this grid and branch.
+    Returns (mu, achieved energy). The target must lie inside the energies
+    attainable on this grid and branch for mu in [1e-6, 1e6]; the bisection
+    (geometric in mu) stops at a relative energy error of 1e-10 or after 200
+    halvings.
     """
     if problem.E is None:
         raise ProblemError("E", "solve_mu needs a target energy E")
@@ -252,15 +256,15 @@ def solve_mu(problem: MaxEntProblem, mu_lo=1e-6, mu_hi=1e6, rel_tol=1e-10, max_i
     def energy_at(mu):
         return equilibrium_at(problem, mu).energy
 
-    e_lo, e_hi = energy_at(mu_lo), energy_at(mu_hi)  # e_lo >= e_hi
+    lo, hi = 1e-6, 1e6
+    e_lo, e_hi = energy_at(lo), energy_at(hi)  # e_lo >= e_hi
     if not (min(e_lo, e_hi) <= target <= max(e_lo, e_hi)):
         raise ProblemError("E", f"target energy {target:.6g} outside attainable range "
                            f"[{min(e_lo, e_hi):.6g}, {max(e_lo, e_hi):.6g}] for this branch/grid")
-    lo, hi = mu_lo, mu_hi
     mu = np.sqrt(lo * hi)
     e_mid = energy_at(mu)
-    for _ in range(max_iter):
-        if abs(e_mid - target) <= rel_tol * max(abs(target), 1e-30):
+    for _ in range(200):
+        if abs(e_mid - target) <= 1e-10 * max(abs(target), 1e-30):
             break
         if e_mid > target:  # energy too high -> colder -> raise mu
             lo = mu
@@ -303,20 +307,19 @@ def marina_residual(split: ConditionalSplit, ham: Hamiltonian, mu):
     return {"marina": num / max(den, 1e-300), "marina_abs": num}
 
 
-def stationarity_residual(result: EquilibriumResult, ham: Hamiltonian, model=None,
-                          T_check=2 * np.pi, cfl=0.2):
+def stationarity_residual(result: EquilibriumResult, ham: Hamiltonian, T_check=2 * np.pi):
     """Certify an equilibrium against the dynamics it should be fixed by.
 
-    Runs the model registered for the state's type (or ``model``) for
-    ``T_check`` and reports the relative L1 change of D, the D-weighted L1
-    change of the pointwise conditional projector, the entropy change, and
-    (conditional representation) the stationarity-equation residual.
+    Runs the model registered for the state's type for ``T_check`` (at an
+    advective CFL number of at most 0.2) and reports the relative L1 change
+    of D, the D-weighted L1 change of the pointwise conditional projector,
+    the entropy change, and (conditional representation) the
+    stationarity-equation residual.
     """
     state = result.state
     grid = state.grid
-    if model is None:
-        model = next(k for k, m in _dyn.MODELS.items() if type(state) is m.state_type)
-    dt = _dyn.cfl_dt(model, state, ham, cfl)
+    model = next(k for k, m in _dyn.MODELS.items() if type(state) is m.state_type)
+    dt = _dyn.cfl_dt(model, state, ham, 0.2)
     steps = max(int(np.ceil(T_check / dt)), 4)
     dt = T_check / steps
     cfg = _dyn.StepperConfig(dt=dt, steps=steps, sample_every=steps)
@@ -373,10 +376,11 @@ def meanfield_maxent_residual(state: MeanFieldState, ham: Hamiltonian, mu):
     return r_quantum, r_classical
 
 
-def project_to_constraints(grid, D_raw, E_field, target_E, tol=1e-12, max_iter=200):
+def project_to_constraints(grid, D_raw, E_field, target_E):
     """Project a perturbed density back onto mass 1 and the target energy.
 
-    Reweights by exp(-delta E_field) with delta found by bisection; keeps
+    Reweights by exp(-delta E_field) with delta in [-50, 50] found by
+    bisection (to a relative energy error of 1e-12, or 200 halvings); keeps
     positivity. Used by the local-maximality probe around Gibbs states.
     """
     D = np.maximum(D_raw, 0.0)
@@ -392,10 +396,10 @@ def project_to_constraints(grid, D_raw, E_field, target_E, tol=1e-12, max_iter=2
     e_hi, _ = energy(hi)
     if not (e_hi <= target_E <= e_lo):
         raise ValueError("target energy not reachable by reweighting this perturbation")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         e_mid, w = energy(mid)
-        if abs(e_mid - target_E) <= tol * max(abs(target_E), 1e-30):
+        if abs(e_mid - target_E) <= 1e-12 * max(abs(target_E), 1e-30):
             return w
         if e_mid > target_E:
             lo = mid

@@ -459,14 +459,14 @@ def require_hermitian(M, tol=HERM_TOL, what="matrix"):
     return hermitize(M)
 
 
-def matrix_function(M, phi, clamp=None, tol=HERM_TOL):
+def matrix_function(M, phi, clamp=None):
     """Apply a scalar function to a Hermitian matrix (field) spectrally.
 
     ``M`` may carry leading grid axes. Eigenvalues are clamped from below at
     ``clamp`` when given (use for ln and fractional powers on semidefinite
     input). The identity map returns the input to round-off.
     """
-    M = require_hermitian(M, tol)
+    M = require_hermitian(M)
     w, v = np.linalg.eigh(M)
     if clamp is not None:
         w = np.maximum(w, clamp)
@@ -490,13 +490,13 @@ def eigvalsh_field(M):
     return np.stack([mean - radius, mean + radius], axis=-1)
 
 
-def vn_entropy_trace(M, tol=HERM_TOL):
+def vn_entropy_trace(M):
     """-Tr(M ln M) from eigenvalues, with the 0 ln 0 = 0 convention.
 
-    Pointwise over leading axes; negative eigenvalues above -tol are treated
-    as zero (PSD round-off).
+    Pointwise over leading axes; eigenvalues at or below ``EIG_CLAMP``
+    (negative PSD round-off among them) count as zero.
     """
-    M = require_hermitian(M, tol)
+    M = require_hermitian(M)
     w = eigvalsh_field(M)
     w = np.where(w > EIG_CLAMP, w, 1.0)  # ln(1) = 0 kills the clamped terms
     return -np.sum(w * np.log(w), axis=-1)

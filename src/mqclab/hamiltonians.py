@@ -250,12 +250,7 @@ class Eigenfields:
 
     E: np.ndarray          # (Nq, Np, n) ascending eigenvalues
     V: np.ndarray          # (Nq, Np, n, n) eigenvector columns
-    min_gap: float
-    crossing_mask: np.ndarray  # True where adjacent eigenvalues are degenerate
-
-    @property
-    def has_crossing(self):
-        return bool(np.any(self.crossing_mask))
+    has_crossing: bool     # adjacent eigenvalues degenerate somewhere
 
     def state(self, branch):
         return self.V[..., :, branch]
@@ -264,20 +259,18 @@ class Eigenfields:
         return self.E[..., branch]
 
 
-def eigenfields(ham: Hamiltonian, gap_tol=1e-10) -> Eigenfields:
+def eigenfields(ham: Hamiltonian) -> Eigenfields:
     """Eigen-decompose H(q,p) pointwise with a smooth gauge.
 
     Eigenvalues ascend; each eigenvector is seeded at the grid origin with a
     real-positive leading component and then phase-aligned to its neighbor
     (previous point in q along the first row, previous point in p elsewhere),
     which maximizes the neighbor overlap. Adjacent-eigenvalue gaps below
-    ``gap_tol`` are reported as crossings; the gauge is not smooth across a
+    1e-10 are reported as crossings; the gauge is not smooth across a
     crossing locus.
     """
     w, v = np.linalg.eigh(ham.H)
-    gaps = np.diff(w, axis=-1)
-    crossing = np.any(np.abs(gaps) < gap_tol, axis=-1)
-    min_gap = float(np.min(np.abs(gaps))) if gaps.size else np.inf
+    crossing = bool(np.any(np.abs(np.diff(w, axis=-1)) < 1e-10))
 
     v = v.copy()
     v[0, 0] = _fix_eigvec_phase(v[0, 0])
@@ -287,13 +280,13 @@ def eigenfields(ham: Hamiltonian, gap_tol=1e-10) -> Eigenfields:
     Np = v.shape[1]
     for j in range(1, Np):  # every column, march in p (vectorized over q)
         v[:, j] = _align(v[:, j - 1], v[:, j])
-    return Eigenfields(w, v, min_gap, crossing)
+    return Eigenfields(w, v, crossing)
 
 
-def _align(v_ref, v, tol=1e-12):
+def _align(v_ref, v):
     ov = np.sum(np.conj(v_ref) * v, axis=-2)
     mag = np.abs(ov)
-    phase = np.where(mag > tol, ov / np.where(mag > 0, mag, 1.0), 1.0)
+    phase = np.where(mag > 1e-12, ov / np.where(mag > 0, mag, 1.0), 1.0)
     return v * np.conj(phase)[..., None, :]
 
 

@@ -83,7 +83,7 @@ def _safe_log(w):
     return np.log(np.maximum(w, EIG_CLAMP))
 
 
-def spectral_fn(name, alpha=None) -> SpectralFn:
+def spectral_fn(name) -> SpectralFn:
     if name == "neg_x_log_x_trace":
         return SpectralFn(
             name,
@@ -92,19 +92,10 @@ def spectral_fn(name, alpha=None) -> SpectralFn:
         )
     if name == "quadratic":
         return SpectralFn(name, lambda w: w**2, lambda w: 2.0 * w)
-    if name == "power_alpha":
-        if alpha is None:
-            raise ValueError("power_alpha needs alpha")
-        a = float(alpha)
-        return SpectralFn(
-            name,
-            lambda w: np.power(np.maximum(w, EIG_CLAMP), a),
-            lambda w: a * np.power(np.maximum(w, EIG_CLAMP), a - 1.0),
-        )
     raise ValueError(f"unknown spectral function '{name}'")
 
 
-def scalar_fn(name, alpha=None) -> ScalarFn:
+def scalar_fn(name) -> ScalarFn:
     if name == "log":
         return ScalarFn(name, np.log, lambda x: 1.0 / x)
     if name == "quadratic":
@@ -115,11 +106,6 @@ def scalar_fn(name, alpha=None) -> ScalarFn:
             lambda x: np.where(x > EIG_CLAMP, x * _safe_log(x), 0.0),
             lambda x: _safe_log(x) + 1.0,
         )
-    if name == "power_alpha":
-        if alpha is None:
-            raise ValueError("power_alpha needs alpha")
-        a = float(alpha)
-        return ScalarFn(name, lambda x: np.power(x, a), lambda x: a * np.power(x, a - 1.0))
     raise ValueError(f"unknown scalar function '{name}'")
 
 
@@ -198,16 +184,14 @@ class Functional:
     name = "functional"
 
     def value(self, state: HybridDensity) -> float:
-        """The integral of ``pointwise_integrand``; one with gradients overrides it."""
+        """The integral of ``pointwise_integrand(grid, P)``, the integrand phi
+        with F = sum phi(P_ij) dq dp that a P-local functional defines; one
+        with gradients overrides it."""
         return float(state.grid.integrate(self.pointwise_integrand(state.grid, state.P)))
 
     def derivative(self, state: HybridDensity) -> np.ndarray:
         """delta F / delta P as a Hermitian matrix field."""
         raise NotImplementedError(f"functional '{self.name}' has no derivative")
-
-    def pointwise_integrand(self, grid, P):
-        """Integrand phi with F = sum phi(P_ij) dq dp, when P-local (no gradients)."""
-        return None
 
 
 class WeightedTraceFunctional(Functional):
@@ -297,15 +281,15 @@ class CasimirGeneral(Functional):
     conditional density W W^dag to be invertible (full-rank probe states).
     """
 
-    def __init__(self, gamma: GammaSpec, m=None, name="C_general", split=None):
+    name = "C_general"
+
+    def __init__(self, gamma: GammaSpec, split=None):
         self.gamma = gamma
-        self.m = m
-        self.name = name
         self.split = split
 
     def _factor(self, state):
         if self.split is None:
-            return uhlmann_factor(state, m=self.m)
+            return uhlmann_factor(state)
         back = self.split.compose()
         if np.max(np.abs(back.P - state.P)) > 1e-8 * max(np.max(np.abs(state.P)), 1e-300):
             raise ValueError("provided split does not factor the given state")

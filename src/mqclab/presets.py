@@ -50,15 +50,14 @@ def nanowire_conditional(N=64, cfl=0.2, t_final=2 * PI, sample_every=8,
     return cfg
 
 
-def nanowire_meanfield(N=64, cfl=0.05, t_final=2 * PI, sample_every=16):
+def nanowire_meanfield(N=64):
     """Mean-field twin of the nanowire scenario (same initial data).
 
     Runs at a smaller CFL number: the classic-RK4 unitarity defect on the
     quantum factor sits near 1e-11 at CFL 0.2, which would mask the exact
     purity conservation this scenario certifies.
     """
-    cfg = nanowire_conditional(N=N, cfl=cfl, t_final=t_final, sample_every=sample_every,
-                               loop=False)
+    cfg = nanowire_conditional(N=N, cfl=0.05, sample_every=16, loop=False)
     cfg["model"] = "mean_field"
     cfg["initial"] = {
         "representation": "mean_field",
@@ -129,7 +128,7 @@ def harmonic_gibbs(N=64, L=16.0, E=0.5):
     }
 
 
-def classical_well(N=64, omega=0.5, sigma=(0.9, 0.9), t_final=1.0, model="beyond_ehrenfest"):
+def classical_well(N=64, omega=0.5, t_final=1.0, model="beyond_ehrenfest"):
     """Classical-only Hamiltonian (H = trig_well 1): every hybrid model must
     reduce to Liouville transport of D here."""
     return {
@@ -147,7 +146,7 @@ def classical_well(N=64, omega=0.5, sigma=(0.9, 0.9), t_final=1.0, model="beyond
             "representation": "density",
             "compose_from": "uhlmann",
             "density": {"profile": "von_mises", "center": [0.0, 0.0],
-                        "kappa": [1.0 / sigma[0] ** 2, 1.0 / sigma[1] ** 2]},
+                        "kappa": [1.0 / 0.9 ** 2, 1.0 / 0.9 ** 2]},
             "waveop": {"profile": "constant",
                        "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
         },
@@ -155,7 +154,7 @@ def classical_well(N=64, omega=0.5, sigma=(0.9, 0.9), t_final=1.0, model="beyond
     }
 
 
-def uncoupled_factorized(N=64, cfl=0.1, t_final=2 * PI, sample_every=8):
+def uncoupled_factorized(N=64, cfl=0.1):
     """Uncoupled H with factorized initial density: the Ehrenfest flow keeps
     the factorized form, and the split entropies reduce to the mean-field
     entropy identically."""
@@ -164,7 +163,7 @@ def uncoupled_factorized(N=64, cfl=0.1, t_final=2 * PI, sample_every=8):
         "grid": {"Nq": N, "Np": N, "n": 2, "m": 2},
         "physics": {"hbar": 1.0},
         "model": "ehrenfest_density",
-        "time": {"cfl": cfl, "t_final": t_final, "sample_every": 8},
+        "time": {"cfl": cfl, "t_final": 2 * PI, "sample_every": 8},
         "hamiltonian": {
             "kind": "uncoupled",
             "h_c": {"name": "trig_well", "omega": 1.0},
@@ -203,7 +202,7 @@ def beyond_nanowire_mixed(N=64, cfl=0.15, t_final=1.0, sample_every=4):
     }
 
 
-def zeta_sigma_z(N=64, amplitude=0.5):
+def zeta_sigma_z(N=64):
     """H = zeta(q,p) sigma_z with zeta a sin^2 landscape: the zeta-composed
     equilibrium family with eigenvector fields varying over phase space."""
     return {
@@ -214,7 +213,7 @@ def zeta_sigma_z(N=64, amplitude=0.5):
         "time": {"cfl": 0.2, "t_final": 1.0, "sample_every": 4},
         "hamiltonian": {
             "kind": "zeta_composed",
-            "zeta": {"name": "sin2_well", "amplitude": amplitude},
+            "zeta": {"name": "sin2_well", "amplitude": 0.5},
             "coeffs": [[[0.0, 0.3], [0.3, 0.0]], "sigma_z"],
         },
         "initial": {

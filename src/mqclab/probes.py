@@ -15,16 +15,18 @@ from .grids import eigen_compose, hermitize, random_band_limited
 from .states import UhlmannSplit, compose
 
 
-def random_smooth_split(grid, n, rng, kmax=1, amplitude=0.4, floor=0.3):
+def random_smooth_split(grid, n, rng, amplitude=0.4):
     """Random full-rank (D, W) with globally smooth W and positive Lambda.
 
     W = exp(i S(q,p)) sqrt(diag(w)) with S a small random Hermitian field and
     CONSTANT weights w: the gauge Noether charge W^dag W is then spatially
     uniform, which is exactly the condition under which the Liouville volume
     is insensitive to the gauge convention at first order and the general
-    Casimirs are well-defined functionals of the composed density.
+    Casimirs are well-defined functionals of the composed density. S and D
+    are band-limited to |k| <= 1, and D rises from a floor of 0.3 before it
+    is normalised.
     """
-    S = amplitude * random_band_limited(grid, rng, kmax=kmax, trailing=(n, n),
+    S = amplitude * random_band_limited(grid, rng, kmax=1, trailing=(n, n),
                                         complex_valued=True)
     S = hermitize(S)
     w_eig, v = np.linalg.eigh(S)  # unitary field U = exp(i S)
@@ -33,19 +35,19 @@ def random_smooth_split(grid, n, rng, kmax=1, amplitude=0.4, floor=0.3):
     weights = weights / weights.sum()
     W = U * np.sqrt(weights)[None, None, None, :]
 
-    D = floor + (1.0 - floor) * (1.0 + random_band_limited(grid, rng, kmax=kmax)) / 2.0
+    D = 0.3 + (1.0 - 0.3) * (1.0 + random_band_limited(grid, rng, kmax=1)) / 2.0
     D = np.maximum(D, 0.1)
     D /= float(grid.integrate(D))
     return UhlmannSplit(grid, D, W)
 
 
-def aligned_smooth_split(grid, rng=None, theta0=0.75, dtheta=0.35):
+def aligned_smooth_split(grid):
     """n = m = 2 smooth split whose canonical factorization gauge equals the
     construction: eigenvalues strictly ordered, leading components bounded
     away from zero. Used to validate derivatives against the literal
     single-point numeric variation of the composed density.
     """
-    th = theta0 + dtheta * np.sin(grid.Q * 2 * np.pi / grid.Lq) * np.cos(grid.P * 2 * np.pi / grid.Lp)
+    th = 0.75 + 0.35 * np.sin(grid.Q * 2 * np.pi / grid.Lq) * np.cos(grid.P * 2 * np.pi / grid.Lp)
     ph = 0.5 * np.sin(grid.P * 2 * np.pi / grid.Lp)
     w1 = 0.65  # constant spectral weight: uniform gauge Noether charge
     c, s = np.cos(th), np.sin(th)

@@ -32,7 +32,7 @@ split is not changed in place once built.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,6 +54,10 @@ from .grids import (
 # determined by the data and is filled by continuation instead.
 EPS_D_REL = 1e-12
 
+# Largest negative eigenvalue (relative to the larger of max D and 1 for a
+# density field) that a PSD check forgives as round-off.
+PSD_TOL = 1e-10
+
 
 def vacuum_floor(D, eps_rel=EPS_D_REL):
     """Density below which a point counts as vacuum: eps_rel * max(D).
@@ -69,12 +73,12 @@ class UnphysicalStateError(ValueError):
     """Input violates positivity/normalization beyond tolerance."""
 
 
-def _require_psd(M, what, tol=1e-10):
-    """M (a matrix or a matrix field) Hermitian and PSD within ``tol``."""
-    require_hermitian(M, tol, what=what)
+def _require_psd(M, what):
+    """M (a matrix or a matrix field) Hermitian and PSD within ``PSD_TOL``."""
+    require_hermitian(M, PSD_TOL, what=what)
     wmin = float(np.min(eigvalsh_field(hermitize(M))))
-    if wmin < -tol:
-        raise UnphysicalStateError(f"{what} has eigenvalue {wmin:.3e} < -{tol:.1e}")
+    if wmin < -PSD_TOL:
+        raise UnphysicalStateError(f"{what} has eigenvalue {wmin:.3e} < -{PSD_TOL:.1e}")
 
 
 def require_density(D):
@@ -237,7 +241,6 @@ class BerryData:
 
     A_B: np.ndarray
     Lambda: np.ndarray
-    lambda_positive: bool = field(default=True)
 
 
 # -- marginals and composition ------------------------------------------------
@@ -274,7 +277,7 @@ def conditional_to_uhlmann(split: ConditionalSplit, m=None):
 # -- Uhlmann factorization -----------------------------------------------------
 
 
-def uhlmann_factor(state: HybridDensity, m=None, psd_tol=1e-10):
+def uhlmann_factor(state: HybridDensity, m=None):
     """Factor P = D W W^dag with a deterministic gauge.
 
     Pointwise eigendecomposition with eigenvalues in descending order and the
@@ -290,7 +293,7 @@ def uhlmann_factor(state: HybridDensity, m=None, psd_tol=1e-10):
     P = hermitize(state.P)
     D = trace_field(P)
     w, v = np.linalg.eigh(P)
-    if float(np.min(w)) < -psd_tol * max(float(np.max(D)), 1.0):
+    if float(np.min(w)) < -PSD_TOL * max(float(np.max(D)), 1.0):
         raise UnphysicalStateError(
             f"hybrid density has eigenvalue {float(np.min(w)):.3e}; not PSD"
         )
@@ -310,10 +313,11 @@ def uhlmann_factor(state: HybridDensity, m=None, psd_tol=1e-10):
     return UhlmannSplit(state.grid, D, W)
 
 
-def _fix_eigvec_phase(v, tol=1e-12):
-    """Rotate each eigenvector so its first non-negligible entry is real > 0."""
+def _fix_eigvec_phase(v):
+    """Rotate each eigenvector so its first non-negligible entry (above
+    1e-12 of its largest) is real > 0."""
     absv = np.abs(v)
-    lead = np.argmax(absv > tol * np.max(absv, axis=-2, keepdims=True), axis=-2)
+    lead = np.argmax(absv > 1e-12 * np.max(absv, axis=-2, keepdims=True), axis=-2)
     lead_vals = np.take_along_axis(v, lead[..., None, :], axis=-2)[..., 0, :]
     phase = np.where(np.abs(lead_vals) > 0, lead_vals / np.abs(np.where(lead_vals == 0, 1, lead_vals)), 1.0)
     return v * np.conj(phase)[..., None, :]
@@ -361,15 +365,14 @@ def berry_data(grid: PhaseGrid, fieldvals, warn_nonpositive=True):
     hbar = grid.hbar
     A_B = hbar * np.stack([np.sum(np.conj(f) * fk, axis=axes).imag for fk in (fq, fp)])
     Lam = 1.0 + 2.0 * hbar * np.sum(np.conj(fq) * fp, axis=axes).imag
-    positive = bool(np.min(Lam) > 0)
-    if warn_nonpositive and not positive:
+    if warn_nonpositive and not np.min(Lam) > 0:
         warnings.warn(
             f"Liouville volume reaches min {float(np.min(Lam)):.3e} <= 0; "
             "divergence-type entropies are not meaningful for this state",
             RuntimeWarning,
             stacklevel=2,
         )
-    return BerryData(A_B, Lam, positive)
+    return BerryData(A_B, Lam)
 
 
 def lambda_of(split: UhlmannSplit):

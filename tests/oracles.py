@@ -46,7 +46,7 @@ def numeric_local_derivative(func, state, step_rel=1e-6):
     """Numeric dF/dP for P-local functionals, by central differences in the
     coefficients of the Hermitian basis, vectorized over the grid."""
     grid, P = state.grid, state.P
-    if func.pointwise_integrand(grid, P) is None:
+    if not hasattr(func, "pointwise_integrand"):
         raise ValueError(
             f"functional '{func.name}' does not expose a pointwise integrand; "
             "use its analytic derivative or the single-point probe"

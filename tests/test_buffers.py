@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqclab import config as C
-from mqclab import presets
+from mqclab import grids, presets
 from mqclab.diagnostics import make_sample_fn
 from mqclab.dynamics import MODELS, StepperConfig, cfl_dt, circle_loop, conditional_rhs, rk4_run
 from mqclab.grids import MM_SUMS_MAX, _diff4, mm
@@ -86,6 +86,29 @@ def test_fresh_results_share_no_memory():
         tends1, _ = spec.rhs(state.grid, ham_of(name), spec.unpack(state))
         tends2, _ = spec.rhs(state.grid, ham_of(name), spec.unpack(state))
         assert not any(np.shares_memory(a, b) for a, b in zip(tends1, tends2)), name
+
+
+@pytest.mark.parametrize("model", ["ehrenfest_conditional", "beyond_ehrenfest"])
+def test_scratch_eviction_keeps_the_bits(monkeypatch, model):
+    """Past ``SCRATCH_MAX_BYTES`` every scratch buffer is let go: with the
+    limit at the largest single buffer of a right-hand side (10-64 KiB at
+    16^2), below the sum of them all, the tendencies keep the bits of an
+    uncapped call and the buffers kept stay within the limit."""
+    _, ham, state = model_case(model)
+    spec = MODELS[model]
+    monkeypatch.setattr(grids, "_scratch", {})
+    monkeypatch.setattr(grids, "_views", {})
+    uncapped, _ = spec.rhs(state.grid, ham, spec.unpack(state))
+    sizes = [b.nbytes for b in grids._scratch.values()]
+    cap = max(sizes)
+    assert sum(sizes) > cap  # so the capped call must let buffers go
+    monkeypatch.setattr(grids, "_scratch", {})
+    monkeypatch.setattr(grids, "_views", {})
+    monkeypatch.setattr(grids, "SCRATCH_MAX_BYTES", cap)
+    for _ in range(2):  # from empty buffers, then from those the first call kept
+        capped, _ = spec.rhs(state.grid, ham, spec.unpack(state))
+        assert all(same_bits(a, b) for a, b in zip(capped, uncapped))
+        assert sum(b.nbytes for b in grids._scratch.values()) <= cap
 
 
 # -- the RK4 driver against the out-of-place formula -----------------------------

@@ -495,6 +495,10 @@ class TestOneBadKey:
         ("nanowire_conditional", "physics", "x", "simulate", None),
         # numbers are finite: a NaN alpha used to write a NaN renyi_alpha column
         ("nanowire_conditional", "diagnostics.renyi_alpha", float("nan"), "simulate", None),
+        # Renyi orders are positive: -1 wrote an inf column, and 0 counted each
+        # zero eigenvalue as 0**0 = 1 (4.3689 on this state, against 3.6758 at 1e-6)
+        ("nanowire_meanfield", "diagnostics.renyi_alpha", -1, "simulate", None),
+        ("nanowire_meanfield", "diagnostics.renyi_alpha", 0, "simulate", None),
         # a profile without its name, once reported at hamiltonian.profile.name
         ("classical_well", "hamiltonian.h_c", {"amplitude": 1.0}, "simulate",
          "hamiltonian.h_c.name"),

@@ -27,8 +27,8 @@ from mqclab import (
     uhlmann_rhs,
     uncoupled,
 )
-from mqclab.dynamics import circle_loop, max_speed
-from mqclab.grids import trace_field
+from mqclab.dynamics import MODELS, circle_loop, max_speed
+from mqclab.grids import frobenius_norm, trace_field
 
 
 def make_grid(N=48, L=2 * np.pi):
@@ -392,6 +392,28 @@ class TestRK4Run:
         assert np.max(np.abs(norms - 1.0)) < 1e-14
         assert abs(grid.integrate(run.final_state.D) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_renormalize_restores_unit_mass_and_norm(self, model):
+        """Each model's renormalisation, from a start off unit mass (and off
+        unit Tr rho or unit norm of W): after a step the mass is 1, Tr rho
+        is 1 and W has unit Frobenius norm on the support of D."""
+        grid = make_grid(16)
+        ham = nanowire(grid)
+        D = 1.5 * gaussian(grid, pc=0.8)
+        split = ConditionalSplit(grid, D, 0.9 * twisted_state(grid))
+        state = {"mean_field": MeanFieldState(grid, D, np.diag([0.5, 0.3]).astype(complex)),
+                 "ehrenfest_density": compose(split), "beyond_ehrenfest": compose(split),
+                 "ehrenfest_conditional": split,
+                 "ehrenfest_uhlmann": conditional_to_uhlmann(split)}[model]
+        cfg = StepperConfig(dt=0.01, steps=3, sample_every=3, renormalize=True)
+        final = rk4_run(model, state, ham, cfg).final_state
+        assert abs(final.mass() - 1.0) < 1e-14
+        if model == "mean_field":
+            assert abs(np.trace(final.rho).real - 1.0) < 1e-14
+        if isinstance(final, UhlmannSplit):
+            norms = frobenius_norm(final.W)[final.support()]
+            assert np.max(np.abs(norms - 1.0)) < 1e-14
+
     def test_loop_static_under_zero_hamiltonian(self):
         grid = make_grid(32)
         ham = uncoupled(grid, scalar_profile(grid, "zero"), np.zeros((2, 2)))
@@ -446,7 +468,7 @@ class TestRK4Run:
         # the conditional Gibbs state of the truncated harmonic well speeds up
         # as it leaves the well; at CFL 0.2 the guard trips at step 38
         from mqclab import config as C, equilibria as eq, presets
-        from mqclab.dynamics import cfl_dt
+        from mqclab.dynamics import CFL_MAX, cfl_dt
 
         cfg = presets.harmonic_gibbs(N=32)
         grid = C.build_grid(cfg)
@@ -464,7 +486,7 @@ class TestRK4Run:
         assert run.times[-1] == pytest.approx(38 * dt)
         # the recorded state is the one the guard saw: one step beyond it trips again
         _, info = conditional_rhs(grid, run.states[-1].D, run.states[-1].psi, ham)
-        assert dt * max_speed(info) / min(grid.dq, grid.dp) >= cfg.cfl_max
+        assert dt * max_speed(info) / min(grid.dq, grid.dp) >= CFL_MAX
 
     def test_loop_tracer_leaves_model_arrays_bit_identical(self):
         grid = make_grid(32)

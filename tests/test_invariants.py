@@ -98,6 +98,17 @@ class TestCasimirC2:
         assert res.lambda_positive
         assert np.isclose(res.value, np.log(grid.area), atol=1e-12)
 
+    def test_xlogx_sigma_on_uniform_density(self):
+        # D = 1/A and a constant psi give Lambda = 1, so Lambda / D = A and
+        # C2 = integral of (1/A) A ln A over the area A, which is A ln A
+        grid = make_grid()
+        D = np.full(grid.shape, 1.0 / grid.area)
+        psi = np.zeros(grid.shape + (2,), dtype=complex)
+        psi[..., 0] = 1.0
+        res = casimir_c2(ConditionalSplit(grid, D, psi), scalar_fn("xlogx"))
+        assert res.lambda_positive
+        assert np.isclose(res.value, grid.area * np.log(grid.area), rtol=1e-12, atol=0.0)
+
     def test_density_proportional_to_lambda(self):
         grid = make_grid(64, hbar=0.3)
         from mqclab import lambda_of
