@@ -147,20 +147,20 @@ def cmd_equilibrium(args):
     try:
         mu = problem.mu if problem.mu is not None else eq.solve_mu(problem)[0]
         result = eq.equilibrium_at(problem, mu, check_confined=True)
+        metrics, unmeasured = dict(result.residuals), {}
+        if T_check is not None and result.seam_kinked:
+            unmeasured = {"certificate": None, "certificate_reason": (
+                "not measured: the landscape is kinked at the domain seam, where the "
+                "stationarity run would advect a phase jump; certify a seam-free trig_* "
+                "surrogate")}
+        elif T_check is not None:  # above the work cap it fails at T_check
+            metrics.update(eq.stationarity_residual(result, ham, T_check=T_check))
     except UnsupportedHamiltonianError as exc:  # no closed form for this kind
         raise Cmod.ConfigError("equilibrium.representation", str(exc)) from None
     except eq.ProblemError as exc:
         # a mu solved from the target energy is reported as E, the key the config set
         key = "E" if exc.key == "mu" and problem.mu is None else exc.key
         raise Cmod.ConfigError(Cmod.problem_path(key), str(exc)) from None
-
-    metrics, unmeasured = dict(result.residuals), {}
-    if T_check is not None and result.seam_kinked:
-        unmeasured = {"certificate": None, "certificate_reason": (
-            "not measured: the landscape is kinked at the domain seam, where the "
-            "stationarity run would advect a phase jump; certify a seam-free trig_* surrogate")}
-    elif T_check is not None:
-        metrics.update(eq.stationarity_residual(result, ham, T_check=T_check))
 
     os.makedirs(args.out, exist_ok=True)
     write_snapshot(os.path.join(args.out, "equilibrium.snap"), result.state)
@@ -204,20 +204,12 @@ def cmd_casimir_check(args):
     return 0
 
 
-def cmd_convergence(args):
-    import numpy as np
-
-    from .dynamics import rk4_run
-
-    Cmod, cfg, grid0, _ = _prepare(args)
-    time0 = Cmod.time_spec(cfg)
-    if time0["t_final"] is None and None in (time0["dt"], time0["steps"]):
-        raise Cmod.ConfigError("time.t_final", "convergence study needs a fixed final time")
-
-    drift_cols = ["mass", "energy", "C1", "C2", "S_pure", "S_uhlmann", "renyi_alpha"]
-    table = []
-    roundoff = dict.fromkeys(drift_cols, True)  # drift within round-off at every level so far
-    hs = []
+def _study_levels(args, Cmod, cfg, grid0, time0):
+    """(grid, ham, model, state, stepper, sample_fn) of every level of the
+    ``convergence`` study, each built and checked before any level runs.
+    Level k refines the work of level 0 by up to 8^k, the allowance it gets
+    under the work cap."""
+    levels = []
     for level in range(args.levels):
         f = 2**level
         time = dict(time0, sample_every=time0["sample_every"] * f)
@@ -232,10 +224,30 @@ def cmd_convergence(args):
         ham = Cmod.build_hamiltonian(grid, scaled)
         model = Cmod.model_of(scaled, args.model)
         state = Cmod.build_initial_state(grid, ham, scaled)
-        stepper = Cmod.build_stepper(scaled, grid, ham, model, state)
+        stepper = Cmod.build_stepper(scaled, grid, ham, model, state, refinement=8**level)
         if level == 0:
             dt0, steps0 = stepper.dt, stepper.steps
-        sample_fn = Cmod.build_sample_fn(scaled, model, ham)
+        levels.append((grid, ham, model, state, stepper,
+                       Cmod.build_sample_fn(scaled, model, ham)))
+    return levels
+
+
+def cmd_convergence(args):
+    import numpy as np
+
+    from .dynamics import rk4_run
+
+    Cmod, cfg, grid0, _ = _prepare(args)
+    time0 = Cmod.time_spec(cfg)
+    if time0["t_final"] is None and None in (time0["dt"], time0["steps"]):
+        raise Cmod.ConfigError("time.t_final", "convergence study needs a fixed final time")
+
+    drift_cols = ["mass", "energy", "C1", "C2", "S_pure", "S_uhlmann", "renyi_alpha"]
+    table = []
+    roundoff = dict.fromkeys(drift_cols, True)  # drift within round-off at every level so far
+    hs = []
+    for level, (grid, ham, model, state, stepper, sample_fn) in enumerate(
+            _study_levels(args, Cmod, cfg, grid0, time0)):
         run = rk4_run(model, state, ham, stepper, sample_fn=sample_fn, keep_states=False)
         if run.aborted:
             print(f"numerical abort at level {level}: {run.abort_reason}", file=sys.stderr)

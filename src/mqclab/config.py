@@ -22,7 +22,7 @@ import yaml
 
 from . import hamiltonians as _ham
 from .diagnostics import DEFAULT_FUNCTIONALS, make_sample_fn
-from .dynamics import MODELS, StepperConfig, cfl_dt, circle_loop
+from .dynamics import MODELS, StepperConfig, cfl_dt, circle_loop, excess_work
 from .equilibria import MaxEntProblem, ProblemError
 from .grids import MIN_POINTS, NotHermitianError, PhaseGrid, hermitize, require_hermitian
 from .hamiltonians import eigenfields
@@ -441,24 +441,32 @@ def rescaled(cfg, grid, f, time):
             "time": {k: v for k, v in time.items() if v is not None}}
 
 
-def build_stepper(cfg, grid, ham, model, state) -> StepperConfig:
+def build_stepper(cfg, grid, ham, model, state, refinement=1) -> StepperConfig:
+    """The step size and count of the ``time`` section. A run that asks for
+    more than ``refinement`` times ``dynamics.WORK_CAP`` fails at the key
+    that set its step count; a convergence level k is a refinement of 8^k,
+    its 4^k times the points at up to 2^k times the steps."""
     state_type = MODELS[model].state_type
     if not isinstance(state, state_type):
         raise ConfigError("model", f"model '{model}' evolves a {state_type.__name__}, "
                                    f"the initial state is a {type(state).__name__}")
     time = time_spec(cfg)
     dt, steps, t_final = time["dt"], time["steps"], time["t_final"]
+    counted_by = "time.steps"  # the key that set the step count
     if dt is None:
         if time["cfl"] is None:
             raise ConfigError("time.dt", "give dt or cfl")
         dt = cfl_dt(model, state, ham, time["cfl"])
         if t_final is not None:
-            steps = max(int(np.ceil(t_final / dt)), 1)
+            steps, counted_by = max(int(np.ceil(t_final / dt)), 1), "time.t_final"
             dt = t_final / steps
     if steps is None:
         if t_final is None:
             raise ConfigError("time.steps", "give steps or t_final")
-        steps = max(int(round(t_final / dt)), 1)
+        steps, counted_by = max(int(round(t_final / dt)), 1), "time.t_final"
+    why = excess_work(steps, "steps", grid, ham.n, refinement)
+    if why:
+        raise ConfigError(counted_by, why)
     return StepperConfig(dt=dt, steps=steps, sample_every=time["sample_every"],
                          renormalize=time["renormalize"])
 
@@ -493,7 +501,11 @@ def probe_spec(cfg, ham):
                 "must be a non-negative integer")
     n = read(cfg, "grid.n", _integer, check=lambda n: n == ham.n,
              why=f"the Hamiltonian has quantum dimension {ham.n}")
-    return seed, read(cfg, "diagnostics.n_probes", _integer, 20, *_POSITIVE), n
+    n_probes = read(cfg, "diagnostics.n_probes", _integer, 20, *_POSITIVE)
+    why = excess_work(n_probes, "probes", ham.grid, n)
+    if why:
+        raise ConfigError("diagnostics.n_probes", why)
+    return seed, n_probes, n
 
 
 def problem_path(key):

@@ -39,10 +39,20 @@ against them.
 
 The split models' velocity is the pairing X = Re Tr(W^dag X_H W), and
 ``grids.pair_planes`` is its one kernel: it forms the local density
-R = W W^dag one entry at a time and meets each entry with both components
-of X_H at once, read from the same static planes (built on first use), and
-with the accumulation of ``pair_hermitian``. So every velocity pairing sums
-the same terms in the same order.
+R = W W^dag one entry at a time and meets each entry with the components
+of X_H, read from the same static planes (built on first use), and with
+the accumulation of ``pair_hermitian``. So every velocity pairing sums the
+same terms in the same order, and skips the same identically zero planes
+(the Hamiltonian's live index): an X_H component with no live plane is
+written as exact +0.0, which the loop tracer and ``max_speed`` read.
+
+The split models, the Ehrenfest density model and the mean field move
+along the plain pairing with X_H, which cannot move along an axis whose
+X_H component vanishes everywhere. They form fluxes, stencils and
+advection products only along ``Hamiltonian.X_axes`` (the nanowire's q
+alone). The beyond model's Sigma-hat correction moves along p even where
+X_p = 0, so it transports along both axes and skips only the hcomm(G_k,
+X_k) of a vanishing X_k.
 
 Every right-hand side writes its tendencies into ``out`` when given (and
 into fresh arrays without it, as ``cfl_dt`` and the equilibria need); its
@@ -93,6 +103,24 @@ class NumericalAbort(RuntimeError):
 CFL_WARN = 0.35
 CFL_MAX = 0.5
 
+# The most work one command may ask for, counted as the RK4 steps (or the
+# casimir-check probes) times the Nq Np n^2 entries of a matrix field. The
+# presets ask for at most 2.4e7 at 64^2 and 1.9e8 at 128^2 (both
+# nanowire_meanfield); a config that sets a speed, a time or a count of 1e6
+# asks for more. A convergence level k may ask for 8^k times as much.
+WORK_CAP = 2 * 10**8
+
+
+def excess_work(count, what, grid, n, allowance=1):
+    """Why ``count`` sweeps (``what``: steps or probes) of n x n fields on
+    ``grid`` ask for too much, giving the count, when they ask for more than
+    ``allowance`` times ``WORK_CAP`` field entries; None when they do not."""
+    work, cap = count * grid.Nq * grid.Np * n * n, allowance * WORK_CAP
+    if work > cap:
+        return (f"{count} {what} on {grid.Nq} x {grid.Np} points of {n} x {n} fields "
+                f"ask for {work:.3g} field entries, above the cap of {cap:.3g}")
+    return None
+
 
 @dataclass
 class StepperConfig:
@@ -123,17 +151,49 @@ def mean_field_rhs(grid, D, rho, ham, out=None):
     """
     D, rho = np.asarray(D), _hermitian_part(rho)
     dD, drho = _outputs(out, D, rho)
-    velocity = pair_hermitian(rho[None, None], ham.X_planes, np.empty((2,) + D.shape))
-    # {Tr(rho H), D} = dHeff_q d_p D - dHeff_p d_q D, with dHeff_q = -velocity[1]
+    velocity = pair_hermitian(rho[None, None], ham.X_planes, ham.X_live,
+                              np.empty((2,) + D.shape))
+    # {Tr(rho H), D} = -(v_q d_q D + v_p d_p D), along the live axes of X_H
     grad = scratch(D.shape, dD.dtype, "mean_field.grad")
-    np.multiply(velocity[1], grid.partial_p(D, out=grad), out=dD)
-    dD += np.multiply(grid.partial_q(D, out=grad), velocity[0], out=grad)
+    _sum_along(ham.X_axes, lambda k, into: np.multiply(
+        velocity[k], _partial(grid, k)(D, out=grad), out=into), dD, grad)
     np.negative(dD, out=dD)
     DH = scratch(ham.H.shape, np.result_type(D, ham.H), "mean_field.DH", like=ham.H)
     Hbar = hermitize(grid.integrate(np.multiply(D[..., None, None], ham.H, out=DH)))
     hcomm(Hbar, rho, out=drho)
     drho *= -1j / grid.hbar
     return (dD, drho), {"velocity": velocity}
+
+
+def _partial(grid, k):
+    """The stencil along phase-space axis ``k`` (0 = q, 1 = p)."""
+    return grid.partial_p if k else grid.partial_q
+
+
+def _sum_along(axes, term, out, buf):
+    """The sum over the phase-space ``axes`` k, in order, of the terms
+    ``term(k, into)``, each written into the array ``into`` it is given: the
+    first into ``out``, each later one into ``buf`` and added. +0.0 with no
+    axis. Returns ``out``."""
+    if not axes:
+        out[...] = 0.0
+    for i, k in enumerate(axes):
+        if i == 0:
+            term(k, out)
+        else:
+            out += term(k, buf)
+    return out
+
+
+def _divergence(grid, F, velocity, axes, out, flux, buf):
+    """div(F X) = sum_k d_k(F X_k) into ``out``, for the (2, Nq, Np)
+    ``velocity`` X and a field F, over the ``axes`` k: the conservative
+    transport of every model. ``flux`` and ``buf`` are buffers shaped like F."""
+    def term(k, into):
+        np.multiply(F, velocity[k].reshape(velocity.shape[1:] + (1,) * (F.ndim - 2)), out=flux)
+        return _partial(grid, k)(flux, out=into)
+
+    return _sum_along(axes, term, out, buf)
 
 
 def _regularized_trace(P, eps_tr_rel=EPS_D_REL):
@@ -160,21 +220,20 @@ def _hermitian_part(P):
     return hermitize(P, out=scratch(P.shape, complex, "density.P", like=P))
 
 
-def _density_tendency(grid, P, velocity, H, out, residual):
+def _density_tendency(grid, P, velocity, axes, H, out, residual):
     """The density models' tendency -div(P X) - (i/hbar)[H, P], with X the
-    (2, Nq, Np) ``velocity`` and H and P Hermitian, symmetrized into ``out``
-    (or a fresh array), with its info dict; a ``NumericalAbort`` names the
-    first grid point where it is not finite.
+    (2, Nq, Np) ``velocity``, transported along its ``axes``, and H and P
+    Hermitian, symmetrized into ``out`` (or a fresh array), with its info
+    dict; a ``NumericalAbort`` names the first grid point where it is not
+    finite.
 
     With ``residual`` the info also holds ``antiherm_resid``, the
     anti-Hermitian residual of the tendency before symmetrizing."""
     (dP,) = _outputs(out, P)
-    Xq, Xp = velocity
     flux = scratch(P.shape, complex, "density.flux", like=P)
-    tend = grid.partial_q(np.multiply(P, Xq[..., None, None], out=flux),
-                          out=scratch(P.shape, complex, "density.tend", like=P))
-    tend += grid.partial_p(np.multiply(P, Xp[..., None, None], out=flux),
-                           out=scratch(P.shape, complex, "density.dp", like=P))
+    tend = _divergence(grid, P, velocity, axes,
+                       scratch(P.shape, complex, "density.tend", like=P), flux,
+                       scratch(P.shape, complex, "density.dp", like=P))
     np.negative(tend, out=tend)
     rot = hcomm(H, P, out=flux)
     rot *= -1j / grid.hbar
@@ -192,9 +251,9 @@ def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):
     """dP/dt = -div(P <X_H>) - (i/hbar)[H, P], symmetrized; with
     ``residual`` the info holds ``antiherm_resid``."""
     P = _hermitian_part(P)
-    velocity = pair_hermitian(P, ham.X_planes, np.empty((2,) + P.shape[:2]))
+    velocity = pair_hermitian(P, ham.X_planes, ham.X_live, np.empty((2,) + P.shape[:2]))
     velocity /= _regularized_trace(P, eps_tr_rel)
-    return _density_tendency(grid, P, velocity, ham.H, out, residual)
+    return _density_tendency(grid, P, velocity, ham.X_axes, ham.H, out, residual)
 
 
 def _as_waveop(W):
@@ -212,17 +271,15 @@ def uhlmann_rhs(grid, D, W, ham, out=None):
     D, W = np.asarray(D), np.asarray(W, dtype=complex)
     dD, dW = _outputs(out, D, W)
     Wm, dWm = _as_waveop(W), _as_waveop(dW)
-    velocity = pair_planes(Wm, ham.X_planes, np.empty((2,) + D.shape))
-    Xq, Xp = velocity
-    flux = np.multiply(D, velocity, out=scratch(velocity.shape, dD.dtype, "uhlmann.flux"))
-    grid.partial_q(flux[0], out=dD)
-    dD += grid.partial_p(flux[1], out=scratch(D.shape, dD.dtype, "uhlmann.dp"))
+    velocity = pair_planes(Wm, ham.X_planes, ham.X_live, np.empty((2,) + D.shape))
+    _divergence(grid, D, velocity, ham.X_axes, dD, scratch(D.shape, dD.dtype, "uhlmann.flux"),
+                scratch(D.shape, dD.dtype, "uhlmann.dp"))
     np.negative(dD, out=dD)
     mm(ham.H, Wm, out=dWm)
     dWm *= -1j / grid.hbar
     grad = scratch(Wm.shape, complex, "uhlmann.grad", like=Wm)
-    dWm -= np.multiply(grid.partial_q(Wm, out=grad), Xq[..., None, None], out=grad)
-    dWm -= np.multiply(grid.partial_p(Wm, out=grad), Xp[..., None, None], out=grad)
+    for k in ham.X_axes:
+        dWm -= np.multiply(_partial(grid, k)(Wm, out=grad), velocity[k][..., None, None], out=grad)
     return (dD, dW), {"velocity": velocity}
 
 
@@ -256,10 +313,10 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=
     grid.partial_q(Sig, out=dSig[:, :, 0])
     grid.partial_p(Sig, out=dSig[:, :, 1])
 
-    calX = pair_hermitian(P, ham.X_planes, np.empty((2,) + D.shape))
-    grad_sig = pair_hermitian(dSig, ham.X_planes[:, :, None],
+    calX = pair_hermitian(P, ham.X_planes, ham.X_live, np.empty((2,) + D.shape))
+    grad_sig = pair_hermitian(dSig, ham.X_planes[:, :, None], ham.X_live,
                               scratch((2, 2) + D.shape, float, "beyond.grad_sig"))
-    sig_grad = pair_hermitian(Sig, ham.dX_planes,
+    sig_grad = pair_hermitian(Sig, ham.dX_planes, ham.dX_live,
                               scratch((2, 2) + D.shape, float, "beyond.sig_grad"))
     # Tr(X_H . grad Sigma_k) - Tr(Sigma . grad X_H,k), indexed [j, k] and [k, j]
     corr = np.add(grad_sig[0], grad_sig[1], out=scratch(calX.shape, float, "beyond.corr"))
@@ -275,13 +332,16 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=
         dlns *= 0.5
         dlns *= inv_D
         np.subtract(dPk, np.multiply(P, dlns[..., None, None], out=G[:, :, k]), out=G[:, :, k])
-    GX = hcomm(G[:, :, 0], ham.X_q, out=buf("GX"))
-    GX += hcomm(G[:, :, 1], ham.X_p, out=dPq)  # the gradients of P are spent
+    # sum_k hcomm(G_k, X_k) over the X_k that are not identically zero; the
+    # gradients of P are spent
+    GX = _sum_along(ham.X_axes, lambda k, into: hcomm(G[:, :, k], ham.X_p if k else ham.X_q,
+                                                      out=into), buf("GX"), dPq)
     GX *= ((1j * grid.hbar) * inv_D)[..., None, None]
     # Hermitian as it stands: H plus i/D times a sum of hcomm
     scrH = np.add(ham.H, GX, out=dPp)
 
-    return _density_tendency(grid, P, calX, scrH, out, residual)
+    # the Sigma-hat correction transports along p even where X_p vanishes
+    return _density_tendency(grid, P, calX, (0, 1), scrH, out, residual)
 
 
 def beyond_sigma(grid, P, inv_D, grads, signs, out):
@@ -314,7 +374,7 @@ def energy_of(model, state, ham):
         grads = (grid.partial_q(P), grid.partial_p(P))
         stacked = scratch(P.shape[:2] + (2,) + P.shape[2:], complex, "energy.Sig", like=P)
         Sig = beyond_sigma(grid, P, 1.0 / _regularized_trace(P), grads, (1.0, 1.0), out=stacked)
-        pairs = pair_hermitian(Sig, ham.X_planes, np.empty((2,) + grid.shape))
+        pairs = pair_hermitian(Sig, ham.X_planes, ham.X_live, np.empty((2,) + grid.shape))
         e += float(grid.integrate(pairs[0] + pairs[1]))
     return e
 

@@ -163,7 +163,7 @@ def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> Equilibriu
         )
 
     # <psi|grad H|psi> from the pairing with X_H = (dH_p, -dH_q)
-    v = pair_planes(psi[..., None], ham.X_planes, np.empty((2,) + grid.shape))
+    v = pair_planes(psi[..., None], ham.X_planes, ham.X_live, np.empty((2,) + grid.shape))
     dE_q, dE_p = -v[1], v[0]
     shift = float(np.min(E_field))
     w = np.exp(-mu * (E_field - shift))
@@ -321,6 +321,9 @@ def stationarity_residual(result: EquilibriumResult, ham: Hamiltonian, T_check=2
     model = next(k for k, m in _dyn.MODELS.items() if type(state) is m.state_type)
     dt = _dyn.cfl_dt(model, state, ham, 0.2)
     steps = max(int(np.ceil(T_check / dt)), 4)
+    why = _dyn.excess_work(steps, "steps", grid, state.n)
+    if why:
+        raise ProblemError("T_check", why)
     dt = T_check / steps
     cfg = _dyn.StepperConfig(dt=dt, steps=steps, sample_every=steps)
     run = _dyn.rk4_run(model, state, ham, cfg)

@@ -28,7 +28,12 @@ float planes ``pairing_planes`` pre-combines from it (Re X_aa, Re X_ab +
 Re X_ba and Im X_ab - Im X_ba); the X of the package are X_H and its
 gradients, whose planes the Hamiltonian builds once (``X_planes``,
 ``dX_planes``), so a split's W W^dag and a density's P meet them through
-the same sums in the same order.
+the same sums in the same order. Each set of planes comes with its static
+live index (``hamiltonians.live_planes``): the accumulation multiplies only
+the planes that are not identically zero, asks only for the entries of R
+that a live plane reads (``pair_planes`` forms no other entry of W W^dag),
+and writes an X with no live plane as +0.0. For a Hamiltonian with no zero
+plane that is every plane and every entry, summed as before.
 
 Layout. A field with trailing axes (a matrix or vector field) is stored as
 contiguous component planes: ``component_major`` keeps it as one C-ordered
@@ -598,39 +603,40 @@ def pairing_planes(*Xs):
     return planes
 
 
-def pair_planes(W, planes, out):
+def pair_planes(W, planes, live, out):
     """Re Tr(W^dag X W) at every grid point into ``out[k]``, for each X
-    given by its pre-combined ``planes[k]`` (``pairing_planes``):
-    X averaged over the conditional state W (a transport velocity when X
-    is X_H). Returns ``out``.
+    given by its pre-combined ``planes[k]`` (``pairing_planes``) with the
+    live index ``live`` (``hamiltonians.live_planes``): X averaged over the
+    conditional state W (a transport velocity when X is X_H). Returns
+    ``out``.
 
     Re Tr(W^dag X W) = Re Tr(X R) with the local density R = W W^dag,
     formed once for all the X and one entry plane at a time, each entry
     with the sums of ``mm`` (R_ab = sum_c W_ac conj(W_bc)), so that R is
-    exactly Hermitian, and handed to the accumulation of ``pair_hermitian``.
+    exactly Hermitian, and handed to the accumulation of ``pair_hermitian``,
+    which asks only for the entries a live plane reads.
     """
     n, m = W.shape[-2:]
     lead = W.shape[:-2]
     R, conj_w = scratch(lead, complex, "pairing.R"), scratch(lead, complex, "pairing.conj")
 
-    def entries():
-        for a in range(n):
-            for b in range(a, n):
-                for c in range(m):
-                    np.conjugate(W[..., b, c], out=conj_w)
-                    if c == 0:
-                        np.multiply(W[..., a, c], conj_w, out=R)
-                    else:
-                        np.add(R, np.multiply(W[..., a, c], conj_w, out=conj_w), out=R)
-                yield a, b, R
+    def entry(a, b):
+        for c in range(m):
+            np.conjugate(W[..., b, c], out=conj_w)
+            if c == 0:
+                np.multiply(W[..., a, c], conj_w, out=R)
+            else:
+                np.add(R, np.multiply(W[..., a, c], conj_w, out=conj_w), out=R)
+        return R
 
-    return _accumulate_pairing(entries(), planes, out)
+    return _accumulate_pairing(entry, n, planes, live, out)
 
 
-def pair_hermitian(R, planes, out):
+def pair_hermitian(R, planes, live, out):
     """Re Tr(X R) at every grid point into ``out``, for a Hermitian field R
     (..., n, n) and each X given by its pre-combined ``planes``
-    (``pairing_planes``); returns ``out``.
+    (``pairing_planes``) with the live index ``live``
+    (``hamiltonians.live_planes``); returns ``out``.
 
     Precondition: R is exactly Hermitian (the upper triangle and the real
     diagonal are all it reads). R may carry axes between the grid and the
@@ -642,26 +648,44 @@ def pair_hermitian(R, planes, out):
     """
     n = R.shape[-1]
     R = _grid_last(R)
-    entries = ((a, b, R[..., a, b, :, :]) for a in range(n) for b in range(a, n))
-    return _accumulate_pairing(entries, planes, out)
+    return _accumulate_pairing(lambda a, b: R[..., a, b, :, :], n, planes, live, out)
 
 
-def _accumulate_pairing(entries, planes, out):
+def _accumulate_pairing(entry, n, planes, live, out):
     """The sum of ``pair_planes`` and ``pair_hermitian``: the upper-triangle
-    entries (a, b, R_ab) of a Hermitian R, in row-major order, met with
-    ``planes``. The real diagonal reads Re X_aa, and each off-diagonal pair
-    a < b is read once, as Re R_ab (Re X_ab + Re X_ba) + Im R_ab (Im X_ab -
-    Im X_ba); each entry of R meets every X in one multiply."""
+    entries R_ab = ``entry(a, b)`` of a Hermitian n x n R, in row-major
+    order, met with ``planes``. The real diagonal reads Re X_aa, and each
+    off-diagonal pair a < b is read once, as Re R_ab (Re X_ab + Re X_ba) +
+    Im R_ab (Im X_ab - Im X_ba). ``out[k]`` receives the sum over
+    ``planes[k]``, against which R broadcasts.
+
+    Only live planes are multiplied: ``live[t]`` names the k whose plane
+    ``planes[k, t]`` is not identically zero. An entry that no live plane
+    reads is never asked for, and a k with no live plane is written as
+    +0.0. With every plane live each k sums every term, in the same order.
+    """
     term = scratch(out.shape, float, "pairing.term")
+    started = [False] * len(out)
     t = 0
-    for a, b, R_ab in entries:
-        if t == 0:
-            np.multiply(planes[:, 0], R_ab.real, out=out)
-        else:
-            out += np.multiply(planes[:, t], R_ab.real, out=term)
-        if a != b:
-            out += np.multiply(planes[:, t + 1], R_ab.imag, out=term)
-        t += 1 if a == b else 2
+    for a in range(n):
+        for b in range(a, n):
+            reads = (t,) if a == b else (t, t + 1)
+            t += len(reads)
+            if not any(live[s] for s in reads):
+                continue
+            R_ab = entry(a, b)
+            for s, part in zip(reads, (R_ab.real, R_ab.imag)):
+                part = np.broadcast_to(part, out.shape)
+                for k in live[s]:
+                    if started[k]:
+                        acc = out[k]
+                        acc += np.multiply(planes[k, s], part[k], out=term[k])
+                    else:
+                        np.multiply(planes[k, s], part[k], out=out[k])
+                        started[k] = True
+    for k, written in enumerate(started):
+        if not written:
+            out[k] = 0.0
     return out
 
 

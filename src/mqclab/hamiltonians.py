@@ -14,6 +14,14 @@ Polynomial profiles (harmonic wells, bare coordinates) are discontinuous at
 the periodic seam; scenarios using them must keep density mass near the seam
 negligible. The ``trig_*`` surrogates are seam-free and reduce to their
 polynomial counterparts near the domain center.
+
+Static zero structure: the simple Hamiltonians have a sparse X_H = (dH_p,
+-dH_q). The nanowire's H does not depend on q (X_p = 0, X_q diagonal), and
+pure dephasing with a diagonal A, like the uncoupled kind, has a diagonal
+X_H. A ``Hamiltonian`` records once which pairing planes of X_H and of its
+gradients are identically zero (``live_planes``, the one place of that
+policy) and which components of X_H are (``X_axes``); the pairing and the
+transport of the right-hand sides skip what is zero.
 """
 
 from __future__ import annotations
@@ -131,6 +139,12 @@ class Hamiltonian:
     whose [k, :, j] are those of d_j X_k, for k, j = q, p. So one call of
     ``grids.pair_hermitian`` on the stacked (Sigma_q, Sigma_p) gives every
     Re Tr(Sigma_j d_j X_k).
+
+    Beside each set of planes the Hamiltonian records, once, which of them
+    are identically zero (``X_live``, ``dX_live``: see ``live_planes``), and
+    in ``X_axes`` the components of X_H that are not (see the module
+    docstring). The index is read from the planes, not from the kind, so a
+    Hamiltonian with no zero plane pairs every plane.
     """
 
     grid: PhaseGrid
@@ -171,6 +185,33 @@ class Hamiltonian:
         grid = self.grid
         return pairing_planes(*(np.stack([grid.partial_q(X), grid.partial_p(X)])
                                 for X in (self.X_q, self.X_p)))
+
+    @cached_property
+    def X_live(self):
+        """The live index of ``X_planes`` (``live_planes``)."""
+        return live_planes(self.X_planes)
+
+    @cached_property
+    def dX_live(self):
+        """The live index of ``dX_planes`` (``live_planes``)."""
+        return live_planes(self.dX_planes)
+
+    @cached_property
+    def X_axes(self):
+        """The phase-space axes k (0 = q, 1 = p) whose component X_k of X_H
+        is not identically zero: the only axes along which the pairing
+        velocity Re Tr(R X_H) can transport."""
+        return tuple(k for k in range(2) if any(k in ks for ks in self.X_live))
+
+
+def live_planes(planes):
+    """The static zero structure of pairing planes (K, T, ...): for each
+    plane index t, the tuple of the k whose plane ``planes[k, t]`` is not
+    identically zero (a nan counts as not zero). The one place the package
+    decides which planes the pairing (``grids._accumulate_pairing``) may
+    skip."""
+    return tuple(tuple(k for k in range(len(planes)) if np.any(planes[k, t]))
+                 for t in range(planes.shape[1]))
 
 
 def _scalar_times(field2d, mat):

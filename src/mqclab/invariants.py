@@ -522,7 +522,7 @@ def loop_integral(split, points) -> float:
 def split_velocity(split: UhlmannSplit, ham: Hamiltonian):
     """Transport velocity X = Re Tr(W^dag X_H W) of a split state, as the
     (2, Nq, Np) planes (X_q, X_p)."""
-    return pair_planes(split.W, ham.X_planes, np.empty((2,) + split.grid.shape))
+    return pair_planes(split.W, ham.X_planes, ham.X_live, np.empty((2,) + split.grid.shape))
 
 
 def lambda_transport_residual(times, splits, ham: Hamiltonian):

@@ -1,13 +1,14 @@
 """Numerical oracles the tests check mqclab against: finite-difference
 derivatives of a functional in the Hermitian basis, a smooth random PSD
 density, the stencil error of a Hamiltonian's analytic gradient, the
-reconstruction error of its eigenfields and the canonical Poisson bracket.
-No command of the package reaches them."""
+reconstruction error of its eigenfields, the canonical Poisson bracket and
+the mean-field and Ehrenfest right-hand sides as written. No command of the
+package reaches them."""
 
 import numpy as np
 
 from mqclab.grids import eigen_compose, hermitize, random_band_limited, trace_field
-from mqclab.states import HybridDensity, outer
+from mqclab.states import EPS_D_REL, HybridDensity, outer, vacuum_floor
 
 
 def hermitian_basis(n):
@@ -124,3 +125,37 @@ def reconstruction_error(ham, eig):
 def poisson_bracket(grid, f, g):
     """Canonical bracket {f, g} = dq(f) dp(g) - dp(f) dq(g), pointwise."""
     return grid.partial_q(f) * grid.partial_p(g) - grid.partial_p(f) * grid.partial_q(g)
+
+
+def _dagger(M):
+    return np.conj(np.swapaxes(M, -1, -2))
+
+
+def _re_trace(A, B):
+    """The field Re Tr(A B), by ``@`` and ``np.trace``."""
+    return np.trace(A @ B, axis1=-2, axis2=-1).real
+
+
+def mean_field_rhs_formula(grid, D, rho, ham):
+    """The mean-field tendencies as written, for a Hermitian rho:
+    dD = -(Tr(rho dH_p) d_q D - Tr(rho dH_q) d_p D) and
+    drho = -(i/hbar)(Hbar rho - rho Hbar), Hbar = integral(D H). Every plane
+    of X_H is read, zero or not."""
+    v_q, v_p = _re_trace(rho, ham.dH_p), -_re_trace(rho, ham.dH_q)
+    dD = -(v_q * grid.partial_q(D) + v_p * grid.partial_p(D))
+    Hbar = grid.integrate(D[..., None, None] * ham.H)
+    drho = (-1j / grid.hbar) * (Hbar @ rho - rho @ Hbar)
+    return dD, drho
+
+
+def ehrenfest_rhs_formula(grid, P, ham, eps_tr_rel=EPS_D_REL):
+    """The Ehrenfest density tendency as written, for a Hermitian P:
+    -div(P <X_H>) - (i/hbar)(H P - P H), symmetrized, with <X_H>_k =
+    Tr(P X_k) / D and D = Tr P plus the vacuum floor. Every plane of X_H is
+    read, zero or not."""
+    TrP = np.trace(P, axis1=-2, axis2=-1).real
+    D = TrP + vacuum_floor(TrP, eps_tr_rel)
+    v_q, v_p = _re_trace(P, ham.X_q) / D, _re_trace(P, ham.X_p) / D
+    dP = -(grid.partial_q(P * v_q[..., None, None]) + grid.partial_p(P * v_p[..., None, None]))
+    dP -= (1j / grid.hbar) * (ham.H @ P - P @ ham.H)
+    return 0.5 * (dP + _dagger(dP))

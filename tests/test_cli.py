@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mqclab import HybridDensity, PhaseGrid, read_snapshot, snapshot_lines, write_snapshot
-from mqclab.cli import main
+from mqclab import config
+from mqclab.cli import _study_levels, build_parser, main
 from mqclab.config import ConfigError, build_grid, build_hamiltonian, build_initial_state, load_config
 from mqclab.diagnostics import read_csv
+from mqclab.dynamics import WORK_CAP
 from mqclab import presets
 from mqclab.probes import aligned_smooth_split, random_smooth_split
 from mqclab.states import ConditionalSplit, UhlmannSplit, compose
@@ -371,13 +373,17 @@ class TestConfig:
 FUZZ_PRESETS = ("nanowire_conditional", "nanowire_meanfield", "dephasing_equilibrium",
                 "harmonic_gibbs", "uncoupled_factorized", "beyond_nanowire_mixed",
                 "zeta_sigma_z", "classical_well")
-# Values drawn for one key; DELETE removes it. No value asks for a large grid
-# (it would allocate against the machine's memory; see
-# test_oversized_grid_exits_1_in_a_capped_child) or for an unbounded run, as
-# 1e6 does for a domain bound, t_final, omega or n_probes.
+# Values drawn for one key; DELETE removes it. BIG, drawn too, asks for more
+# RK4 steps or probes than the work cap allows when it sets a domain bound,
+# t_final, a speed or n_probes; it is not drawn for the keys that size an
+# array (ALLOCATING_KEYS), which would allocate against the machine's memory
+# (a 1e6 x 16 grid, see test_oversized_grid_exits_1_in_a_capped_child, or a
+# loop tracer of 1e6 points, about 700 MB).
 DELETE = "<delete>"
+BIG = 1e6
 FUZZ_VALUES = (None, -1, 0, 1, 2.5, -0.5, "x", "false", [], [1], {}, True, float("nan"),
                float("inf"), [[1.0, 0.0], [0.0, 1.0]], "mean_field", "density", DELETE)
+ALLOCATING_KEYS = ("grid.Nq", "grid.Np", "diagnostics.loop.points")
 
 
 def short_run(preset):
@@ -434,29 +440,36 @@ DEPENDS = (("domain.", "domain."), ("time.", "time."), ("equilibrium.", "equilib
            ("initial.compose_from", "initial."),
            ("grid.m", "initial.waveop"), ("domain.", "equilibrium."),
            ("hamiltonian", "equilibrium."))
+# Above the work cap alone, a domain bound or a Hamiltonian key may also be
+# reported at t_final, whose step count at the CFL step of the speed they
+# give is what the cap refuses.
+CAPPED_AT = (("domain.", "time.t_final"), ("hamiltonian", "time.t_final"))
 
 
-def reported_at(drawn, reported):
-    """Whether an error at ``reported`` names the drawn key, one of its
-    parents or children, or a key it depends on."""
+def reported_at(drawn, reported, message):
+    """Whether an error at ``reported`` with ``message`` names the drawn key,
+    one of its parents or children, or a key it depends on."""
     if reported == drawn or drawn.startswith(reported + ".") or \
             reported.startswith(drawn + "."):
         return True
-    return any(drawn.startswith(a) and reported.startswith(b) for a, b in DEPENDS)
+    pairs = DEPENDS + (CAPPED_AT if "above the cap" in message else ())
+    return any(drawn.startswith(a) and reported.startswith(b) for a, b in pairs)
 
 
 @st.composite
 def bad_keys(draw):
     preset = draw(st.sampled_from(FUZZ_PRESETS))
     cfg = short_run(preset)
-    return (preset, draw(st.sampled_from(sorted(key_paths(cfg)))),
-            draw(st.sampled_from(FUZZ_VALUES)), draw(st.sampled_from(commands_of(cfg))))
+    path = draw(st.sampled_from(sorted(key_paths(cfg))))
+    values = FUZZ_VALUES if path in ALLOCATING_KEYS else FUZZ_VALUES + (BIG,)
+    return (preset, path, draw(st.sampled_from(values)), draw(st.sampled_from(commands_of(cfg))))
 
 
 class TestOneBadKey:
     # The explicit examples ended in a traceback before every key went
-    # through one reader, at one source line each. The two lines reached by a
-    # grid of 1e6 points (a MemoryError) are tested in a capped child below.
+    # through one reader, at one source line each, or (BIG) ran without end
+    # before the work cap. The two lines reached by a grid of 1e6 points (a
+    # MemoryError) are tested in a capped child below.
     @settings(max_examples=150, deadline=None)
     @given(case=bad_keys())
     @example(case=("nanowire_conditional", "grid.Nq", float("inf"), "casimir-check"))
@@ -473,6 +486,8 @@ class TestOneBadKey:
     @example(case=("dephasing_equilibrium", "hamiltonian.h_0", 1, "simulate"))
     @example(case=("nanowire_meanfield", "initial.rho.state", -1, "simulate"))
     @example(case=("harmonic_gibbs", "hamiltonian.h_0.omega", 0, "casimir-check"))
+    @example(case=("nanowire_conditional", "hamiltonian.eta", BIG, "simulate"))
+    @example(case=("dephasing_equilibrium", "equilibrium.T_check", BIG, "equilibrium"))
     def test_exits_0_1_or_2_and_1_names_the_key(self, case):
         """Any one key set to a bad value (or deleted) succeeds, exits 2 on a
         numerical abort, or exits 1 naming the key or a key it depends on;
@@ -482,7 +497,7 @@ class TestOneBadKey:
         assert code in (0, 1, 2), err
         if code == 1:
             assert err.startswith("config error:"), err
-            assert reported_at(path, err.rsplit(": ", 1)[-1]), err
+            assert reported_at(path, err.rsplit(": ", 1)[-1], err), err
 
     @pytest.mark.parametrize("preset, path, value, command, reported", [
         # booleans are YAML booleans: each string used to count as true
@@ -518,6 +533,41 @@ class TestOneBadKey:
         code, err = run_with(preset, path, value, command)
         assert code == 1, err
         assert err.startswith("config error:") and err.endswith(f": {reported or path}"), err
+
+    # A speed, a time or a count of 1e6 each asked for a million or more RK4
+    # steps or probes, and the run went on past any alarm.
+    @pytest.mark.parametrize("preset, path, command, reported", [
+        ("nanowire_conditional", "hamiltonian.eta", "simulate", "time.t_final"),
+        ("uncoupled_factorized", "time.t_final", "simulate", "time.t_final"),
+        ("uncoupled_factorized", "hamiltonian.h_c.omega", "simulate", "time.t_final"),
+        ("beyond_nanowire_mixed", "domain.p1", "simulate", "time.t_final"),
+        ("nanowire_conditional", "diagnostics.n_probes", "casimir-check", None),
+        ("dephasing_equilibrium", "diagnostics.n_probes", "casimir-check", None),
+        ("beyond_nanowire_mixed", "diagnostics.n_probes", "casimir-check", None),
+        ("dephasing_equilibrium", "equilibrium.T_check", "equilibrium", None),
+    ])
+    def test_a_run_above_the_work_cap_exits_1_in_a_timed_child(self, tmp_path, preset, path,
+                                                                 command, reported):
+        """A value of 1e6 that asks for more work than ``dynamics.WORK_CAP``
+        exits 1 at the key that set the step or probe count, giving the
+        count, before any step. Each case is a child given 20 s."""
+        cfg = short_run(preset)
+        *parents, leaf = path.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[leaf] = 1000000
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get(
+            "PYTHONPATH")])), "MQC_THREADS": "1"}
+        child = subprocess.run([sys.executable, "-m", "mqclab", command, "--config",
+                                write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                                "--quiet"], capture_output=True, text=True, env=env, timeout=20)
+        err = child.stderr.strip()
+        assert child.returncode == 1, err
+        assert err.startswith("config error:") and err.endswith(f": {reported or path}"), err
+        assert "above the cap" in err
+        count = err.split(": ", 1)[1].split()[0]
+        assert count.isdigit() and int(count) > 1000, err
 
     @pytest.mark.parametrize("preset, key", [("nanowire_conditional", "grid.Nq"),
                                              ("zeta_sigma_z", "grid.Np")])
@@ -913,6 +963,46 @@ class TestConvergenceCommand:
         mcol = header.index("mass")
         for row in lines[1:3]:
             assert float(row[mcol]) < 1e-12
+
+    def test_every_preset_study_is_within_its_allowance(self):
+        """The default three-level study of every preset with a run, at its
+        64^2 default, is built and checked in full: level k may ask for 8^k
+        times the work cap. Its 256^2 level asks for more than the cap on
+        nanowire_conditional, nanowire_meanfield and uncoupled_factorized,
+        where a run without the allowance exits 1 at time.t_final."""
+        args = build_parser().parse_args(["convergence", "--config", "-", "--levels", "3"])
+        above = []
+        for name in ("nanowire_conditional", "nanowire_meanfield", "nanowire_twisted",
+                     "dephasing_equilibrium", "classical_well", "uncoupled_factorized",
+                     "beyond_nanowire_mixed", "zeta_sigma_z"):
+            cfg = getattr(presets, name)()
+            levels = _study_levels(args, config, cfg, build_grid(cfg), config.time_spec(cfg))
+            assert [grid.Nq for grid, *_ in levels] == [64, 128, 256]
+            grid, ham, model, state, stepper, _ = levels[2]
+            if stepper.steps * grid.Nq * grid.Np * ham.n**2 > WORK_CAP:
+                above.append(name)
+                scaled = config.rescaled(cfg, build_grid(cfg), 4, config.time_spec(cfg))
+                with pytest.raises(ConfigError, match="above the cap") as exc:
+                    config.build_stepper(scaled, grid, ham, model, state)
+                assert exc.value.path == "time.t_final"
+        assert above == ["nanowire_conditional", "nanowire_meanfield", "uncoupled_factorized"]
+
+    def test_a_study_above_the_work_cap_exits_1_before_any_level_runs(self, tmp_path):
+        """A final time of 1e6 exits 1 at time.t_final, giving the step count,
+        with no level run: nothing on stdout and no output directory. The run
+        is a child given 20 s."""
+        cfg = presets.nanowire_conditional(N=16, loop=False)
+        cfg["time"]["t_final"] = 1e6
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get(
+            "PYTHONPATH")])), "MQC_THREADS": "1"}
+        child = subprocess.run([sys.executable, "-m", "mqclab", "convergence", "--config",
+                                write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                                "--levels", "3"], capture_output=True, text=True, env=env,
+                               timeout=20)
+        err = child.stderr.strip()
+        assert child.returncode == 1, err
+        assert err.startswith("config error:") and err.endswith("above the cap of 2e+08: time.t_final")
+        assert child.stdout == "" and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("Nq", "16"), ("dt", "0.01")])
     def test_levels_scale_the_numbers_read(self, tmp_path, key, value):

@@ -26,7 +26,7 @@ from mqclab import (
 )
 from mqclab.dynamics import MeanFieldState
 from mqclab.grids import eigen_compose, hermitize, pair_planes, pairing_planes, random_band_limited
-from mqclab.hamiltonians import ScalarProfile
+from mqclab.hamiltonians import ScalarProfile, live_planes
 from mqclab.states import ConditionalSplit, quantum_marginal
 
 
@@ -324,7 +324,9 @@ class TestMaxEntProperties:
         res = gibbs_conditional(MaxEntProblem("conditional", ham, mu=mu, branch=branch))
         assert not res.seam_kinked
         # the branch energy <psi|H|psi>
-        E_field = pair_planes(res.state.W, pairing_planes(ham.H), np.empty((1,) + grid.shape))[0]
+        planes = pairing_planes(ham.H)
+        E_field = pair_planes(res.state.W, planes, live_planes(planes),
+                              np.empty((1,) + grid.shape))[0]
         s_eq = shannon_pure(res.state).value
         pert = res.state.D * (1.0 + eps * random_band_limited(grid, np.random.default_rng(seed),
                                                                kmax=kmax))

@@ -18,11 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mqclab
-from mqclab import PhaseGrid, tabulated
-from mqclab.dynamics import MODELS, StepperConfig, cfl_dt, max_speed, rk4_run, uhlmann_rhs
+from mqclab import (SIGMA_Z, PhaseGrid, nanowire, pure_dephasing, scalar_profile, tabulated,
+                    uncoupled)
+from mqclab.dynamics import (MODELS, StepperConfig, cfl_dt, ehrenfest_rhs, max_speed,
+                             mean_field_rhs, rk4_run, uhlmann_rhs)
 from mqclab.grids import (MM_SUMS_MAX, _diff4, antiherm_residual, component_major, dagger,
                           eigen_compose, eigvalsh_field, frobenius_norm, hcomm, hermitize, mm,
                           pair_hermitian, pair_planes, pairing_planes, tr_prod)
+from mqclab.hamiltonians import live_planes
+from oracles import ehrenfest_rhs_formula, mean_field_rhs_formula
 
 EPS = np.finfo(float).eps
 
@@ -57,7 +61,8 @@ def test_mm_matches_matmul(k, complex_valued, shape, n, m, seed):
 def pairing(W, *Xs):
     """Re Tr(W^dag X W) of each X of ``Xs`` (one array per X, a single X gives
     its array alone): ``pair_planes`` on the ``pairing_planes`` of ``Xs``."""
-    velocities = pair_planes(W, pairing_planes(*Xs), np.empty((len(Xs),) + W.shape[:-2]))
+    planes = pairing_planes(*Xs)
+    velocities = pair_planes(W, planes, live_planes(planes), np.empty((len(Xs),) + W.shape[:-2]))
     return velocities[0] if len(Xs) == 1 else tuple(velocities)
 
 
@@ -100,7 +105,7 @@ def test_pair_hermitian_matches_tr_prod(shape, n, stack, seed, layout):
     Rl = component_major(R) if layout == "component_major" else R
     out = np.full((2,) + stack + shape, np.nan)
     planes = pairing_planes(*Xs).reshape((2, n * n) + (1,) * len(stack) + shape)
-    assert pair_hermitian(Rl, planes, out) is out
+    assert pair_hermitian(Rl, planes, live_planes(planes), out) is out
     for X, got in zip(Xs, out):
         for index in np.ndindex(stack):
             Rs = R[(slice(None), slice(None)) + index]
@@ -279,14 +284,30 @@ def test_rhs_pair_against_the_static_planes_and_the_tracer_stacks_nothing():
 
 # Names that a second commutator, pairing or speed rule went by.
 RETIRED = {"comm", "pairing", "VectorField2"}
+# The names pairing planes go by, and the calls that test a field for zeros.
+PLANE_NAMES = {"planes", "X_planes", "dX_planes"}
+ZERO_TESTS = {"any", "all", "count_nonzero", "nonzero", "flatnonzero", "live_planes"}
+
+
+def reads_planes(node):
+    """Whether the expression ``node`` reads pairing planes: a name or an
+    attribute in ``PLANE_NAMES`` that is not a called function."""
+    called = {id(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
+    return any(id(n) not in called and getattr(n, "id", getattr(n, "attr", None)) in PLANE_NAMES
+               for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
 
 
 def second_path_breaches(sources):
     """(module, scope, what) of ``sources`` ({module name: source}) that open a
     second path: a definition of a ``RETIRED`` name or of ``max_speed``
-    outside ``dynamics``, a call of ``comm``, or a call of ``pairing_planes``
+    outside ``dynamics``, a call of ``comm``, a call of ``pairing_planes``
     outside ``hamiltonians``, whose ``X_planes`` and ``dX_planes`` are the X
-    planes every pairing reads. ``what`` is ``def <name>`` or the called name."""
+    planes every pairing reads, a zero test of planes (a ``ZERO_TESTS`` call
+    on them, ``live_planes`` among them) or a definition of ``live_planes``
+    outside ``hamiltonians``, the one place of the sparsity policy, and a
+    product with planes (``*``, ``*=`` or ``multiply``) outside
+    ``_accumulate_pairing``, the one accumulation. ``what`` is ``def
+    <name>``, the called name or ``multiplies planes``."""
     found = set()
 
     def visit(node, module, scope):
@@ -294,13 +315,26 @@ def second_path_breaches(sources):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-                if child.name in RETIRED or child.name == "max_speed" and module != "dynamics":
+                if (child.name in RETIRED or child.name == "max_speed" and module != "dynamics"
+                        or child.name == "live_planes" and module != "hamiltonians"):
                     found.add((module, ".".join(inner), "def " + child.name))
             elif isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name == "comm" or name == "pairing_planes" and module != "hamiltonians":
                     found.add((module, ".".join(scope), name))
+                if name in ZERO_TESTS and module != "hamiltonians" and (
+                        name == "live_planes" or any(reads_planes(a) for a in child.args)):
+                    found.add((module, ".".join(scope), name))
+                if name == "multiply" and any(reads_planes(a) for a in child.args[:2]) \
+                        and "_accumulate_pairing" not in scope:
+                    found.add((module, ".".join(scope), "multiplies planes"))
+            elif (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult)
+                  and (reads_planes(child.left) or reads_planes(child.right))
+                  or isinstance(child, ast.AugAssign) and isinstance(child.op, ast.Mult)
+                  and (reads_planes(child.target) or reads_planes(child.value))):
+                if "_accumulate_pairing" not in scope:
+                    found.add((module, ".".join(scope), "multiplies planes"))
             visit(child, module, inner)
 
     for module, source in sources.items():
@@ -311,8 +345,10 @@ def second_path_breaches(sources):
 def test_one_commutator_one_pairing_one_speed_rule():
     """No module of the package defines or calls ``comm`` or defines
     ``pairing`` or ``VectorField2``; only ``hamiltonians`` builds X planes
-    (``pairing_planes``), and only ``dynamics`` defines ``max_speed``. The
-    guard flags each form as it was written before."""
+    (``pairing_planes``) and tests them for zeros (``live_planes``), only
+    ``grids._accumulate_pairing`` multiplies them, and only ``dynamics``
+    defines ``max_speed``. The guard flags each form as it was written
+    before, and a zero test or a product of planes outside its one place."""
     before = {
         "grids": ("def comm(A, B, out=None):\n"
                   "    return mm(A, B) - mm(B, A)\n"
@@ -325,17 +361,36 @@ def test_one_commutator_one_pairing_one_speed_rule():
                      "    return pair_planes(W, pairing_planes(*Xs), out)\n"),
         "invariants": ("def hybrid_bracket(f, g, state, return_scale=False):\n"
                        "    term2 = tr_prod(P, 1j * comm(g.G, f.G)) / grid.hbar\n"),
+        "equilibria": ("def gibbs_conditional(problem, check_confined=False):\n"
+                       "    live = [t for t in range(4) if np.any(ham.X_planes[:, t])]\n"
+                       "    dE_p = np.multiply(ham.X_planes[0, 0], psi.real, out=v)\n"
+                       "def live_planes(planes):\n"
+                       "    return np.count_nonzero(planes, axis=(-2, -1))\n"),
+        "states": ("def split_velocity(split, ham):\n"
+                   "    live = live_planes(ham.X_planes)\n"
+                   "    v = ham.X_planes[:, 0] * R.real\n"
+                   "    v *= planes[:, 3]\n"),
     }
     assert second_path_breaches(before) == {
         ("grids", "comm", "def comm"), ("grids", "VectorField2", "def VectorField2"),
         ("grids", "VectorField2.max_speed", "def max_speed"),
         ("dynamics", "mean_field_rhs", "comm"), ("dynamics", "pairing", "def pairing"),
-        ("dynamics", "pairing", "pairing_planes"), ("invariants", "hybrid_bracket", "comm")}
+        ("dynamics", "pairing", "pairing_planes"), ("invariants", "hybrid_bracket", "comm"),
+        ("equilibria", "gibbs_conditional", "any"),
+        ("equilibria", "gibbs_conditional", "multiplies planes"),
+        ("equilibria", "live_planes", "def live_planes"),
+        ("equilibria", "live_planes", "count_nonzero"),
+        ("states", "split_velocity", "live_planes"),
+        ("states", "split_velocity", "multiplies planes")}
     sources = {path.stem: path.read_text()
                for path in sorted(pathlib.Path(mqclab.__file__).parent.glob("*.py"))}
     assert second_path_breaches(sources) == set()
     # the guard still sees the one place of each
     assert "pairing_planes(" in sources["hamiltonians"] and "def max_speed(" in sources["dynamics"]
+    assert "def live_planes(" in sources["hamiltonians"]
+    renamed = sources["grids"].replace("def _accumulate_pairing", "def _accumulate")
+    assert second_path_breaches({"grids": renamed}) == {
+        ("grids", "_accumulate", "multiplies planes")}  # it still sees the one product
     assert not any(hasattr(mod, name) for mod in (mqclab, mqclab.grids, mqclab.dynamics)
                    for name in RETIRED)
 
@@ -435,12 +490,36 @@ def random_hamiltonian(grid, rng, n):
     return tabulated(grid, hermitize(random_field(rng, grid.shape + (n, n), True)))
 
 
+# Catalog Hamiltonians whose X_H has identically zero pairing planes, and a
+# random one with none.
+CATALOG = ("nanowire", "pure_dephasing", "uncoupled", "random")
+
+
+def catalog_hamiltonian(kind, grid, rng, n):
+    """The nanowire (X_p = 0, X_q diagonal), pure dephasing with A = sigma_z
+    and a q-only coupling (diagonal X_H), uncoupled (X_H a multiple of 1, of
+    dimension n) or a random tabulated Hamiltonian of dimension n."""
+    if kind == "nanowire":
+        return nanowire(grid, mass=rng.uniform(0.5, 2.0), eta=rng.uniform(0.1, 1.0),
+                        B=rng.uniform(0.1, 0.5))
+    if kind == "pure_dephasing":
+        return pure_dephasing(grid, scalar_profile(grid, "trig_well", omega=rng.uniform(0.5, 2.0)),
+                              scalar_profile(grid, "sin_q", amplitude=rng.uniform(0.1, 1.0)),
+                              SIGMA_Z)
+    if kind == "uncoupled":
+        return uncoupled(grid, scalar_profile(grid, "trig_well", omega=rng.uniform(0.5, 2.0)),
+                         hermitize(random_field(rng, (n, n), True)))
+    return random_hamiltonian(grid, rng, n)
+
+
 @settings(max_examples=25, deadline=None)
-@given(shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 3), seed=seeds)
-def test_uhlmann_rhs_matches_einsum_formula(shape, n, m, seed):
+@given(kind=st.sampled_from(CATALOG), shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 3),
+       seed=seeds)
+def test_uhlmann_rhs_matches_einsum_formula(kind, shape, n, m, seed):
     rng = np.random.default_rng(seed)
     grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, *shape, hbar=0.5)
-    ham = random_hamiltonian(grid, rng, n)
+    ham = catalog_hamiltonian(kind, grid, rng, n)
+    n, m = ham.n, min(m, ham.n)
     D = 1.0 + 0.5 * rng.random(shape)
     W = random_field(rng, shape + (n, m), True)
     (dD, dW), _ = uhlmann_rhs(grid, D, W, ham)
@@ -453,6 +532,86 @@ def test_uhlmann_rhs_matches_einsum_formula(shape, n, m, seed):
         speed / h + np.max(np.abs(ham.H)) / grid.hbar)
     assert np.max(np.abs(dD - want_dD)) <= tol_D
     assert np.max(np.abs(dW - want_dW)) <= tol_W
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(CATALOG), shape=grid_sizes, n=st.integers(1, 3), seed=seeds)
+def test_mean_field_rhs_matches_the_written_formula(kind, shape, n, seed):
+    """The mean-field tendencies, paired and transported only where X_H has
+    live planes, are those of the written formula (``oracles``), which reads
+    every plane, within round-off."""
+    rng = np.random.default_rng(seed)
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, *shape, hbar=0.5)
+    ham = catalog_hamiltonian(kind, grid, rng, n)
+    n = ham.n
+    D = 1.0 + 0.5 * rng.random(shape)
+    A = random_field(rng, (n, n), True)
+    rho = hermitize(A @ dagger(A))
+    (dD, drho), _ = mean_field_rhs(grid, D, rho, ham)
+    want_dD, want_drho = mean_field_rhs_formula(grid, D, rho, ham)
+    dH = max(np.max(np.abs(ham.dH_q)), np.max(np.abs(ham.dH_p)))
+    speed = n * n * dH * np.max(np.abs(rho))  # bounds |Tr(rho dH)|
+    h = min(grid.dq, grid.dp)
+    Hbar = grid.area * np.max(D) * np.max(np.abs(ham.H))  # bounds |integral(D H)|
+    assert np.max(np.abs(dD - want_dD)) <= 32 * n * n * EPS * speed * np.max(D) / h
+    assert np.max(np.abs(drho - want_drho)) <= 32 * n * EPS * Hbar * np.max(np.abs(rho)) / grid.hbar
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(CATALOG), shape=grid_sizes, n=st.integers(1, 3), m=st.integers(1, 3),
+       seed=seeds)
+def test_ehrenfest_rhs_matches_the_written_formula(kind, shape, n, m, seed):
+    """The Ehrenfest density tendency, paired and transported only where X_H
+    has live planes, is that of the written formula (``oracles``), which
+    reads every plane, within round-off."""
+    rng = np.random.default_rng(seed)
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, *shape, hbar=0.5)
+    ham = catalog_hamiltonian(kind, grid, rng, n)
+    n, m = ham.n, min(m, ham.n)
+    W = random_field(rng, shape + (n, m), True)
+    P = hermitize((1.0 + 0.5 * rng.random(shape))[..., None, None] * (W @ dagger(W)))
+    (dP,), _ = ehrenfest_rhs(grid, P, ham)
+    want = ehrenfest_rhs_formula(grid, P, ham)
+    X = max(np.max(np.abs(ham.X_q)), np.max(np.abs(ham.X_p)))
+    speed = n * X  # bounds |Tr(P X_k)| / Tr P for P >= 0
+    h = min(grid.dq, grid.dp)
+    tol = 64 * n * n * EPS * np.max(np.abs(P)) * (speed / h + np.max(np.abs(ham.H)) / grid.hbar)
+    assert np.max(np.abs(dP - want)) <= tol
+
+
+@pytest.mark.parametrize("kind", CATALOG)
+def test_the_live_index_matches_the_planes(kind):
+    """Each catalog Hamiltonian's live index names exactly the planes of
+    X_H and of its gradients that are not identically zero, and ``X_axes``
+    the components of X_H that are not; the plain-pairing right-hand sides
+    write the nanowire's velocity along p, X_p = 0, as exact +0.0."""
+    rng = np.random.default_rng(7)
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, 16, 12, hbar=0.5)
+    ham = catalog_hamiltonian(kind, grid, rng, 3)
+    for planes, live in ((ham.X_planes, ham.X_live), (ham.dX_planes, ham.dX_live)):
+        assert len(live) == planes.shape[1] == ham.n ** 2
+        for k, t in np.ndindex(planes.shape[:2]):
+            assert (k in live[t]) == bool(np.any(planes[k, t]))
+    X = (ham.X_q, ham.X_p)
+    assert ham.X_axes == tuple(k for k in range(2) if np.any(X[k]))
+    expected = {"nanowire": ((0,), (), (), (0,)), "pure_dephasing": ((0, 1), (), (), (0, 1))}
+    if kind in expected:
+        assert ham.X_live == expected[kind]
+    elif kind == "uncoupled":  # X_H is a multiple of 1: only the diagonal planes live
+        assert ham.X_live == tuple((0, 1) if t in (0, 5, 8) else () for t in range(9))
+    else:
+        assert ham.X_live == ((0, 1),) * 9
+    if kind != "nanowire":
+        return
+    D = 1.0 + 0.5 * rng.random(grid.shape)
+    W = random_field(rng, grid.shape + (2, 1), True)
+    P = D[..., None, None] * hermitize(W @ dagger(W))
+    velocities = [uhlmann_rhs(grid, D, W, ham)[1]["velocity"],
+                  ehrenfest_rhs(grid, P, ham)[1]["velocity"],
+                  mean_field_rhs(grid, D, np.diag([0.7, 0.3]).astype(complex), ham)[1]["velocity"]]
+    for v in velocities:
+        assert ham.X_axes == (0,) and np.any(v[0])
+        assert np.all(v[1] == 0.0) and not np.any(np.signbit(v[1]))
 
 
 def implied_density_tendency(model, arrays, tends):
@@ -540,7 +699,7 @@ def kernel_case(kernel, rng, shape, n, k, m, complex_valued):
     if kernel == "pair_hermitian":
         R = hermitize(random_field(rng, shape + (n, n), complex_valued))
         return (R, random_field(rng, shape + (n, n), True)), lambda R, X: pair_hermitian(
-            R, pairing_planes(X), np.empty((1,) + R.shape[:2]))
+            R, pairing_planes(X), live_planes(pairing_planes(X)), np.empty((1,) + R.shape[:2]))
     W = random_field(rng, shape + (n, m), True)
     return (W, random_field(rng, shape + (n, n), complex_valued)), pairing
 
@@ -698,7 +857,7 @@ def test_pair_planes_gives_the_bits_of_the_per_x_loop(n, m, layout, hermitian, s
     want = pairing_per_x(W, *Xs)
     planes = pairing_planes(*Xs)
     assert planes.shape == (2, n * n) + shape and planes.dtype == float
-    got = pair_planes(W, planes, np.full((2,) + shape, np.nan))
+    got = pair_planes(W, planes, live_planes(planes), np.full((2,) + shape, np.nan))
     assert all(same_bits(g, w) for g, w in zip(got, want))
     assert all(same_bits(g, w) for g, w in zip(pairing(W, *Xs), want))
     assert same_bits(pairing(W, Xs[1]), want[1])
