@@ -1,6 +1,7 @@
 """Command-line harness: simulate / equilibrium / casimir-check / convergence.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical abort.
+Exit codes: 0 success, 1 configuration or usage error (a missing
+``--config``, an unknown command, a ``--levels`` below 1), 2 numerical abort.
 ``MQC_THREADS`` caps the BLAS/OpenMP thread pools of the data-parallel
 kernels (set before the numerics are imported).
 """
@@ -28,9 +29,19 @@ def _cap_threads():
             os.environ.setdefault(var, t)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's exit code 2 means a numerical abort here
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+def _levels(value):
+    if not value.isdigit() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got '{value}'")
+    return int(value)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="mqclab",
-                                     description="Mixed quantum-classical dynamics laboratory")
+    parser = _Parser(prog="mqclab", description="Mixed quantum-classical dynamics laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("simulate", cmd_simulate), ("equilibrium", cmd_equilibrium),
                      ("casimir-check", cmd_casimir_check), ("convergence", cmd_convergence)):
@@ -40,7 +51,7 @@ def build_parser():
         p.add_argument("--model", default=None, help="override the configured model")
         p.add_argument("--quiet", action="store_true")
         if name == "convergence":
-            p.add_argument("--levels", type=int, default=3)
+            p.add_argument("--levels", type=_levels, default=3)
             p.add_argument("--mode", choices=("both", "temporal"), default="both")
         p.set_defaults(fn=fn)
     return parser
@@ -113,7 +124,7 @@ def cmd_simulate(args):
     model = Cmod.model_of(cfg, args.model)
     state = Cmod.build_initial_state(grid, ham, cfg)
     stepper = Cmod.build_stepper(cfg, grid, ham, model, state)
-    loop = Cmod.build_loop(cfg)
+    loop = Cmod.build_loop(cfg, grid)
     sample_fn = Cmod.build_sample_fn(cfg, model, ham, with_loop=loop is not None)
 
     os.makedirs(args.out, exist_ok=True)

@@ -471,13 +471,16 @@ def build_stepper(cfg, grid, ham, model, state, refinement=1) -> StepperConfig:
                          renormalize=time["renormalize"])
 
 
-def build_loop(cfg):
+def build_loop(cfg, grid):
     if read(cfg, "diagnostics.loop", _mapping, None) is None:
         return None
+    points = read(cfg, "diagnostics.loop.points", _integer, 256, lambda k: k >= 3,
+                  "need at least 3 points")  # fewer enclose no area
+    if points > grid.Nq * grid.Np:  # the grid's nodes bound the tracer's work and memory
+        raise ConfigError("diagnostics.loop.points", f"{points} loop points are above the cap "
+                          f"of {grid.Nq * grid.Np}, the node count of the grid")
     return circle_loop(read(cfg, "diagnostics.loop.center", _pair, (0.0, 0.0)),
-                       read(cfg, "diagnostics.loop.radius", _finite, 0.5, *_POSITIVE),
-                       read(cfg, "diagnostics.loop.points", _integer, 256, lambda k: k >= 3,
-                            "need at least 3 points"))  # fewer enclose no area
+                       read(cfg, "diagnostics.loop.radius", _finite, 0.5, *_POSITIVE), points)
 
 
 def build_sample_fn(cfg, model, ham, with_loop=False):

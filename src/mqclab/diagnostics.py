@@ -1,7 +1,8 @@
 """Diagnostic sampling and the fixed-layout CSV export.
 
 The CSV header is frozen; diagnostics that are not defined for the running
-model (or not requested) leave their cells empty.
+model (or not requested) leave their cells empty. ``antiherm_resid`` is empty
+for every model: the density tendency is Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def make_sample_fn(model, ham, functionals=None, renyi_alpha=2.0,
     c1 = _inv.CasimirC1(phi)
     entropy, renyi = _inv.uhlmann_entropies(_dyn.MODELS[model].state_type)
 
-    def sample(t, state, loop_pts, info):
+    def sample(t, state, loop_pts, velocity):
         row = {k: None for k in CSV_COLUMNS}
         row["t"] = t
         dens = state.compose()
@@ -62,8 +63,6 @@ def make_sample_fn(model, ham, functionals=None, renyi_alpha=2.0,
             row["S_uhlmann"] = entropy(state)
         if "renyi" in wanted and renyi is not None:
             row["renyi_alpha"] = renyi(state, renyi_alpha)
-        if "antiherm_resid" in info:
-            row["antiherm_resid"] = info["antiherm_resid"]
         return row
 
     return sample

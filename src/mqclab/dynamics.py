@@ -14,16 +14,16 @@ Models
 
 ``MODELS`` is the one registry of the models: for each, the state type it
 evolves, the maps between that state and the tuple of arrays RK4 advances,
-the right-hand side ``rhs(grid, ham, arrays, out=None, residual=False) ->
-(tendencies, info)`` and the renormalisation; outside it a state is read
-through the protocol of ``states`` (``energy_of`` reads any ``compose()``).
-Every right-hand side reports its transport velocity, which the loop tracer
-reads, in one layout: ``info["velocity"]`` is one fresh (2, Nq, Np) float
-array, the q and p components as its two planes, each written in place. The
-tracer hands ``grids.interpolate`` its (Nq, Np, 2) view, which it reads as
-planes without a copy. ``max_speed`` is the one place the largest speed is
-taken from it: ``cfl_dt`` reads it once and ``rk4_run``'s CFL guard once per
-step, on the first stage, since the other stages need only the velocity.
+the right-hand side ``rhs(grid, ham, arrays, out=None) -> (tendencies,
+velocity)`` and the renormalisation; outside it a state is read through the
+protocol of ``states`` (``energy_of`` reads any ``compose()``).
+Every right-hand side returns its transport velocity, which the loop tracer
+reads, in one layout: one fresh (2, Nq, Np) float array, the q and p
+components as its two planes, each written in place. The tracer hands
+``grids.interpolate`` its (Nq, Np, 2) view, which it reads as planes without
+a copy. ``max_speed`` is the one place the largest speed is taken from it:
+``cfl_dt`` reads it once and ``rk4_run``'s CFL guard once per step, on the
+first stage, since the other stages need only the velocity.
 Both density models end in one tendency, -div(P X) - (i/hbar)[H, P]. The
 vacuum floor is ``states.vacuum_floor`` throughout; only the density
 right-hand sides take its factor, so that at 0 a zero-trace region aborts.
@@ -35,7 +35,9 @@ from a Hermitian start is). Every operand after that is Hermitian, so their
 commutators are ``grids.hcomm`` and their traces Re Tr(X R)
 ``grids.pair_hermitian`` against the Hamiltonian's static planes
 (``X_planes``, ``dX_planes``); the mean field's constant rho broadcasts
-against them.
+against them. So the density tendency is Hermitian by construction, with no
+symmetrizing pass: X is real, the stencil linear with real weights and
+``hcomm`` exactly anti-Hermitian.
 
 The split models' velocity is the pairing X = Re Tr(W^dag X_H W), and
 ``grids.pair_planes`` is its one kernel: it forms the local density
@@ -72,12 +74,8 @@ give the same bits on them; only speed depends on the layout.
 
 All transport terms use the conservative form div(field * velocity); with the
 antisymmetric stencils the grid sum of such a divergence telescopes to zero,
-so total mass is conserved to round-off. Hermitian tendencies are symmetrized
-each stage. The anti-Hermitian residual before symmetrizing, a
-discretization health metric, is computed only where a diagnostic row reads
-it: the driver asks for it (``residual``) on the first stage of a sampled
-step. The integrator is classic RK4 with a CFL guard; no adaptivity, so
-conservation drifts carry a clean dt^4 signal.
+so total mass is conserved to round-off. The integrator is classic RK4 with
+a CFL guard; no adaptivity, so conservation drifts carry a clean dt^4 signal.
 """
 
 from __future__ import annotations
@@ -88,8 +86,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import (_grid_first, antiherm_residual, frobenius_norm, hcomm, hermitize, mm,
-                    pair_hermitian, pair_planes, scratch, tr_prod, trace_field)
+from .grids import (_grid_first, frobenius_norm, hcomm, hermitize, mm, pair_hermitian,
+                    pair_planes, scratch, tr_prod, trace_field)
 from .states import (EPS_D_REL, ConditionalSplit, HybridDensity, MeanFieldState, UhlmannSplit,
                      vacuum_floor)
 
@@ -162,7 +160,7 @@ def mean_field_rhs(grid, D, rho, ham, out=None):
     Hbar = hermitize(grid.integrate(np.multiply(D[..., None, None], ham.H, out=DH)))
     hcomm(Hbar, rho, out=drho)
     drho *= -1j / grid.hbar
-    return (dD, drho), {"velocity": velocity}
+    return (dD, drho), velocity
 
 
 def _partial(grid, k):
@@ -220,40 +218,30 @@ def _hermitian_part(P):
     return hermitize(P, out=scratch(P.shape, complex, "density.P", like=P))
 
 
-def _density_tendency(grid, P, velocity, axes, H, out, residual):
+def _density_tendency(grid, P, velocity, axes, H, out):
     """The density models' tendency -div(P X) - (i/hbar)[H, P], with X the
     (2, Nq, Np) ``velocity``, transported along its ``axes``, and H and P
-    Hermitian, symmetrized into ``out`` (or a fresh array), with its info
-    dict; a ``NumericalAbort`` names the first grid point where it is not
-    finite.
-
-    With ``residual`` the info also holds ``antiherm_resid``, the
-    anti-Hermitian residual of the tendency before symmetrizing."""
+    Hermitian, written into ``out`` (or a fresh array) and returned with X;
+    a ``NumericalAbort`` names the first grid point where it is not finite."""
     (dP,) = _outputs(out, P)
     flux = scratch(P.shape, complex, "density.flux", like=P)
-    tend = _divergence(grid, P, velocity, axes,
-                       scratch(P.shape, complex, "density.tend", like=P), flux,
-                       scratch(P.shape, complex, "density.dp", like=P))
-    np.negative(tend, out=tend)
+    _divergence(grid, P, velocity, axes, dP, flux, scratch(P.shape, complex, "density.dp", like=P))
+    np.negative(dP, out=dP)
     rot = hcomm(H, P, out=flux)
     rot *= -1j / grid.hbar
-    tend += rot
-    if not np.all(np.isfinite(tend)):
-        bad = np.argwhere(~np.all(np.isfinite(tend), axis=(-2, -1)))[0]
+    dP += rot
+    if not np.all(np.isfinite(dP)):
+        bad = np.argwhere(~np.all(np.isfinite(dP), axis=(-2, -1)))[0]
         raise NumericalAbort(f"non-finite tendency at grid point {tuple(bad)}")
-    info = {"velocity": velocity}
-    if residual:
-        info["antiherm_resid"] = antiherm_residual(tend)
-    return (hermitize(tend, out=dP),), info
+    return (dP,), velocity
 
 
-def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):
-    """dP/dt = -div(P <X_H>) - (i/hbar)[H, P], symmetrized; with
-    ``residual`` the info holds ``antiherm_resid``."""
+def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None):
+    """dP/dt = -div(P <X_H>) - (i/hbar)[H, P]."""
     P = _hermitian_part(P)
     velocity = pair_hermitian(P, ham.X_planes, ham.X_live, np.empty((2,) + P.shape[:2]))
     velocity /= _regularized_trace(P, eps_tr_rel)
-    return _density_tendency(grid, P, velocity, ham.X_axes, ham.H, out, residual)
+    return _density_tendency(grid, P, velocity, ham.X_axes, ham.H, out)
 
 
 def _as_waveop(W):
@@ -280,7 +268,7 @@ def uhlmann_rhs(grid, D, W, ham, out=None):
     grad = scratch(Wm.shape, complex, "uhlmann.grad", like=Wm)
     for k in ham.X_axes:
         dWm -= np.multiply(_partial(grid, k)(Wm, out=grad), velocity[k][..., None, None], out=grad)
-    return (dD, dW), {"velocity": velocity}
+    return (dD, dW), velocity
 
 
 def conditional_rhs(grid, D, psi, ham, out=None):
@@ -288,7 +276,7 @@ def conditional_rhs(grid, D, psi, ham, out=None):
     return uhlmann_rhs(grid, D, psi, ham, out)
 
 
-def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):
+def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None):
     """Gradient-corrected model: dP/dt = -div(P X) - (i/hbar)[scriptH, P].
 
     X_k   = <X_H>_k + (1/D) Tr(X_H . grad Sigma_k - Sigma . grad X_H,k)
@@ -341,7 +329,7 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=
     scrH = np.add(ham.H, GX, out=dPp)
 
     # the Sigma-hat correction transports along p even where X_p vanishes
-    return _density_tendency(grid, P, calX, (0, 1), scrH, out, residual)
+    return _density_tendency(grid, P, calX, (0, 1), scrH, out)
 
 
 def beyond_sigma(grid, P, inv_D, grads, signs, out):
@@ -386,12 +374,11 @@ def energy_of(model, state, ham):
 class Model:
     """A model's glue: the state type it evolves (``state_type(grid,
     *arrays)`` builds one), state -> array tuple (``unpack``), the right-hand
-    side ``rhs(grid, ham, arrays, out=None, residual=False) -> (tendencies,
-    info)`` and the renormalisation ``renorm(grid, arrays)``.
+    side ``rhs(grid, ham, arrays, out=None) -> (tendencies, velocity)`` and
+    the renormalisation ``renorm(grid, arrays)``.
 
     ``rhs`` writes its tendencies into the arrays ``out`` when given and
-    returns them; ``residual`` asks a density model for ``antiherm_resid``
-    in the info (the other models have none)."""
+    returns them with the (2, Nq, Np) transport velocity."""
 
     state_type: type
     unpack: Callable
@@ -425,42 +412,40 @@ MODELS = {
     "mean_field": Model(
         MeanFieldState,
         lambda s: (s.D, s.rho),
-        lambda grid, ham, a, out=None, residual=False: mean_field_rhs(grid, a[0], a[1], ham, out),
+        lambda grid, ham, a, out=None: mean_field_rhs(grid, a[0], a[1], ham, out),
         _mf_renorm,
     ),
     "ehrenfest_density": Model(
         HybridDensity,
         lambda s: (s.P,),
-        lambda grid, ham, a, out=None, residual=False: ehrenfest_rhs(
-            grid, a[0], ham, out=out, residual=residual),
+        lambda grid, ham, a, out=None: ehrenfest_rhs(grid, a[0], ham, out=out),
         _dens_renorm,
     ),
     "ehrenfest_conditional": Model(
         ConditionalSplit,
         lambda s: (s.D, s.psi),
-        lambda grid, ham, a, out=None, residual=False: conditional_rhs(grid, a[0], a[1], ham, out),
+        lambda grid, ham, a, out=None: conditional_rhs(grid, a[0], a[1], ham, out),
         _split_renorm,
     ),
     "ehrenfest_uhlmann": Model(
         UhlmannSplit,
         lambda s: (s.D, s.W),
-        lambda grid, ham, a, out=None, residual=False: uhlmann_rhs(grid, a[0], a[1], ham, out),
+        lambda grid, ham, a, out=None: uhlmann_rhs(grid, a[0], a[1], ham, out),
         _split_renorm,
     ),
     "beyond_ehrenfest": Model(
         HybridDensity,
         lambda s: (s.P,),
-        lambda grid, ham, a, out=None, residual=False: beyond_ehrenfest_rhs(
-            grid, a[0], ham, out=out, residual=residual),
+        lambda grid, ham, a, out=None: beyond_ehrenfest_rhs(grid, a[0], ham, out=out),
         _dens_renorm,
     ),
 }
 
 
-def max_speed(info):
-    """The largest transport speed |X| on the grid, from the velocity in a
-    right-hand side's ``info``: the one speed the CFL step size and guard read."""
-    return float(np.max(np.hypot(*info["velocity"])))
+def max_speed(velocity):
+    """The largest transport speed |X| on the grid, from a right-hand side's
+    (2, Nq, Np) ``velocity``: the one speed the CFL step size and guard read."""
+    return float(np.max(np.hypot(*velocity)))
 
 
 def cfl_dt(model, state, ham, cfl):
@@ -468,8 +453,8 @@ def cfl_dt(model, state, ham, cfl):
     speed of the model's right-hand side at ``state``."""
     spec = MODELS[model]
     grid = state.grid
-    _, info = spec.rhs(grid, ham, spec.unpack(state))
-    return float(cfl) * min(grid.dq, grid.dp) / max(max_speed(info), 1e-12)
+    _, velocity = spec.rhs(grid, ham, spec.unpack(state))
+    return float(cfl) * min(grid.dq, grid.dp) / max(max_speed(velocity), 1e-12)
 
 
 # -- RK4 driver -------------------------------------------------------------------
@@ -494,7 +479,7 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
             keep_states=True):
     """Integrate ``state`` with classic RK4, sampling diagnostics.
 
-    ``sample_fn(t, state, loop_pts, info)`` is called every
+    ``sample_fn(t, state, loop_pts, velocity)`` is called every
     ``cfg.sample_every`` steps (plus the final step) and its dict is recorded.
     ``loop`` is an optional (K, 2) array of phase-space points advected with
     the model's scalar transport velocity: one more array of the RK4 tuple,
@@ -524,12 +509,12 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
     result = RunResult()
     warned_cfl = False
 
-    def full_rhs(arrays, out, residual=False):
-        _, info = ops.rhs(grid, ham, arrays[:n_model], out[:n_model], residual)
+    def full_rhs(arrays, out):
+        _, velocity = ops.rhs(grid, ham, arrays[:n_model], out[:n_model])
         if loop is not None:
             pts = arrays[-1]  # both components in one call, read as planes
-            out[-1][...] = grid.interpolate(_grid_first(info["velocity"]), pts[:, 0], pts[:, 1])
-        return info
+            out[-1][...] = grid.interpolate(_grid_first(velocity), pts[:, 0], pts[:, 1])
+        return velocity
 
     def stage_input(tends, h):
         for s, kk, a in zip(stage, tends, y):
@@ -552,7 +537,7 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
         sampled = step % cfg.sample_every == 0 or step == cfg.steps
         try:
             # k1 goes straight into the running sum
-            info1 = full_rhs(y, ksum, residual=sampled and sample_fn is not None)
+            velocity1 = full_rhs(y, ksum)
         except NumericalAbort as exc:
             abort(str(exc), y, t)
             break
@@ -565,13 +550,13 @@ def rk4_run(model, state, ham, cfg: StepperConfig, sample_fn=None, loop=None,
             if pts is not None:
                 result.loop_points.append(pts)
             if sample_fn is not None:
-                row = sample_fn(t, snap, pts, info1)
+                row = sample_fn(t, snap, pts, velocity1)
                 if row is not None:
                     result.rows.append(row)
         if step == cfg.steps:
             break
 
-        ratio = abs(dt) * max_speed(info1) / minh
+        ratio = abs(dt) * max_speed(velocity1) / minh
         result.cfl_max_seen = max(result.cfl_max_seen, ratio)
         if ratio >= CFL_MAX:
             abort(f"CFL guard tripped at step {step}: dt*speed/h = {ratio:.3f} >= {CFL_MAX}",

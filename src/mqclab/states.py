@@ -236,8 +236,8 @@ class MeanFieldState(_State):
 @dataclass
 class BerryData:
     """Berry connection and Liouville volume. ``A_B`` is the connection
-    (A_q, A_p) as one (2, Nq, Np) float array of two planes, the layout of a
-    right-hand side's ``info["velocity"]``."""
+    (A_q, A_p) as one (2, Nq, Np) float array of two planes, the layout of
+    the velocity a right-hand side returns."""
 
     A_B: np.ndarray
     Lambda: np.ndarray

@@ -1,9 +1,9 @@
 """Numerical oracles the tests check mqclab against: finite-difference
 derivatives of a functional in the Hermitian basis, a smooth random PSD
 density, the stencil error of a Hamiltonian's analytic gradient, the
-reconstruction error of its eigenfields, the canonical Poisson bracket and
-the mean-field and Ehrenfest right-hand sides as written. No command of the
-package reaches them."""
+reconstruction error of its eigenfields, the canonical Poisson bracket, the
+mean-field, Ehrenfest and beyond-Ehrenfest right-hand sides as written and
+the beyond-Ehrenfest energy. No command of the package reaches them."""
 
 import numpy as np
 
@@ -127,10 +127,6 @@ def poisson_bracket(grid, f, g):
     return grid.partial_q(f) * grid.partial_p(g) - grid.partial_p(f) * grid.partial_q(g)
 
 
-def _dagger(M):
-    return np.conj(np.swapaxes(M, -1, -2))
-
-
 def _re_trace(A, B):
     """The field Re Tr(A B), by ``@`` and ``np.trace``."""
     return np.trace(A @ B, axis1=-2, axis2=-1).real
@@ -148,14 +144,62 @@ def mean_field_rhs_formula(grid, D, rho, ham):
     return dD, drho
 
 
+def _floored_trace(P, eps_tr_rel):
+    """D = Tr P plus the vacuum floor."""
+    TrP = np.trace(P, axis1=-2, axis2=-1).real
+    return TrP + vacuum_floor(TrP, eps_tr_rel)
+
+
+def _commutator(A, B):
+    return A @ B - B @ A
+
+
 def ehrenfest_rhs_formula(grid, P, ham, eps_tr_rel=EPS_D_REL):
     """The Ehrenfest density tendency as written, for a Hermitian P:
-    -div(P <X_H>) - (i/hbar)(H P - P H), symmetrized, with <X_H>_k =
-    Tr(P X_k) / D and D = Tr P plus the vacuum floor. Every plane of X_H is
-    read, zero or not."""
-    TrP = np.trace(P, axis1=-2, axis2=-1).real
-    D = TrP + vacuum_floor(TrP, eps_tr_rel)
+    -div(P <X_H>) - (i/hbar)(H P - P H), with <X_H>_k = Tr(P X_k) / D and
+    D = Tr P plus the vacuum floor. Every plane of X_H is read, zero or not."""
+    D = _floored_trace(P, eps_tr_rel)
     v_q, v_p = _re_trace(P, ham.X_q) / D, _re_trace(P, ham.X_p) / D
     dP = -(grid.partial_q(P * v_q[..., None, None]) + grid.partial_p(P * v_p[..., None, None]))
-    dP -= (1j / grid.hbar) * (ham.H @ P - P @ ham.H)
-    return 0.5 * (dP + _dagger(dP))
+    return dP - (1j / grid.hbar) * _commutator(ham.H, P)
+
+
+def beyond_ehrenfest_rhs_formula(grid, P, ham, eps_tr_rel=EPS_D_REL):
+    """The beyond-Ehrenfest tendency as written, for a Hermitian P:
+    -div(P X) - (i/hbar)[scriptH, P], transported along both axes, with
+
+        X_k     = (Tr(P X_k) + sum_j Tr(X_j d_j Sigma_k - Sigma_j d_j X_k)) / D,
+        Sigma_k = (i hbar / 2D) [P, X_P,k],  X_P = (d_p P, -d_q P),
+        scriptH = H + (i hbar / D) sum_k [d_k P - P d_k ln sqrt(D), X_k],
+
+    X_k the components of X_H and D = Tr P plus the vacuum floor.
+    d_k ln sqrt(D) is read as Tr d_k P / 2D, as ``dynamics`` discretises it:
+    the stencil of ln D is also fourth order, but differs from it at
+    truncation level (by up to 9 % on rough fields). Every plane of X_H is
+    read, zero or not."""
+    D = _floored_trace(P, eps_tr_rel)
+    d, X = (grid.partial_q, grid.partial_p), (ham.X_q, ham.X_p)
+    dP = [d[k](P) for k in range(2)]
+    scale = (0.5j * grid.hbar / D)[..., None, None]
+    Sigma = [scale * _commutator(P, XPk) for XPk in (dP[1], -dP[0])]
+    velocity = [(_re_trace(P, X[k]) + sum(_re_trace(X[j], d[j](Sigma[k]))
+                                          - _re_trace(Sigma[j], d[j](X[k])) for j in range(2))) / D
+                for k in range(2)]
+    dlns = [(np.trace(dP[k], axis1=-2, axis2=-1).real / (2.0 * D))[..., None, None]
+            for k in range(2)]
+    scrH = ham.H + (1j * grid.hbar / D)[..., None, None] * sum(
+        _commutator(dP[k] - P * dlns[k], X[k]) for k in range(2))
+    dP = -sum(d[k](P * velocity[k][..., None, None]) for k in range(2))
+    return dP - (1j / grid.hbar) * _commutator(scrH, P)
+
+
+def beyond_energy_formula(grid, P, ham, eps_tr_rel=EPS_D_REL):
+    """The beyond-Ehrenfest energy as written, for a Hermitian P:
+    integral of Tr(P H) + sum_k Tr((i hbar / 2D) [P, d_k P] X_k), the
+    gradient-indexed Sigma-hat paired straight against X_H."""
+    D = _floored_trace(P, eps_tr_rel)
+    scale = (0.5j * grid.hbar / D)[..., None, None]
+    density = _re_trace(P, ham.H) + sum(
+        _re_trace(scale * _commutator(P, dk(P)), Xk)
+        for dk, Xk in ((grid.partial_q, ham.X_q), (grid.partial_p, ham.X_p)))
+    return float(grid.integrate(density))

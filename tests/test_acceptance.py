@@ -61,7 +61,7 @@ def run_scenario(cfg, functionals=None, with_loop=False, keep_states=False):
     model = model_of(cfg)
     state = build_initial_state(grid, ham, cfg)
     stepper = build_stepper(cfg, grid, ham, model, state)
-    loop = build_loop(cfg) if with_loop else None
+    loop = build_loop(cfg, grid) if with_loop else None
     dspec = cfg.get("diagnostics", {})
     fn = make_sample_fn(model, ham, functionals=functionals or dspec.get("functionals"),
                         renyi_alpha=2.0, with_loop=loop is not None)
@@ -214,7 +214,7 @@ class TestCriterion7:
         stepper = build_stepper(cfg, grid, ham, "ehrenfest_density", state)
         dists = []
 
-        def sample(t, st, pts, info):
+        def sample(t, st, pts, velocity):
             D = trace_field(st.P)
             rho = quantum_marginal(st)
             dists.append(grid.integrate(np.linalg.norm(st.P - D[..., None, None] * rho,

@@ -150,21 +150,20 @@ def reference_rk4(model, state, ham, dt, steps, sample_every, sample_fn, loop):
     if loop is not None:
         y += (np.array(loop, dtype=float),)
 
-    def f(arrays, residual=False):
-        tends, info = ops.rhs(grid, ham, arrays[:n], residual=residual)
+    def f(arrays):
+        tends, velocity = ops.rhs(grid, ham, arrays[:n])
         if loop is not None:
             pts = arrays[-1]
-            velocity = np.stack(info["velocity"], axis=-1)
-            tends += (grid.interpolate(velocity, pts[:, 0], pts[:, 1]),)
-        return tends, info
+            tends += (grid.interpolate(np.stack(velocity, axis=-1), pts[:, 0], pts[:, 1]),)
+        return tends, velocity
 
     rows, t = [], 0.0
     for step in range(steps + 1):
         sampled = step % sample_every == 0 or step == steps
-        k1, info = f(y, residual=sampled)
+        k1, velocity = f(y)
         if sampled:
             snap = ops.state_type(grid, *(np.array(a, copy=True) for a in y[:n]))
-            rows.append(sample_fn(t, snap, None if loop is None else y[-1].copy(), info))
+            rows.append(sample_fn(t, snap, None if loop is None else y[-1].copy(), velocity))
         if step == steps:
             break
         k2, _ = f(tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
@@ -198,8 +197,7 @@ def test_rk4_has_the_bits_of_the_out_of_place_formula(model, traced):
     if traced:
         assert same_bits(run.loop_points[-1], y[-1])
     assert [row_bits(r) for r in run.rows] == [row_bits(r) for r in rows]
-    density = model in ("ehrenfest_density", "beyond_ehrenfest")
-    assert all((r["antiherm_resid"] is not None) == density for r in run.rows)
+    assert all(r["antiherm_resid"] is None for r in run.rows)  # kept only in the header
 
 
 # -- page faults -------------------------------------------------------------------
@@ -213,7 +211,7 @@ FAULT_PROBE = textwrap.dedent("""
     grid = C.build_grid(cfg)
     ham = C.build_hamiltonian(grid, cfg)
     state = C.build_initial_state(grid, ham, cfg)
-    loop = C.build_loop(cfg)
+    loop = C.build_loop(cfg, grid)
 
     def run(steps):
         rk4_run("ehrenfest_conditional", state, ham,

@@ -375,15 +375,15 @@ FUZZ_PRESETS = ("nanowire_conditional", "nanowire_meanfield", "dephasing_equilib
                 "zeta_sigma_z", "classical_well")
 # Values drawn for one key; DELETE removes it. BIG, drawn too, asks for more
 # RK4 steps or probes than the work cap allows when it sets a domain bound,
-# t_final, a speed or n_probes; it is not drawn for the keys that size an
-# array (ALLOCATING_KEYS), which would allocate against the machine's memory
-# (a 1e6 x 16 grid, see test_oversized_grid_exits_1_in_a_capped_child, or a
-# loop tracer of 1e6 points, about 700 MB).
+# t_final, a speed or n_probes, and more loop points than the grid has nodes
+# when it sets diagnostics.loop.points; it is not drawn for the keys that
+# size an array (ALLOCATING_KEYS), which would allocate against the machine's
+# memory (a 1e6 x 16 grid, see test_oversized_grid_exits_1_in_a_capped_child).
 DELETE = "<delete>"
 BIG = 1e6
 FUZZ_VALUES = (None, -1, 0, 1, 2.5, -0.5, "x", "false", [], [1], {}, True, float("nan"),
                float("inf"), [[1.0, 0.0], [0.0, 1.0]], "mean_field", "density", DELETE)
-ALLOCATING_KEYS = ("grid.Nq", "grid.Np", "diagnostics.loop.points")
+ALLOCATING_KEYS = ("grid.Nq", "grid.Np")
 
 
 def short_run(preset):
@@ -535,7 +535,8 @@ class TestOneBadKey:
         assert err.startswith("config error:") and err.endswith(f": {reported or path}"), err
 
     # A speed, a time or a count of 1e6 each asked for a million or more RK4
-    # steps or probes, and the run went on past any alarm.
+    # steps or probes, and the run went on past any alarm; 1e6 loop points
+    # took 5.9 s and 697 MB on a 16 x 16 grid.
     @pytest.mark.parametrize("preset, path, command, reported", [
         ("nanowire_conditional", "hamiltonian.eta", "simulate", "time.t_final"),
         ("uncoupled_factorized", "time.t_final", "simulate", "time.t_final"),
@@ -545,12 +546,14 @@ class TestOneBadKey:
         ("dephasing_equilibrium", "diagnostics.n_probes", "casimir-check", None),
         ("beyond_nanowire_mixed", "diagnostics.n_probes", "casimir-check", None),
         ("dephasing_equilibrium", "equilibrium.T_check", "equilibrium", None),
+        ("nanowire_conditional", "diagnostics.loop.points", "simulate", None),
     ])
     def test_a_run_above_the_work_cap_exits_1_in_a_timed_child(self, tmp_path, preset, path,
                                                                  command, reported):
         """A value of 1e6 that asks for more work than ``dynamics.WORK_CAP``
         exits 1 at the key that set the step or probe count, giving the
-        count, before any step. Each case is a child given 20 s."""
+        count, before any step; so do 1e6 loop points, above the grid's
+        node count. Each case is a child given 20 s."""
         cfg = short_run(preset)
         *parents, leaf = path.split(".")
         node = cfg
@@ -592,6 +595,27 @@ class TestOneBadKey:
                                timeout=300)
         assert child.returncode == 1, child.stderr
         assert child.stderr.rstrip().endswith(f"do not fit in memory: {key}"), child.stderr
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate"], "--config"),
+    (["simulate-all", "--config", "scenario.yaml"], "command"),
+    (["convergence", "--config", "scenario.yaml", "--levels", "0"], "--levels"),
+    (["convergence", "--config", "scenario.yaml", "--levels", "-2"], "--levels"),
+    (["convergence", "--config", "scenario.yaml", "--levels", "two"], "--levels"),
+])
+def test_a_usage_error_exits_1_naming_the_flag_and_writes_nothing(tmp_path, capsys, argv, named):
+    """A usage error exits 1, as a configuration error does (argparse's 2 is
+    the numerical abort's code), naming the argument; a --levels below 1
+    used to run a study of no level, exit 0 and write an empty table."""
+    cfg_path = write_cfg(tmp_path, presets.nanowire_conditional(N=16, loop=False))
+    argv = [cfg_path if a == "scenario.yaml" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out"), "--quiet"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("mqclab") and "error: " in err and named in err, err
+    assert not (tmp_path / "out").exists()
 
 
 # -- the reader is the only place a config value is parsed -------------------

@@ -358,7 +358,7 @@ class TestFieldContainers:
         grid = make_grid(16)
         velocity = np.stack([np.ones(grid.shape), 2.0 * np.ones(grid.shape)])
         assert velocity.shape == (2,) + grid.shape
-        assert np.isclose(max_speed({"velocity": velocity}), np.sqrt(5.0))
+        assert np.isclose(max_speed(velocity), np.sqrt(5.0))
 
 
 def band_limited_per_mode(grid, rng, kmax, trailing, complex_valued):

@@ -572,7 +572,7 @@ class TestPoincareLoop:
         for name, module in list(sys.modules.items()):  # every binding of the name
             if name.startswith("mqclab") and getattr(module, "berry_data", None) is original:
                 monkeypatch.setattr(module, "berry_data", counted)
-        row = sample(0.0, split, C.build_loop(cfg), {})
+        row = sample(0.0, split, C.build_loop(cfg, grid), None)
         assert row["poincare"] is not None and row["lambda_min"] is not None
         assert len(calls) == 1
 

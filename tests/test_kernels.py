@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 import mqclab
 from mqclab import (SIGMA_Z, PhaseGrid, nanowire, pure_dephasing, scalar_profile, tabulated,
                     uncoupled)
-from mqclab.dynamics import (MODELS, StepperConfig, cfl_dt, ehrenfest_rhs, max_speed,
-                             mean_field_rhs, rk4_run, uhlmann_rhs)
+from mqclab.dynamics import (MODELS, StepperConfig, beyond_ehrenfest_rhs, cfl_dt, ehrenfest_rhs,
+                             energy_of, max_speed, mean_field_rhs, rk4_run, uhlmann_rhs)
 from mqclab.grids import (MM_SUMS_MAX, _diff4, antiherm_residual, component_major, dagger,
                           eigen_compose, eigvalsh_field, frobenius_norm, hcomm, hermitize, mm,
                           pair_hermitian, pair_planes, pairing_planes, tr_prod)
 from mqclab.hamiltonians import live_planes
-from oracles import ehrenfest_rhs_formula, mean_field_rhs_formula
+from oracles import (beyond_ehrenfest_rhs_formula, beyond_energy_formula, ehrenfest_rhs_formula,
+                     mean_field_rhs_formula)
 
 EPS = np.finfo(float).eps
 
@@ -187,8 +188,8 @@ def test_einsum_stays_out_of_the_contraction_path():
 
 def test_the_speed_policy_stays_in_max_speed():
     """The largest transport speed is taken in one place: ``dynamics`` calls
-    ``hypot`` only inside ``max_speed``, and no right-hand side puts a
-    ``"max_speed"`` key in its info."""
+    ``hypot`` only inside ``max_speed``, and puts no ``"max_speed"`` key in
+    a mapping."""
     hypot_scopes, speed_keys = set(), []
 
     def visit(node, scope):
@@ -229,20 +230,28 @@ def one_velocity_path_breaches(source):
     which copies the velocity the tracer can read as planes, and a density
     right-hand side (``DENSITY_RHS``) calling ``tr_prod`` or the general
     ``comm`` where its Hermitian operands need only ``pair_hermitian`` and
-    ``hcomm``."""
+    ``hcomm``. Also (scope, name) pairs that measure or restore a Hermiticity
+    the tendency has by construction: ``_density_tendency`` calling
+    ``hermitize`` or ``antiherm_residual``, and any function or lambda with
+    a parameter named ``residual``."""
     found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = scope + (child.name,)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                inner = scope + (getattr(child, "name", "<lambda>"),)
+                if not isinstance(child, ast.ClassDef) and "residual" in {
+                        a.arg for a in ast.walk(child.args) if isinstance(a, ast.arg)}:
+                    found.add((".".join(inner), "residual"))
             elif isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if (name == "pairing" and any(s.endswith("_rhs") for s in scope)
                         or name == "stack" and "rk4_run" in scope
-                        or name in ("tr_prod", "comm") and DENSITY_RHS.intersection(scope)):
+                        or name in ("tr_prod", "comm") and DENSITY_RHS.intersection(scope)
+                        or name in ("hermitize", "antiherm_residual")
+                        and "_density_tendency" in scope):
                     found.add((".".join(scope), name))
             visit(child, inner)
 
@@ -254,27 +263,39 @@ def test_rhs_pair_against_the_static_planes_and_the_tracer_stacks_nothing():
     """No right-hand side calls ``pairing`` on X fields: they read the
     Hamiltonian's pre-combined planes through ``pair_planes``. ``rk4_run``
     hands the loop tracer the velocity's plane view without ``np.stack``.
-    No density right-hand side calls ``tr_prod`` or ``comm``. The guard
-    flags each form as it was written before."""
+    No density right-hand side calls ``tr_prod`` or ``comm``, the density
+    tendency is neither symmetrized nor measured for a residual, and no
+    function takes ``residual``. The guard flags each form as it was written
+    before."""
     before = (
         "def uhlmann_rhs(grid, D, W, ham, out=None):\n"
         "    Xq, Xp = pairing(Wm, ham.X_q, ham.X_p)\n"
         "def rk4_run(model, state, ham, cfg):\n"
         "    def full_rhs(arrays, out, residual=False):\n"
         "        velocity = np.stack(info['velocity'], axis=-1)\n"
-        "def _density_tendency(grid, P, velocity, H, out, residual):\n"
+        "def _density_tendency(grid, P, velocity, axes, H, out, residual):\n"
         "    rot = comm(H, P, out=flux)\n"
+        "    if residual:\n"
+        "        info['antiherm_resid'] = antiherm_residual(tend)\n"
+        "    return (hermitize(tend, out=dP),), info\n"
         "def ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):\n"
         "    for X, v in zip((ham.X_q, ham.X_p), velocity):\n"
         "        np.divide(tr_prod(P, X), denom, out=v)\n"
         "def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None, residual=True):\n"
         "    Sig = tuple(comm(P, XPk, out=buf(f'Sig{k}')) for k, XPk in enumerate(XP))\n"
         "    avgX = tuple(tr_prod(P, XHk) / D for XHk in XH)\n"
+        "MODELS = {'beyond_ehrenfest': Model(HybridDensity, lambda s: (s.P,),\n"
+        "    lambda grid, ham, a, out=None, residual=False: beyond_ehrenfest_rhs(\n"
+        "        grid, a[0], ham, out=out, residual=residual), _dens_renorm)}\n"
     )
     assert one_velocity_path_breaches(before) == {
         ("uhlmann_rhs", "pairing"), ("rk4_run.full_rhs", "stack"),
         ("_density_tendency", "comm"), ("ehrenfest_rhs", "tr_prod"),
-        ("beyond_ehrenfest_rhs", "comm"), ("beyond_ehrenfest_rhs", "tr_prod")}
+        ("beyond_ehrenfest_rhs", "comm"), ("beyond_ehrenfest_rhs", "tr_prod"),
+        ("_density_tendency", "antiherm_residual"), ("_density_tendency", "hermitize"),
+        ("rk4_run.full_rhs", "residual"), ("_density_tendency", "residual"),
+        ("ehrenfest_rhs", "residual"), ("beyond_ehrenfest_rhs", "residual"),
+        ("<lambda>", "residual")}
     path = pathlib.Path(mqclab.__file__).parent / "dynamics.py"
     source = path.read_text()
     assert one_velocity_path_breaches(source) == set()
@@ -579,6 +600,36 @@ def test_ehrenfest_rhs_matches_the_written_formula(kind, shape, n, m, seed):
     assert np.max(np.abs(dP - want)) <= tol
 
 
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(CATALOG), shape=grid_sizes, n=st.integers(1, 3),
+       hbar=st.floats(0.25, 2.0), seed=seeds)
+def test_beyond_rhs_and_energy_match_the_written_formulas(kind, shape, n, hbar, seed):
+    """The beyond-Ehrenfest tendency and energy at a positive P are those of
+    the written formulas (``oracles``), which read d ln sqrt(D) as Tr d_k P
+    / 2D and every plane of X_H, within round-off. The bound is a multiple
+    of eps scaled by the operands: |d_k P| <= 1.5 max|P| / h for the
+    stencil, |P| <= D for P >= 0, so |Sigma_k| <= n hbar |d_k P|, and
+    from these the speed |X_k| and |scriptH|."""
+    rng = np.random.default_rng(seed)
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, *shape, hbar=hbar)
+    ham = catalog_hamiltonian(kind, grid, rng, n)
+    n = ham.n
+    W = random_field(rng, shape + (n, n), True)
+    P = hermitize((1.0 + 0.5 * rng.random(shape))[..., None, None] * (W @ dagger(W)))
+    (dP,), _ = beyond_ehrenfest_rhs(grid, P, ham)
+    want = beyond_ehrenfest_rhs_formula(grid, P, ham)
+    h, Dmin = min(grid.dq, grid.dp), np.min(np.trace(P, axis1=-2, axis2=-1).real)
+    X = max(np.max(np.abs(ham.X_q)), np.max(np.abs(ham.X_p)))
+    H, Pmax = np.max(np.abs(ham.H)), np.max(np.abs(P))
+    sigma = n * hbar * 1.5 * Pmax / h
+    speed = n * X + 6 * n * n * X * sigma / (h * Dmin)
+    scrH = H + 4 * n * (1 + n / 2) * hbar * 1.5 * Pmax / h * X / Dmin
+    assert np.max(np.abs(dP - want)) <= n * n * EPS * Pmax * (speed / h + scrH / hbar)
+    energy = energy_of("beyond_ehrenfest", mqclab.HybridDensity(grid, P), ham)
+    tol = n * n * EPS * grid.area * Pmax * (H + 2 * sigma * X)
+    assert abs(energy - beyond_energy_formula(grid, P, ham)) <= tol
+
+
 @pytest.mark.parametrize("kind", CATALOG)
 def test_the_live_index_matches_the_planes(kind):
     """Each catalog Hamiltonian's live index names exactly the planes of
@@ -606,9 +657,8 @@ def test_the_live_index_matches_the_planes(kind):
     D = 1.0 + 0.5 * rng.random(grid.shape)
     W = random_field(rng, grid.shape + (2, 1), True)
     P = D[..., None, None] * hermitize(W @ dagger(W))
-    velocities = [uhlmann_rhs(grid, D, W, ham)[1]["velocity"],
-                  ehrenfest_rhs(grid, P, ham)[1]["velocity"],
-                  mean_field_rhs(grid, D, np.diag([0.7, 0.3]).astype(complex), ham)[1]["velocity"]]
+    velocities = [uhlmann_rhs(grid, D, W, ham)[1], ehrenfest_rhs(grid, P, ham)[1],
+                  mean_field_rhs(grid, D, np.diag([0.7, 0.3]).astype(complex), ham)[1]]
     for v in velocities:
         assert ham.X_axes == (0,) and np.any(v[0])
         assert np.all(v[1] == 0.0) and not np.any(np.signbit(v[1]))
@@ -742,17 +792,17 @@ def test_rhs_gives_the_same_bits_in_either_layout(model, shape, n, m, seed, layo
     layout."""
     grid, ham, arrays = model_case(model, shape, n, m, seed)
     rhs = MODELS[model].rhs
-    want, want_info = rhs(grid, ham, arrays)
+    want, want_velocity = rhs(grid, ham, arrays)
     laid = tuple(laid_out(a, layout) for a in arrays)
     out = None if out_layout is None else tuple(
         laid_out(np.full_like(w, np.nan), out_layout) for w in want)
-    got, info = rhs(grid, ham, laid, out=out)
+    got, velocity = rhs(grid, ham, laid, out=out)
     for g, w in zip(got, want):
         assert same_bits(g, w)
     if out is None and layout == "component_major":
         assert all(is_component_major(g) for g in got)
-    assert max_speed(info) == max_speed(want_info)
-    assert all(same_bits(g, w) for g, w in zip(info["velocity"], want_info["velocity"]))
+    assert max_speed(velocity) == max_speed(want_velocity)
+    assert same_bits(velocity, want_velocity)
 
 
 DENSITY_MODELS = [name for name, spec in MODELS.items() if spec.state_type is mqclab.HybridDensity]
@@ -765,24 +815,26 @@ DENSITY_MODELS = [name for name, spec in MODELS.items() if spec.state_type is mq
 def test_density_rhs_reads_the_hermitian_part_of_p(model, shape, n, m, seed, eps, layout):
     """A density right-hand side gives, bit for bit, the same tendency and
     velocity for P + eps A, A anti-Hermitian, as for the Hermitian part of
-    that P; on an exactly Hermitian P taking that part changes no bit."""
+    that P; on an exactly Hermitian P taking that part changes no bit. The
+    tendency equals its conjugate transpose in value, with no symmetrizing
+    pass: it is Hermitian by construction."""
     grid, ham, (P,) = model_case(model, shape, n, m, seed)
     A = random_field(np.random.default_rng(seed + 1), P.shape, True)
     P = hermitize(P) + eps * (A - np.conj(np.swapaxes(A, -1, -2)))
     herm = hermitize(P)
     assert same_bits(hermitize(herm), herm)
     rhs = MODELS[model].rhs
-    (got,), info = rhs(grid, ham, (laid_out(P, layout),), residual=True)
-    (want,), want_info = rhs(grid, ham, (laid_out(herm, layout),), residual=True)
+    (got,), velocity = rhs(grid, ham, (laid_out(P, layout),))
+    (want,), want_velocity = rhs(grid, ham, (laid_out(herm, layout),))
     assert same_bits(got, want)
-    assert same_bits(info["velocity"], want_info["velocity"])
-    assert same_bits(info["antiherm_resid"], want_info["antiherm_resid"])
+    assert same_bits(velocity, want_velocity)
+    assert np.array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
 
 
-def old_max_speed(info):
+def old_max_speed(velocity):
     """The largest speed as each right-hand side used to take it: hypot(X_q,
     X_p) of its velocity (X_q, X_p); the mean field's is (dHeff_p, -dHeff_q)."""
-    return float(np.max(np.hypot(*info["velocity"])))
+    return float(np.max(np.hypot(*velocity)))
 
 
 @pytest.mark.parametrize("model", list(MODELS))
@@ -793,9 +845,9 @@ def test_cfl_step_and_guard_read_the_old_per_model_speed(model, shape, n, m, see
     """``cfl_dt`` and the CFL ratio of ``rk4_run`` (one step, dt < 0) have the
     bits of the speed each right-hand side used to report itself."""
     grid, ham, arrays = model_case(model, shape, n, m, seed)
-    _, info = MODELS[model].rhs(grid, ham, arrays)
-    speed = old_max_speed(info)
-    assert same_bits(max_speed(info), speed)
+    _, velocity = MODELS[model].rhs(grid, ham, arrays)
+    speed = old_max_speed(velocity)
+    assert same_bits(max_speed(velocity), speed)
     state = MODELS[model].state_type(grid, *arrays)
     minh = min(grid.dq, grid.dp)
     dt = cfl_dt(model, state, ham, cfl)
@@ -879,8 +931,7 @@ def test_every_model_reports_one_velocity_array(model, shape, n, m, seed, layout
     dH_p), -Tr(rho dH_q)), both within round-off."""
     grid, ham, arrays = model_case(model, shape, n, m, seed)
     arrays = tuple(laid_out(a, layout) for a in arrays)
-    _, info = MODELS[model].rhs(grid, ham, arrays)
-    velocity = info["velocity"]
+    _, velocity = MODELS[model].rhs(grid, ham, arrays)
     assert isinstance(velocity, np.ndarray)
     assert velocity.shape == (2,) + shape and velocity.dtype == float
     assert velocity.flags.c_contiguous
