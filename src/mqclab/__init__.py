@@ -11,7 +11,6 @@ from .grids import (
     PhaseGrid,
     NotHermitianError,
     matrix_function,
-    vn_entropy_trace,
     random_band_limited,
 )
 from .states import (
@@ -32,6 +31,7 @@ from .states import (
 from .hamiltonians import (
     Hamiltonian,
     ScalarProfile,
+    EigenvalueCrossingError,
     UnsupportedHamiltonianError,
     scalar_profile,
     uncoupled,

@@ -25,7 +25,7 @@ from .diagnostics import DEFAULT_FUNCTIONALS, make_sample_fn
 from .dynamics import MODELS, StepperConfig, cfl_dt, circle_loop, excess_work
 from .equilibria import MaxEntProblem, ProblemError
 from .grids import MIN_POINTS, NotHermitianError, PhaseGrid, hermitize, require_hermitian
-from .hamiltonians import eigenfields
+from .hamiltonians import EigenvalueCrossingError, eigenfields
 from .invariants import scalar_fn, spectral_fn
 from .snapshots import read_snapshot
 from .states import (ConditionalSplit, HybridDensity, MeanFieldState, UhlmannSplit,
@@ -332,9 +332,12 @@ def _waveop_profile(grid, ham, cfg, m, path):
 
 def build_initial_state(grid, ham, cfg):
     """Returns the initial state object matching initial.representation, in
-    the quantum dimension of the Hamiltonian."""
-    return _same_dimension(_initial_state(grid, ham, cfg), ham,
-                           _DIMENSION_KEY.get(ham.kind, "initial"))
+    the quantum dimension of the Hamiltonian; eigenfields at a crossing fail at hamiltonian."""
+    try:
+        state = _initial_state(grid, ham, cfg)
+    except EigenvalueCrossingError as exc:
+        raise ConfigError("hamiltonian", str(exc)) from None
+    return _same_dimension(state, ham, _DIMENSION_KEY.get(ham.kind, "initial"))
 
 
 def _same_dimension(state, ham, path):
@@ -356,7 +359,7 @@ def _initial_state(grid, ham, cfg):
         except (OSError, ValueError) as exc:
             raise ConfigError("initial.snapshot", str(exc)) from None
         if not state.grid.compatible(grid):
-            raise ConfigError("initial.snapshot", "snapshot grid does not match config")
+            raise ConfigError("initial.snapshot", f"snapshot grid ({state.grid}) differs from config ({grid})")
         _same_dimension(state, ham, "initial.snapshot")
         if rep == "mean_field" and isinstance(state, HybridDensity):
             state = _meanfield_factors(state)

@@ -25,7 +25,7 @@ from . import dynamics as _dyn
 from . import invariants as _inv
 from .grids import (eigen_compose, frobenius_norm, hermitize, matrix_function, mm, pair_planes,
                     tr_prod, trace_field)
-from .hamiltonians import Hamiltonian, UnsupportedHamiltonianError, eigenfields
+from .hamiltonians import EigenvalueCrossingError, Hamiltonian, UnsupportedHamiltonianError, eigenfields
 from .states import (
     ConditionalSplit,
     HybridDensity,
@@ -149,10 +149,10 @@ def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> Equilibriu
         psi = np.broadcast_to(vec, grid.shape + vec.shape).copy()
         E_field = ham.extras["h_0"].values + a_n * ham.extras["h_i"].values
     elif ham.kind in ("zeta_composed", "nanowire"):
-        eig = eigenfields(ham)
-        if eig.has_crossing:
-            raise ProblemError("ham", "eigenvalue crossing on the grid: the branch "
-                               "eigenfield is ill-defined; no equilibrium returned")
+        try:
+            eig = eigenfields(ham)
+        except EigenvalueCrossingError as exc:
+            raise ProblemError("ham", f"{exc}; no equilibrium returned") from None
         psi = np.ascontiguousarray(eig.state(problem.branch))
         E_field = eig.energy(problem.branch)
     else:

@@ -118,8 +118,8 @@ from functools import cached_property
 
 import numpy as np
 
-# Eigenvalues below this are clamped inside ln / fractional powers; entropy
-# traces use the 0*ln(0) = 0 convention instead.
+# Eigenvalues below this are clamped inside ln / fractional powers; an
+# entropy counts an eigenvalue at or below it as zero (0 ln 0 = 0).
 EIG_CLAMP = 1e-14
 
 HERM_TOL = 1e-12
@@ -162,6 +162,10 @@ class PhaseGrid:
         # 2D coordinate meshes, shape (Nq, Np)
         self.Q, self.P = np.meshgrid(self.q, self.p, indexing="ij")
 
+    def __str__(self):
+        return (f"{self.Nq}x{self.Np} on [{self.q0:.12g}, {self.q1:.12g}) x "
+                f"[{self.p0:.12g}, {self.p1:.12g}), hbar {self.hbar:.12g}")
+
     @property
     def shape(self):
         return (self.Nq, self.Np)
@@ -185,6 +189,7 @@ class PhaseGrid:
             and np.isclose(self.q1, other.q1)
             and np.isclose(self.p0, other.p0)
             and np.isclose(self.p1, other.p1)
+            and np.isclose(self.hbar, other.hbar, atol=0.0)
         )
 
     # -- calculus -----------------------------------------------------------
@@ -204,15 +209,6 @@ class PhaseGrid:
         rule and is spectrally accurate for smooth periodic integrands.
         """
         return np.sum(np.asarray(values), axis=(0, 1)) * (self.dq * self.dp)
-
-    def divergence(self, flux_q, flux_p):
-        """div(F) = dq(F_q) + dp(F_p) in conservative form.
-
-        Because the stencil is antisymmetric, the grid sum of this divergence
-        telescopes to zero exactly: conservative-form transport conserves
-        mass to round-off.
-        """
-        return self.partial_q(flux_q) + self.partial_p(flux_p)
 
     def interpolate(self, values, q, p):
         """Periodic bicubic interpolation of a grid field at points (q, p).
@@ -493,18 +489,6 @@ def eigvalsh_field(M):
     mean = 0.5 * a + 0.5 * d  # halved first: finite for any finite a, d
     radius = np.hypot(0.5 * a - 0.5 * d, np.abs(M[..., 1, 0]))
     return np.stack([mean - radius, mean + radius], axis=-1)
-
-
-def vn_entropy_trace(M):
-    """-Tr(M ln M) from eigenvalues, with the 0 ln 0 = 0 convention.
-
-    Pointwise over leading axes; eigenvalues at or below ``EIG_CLAMP``
-    (negative PSD round-off among them) count as zero.
-    """
-    M = require_hermitian(M)
-    w = eigvalsh_field(M)
-    w = np.where(w > EIG_CLAMP, w, 1.0)  # ln(1) = 0 kills the clamped terms
-    return -np.sum(w * np.log(w), axis=-1)
 
 
 def trace_field(M):

@@ -39,6 +39,10 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+class EigenvalueCrossingError(ValueError):
+    """Adjacent eigenvalues of H closer than 1e-10 somewhere on the grid."""
+
+
 class UnsupportedHamiltonianError(ValueError):
     """Requested an operation outside the catalog's analytic cases."""
 
@@ -291,7 +295,6 @@ class Eigenfields:
 
     E: np.ndarray          # (Nq, Np, n) ascending eigenvalues
     V: np.ndarray          # (Nq, Np, n, n) eigenvector columns
-    has_crossing: bool     # adjacent eigenvalues degenerate somewhere
 
     def state(self, branch):
         return self.V[..., :, branch]
@@ -306,12 +309,15 @@ def eigenfields(ham: Hamiltonian) -> Eigenfields:
     Eigenvalues ascend; each eigenvector is seeded at the grid origin with a
     real-positive leading component and then phase-aligned to its neighbor
     (previous point in q along the first row, previous point in p elsewhere),
-    which maximizes the neighbor overlap. Adjacent-eigenvalue gaps below
-    1e-10 are reported as crossings; the gauge is not smooth across a
-    crossing locus.
+    which maximizes the neighbor overlap. The one crossing rule: adjacent
+    eigenvalues closer than 1e-10 anywhere leave the branches undefined and
+    raise ``EigenvalueCrossingError``.
     """
     w, v = np.linalg.eigh(ham.H)
-    crossing = bool(np.any(np.abs(np.diff(w, axis=-1)) < 1e-10))
+    gap = float(np.min(np.diff(w, axis=-1), initial=np.inf))
+    if gap < 1e-10:
+        raise EigenvalueCrossingError(f"eigenvalue crossing on the grid (smallest gap {gap:.3e}): "
+                                      "the branch eigenfields are ill-defined")
 
     v = v.copy()
     v[0, 0] = _fix_eigvec_phase(v[0, 0])
@@ -321,7 +327,7 @@ def eigenfields(ham: Hamiltonian) -> Eigenfields:
     Np = v.shape[1]
     for j in range(1, Np):  # every column, march in p (vectorized over q)
         v[:, j] = _align(v[:, j - 1], v[:, j])
-    return Eigenfields(w, v, crossing)
+    return Eigenfields(w, v)
 
 
 def _align(v_ref, v):

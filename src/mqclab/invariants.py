@@ -8,13 +8,14 @@ Functional families (P = hybrid density, D = Tr P, rho = P / Tr P):
 * ``C(Gamma)``       integral of D * Gamma(W W^dag, Lambda / D), the general
                      family containing both of the above and the Renyi-type
                      invariants Gamma(A, x) = x^(1-alpha) Tr A^alpha;
-* mean-field, pure and Uhlmann entropies and their Renyi extensions.
+* pure and Uhlmann entropies and their Renyi extensions, on a split or on
+  the mean field (D, rho): the member with Lambda = 1 and the spectrum of rho.
 
 A split owns its Berry data, Liouville volume and conditional spectrum
 (``split.berry``, ``split.Lambda``, ``split.spectrum``: computed once, as a
 split is not changed in place once built); its functionals are pointwise
-integrands over the support of D. Support and vacuum are drawn by the one
-floor ``states.vacuum_floor``.
+integrands over the support of D (``states.on_support``). An eigenvalue w
+of a conditional spectrum counts as zero when w <= ``EIG_CLAMP``.
 
 The hybrid bracket is evaluated as
 
@@ -38,16 +39,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grids import (EIG_CLAMP, _grid_first, component_major, dagger, eigen_compose, eigvalsh_field,
-                    frobenius_norm, hcomm, hermitize, mm, pair_planes, tr_prod, trace_field,
-                    vn_entropy_trace)
+                    frobenius_norm, hcomm, hermitize, mm, pair_planes, tr_prod, trace_field)
 from .hamiltonians import Hamiltonian
 from .states import (
     HybridDensity,
     MeanFieldState,
     UhlmannSplit,
+    floored,
+    on_support,
     outer,
     uhlmann_factor,
-    vacuum_floor,
 )
 from . import dynamics as _dyn
 
@@ -249,25 +250,18 @@ class CasimirC1(Functional):
         return super().value(state)
 
     def pointwise_integrand(self, grid, P):
-        D = trace_field(P)
-        floor = vacuum_floor(D)
-        Dsafe = np.where(D > floor, D, 1.0)
-        w = eigvalsh_field(hermitize(P)) / Dsafe[..., None]
-        return np.where(D > floor, D * self.phi.value_of_eigs(w), 0.0)
+        eigs = eigvalsh_field(hermitize(P))
+        return on_support(trace_field(P), lambda D: D * self.phi.value_of_eigs(eigs / D[..., None]))
 
     def derivative(self, state):
         # dC1/dP = Phi'(rho) + (Phi(rho) - Tr(Phi'(rho) rho)) 1
         P = state.P
-        D = trace_field(P)
-        floor = vacuum_floor(D)
-        Dsafe = np.where(D > floor, D, floor)
         w, v = np.linalg.eigh(hermitize(P))
-        w = w / Dsafe[..., None]
+        w = w / floored(trace_field(P))[..., None]
         grad = self.phi.grad_matrix(w, v)
         phi_val = self.phi.value_of_eigs(w)
         correction = phi_val - np.sum(self.phi.df(w) * w, axis=-1)
-        n = state.n
-        return grad + correction[..., None, None] * np.eye(n, dtype=complex)
+        return grad + correction[..., None, None] * np.eye(state.n, dtype=complex)
 
 
 class CasimirGeneral(Functional):
@@ -301,9 +295,7 @@ class CasimirGeneral(Functional):
     def derivative(self, state):
         grid = state.grid
         split = self._factor(state)
-        D, W = split.D, split.W
-        floor = vacuum_floor(D)
-        Dsafe = np.where(D > floor, D, floor)
+        W, Dsafe = split.W, floored(split.D)
         x = split.Lambda / Dsafe
         A = outer(W)
         w, v = np.linalg.eigh(hermitize(A))
@@ -368,16 +360,14 @@ def hybrid_bracket(f, g, state: HybridDensity, return_scale=False):
     if isinstance(g, Functional):
         g = bracket_operand(g, state)
     TrP = trace_field(P)
-    mask = TrP > vacuum_floor(TrP)
-    denom = np.where(mask, TrP, 1.0)
-    term1 = np.where(mask, (f.a_q * g.a_p - f.a_p * g.a_q) / denom, 0.0)
+    term1 = on_support(TrP, lambda D: (f.a_q * g.a_p - f.a_p * g.a_q) / D)
 
     # Re Tr(P i[Gg, Gf]) = Im Tr(P [Gf, Gg]); every G is Hermitian
     term2 = tr_prod(P, 1j * hcomm(g.G, f.G)) / grid.hbar
     value = float(grid.integrate(term1 + term2))
     if not return_scale:
         return value
-    raw = np.where(mask, (np.abs(f.a_q * g.a_p) + np.abs(f.a_p * g.a_q)) / denom, 0.0)
+    raw = on_support(TrP, lambda D: (np.abs(f.a_q * g.a_p) + np.abs(f.a_p * g.a_q)) / D)
     scale = float(grid.integrate(raw + np.abs(term2)))
     return value, scale
 
@@ -404,15 +394,11 @@ class FlaggedValue(NamedTuple):
 
 def _support_integral(split, pointwise):
     """(integral of ``pointwise(D, Lambda)`` over the support of D, whether
-    Lambda > 0 there). Off the support ``pointwise`` sees D = 1, and the
-    floating-point warnings of those discarded points are silenced."""
-    D, Lam = split.D, split.Lambda
+    Lambda > 0 there), through ``on_support``."""
+    Lam = split.Lambda
     mask = split.support()
     ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
-    Dsafe = np.where(mask, D, 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = np.where(mask, pointwise(Dsafe, Lam), 0.0)
-    return float(split.grid.integrate(integrand)), ok
+    return float(split.grid.integrate(on_support(split.D, lambda D: pointwise(D, Lam)))), ok
 
 
 def casimir_c2(split: UhlmannSplit, sigma: ScalarFn) -> FlaggedValue:
@@ -431,59 +417,49 @@ def shannon_pure(split: UhlmannSplit) -> FlaggedValue:
 
 
 def entropy_meanfield(grid, D, rho) -> float:
-    """von Neumann entropy of rho plus Shannon entropy of D."""
-    svn = float(vn_entropy_trace(np.asarray(rho)))
-    Dpos = np.where(D > EIG_CLAMP, D, 1.0)
-    return svn - float(grid.integrate(D * np.log(Dpos)))
+    """S_vN(rho) - integral D ln D: the Uhlmann entropy of the product D rho."""
+    return entropy_uhlmann(MeanFieldState(grid, D, rho)).value
 
 
 def renyi_meanfield(grid, D, rho, alpha) -> float:
-    """H_alpha = (ln Tr rho^alpha + ln integral D^alpha) / (1 - alpha)."""
-    a = float(alpha)
-    if a == 1.0:
-        raise ValueError("alpha must differ from 1")
-    w = np.maximum(eigvalsh_field(hermitize(np.asarray(rho))), 0.0)
-    qterm = np.log(np.sum(w**a))
-    cterm = np.log(float(grid.integrate(np.maximum(D, 0.0) ** a)))
-    return float((qterm + cterm) / (1.0 - a))
+    """H_alpha = (ln Tr rho^alpha + ln integral D^alpha) / (1 - alpha) of D rho."""
+    return renyi_mqc(MeanFieldState(grid, D, rho), alpha).value
 
 
 def entropy_uhlmann(split) -> FlaggedValue:
-    """S = -Tr integral P ln(P / Lambda), from the pointwise spectrum of P."""
-    floor = vacuum_floor(split.D, EIG_CLAMP)
+    """S = -Tr integral P ln(P / Lambda), from the pointwise spectrum D w of P;
+    an eigenvalue counts as zero where w <= ``EIG_CLAMP``."""
+    w = split.spectrum
+    kept = w > EIG_CLAMP
 
     def pointwise(D, Lam):
-        lam = D[..., None] * split.spectrum  # eigenvalues of P
-        logs = np.log(np.where(lam > 0, lam, 1.0) / Lam[..., None])
-        return np.sum(np.where(lam > floor, -lam * logs, 0.0), axis=-1)
+        lam = D[..., None] * w  # eigenvalues of P
+        logs = np.log(np.where(kept, lam, 1.0) / Lam[..., None])
+        return np.sum(np.where(kept, -lam * logs, 0.0), axis=-1)
 
     return FlaggedValue(*_support_integral(split, pointwise))
 
 
 def renyi_mqc(split, alpha) -> FlaggedValue:
-    """H_alpha = (1-alpha)^-1 ln integral Lambda Tr(P / Lambda)^alpha."""
+    """H_alpha = (1-alpha)^-1 ln integral Lambda Tr(P / Lambda)^alpha; clamped as S."""
     a = float(alpha)
     if a == 1.0:
         raise ValueError("alpha must differ from 1")
+    w = split.spectrum
+    kept = w > EIG_CLAMP
 
     def pointwise(D, Lam):
-        lam = D[..., None] * split.spectrum
-        return Lam * np.sum(np.power(np.maximum(lam / Lam[..., None], 0.0), a), axis=-1)
+        powers = np.power(np.maximum(D[..., None] * w / Lam[..., None], 0.0), a)
+        return Lam * np.sum(np.where(kept, powers, 0.0), axis=-1)
 
     total, ok = _support_integral(split, pointwise)
-    if not ok:
-        return FlaggedValue(float("nan"), False)
-    return FlaggedValue(float(np.log(total) / (1.0 - a)), ok)
+    return FlaggedValue(float(np.log(total) / (1.0 - a)) if ok else float("nan"), ok)
 
 
 def uhlmann_entropies(state_type):
-    """(S(state), H(state, alpha)): the Uhlmann entropy and its Renyi extension
-    on a split, the mean-field pair on its grad-W = 0 reduction (D, rho)."""
-    if issubclass(state_type, UhlmannSplit):
+    """(S(state), H(state, alpha)) of a split or mean-field state type, else (None, None)."""
+    if issubclass(state_type, (UhlmannSplit, MeanFieldState)):
         return (lambda s: entropy_uhlmann(s).value, lambda s, a: renyi_mqc(s, a).value)
-    if issubclass(state_type, MeanFieldState):
-        return (lambda s: entropy_meanfield(s.grid, s.D, s.rho),
-                lambda s, a: renyi_meanfield(s.grid, s.D, s.rho, a))
     return None, None
 
 
@@ -540,7 +516,7 @@ def lambda_transport_residual(times, splits, ham: Hamiltonian):
         dt2 = times[k + 1] - times[k - 1]
         dLam = (lams[k + 1] - lams[k - 1]) / dt2
         Xq, Xp = split_velocity(splits[k], ham)
-        resid = dLam + grid.divergence(lams[k] * Xq, lams[k] * Xp)
+        resid = dLam + (grid.partial_q(lams[k] * Xq) + grid.partial_p(lams[k] * Xp))
         t_mid.append(times[k])
         rms.append(float(np.sqrt(np.mean(resid**2))))
         mx.append(float(np.max(np.abs(resid))))

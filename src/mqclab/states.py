@@ -12,26 +12,24 @@ case: an ``UhlmannSplit`` with m = 1 and W = psi[..., None]. Every function
 of (D, W) applies to it unchanged; ``psi`` is a view of W's single column.
 
 Every state offers ``grid``, ``n``, the classical density ``D`` (Tr P),
-``mass()``, ``validate()`` and ``compose()``: P as a ``HybridDensity`` (a
-density itself, a split through the module function ``compose``).
-
-Plus the Berry connection / curvature of the conditional field and the
-Liouville volume Lambda = 1 + hbar Im Tr {field^dag, field}.
+its ``support()``, ``mass()``, ``validate()`` and ``compose()``: P as a
+``HybridDensity`` (a density itself, a split through the module function
+``compose``). A split and the mean field also have a Liouville volume
+``Lambda`` and a conditional ``spectrum``: a split's are 1 + hbar Im Tr
+{W^dag, W} and the eigenvalues of W W^dag, both kept (``berry`` holds Lambda
+and the Berry connection), so a split is not changed in place once built;
+the mean field's are 1 and the eigenvalues of rho. The vacuum policy is
+``vacuum_floor``, ``on_support`` and ``floored``.
 
 The matrix and vector fields of every state (P, W and the view psi) are
 stored as contiguous component planes (``grids.component_major``): the
 constructors convert what they are given, with no copy when it is stored so
 already. Snapshot reads, the Gibbs builders, the probe states and the RK4
 driver all build their states through these constructors.
-
-A split owns its Berry data (``berry``: connection and Liouville volume
-``Lambda``, on first read) and the spectrum of W W^dag; both are kept, so a
-split is not changed in place once built.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,6 +67,20 @@ def vacuum_floor(D, eps_rel=EPS_D_REL):
     return eps_rel * max(float(np.max(D)), 1e-300)
 
 
+def on_support(D, pointwise):
+    """``pointwise(D)`` on the support of D and 0 at vacuum points, where
+    ``pointwise`` sees D = 1 and its floating-point warnings are silenced."""
+    mask = D > vacuum_floor(D)
+    Dsafe = np.where(mask, D, 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(mask, pointwise(Dsafe), 0.0)
+
+
+def floored(D):
+    """D clamped at ``vacuum_floor(D)``: a derivative's divisor, finite at vacuum."""
+    return np.maximum(D, vacuum_floor(D))
+
+
 class UnphysicalStateError(ValueError):
     """Input violates positivity/normalization beyond tolerance."""
 
@@ -90,7 +102,10 @@ def require_density(D):
 
 
 class _State:
-    """``mass()`` and ``validate()`` of every state, around its ``_check``."""
+    """``support()``, ``mass()`` and ``validate()`` (around ``_check``) of every state."""
+
+    def support(self):
+        return self.D > vacuum_floor(self.D)
 
     def mass(self):
         return float(self.grid.integrate(self.D))
@@ -159,7 +174,7 @@ class UhlmannSplit(_State):
     @cached_property
     def berry(self):
         """Berry connection and Liouville volume of W (``berry_data``)."""
-        return berry_data(self.grid, self.W, warn_nonpositive=False)
+        return berry_data(self.grid, self.W)
 
     @cached_property
     def Lambda(self):
@@ -170,9 +185,6 @@ class UhlmannSplit(_State):
     def spectrum(self):
         """Eigenvalues of the conditional density W W^dag, clipped at 0."""
         return np.maximum(eigvalsh_field(hermitize(outer(self.W))), 0.0)
-
-    def support(self):
-        return self.D > vacuum_floor(self.D)
 
     def _check(self, normalized):
         require_density(self.D)
@@ -220,6 +232,16 @@ class MeanFieldState(_State):
     @property
     def n(self):
         return self.rho.shape[-1]
+
+    @property
+    def Lambda(self):
+        """Liouville volume of the product state: 1 everywhere."""
+        return np.ones(self.grid.shape)
+
+    @property
+    def spectrum(self):
+        """Eigenvalues of rho, clipped at 0: the (n,) conditional spectrum of every point."""
+        return np.maximum(eigvalsh_field(hermitize(self.rho)), 0.0)
 
     def _check(self, normalized):
         _require_psd(self.rho, "rho")
@@ -345,7 +367,7 @@ def _continue_into_vacuum(W, valid):
 # -- Berry geometry ------------------------------------------------------------
 
 
-def berry_data(grid: PhaseGrid, fieldvals, warn_nonpositive=True):
+def berry_data(grid: PhaseGrid, fieldvals):
     """Berry connection and Liouville volume of a conditional field.
 
     ``fieldvals`` is (Nq, Np, n) for a state vector or (Nq, Np, n, m) for a
@@ -355,8 +377,8 @@ def berry_data(grid: PhaseGrid, fieldvals, warn_nonpositive=True):
         A_k      = hbar Im <field | d_k field>
         Lambda   = 1 + 2 hbar Im <d_q field | d_p field>
 
-    equal to 1 + hbar Im Tr {field^dag, field}. A non-positive Lambda is
-    reported with a warning, not an error.
+    equal to 1 + hbar Im Tr {field^dag, field}. Lambda may be non-positive;
+    the functionals that need it positive flag it.
     """
     f = np.asarray(fieldvals, dtype=complex)
     axes = tuple(range(2, f.ndim))
@@ -365,13 +387,6 @@ def berry_data(grid: PhaseGrid, fieldvals, warn_nonpositive=True):
     hbar = grid.hbar
     A_B = hbar * np.stack([np.sum(np.conj(f) * fk, axis=axes).imag for fk in (fq, fp)])
     Lam = 1.0 + 2.0 * hbar * np.sum(np.conj(fq) * fp, axis=axes).imag
-    if warn_nonpositive and not np.min(Lam) > 0:
-        warnings.warn(
-            f"Liouville volume reaches min {float(np.min(Lam)):.3e} <= 0; "
-            "divergence-type entropies are not meaningful for this state",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return BerryData(A_B, Lam)
 
 

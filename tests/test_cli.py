@@ -724,6 +724,45 @@ class TestSimulateCommand:
             a, b = getattr(got, name), getattr(want, name)
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
+    def test_restart_at_another_hbar_exits_1_naming_both(self, tmp_path, capsys):
+        """A snapshot written at hbar 1 does not restart a run configured at
+        hbar 0.25: it exits 1 at initial.snapshot, naming both values."""
+        cfg = presets.nanowire_conditional(N=16, loop=False)
+        cfg["time"] = {"dt": 0.05, "steps": 4, "sample_every": 2}
+        first, rest = tmp_path / "first", tmp_path / "rest"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg, "first.yaml"),
+                     "--out", str(first), "--quiet"]) == 0
+        cfg["physics"] = {"hbar": 0.25}
+        cfg["initial"] = {"representation": "conditional", "snapshot": str(first / "final.snap")}
+        capsys.readouterr()
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg, "rest.yaml"),
+                     "--out", str(rest), "--quiet"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.endswith(": initial.snapshot") and "hbar 1)" in err and "hbar 0.25)" in err
+        assert not rest.exists()
+
+    @pytest.mark.parametrize("preset, hamiltonian, initial", [
+        # zeta = sin q changes sign on the grid: the two branches of sigma_z cross
+        ("zeta_sigma_z", {"zeta": {"name": "sin_q"}, "coeffs": [[[0, 0], [0, 0]], "sigma_z"]},
+         {"state": {"profile": "eigen", "branch": 0}}),
+        # B = 0 closes the nanowire's gap at p = 0
+        ("beyond_nanowire_mixed", {"B": 0.0},
+         {"waveop": {"profile": "eigen_mix", "weights": [0.7, 0.3]}}),
+    ])
+    def test_eigen_profile_on_a_crossing_exits_1_at_hamiltonian(self, tmp_path, capsys, preset,
+                                                               hamiltonian, initial):
+        """The branch eigenfields of a Hamiltonian with an eigenvalue crossing
+        build no initial state, as they build no equilibrium."""
+        cfg = getattr(presets, preset)(N=16)
+        cfg["hamiltonian"].update(hamiltonian)
+        cfg["initial"].update(initial)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert "eigenvalue crossing" in err and err.endswith(": hamiltonian")
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         cfg = presets.nanowire_conditional(N=16, t_final=0.3, sample_every=4)
         path = write_cfg(tmp_path, cfg)

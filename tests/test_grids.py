@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqclab import PhaseGrid, matrix_function, vn_entropy_trace, random_band_limited
+from mqclab import PhaseGrid, matrix_function, random_band_limited
 from mqclab.grids import EIG_CLAMP, NotHermitianError, _bspline_stencil, _grid_first, component_major
 from oracles import poisson_bracket
 
@@ -145,29 +145,11 @@ class TestMatrixFunctions:
     def test_exp_of_zero_matrix(self):
         assert np.allclose(matrix_function(np.zeros((2, 2)), np.exp), np.eye(2), atol=1e-15)
 
-    def test_entropy_of_maximally_mixed(self):
-        rho = np.diag([0.5, 0.5]).astype(complex)
-        assert np.isclose(vn_entropy_trace(rho), np.log(2.0), atol=1e-14)
-
-    def test_entropy_against_2x2_closed_form(self):
-        rho = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
-        tr, det = 1.0, 0.7 * 0.3 - 0.01
-        lam1 = 0.5 * (tr + np.sqrt(tr**2 - 4 * det))
-        lam2 = 0.5 * (tr - np.sqrt(tr**2 - 4 * det))
-        expected = -(lam1 * np.log(lam1) + lam2 * np.log(lam2))
-        assert np.isclose(vn_entropy_trace(rho), expected, atol=1e-13)
-
     def test_identity_map_returns_input(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         A = 0.5 * (A + A.conj().T)
         assert np.max(np.abs(matrix_function(A, lambda w: w) - A)) < 1e-12
-
-    def test_pure_state_entropy_finite(self):
-        # rank-deficient input: the clamp convention 0 ln 0 = 0 applies
-        psi = np.array([1.0, 0.0], dtype=complex)
-        rho = np.outer(psi, psi.conj())
-        assert vn_entropy_trace(rho) == 0.0
 
     def test_log_of_psd_with_clamp(self):
         rho = np.diag([1.0, 0.0]).astype(complex)

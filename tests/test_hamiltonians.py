@@ -5,6 +5,7 @@ from mqclab import (
     PhaseGrid,
     SIGMA_X,
     SIGMA_Z,
+    EigenvalueCrossingError,
     UnsupportedHamiltonianError,
     eigenfields,
     nanowire,
@@ -102,7 +103,6 @@ class TestEigenfields:
         zeta = ScalarProfile(base.name, base.values + 0.2, base.d_q, base.d_p)
         ham = zeta_composed(grid, zeta, [np.zeros((2, 2)), SIGMA_Z])
         eig = eigenfields(ham)
-        assert not eig.has_crossing
         assert np.allclose(eig.E[..., 0], -zeta.values, atol=1e-12)
         assert np.allclose(eig.E[..., 1], zeta.values, atol=1e-12)
         # eigenvectors constant (0,1) and (1,0) up to the smooth gauge
@@ -153,5 +153,5 @@ class TestEigenfields:
         grid = make_grid(32)
         zeta = scalar_profile(grid, "sin_q")  # changes sign: gap closes
         ham = zeta_composed(grid, zeta, [np.zeros((2, 2)), SIGMA_Z])
-        eig = eigenfields(ham)
-        assert eig.has_crossing
+        with pytest.raises(EigenvalueCrossingError, match="eigenvalue crossing"):
+            eigenfields(ham)

@@ -37,7 +37,7 @@ from mqclab import (
     uncoupled,
 )
 from mqclab.dynamics import circle_loop, ehrenfest_rhs
-from mqclab.grids import hermitize, trace_field
+from mqclab.grids import EIG_CLAMP, hermitize, trace_field
 from mqclab.invariants import Functional
 from mqclab.probes import (
     casimir_probe_report,
@@ -235,6 +235,65 @@ class TestEntropies:
         mass_only(0.0, fresh(), None, {})
         assert len(calls) == 1
         assert renyi_mqc(fresh(), 2.0).value == want["renyi_alpha"] and len(calls) == 2
+
+
+EPS = np.finfo(float).eps
+PRODUCT_GRID = make_grid(16)
+UNIFORM = np.full(PRODUCT_GRID.shape, 1.0 / PRODUCT_GRID.area)
+
+
+@st.composite
+def product_states(draw):
+    """(rho, D) of a product state D rho on ``PRODUCT_GRID``: a unit-trace rho
+    of dimension 1-3 and any rank (rank-deficient ones included), and a
+    unit-mass D that is exactly 0 on a block of rows, with optional points
+    below the vacuum floor but above 0."""
+    n = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    rho = A @ A.conj().T
+    rho /= np.trace(rho).real
+    D = rng.random(PRODUCT_GRID.shape) ** 2
+    start = draw(st.integers(0, PRODUCT_GRID.Nq - 1))
+    D[start:start + draw(st.integers(1, PRODUCT_GRID.Nq - 1))] = 0.0
+    if draw(st.booleans()):
+        D[start, :4] = 1e-15 * np.max(D)
+    return rho, D / PRODUCT_GRID.integrate(D)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(case=product_states(), alpha=st.sampled_from([0.5, 2.0, 3.0]))
+@example(case=(np.eye(2, dtype=complex) / 2, UNIFORM), alpha=2.0)  # maximally mixed
+@example(case=(np.diag([1.0, 0.0]).astype(complex), UNIFORM), alpha=2.0)  # pure
+@example(case=(np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex), UNIFORM), alpha=0.5)
+def test_meanfield_entropies_are_the_family_on_the_product_state(case, alpha):
+    """The mean-field entropy and Renyi entropy are their written formulas
+    over the support of D, S_vN(rho) - integral D ln D and (ln Tr rho^alpha +
+    ln integral D^alpha) / (1 - alpha), within a few eps; and they equal the
+    family on the split with constant W = rho^(1/2), whose Lambda is exactly 1."""
+    rho, D = case
+    grid = PRODUCT_GRID
+    on = D > 1e-12 * np.max(D)
+    w = np.linalg.eigvalsh(rho)
+    s_vn = -sum(x * np.log(x) for x in w if x > EIG_CLAMP)
+    shannon = -grid.integrate(np.where(on, D * np.log(np.where(on, D, 1.0)), 0.0))
+    renyi = (np.log(sum(x**alpha for x in w if x > EIG_CLAMP))
+             + np.log(grid.integrate(np.where(on, D, 0.0) ** alpha))) / (1.0 - alpha)
+
+    S = entropy_meanfield(grid, D, rho)
+    H = renyi_meanfield(grid, D, rho, alpha)
+    tol = 64 * EPS * (1.0 + abs(s_vn) + abs(shannon))
+    assert abs(S - (s_vn + shannon)) <= tol
+    assert abs(H - renyi) <= 64 * EPS * (1.0 + abs(renyi))
+
+    v_w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.maximum(v_w, 0.0))) @ v.conj().T
+    split = UhlmannSplit(grid, D, np.broadcast_to(root, grid.shape + root.shape))
+    assert np.array_equal(split.Lambda, np.ones(grid.shape))
+    assert abs(entropy_uhlmann(split).value - S) <= tol
+    assert abs(renyi_mqc(split, alpha).value - H) <= 64 * EPS * (1.0 + abs(H))
 
 
 class TestCasimirGeneral:

@@ -7,7 +7,7 @@ right-hand side gives the same bits on component planes and on interleaved
 fields, and that the Hamiltonian and the states hold component planes; that
 the density right-hand sides read only the Hermitian part of P; and that
 the kernels stay the package's one contraction path, with one commutator,
-one velocity pairing and one speed rule."""
+one velocity pairing, one speed rule and one vacuum policy."""
 
 import ast
 import pathlib
@@ -416,6 +416,83 @@ def test_one_commutator_one_pairing_one_speed_rule():
                    for name in RETIRED)
 
 
+def vacuum_policy_breaches(sources):
+    """(module, scope, what) of ``sources`` ({module name: source}) that open a
+    second vacuum or entropy path: a call of ``vacuum_floor`` outside
+    ``states`` and ``dynamics._regularized_trace`` (the regulator of the
+    right-hand sides), an ``errstate`` that silences divide or invalid
+    warnings outside ``states`` (whose ``on_support`` silences the vacuum
+    points), a definition of ``vn_entropy_trace``, or a method ``divergence``
+    beside ``dynamics._divergence``. ``what`` is the called name or ``def
+    <name>``."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                if child.name == "vn_entropy_trace" or (
+                        child.name == "divergence" and isinstance(node, ast.ClassDef)):
+                    found.add((module, ".".join(inner), "def " + child.name))
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "vacuum_floor" and module != "states" and not (
+                        module == "dynamics" and scope == ("_regularized_trace",)):
+                    found.add((module, ".".join(scope), name))
+                if name == "errstate" and module != "states" and any(
+                        kw.arg in ("divide", "invalid") for kw in child.keywords):
+                    found.add((module, ".".join(scope), name))
+            visit(child, module, inner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, ())
+    return found
+
+
+def test_one_vacuum_policy_one_entropy_path():
+    """Only ``states`` draws the vacuum (``vacuum_floor``, the silenced
+    warnings of ``on_support``), apart from the density models' regulator;
+    no module keeps a second entropy trace or a second divergence. The guard
+    flags each form as it was written before."""
+    before = {
+        "invariants": (
+            "def _support_integral(split, pointwise):\n"
+            "    mask = split.support()\n"
+            "    Dsafe = np.where(mask, D, 1.0)\n"
+            "    with np.errstate(invalid='ignore', divide='ignore'):\n"
+            "        integrand = np.where(mask, pointwise(Dsafe, Lam), 0.0)\n"
+            "def hybrid_bracket(f, g, state, return_scale=False):\n"
+            "    mask = TrP > vacuum_floor(TrP)\n"
+            "    denom = np.where(mask, TrP, 1.0)\n"
+            "def entropy_uhlmann(split):\n"
+            "    floor = vacuum_floor(split.D, EIG_CLAMP)\n"),
+        "grids": ("class PhaseGrid:\n"
+                  "    def divergence(self, flux_q, flux_p):\n"
+                  "        return self.partial_q(flux_q) + self.partial_p(flux_p)\n"
+                  "def vn_entropy_trace(M):\n"
+                  "    return -np.sum(w * np.log(w), axis=-1)\n"),
+    }
+    assert vacuum_policy_breaches(before) == {
+        ("invariants", "_support_integral", "errstate"),
+        ("invariants", "hybrid_bracket", "vacuum_floor"),
+        ("invariants", "entropy_uhlmann", "vacuum_floor"),
+        ("grids", "PhaseGrid.divergence", "def divergence"),
+        ("grids", "vn_entropy_trace", "def vn_entropy_trace")}
+    sources = {path.stem: path.read_text()
+               for path in sorted(pathlib.Path(mqclab.__file__).parent.glob("*.py"))}
+    assert vacuum_policy_breaches(sources) == set()
+    # the guard still sees the regulator's call, and the helper's errstate
+    renamed = sources["dynamics"].replace("def _regularized_trace", "def _trace")
+    assert vacuum_policy_breaches({"dynamics": renamed}) == {("dynamics", "_trace", "vacuum_floor")}
+    assert {("invariants", "on_support", "vacuum_floor"), ("invariants", "on_support", "errstate"),
+            ("invariants", "floored", "vacuum_floor")} <= vacuum_policy_breaches(
+        {"invariants": sources["states"]})
+    assert not any(hasattr(mod, "vn_entropy_trace") for mod in (mqclab, mqclab.grids))
+    assert not hasattr(PhaseGrid, "divergence")
+
+
 @st.composite
 def hermitian_2x2_fields(draw):
     """Hermitian (Nq, Np, 2, 2) fields, generic or with a = d, b = 0, an
@@ -501,7 +578,7 @@ def uhlmann_rhs_einsum(grid, D, W, ham):
         return np.einsum("ijak,ijab,ijbk->ij", np.conj(W), X, W).real
 
     Xq, Xp = pair(ham.X_q), pair(ham.X_p)
-    dD = -grid.divergence(D * Xq, D * Xp)
+    dD = -(grid.partial_q(D * Xq) + grid.partial_p(D * Xp))
     dW = -(Xq[..., None, None] * grid.partial_q(W) + Xp[..., None, None] * grid.partial_p(W))
     dW += (-1j / grid.hbar) * np.einsum("ijab,ijbk->ijak", ham.H, W)
     return dD, dW
@@ -1046,6 +1123,6 @@ def test_divergence_sums_to_zero(shape, lengths, trailing, seed):
     rng = np.random.default_rng(seed)
     Fq = random_field(rng, grid.shape + trailing, bool(trailing))
     Fp = random_field(rng, grid.shape + trailing, bool(trailing))
-    total = np.sum(grid.divergence(Fq, Fp), axis=(0, 1))
+    total = np.sum(grid.partial_q(Fq) + grid.partial_p(Fp), axis=(0, 1))
     scale = max(np.max(np.abs(Fq)) / grid.dq, np.max(np.abs(Fp)) / grid.dp)
     assert np.max(np.abs(total)) <= 16 * EPS * grid.Nq * grid.Np * scale

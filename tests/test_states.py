@@ -398,11 +398,3 @@ class TestBerryData:
         split = ConditionalSplit(grid, D, psi)
         wsplit = conditional_to_uhlmann(split, m=3)
         assert np.max(np.abs(lambda_of(split) - lambda_of(wsplit))) < 1e-14
-
-    def test_nonpositive_lambda_warns(self):
-        grid = make_grid(48, hbar=2.0)
-        psi = np.zeros(grid.shape + (2,), dtype=complex)
-        psi[..., 0] = np.cos(grid.P)
-        psi[..., 1] = np.exp(1j * grid.Q) * np.sin(grid.P)
-        with pytest.warns(RuntimeWarning):
-            berry_data(grid, psi)
