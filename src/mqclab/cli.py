@@ -1,7 +1,8 @@
 """Command-line harness: simulate / equilibrium / casimir-check / convergence.
 
 Exit codes: 0 success, 1 configuration or usage error (a missing
-``--config``, an unknown command, a ``--levels`` below 1), 2 numerical abort.
+``--config``, a config file that cannot be read, an ``--out`` that cannot be
+a directory, an unknown command, a ``--levels`` below 1), 2 numerical abort.
 ``MQC_THREADS`` caps the BLAS/OpenMP thread pools of the data-parallel
 kernels (set before the numerics are imported).
 """
@@ -71,7 +72,7 @@ def main(argv=None):
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an --out that cannot be made a directory or written in
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -43,8 +43,13 @@ class ConfigError(ValueError):
 
 
 def load_config(path):
-    with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+    """The mapping in the YAML file at ``path``; a file that cannot be opened,
+    decoded as UTF-8 or parsed raises ``ConfigError`` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(path, f"unreadable config ({' '.join(str(exc).split())})") from None
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a mapping")
     return cfg

@@ -3,19 +3,20 @@ invariant, and the Liouville-volume transport residual.
 
 Functional families (P = hybrid density, D = Tr P, rho = P / Tr P):
 
-* ``C1(Phi)``        integral of D * Phi(rho), Phi a spectral trace function;
-* ``C2(Sigma)``      integral of D * Sigma(Lambda / D) for split states;
-* ``C(Gamma)``       integral of D * Gamma(W W^dag, Lambda / D), the general
-                     family containing both of the above and the Renyi-type
-                     invariants Gamma(A, x) = x^(1-alpha) Tr A^alpha;
-* pure and Uhlmann entropies and their Renyi extensions, on a split or on
-  the mean field (D, rho): the member with Lambda = 1 and the spectrum of rho.
+* ``C1(Phi)``   integral of D * Phi(rho), Phi a spectral trace function;
+* ``C(Gamma)``  integral of D * Gamma(W W^dag, Lambda / D), the hybrid family.
+                C2(Sigma) = integral D Sigma(Lambda / D), the Renyi-type
+                invariants Gamma(A, x) = x^(1-alpha) Tr A^alpha and the pure
+                and Uhlmann entropies and their Renyi extensions are its
+                members, on a split or on the mean field (D, rho): the member
+                state with Lambda = 1 and the spectrum of rho at every point.
 
-A split owns its Berry data, Liouville volume and conditional spectrum
-(``split.berry``, ``split.Lambda``, ``split.spectrum``: computed once, as a
-split is not changed in place once built); its functionals are pointwise
-integrands over the support of D (``states.on_support``). An eigenvalue w
-of a conditional spectrum counts as zero when w <= ``EIG_CLAMP``.
+``_family`` is the one evaluation of C(Gamma): the integral of
+``GammaSpec.integrand`` = D Gamma(w, Lambda / D) over the support of D
+(``states.on_support``), read from a state's Liouville volume and conditional
+spectrum (``split.Lambda``, ``split.spectrum``: computed once, as a split is
+not changed in place once built). Every term counts an eigenvalue w <=
+``EIG_CLAMP`` of the spectrum as zero (``_kept``).
 
 The hybrid bracket is evaluated as
 
@@ -56,6 +57,18 @@ from . import dynamics as _dyn
 # -- scalar and spectral function handles ---------------------------------------
 
 
+def _kept(w, f):
+    """f(w_i) per eigenvalue under the one eigenvalue rule: w_i <= ``EIG_CLAMP``
+    counts as zero, giving 0 (f sees 1 there)."""
+    kept = w > EIG_CLAMP
+    return np.where(kept, f(np.where(kept, w, 1.0)), 0.0)
+
+
+def _ratio_powers(w, x, p):
+    """(x / w_i)^p per eigenvalue, under ``_kept``."""
+    return _kept(w, lambda wk: np.power(np.expand_dims(x, -1) / wk, p))
+
+
 @dataclass
 class SpectralFn:
     """Phi: Her(n) -> R of trace type, Phi(A) = sum_i f(eig_i(A))."""
@@ -65,7 +78,7 @@ class SpectralFn:
     df: Callable
 
     def value_of_eigs(self, w):
-        return np.sum(self.f(w), axis=-1)
+        return np.sum(_kept(w, self.f), axis=-1)
 
     def grad_matrix(self, w, v):
         return hermitize(eigen_compose(v, self.df(w)))
@@ -86,11 +99,7 @@ def _safe_log(w):
 
 def spectral_fn(name) -> SpectralFn:
     if name == "neg_x_log_x_trace":
-        return SpectralFn(
-            name,
-            lambda w: np.where(w > EIG_CLAMP, -w * _safe_log(w), 0.0),
-            lambda w: -_safe_log(w) - 1.0,
-        )
+        return SpectralFn(name, lambda w: -w * np.log(w), lambda w: -_safe_log(w) - 1.0)
     if name == "quadratic":
         return SpectralFn(name, lambda w: w**2, lambda w: 2.0 * w)
     raise ValueError(f"unknown spectral function '{name}'")
@@ -111,12 +120,10 @@ def scalar_fn(name) -> ScalarFn:
 
 
 class GammaSpec:
-    """Gamma(A, x) as a sum of built-in terms.
-
-    Terms: ``("phi", SpectralFn)``, ``("sigma", ScalarFn)``, or
-    ``("renyi", alpha)`` for x^(1-alpha) Tr A^alpha. The first two reproduce
-    the C1 and C2 families exactly.
-    """
+    """Gamma(A, x) as a sum of built-in terms of the spectrum w of A and of x:
+    ``("phi", SpectralFn)`` for Phi(A) = sum_i f(w_i) (the C1 family),
+    ``("sigma", ScalarFn)`` for Sigma(x) (the C2 family), or ``("renyi",
+    alpha)`` for x^(1-alpha) Tr A^alpha = sum_i w_i (x / w_i)^(1-alpha)."""
 
     def __init__(self, terms):
         self.terms = list(terms)
@@ -138,18 +145,22 @@ class GammaSpec:
         """Gamma(A, x) = -<A, ln A> + ln x, generating the Uhlmann entropy."""
         return cls([("phi", spectral_fn("neg_x_log_x_trace")), ("sigma", scalar_fn("log"))])
 
-    def value(self, w, x):
+    def integrand(self, D, w, Lam):
+        """D Gamma(w, Lam / D), the pointwise integrand of C(Gamma)."""
+        x = Lam / D
         out = 0.0
         for kind, arg in self.terms:
             if kind == "phi":
                 out = out + arg.value_of_eigs(w)
             elif kind == "sigma":
                 out = out + arg.f(x)
-            elif kind == "renyi":
-                out = out + np.power(x, 1.0 - arg) * np.sum(
-                    np.power(np.maximum(w, 0.0), arg), axis=-1
-                )
-        return out
+            else:
+                out = out + np.sum(w * _ratio_powers(w, x, 1.0 - arg), axis=-1)
+        return D * out
+
+    def value(self, w, x):
+        """Gamma(w, x): the integrand at D = 1, Lambda = x."""
+        return self.integrand(1.0, w, x)
 
     def grad_A(self, w, v, x):
         out = None
@@ -157,8 +168,7 @@ class GammaSpec:
             if kind == "phi":
                 g = arg.grad_matrix(w, v)
             elif kind == "renyi":
-                pw = arg * np.power(np.maximum(w, EIG_CLAMP), arg - 1.0)
-                g = np.power(x, 1.0 - arg)[..., None, None] * hermitize(eigen_compose(v, pw))
+                g = hermitize(eigen_compose(v, arg * _ratio_powers(w, x, 1.0 - arg)))
             else:
                 continue
             out = g if out is None else out + g
@@ -170,9 +180,7 @@ class GammaSpec:
             if kind == "sigma":
                 out = out + arg.df(x)
             elif kind == "renyi":
-                out = out + (1.0 - arg) * np.power(x, -arg) * np.sum(
-                    np.power(np.maximum(w, 0.0), arg), axis=-1
-                )
+                out = out + (1.0 - arg) * np.sum(_ratio_powers(w, x, -arg), axis=-1)
         return out
 
 
@@ -265,15 +273,11 @@ class CasimirC1(Functional):
 
 
 class CasimirGeneral(Functional):
-    """C = integral D Gamma(W W^dag, Lambda / D) through an Uhlmann factor.
-
-    By default the state is factored with the deterministic gauge of
-    ``uhlmann_factor``; that gauge is only piecewise smooth, so for random
-    probe states a smooth factorization should be supplied via ``split``
-    (Lambda needs differentiable W). The derivative is assembled analytically
-    in (D, W) and mapped back with the chain rule, which requires the
-    conditional density W W^dag to be invertible (full-rank probe states).
-    """
+    """C = integral D Gamma(W W^dag, Lambda / D) through an Uhlmann factor: by
+    default the piecewise-smooth gauge of ``uhlmann_factor``, or a smooth
+    ``split`` (Lambda needs differentiable W). The derivative is assembled in
+    (D, W) and mapped back with the chain rule, which requires W W^dag to be
+    invertible (full-rank probe states)."""
 
     name = "C_general"
 
@@ -300,9 +304,9 @@ class CasimirGeneral(Functional):
         A = outer(W)
         w, v = np.linalg.eigh(hermitize(A))
 
-        dCdD = self.gamma.value(w, x) - x * self.gamma.grad_x(w, x)
-        gA = self.gamma.grad_A(w, v, x)
         gx = self.gamma.grad_x(w, x)
+        dCdD = self.gamma.value(w, x) - x * gx
+        gA = self.gamma.grad_A(w, v, x)
 
         dCdW = np.zeros_like(W)
         if gA is not None:
@@ -392,27 +396,37 @@ class FlaggedValue(NamedTuple):
     lambda_positive: bool
 
 
-def _support_integral(split, pointwise):
-    """(integral of ``pointwise(D, Lambda)`` over the support of D, whether
-    Lambda > 0 there), through ``on_support``."""
-    Lam = split.Lambda
-    mask = split.support()
+def _family(split, integrand) -> FlaggedValue:
+    """C(Gamma) = integral D Gamma(w, Lambda / D) over the support of D, from
+    ``integrand(D, w, Lambda)`` (a ``GammaSpec.integrand``), with the flag
+    Lambda > 0 there: the one evaluation of every entropy and Casimir of a
+    split or mean-field state."""
+    w, Lam, mask = split.spectrum, split.Lambda, split.support()
     ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
-    return float(split.grid.integrate(on_support(split.D, lambda D: pointwise(D, Lam)))), ok
+    pointwise = on_support(split.D, lambda D: integrand(D, w, Lam))
+    return FlaggedValue(float(split.grid.integrate(pointwise)), ok)
+
+
+def _peak(split) -> float:
+    """The largest eigenvalue of P / Lambda = D w / Lambda on the support."""
+    w = np.max(split.spectrum, axis=-1)
+    return float(np.max(on_support(split.D, lambda D: D * w / split.Lambda)))
+
+
+def casimir_general_value(split, gamma: GammaSpec) -> float:
+    """C = integral D Gamma(W W^dag, Lambda / D) for a (D, W) state."""
+    return _family(split, gamma.integrand).value
 
 
 def casimir_c2(split: UhlmannSplit, sigma: ScalarFn) -> FlaggedValue:
-    """C2 = integral D Sigma(Lambda / D); flags a sign-indefinite Lambda.
-
-    With Sigma = ln this is the pure-state hybrid entropy (minus the KL
-    divergence of D from Lambda); that interpretation is invalid when Lambda
-    is not positive on the support, hence the flag.
-    """
-    return FlaggedValue(*_support_integral(split, lambda D, Lam: D * sigma.f(Lam / D)))
+    """C2 = integral D Sigma(Lambda / D). With Sigma = ln it is the pure-state
+    hybrid entropy (minus the KL divergence of D from Lambda), which is invalid
+    where Lambda is not positive on the support, hence the flag."""
+    return _family(split, GammaSpec.from_sigma(sigma).integrand)
 
 
 def shannon_pure(split: UhlmannSplit) -> FlaggedValue:
-    """S = -integral D ln(D / Lambda)."""
+    """S = integral D ln(Lambda / D)."""
     return casimir_c2(split, scalar_fn("log"))
 
 
@@ -427,33 +441,21 @@ def renyi_meanfield(grid, D, rho, alpha) -> float:
 
 
 def entropy_uhlmann(split) -> FlaggedValue:
-    """S = -Tr integral P ln(P / Lambda), from the pointwise spectrum D w of P;
-    an eigenvalue counts as zero where w <= ``EIG_CLAMP``."""
-    w = split.spectrum
-    kept = w > EIG_CLAMP
-
-    def pointwise(D, Lam):
-        lam = D[..., None] * w  # eigenvalues of P
-        logs = np.log(np.where(kept, lam, 1.0) / Lam[..., None])
-        return np.sum(np.where(kept, -lam * logs, 0.0), axis=-1)
-
-    return FlaggedValue(*_support_integral(split, pointwise))
+    """S = -Tr integral P ln(P / Lambda): C(Gamma) with Gamma(A, x) = -Tr A ln A + ln x."""
+    return _family(split, GammaSpec.entropy().integrand)
 
 
 def renyi_mqc(split, alpha) -> FlaggedValue:
-    """H_alpha = (1-alpha)^-1 ln integral Lambda Tr(P / Lambda)^alpha; clamped as S."""
+    """H_alpha = ln C(renyi(alpha)) / (1 - alpha), C = integral Lambda Tr(P / Lambda)^alpha,
+    evaluated at D / m with alpha ln m added back, m the largest eigenvalue of
+    P / Lambda on the support: each term is then at most Lambda, so no alpha
+    drives the sum to 0 or infinity."""
     a = float(alpha)
     if a == 1.0:
         raise ValueError("alpha must differ from 1")
-    w = split.spectrum
-    kept = w > EIG_CLAMP
-
-    def pointwise(D, Lam):
-        powers = np.power(np.maximum(D[..., None] * w / Lam[..., None], 0.0), a)
-        return Lam * np.sum(np.where(kept, powers, 0.0), axis=-1)
-
-    total, ok = _support_integral(split, pointwise)
-    return FlaggedValue(float(np.log(total) / (1.0 - a)) if ok else float("nan"), ok)
+    m, renyi = _peak(split), GammaSpec.renyi(a).integrand
+    total, ok = _family(split, lambda D, w, Lam: renyi(D / m, w, Lam))
+    return FlaggedValue(float((np.log(total) + a * np.log(m)) / (1.0 - a)) if ok else np.nan, ok)
 
 
 def uhlmann_entropies(state_type):
@@ -461,12 +463,6 @@ def uhlmann_entropies(state_type):
     if issubclass(state_type, (UhlmannSplit, MeanFieldState)):
         return (lambda s: entropy_uhlmann(s).value, lambda s, a: renyi_mqc(s, a).value)
     return None, None
-
-
-def casimir_general_value(split: UhlmannSplit, gamma: GammaSpec) -> float:
-    """C = integral D Gamma(W W^dag, Lambda / D) for a (D, W) state."""
-    w = split.spectrum
-    return _support_integral(split, lambda D, Lam: D * gamma.value(w, Lam / D))[0]
 
 
 # -- Poincare loop invariant --------------------------------------------------------

@@ -183,8 +183,8 @@ class UhlmannSplit(_State):
 
     @cached_property
     def spectrum(self):
-        """Eigenvalues of the conditional density W W^dag, clipped at 0."""
-        return np.maximum(eigvalsh_field(hermitize(outer(self.W))), 0.0)
+        """Eigenvalues of W W^dag; the entropy family counts those <= ``EIG_CLAMP`` as 0."""
+        return eigvalsh_field(hermitize(outer(self.W)))
 
     def _check(self, normalized):
         require_density(self.D)
@@ -240,8 +240,8 @@ class MeanFieldState(_State):
 
     @property
     def spectrum(self):
-        """Eigenvalues of rho, clipped at 0: the (n,) conditional spectrum of every point."""
-        return np.maximum(eigvalsh_field(hermitize(self.rho)), 0.0)
+        """Eigenvalues of rho: the (n,) conditional spectrum of every point."""
+        return eigvalsh_field(hermitize(self.rho))
 
     def _check(self, normalized):
         _require_psd(self.rho, "rho")

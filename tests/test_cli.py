@@ -618,6 +618,37 @@ def test_a_usage_error_exits_1_naming_the_flag_and_writes_nothing(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["--out is a file", "--out under a file", "config is a directory",
+                                  "malformed YAML", "config not UTF-8"])
+def test_an_unusable_path_exits_1_naming_it(tmp_path, case):
+    """An --out or --config path that cannot be used exits 1 with a config
+    error that names it, not a traceback (each ended in an uncaught
+    FileExistsError, NotADirectoryError, IsADirectoryError, YAML scanner
+    error or UnicodeDecodeError)."""
+    cfg = write_cfg(tmp_path, short_run("nanowire_conditional"))
+    out = str(tmp_path / "out")
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    if case == "--out is a file":
+        out = named = str(afile)
+    elif case == "--out under a file":
+        out = named = str(afile / "out")
+    elif case == "config is a directory":
+        cfg = named = str(tmp_path)
+    else:
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(b"grid: [16\nmodel: :\n" if case == "malformed YAML" else b"\xff\xfegrid")
+        cfg = named = str(bad)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get(
+        "PYTHONPATH")])), "MQC_THREADS": "1"}
+    child = subprocess.run([sys.executable, "-m", "mqclab", "casimir-check", "--config", cfg,
+                            "--out", out, "--quiet"], capture_output=True, text=True, env=env,
+                           timeout=60)
+    err = child.stderr.strip()
+    assert "Traceback" not in err and child.returncode == 1, err
+    assert err.startswith("config error:") and named in err, err
+
+
 # -- the reader is the only place a config value is parsed -------------------
 
 # The config names ``cli`` may call: the builders, which read every key.

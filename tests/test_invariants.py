@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mqclab import (
@@ -11,6 +11,7 @@ from mqclab import (
     GammaSpec,
     HybridDensity,
     MassFunctional,
+    MeanFieldState,
     PhaseGrid,
     StepperConfig,
     UhlmannSplit,
@@ -45,7 +46,7 @@ from mqclab.probes import (
     random_smooth_split,
 )
 from oracles import derivative_probe, numeric_local_derivative, random_psd_density
-from test_split_equivalence import conditional_states
+from test_split_equivalence import conditional_states, same_bits
 
 
 def make_grid(N=48, L=2 * np.pi, hbar=1.0):
@@ -294,6 +295,89 @@ def test_meanfield_entropies_are_the_family_on_the_product_state(case, alpha):
     assert np.array_equal(split.Lambda, np.ones(grid.shape))
     assert abs(entropy_uhlmann(split).value - S) <= tol
     assert abs(renyi_mqc(split, alpha).value - H) <= 64 * EPS * (1.0 + abs(H))
+
+
+def root_split(rho, D):
+    """The split of D rho with the constant W = rho^(1/2), whose Lambda is exactly 1."""
+    v_w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.maximum(v_w, 0.0))) @ v.conj().T
+    return UhlmannSplit(PRODUCT_GRID, D, np.broadcast_to(root, PRODUCT_GRID.shape + root.shape))
+
+
+def random_rho(rng, n, rank):
+    A = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
+
+
+@st.composite
+def family_states(draw):
+    """A state of each kind the family is evaluated on: a conditional split
+    whose |psi| drifts, a smooth full-rank split, a rank-deficient constant
+    W = rho^(1/2) (n = 2, 3) and a mean-field state."""
+    kind = draw(st.sampled_from(["conditional", "smooth", "root", "mean_field"]))
+    if kind == "conditional":
+        return draw(conditional_states())[0]
+    if kind == "mean_field":
+        rho, D = draw(product_states())
+        return MeanFieldState(PRODUCT_GRID, D, rho)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([2, 3]))
+    if kind == "smooth":
+        return random_smooth_split(PRODUCT_GRID, n, rng)
+    rho = random_rho(rng, n, draw(st.integers(1, n - 1)))
+    D = rng.random(PRODUCT_GRID.shape) + 0.1
+    return root_split(rho, D / PRODUCT_GRID.integrate(D))
+
+
+# a rank-1 3x3 rho with a positive round-off eigenvalue (5.8e-17): a Renyi 0.5
+# evaluation that counted it differed from exp(H / 2) by 7.6e-9 relative
+ROUNDOFF_RANK = root_split(random_rho(np.random.default_rng(7), 3, 1), UNIFORM)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=family_states(), alpha=st.sampled_from([0.5, 2.0, 3.0]))
+@example(state=ROUNDOFF_RANK, alpha=0.5)
+def test_every_member_is_one_evaluation_of_the_family(state, alpha):
+    """Each entropy and Casimir is its call of C(Gamma), bit for bit; the
+    Renyi Casimir is exp((1 - alpha) H_alpha) within a few eps; and on a
+    conditional split the Uhlmann entropy is the pure-state entropy."""
+    log = scalar_fn("log")
+    S = entropy_uhlmann(state)
+    assert same_bits(S.value, casimir_general_value(state, GammaSpec.entropy()))
+    c2 = casimir_c2(state, log)
+    assert same_bits(c2.value, casimir_general_value(state, GammaSpec.from_sigma(log)))
+    assert same_bits(shannon_pure(state).value, c2.value)
+    H = renyi_mqc(state, alpha)
+    if isinstance(state, MeanFieldState):
+        assert same_bits(entropy_meanfield(state.grid, state.D, state.rho), S.value)
+        assert same_bits(renyi_meanfield(state.grid, state.D, state.rho, alpha), H.value)
+    if isinstance(state, ConditionalSplit):
+        assert same_bits(S.value, shannon_pure(state).value)
+    assume(H.lambda_positive)
+    C = casimir_general_value(state, GammaSpec.renyi(alpha))
+    assert abs(C - np.exp((1.0 - alpha) * H.value)) <= 8 * EPS * (1.0 + abs(np.log(C))) * C
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_renyi_of_a_large_order_is_finite_and_above_the_min_entropy():
+    """H_alpha at alpha = 300, 1000 and 1e5 on the nanowire's initial state is
+    finite, does not increase with alpha, and stays at or above -ln m, m the
+    largest P / Lambda (the alpha -> infinity limit); the diagnostic row
+    writes the same value. At alpha = 1000 the row read inf, after a divide
+    by zero in log."""
+    from mqclab import config, diagnostics, presets
+
+    cfg = presets.nanowire_conditional(N=16)
+    grid = config.build_grid(cfg)
+    ham = config.build_hamiltonian(grid, cfg)
+    split = config.build_initial_state(grid, ham, cfg)
+    floor = -np.log(np.max((split.D / split.Lambda)[split.support()]))
+    H = [renyi_mqc(split, alpha).value for alpha in (300.0, 1000.0, 1e5)]
+    assert np.all(np.isfinite(H)) and H[0] >= H[1] >= H[2] >= floor, (H, floor)
+    row = diagnostics.make_sample_fn("ehrenfest_conditional", ham, renyi_alpha=1000.0)(
+        0.0, split, None, None)
+    assert row["renyi_alpha"] == H[1]
 
 
 class TestCasimirGeneral:

@@ -422,9 +422,11 @@ def vacuum_policy_breaches(sources):
     ``states`` and ``dynamics._regularized_trace`` (the regulator of the
     right-hand sides), an ``errstate`` that silences divide or invalid
     warnings outside ``states`` (whose ``on_support`` silences the vacuum
-    points), a definition of ``vn_entropy_trace``, or a method ``divergence``
-    beside ``dynamics._divergence``. ``what`` is the called name or ``def
-    <name>``."""
+    points), a definition of ``vn_entropy_trace``, a method ``divergence``
+    beside ``dynamics._divergence``, or a second entropy integrand: a function
+    of ``invariants`` outside ``GammaSpec``, ``spectral_fn`` and ``scalar_fn``
+    that reads a ``.spectrum`` and calls ``np.log`` or ``np.power`` (at any
+    depth). ``what`` is the called name or ``def <name>``."""
     found = set()
 
     def visit(node, module, scope):
@@ -446,16 +448,64 @@ def vacuum_policy_breaches(sources):
                     found.add((module, ".".join(scope), name))
             visit(child, module, inner)
 
+    def integrands(tree):
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name != "GammaSpec":
+                yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                            if isinstance(fn, ast.FunctionDef))
+            elif isinstance(node, ast.FunctionDef) and node.name not in ("spectral_fn",
+                                                                         "scalar_fn"):
+                yield node.name, node
+
     for module, source in sources.items():
-        visit(ast.parse(source), module, ())
+        tree = ast.parse(source)
+        visit(tree, module, ())
+        for scope, fn in integrands(tree) if module == "invariants" else ():
+            nodes = list(ast.walk(fn))
+            if any(isinstance(n, ast.Attribute) and n.attr == "spectrum" for n in nodes):
+                found |= {(module, scope, "np." + n.func.attr) for n in nodes
+                          if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                          and getattr(n.func.value, "id", None) == "np"
+                          and n.func.attr in ("log", "power")}
     return found
+
+
+# Two entropy integrands beside C(Gamma), as ``invariants`` once wrote them.
+PARENT_ENTROPY_BODIES = '''
+def entropy_uhlmann(split) -> FlaggedValue:
+    w = split.spectrum
+    kept = w > EIG_CLAMP
+
+    def pointwise(D, Lam):
+        lam = D[..., None] * w  # eigenvalues of P
+        logs = np.log(np.where(kept, lam, 1.0) / Lam[..., None])
+        return np.sum(np.where(kept, -lam * logs, 0.0), axis=-1)
+
+    return FlaggedValue(*_support_integral(split, pointwise))
+
+
+def renyi_mqc(split, alpha) -> FlaggedValue:
+    a = float(alpha)
+    if a == 1.0:
+        raise ValueError("alpha must differ from 1")
+    w = split.spectrum
+    kept = w > EIG_CLAMP
+
+    def pointwise(D, Lam):
+        powers = np.power(np.maximum(D[..., None] * w / Lam[..., None], 0.0), a)
+        return Lam * np.sum(np.where(kept, powers, 0.0), axis=-1)
+
+    total, ok = _support_integral(split, pointwise)
+    return FlaggedValue(float(np.log(total) / (1.0 - a)) if ok else float("nan"), ok)
+'''
 
 
 def test_one_vacuum_policy_one_entropy_path():
     """Only ``states`` draws the vacuum (``vacuum_floor``, the silenced
     warnings of ``on_support``), apart from the density models' regulator;
-    no module keeps a second entropy trace or a second divergence. The guard
-    flags each form as it was written before."""
+    no module keeps a second entropy trace, a second divergence or a second
+    entropy integrand beside ``GammaSpec``. The guard flags each form as it
+    was written before."""
     before = {
         "invariants": (
             "def _support_integral(split, pointwise):\n"
@@ -467,7 +517,8 @@ def test_one_vacuum_policy_one_entropy_path():
             "    mask = TrP > vacuum_floor(TrP)\n"
             "    denom = np.where(mask, TrP, 1.0)\n"
             "def entropy_uhlmann(split):\n"
-            "    floor = vacuum_floor(split.D, EIG_CLAMP)\n"),
+            "    floor = vacuum_floor(split.D, EIG_CLAMP)\n"
+            + PARENT_ENTROPY_BODIES),
         "grids": ("class PhaseGrid:\n"
                   "    def divergence(self, flux_q, flux_p):\n"
                   "        return self.partial_q(flux_q) + self.partial_p(flux_p)\n"
@@ -478,6 +529,8 @@ def test_one_vacuum_policy_one_entropy_path():
         ("invariants", "_support_integral", "errstate"),
         ("invariants", "hybrid_bracket", "vacuum_floor"),
         ("invariants", "entropy_uhlmann", "vacuum_floor"),
+        ("invariants", "entropy_uhlmann", "np.log"), ("invariants", "renyi_mqc", "np.log"),
+        ("invariants", "renyi_mqc", "np.power"),
         ("grids", "PhaseGrid.divergence", "def divergence"),
         ("grids", "vn_entropy_trace", "def vn_entropy_trace")}
     sources = {path.stem: path.read_text()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mqclab import ConditionalSplit, PhaseGrid, conditional_to_uhlmann, tabulated
 from mqclab.dynamics import MODELS, conditional_rhs, energy_of, max_speed, uhlmann_rhs
-from mqclab.grids import EIG_CLAMP, hermitize, random_band_limited
+from mqclab.grids import hermitize, random_band_limited
 from mqclab.invariants import (
     GammaSpec,
     casimir_c2,
@@ -92,11 +92,14 @@ def test_conditional_entropies_keep_unit_weight(case, alpha):
     Lam = lambda_of(split)
     mask = D > 1e-12 * np.max(D)
     with np.errstate(invalid="ignore", divide="ignore"):
-        # eigenvalue D of P = D psi psi^dag for a unit conditional state
-        terms = np.where(D > EIG_CLAMP * np.max(D), -D * np.log(D / Lam), 0.0)
-        s_ref = float(grid.integrate(np.where(mask, terms, 0.0)))
-        tr = np.power(np.maximum(D / Lam, 0.0), alpha)
-        h_ref = float(np.log(grid.integrate(np.where(mask, Lam * tr, 0.0))) / (1.0 - alpha))
+        # the member forms for a unit conditional weight: D ln(Lambda / D),
+        # and D (Lambda / D)^(1 - alpha) at D / m, m the largest D / Lambda
+        # on the support, with alpha ln m added back
+        s_ref = float(grid.integrate(np.where(mask, D * np.log(Lam / D), 0.0)))
+        m = float(np.max(np.where(mask, D / Lam, 0.0)))
+        Dm = D / m
+        total = grid.integrate(np.where(mask, Dm * np.power(Lam / Dm, 1.0 - alpha), 0.0))
+        h_ref = float((np.log(total) + alpha * np.log(m)) / (1.0 - alpha))
 
     assert np.isfinite(s_ref) and np.isfinite(h_ref)
     assert same_bits(entropy_uhlmann(split).value, s_ref)
