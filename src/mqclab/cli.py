@@ -10,6 +10,7 @@ kernels (set before the numerics are imported).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import numbers
@@ -82,10 +83,25 @@ def _say(args, msg):
         print(msg)
 
 
+def _check_out(out):
+    """Raise the OSError that making ``out`` a directory to write in would
+    end in, without making it: ``out`` is an existing file, lies under one,
+    or its nearest existing directory cannot be written in."""
+    base = os.path.abspath(out)
+    while not os.path.lexists(base):
+        base = os.path.dirname(base)
+    if not os.path.isdir(base):
+        code = errno.EEXIST if base == os.path.abspath(out) else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), out)
+    if not os.access(base, os.W_OK | os.X_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), out)
+
+
 def _prepare(args):
     from . import config as C
 
     cfg = C.load_config(args.config)
+    _check_out(args.out)  # before any numerical work, and making nothing
     grid = C.build_grid(cfg)
     ham = C.build_hamiltonian(grid, cfg)
     return C, cfg, grid, ham

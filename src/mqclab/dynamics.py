@@ -48,13 +48,17 @@ same terms in the same order, and skips the same identically zero planes
 (the Hamiltonian's live index): an X_H component with no live plane is
 written as exact +0.0, which the loop tracer and ``max_speed`` read.
 
-The split models, the Ehrenfest density model and the mean field move
-along the plain pairing with X_H, which cannot move along an axis whose
-X_H component vanishes everywhere. They form fluxes, stencils and
-advection products only along ``Hamiltonian.X_axes`` (the nanowire's q
-alone). The beyond model's Sigma-hat correction moves along p even where
-X_p = 0, so it transports along both axes and skips only the hcomm(G_k,
-X_k) of a vanishing X_k.
+Every term that is formed only to be paired with a component X_k of X_H
+is formed only for the k in ``Hamiltonian.X_axes``, the components that do
+not vanish everywhere (the nanowire's q alone). The split models, the
+Ehrenfest density model and the mean field move along the plain pairing
+with X_H, which cannot move along a dead axis, so they form fluxes,
+stencils and advection products only along ``X_axes``. The beyond model's
+Sigma-hat correction moves along p even where X_p = 0, so it keeps both
+d_k P, both Sigma_k, both components of its velocity and the transport
+along both axes; but it differentiates the Sigma stack, and forms
+G_k = d_k P - P d_k ln sqrt(D) for hcomm(G_k, X_k), only along
+``X_axes``, and its energy forms d_k P and Sigma_k only there.
 
 Every right-hand side writes its tendencies into ``out`` when given (and
 into fresh arrays without it, as ``cfl_dt`` and the equilibria need); its
@@ -283,9 +287,13 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None):
     Sigma = (i hbar / 2D) [P, X_P],  X_P = (d_p P, -d_q P)
     scriptH = H + (i hbar / D) [grad P - P grad ln sqrt(D), X_H]
 
-    Dots contract the 2-component phase-space index. Both Sigma, and then
-    their four gradients, are one stacked field each (one stencil call per
-    axis). Every (Nq, Np, n, n) intermediate lives in scratch.
+    Dots contract the 2-component phase-space index. Both Sigma_k are one
+    stacked field, and its gradients d_j Sigma_k are formed, one stencil
+    call per axis, only along the j in ``ham.X_axes``: the pairing with
+    X_H,j reads no other. G_k = d_k P - P d_k ln sqrt(D) is likewise formed
+    only for a live X_k, the one hcomm(G_k, X_k) that reads it. Both d_k P,
+    both Sigma_k and both components of X are read, and the transport runs
+    along both axes. Every (Nq, Np, n, n) intermediate lives in scratch.
     """
     P = _hermitian_part(P)
     D = _regularized_trace(P, eps_tr_rel)
@@ -297,9 +305,9 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None):
     dPq = grid.partial_q(P, out=buf("dPq"))
     dPp = grid.partial_p(P, out=buf("dPp"))
     Sig = beyond_sigma(grid, P, inv_D, (dPp, dPq), (1.0, -1.0), out=buf("Sig", (2,)))
-    dSig = buf("dSig", (2, 2))  # [j, k]: d_j Sigma_k
-    grid.partial_q(Sig, out=dSig[:, :, 0])
-    grid.partial_p(Sig, out=dSig[:, :, 1])
+    dSig = buf("dSig", (2, 2))  # [j, k]: d_j Sigma_k, formed for the live j only
+    for j in ham.X_axes:
+        _partial(grid, j)(Sig, out=dSig[:, :, j])
 
     calX = pair_hermitian(P, ham.X_planes, ham.X_live, np.empty((2,) + D.shape))
     grad_sig = pair_hermitian(dSig, ham.X_planes[:, :, None], ham.X_live,
@@ -312,16 +320,17 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None):
     calX += corr
     calX *= inv_D
 
-    # G_k = d_k P - P d_k ln sqrt(D), over the spent Sigma stack; d_k D is
-    # Tr d_k P (the stencil is linear and takes the floor's constant to 0)
+    # G_k = d_k P - P d_k ln sqrt(D) for the live k, over the spent Sigma
+    # stack; d_k D is Tr d_k P (the stencil is linear and takes the floor's
+    # constant to 0)
     G = Sig
-    for k, dPk in enumerate((dPq, dPp)):
+    for k in ham.X_axes:
+        dPk = (dPq, dPp)[k]
         dlns = trace_field(dPk)
         dlns *= 0.5
         dlns *= inv_D
         np.subtract(dPk, np.multiply(P, dlns[..., None, None], out=G[:, :, k]), out=G[:, :, k])
-    # sum_k hcomm(G_k, X_k) over the X_k that are not identically zero; the
-    # gradients of P are spent
+    # sum_k hcomm(G_k, X_k) over the live k; the gradients of P are spent
     GX = _sum_along(ham.X_axes, lambda k, into: hcomm(G[:, :, k], ham.X_p if k else ham.X_q,
                                                       out=into), buf("GX"), dPq)
     GX *= ((1j * grid.hbar) * inv_D)[..., None, None]
@@ -338,7 +347,8 @@ def beyond_sigma(grid, P, inv_D, grads, signs, out):
     Hermitian P, its Hermitian gradient fields ``grads``, signs ``s`` and
     ``inv_D`` = 1/D: the one source of the right-hand side's Sigma
     (grads (d_p P, d_q P), signs (1, -1): X_P = (d_p P, -d_q P)) and of the
-    energy's gradient-indexed one (grads (d_q P, d_p P), signs (1, 1)).
+    energy's gradient-indexed one (grads (d_q P, d_p P), signs (1, 1)). A
+    gradient given as None leaves its component of ``out`` unwritten.
 
     The energy pairs the gradient-indexed components straight against
     (X_H,q, X_H,p); equivalently, the symplectically-indexed Sigma-hat of the
@@ -347,6 +357,8 @@ def beyond_sigma(grid, P, inv_D, grads, signs, out):
     X-on-X pairing is not a constant of motion).
     """
     for k, (G, sign) in enumerate(zip(grads, signs)):
+        if G is None:
+            continue
         Sk = hcomm(P, G, out=out[:, :, k])
         Sk *= ((sign * 0.5j * grid.hbar) * inv_D)[..., None, None]
     return out
@@ -359,7 +371,9 @@ def energy_of(model, state, ham):
     e = float(grid.integrate(tr_prod(P, ham.H)))
     if model == "beyond_ehrenfest":
         P = hermitize(P)
-        grads = (grid.partial_q(P), grid.partial_p(P))
+        # Re Tr(X_k Sigma_k) of a dead X_k is +0.0 without reading Sigma_k,
+        # so d_k P and Sigma_k are formed for the live k only
+        grads = tuple(_partial(grid, k)(P) if k in ham.X_axes else None for k in range(2))
         stacked = scratch(P.shape[:2] + (2,) + P.shape[2:], complex, "energy.Sig", like=P)
         Sig = beyond_sigma(grid, P, 1.0 / _regularized_trace(P), grads, (1.0, 1.0), out=stacked)
         pairs = pair_hermitian(Sig, ham.X_planes, ham.X_live, np.empty((2,) + grid.shape))
@@ -444,8 +458,25 @@ MODELS = {
 
 def max_speed(velocity):
     """The largest transport speed |X| on the grid, from a right-hand side's
-    (2, Nq, Np) ``velocity``: the one speed the CFL step size and guard read."""
-    return float(np.max(np.hypot(*velocity)))
+    (2, Nq, Np) ``velocity``: the one speed the CFL step size and guard read.
+
+    It has the bits of max hypot(X_q, X_p), with ``hypot`` taken only at the
+    points whose X_q^2 + X_p^2 lies within 2^-40 of the largest. Where that
+    largest is finite and at least 2^-960, every sum near it is within a few
+    ulps of the true |X|^2, so no point holding the maximum is left out.
+    Otherwise (a nan or inf, a speed above about 1e154 whose square
+    overflows, or every speed below about 3e-145) hypot is taken at every
+    point.
+    """
+    vq, vp = velocity
+    with np.errstate(over="ignore", under="ignore"):
+        sq = np.multiply(vq, vq)
+        sq += np.multiply(vp, vp)
+    top = sq.max()
+    if not 2.0**-960 <= top < np.inf:
+        return float(np.max(np.hypot(vq, vp)))
+    near = np.flatnonzero(sq >= top * (1.0 - 2.0**-40))
+    return float(np.max(np.hypot(vq.ravel()[near], vp.ravel()[near])))
 
 
 def cfl_dt(model, state, ham, cfl):

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import errno
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from mqclab import HybridDensity, PhaseGrid, read_snapshot, snapshot_lines, write_snapshot
 from mqclab import config
-from mqclab.cli import _study_levels, build_parser, main
+from mqclab.cli import _check_out, _study_levels, build_parser, main
 from mqclab.config import ConfigError, build_grid, build_hamiltonian, build_initial_state, load_config
 from mqclab.diagnostics import read_csv
 from mqclab.dynamics import WORK_CAP
@@ -647,6 +648,44 @@ def test_an_unusable_path_exits_1_naming_it(tmp_path, case):
     err = child.stderr.strip()
     assert "Traceback" not in err and child.returncode == 1, err
     assert err.startswith("config error:") and named in err, err
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("simulate", "nanowire_conditional"), ("equilibrium", "dephasing_equilibrium"),
+    ("casimir-check", "nanowire_conditional"), ("convergence", "nanowire_conditional")])
+@pytest.mark.parametrize("under", [False, True])
+def test_an_unusable_out_exits_1_before_any_numerical_work(tmp_path, capsys, monkeypatch,
+                                                          command, preset, under):
+    """An --out that is a file, or lies under one, exits 1 with the OSError
+    that making it would raise once the config is read, before the grid is
+    built (the equilibrium, the probes and the convergence levels used to
+    run to the end first)."""
+    cfg = write_cfg(tmp_path, short_run(preset))
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    out = str(afile / "out" if under else afile)
+
+    def no_numerics(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(config, "build_grid", no_numerics)
+    assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 1
+    err = capsys.readouterr().err.strip()
+    code = errno.ENOTDIR if under else errno.EEXIST
+    assert err == f"config error: [Errno {code}] {os.strerror(code)}: '{out}'", err
+    assert afile.read_text() == "x"
+
+
+def test_the_out_check_makes_nothing_and_refuses_an_unwritable_parent(tmp_path, monkeypatch):
+    """``--out`` is checked without being made: a new nested path passes and
+    is not created; a path whose nearest existing directory cannot be
+    written in raises the PermissionError that making it would."""
+    fresh = tmp_path / "new" / "deeper"
+    _check_out(str(fresh))
+    assert not (tmp_path / "new").exists()
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(tmp_path))
+    with pytest.raises(PermissionError, match="Permission denied"):
+        _check_out(str(fresh))
 
 
 # -- the reader is the only place a config value is parsed -------------------

@@ -11,10 +11,11 @@ one velocity pairing, one speed rule and one vacuum policy."""
 
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mqclab
@@ -643,18 +644,23 @@ def random_hamiltonian(grid, rng, n):
 
 # Catalog Hamiltonians whose X_H has identically zero pairing planes, and a
 # random one with none.
-CATALOG = ("nanowire", "pure_dephasing", "uncoupled", "random")
+CATALOG = ("nanowire", "pure_dephasing", "q_only", "uncoupled", "random")
 
 
 def catalog_hamiltonian(kind, grid, rng, n):
     """The nanowire (X_p = 0, X_q diagonal), pure dephasing with A = sigma_z
-    and a q-only coupling (diagonal X_H), uncoupled (X_H a multiple of 1, of
+    and a q-only coupling (diagonal X_H), pure dephasing with H a function
+    of q alone (X_q = 0, X_p diagonal), uncoupled (X_H a multiple of 1, of
     dimension n) or a random tabulated Hamiltonian of dimension n."""
     if kind == "nanowire":
         return nanowire(grid, mass=rng.uniform(0.5, 2.0), eta=rng.uniform(0.1, 1.0),
                         B=rng.uniform(0.1, 0.5))
     if kind == "pure_dephasing":
         return pure_dephasing(grid, scalar_profile(grid, "trig_well", omega=rng.uniform(0.5, 2.0)),
+                              scalar_profile(grid, "sin_q", amplitude=rng.uniform(0.1, 1.0)),
+                              SIGMA_Z)
+    if kind == "q_only":
+        return pure_dephasing(grid, scalar_profile(grid, "cos_q", amplitude=rng.uniform(0.5, 2.0)),
                               scalar_profile(grid, "sin_q", amplitude=rng.uniform(0.1, 1.0)),
                               SIGMA_Z)
     if kind == "uncoupled":
@@ -775,7 +781,8 @@ def test_the_live_index_matches_the_planes(kind):
             assert (k in live[t]) == bool(np.any(planes[k, t]))
     X = (ham.X_q, ham.X_p)
     assert ham.X_axes == tuple(k for k in range(2) if np.any(X[k]))
-    expected = {"nanowire": ((0,), (), (), (0,)), "pure_dephasing": ((0, 1), (), (), (0, 1))}
+    expected = {"nanowire": ((0,), (), (), (0,)), "pure_dephasing": ((0, 1), (), (), (0, 1)),
+                "q_only": ((1,), (), (), (1,))}
     if kind in expected:
         assert ham.X_live == expected[kind]
     elif kind == "uncoupled":  # X_H is a multiple of 1: only the diagonal planes live
@@ -792,6 +799,40 @@ def test_the_live_index_matches_the_planes(kind):
     for v in velocities:
         assert ham.X_axes == (0,) and np.any(v[0])
         assert np.all(v[1] == 0.0) and not np.any(np.signbit(v[1]))
+
+
+@pytest.mark.parametrize("kind, rhs_calls, energy_calls", [
+    ("nanowire", (3, 2), (1, 0)), ("q_only", (2, 3), (0, 1)), ("random", (3, 3), (1, 1))])
+def test_beyond_stencils_only_what_a_live_axis_reads(monkeypatch, kind, rhs_calls, energy_calls):
+    """The beyond right-hand side differences Sigma-hat, and the beyond
+    energy differences P, only along the live axes of X_H: (q, p) stencil
+    calls per right-hand side d_q P, d_p P, d_j Sigma for each live j and
+    the transport along both axes; per energy d_k P for each live k."""
+    rng = np.random.default_rng(3)
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, 12, 10, hbar=0.5)
+    ham = catalog_hamiltonian(kind, grid, rng, 2)
+    ham.X_planes, ham.dX_planes  # built on first use, through the stencil too
+    W = random_field(rng, grid.shape + (2, 2), True)
+    P = hermitize((1.0 + 0.5 * rng.random(grid.shape))[..., None, None] * (W @ dagger(W)))
+    calls = {}
+    for name in ("partial_q", "partial_p"):
+        stencil = getattr(PhaseGrid, name)
+
+        def counted(self, *args, _name=name, _stencil=stencil, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _stencil(self, *args, **kwargs)
+
+        monkeypatch.setattr(PhaseGrid, name, counted)
+
+    def counts():
+        got = (calls.get("partial_q", 0), calls.get("partial_p", 0))
+        calls.clear()
+        return got
+
+    beyond_ehrenfest_rhs(grid, P, ham)
+    assert counts() == rhs_calls
+    energy_of("beyond_ehrenfest", mqclab.HybridDensity(grid, P), ham)
+    assert counts() == energy_calls
 
 
 def implied_density_tendency(model, arrays, tends):
@@ -984,6 +1025,41 @@ def test_cfl_step_and_guard_read_the_old_per_model_speed(model, shape, n, m, see
     assert same_bits(dt, float(cfl) * minh / max(speed, 1e-12))
     run = rk4_run(model, state, ham, StepperConfig(dt=-dt, steps=1))
     assert not run.aborted and same_bits(run.cfl_max_seen, abs(-dt) * speed / minh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=grid_sizes, seed=seeds, scale=st.floats(-300, 300),
+       spread=st.floats(0, 40), special=st.sampled_from(
+           ["none", "nan", "inf", "-inf", "zero q", "zero p", "all zero", "tie", "ring"]))
+# rings whose top speed a ranking by the largest square alone misses (10^10),
+# and one whose squares are subnormal (10^-160)
+@example(shape=(16, 16), seed=36, scale=10.0, spread=0.0, special="ring")
+@example(shape=(16, 16), seed=1, scale=-160.0, spread=0.0, special="ring")
+def test_max_speed_has_the_bits_of_hypot_at_every_point(shape, seed, scale, spread, special):
+    """``max_speed`` equals max hypot(X_q, X_p) bit for bit, without a
+    warning, from 1e-300 to 1e300, with components spread over up to 40
+    decades, with a nan or an infinite component, zero planes, two equal
+    speeds and speeds that differ only in their last bits."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((2,) + shape) * 10.0 ** (scale - spread * rng.random((2,) + shape))
+    i, j = rng.integers(shape[0]), rng.integers(shape[1])
+    if special in ("nan", "inf", "-inf"):
+        v[rng.integers(2), i, j] = float(special)
+    elif special in ("zero q", "zero p"):
+        v[special == "zero p"] = 0.0
+    elif special == "all zero":
+        v[...] = np.where(rng.random(v.shape) < 0.5, 0.0, -0.0)
+    elif special == "tie":  # a second point at the top speed
+        top = np.unravel_index(np.argmax(np.hypot(*v)), shape)
+        v[:, i, j] = v[::-1, top[0], top[1]]
+    elif special == "ring":  # every speed within a few ulps of 10^scale
+        angle = 2 * np.pi * rng.random(shape)
+        radius = 10.0**scale * (1 + EPS * rng.standard_normal(shape) / 2)
+        v = np.stack([radius * np.cos(angle), radius * np.sin(angle)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = max_speed(v)
+    assert same_bits(got, old_max_speed(v))
 
 
 def pairing_per_x(W, *Xs):
