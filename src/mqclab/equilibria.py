@@ -12,6 +12,12 @@ P = exp(-mu H) / Tr-integral(exp(-mu H)) in the zeta-composed (or uncoupled)
 case. General hybrid Hamiltonians are rejected: no explicit equilibrium
 profile is available for them, which is the detailed-balance obstruction this
 module quantifies via residuals rather than resolves.
+
+Every weight is ``_boltzmann``'s exp(-mu (E - E*)), referred to the minimum
+energy E* for mu > 0 and to the maximum for mu < 0 (a negative mu weights the
+highest energies), so no weight exceeds 1. The builders read mu from the
+problem; ``solve_mu`` turns a target energy into mu, and it and
+``project_to_constraints`` share one bisection, ``_bisect``.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ import numpy as np
 
 from . import dynamics as _dyn
 from . import invariants as _inv
-from .grids import (eigen_compose, frobenius_norm, hermitize, matrix_function, mm, pair_planes,
-                    tr_prod, trace_field)
+from .grids import (eigen_compose, eigvalsh_field, frobenius_norm, hermitize, matrix_function,
+                    mm, pair_planes, tr_prod, trace_field)
 from .hamiltonians import EigenvalueCrossingError, Hamiltonian, UnsupportedHamiltonianError, eigenfields
 from .states import (
     ConditionalSplit,
@@ -48,7 +54,8 @@ class ProblemError(ValueError):
 
 @dataclass
 class MaxEntProblem:
-    """Equilibrium request: exactly one of E (target energy) or mu given."""
+    """Equilibrium request: exactly one of E (target energy) or mu given; the
+    builders read mu, ``solve_mu`` reads E."""
 
     representation: str  # mean_field | conditional | uhlmann
     ham: Hamiltonian
@@ -84,13 +91,6 @@ class EquilibriumResult:
     residuals: dict = field(default_factory=dict)
     ln_Z_C: float = float("nan")
     seam_kinked: bool = False
-
-
-def _partition(Z_shifted, mu, shift):
-    """(Z_C, ln Z_C) from the integral of exp(-mu (H - shift))."""
-    with np.errstate(over="ignore"):
-        Z_C = Z_shifted * np.exp(-mu * shift)
-    return Z_C, float(np.log(Z_shifted) - mu * shift)
 
 
 def _seam_ring(shape):
@@ -135,12 +135,39 @@ def _check_confined(grid, D, kinked):
         )
 
 
+def _boltzmann(E, mu):
+    """(exp(-mu (E - E*)), E*), with E* the minimum of E for mu > 0 and the
+    maximum for mu < 0: no weight exceeds 1. Every Gibbs weight is this one."""
+    if mu is None:
+        raise ProblemError("mu", "a Gibbs state needs mu; solve_mu turns a target E into one")
+    shift = float(np.min(E) if mu > 0 else np.max(E))
+    return np.exp(-mu * (E - shift)), shift
+
+
+def _gibbs(problem, check_confined, landscape, weight, shift, finish):
+    """The tail of every builder: the seam-kink test of ``landscape`` (values,
+    d_q, d_p), the confinement check and the integral Z of ``weight``, the
+    Boltzmann density referred to ``shift``; ``finish(Z)`` returns the state
+    and its energy. Only a split carries Z_C and its largest |Lambda - 1|."""
+    grid, mu = problem.ham.grid, problem.mu
+    kinked = check_confined and _seam_kinked(grid, *landscape)
+    _check_confined(grid, weight, kinked)
+    Z = float(grid.integrate(weight))
+    state, energy = finish(Z)
+    if isinstance(state, MeanFieldState):
+        return EquilibriumResult(state, mu, float("nan"), problem.branch, energy,
+                                 seam_kinked=kinked)
+    with np.errstate(over="ignore"):
+        Z_C = Z * np.exp(-mu * shift)
+    res = {"lambda_max_dev": float(np.max(np.abs(state.Lambda - 1.0)))}
+    return EquilibriumResult(state, mu, Z_C, problem.branch, energy, res,
+                             float(np.log(Z) - mu * shift), kinked)
+
+
 def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> EquilibriumResult:
     """Conditional-representation maximum-entropy state on one branch."""
     ham = problem.ham
     grid = ham.grid
-    mu = problem.mu if problem.mu is not None else solve_mu(problem)[0]
-
     if ham.kind == "pure_dephasing":
         A = ham.extras["A"]
         a_vals, a_vecs = np.linalg.eigh(A)
@@ -164,42 +191,31 @@ def gibbs_conditional(problem: MaxEntProblem, check_confined=True) -> Equilibriu
 
     # <psi|grad H|psi> from the pairing with X_H = (dH_p, -dH_q)
     v = pair_planes(psi[..., None], ham.X_planes, ham.X_live, np.empty((2,) + grid.shape))
-    dE_q, dE_p = -v[1], v[0]
-    shift = float(np.min(E_field))
-    w = np.exp(-mu * (E_field - shift))
-    kinked = check_confined and _seam_kinked(grid, E_field, dE_q, dE_p)
-    _check_confined(grid, w, kinked)
-    Z_shift = float(grid.integrate(w))
-    Z_C, ln_Z_C = _partition(Z_shift, mu, shift)
-    D = w / Z_shift
-    split = ConditionalSplit(grid, D, psi)
-    energy = float(grid.integrate(D * E_field))
-    res = {"lambda_max_dev": float(np.max(np.abs(split.Lambda - 1.0)))}
-    return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res, ln_Z_C, kinked)
+    w, shift = _boltzmann(E_field, problem.mu)
+
+    def finish(Z):
+        D = w / Z
+        return ConditionalSplit(grid, D, psi), float(grid.integrate(D * E_field))
+
+    return _gibbs(problem, check_confined, (E_field, -v[1], v[0]), w, shift, finish)
 
 
 def gibbs_uhlmann(problem: MaxEntProblem, check_confined=True) -> EquilibriumResult:
     """Uhlmann-representation Gibbs state P = exp(-mu H) / Tr-integral."""
     ham = problem.ham
-    grid = ham.grid
     if ham.kind not in ("zeta_composed", "uncoupled", "nanowire"):
-        raise UnsupportedHamiltonianError(
-            f"no explicit Uhlmann equilibrium for kind '{ham.kind}'"
-        )
-    mu = problem.mu if problem.mu is not None else solve_mu(problem)[0]
-    shift = float(np.min(np.linalg.eigvalsh(ham.H)))
-    M = matrix_function(-mu * (ham.H - shift * np.eye(ham.n)), np.exp)
-    Zfield = trace_field(M)
+        raise UnsupportedHamiltonianError(f"no explicit Uhlmann equilibrium for kind '{ham.kind}'")
+    _, shift = _boltzmann(eigvalsh_field(ham.H), problem.mu)
+    M = matrix_function(-problem.mu * (ham.H - shift * np.eye(ham.n)), np.exp)
+
+    def finish(Z):
+        P = M / Z
+        return (uhlmann_factor(HybridDensity(ham.grid, P), m=ham.n),
+                float(ham.grid.integrate(tr_prod(P, ham.H))))
+
     # the kink is sought in H itself: the weight is too small at the seam to show it
-    kinked = check_confined and _seam_kinked(grid, ham.H, ham.dH_q, ham.dH_p)
-    _check_confined(grid, Zfield, kinked)
-    Ztot = float(grid.integrate(Zfield))
-    Z_C, ln_Z_C = _partition(Ztot, mu, shift)
-    P = M / Ztot
-    split = uhlmann_factor(HybridDensity(grid, P), m=ham.n)
-    energy = float(grid.integrate(tr_prod(P, ham.H)))
-    res = {"lambda_max_dev": float(np.max(np.abs(split.Lambda - 1.0)))}
-    return EquilibriumResult(split, mu, Z_C, problem.branch, energy, res, ln_Z_C, kinked)
+    return _gibbs(problem, check_confined, (ham.H, ham.dH_q, ham.dH_p), trace_field(M), shift,
+                  finish)
 
 
 def gibbs_meanfield_uncoupled(problem: MaxEntProblem, check_confined=True) -> EquilibriumResult:
@@ -210,23 +226,18 @@ def gibbs_meanfield_uncoupled(problem: MaxEntProblem, check_confined=True) -> Eq
     function is built (``Z_C`` and ``ln_Z_C`` are NaN).
     """
     ham = problem.ham
-    grid = ham.grid
     if ham.kind != "uncoupled":
         raise UnsupportedHamiltonianError("factorized Gibbs pair requires an uncoupled H")
-    mu = problem.mu if problem.mu is not None else solve_mu(problem)[0]
     prof = ham.extras["h_c"]
-    h_c = prof.values
-    D = np.exp(-mu * (h_c - float(np.min(h_c))))
-    kinked = check_confined and _seam_kinked(grid, h_c, prof.d_q, prof.d_p)
-    _check_confined(grid, D, kinked)
-    H_Q = ham.extras["H_Q"]
-    D = D / float(grid.integrate(D))
-    w, v = np.linalg.eigh(H_Q)
-    rw = np.exp(-mu * (w - w.min()))
-    rho = eigen_compose(v, rw / rw.sum())
-    state = MeanFieldState(grid, D, rho)
-    energy = _dyn.energy_of("mean_field", state, ham)
-    return EquilibriumResult(state, mu, float("nan"), problem.branch, energy, seam_kinked=kinked)
+    D, shift = _boltzmann(prof.values, problem.mu)
+
+    def finish(Z):
+        w, v = np.linalg.eigh(ham.extras["H_Q"])
+        rw, _ = _boltzmann(w, problem.mu)
+        state = MeanFieldState(ham.grid, D / Z, eigen_compose(v, rw / rw.sum()))
+        return state, _dyn.energy_of("mean_field", state, ham)
+
+    return _gibbs(problem, check_confined, (prof.values, prof.d_q, prof.d_p), D, shift, finish)
 
 
 def equilibrium_at(problem: MaxEntProblem, mu, check_confined=False):
@@ -241,6 +252,27 @@ def equilibrium_at(problem: MaxEntProblem, mu, check_confined=False):
     return build(sub, check_confined=check_confined)
 
 
+def _bisect(f, lo, hi, midpoint, target, rtol, unreachable):
+    """Solve f(x)[0] = target on [lo, hi] for a decreasing f(x) = (value,
+    payload), splitting the bracket at ``midpoint(lo, hi)`` until the value is
+    within a relative ``rtol`` of the target, or 200 times; returns (x, value,
+    payload) at the last midpoint. A target outside the values [low, high] at
+    the ends raises ``unreachable(low, high)``."""
+    ends = f(lo)[0], f(hi)[0]
+    if not min(ends) <= target <= max(ends):
+        raise unreachable(min(ends), max(ends))
+    for _ in range(200):
+        x = midpoint(lo, hi)
+        value, payload = f(x)
+        if abs(value - target) <= rtol * max(abs(target), 1e-30):
+            break
+        if value > target:  # the target lies at larger x
+            lo = x
+        else:
+            hi = x
+    return x, value, payload
+
+
 def solve_mu(problem: MaxEntProblem):
     """Invert E(mu) by bisection on the monotone-decreasing energy curve.
 
@@ -252,27 +284,12 @@ def solve_mu(problem: MaxEntProblem):
     if problem.E is None:
         raise ProblemError("E", "solve_mu needs a target energy E")
     target = float(problem.E)
-
-    def energy_at(mu):
-        return equilibrium_at(problem, mu).energy
-
-    lo, hi = 1e-6, 1e6
-    e_lo, e_hi = energy_at(lo), energy_at(hi)  # e_lo >= e_hi
-    if not (min(e_lo, e_hi) <= target <= max(e_lo, e_hi)):
-        raise ProblemError("E", f"target energy {target:.6g} outside attainable range "
-                           f"[{min(e_lo, e_hi):.6g}, {max(e_lo, e_hi):.6g}] for this branch/grid")
-    mu = np.sqrt(lo * hi)
-    e_mid = energy_at(mu)
-    for _ in range(200):
-        if abs(e_mid - target) <= 1e-10 * max(abs(target), 1e-30):
-            break
-        if e_mid > target:  # energy too high -> colder -> raise mu
-            lo = mu
-        else:
-            hi = mu
-        mu = np.sqrt(lo * hi)
-        e_mid = energy_at(mu)
-    return float(mu), float(e_mid)
+    mu, energy, _ = _bisect(
+        lambda mu: (equilibrium_at(problem, mu).energy, None), 1e-6, 1e6,
+        lambda lo, hi: np.sqrt(lo * hi), target, 1e-10,
+        lambda low, high: ProblemError("E", f"target energy {target:.6g} outside attainable "
+                                            f"range [{low:.6g}, {high:.6g}] for this branch/grid"))
+    return float(mu), float(energy)
 
 
 # -- stationarity ------------------------------------------------------------------
@@ -390,22 +407,10 @@ def project_to_constraints(grid, D_raw, E_field, target_E):
     D = D / float(grid.integrate(D))
 
     def energy(delta):
-        w = D * np.exp(-delta * (E_field - float(np.min(E_field))))
+        w = D * _boltzmann(E_field, delta)[0]
         w = w / float(grid.integrate(w))
         return float(grid.integrate(w * E_field)), w
 
-    lo, hi = -50.0, 50.0
-    e_lo, _ = energy(lo)
-    e_hi, _ = energy(hi)
-    if not (e_hi <= target_E <= e_lo):
-        raise ValueError("target energy not reachable by reweighting this perturbation")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        e_mid, w = energy(mid)
-        if abs(e_mid - target_E) <= 1e-12 * max(abs(target_E), 1e-30):
-            return w
-        if e_mid > target_E:
-            lo = mid
-        else:
-            hi = mid
-    return w
+    return _bisect(energy, -50.0, 50.0, lambda lo, hi: 0.5 * (lo + hi), target_E, 1e-12,
+                   lambda low, high: ValueError(
+                       "target energy not reachable by reweighting this perturbation"))[2]

@@ -500,9 +500,10 @@ def trace_field(M):
     return s
 
 
-# Largest contracted dimension ``mm`` writes as component sums. numpy's
-# batched ``@`` is slow on tiny matrices (about 12x slower than the sums for
-# 2 x 2 at 64^2), but for 4 x 4 it is the faster of the two.
+# Largest contracted dimension ``mm`` writes as component sums (every workload
+# has n = 2). At 64^2 on component planes the sums win up to 12 x 12 (0.4
+# against 2.4 ms for 4 x 4); on interleaved fields, as ``eigh`` returns them,
+# batched ``@`` wins from 4 x 4 on (1.9 against 2.7 ms, 3.6 against 33 at 8 x 8).
 MM_SUMS_MAX = 3
 
 

@@ -337,7 +337,10 @@ def _align(v_ref, v):
     return v * np.conj(phase)[..., None, :]
 
 
-KINDS = ("uncoupled", "nanowire", "pure_dephasing", "zeta_composed", "tabulated")
+# each kind's constructor; a spec names its keyword arguments
+_CONSTRUCTORS = {"uncoupled": uncoupled, "nanowire": nanowire, "pure_dephasing": pure_dephasing,
+                 "zeta_composed": zeta_composed, "tabulated": tabulated}
+KINDS = tuple(_CONSTRUCTORS)
 
 
 def build(grid: PhaseGrid, spec: dict) -> Hamiltonian:
@@ -347,13 +350,6 @@ def build(grid: PhaseGrid, spec: dict) -> Hamiltonian:
     kind = spec["kind"]
     if kind not in KINDS:
         raise UnsupportedHamiltonianError(f"unknown hamiltonian kind '{kind}'")
-    if kind == "uncoupled":
-        return uncoupled(grid, scalar_profile(grid, **spec["h_c"]), spec["H_Q"])
-    if kind == "nanowire":
-        return nanowire(grid, **{k: v for k, v in spec.items() if k != "kind"})
-    if kind == "pure_dephasing":
-        return pure_dephasing(grid, scalar_profile(grid, **spec["h_0"]),
-                              scalar_profile(grid, **spec["h_i"]), spec["A"])
-    if kind == "zeta_composed":
-        return zeta_composed(grid, scalar_profile(grid, **spec["zeta"]), spec["coeffs"])
-    return tabulated(grid, spec["H"])
+    return _CONSTRUCTORS[kind](grid, **{
+        key: scalar_profile(grid, **value) if isinstance(value, dict) else value
+        for key, value in spec.items() if key != "kind"})

@@ -10,8 +10,6 @@ write -> read -> write is byte-identical.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .grids import PhaseGrid
@@ -74,24 +72,22 @@ def read_snapshot(path):
         rep = header[2]
         Nq, Np, n, m = (int(v) for v in header[3:7])
         q0, q1, p0, p1, hbar = (float(v) for v in header[7:12])
-        grid = PhaseGrid(q0, q1, p0, p1, Nq, Np, hbar=hbar)
 
         # a conditional record holds psi, the single column of its W
         shapes = {"density": (n, n), "conditional": (n, 1), "uhlmann": (n, m)}
         if rep not in shapes:
             raise ValueError(f"{path}: unknown representation '{rep}'")
-        records = [line.split() for line in itertools.islice(fh, Nq * Np)]
+        records = [line.split() for _, line in zip(range(Nq * Np), fh)]
 
-    # a truncated body reads as empty records
-    records += [[]] * (Nq * Np - len(records))
     lead = 0 if rep == "density" else 1  # the D column of a split
     expect = lead + 2 * n * shapes[rep][1]
-    bad = next((r for r, vals in enumerate(records) if len(vals) != expect), None)
-    if bad is not None:
+    # a truncated body ends in an empty record, checked before the header's grid is built
+    bad = next((r for r, vals in enumerate(records) if len(vals) != expect), len(records))
+    if bad < Nq * Np:
         i, j = divmod(bad, Np)
-        raise ValueError(
-            f"{path}: record ({i},{j}) has {len(records[bad])} numbers, expected {expect}"
-        )
+        got = len(records[bad]) if bad < len(records) else 0
+        raise ValueError(f"{path}: record ({i},{j}) has {got} numbers, expected {expect}")
+    grid = PhaseGrid(q0, q1, p0, p1, Nq, Np, hbar=hbar)
     table = np.array(records, dtype=float)
     data = np.ascontiguousarray(table[:, lead:]).view(complex)
     data = data.reshape((Nq, Np) + shapes[rep])

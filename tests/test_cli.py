@@ -213,6 +213,7 @@ class TestConfig:
                                       "hamiltonian.H_Q=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
                                       "initial.snapshot", "initial.snapshot=truncated",
                                       "initial.snapshot=directory",
+                                      "initial.snapshot=oversized",
                                       "initial.snapshot=entangled",
                                       "initial.snapshot=negative", "grid.n=3", "grid.n=0",
                                       "initial.compose_from=density",
@@ -296,6 +297,12 @@ class TestConfig:
             cfg["physics"]["hbar"] = 0
         elif case == "initial.snapshot=directory":
             cfg["initial"]["snapshot"] = str(tmp_path)
+        elif case == "initial.snapshot=oversized":  # a header naming 1e30 records, none
+            # written: once a 7.11 PiB MemoryError, the header's grid built before the body
+            snap = tmp_path / "restart.snap"
+            snap.write_text("MQCGRID 1 conditional 1000000000000000 1000000000000000 2 2 "
+                            "-3.14 3.14 -3.14 3.14 1\n")
+            cfg["initial"]["snapshot"] = str(snap)
         elif key == "initial.snapshot":  # a three-level state, a truncated body, a
             # density that is no product D rho for a mean-field run, or one not PSD
             if value == "entangled":
@@ -936,6 +943,19 @@ class TestEquilibriumCommand:
         else:
             assert rec["Z_C"] is None and rec["ln_Z_C"] is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_negative_mu_writes_a_finite_state(self, tmp_path):
+        """mu = -1000 weights the top of the soft well. The weight was once
+        referred to the minimum energy: it overflowed, and the run exited 0
+        with NaN in equilibrium.snap."""
+        cfg = presets.dephasing_equilibrium(N=16, mu=-1000.0)
+        cfg["equilibrium"]["certify"] = False
+        out = tmp_path / "out"
+        assert main(["equilibrium", "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        snap = read_snapshot(out / "equilibrium.snap")
+        assert np.all(np.isfinite(snap.D)) and np.all(np.isfinite(snap.W))
+        assert snap.mass() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("representation", ["conditional", "uhlmann", "mean_field"])
     def test_kinked_landscape_reports_no_certificate(self, tmp_path, representation):

@@ -25,6 +25,7 @@ from mqclab import (
     zeta_composed,
 )
 from mqclab.dynamics import MeanFieldState
+from mqclab.equilibria import ProblemError
 from mqclab.grids import eigen_compose, hermitize, pair_planes, pairing_planes, random_band_limited
 from mqclab.hamiltonians import ScalarProfile, live_planes
 from mqclab.states import ConditionalSplit, quantum_marginal
@@ -272,7 +273,49 @@ class TestMeanFieldMaxEnt:
         assert r_c > 1e-3  # reported, not resolved
 
 
+class TestNegativeMu:
+    """A negative mu weights the highest energies. Every builder once referred
+    its weight to the minimum energy, where at mu = -1000 it overflowed to a
+    NaN state."""
+
+    @pytest.mark.parametrize("representation", ["conditional", "uhlmann", "mean_field"])
+    def test_every_builder_gives_a_finite_unit_mass_state(self, representation):
+        grid = torus_grid(32)
+        ham, build = {
+            "conditional": (soft_torus_ham(grid), gibbs_conditional),
+            "uhlmann": (zeta_composed(grid, shifted_zeta(grid), [np.zeros((2, 2)), SIGMA_Z]),
+                        gibbs_uhlmann),
+            "mean_field": (uncoupled(grid, scalar_profile(grid, "trig_well"), 0.4 * SIGMA_X),
+                           gibbs_meanfield_uncoupled)}[representation]
+        hot, cold = (build(MaxEntProblem(representation, ham, mu=mu, branch=1))
+                     for mu in (-1000.0, 1000.0))
+        P = hot.state.compose().P
+        assert np.all(np.isfinite(P)) and np.isfinite(hot.energy)
+        assert grid.integrate(np.trace(P, axis1=-2, axis2=-1).real) == pytest.approx(1.0,
+                                                                                    abs=1e-12)
+        assert hot.energy > cold.energy
+
+    def test_a_builder_without_mu_raises_at_mu(self):
+        grid = torus_grid(32)
+        with pytest.raises(ProblemError) as err:
+            gibbs_conditional(MaxEntProblem("conditional", soft_torus_ham(grid), E=0.5))
+        assert err.value.key == "mu"
+
+
 class TestLocalMaximality:
+    def test_projection_reaches_a_target_above_the_mean(self):
+        # raising the energy needs delta < 0: at delta = -50 the weight, once
+        # referred to the minimum energy, overflowed to a NaN energy, and this
+        # target was called unreachable
+        grid = big_grid(32)
+        E = 0.5 * (grid.Q**2 + grid.P**2)
+        D = np.exp(-E / 2)
+        D /= grid.integrate(D)
+        target = 1.3 * grid.integrate(D * E)
+        w = project_to_constraints(grid, D, E, target)
+        assert grid.integrate(w) == pytest.approx(1.0, abs=1e-12)
+        assert grid.integrate(w * E) == pytest.approx(target, rel=1e-12)
+
     def test_gibbs_density_maximizes_entropy_on_constraints(self):
         grid = torus_grid(48)
         ham = soft_torus_ham(grid)
