@@ -64,9 +64,7 @@ from .invariants import (
     spectral_fn,
     scalar_fn,
     Functional,
-    MassFunctional,
     EnergyFunctional,
-    WeightedTraceFunctional,
     LinearProbeFunctional,
     CasimirC1,
     CasimirGeneral,

@@ -3,8 +3,6 @@
 Exit codes: 0 success, 1 configuration or usage error (a missing
 ``--config``, a config file that cannot be read, an ``--out`` that cannot be
 a directory, an unknown command, a ``--levels`` below 1), 2 numerical abort.
-``MQC_THREADS`` caps the BLAS/OpenMP thread pools of the data-parallel
-kernels (set before the numerics are imported).
 """
 
 from __future__ import annotations
@@ -21,14 +19,6 @@ import sys
 # mass every functional integrates, where the values vanish: C1 of a pure
 # state) at every level is round-off: ``convergence`` fits it no order.
 ROUNDOFF_DRIFT = 64 * sys.float_info.epsilon
-
-
-def _cap_threads():
-    t = os.environ.get("MQC_THREADS")
-    if t:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, t)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +50,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _cap_threads()
     args = build_parser().parse_args(argv)
     from .config import ConfigError
     from .dynamics import NumericalAbort
@@ -142,7 +131,7 @@ def cmd_simulate(args):
     state = Cmod.build_initial_state(grid, ham, cfg)
     stepper = Cmod.build_stepper(cfg, grid, ham, model, state)
     loop = Cmod.build_loop(cfg, grid)
-    sample_fn = Cmod.build_sample_fn(cfg, model, ham, with_loop=loop is not None)
+    sample_fn = Cmod.build_sample_fn(cfg, model, ham)
 
     os.makedirs(args.out, exist_ok=True)
     write_snapshot(os.path.join(args.out, "initial.snap"), state)
@@ -150,9 +139,7 @@ def cmd_simulate(args):
                   keep_states=False)
     with open(os.path.join(args.out, "diagnostics.csv"), "w") as fh:
         fh.write(diag.rows_to_csv(run.rows))
-    with open(os.path.join(args.out, "meta.json"), "w") as fh:
-        json.dump(_meta(cfg, model, run), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "meta.json"), _meta(cfg, model, run))
     if run.aborted:
         if run.states:
             write_snapshot(os.path.join(args.out, "abort.snap"), run.states[-1])
@@ -200,10 +187,7 @@ def cmd_equilibrium(args):
         "energy": result.energy,
         "metrics": metrics,
     }
-    with open(os.path.join(args.out, "equilibrium.json"), "w") as fh:
-        json.dump({**_json_numbers(record), **unmeasured}, fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "equilibrium.json"), {**record, **unmeasured})
     _say(args, f"mu={result.mu:.6g} energy={result.energy:.6g} "
                + " ".join(f"{k}={v:.3e}" for k, v in metrics.items()
                           if isinstance(v, float) and k != "T_check"))
@@ -222,9 +206,7 @@ def cmd_casimir_check(args):
     report = casimir_probe_report(split, ham, rng, n_probes=n_probes)
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "casimir_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "casimir_report.json"), report)
     _say(args, "worst |{{f,C}}| / scale per Casimir:")
     for k, v in sorted(report["worst_ratio"].items()):
         _say(args, f"  {k:20s} {v:.3e}")
@@ -329,14 +311,25 @@ def cmd_convergence(args):
 
 
 def _json_numbers(record):
-    """``record`` with every number as JSON writes it: integers unchanged,
-    floats only when finite (JSON has no NaN or Infinity; those become null)."""
+    """``record`` with every number as JSON writes it: integers and booleans
+    unchanged, floats only when finite (JSON has no NaN or Infinity; those
+    become null); strings and None unchanged, dicts and lists item by item."""
     if isinstance(record, dict):
         return {k: _json_numbers(v) for k, v in record.items()}
-    if isinstance(record, numbers.Integral):
+    if isinstance(record, (list, tuple)):
+        return [_json_numbers(v) for v in record]
+    if record is None or isinstance(record, (str, numbers.Integral)):
         return record
     x = float(record)
     return x if math.isfinite(x) else None
+
+
+def _write_json(path, record):
+    """Write ``record`` to ``path`` as strict JSON, the one rule of every JSON
+    file the CLI writes: numbers through ``_json_numbers``, keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(_json_numbers(record), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -366,6 +366,9 @@ def _initial_state(grid, ham, cfg):
         if not state.grid.compatible(grid):
             raise ConfigError("initial.snapshot", f"snapshot grid ({state.grid}) differs from config ({grid})")
         _same_dimension(state, ham, "initial.snapshot")
+        if not state.mass() > 0.0:  # nothing to run, nor to factor into D rho
+            raise ConfigError("initial.snapshot", f"the state has mass {state.mass():.3e}, "
+                                                  "not a positive one")
         if rep == "mean_field" and isinstance(state, HybridDensity):
             state = _meanfield_factors(state)
         # the physics of the state; a run's own snapshot drifts in norm and mass
@@ -491,7 +494,7 @@ def build_loop(cfg, grid):
                        read(cfg, "diagnostics.loop.radius", _finite, 0.5, *_POSITIVE), points)
 
 
-def build_sample_fn(cfg, model, ham, with_loop=False):
+def build_sample_fn(cfg, model, ham):
     """The row function of the ``diagnostics`` section, every key checked first."""
     read(cfg, "diagnostics", _mapping, None)
     functionals = read(cfg, "diagnostics.functionals", _list_of(_string), None,
@@ -500,7 +503,7 @@ def build_sample_fn(cfg, model, ham, with_loop=False):
     alpha = read(cfg, "diagnostics.renyi_alpha", _finite, 2.0, lambda a: a > 0.0 and a != 1.0,
                  "must be positive and differ from 1")
     return make_sample_fn(
-        model, ham, functionals, alpha, with_loop=with_loop,
+        model, ham, functionals, alpha,
         c1_phi=read(cfg, "diagnostics.c1_phi", _string, "neg_x_log_x_trace", spectral_fn),
         c2_sigma=read(cfg, "diagnostics.c2_sigma", _string, "log", scalar_fn))
 

@@ -28,8 +28,9 @@ DEFAULT_FUNCTIONALS = ["mass", "energy", "C1", "C2", "S_pure", "S_uhlmann", "ren
 
 
 def make_sample_fn(model, ham, functionals=None, renyi_alpha=2.0,
-                   c1_phi="neg_x_log_x_trace", c2_sigma="log", with_loop=False):
-    """The per-sample row function for ``rk4_run``; a row composes its state once."""
+                   c1_phi="neg_x_log_x_trace", c2_sigma="log"):
+    """The per-sample row function for ``rk4_run``; a row composes its state once,
+    and writes ``poincare`` when the run traces a loop (``loop_pts`` is not None)."""
     wanted = set(DEFAULT_FUNCTIONALS if functionals is None else functionals)
     phi = _inv.spectral_fn(c1_phi)
     sigma = _inv.scalar_fn(c2_sigma)
@@ -57,7 +58,7 @@ def make_sample_fn(model, ham, functionals=None, renyi_alpha=2.0,
                 row["C2"] = _inv.casimir_c2(state, sigma).value
             if "S_pure" in wanted and isinstance(state, ConditionalSplit):
                 row["S_pure"] = _inv.shannon_pure(state).value
-            if with_loop and loop_pts is not None:
+            if loop_pts is not None:
                 row["poincare"] = _inv.loop_integral(state, loop_pts)
         if "S_uhlmann" in wanted and entropy is not None:
             row["S_uhlmann"] = entropy(state)

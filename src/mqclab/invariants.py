@@ -188,60 +188,29 @@ class GammaSpec:
 
 
 class Functional:
-    """Base class: a real functional of a HybridDensity with a derivative."""
+    """Base class: a real functional F of a HybridDensity. The bracket reads
+    one thing of it, ``derivative(state)``: dF/dP as a Hermitian matrix
+    field on the grid."""
 
     name = "functional"
 
-    def value(self, state: HybridDensity) -> float:
-        """The integral of ``pointwise_integrand(grid, P)``, the integrand phi
-        with F = sum phi(P_ij) dq dp that a P-local functional defines; one
-        with gradients overrides it."""
-        return float(state.grid.integrate(self.pointwise_integrand(state.grid, state.P)))
-
-    def derivative(self, state: HybridDensity) -> np.ndarray:
-        """delta F / delta P as a Hermitian matrix field."""
-        raise NotImplementedError(f"functional '{self.name}' has no derivative")
-
-
-class WeightedTraceFunctional(Functional):
-    """F = integral w(q,p) Tr P, e.g. phase-space moments; the weight is
-    broadcast to the grid (a number is a constant weight)."""
-
-    def __init__(self, weight, name="moment"):
-        self.weight = np.asarray(weight, dtype=float)
-        self.name = name
-
-    def derivative(self, state):
-        w = np.broadcast_to(self.weight, state.grid.shape)
-        return w[..., None, None] * np.eye(state.n, dtype=complex)
-
-    def pointwise_integrand(self, grid, P):
-        return self.weight * trace_field(P)
-
 
 class LinearProbeFunctional(Functional):
-    """F = integral Re Tr(A(q,p) P); dF/dP = A."""
+    """F = integral Re Tr(A(q,p) P); dF/dP = A, broadcast to the grid (A is a
+    constant matrix or a matrix field). The mass is A = 1 and a phase-space
+    moment A = w(q,p) 1."""
 
     def __init__(self, A, name="probe"):
         self.A = hermitize(np.asarray(A, dtype=complex))
         self.name = name
 
     def derivative(self, state):
-        return np.array(self.A, copy=True)
-
-    def pointwise_integrand(self, grid, P):
-        return tr_prod(P, self.A)
-
-
-class MassFunctional(WeightedTraceFunctional):
-    """F = integral Tr P."""
-
-    def __init__(self):
-        super().__init__(1.0, "mass")
+        return np.array(np.broadcast_to(self.A, state.grid.shape + self.A.shape[-2:]))
 
 
 class EnergyFunctional(LinearProbeFunctional):
-    """F = integral Re Tr(H P), the Ehrenfest energy."""
+    """F = integral Re Tr(H P), the Ehrenfest energy (evaluated by
+    ``dynamics.energy_of``)."""
 
     def __init__(self, ham: Hamiltonian):
         super().__init__(ham.H, "energy")
@@ -255,7 +224,7 @@ class CasimirC1(Functional):
         self.name = f"C1[{phi.name}]"
 
     def value(self, state):  # its own attribute, which benchmarks/spans.py times
-        return super().value(state)
+        return float(state.grid.integrate(self.pointwise_integrand(state.grid, state.P)))
 
     def pointwise_integrand(self, grid, P):
         eigs = eigvalsh_field(hermitize(P))

@@ -66,7 +66,7 @@ def random_probe_functionals(grid, n, rng, count=20, kmax=3):
     probes = []
     for k in range(count):
         A = random_band_limited(grid, rng, kmax=kmax, trailing=(n, n), complex_valued=True)
-        probes.append(_inv.LinearProbeFunctional(hermitize(A), name=f"probe{k}"))
+        probes.append(_inv.LinearProbeFunctional(A, name=f"probe{k}"))
     return probes
 
 

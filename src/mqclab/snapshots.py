@@ -71,6 +71,8 @@ def read_snapshot(path):
             raise ValueError(f"{path}: unsupported snapshot version {header[1]}")
         rep = header[2]
         Nq, Np, n, m = (int(v) for v in header[3:7])
+        if n < 1 or m < 1:
+            raise ValueError(f"{path}: the dimensions n = {n} and m = {m} must be at least 1")
         q0, q1, p0, p1, hbar = (float(v) for v in header[7:12])
 
         # a conditional record holds psi, the single column of its W

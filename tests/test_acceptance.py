@@ -12,9 +12,8 @@ from mqclab import (
     CasimirC1,
     ConditionalSplit,
     EquilibriumResult,
-    MassFunctional,
+    LinearProbeFunctional,
     MaxEntProblem,
-    WeightedTraceFunctional,
     bracket_consistency,
     compose,
     energy_of,
@@ -64,7 +63,7 @@ def run_scenario(cfg, functionals=None, with_loop=False, keep_states=False):
     loop = build_loop(cfg, grid) if with_loop else None
     dspec = cfg.get("diagnostics", {})
     fn = make_sample_fn(model, ham, functionals=functionals or dspec.get("functionals"),
-                        renyi_alpha=2.0, with_loop=loop is not None)
+                        renyi_alpha=2.0)
     run = rk4_run(model, state, ham, stepper, sample_fn=fn, loop=loop,
                   keep_states=keep_states)
     assert not run.aborted, run.abort_reason
@@ -140,8 +139,8 @@ class TestCriterion4:
         ham = nanowire(grid)
         state = compose(random_smooth_split(grid, 2, np.random.default_rng(11)))
         fs = {
-            "mass": MassFunctional(),
-            "q^2 moment": WeightedTraceFunctional(grid.Q**2, name="q2"),
+            "mass": LinearProbeFunctional(np.eye(2), "mass"),
+            "q^2 moment": LinearProbeFunctional((grid.Q**2)[..., None, None] * np.eye(2), "q2"),
             "C1": CasimirC1(spectral_fn("neg_x_log_x_trace")),
         }
         details = []

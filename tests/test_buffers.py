@@ -186,7 +186,7 @@ def test_rk4_has_the_bits_of_the_out_of_place_formula(model, traced):
     loop = circle_loop((0.0, 0.0), 0.5, 32) if traced else None
     dt = cfl_dt(model, state, ham, 0.2)
     steps, every = 6, 3
-    sample_fn = make_sample_fn(model, ham, with_loop=traced)
+    sample_fn = make_sample_fn(model, ham)
     run = rk4_run(model, state, ham, StepperConfig(dt=dt, steps=steps, sample_every=every),
                   sample_fn=sample_fn, loop=loop)
     assert not run.aborted and len(run.rows) == 3

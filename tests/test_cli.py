@@ -215,7 +215,9 @@ class TestConfig:
                                       "initial.snapshot=directory",
                                       "initial.snapshot=oversized",
                                       "initial.snapshot=entangled",
-                                      "initial.snapshot=negative", "grid.n=3", "grid.n=0",
+                                      "initial.snapshot=negative",
+                                      "initial.snapshot=m0", "initial.snapshot=massless",
+                                      "grid.n=3", "grid.n=0",
                                       "initial.compose_from=density",
                                       "initial.compose_from=bogus"])
     def test_cli_invalid_value_exits_1_with_key_path(self, tmp_path, capsys, case):
@@ -302,6 +304,17 @@ class TestConfig:
             snap = tmp_path / "restart.snap"
             snap.write_text("MQCGRID 1 conditional 1000000000000000 1000000000000000 2 2 "
                             "-3.14 3.14 -3.14 3.14 1\n")
+            cfg["initial"]["snapshot"] = str(snap)
+        elif value in ("m0", "massless"):  # an Uhlmann header with m = 0 (one D per
+            # record), or a conditional state whose records are all zero
+            grid = build_grid(cfg)
+            rep, m, record = ("uhlmann", 0, "1") if value == "m0" else ("conditional", 2, "0 0 0 0 0")
+            bounds = " ".join("%.17g" % v for v in (grid.q0, grid.q1, grid.p0, grid.p1, grid.hbar))
+            snap = tmp_path / "restart.snap"
+            snap.write_text(f"MQCGRID 1 {rep} {grid.Nq} {grid.Np} 2 {m} {bounds}\n"
+                            + f"{record}\n" * (grid.Nq * grid.Np))
+            if value == "m0":
+                extra = ["--model", "ehrenfest_uhlmann"]
             cfg["initial"]["snapshot"] = str(snap)
         elif key == "initial.snapshot":  # a three-level state, a truncated body, a
             # density that is no product D rho for a mean-field run, or one not PSD
@@ -569,7 +582,7 @@ class TestOneBadKey:
             node = node[part]
         node[leaf] = 1000000
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get(
-            "PYTHONPATH")])), "MQC_THREADS": "1"}
+            "PYTHONPATH")])), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
         child = subprocess.run([sys.executable, "-m", "mqclab", command, "--config",
                                 write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"),
                                 "--quiet"], capture_output=True, text=True, env=env, timeout=20)
@@ -595,7 +608,7 @@ class TestOneBadKey:
                   "from mqclab.cli import main\n"
                   "sys.exit(main(sys.argv[1:]))\n")
         path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "MQC_THREADS": "1", "OMP_NUM_THREADS": "1",
+        env = {**os.environ, "PYTHONPATH": path, "OMP_NUM_THREADS": "1",
                "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
         child = subprocess.run([sys.executable, "-c", script, "simulate", "--config",
                                 write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"),
@@ -648,7 +661,7 @@ def test_an_unusable_path_exits_1_naming_it(tmp_path, case):
         bad.write_bytes(b"grid: [16\nmodel: :\n" if case == "malformed YAML" else b"\xff\xfegrid")
         cfg = named = str(bad)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get(
-        "PYTHONPATH")])), "MQC_THREADS": "1"}
+        "PYTHONPATH")])), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
     child = subprocess.run([sys.executable, "-m", "mqclab", "casimir-check", "--config", cfg,
                             "--out", out, "--quiet"], capture_output=True, text=True, env=env,
                            timeout=60)
@@ -915,10 +928,23 @@ class TestEquilibriumCommand:
         snap = read_snapshot(os.path.join(out, "equilibrium.snap"))
         assert isinstance(snap, ConditionalSplit)
 
-    # Z_C finite; Z_C beyond the float range (ln Z_C still finite); no closed form
-    @pytest.mark.parametrize("case", ["mu=2", "mu=1e4", "mean_field"])
+    # Z_C finite; Z_C beyond the float range (ln Z_C still finite); no closed form;
+    # a NaN config value, which meta.json echoes
+    @pytest.mark.parametrize("case", ["mu=2", "mu=1e4", "mean_field", "meta"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_json_holds_only_numbers_and_null(self, tmp_path, case):
+        def reject(constant):
+            raise ValueError(f"{constant} is not a JSON number")
+
+        if case == "meta":
+            cfg = presets.nanowire_conditional(N=16, t_final=0.1, loop=False)
+            cfg["physics"]["note"] = float("nan")
+            out = tmp_path / "out"
+            assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                         "--quiet"]) == 0
+            meta = json.loads((out / "meta.json").read_text(), parse_constant=reject)
+            assert meta["config"]["physics"]["note"] is None
+            return
         if case == "mean_field":
             cfg = presets.uncoupled_factorized(N=16)
             cfg["equilibrium"] = {"representation": "mean_field", "mu": 1.0}
@@ -928,10 +954,6 @@ class TestEquilibriumCommand:
         path = write_cfg(tmp_path, cfg)
         out = str(tmp_path / "out")
         assert main(["equilibrium", "--config", path, "--out", out, "--quiet"]) == 0
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not a JSON number")
-
         with open(os.path.join(out, "equilibrium.json")) as fh:
             rec = json.loads(fh.read(), parse_constant=reject)
         for value in (rec["mu"], rec["energy"], *rec["metrics"].values()):
@@ -1147,7 +1169,7 @@ class TestConvergenceCommand:
         cfg = presets.nanowire_conditional(N=16, loop=False)
         cfg["time"]["t_final"] = 1e6
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get(
-            "PYTHONPATH")])), "MQC_THREADS": "1"}
+            "PYTHONPATH")])), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
         child = subprocess.run([sys.executable, "-m", "mqclab", "convergence", "--config",
                                 write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"),
                                 "--levels", "3"], capture_output=True, text=True, env=env,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import mqclab
 from mqclab import (
     CasimirC1,
     CasimirGeneral,
@@ -10,12 +11,11 @@ from mqclab import (
     EnergyFunctional,
     GammaSpec,
     HybridDensity,
-    MassFunctional,
+    LinearProbeFunctional,
     MeanFieldState,
     PhaseGrid,
     StepperConfig,
     UhlmannSplit,
-    WeightedTraceFunctional,
     bracket_consistency,
     bracket_operand,
     casimir_c2,
@@ -418,11 +418,33 @@ class TestCasimirGeneral:
         assert np.isclose(C, np.exp((1 - alpha) * H), rtol=1e-10)
 
 
+# Names that a second linear functional went by: the mass and the phase-space
+# moments are LinearProbeFunctional(A), with A = 1 and A = w(q, p) 1.
+RETIRED_FUNCTIONALS = {"WeightedTraceFunctional", "MassFunctional"}
+
+
+def test_one_linear_functional():
+    """No second linear functional; the base class holds only what the
+    bracket reads (each subclass's ``derivative``), and ``CasimirC1`` alone
+    has a pointwise integrand; a constant A is broadcast to the grid."""
+    assert not any(hasattr(mod, name) for mod in (mqclab, mqclab.invariants)
+                   for name in RETIRED_FUNCTIONALS)
+    assert not {"value", "derivative", "pointwise_integrand"} & set(vars(Functional))
+    classes, todo = [], [Functional]
+    while todo:
+        classes.append(todo.pop())
+        todo.extend(classes[-1].__subclasses__())
+    assert [c for c in classes if "pointwise_integrand" in vars(c)] == [CasimirC1]
+    grid = make_grid(16)
+    state = random_psd_density(grid, 2, np.random.default_rng(3))
+    assert LinearProbeFunctional(np.eye(2), "mass").derivative(state).shape == grid.shape + (2, 2)
+
+
 class TestFunctionalDerivatives:
     def test_mass_derivative_is_identity(self):
         grid = make_grid(24)
         state = random_psd_density(grid, 2, np.random.default_rng(3))
-        G = MassFunctional().derivative(state)
+        G = LinearProbeFunctional(np.eye(2), "mass").derivative(state)
         assert np.max(np.abs(G - np.eye(2))) < 1e-14
 
     def test_energy_derivative_is_hamiltonian(self):
@@ -490,7 +512,7 @@ class TestHybridBracket:
         ham = nanowire(grid)
         state = random_psd_density(grid, 2, np.random.default_rng(10))
         f = EnergyFunctional(ham)
-        scale = abs(hybrid_bracket(f, MassFunctional(), state)) + 1.0
+        scale = abs(hybrid_bracket(f, LinearProbeFunctional(np.eye(2), "mass"), state)) + 1.0
         assert abs(hybrid_bracket(f, f, state)) < 1e-9 * scale
 
     def test_antisymmetry(self):
@@ -498,7 +520,7 @@ class TestHybridBracket:
         ham = nanowire(grid)
         state = random_psd_density(grid, 2, np.random.default_rng(11))
         f = EnergyFunctional(ham)
-        g = WeightedTraceFunctional(np.sin(grid.Q), name="sin_q_moment")
+        g = LinearProbeFunctional(np.sin(grid.Q)[..., None, None] * np.eye(2), "sin_q_moment")
         fg = hybrid_bracket(f, g, state)
         gf = hybrid_bracket(g, f, state)
         assert abs(fg + gf) <= 1e-9 * (abs(fg) + 1.0)
@@ -507,7 +529,7 @@ class TestHybridBracket:
         grid = make_grid(32)
         ham = nanowire(grid)
         state = random_psd_density(grid, 2, np.random.default_rng(12))
-        val = hybrid_bracket(MassFunctional(), EnergyFunctional(ham), state)
+        val = hybrid_bracket(LinearProbeFunctional(np.eye(2), "mass"), EnergyFunctional(ham), state)
         assert abs(val) < 1e-12
         # cross-check: d(mass)/dt from the Ehrenfest tendency is also zero
         (tend,), _ = ehrenfest_rhs(grid, state.P, ham)
@@ -636,7 +658,8 @@ class TestHybridBracket:
                                                 amplitude=amplitude))
             probe = random_probe_functionals(grid, 2, np.random.default_rng(probe_seed), count=1,
                                              kmax=kmax)[0]
-            moment = WeightedTraceFunctional(np.sin(grid.Q) ** a * np.cos(grid.P) ** b)
+            w = np.sin(grid.Q) ** a * np.cos(grid.P) ** b
+            moment = LinearProbeFunctional(w[..., None, None] * np.eye(2), "moment")
             return [bracket_consistency(f, state, nanowire(grid))["residual"]
                     for f in (probe, moment)]
 
@@ -651,11 +674,11 @@ class TestHybridBracket:
         grid = make_grid(32)
         ham = nanowire(grid)
         state = random_psd_density(grid, 2, np.random.default_rng(15))
-        r_mass = bracket_consistency(MassFunctional(), state, ham)
+        r_mass = bracket_consistency(LinearProbeFunctional(np.eye(2), "mass"), state, ham)
         assert r_mass["residual"] < 1e-8
         r_c1 = bracket_consistency(CasimirC1(spectral_fn("neg_x_log_x_trace")), state, ham)
         assert r_c1["residual"] < 1e-8
-        moment = WeightedTraceFunctional(grid.Q**2, name="q2_moment")
+        moment = LinearProbeFunctional((grid.Q**2)[..., None, None] * np.eye(2), "q2_moment")
         r_mom = bracket_consistency(moment, state, ham)
         assert r_mom["residual"] < 1e-5
 
@@ -704,7 +727,7 @@ class TestPoincareLoop:
         grid = C.build_grid(cfg)
         ham = C.build_hamiltonian(grid, cfg)
         split = C.build_initial_state(grid, ham, cfg)
-        sample = C.build_sample_fn(cfg, C.model_of(cfg), ham, with_loop=True)
+        sample = C.build_sample_fn(cfg, C.model_of(cfg), ham)
         calls = []
         original = states.berry_data
 
