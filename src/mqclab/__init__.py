@@ -63,7 +63,6 @@ from .invariants import (
     GammaSpec,
     spectral_fn,
     scalar_fn,
-    Functional,
     EnergyFunctional,
     LinearProbeFunctional,
     CasimirC1,

@@ -58,7 +58,9 @@ Sigma-hat correction moves along p even where X_p = 0, so it keeps both
 d_k P, both Sigma_k, both components of its velocity and the transport
 along both axes; but it differentiates the Sigma stack, and forms
 G_k = d_k P - P d_k ln sqrt(D) for hcomm(G_k, X_k), only along
-``X_axes``, and its energy forms d_k P and Sigma_k only there.
+``X_axes``, and its energy forms d_k P and Sigma_k only there. Likewise
+for matrix entries: both form Sigma_k, packed, only at the entries that a
+live plane reads (``grids.live_entries``; the nanowire's diagonal).
 
 Every right-hand side writes its tendencies into ``out`` when given (and
 into fresh arrays without it, as ``cfl_dt`` and the equilibria need); its
@@ -90,8 +92,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import (_grid_first, frobenius_norm, hcomm, hermitize, mm, pair_hermitian,
-                    pair_planes, scratch, tr_prod, trace_field)
+from .grids import (_grid_first, frobenius_norm, hcomm, hermitize, live_entries, mm,
+                    pair_hermitian, pair_planes, scratch, tr_prod, trace_field)
 from .states import (EPS_D_REL, ConditionalSplit, HybridDensity, MeanFieldState, UhlmannSplit,
                      vacuum_floor)
 
@@ -288,51 +290,52 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None):
     scriptH = H + (i hbar / D) [grad P - P grad ln sqrt(D), X_H]
 
     Dots contract the 2-component phase-space index. Both Sigma_k are one
-    stacked field, and its gradients d_j Sigma_k are formed, one stencil
-    call per axis, only along the j in ``ham.X_axes``: the pairing with
-    X_H,j reads no other. G_k = d_k P - P d_k ln sqrt(D) is likewise formed
-    only for a live X_k, the one hcomm(G_k, X_k) that reads it. Both d_k P,
-    both Sigma_k and both components of X are read, and the transport runs
-    along both axes. Every (Nq, Np, n, n) intermediate lives in scratch.
+    stacked field, packed: only the entries a live plane of X_H or of its
+    gradients reads (``grids.live_entries``). Its gradients d_j Sigma_k are
+    formed, one stencil call per axis, only along the j in ``ham.X_axes``:
+    the pairing with X_H,j reads no other. G_k = d_k P - P d_k ln sqrt(D) is
+    likewise formed only for a live X_k, the one hcomm(G_k, X_k) that reads
+    it. Both d_k P, both Sigma_k and both components of X are read, and the
+    transport runs along both axes. Every intermediate lives in scratch.
     """
     P = _hermitian_part(P)
     D = _regularized_trace(P, eps_tr_rel)
     inv_D = 1.0 / D
+    entries = list(live_entries(ham.X_live, ham.dX_live))
 
-    def buf(tag, stack=()):
-        return scratch(P.shape[:2] + stack + P.shape[2:], complex, "beyond." + tag, like=P)
+    def buf(tag, *axes):  # (Nq, Np) + axes, by default those of P
+        return scratch(P.shape[:2] + (axes or P.shape[2:]), complex, "beyond." + tag, like=P)
 
-    dPq = grid.partial_q(P, out=buf("dPq"))
-    dPp = grid.partial_p(P, out=buf("dPp"))
-    Sig = beyond_sigma(grid, P, inv_D, (dPp, dPq), (1.0, -1.0), out=buf("Sig", (2,)))
-    dSig = buf("dSig", (2, 2))  # [j, k]: d_j Sigma_k, formed for the live j only
+    dPq, dPp = grid.partial_q(P, out=buf("dPq")), grid.partial_p(P, out=buf("dPp"))
+    Sig = beyond_sigma(grid, P, inv_D, (dPp, dPq), (1.0, -1.0), entries,
+                       buf("Sig", 2, len(entries)))
+    dSig = buf("dSig", 2, 2, len(entries))  # [j, k]: d_j Sigma_k, formed for the live j only
     for j in ham.X_axes:
         _partial(grid, j)(Sig, out=dSig[:, :, j])
 
     calX = pair_hermitian(P, ham.X_planes, ham.X_live, np.empty((2,) + D.shape))
     grad_sig = pair_hermitian(dSig, ham.X_planes[:, :, None], ham.X_live,
-                              scratch((2, 2) + D.shape, float, "beyond.grad_sig"))
+                              scratch((2, 2) + D.shape, float, "beyond.grad_sig"), entries)
     sig_grad = pair_hermitian(Sig, ham.dX_planes, ham.dX_live,
-                              scratch((2, 2) + D.shape, float, "beyond.sig_grad"))
+                              scratch((2, 2) + D.shape, float, "beyond.sig_grad"), entries)
     # Tr(X_H . grad Sigma_k) - Tr(Sigma . grad X_H,k), indexed [j, k] and [k, j]
     corr = np.add(grad_sig[0], grad_sig[1], out=scratch(calX.shape, float, "beyond.corr"))
     corr -= np.add(sig_grad[:, 0], sig_grad[:, 1], out=grad_sig[0])
     calX += corr
     calX *= inv_D
 
-    # G_k = d_k P - P d_k ln sqrt(D) for the live k, over the spent Sigma
-    # stack; d_k D is Tr d_k P (the stencil is linear and takes the floor's
-    # constant to 0)
-    G = Sig
-    for k in ham.X_axes:
-        dPk = (dPq, dPp)[k]
+    def g_comm(k, into):
+        # hcomm(G_k, X_k), G_k = d_k P - P d_k ln sqrt(D); d_k D is Tr d_k P
+        # (the stencil is linear and takes the floor's constant to 0)
+        dPk, G = (dPq, dPp)[k], buf("G")
         dlns = trace_field(dPk)
         dlns *= 0.5
         dlns *= inv_D
-        np.subtract(dPk, np.multiply(P, dlns[..., None, None], out=G[:, :, k]), out=G[:, :, k])
-    # sum_k hcomm(G_k, X_k) over the live k; the gradients of P are spent
-    GX = _sum_along(ham.X_axes, lambda k, into: hcomm(G[:, :, k], ham.X_p if k else ham.X_q,
-                                                      out=into), buf("GX"), dPq)
+        np.subtract(dPk, np.multiply(P, dlns[..., None, None], out=G), out=G)
+        return hcomm(G, ham.X_p if k else ham.X_q, out=into)
+
+    # the sum over the live k; d_q P is spent once the first term is formed
+    GX = _sum_along(ham.X_axes, g_comm, buf("GX"), dPq)
     GX *= ((1j * grid.hbar) * inv_D)[..., None, None]
     # Hermitian as it stands: H plus i/D times a sum of hcomm
     scrH = np.add(ham.H, GX, out=dPp)
@@ -341,14 +344,15 @@ def beyond_ehrenfest_rhs(grid, P, ham, eps_tr_rel=EPS_D_REL, out=None):
     return _density_tendency(grid, P, calX, (0, 1), scrH, out)
 
 
-def beyond_sigma(grid, P, inv_D, grads, signs, out):
+def beyond_sigma(grid, P, inv_D, grads, signs, entries, out):
     """The Sigma-hat terms s_k (i hbar / 2D) [P, grads[k]] of the beyond
-    model, stacked into ``out`` (Nq, Np, K, n, n) and returned, for a
-    Hermitian P, its Hermitian gradient fields ``grads``, signs ``s`` and
-    ``inv_D`` = 1/D: the one source of the right-hand side's Sigma
-    (grads (d_p P, d_q P), signs (1, -1): X_P = (d_p P, -d_q P)) and of the
-    energy's gradient-indexed one (grads (d_q P, d_p P), signs (1, 1)). A
-    gradient given as None leaves its component of ``out`` unwritten.
+    model at the matrix ``entries`` (index pairs (a, b)), packed into ``out``
+    (Nq, Np, K, E) and returned, for a Hermitian P, its Hermitian gradient
+    fields ``grads``, signs ``s`` and ``inv_D`` = 1/D: the one source of the
+    right-hand side's Sigma (grads (d_p P, d_q P), signs (1, -1): X_P =
+    (d_p P, -d_q P)) and of the energy's gradient-indexed one (grads
+    (d_q P, d_p P), signs (1, 1)). A gradient given as None leaves its
+    component of ``out`` unwritten.
 
     The energy pairs the gradient-indexed components straight against
     (X_H,q, X_H,p); equivalently, the symplectically-indexed Sigma-hat of the
@@ -359,8 +363,8 @@ def beyond_sigma(grid, P, inv_D, grads, signs, out):
     for k, (G, sign) in enumerate(zip(grads, signs)):
         if G is None:
             continue
-        Sk = hcomm(P, G, out=out[:, :, k])
-        Sk *= ((sign * 0.5j * grid.hbar) * inv_D)[..., None, None]
+        Sk = hcomm(P, G, out=out[:, :, k], entries=entries)
+        Sk *= ((sign * 0.5j * grid.hbar) * inv_D)[..., None]
     return out
 
 
@@ -372,11 +376,14 @@ def energy_of(model, state, ham):
     if model == "beyond_ehrenfest":
         P = hermitize(P)
         # Re Tr(X_k Sigma_k) of a dead X_k is +0.0 without reading Sigma_k,
-        # so d_k P and Sigma_k are formed for the live k only
+        # so d_k P and Sigma_k are formed for the live k only, Sigma_k at
+        # the entries X_H reads
         grads = tuple(_partial(grid, k)(P) if k in ham.X_axes else None for k in range(2))
-        stacked = scratch(P.shape[:2] + (2,) + P.shape[2:], complex, "energy.Sig", like=P)
-        Sig = beyond_sigma(grid, P, 1.0 / _regularized_trace(P), grads, (1.0, 1.0), out=stacked)
-        pairs = pair_hermitian(Sig, ham.X_planes, ham.X_live, np.empty((2,) + grid.shape))
+        entries = list(live_entries(ham.X_live))
+        stacked = scratch(P.shape[:2] + (2, len(entries)), complex, "energy.Sig", like=P)
+        Sig = beyond_sigma(grid, P, 1.0 / _regularized_trace(P), grads, (1.0, 1.0), entries,
+                           stacked)
+        pairs = pair_hermitian(Sig, ham.X_planes, ham.X_live, np.empty((2,) + grid.shape), entries)
         e += float(grid.integrate(pairs[0] + pairs[1]))
     return e
 

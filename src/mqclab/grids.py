@@ -31,9 +31,10 @@ gradients, whose planes the Hamiltonian builds once (``X_planes``,
 the same sums in the same order. Each set of planes comes with its static
 live index (``hamiltonians.live_planes``): the accumulation multiplies only
 the planes that are not identically zero, asks only for the entries of R
-that a live plane reads (``pair_planes`` forms no other entry of W W^dag),
-and writes an X with no live plane as +0.0. For a Hamiltonian with no zero
-plane that is every plane and every entry, summed as before.
+that a live plane reads (``live_entries``, the one rule for them:
+``pair_planes`` forms no other entry of W W^dag, and a packed R holds no
+other), and writes an X with no live plane as +0.0. For a Hamiltonian
+with no zero plane that is every plane and every entry, summed as before.
 
 Layout. A field with trailing axes (a matrix or vector field) is stored as
 contiguous component planes: ``component_major`` keeps it as one C-ordered
@@ -507,7 +508,7 @@ def trace_field(M):
 MM_SUMS_MAX = 3
 
 
-def mm(A, B, out=None):
+def mm(A, B, out=None, entries=None):
     """Matrix product of (..., n, k) and (..., k, m) fields.
 
     For k <= ``MM_SUMS_MAX`` each entry is the vectorised sum over the grid
@@ -516,35 +517,53 @@ def mm(A, B, out=None):
     C-ordered copies, whose BLAS path gives the same bits for either layout.
     Leading axes broadcast as they do for ``@``. ``out`` must not overlap A
     or B, since the entries written first would be read again: a
-    ``ValueError`` says so.
+    ``ValueError`` says so. With ``entries``, index pairs (i, j), only those
+    are formed, each with its bits in the full product: ``out[..., e]`` is
+    (AB)_ij of the e-th pair.
     """
     n, k = A.shape[-2:]
     m = B.shape[-1]
     lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     dtype = np.result_type(A, B)
     if out is None:
-        out = _empty(lead + (n, m), dtype, _is_component_major(A, B))
+        out = _empty(lead + ((n, m) if entries is None else (len(entries),)), dtype,
+                     _is_component_major(A, B))
     elif np.may_share_memory(out, A) or np.may_share_memory(out, B):
         raise ValueError("mm: out must not overlap A or B")
     if k > MM_SUMS_MAX:
-        out[...] = np.matmul(np.ascontiguousarray(A), np.ascontiguousarray(B))
+        AB = np.matmul(np.ascontiguousarray(A), np.ascontiguousarray(B))
+        out[...] = AB if entries is None else AB.reshape(AB.shape[:-2] + (-1,))[
+            ..., [i * m + j for i, j in entries]]
         return out
     prod = scratch(lead, dtype, "mm.prod")
-    for i in range(n):
-        for j in range(m):
-            s = out[..., i, j]
-            np.multiply(A[..., i, 0], B[..., 0, j], out=s)
-            for c in range(1, k):
-                s += np.multiply(A[..., i, c], B[..., c, j], out=prod)
+    targets = (((i, j), out[..., i, j]) for i in range(n) for j in range(m)) if entries is None \
+        else zip(entries, np.moveaxis(out, -1, 0))
+    for (i, j), s in targets:
+        np.multiply(A[..., i, 0], B[..., 0, j], out=s)
+        for c in range(1, k):
+            s += np.multiply(A[..., i, c], B[..., c, j], out=prod)
     return out
 
 
-def hcomm(A, B, out=None):
+def hcomm(A, B, out=None, entries=None):
     """Commutator field [A, B] of Hermitian A and B as AB - (AB)^dag, since
     then BA = (AB)^dag: one ``mm`` (in scratch) and a conjugate-transposed
-    subtraction. Exactly anti-Hermitian whatever A and B are."""
-    AB = mm(A, B, out=scratch(np.broadcast_shapes(A.shape, B.shape), np.result_type(A, B),
-                              "hcomm", like=A if _is_component_major(A) else B))
+    subtraction. Exactly anti-Hermitian whatever A and B are. With
+    ``entries``, index pairs (a, b), only those are formed, from the entries
+    of AB they read, with their bits in the full commutator: ``out[..., e]``
+    is (AB)_ab - conj((AB)_ba) of the e-th pair."""
+    shape, dtype = np.broadcast_shapes(A.shape, B.shape), np.result_type(A, B)
+    like = A if _is_component_major(A) else B
+    if entries is not None:
+        pairs = sorted({p for a, b in entries for p in ((a, b), (b, a))})
+        AB = mm(A, B, out=scratch(shape[:-2] + (len(pairs),), dtype, "hcomm", like=like),
+                entries=pairs)
+        out = np.empty_like(AB[..., :len(entries)]) if out is None else out
+        for e, (a, b) in enumerate(entries):
+            np.conjugate(AB[..., pairs.index((b, a))], out=out[..., e])
+            np.subtract(AB[..., pairs.index((a, b))], out[..., e], out=out[..., e])
+        return out
+    AB = mm(A, B, out=scratch(shape, dtype, "hcomm", like=like))
     if out is None:
         out = np.empty_like(AB)
     np.conjugate(np.swapaxes(AB, -1, -2), out=out)
@@ -601,7 +620,7 @@ def pair_planes(W, planes, live, out):
     exactly Hermitian, and handed to the accumulation of ``pair_hermitian``,
     which asks only for the entries a live plane reads.
     """
-    n, m = W.shape[-2:]
+    m = W.shape[-1]
     lead = W.shape[:-2]
     R, conj_w = scratch(lead, complex, "pairing.R"), scratch(lead, complex, "pairing.conj")
 
@@ -614,10 +633,10 @@ def pair_planes(W, planes, live, out):
                 np.add(R, np.multiply(W[..., a, c], conj_w, out=conj_w), out=R)
         return R
 
-    return _accumulate_pairing(entry, n, planes, live, out)
+    return _accumulate_pairing(entry, planes, live, out)
 
 
-def pair_hermitian(R, planes, live, out):
+def pair_hermitian(R, planes, live, out, entries=None):
     """Re Tr(X R) at every grid point into ``out``, for a Hermitian field R
     (..., n, n) and each X given by its pre-combined ``planes``
     (``pairing_planes``) with the live index ``live``
@@ -629,14 +648,33 @@ def pair_hermitian(R, planes, live, out):
     its grid-last (s, Nq, Np) block, which broadcasts against ``planes[:,
     t]`` into ``out``, so one call pairs a stack of R with one set of
     planes (or one R with a stack of planes). A constant matrix R, given
-    as (1, 1, n, n), broadcasts the same way.
+    as (1, 1, n, n), broadcasts the same way. With ``entries``, a list of
+    index pairs, R is packed: its last axis holds those entries, in that
+    order, and at least those a live plane reads (``live_entries``).
     """
-    n = R.shape[-1]
     R = _grid_last(R)
-    return _accumulate_pairing(lambda a, b: R[..., a, b, :, :], n, planes, live, out)
+    if entries is None:
+        return _accumulate_pairing(lambda a, b: R[..., a, b, :, :], planes, live, out)
+    return _accumulate_pairing(lambda a, b: R[..., entries.index((a, b)), :, :], planes, live, out)
 
 
-def _accumulate_pairing(entry, n, planes, live, out):
+def live_entries(*lives):
+    """The entries (a, b), a <= b in row-major order, of a Hermitian n x n R
+    that a live plane of any of the live indices ``lives`` reads
+    (``hamiltonians.live_planes``, one item for each of the n^2 planes),
+    each mapped to the planes that read it: Re R_aa through one, R_ab off
+    the diagonal through two (Re R_ab, then Im R_ab)."""
+    n, t, found = math.isqrt(len(lives[0])), 0, {}
+    for a in range(n):
+        for b in range(a, n):
+            reads = (t,) if a == b else (t, t + 1)
+            t += len(reads)
+            if any(live[s] for live in lives for s in reads):
+                found[a, b] = reads
+    return found
+
+
+def _accumulate_pairing(entry, planes, live, out):
     """The sum of ``pair_planes`` and ``pair_hermitian``: the upper-triangle
     entries R_ab = ``entry(a, b)`` of a Hermitian n x n R, in row-major
     order, met with ``planes``. The real diagonal reads Re X_aa, and each
@@ -646,28 +684,22 @@ def _accumulate_pairing(entry, n, planes, live, out):
 
     Only live planes are multiplied: ``live[t]`` names the k whose plane
     ``planes[k, t]`` is not identically zero. An entry that no live plane
-    reads is never asked for, and a k with no live plane is written as
+    reads (``live_entries``) is never asked for, and a k with no live plane is written as
     +0.0. With every plane live each k sums every term, in the same order.
     """
     term = scratch(out.shape, float, "pairing.term")
     started = [False] * len(out)
-    t = 0
-    for a in range(n):
-        for b in range(a, n):
-            reads = (t,) if a == b else (t, t + 1)
-            t += len(reads)
-            if not any(live[s] for s in reads):
-                continue
-            R_ab = entry(a, b)
-            for s, part in zip(reads, (R_ab.real, R_ab.imag)):
-                part = np.broadcast_to(part, out.shape)
-                for k in live[s]:
-                    if started[k]:
-                        acc = out[k]
-                        acc += np.multiply(planes[k, s], part[k], out=term[k])
-                    else:
-                        np.multiply(planes[k, s], part[k], out=out[k])
-                        started[k] = True
+    for (a, b), reads in live_entries(live).items():
+        R_ab = entry(a, b)
+        for s, part in zip(reads, (R_ab.real, R_ab.imag)):
+            part = np.broadcast_to(part, out.shape)
+            for k in live[s]:
+                if started[k]:
+                    acc = out[k]
+                    acc += np.multiply(planes[k, s], part[k], out=term[k])
+                else:
+                    np.multiply(planes[k, s], part[k], out=out[k])
+                    started[k] = True
     for k, written in enumerate(started):
         if not written:
             out[k] = 0.0

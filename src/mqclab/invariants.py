@@ -187,15 +187,7 @@ class GammaSpec:
 # -- functionals of the hybrid density ------------------------------------------
 
 
-class Functional:
-    """Base class: a real functional F of a HybridDensity. The bracket reads
-    one thing of it, ``derivative(state)``: dF/dP as a Hermitian matrix
-    field on the grid."""
-
-    name = "functional"
-
-
-class LinearProbeFunctional(Functional):
+class LinearProbeFunctional:
     """F = integral Re Tr(A(q,p) P); dF/dP = A, broadcast to the grid (A is a
     constant matrix or a matrix field). The mass is A = 1 and a phase-space
     moment A = w(q,p) 1."""
@@ -216,7 +208,7 @@ class EnergyFunctional(LinearProbeFunctional):
         super().__init__(ham.H, "energy")
 
 
-class CasimirC1(Functional):
+class CasimirC1:
     """C1 = integral Tr P * Phi(P / Tr P); vacuum points contribute zero."""
 
     def __init__(self, phi: SpectralFn):
@@ -241,18 +233,19 @@ class CasimirC1(Functional):
         return grad + correction[..., None, None] * np.eye(state.n, dtype=complex)
 
 
-class CasimirGeneral(Functional):
+class CasimirGeneral:
     """C = integral D Gamma(W W^dag, Lambda / D) through an Uhlmann factor: by
     default the piecewise-smooth gauge of ``uhlmann_factor``, or a smooth
     ``split`` (Lambda needs differentiable W). The derivative is assembled in
     (D, W) and mapped back with the chain rule, which requires W W^dag to be
-    invertible (full-rank probe states)."""
+    invertible (full-rank probe states). A log term of Gamma needs
+    Lambda / D > 0 at every point: the derivative raises ``NumericalAbort``
+    naming the Casimir and the first grid point where it is not."""
 
-    name = "C_general"
-
-    def __init__(self, gamma: GammaSpec, split=None):
+    def __init__(self, gamma: GammaSpec, split=None, name="C_general"):
         self.gamma = gamma
         self.split = split
+        self.name = name
 
     def _factor(self, state):
         if self.split is None:
@@ -270,6 +263,11 @@ class CasimirGeneral(Functional):
         split = self._factor(state)
         W, Dsafe = split.W, floored(split.D)
         x = split.Lambda / Dsafe
+        if not np.all(x > 0.0) and any(kind == "sigma" and fn.name == "log"
+                                       for kind, fn in self.gamma.terms):
+            bad = tuple(int(i) for i in np.argwhere(~(x > 0.0))[0])
+            raise _dyn.NumericalAbort(f"{self.name}: Lambda / D = {x[bad]:.3g} at grid point "
+                                      f"{bad}, where its log is undefined")
         A = outer(W)
         w, v = np.linalg.eigh(hermitize(A))
 
@@ -307,9 +305,11 @@ class BracketOperand(NamedTuple):
     a_p: np.ndarray
 
 
-def bracket_operand(f: Functional, state: HybridDensity) -> BracketOperand:
-    """The derivative of ``f`` at ``state`` and its two transport pieces, for
-    bracketing one functional against several others."""
+def bracket_operand(f, state: HybridDensity) -> BracketOperand:
+    """The derivative of the functional ``f`` at ``state`` (the one thing the
+    bracket reads of it, ``f.derivative(state)``: dF/dP as a Hermitian
+    matrix field) and its two transport pieces, for bracketing one
+    functional against several others."""
     grid, P = state.grid, state.P
     G = component_major(f.derivative(state))  # planes, as the stencils read them
     a_q = tr_prod(P, grid.partial_q(G))
@@ -320,7 +320,7 @@ def bracket_operand(f: Functional, state: HybridDensity) -> BracketOperand:
 def hybrid_bracket(f, g, state: HybridDensity, return_scale=False):
     """{{f, g}}(P), antisymmetric by construction; vacuum handled as in C1.
 
-    ``f`` and ``g`` are each a ``Functional`` or its ``bracket_operand`` at
+    ``f`` and ``g`` are each a functional or its ``bracket_operand`` at
     ``state``; the value is the same either way. With ``return_scale`` also
     returns the integral of the pointwise magnitudes of the raw bracket
     pieces (the two transport products and the commutator term, before any
@@ -328,9 +328,9 @@ def hybrid_bracket(f, g, state: HybridDensity, return_scale=False):
     reference scale for |{{f, C}}| tests.
     """
     grid, P = state.grid, state.P
-    if isinstance(f, Functional):
+    if not isinstance(f, BracketOperand):
         f = bracket_operand(f, state)
-    if isinstance(g, Functional):
+    if not isinstance(g, BracketOperand):
         g = bracket_operand(g, state)
     TrP = trace_field(P)
     term1 = on_support(TrP, lambda D: (f.a_q * g.a_p - f.a_p * g.a_q) / D)
@@ -345,7 +345,7 @@ def hybrid_bracket(f, g, state: HybridDensity, return_scale=False):
     return value, scale
 
 
-def bracket_consistency(f: Functional, state: HybridDensity, ham: Hamiltonian):
+def bracket_consistency(f, state: HybridDensity, ham: Hamiltonian):
     """Compare {{f, h}} with dF/dt chained through the Ehrenfest tendency."""
     grid = state.grid
     fo = bracket_operand(f, state)

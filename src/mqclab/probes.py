@@ -85,10 +85,12 @@ def casimir_probe_report(split, ham, rng, n_probes=20, kmax=2):
     casimirs = {
         "C1_entropy": _inv.CasimirC1(_inv.spectral_fn("neg_x_log_x_trace")),
         "C1_quadratic": _inv.CasimirC1(_inv.spectral_fn("quadratic")),
-        "C_general_entropy": _inv.CasimirGeneral(_inv.GammaSpec.entropy(), split=split),
-        "C_general_renyi2": _inv.CasimirGeneral(_inv.GammaSpec.renyi(2.0), split=split),
+        "C_general_entropy": _inv.CasimirGeneral(_inv.GammaSpec.entropy(), split=split,
+                                                 name="C_general_entropy"),
+        "C_general_renyi2": _inv.CasimirGeneral(_inv.GammaSpec.renyi(2.0), split=split,
+                                                name="C_general_renyi2"),
         "C2_log": _inv.CasimirGeneral(_inv.GammaSpec.from_sigma(_inv.scalar_fn("log")),
-                                      split=split),
+                                      split=split, name="C2_log"),
     }
     reference = _inv.bracket_operand(_inv.EnergyFunctional(ham), state)
     # each Casimir is derived once, at its first bracket (after the first

@@ -670,6 +670,26 @@ def test_an_unusable_path_exits_1_naming_it(tmp_path, case):
     assert err.startswith("config error:") and named in err, err
 
 
+def test_a_log_casimir_off_its_domain_exits_2_naming_it(tmp_path):
+    """At hbar 1e6 the probe split's Lambda / D is negative, where the log
+    Casimirs are undefined: casimir-check exits 2 naming the first of them
+    and a grid point, and warns of nothing (the child turns a RuntimeWarning
+    into an error). It used to warn, report them as NaN and exit 0."""
+    cfg = presets.nanowire_conditional(N=16)
+    cfg["physics"]["hbar"] = 1e6
+    cfg["diagnostics"]["n_probes"] = 2
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get(
+        "PYTHONPATH")])), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mqclab",
+                            "casimir-check", "--config", write_cfg(tmp_path, cfg), "--out",
+                            str(tmp_path / "out"), "--quiet"], capture_output=True, text=True,
+                           env=env, timeout=120)
+    err = child.stderr.strip()
+    assert child.returncode == 2, err
+    assert err.startswith("numerical abort: C_general_entropy: Lambda / D = -"), err
+    assert "at grid point (" in err and "log" in err, err
+
+
 @pytest.mark.parametrize("command, preset", [
     ("simulate", "nanowire_conditional"), ("equilibrium", "dephasing_equilibrium"),
     ("casimir-check", "nanowire_conditional"), ("convergence", "nanowire_conditional")])

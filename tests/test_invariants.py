@@ -39,7 +39,6 @@ from mqclab import (
 )
 from mqclab.dynamics import circle_loop, ehrenfest_rhs
 from mqclab.grids import EIG_CLAMP, hermitize, trace_field
-from mqclab.invariants import Functional
 from mqclab.probes import (
     casimir_probe_report,
     random_probe_functionals,
@@ -419,21 +418,23 @@ class TestCasimirGeneral:
 
 
 # Names that a second linear functional went by: the mass and the phase-space
-# moments are LinearProbeFunctional(A), with A = 1 and A = w(q, p) 1.
-RETIRED_FUNCTIONALS = {"WeightedTraceFunctional", "MassFunctional"}
+# moments are LinearProbeFunctional(A), with A = 1 and A = w(q, p) 1. No base
+# class either: the bracket derives an operand for anything that is not one.
+RETIRED_FUNCTIONALS = {"WeightedTraceFunctional", "MassFunctional", "Functional"}
+FUNCTIONALS = (LinearProbeFunctional, CasimirC1, CasimirGeneral)
 
 
 def test_one_linear_functional():
-    """No second linear functional; the base class holds only what the
-    bracket reads (each subclass's ``derivative``), and ``CasimirC1`` alone
-    has a pointwise integrand; a constant A is broadcast to the grid."""
+    """No second linear functional and no base class: each functional has
+    the ``derivative`` the bracket reads, and ``CasimirC1`` alone has a
+    pointwise integrand; a constant A is broadcast to the grid."""
     assert not any(hasattr(mod, name) for mod in (mqclab, mqclab.invariants)
                    for name in RETIRED_FUNCTIONALS)
-    assert not {"value", "derivative", "pointwise_integrand"} & set(vars(Functional))
-    classes, todo = [], [Functional]
+    classes, todo = [], list(FUNCTIONALS)
     while todo:
         classes.append(todo.pop())
         todo.extend(classes[-1].__subclasses__())
+    assert all(callable(getattr(c, "derivative", None)) for c in classes)
     assert [c for c in classes if "pointwise_integrand" in vars(c)] == [CasimirC1]
     grid = make_grid(16)
     state = random_psd_density(grid, 2, np.random.default_rng(3))
@@ -577,7 +578,7 @@ class TestHybridBracket:
         def counted(derivative):
             return lambda self, state: calls.append(self.name) or derivative(self, state)
 
-        classes, todo = [], [Functional]
+        classes, todo = [], list(FUNCTIONALS)
         while todo:
             cls = todo.pop()
             classes.append(cls)

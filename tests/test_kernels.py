@@ -19,14 +19,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mqclab
+from mqclab import grids
 from mqclab import (SIGMA_Z, PhaseGrid, nanowire, pure_dephasing, scalar_profile, tabulated,
                     uncoupled)
 from mqclab.dynamics import (MODELS, StepperConfig, beyond_ehrenfest_rhs, cfl_dt, ehrenfest_rhs,
                              energy_of, max_speed, mean_field_rhs, rk4_run, uhlmann_rhs)
 from mqclab.grids import (MM_SUMS_MAX, _diff4, antiherm_residual, component_major, dagger,
-                          eigen_compose, eigvalsh_field, frobenius_norm, hcomm, hermitize, mm,
-                          pair_hermitian, pair_planes, pairing_planes, tr_prod)
+                          eigen_compose, eigvalsh_field, frobenius_norm, hcomm, hermitize,
+                          live_entries, mm, pair_hermitian, pair_planes, pairing_planes, tr_prod,
+                          trace_field)
 from mqclab.hamiltonians import live_planes
+from mqclab.states import vacuum_floor
 from oracles import (beyond_ehrenfest_rhs_formula, beyond_energy_formula, ehrenfest_rhs_formula,
                      mean_field_rhs_formula)
 
@@ -77,7 +80,8 @@ def test_hcomm_matches_matmul_and_is_exactly_antihermitian(shape, n, complex_val
                                                             layouts, out_layout):
     """On Hermitian operands the one-product commutator AB - (AB)^dag is
     AB - BA within round-off, in any mix of layouts and into ``out=`` of
-    either layout, and exactly anti-Hermitian; n = 4 takes ``mm``'s ``@``."""
+    either layout, and exactly anti-Hermitian; n = 4 takes ``mm``'s ``@``.
+    Any set of its entries, formed alone, has their bits in the whole."""
     rng = np.random.default_rng(seed)
     A, B = (hermitize(random_field(rng, shape + (n, n), complex_valued)) for _ in range(2))
     want = A @ B - B @ A
@@ -92,6 +96,9 @@ def test_hcomm_matches_matmul_and_is_exactly_antihermitian(shape, n, complex_val
     assert np.array_equal(got, -dagger(got))
     tol = 8 * n * EPS * np.max(np.abs(A)) * np.max(np.abs(B))
     assert np.max(np.abs(got - want)) <= tol
+    entries = [ab for ab in np.ndindex(n, n) if rng.random() < 0.5]
+    part = hcomm(A, B, out=np.empty(shape + (len(entries),), got.dtype), entries=entries)
+    assert all(same_bits(part[..., e], got[..., a, b]) for e, (a, b) in enumerate(entries))
 
 
 @settings(max_examples=25, deadline=None)
@@ -833,6 +840,148 @@ def test_beyond_stencils_only_what_a_live_axis_reads(monkeypatch, kind, rhs_call
     assert counts() == rhs_calls
     energy_of("beyond_ehrenfest", mqclab.HybridDensity(grid, P), ham)
     assert counts() == energy_calls
+
+
+def test_live_entries_are_the_entries_a_live_plane_reads():
+    """The entry rule: (a, b), a <= b in row-major order, with the planes
+    that read it, for every entry some live plane of any index reads. The
+    beyond right-hand side asks for the entries of X_H and its gradients,
+    the beyond energy for those of X_H."""
+    rng = np.random.default_rng(5)
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, 12, 10, hbar=0.5)
+
+    def read(kind, n):
+        ham = catalog_hamiltonian(kind, grid, rng, n)
+        return list(live_entries(ham.X_live, ham.dX_live)), list(live_entries(ham.X_live))
+
+    assert read("nanowire", 2) == ([(0, 0), (1, 1)],) * 2
+    assert read("uncoupled", 3) == ([(0, 0), (1, 1), (2, 2)],) * 2
+    upper = [(a, b) for a in range(3) for b in range(a, 3)]
+    assert read("random", 3) == (upper, upper)
+    assert live_entries(catalog_hamiltonian("random", grid, rng, 2).X_live) == {
+        (0, 0): (0,), (0, 1): (1, 2), (1, 1): (3,)}
+    # an entry read by one index only, or through its imaginary part only
+    assert live_entries(((),) * 4, ((1,), (), (), ())) == {(0, 0): (0,)}
+    assert live_entries(((), (), (0,), ())) == {(0, 1): (1, 2)}
+
+
+def pair_every_read_entry(R, planes, live, out):
+    """Re Tr(X R) summed as the pairing sums it, for a Hermitian R (..., n,
+    n), with its own reading of the entry rule: R_ab, a <= b in row-major
+    order, through plane t on the diagonal and t, t + 1 off it, met with
+    the planes its live index names. A rule that drops an entry shows
+    against it."""
+    n, R = R.shape[-1], np.moveaxis(R, (0, 1), (-2, -1))
+    started, t = [False] * len(out), 0
+    for a in range(n):
+        for b in range(a, n):
+            reads = (t,) if a == b else (t, t + 1)
+            t += len(reads)
+            for s, part in zip(reads, (R[..., a, b, :, :].real, R[..., a, b, :, :].imag)):
+                part = np.broadcast_to(part, out.shape)
+                for k in live[s]:
+                    if started[k]:
+                        out[k] += planes[k, s] * part[k]
+                    else:
+                        out[k] = planes[k, s] * part[k]
+                        started[k] = True
+    for k, written in enumerate(started):
+        if not written:
+            out[k] = 0.0
+    return out
+
+
+def beyond_full_sigma(grid, P, ham):
+    """(dP, velocity, energy) of the beyond model at a Hermitian P with every
+    Sigma_k formed as a full n x n ``hcomm`` and differenced whole, each
+    pairing by ``pair_every_read_entry``: the operations of the right-hand
+    side and of ``energy_of`` at every entry they read, in the same order,
+    so forming Sigma-hat only at those entries must keep every bit."""
+    d = (grid.partial_q, grid.partial_p)
+    TrP = trace_field(P)
+    inv_D = 1.0 / (TrP + vacuum_floor(TrP))
+    dP = [d[k](P) for k in range(2)]
+
+    def sigma(grads, signs):
+        return np.stack([hcomm(P, G) * ((s * 0.5j * grid.hbar) * inv_D)[..., None, None]
+                         for G, s in zip(grads, signs)], axis=2)
+
+    Sig = sigma((dP[1], dP[0]), (1.0, -1.0))
+    dSig = np.zeros(P.shape[:2] + (2, 2) + P.shape[2:], complex)
+    for j in ham.X_axes:
+        dSig[:, :, j] = d[j](Sig)
+    calX = pair_every_read_entry(P, ham.X_planes, ham.X_live, np.empty((2,) + TrP.shape))
+    grad_sig = pair_every_read_entry(dSig, ham.X_planes[:, :, None], ham.X_live,
+                                     np.empty((2, 2) + TrP.shape))
+    sig_grad = pair_every_read_entry(Sig, ham.dX_planes, ham.dX_live, np.empty((2, 2) + TrP.shape))
+    calX += (grad_sig[0] + grad_sig[1]) - (sig_grad[:, 0] + sig_grad[:, 1])
+    calX *= inv_D
+    GX = np.zeros(P.shape, complex)
+    for i, k in enumerate(ham.X_axes):
+        dlns = trace_field(dP[k]) * 0.5 * inv_D
+        term = hcomm(dP[k] - P * dlns[..., None, None], (ham.X_q, ham.X_p)[k])
+        GX = term if i == 0 else GX + term
+    scrH = ham.H + GX * ((1j * grid.hbar) * inv_D)[..., None, None]
+    flux = [d[k](P * calX[k][..., None, None]) for k in range(2)]
+    tendency = -(flux[0] + flux[1]) + hcomm(scrH, P) * (-1j / grid.hbar)
+    pairs = pair_every_read_entry(sigma(dP, (1.0, 1.0)), ham.X_planes, ham.X_live,
+                                  np.empty((2,) + TrP.shape))
+    energy = float(grid.integrate(tr_prod(P, ham.H))) + float(grid.integrate(pairs[0] + pairs[1]))
+    return tendency, calX, energy
+
+
+def bits(a):
+    """The 64-bit words of a float or complex array, to compare bit for bit."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(CATALOG), shape=grid_sizes, n=st.integers(1, 4),
+       hbar=st.floats(0.25, 2.0), seed=seeds)
+def test_beyond_sigma_at_the_read_entries_keeps_the_bits(kind, shape, n, hbar, seed):
+    """The beyond tendency, velocity and energy, with Sigma-hat formed only
+    at the entries a live plane reads, have the bits of the full-matrix
+    form (``beyond_full_sigma``) for every catalog Hamiltonian, up to
+    n = 4, where ``mm`` takes the full product and the entries from it."""
+    rng = np.random.default_rng(seed)
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, *shape, hbar=hbar)
+    ham = catalog_hamiltonian(kind, grid, rng, n)
+    n = ham.n
+    W = random_field(rng, shape + (n, n), True)
+    P = hermitize((1.0 + 0.5 * rng.random(shape))[..., None, None] * (W @ dagger(W)))
+    (dP,), velocity = beyond_ehrenfest_rhs(grid, component_major(P), ham)
+    energy = energy_of("beyond_ehrenfest", mqclab.HybridDensity(grid, P), ham)
+    want_dP, want_velocity, want_energy = beyond_full_sigma(grid, P, ham)
+    assert np.array_equal(bits(dP), bits(want_dP))
+    assert np.array_equal(bits(velocity), bits(want_velocity))
+    assert np.array_equal(bits([energy]), bits([want_energy]))
+
+
+@pytest.mark.parametrize("kind", CATALOG)
+def test_beyond_reads_no_entry_it_does_not_form(kind):
+    """With every ``beyond.*`` and ``energy.*`` scratch buffer filled with
+    NaN before a call, the beyond tendency, velocity and energy keep their
+    bits: nothing reads an entry or an axis the packed stack leaves
+    unformed."""
+    rng = np.random.default_rng(11)
+    grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, 12, 10, hbar=0.5)
+    ham = catalog_hamiltonian(kind, grid, rng, 3)
+    W = random_field(rng, grid.shape + (ham.n, ham.n), True)
+    P = component_major(hermitize(W @ dagger(W)) + np.eye(ham.n))
+
+    def outputs():
+        (dP,), velocity = beyond_ehrenfest_rhs(grid, P, ham)
+        return dP.copy(), velocity.copy(), energy_of("beyond_ehrenfest",
+                                                     mqclab.HybridDensity(grid, P), ham)
+
+    want = outputs()
+    poisoned = [tag for tag in grids._scratch if tag.startswith(("beyond.", "energy."))]
+    assert {"beyond.Sig", "beyond.dSig", "beyond.G", "energy.Sig"} <= set(poisoned)
+    for tag in poisoned:
+        grids._scratch[tag].view(np.float64)[:] = np.nan
+    got = outputs()
+    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got[:2], want[:2]))
+    assert np.array_equal(bits([got[2]]), bits([want[2]]))
 
 
 def implied_density_tendency(model, arrays, tends):
