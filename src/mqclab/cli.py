@@ -74,8 +74,10 @@ def _say(args, msg):
 
 def _check_out(out):
     """Raise the OSError that making ``out`` a directory to write in would
-    end in, without making it: ``out`` is an existing file, lies under one,
-    or its nearest existing directory cannot be written in."""
+    end in, without making it: ``out`` is empty, an existing file, lies
+    under one, or its nearest existing directory cannot be written in."""
+    if not out:  # abspath would read it as the current directory
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     base = os.path.abspath(out)
     while not os.path.lexists(base):
         base = os.path.dirname(base)

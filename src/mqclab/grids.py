@@ -6,10 +6,10 @@ periodic bicubic interpolation, the spectra of Hermitian fields and
 Hermitian matrix functions via eigendecomposition.
 
 ``mm``, ``hcomm``, ``tr_prod`` and ``eigen_compose`` are the one path by which
-matrix fields are contracted. For a contracted dimension n <= 3 ``mm``
-writes each entry as vectorised component sums over the grid, which beats
-numpy's batched ``@`` on such small matrices; for n >= 4 it falls through
-to ``@``. ``tr_prod`` gives the field Re Tr(AB) as component sums without
+matrix fields are contracted. ``mm`` writes each entry as vectorised
+component sums over the grid at every size; it, ``hcomm`` and
+``pair_hermitian`` each loop over one list of entries, a full matrix being
+all of them. ``tr_prod`` gives the field Re Tr(AB) as component sums without
 forming AB, and ``eigen_compose`` is v diag(f) v^dag via ``mm``.
 
 Every commutator in the package has Hermitian operands (the Hamiltonian,
@@ -501,25 +501,30 @@ def trace_field(M):
     return s
 
 
-# Largest contracted dimension ``mm`` writes as component sums (every workload
-# has n = 2). At 64^2 on component planes the sums win up to 12 x 12 (0.4
-# against 2.4 ms for 4 x 4); on interleaved fields, as ``eigh`` returns them,
-# batched ``@`` wins from 4 x 4 on (1.9 against 2.7 ms, 3.6 against 33 at 8 x 8).
-MM_SUMS_MAX = 3
+def _entry_list(M, entries):
+    """``M`` as the list of entries a kernel loops over, each pair (i, j) with its
+    place: as given with ``entries``; else all, row-major, through the flat view
+    of the matrix axes, which either layout has (needing a copy, ``ValueError``)."""
+    if entries is None:
+        flat = M.reshape(M.shape[:-2] + (-1,))
+        if not np.may_share_memory(flat, M):
+            raise ValueError("the matrix axes have no flat view without a copy")
+        return flat, {divmod(e, M.shape[-1]): e for e in range(flat.shape[-1])}
+    return M, {p: e for e, p in enumerate(entries)}
 
 
 def mm(A, B, out=None, entries=None):
     """Matrix product of (..., n, k) and (..., k, m) fields.
 
-    For k <= ``MM_SUMS_MAX`` each entry is the vectorised sum over the grid
-    sum_c A[..., i, c] * B[..., c, j], summed straight into its plane of
-    ``out`` (each term in scratch); above that, numpy's batched ``@`` on
-    C-ordered copies, whose BLAS path gives the same bits for either layout.
+    Each entry is the vectorised sum over the grid sum_c A[..., i, c] *
+    B[..., c, j], summed straight into its plane of ``out`` (each term in
+    scratch); on component planes that beats numpy's batched ``@``, which
+    copies them to interleaved storage first, up to 16 x 16 at 64^2.
     Leading axes broadcast as they do for ``@``. ``out`` must not overlap A
     or B, since the entries written first would be read again: a
     ``ValueError`` says so. With ``entries``, index pairs (i, j), only those
     are formed, each with its bits in the full product: ``out[..., e]`` is
-    (AB)_ij of the e-th pair.
+    (AB)_ij of the e-th pair; without, every (i, j) (``_entry_list``).
     """
     n, k = A.shape[-2:]
     m = B.shape[-1]
@@ -530,15 +535,10 @@ def mm(A, B, out=None, entries=None):
                      _is_component_major(A, B))
     elif np.may_share_memory(out, A) or np.may_share_memory(out, B):
         raise ValueError("mm: out must not overlap A or B")
-    if k > MM_SUMS_MAX:
-        AB = np.matmul(np.ascontiguousarray(A), np.ascontiguousarray(B))
-        out[...] = AB if entries is None else AB.reshape(AB.shape[:-2] + (-1,))[
-            ..., [i * m + j for i, j in entries]]
-        return out
+    flat, index = _entry_list(out, entries)
     prod = scratch(lead, dtype, "mm.prod")
-    targets = (((i, j), out[..., i, j]) for i in range(n) for j in range(m)) if entries is None \
-        else zip(entries, np.moveaxis(out, -1, 0))
-    for (i, j), s in targets:
+    for (i, j), e in index.items():
+        s = flat[..., e]
         np.multiply(A[..., i, 0], B[..., 0, j], out=s)
         for c in range(1, k):
             s += np.multiply(A[..., i, c], B[..., c, j], out=prod)
@@ -547,27 +547,23 @@ def mm(A, B, out=None, entries=None):
 
 def hcomm(A, B, out=None, entries=None):
     """Commutator field [A, B] of Hermitian A and B as AB - (AB)^dag, since
-    then BA = (AB)^dag: one ``mm`` (in scratch) and a conjugate-transposed
-    subtraction. Exactly anti-Hermitian whatever A and B are. With
-    ``entries``, index pairs (a, b), only those are formed, from the entries
-    of AB they read, with their bits in the full commutator: ``out[..., e]``
-    is (AB)_ab - conj((AB)_ba) of the e-th pair."""
+    then BA = (AB)^dag: (AB)_ab - conj((AB)_ba) for each entry (a, b) of
+    ``entries`` (all by default) into ``out[..., e]``, from the entries of AB
+    they read (one ``mm``, in scratch). Exactly anti-Hermitian whatever A and
+    B are, each entry with its bits in the full commutator."""
     shape, dtype = np.broadcast_shapes(A.shape, B.shape), np.result_type(A, B)
     like = A if _is_component_major(A) else B
-    if entries is not None:
-        pairs = sorted({p for a, b in entries for p in ((a, b), (b, a))})
-        AB = mm(A, B, out=scratch(shape[:-2] + (len(pairs),), dtype, "hcomm", like=like),
-                entries=pairs)
-        out = np.empty_like(AB[..., :len(entries)]) if out is None else out
-        for e, (a, b) in enumerate(entries):
-            np.conjugate(AB[..., pairs.index((b, a))], out=out[..., e])
-            np.subtract(AB[..., pairs.index((a, b))], out[..., e], out=out[..., e])
-        return out
-    AB = mm(A, B, out=scratch(shape, dtype, "hcomm", like=like))
     if out is None:
-        out = np.empty_like(AB)
-    np.conjugate(np.swapaxes(AB, -1, -2), out=out)
-    return np.subtract(AB, out, out=out)
+        out = _empty(shape if entries is None else shape[:-2] + (len(entries),), dtype,
+                     _is_component_major(like))
+    flat, index = _entry_list(out, entries)
+    pairs = sorted({p for a, b in index for p in ((a, b), (b, a))})
+    AB, at = _entry_list(mm(A, B, out=scratch(shape[:-2] + (len(pairs),), dtype, "hcomm",
+                                              like=like), entries=pairs), pairs)
+    for (a, b), e in index.items():
+        np.conjugate(AB[..., at[b, a]], out=flat[..., e])
+        np.subtract(AB[..., at[a, b]], flat[..., e], out=flat[..., e])
+    return out
 
 
 def tr_prod(A, B):
@@ -652,10 +648,8 @@ def pair_hermitian(R, planes, live, out, entries=None):
     index pairs, R is packed: its last axis holds those entries, in that
     order, and at least those a live plane reads (``live_entries``).
     """
-    R = _grid_last(R)
-    if entries is None:
-        return _accumulate_pairing(lambda a, b: R[..., a, b, :, :], planes, live, out)
-    return _accumulate_pairing(lambda a, b: R[..., entries.index((a, b)), :, :], planes, live, out)
+    R, at = _entry_list(R, entries)
+    return _accumulate_pairing(lambda a, b: _grid_last(R[..., at[a, b]]), planes, live, out)
 
 
 def live_entries(*lives):
@@ -708,9 +702,10 @@ def _accumulate_pairing(entry, planes, live, out):
 
 def eigen_compose(v, fw):
     """v diag(fw) v^dag for eigenvector columns ``v`` (..., n, n) and values
-    ``fw`` (..., n), through ``mm``. Not hermitized: ``fw`` may be complex, as
-    exp(i w) is for a unitary."""
-    return mm(v * fw[..., None, :], dagger(v))
+    ``fw`` (..., n), through ``mm`` on component planes. Not hermitized: ``fw``
+    may be complex, as exp(i w) is for a unitary."""
+    v = component_major(v)
+    return mm(component_major(v * fw[..., None, :]), dagger(v))
 
 
 # -- random smooth fields (probe generation) ---------------------------------

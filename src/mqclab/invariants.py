@@ -289,7 +289,7 @@ class CasimirGeneral:
         pair = tr_prod(dagger(dCdW), W)
         GW = dCdD[..., None, None] * W - (pair / (2.0 * Dsafe))[..., None, None] * W
         GW += dCdW / (2.0 * Dsafe)[..., None, None]
-        G = mm(mm(GW, dagger(W)), np.linalg.inv(A))
+        G = mm(mm(GW, dagger(W)), component_major(np.linalg.inv(A)))
         return hermitize(G)
 
 

@@ -85,12 +85,17 @@ class UnphysicalStateError(ValueError):
     """Input violates positivity/normalization beyond tolerance."""
 
 
+def _require_psd_spectrum(w, D, what):
+    """The one PSD rule (``PSD_TOL``): eigenvalues ``w`` of trace (field) ``D``."""
+    wmin, floor = float(np.min(w)), -PSD_TOL * max(float(np.max(D)), 1.0)
+    if wmin < floor:
+        raise UnphysicalStateError(f"{what} has eigenvalue {wmin:.3e} < {floor:.1e}")
+
+
 def _require_psd(M, what):
     """M (a matrix or a matrix field) Hermitian and PSD within ``PSD_TOL``."""
     require_hermitian(M, PSD_TOL, what=what)
-    wmin = float(np.min(eigvalsh_field(hermitize(M))))
-    if wmin < -PSD_TOL:
-        raise UnphysicalStateError(f"{what} has eigenvalue {wmin:.3e} < -{PSD_TOL:.1e}")
+    _require_psd_spectrum(eigvalsh_field(hermitize(M)), trace_field(M), what)
 
 
 def require_density(D):
@@ -315,10 +320,7 @@ def uhlmann_factor(state: HybridDensity, m=None):
     P = hermitize(state.P)
     D = trace_field(P)
     w, v = np.linalg.eigh(P)
-    if float(np.min(w)) < -PSD_TOL * max(float(np.max(D)), 1.0):
-        raise UnphysicalStateError(
-            f"hybrid density has eigenvalue {float(np.min(w)):.3e}; not PSD"
-        )
+    _require_psd_spectrum(w, D, "hybrid density")
     w = np.maximum(w, 0.0)
     # descending eigenvalues
     w = w[..., ::-1]

@@ -18,7 +18,7 @@ from mqclab import config as C
 from mqclab import grids, presets
 from mqclab.diagnostics import make_sample_fn
 from mqclab.dynamics import MODELS, StepperConfig, cfl_dt, circle_loop, conditional_rhs, rk4_run
-from mqclab.grids import MM_SUMS_MAX, _diff4, mm
+from mqclab.grids import _diff4, mm
 
 from test_kernels import LAYOUTS, diff4_roll, laid_out, random_field, same_bits
 
@@ -42,7 +42,7 @@ def test_diff4_out_has_the_bits_of_a_fresh_result(axis, complex_valued, shape, h
 
 @pytest.mark.parametrize("complex_valued", [False, True])
 @settings(max_examples=20, deadline=None)
-@given(shape=grid_sizes, n=st.integers(1, 3), k=st.integers(1, MM_SUMS_MAX + 1),
+@given(shape=grid_sizes, n=st.integers(1, 3), k=st.integers(1, 5),
        m=st.integers(1, 3), seed=seeds, out_layout=st.sampled_from(LAYOUTS))
 def test_mm_out_has_the_bits_of_a_fresh_result(complex_valued, shape, n, k, m, seed, out_layout):
     """Each entry summed straight into ``out``, of either layout, has the bits
@@ -56,7 +56,7 @@ def test_mm_out_has_the_bits_of_a_fresh_result(complex_valued, shape, n, k, m, s
     assert same_bits(buf, fresh)
 
 
-@pytest.mark.parametrize("k", [2, MM_SUMS_MAX + 1])
+@pytest.mark.parametrize("k", [2, 4])
 def test_mm_rejects_an_out_that_overlaps_an_operand(k):
     """``mm`` writes entries into ``out`` while it still reads A and B, so an
     ``out`` sharing memory with either is refused, not silently wrong."""

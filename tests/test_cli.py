@@ -690,9 +690,15 @@ def test_a_log_casimir_off_its_domain_exits_2_naming_it(tmp_path):
     assert "at grid point (" in err and "log" in err, err
 
 
-@pytest.mark.parametrize("command, preset", [
-    ("simulate", "nanowire_conditional"), ("equilibrium", "dephasing_equilibrium"),
-    ("casimir-check", "nanowire_conditional"), ("convergence", "nanowire_conditional")])
+OUT_COMMANDS = [("simulate", "nanowire_conditional"), ("equilibrium", "dephasing_equilibrium"),
+                ("casimir-check", "nanowire_conditional"), ("convergence", "nanowire_conditional")]
+
+
+def no_numerics(*args, **kwargs):
+    raise AssertionError("the grid was built")
+
+
+@pytest.mark.parametrize("command, preset", OUT_COMMANDS)
 @pytest.mark.parametrize("under", [False, True])
 def test_an_unusable_out_exits_1_before_any_numerical_work(tmp_path, capsys, monkeypatch,
                                                           command, preset, under):
@@ -704,16 +710,26 @@ def test_an_unusable_out_exits_1_before_any_numerical_work(tmp_path, capsys, mon
     afile = tmp_path / "afile"
     afile.write_text("x")
     out = str(afile / "out" if under else afile)
-
-    def no_numerics(*args, **kwargs):
-        raise AssertionError("the grid was built")
-
     monkeypatch.setattr(config, "build_grid", no_numerics)
     assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 1
     err = capsys.readouterr().err.strip()
     code = errno.ENOTDIR if under else errno.EEXIST
     assert err == f"config error: [Errno {code}] {os.strerror(code)}: '{out}'", err
     assert afile.read_text() == "x"
+
+
+@pytest.mark.parametrize("command, preset", OUT_COMMANDS)
+def test_an_empty_out_exits_1_before_any_numerical_work(tmp_path, capsys, monkeypatch, command,
+                                                        preset):
+    """``--out ""`` names no directory: it exits 1 with the ENOENT that
+    making it would raise, before the grid is built (read as the current
+    directory, it used to pass the check and fail only once the work was
+    done)."""
+    cfg = write_cfg(tmp_path, short_run(preset))
+    monkeypatch.setattr(config, "build_grid", no_numerics)
+    assert main([command, "--config", cfg, "--out", "", "--quiet"]) == 1
+    code = errno.ENOENT
+    assert capsys.readouterr().err.strip() == f"config error: [Errno {code}] {os.strerror(code)}: ''"
 
 
 def test_the_out_check_makes_nothing_and_refuses_an_unwritable_parent(tmp_path, monkeypatch):

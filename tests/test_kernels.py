@@ -24,7 +24,7 @@ from mqclab import (SIGMA_Z, PhaseGrid, nanowire, pure_dephasing, scalar_profile
                     uncoupled)
 from mqclab.dynamics import (MODELS, StepperConfig, beyond_ehrenfest_rhs, cfl_dt, ehrenfest_rhs,
                              energy_of, max_speed, mean_field_rhs, rk4_run, uhlmann_rhs)
-from mqclab.grids import (MM_SUMS_MAX, _diff4, antiherm_residual, component_major, dagger,
+from mqclab.grids import (_diff4, _entry_list, antiherm_residual, component_major, dagger,
                           eigen_compose, eigvalsh_field, frobenius_norm, hcomm, hermitize,
                           live_entries, mm, pair_hermitian, pair_planes, pairing_planes, tr_prod,
                           trace_field)
@@ -57,10 +57,14 @@ def test_mm_matches_matmul(k, complex_valued, shape, n, m, seed):
     B = random_field(rng, shape + (k, m), complex_valued)
     got, want = mm(A, B), A @ B
     assert got.shape == want.shape and got.dtype == want.dtype
-    if k > MM_SUMS_MAX:  # above the size guard mm is numpy's own product
-        assert np.array_equal(got, want)
     tol = 8 * k * EPS * np.max(np.abs(A)) * np.max(np.abs(B))
     assert np.max(np.abs(got - want)) <= tol
+    # any list of entries, formed alone, has their bits in the whole, for
+    # fields and for constant matrices alike
+    entries = [ij for ij in np.ndindex(n, m) if rng.random() < 0.5]
+    for a, b in ((A, B), (A[0, 0], B[0, 0])):
+        part, whole = mm(a, b, entries=entries), mm(a, b)
+        assert all(same_bits(part[..., e], whole[..., i, j]) for e, (i, j) in enumerate(entries))
 
 
 def pairing(W, *Xs):
@@ -80,8 +84,8 @@ def test_hcomm_matches_matmul_and_is_exactly_antihermitian(shape, n, complex_val
                                                             layouts, out_layout):
     """On Hermitian operands the one-product commutator AB - (AB)^dag is
     AB - BA within round-off, in any mix of layouts and into ``out=`` of
-    either layout, and exactly anti-Hermitian; n = 4 takes ``mm``'s ``@``.
-    Any set of its entries, formed alone, has their bits in the whole."""
+    either layout, and exactly anti-Hermitian. Any list of its entries,
+    formed alone, has their bits in the whole, the list of all of them too."""
     rng = np.random.default_rng(seed)
     A, B = (hermitize(random_field(rng, shape + (n, n), complex_valued)) for _ in range(2))
     want = A @ B - B @ A
@@ -96,9 +100,10 @@ def test_hcomm_matches_matmul_and_is_exactly_antihermitian(shape, n, complex_val
     assert np.array_equal(got, -dagger(got))
     tol = 8 * n * EPS * np.max(np.abs(A)) * np.max(np.abs(B))
     assert np.max(np.abs(got - want)) <= tol
-    entries = [ab for ab in np.ndindex(n, n) if rng.random() < 0.5]
-    part = hcomm(A, B, out=np.empty(shape + (len(entries),), got.dtype), entries=entries)
-    assert all(same_bits(part[..., e], got[..., a, b]) for e, (a, b) in enumerate(entries))
+    for entries in ([ab for ab in np.ndindex(n, n) if rng.random() < 0.5],
+                    list(np.ndindex(n, n))):
+        part = hcomm(A, B, out=np.empty(shape + (len(entries),), got.dtype), entries=entries)
+        assert all(same_bits(part[..., e], got[..., a, b]) for e, (a, b) in enumerate(entries))
 
 
 @settings(max_examples=25, deadline=None)
@@ -124,7 +129,7 @@ def test_pair_hermitian_matches_tr_prod(shape, n, stack, seed, layout):
 
 @pytest.mark.parametrize("complex_valued", [False, True])
 @settings(max_examples=25, deadline=None)
-@given(shape=grid_sizes, n=st.integers(1, 4), k=st.integers(1, MM_SUMS_MAX),
+@given(shape=grid_sizes, n=st.integers(1, 4), k=st.integers(1, 5),
        m=st.integers(1, 4), seed=seeds)
 def test_mm_on_planar_view_gives_same_bits(complex_valued, shape, n, k, m, seed):
     rng = np.random.default_rng(seed)
@@ -170,10 +175,9 @@ def test_eigen_compose_matches_einsum(complex_fw, field, shape, n, seed):
 EINSUM_ALLOWED = {("grids", "PhaseGrid.interpolate")}
 
 
-def test_einsum_stays_out_of_the_contraction_path():
-    """Every matrix-field trace, product and eigen-composition goes through
-    ``grids.mm``/``hcomm``/``tr_prod``/``eigen_compose``: no einsum call
-    anywhere in the package outside ``EINSUM_ALLOWED``."""
+def calls_named(target):
+    """The (module, scope) of every call in the package to a function named
+    ``target``, as ``f(...)`` or ``x.f(...)``."""
     found = set()
 
     def visit(node, module, scope):
@@ -184,14 +188,28 @@ def test_einsum_stays_out_of_the_contraction_path():
             elif isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "einsum":
+                if name == target:
                     found.add((module, ".".join(scope)))
             visit(child, module, inner)
 
     for path in sorted(pathlib.Path(mqclab.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, ())
+    return found
+
+
+def test_einsum_stays_out_of_the_contraction_path():
+    """Every matrix-field trace, product and eigen-composition goes through
+    ``grids.mm``/``hcomm``/``tr_prod``/``eigen_compose``: no einsum call
+    anywhere in the package outside ``EINSUM_ALLOWED``."""
+    found = calls_named("einsum")
     assert found - EINSUM_ALLOWED == set()
     assert found == EINSUM_ALLOWED  # the guard still sees the one it allows
+
+
+def test_mm_is_the_one_matrix_product():
+    """``mm``'s component sums are the one matrix-product path at every
+    size: no call named ``matmul`` anywhere in the package."""
+    assert calls_named("matmul") == set()
 
 
 def test_the_speed_policy_stays_in_max_speed():
@@ -942,7 +960,7 @@ def test_beyond_sigma_at_the_read_entries_keeps_the_bits(kind, shape, n, hbar, s
     """The beyond tendency, velocity and energy, with Sigma-hat formed only
     at the entries a live plane reads, have the bits of the full-matrix
     form (``beyond_full_sigma``) for every catalog Hamiltonian, up to
-    n = 4, where ``mm`` takes the full product and the entries from it."""
+    n = 4."""
     rng = np.random.default_rng(seed)
     grid = PhaseGrid(-np.pi, np.pi, -2.0, 2.0, *shape, hbar=hbar)
     ham = catalog_hamiltonian(kind, grid, rng, n)
@@ -1051,6 +1069,30 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_a_full_matrix_is_listed_through_a_view(layout):
+    """``mm``, ``hcomm`` and ``pair_hermitian`` read or write a full matrix
+    as the list of all its entries through the flat view of its matrix
+    axes: a view of the field in either layout, so what is written through
+    it lands in the field. Matrix axes that only a copy could flatten (a
+    transposed ``out`` or R) are refused, not silently copied."""
+    rng = np.random.default_rng(5)
+    M = laid_out(np.zeros((8, 9, 3, 3), complex), layout)
+    flat, index = _entry_list(M, None)
+    assert list(index.items()) == [(ab, e) for e, ab in enumerate(np.ndindex(3, 3))]
+    assert np.shares_memory(flat, M)
+    flat[..., 5] = 1.0
+    assert np.all(M[..., 1, 2] == 1.0) and np.count_nonzero(M) == 8 * 9
+    A, B = (laid_out(hermitize(random_field(rng, (8, 9, 3, 3), True)), layout) for _ in range(2))
+    swapped = np.swapaxes(laid_out(np.zeros((8, 9, 3, 3), complex), layout), -1, -2)
+    planes = pairing_planes(A)
+    for kernel in (lambda: mm(A, B, out=swapped), lambda: hcomm(A, B, out=swapped),
+                   lambda: pair_hermitian(np.swapaxes(B, -1, -2), planes, live_planes(planes),
+                                          np.empty((1, 8, 9)))):
+        with pytest.raises(ValueError, match="without a copy"):
+            kernel()
+
+
 def kernel_case(kernel, rng, shape, n, k, m, complex_valued):
     """(operands, f(*operands, out=None) or f(*operands) without ``out``)."""
     A = random_field(rng, shape + (n, k), complex_valued)
@@ -1077,7 +1119,7 @@ def kernel_case(kernel, rng, shape, n, k, m, complex_valued):
 @pytest.mark.parametrize("kernel", ["diff4_q", "diff4_p", "mm", "hcomm", "hermitize",
                                     "tr_prod", "pairing", "pair_hermitian"])
 @settings(max_examples=25, deadline=None)
-@given(shape=grid_sizes, n=st.integers(1, 3), k=st.integers(1, MM_SUMS_MAX + 1),
+@given(shape=grid_sizes, n=st.integers(1, 3), k=st.integers(1, 5),
        m=st.integers(1, 3), complex_valued=st.booleans(), seed=seeds,
        layouts=st.tuples(st.sampled_from(LAYOUTS), st.sampled_from(LAYOUTS)),
        out_layout=st.sampled_from((None,) + LAYOUTS))

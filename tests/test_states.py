@@ -304,6 +304,23 @@ class TestUhlmannFactor:
         with pytest.raises(UnphysicalStateError):
             uhlmann_factor(HybridDensity(grid, P), m=2)
 
+    @pytest.mark.parametrize("trace", [1.0, 100.0])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_one_psd_rule_for_validate_and_the_factor(self, trace, factor):
+        """``HybridDensity.validate`` and ``uhlmann_factor`` forgive the same
+        negative eigenvalue: -``PSD_TOL`` max(max Tr P, 1), accepted at half
+        of it and refused at twice it, for max Tr P = 1 and 100 (validate
+        used to take the tolerance as absolute)."""
+        neg = factor * states.PSD_TOL * trace
+        state = HybridDensity(make_grid(16), np.broadcast_to(np.diag([trace + neg, -neg]),
+                                                             (16, 16, 2, 2)))
+        for check in (lambda: state.validate(normalized=False), lambda: uhlmann_factor(state)):
+            if factor < 1.0:
+                check()
+            else:
+                with pytest.raises(UnphysicalStateError, match="eigenvalue"):
+                    check()
+
     def test_gauge_is_deterministic(self):
         grid = make_grid(16)
         state = random_psd(grid, 2, np.random.default_rng(6))
