@@ -63,7 +63,6 @@ from .invariants import (
     GammaSpec,
     spectral_fn,
     scalar_fn,
-    EnergyFunctional,
     LinearProbeFunctional,
     CasimirC1,
     CasimirGeneral,
@@ -72,8 +71,6 @@ from .invariants import (
     bracket_consistency,
     casimir_c2,
     shannon_pure,
-    entropy_meanfield,
-    renyi_meanfield,
     entropy_uhlmann,
     renyi_mqc,
     casimir_general_value,

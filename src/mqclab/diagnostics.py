@@ -55,9 +55,9 @@ def make_sample_fn(model, ham, functionals=None, renyi_alpha=2.0,
                 row["lambda_min"] = float(np.min(state.Lambda))
                 row["lambda_max"] = float(np.max(state.Lambda))
             if "C2" in wanted:
-                row["C2"] = _inv.casimir_c2(state, sigma).value
+                row["C2"] = _inv.casimir_c2(state, sigma)
             if "S_pure" in wanted and isinstance(state, ConditionalSplit):
-                row["S_pure"] = _inv.shannon_pure(state).value
+                row["S_pure"] = _inv.shannon_pure(state)
             if loop_pts is not None:
                 row["poincare"] = _inv.loop_integral(state, loop_pts)
         if "S_uhlmann" in wanted and entropy is not None:

@@ -357,14 +357,10 @@ def stationarity_residual(result: EquilibriumResult, ham: Hamiltonian, T_check=2
         diff = frobenius_norm(outer(final.W) - outer(state.W))
         metrics["projector_change_l1"] = float(grid.integrate(D0 * diff))
     if isinstance(state, ConditionalSplit):
-        metrics["entropy_change"] = (
-            _inv.shannon_pure(final).value - _inv.shannon_pure(state).value
-        )
+        metrics["entropy_change"] = _inv.shannon_pure(final) - _inv.shannon_pure(state)
         metrics.update(marina_residual(state, ham, result.mu))
     elif isinstance(state, UhlmannSplit):
-        metrics["entropy_change"] = (
-            _inv.entropy_uhlmann(final).value - _inv.entropy_uhlmann(state).value
-        )
+        metrics["entropy_change"] = _inv.entropy_uhlmann(final) - _inv.entropy_uhlmann(state)
     return metrics
 
 

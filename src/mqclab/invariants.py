@@ -8,15 +8,17 @@ Functional families (P = hybrid density, D = Tr P, rho = P / Tr P):
                 C2(Sigma) = integral D Sigma(Lambda / D), the Renyi-type
                 invariants Gamma(A, x) = x^(1-alpha) Tr A^alpha and the pure
                 and Uhlmann entropies and their Renyi extensions are its
-                members, on a split or on the mean field (D, rho): the member
-                state with Lambda = 1 and the spectrum of rho at every point.
+                members, on a split or on a ``MeanFieldState`` (D, rho):
+                Lambda = 1 and the spectrum of rho at every point.
 
 ``_family`` is the one evaluation of C(Gamma): the integral of
 ``GammaSpec.integrand`` = D Gamma(w, Lambda / D) over the support of D
 (``states.on_support``), read from a state's Liouville volume and conditional
 spectrum (``split.Lambda``, ``split.spectrum``: computed once, as a split is
 not changed in place once built). Every term counts an eigenvalue w <=
-``EIG_CLAMP`` of the spectrum as zero (``_kept``).
+``EIG_CLAMP`` of the spectrum as zero (``_kept``). Every member is a float: a
+log member reads NaN (or -inf) where Lambda <= 0 on the support, ``renyi_mqc``
+NaN, and the ``lambda_min`` column and ``lambda_nonpositive_seen`` show where.
 
 The hybrid bracket is evaluated as
 
@@ -158,10 +160,6 @@ class GammaSpec:
                 out = out + np.sum(w * _ratio_powers(w, x, 1.0 - arg), axis=-1)
         return D * out
 
-    def value(self, w, x):
-        """Gamma(w, x): the integrand at D = 1, Lambda = x."""
-        return self.integrand(1.0, w, x)
-
     def grad_A(self, w, v, x):
         out = None
         for kind, arg in self.terms:
@@ -189,8 +187,8 @@ class GammaSpec:
 
 class LinearProbeFunctional:
     """F = integral Re Tr(A(q,p) P); dF/dP = A, broadcast to the grid (A is a
-    constant matrix or a matrix field). The mass is A = 1 and a phase-space
-    moment A = w(q,p) 1."""
+    constant matrix or a matrix field). The mass is A = 1, the energy A = H
+    and a phase-space moment A = w(q,p) 1."""
 
     def __init__(self, A, name="probe"):
         self.A = hermitize(np.asarray(A, dtype=complex))
@@ -198,14 +196,6 @@ class LinearProbeFunctional:
 
     def derivative(self, state):
         return np.array(np.broadcast_to(self.A, state.grid.shape + self.A.shape[-2:]))
-
-
-class EnergyFunctional(LinearProbeFunctional):
-    """F = integral Re Tr(H P), the Ehrenfest energy (evaluated by
-    ``dynamics.energy_of``)."""
-
-    def __init__(self, ham: Hamiltonian):
-        super().__init__(ham.H, "energy")
 
 
 class CasimirC1:
@@ -272,7 +262,7 @@ class CasimirGeneral:
         w, v = np.linalg.eigh(hermitize(A))
 
         gx = self.gamma.grad_x(w, x)
-        dCdD = self.gamma.value(w, x) - x * gx
+        dCdD = self.gamma.integrand(1.0, w, x) - x * gx
         gA = self.gamma.grad_A(w, v, x)
 
         dCdW = np.zeros_like(W)
@@ -349,7 +339,7 @@ def bracket_consistency(f, state: HybridDensity, ham: Hamiltonian):
     """Compare {{f, h}} with dF/dt chained through the Ehrenfest tendency."""
     grid = state.grid
     fo = bracket_operand(f, state)
-    lhs = hybrid_bracket(fo, EnergyFunctional(ham), state)
+    lhs = hybrid_bracket(fo, LinearProbeFunctional(ham.H, "energy"), state)
     tend = _dyn.ehrenfest_rhs(grid, state.P, ham)[0][0]
     rhs = float(grid.integrate(tr_prod(fo.G, tend)))
     mag = float(grid.integrate(frobenius_norm(fo.G) * frobenius_norm(tend)))
@@ -360,20 +350,13 @@ def bracket_consistency(f, state: HybridDensity, ham: Hamiltonian):
 # -- split-state entropies and Casimirs --------------------------------------------
 
 
-class FlaggedValue(NamedTuple):
-    value: float
-    lambda_positive: bool
-
-
-def _family(split, integrand) -> FlaggedValue:
+def _family(split, integrand) -> float:
     """C(Gamma) = integral D Gamma(w, Lambda / D) over the support of D, from
-    ``integrand(D, w, Lambda)`` (a ``GammaSpec.integrand``), with the flag
-    Lambda > 0 there: the one evaluation of every entropy and Casimir of a
-    split or mean-field state."""
-    w, Lam, mask = split.spectrum, split.Lambda, split.support()
-    ok = bool(np.min(Lam[mask]) > 0.0) if np.any(mask) else True
+    ``integrand(D, w, Lambda)`` (a ``GammaSpec.integrand``): the one
+    evaluation of every entropy and Casimir of a split or mean-field state."""
+    w, Lam = split.spectrum, split.Lambda
     pointwise = on_support(split.D, lambda D: integrand(D, w, Lam))
-    return FlaggedValue(float(split.grid.integrate(pointwise)), ok)
+    return float(split.grid.integrate(pointwise))
 
 
 def _peak(split) -> float:
@@ -384,53 +367,47 @@ def _peak(split) -> float:
 
 def casimir_general_value(split, gamma: GammaSpec) -> float:
     """C = integral D Gamma(W W^dag, Lambda / D) for a (D, W) state."""
-    return _family(split, gamma.integrand).value
+    return _family(split, gamma.integrand)
 
 
-def casimir_c2(split: UhlmannSplit, sigma: ScalarFn) -> FlaggedValue:
+def casimir_c2(split: UhlmannSplit, sigma: ScalarFn) -> float:
     """C2 = integral D Sigma(Lambda / D). With Sigma = ln it is the pure-state
-    hybrid entropy (minus the KL divergence of D from Lambda), which is invalid
-    where Lambda is not positive on the support, hence the flag."""
+    hybrid entropy (minus the KL divergence of D from Lambda), which reads NaN
+    (or -inf) where Lambda is not positive on the support."""
     return _family(split, GammaSpec.from_sigma(sigma).integrand)
 
 
-def shannon_pure(split: UhlmannSplit) -> FlaggedValue:
+def shannon_pure(split: UhlmannSplit) -> float:
     """S = integral D ln(Lambda / D)."""
     return casimir_c2(split, scalar_fn("log"))
 
 
-def entropy_meanfield(grid, D, rho) -> float:
-    """S_vN(rho) - integral D ln D: the Uhlmann entropy of the product D rho."""
-    return entropy_uhlmann(MeanFieldState(grid, D, rho)).value
-
-
-def renyi_meanfield(grid, D, rho, alpha) -> float:
-    """H_alpha = (ln Tr rho^alpha + ln integral D^alpha) / (1 - alpha) of D rho."""
-    return renyi_mqc(MeanFieldState(grid, D, rho), alpha).value
-
-
-def entropy_uhlmann(split) -> FlaggedValue:
+def entropy_uhlmann(split) -> float:
     """S = -Tr integral P ln(P / Lambda): C(Gamma) with Gamma(A, x) = -Tr A ln A + ln x."""
     return _family(split, GammaSpec.entropy().integrand)
 
 
-def renyi_mqc(split, alpha) -> FlaggedValue:
+def renyi_mqc(split, alpha) -> float:
     """H_alpha = ln C(renyi(alpha)) / (1 - alpha), C = integral Lambda Tr(P / Lambda)^alpha,
     evaluated at D / m with alpha ln m added back, m the largest eigenvalue of
     P / Lambda on the support: each term is then at most Lambda, so no alpha
-    drives the sum to 0 or infinity."""
+    drives the sum to 0 or infinity. NaN unless Lambda > 0 on the support,
+    where the log of the total is defined."""
     a = float(alpha)
     if a == 1.0:
         raise ValueError("alpha must differ from 1")
+    mask = split.support()
+    if np.any(mask) and not np.min(split.Lambda[mask]) > 0.0:
+        return np.nan
     m, renyi = _peak(split), GammaSpec.renyi(a).integrand
-    total, ok = _family(split, lambda D, w, Lam: renyi(D / m, w, Lam))
-    return FlaggedValue(float((np.log(total) + a * np.log(m)) / (1.0 - a)) if ok else np.nan, ok)
+    total = _family(split, lambda D, w, Lam: renyi(D / m, w, Lam))
+    return float((np.log(total) + a * np.log(m)) / (1.0 - a))
 
 
 def uhlmann_entropies(state_type):
     """(S(state), H(state, alpha)) of a split or mean-field state type, else (None, None)."""
     if issubclass(state_type, (UhlmannSplit, MeanFieldState)):
-        return (lambda s: entropy_uhlmann(s).value, lambda s, a: renyi_mqc(s, a).value)
+        return entropy_uhlmann, renyi_mqc
     return None, None
 
 

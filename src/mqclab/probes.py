@@ -92,7 +92,7 @@ def casimir_probe_report(split, ham, rng, n_probes=20, kmax=2):
         "C2_log": _inv.CasimirGeneral(_inv.GammaSpec.from_sigma(_inv.scalar_fn("log")),
                                       split=split, name="C2_log"),
     }
-    reference = _inv.bracket_operand(_inv.EnergyFunctional(ham), state)
+    reference = _inv.bracket_operand(_inv.LinearProbeFunctional(ham.H, "energy"), state)
     # each Casimir is derived once, at its first bracket (after the first
     # hybrid_bracket call, which the benchmark takes as the end of set-up);
     # a probe is derived once per row and not kept, which bounds memory

@@ -17,12 +17,10 @@ from mqclab import (
     bracket_consistency,
     compose,
     energy_of,
-    entropy_meanfield,
     entropy_uhlmann,
     gibbs_conditional,
     presets,
     quantum_marginal,
-    renyi_meanfield,
     renyi_mqc,
     rk4_run,
     shannon_pure,
@@ -186,13 +184,12 @@ class TestCriterion6:
         D /= grid.integrate(D)
         cond = ConditionalSplit(grid, D, psi)
         mixed = random_smooth_split(grid, 2, rng)
-        rho = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
+        mf = MeanFieldState(grid, D, np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex))
 
         pairs = [
-            ("pure MQC", lambda a: renyi_mqc(cond, a).value, shannon_pure(cond).value),
-            ("Uhlmann MQC", lambda a: renyi_mqc(mixed, a).value, entropy_uhlmann(mixed).value),
-            ("mean-field", lambda a: renyi_meanfield(grid, D, rho, a),
-             entropy_meanfield(grid, D, rho)),
+            ("pure MQC", lambda a: renyi_mqc(cond, a), shannon_pure(cond)),
+            ("Uhlmann MQC", lambda a: renyi_mqc(mixed, a), entropy_uhlmann(mixed)),
+            ("mean-field", lambda a: renyi_mqc(mf, a), entropy_uhlmann(mf)),
         ]
         ok = True
         details = []
@@ -231,8 +228,8 @@ class TestCriterion7:
         W[..., 0, 0] = np.sqrt(0.8)
         W[..., 1, 1] = np.sqrt(0.2)
         D = trace_field(state.P)
-        su = entropy_uhlmann(UhlmannSplit(grid, D, W)).value
-        smf = entropy_meanfield(grid, D, np.diag([0.8, 0.2]).astype(complex))
+        su = entropy_uhlmann(UhlmannSplit(grid, D, W))
+        smf = entropy_uhlmann(MeanFieldState(grid, D, np.diag([0.8, 0.2]).astype(complex)))
         ident = abs(su - smf)
         report(7, fact < 1e-8 and ident < 1e-12,
                f"factorization distance {fact:.2e} (< 1e-8); entropy identity "

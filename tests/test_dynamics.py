@@ -280,6 +280,36 @@ class TestBeyondEhrenfest:
         (t_ehr,), _ = ehrenfest_rhs(grid, P, ham)
         assert np.max(np.abs(t_beyond - t_ehr)) < 1e-10
 
+    @pytest.mark.parametrize("rhs", [ehrenfest_rhs, beyond_ehrenfest_rhs])
+    def test_entropy_rates_fall_at_fourth_order(self, rhs):
+        """The entropy and C2[ln] are Casimirs of the hybrid bracket, so one
+        right-hand side changes them by truncation only: the rate integral
+        Re Tr(dC/dP dP/dt), relative to the integral of its absolute value,
+        falls at order at least 3.5 over 32^2, 64^2 and 128^2 under the
+        beyond-Ehrenfest tendency, as under the Ehrenfest one (the control).
+        The state is a composed smooth split with a Lambda-dependent member;
+        C1 is left out, as any real velocity and Hermitian generator keep it."""
+        from mqclab import CasimirGeneral, GammaSpec, presets, scalar_fn
+        from mqclab.config import build_grid, build_hamiltonian
+        from mqclab.grids import tr_prod
+        from mqclab.probes import random_smooth_split
+
+        rates = []
+        for N in (32, 64, 128):
+            cfg = presets.beyond_nanowire_mixed(N=N)
+            grid = build_grid(cfg)
+            ham = build_hamiltonian(grid, cfg)
+            split = random_smooth_split(grid, 2, np.random.default_rng(3))
+            state = compose(split)
+            (dP,), _ = rhs(grid, state.P, ham)
+            row = []
+            for gamma in (GammaSpec.entropy(), GammaSpec.from_sigma(scalar_fn("log"))):
+                rate = tr_prod(CasimirGeneral(gamma, split=split).derivative(state), dP)
+                row.append(abs(grid.integrate(rate)) / grid.integrate(np.abs(rate)))
+            rates.append(row)
+        orders = np.log2(np.array(rates[:-1]) / np.array(rates[1:]))
+        assert np.all(orders >= 3.5), (rates, orders)
+
     def test_energy_reduces_when_gradient_free(self):
         grid = make_grid()
         ham = nanowire(grid)

@@ -323,7 +323,7 @@ class TestLocalMaximality:
         E_field = ham.extras["h_0"].values + ham.extras["h_i"].values
         from mqclab import ConditionalSplit
 
-        s_eq = shannon_pure(res.state).value
+        s_eq = shannon_pure(res.state)
         rng = np.random.default_rng(21)
         from mqclab.grids import random_band_limited
 
@@ -333,7 +333,7 @@ class TestLocalMaximality:
                 D_proj = project_to_constraints(grid, pert, E_field, res.energy)
             except ValueError:
                 continue
-            s_pert = shannon_pure(ConditionalSplit(grid, D_proj, res.state.psi)).value
+            s_pert = shannon_pure(ConditionalSplit(grid, D_proj, res.state.psi))
             assert s_pert <= s_eq + 1e-12
 
 
@@ -370,14 +370,14 @@ class TestMaxEntProperties:
         planes = pairing_planes(ham.H)
         E_field = pair_planes(res.state.W, planes, live_planes(planes),
                               np.empty((1,) + grid.shape))[0]
-        s_eq = shannon_pure(res.state).value
+        s_eq = shannon_pure(res.state)
         pert = res.state.D * (1.0 + eps * random_band_limited(grid, np.random.default_rng(seed),
                                                                kmax=kmax))
         try:
             D_proj = project_to_constraints(grid, pert, E_field, res.energy)
         except ValueError:  # the energy is out of reach of this reweighting
             assume(False)
-        s_pert = shannon_pure(ConditionalSplit(grid, D_proj, res.state.psi)).value
+        s_pert = shannon_pure(ConditionalSplit(grid, D_proj, res.state.psi))
         assert s_pert <= s_eq + 1e-12
 
     @settings(max_examples=50, deadline=None)

@@ -78,8 +78,8 @@ def test_m1_embedding_gives_identical_bits(case):
                      energy_of("ehrenfest_uhlmann", emb, ham))
 
     sigma = scalar_fn("log")
-    c2 = casimir_c2(split, sigma).value
-    assert same_bits(c2, casimir_c2(emb, sigma).value)
+    c2 = casimir_c2(split, sigma)
+    assert same_bits(c2, casimir_c2(emb, sigma))
     # the C2 of (D, W) states is also the sigma-only general Casimir
     assert same_bits(c2, casimir_general_value(emb, GammaSpec.from_sigma(sigma)))
 
@@ -102,5 +102,5 @@ def test_conditional_entropies_keep_unit_weight(case, alpha):
         h_ref = float((np.log(total) + alpha * np.log(m)) / (1.0 - alpha))
 
     assert np.isfinite(s_ref) and np.isfinite(h_ref)
-    assert same_bits(entropy_uhlmann(split).value, s_ref)
-    assert same_bits(renyi_mqc(split, alpha).value, h_ref)
+    assert same_bits(entropy_uhlmann(split), s_ref)
+    assert same_bits(renyi_mqc(split, alpha), h_ref)
